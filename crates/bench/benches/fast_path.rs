@@ -15,14 +15,18 @@
 //! 2. **Event horizon** — batched active-execution stepping on the
 //!    Figure 4 workload (bench supply, victim app), clean and under a
 //!    continuous resonant DPI attack. The clean coalescing ratio
-//!    `steps / dispatches` is deterministic and asserted `>= 3x`;
-//!    trajectory equality against the per-instruction reference is
-//!    asserted on every run.
+//!    `steps / dispatches` is deterministic and asserted `>= 3x`, and
+//!    `>= 500x` for the instrumented schemes, whose boundary and
+//!    checkpoint ops retire in-span; trajectory equality against the
+//!    per-instruction reference is asserted on every run. Rows carry the
+//!    span diagnostics: runtime ops retired in-span, span ends by reason
+//!    (energy / time / budget / program op) and refused span entries.
 //!    * **Batch step** — the harvesting duty-cycle workload through a
 //!      [`gecko_sim::DeviceBatch`]: a fleet of devices sharing one
 //!      predecoded program, planned and drained lock-step. Bit-exact
 //!      against per-instruction scalar references; the deterministic
-//!      per-device steps-per-dispatch ratio is asserted `>= 5x`.
+//!      per-device steps-per-dispatch ratio is asserted `>= 5x`, and
+//!      `>= 500x` for the instrumented schemes.
 //!    * **Fault path** — the EM instruction-fault seam's fault-free cost:
 //!      an armed-but-unreached fault window forces every span plan
 //!      through the fault-edge guard; bit-identical trajectory asserted,
@@ -58,9 +62,11 @@ use gecko_emi::{AttackSchedule, EmiSignal, Injection};
 use gecko_energy::ConstantPower;
 use gecko_fleet::{Campaign, CampaignSpec, Journal, Workload};
 use gecko_sim::device::CompiledApp;
-use gecko_sim::{impl_record, ExecMode, SchemeKind, SimConfig, Simulator};
+use gecko_sim::{impl_record, ExecMode, FastPathStats, SchemeKind, SimConfig, Simulator};
 
-/// One `BENCH_sim` row.
+/// One `BENCH_sim` row. The `eh_*` span diagnostics are filled on the
+/// simulator sections and left zero elsewhere.
+#[derive(Default)]
 struct BenchRow {
     section: String,
     scheme: String,
@@ -71,6 +77,12 @@ struct BenchRow {
     ratio: f64,
     wall_ms: f64,
     rate_per_s: f64,
+    eh_runtime_ops: u64,
+    eh_end_energy: u64,
+    eh_end_time: u64,
+    eh_end_budget: u64,
+    eh_end_program: u64,
+    eh_refused: u64,
 }
 impl_record!(BenchRow {
     section,
@@ -81,8 +93,55 @@ impl_record!(BenchRow {
     eh_insts,
     ratio,
     wall_ms,
-    rate_per_s
+    rate_per_s,
+    eh_runtime_ops,
+    eh_end_energy,
+    eh_end_time,
+    eh_end_budget,
+    eh_end_program,
+    eh_refused
 });
+
+impl BenchRow {
+    /// Copies the event-horizon span diagnostics from `s`.
+    fn with_spans(self, s: &FastPathStats) -> BenchRow {
+        BenchRow {
+            eh_runtime_ops: s.eh_runtime_ops,
+            eh_end_energy: s.eh_end_energy,
+            eh_end_time: s.eh_end_time,
+            eh_end_budget: s.eh_end_budget,
+            eh_end_program: s.eh_end_program,
+            eh_refused: s.eh_refused,
+            ..self
+        }
+    }
+}
+
+/// Span ends by reason, as `energy/time/budget/program`.
+fn span_ends(s: &FastPathStats) -> String {
+    format!(
+        "{}/{}/{}/{}",
+        s.eh_end_energy, s.eh_end_time, s.eh_end_budget, s.eh_end_program
+    )
+}
+
+/// Deterministic floor on the clean-cell coalescing ratio of the
+/// instrumented schemes. With their boundaries and checkpoint stores
+/// retired inside spans they measure >= 1000x on both sections; a change
+/// that splits spans at runtime ops again drops them back to 6-15x and
+/// fails this gate.
+const RUNTIME_OP_SCHEME_FLOOR: f64 = 500.0;
+
+/// Asserts [`RUNTIME_OP_SCHEME_FLOOR`] for the instrumented schemes.
+fn assert_runtime_op_floor(section: &str, scheme: SchemeKind, ratio: f64) {
+    if scheme != SchemeKind::Nvp {
+        assert!(
+            ratio >= RUNTIME_OP_SCHEME_FLOOR,
+            "{section}: {scheme} must coalesce >= {RUNTIME_OP_SCHEME_FLOOR}x with runtime \
+             ops retired in-span (got {ratio:.1}x)"
+        );
+    }
+}
 
 /// The hibernation-heavy configuration: 0.3 µW of harvest into an empty
 /// 100 µF buffer never reaches V_on inside the window, so the whole run is
@@ -154,17 +213,21 @@ fn bench_fast_forward(rows: &mut Vec<BenchRow>, quick: bool) {
             format!("{:.0}k/s", rate / 1e3),
             format!("{:.1}x", exact_wall.as_secs_f64() / fast_wall.as_secs_f64()),
         ]);
-        rows.push(BenchRow {
-            section: "fast_forward".to_string(),
-            scheme: scheme.name().to_string(),
-            app: "blink".to_string(),
-            steps: stats.steps,
-            ff_ticks: stats.ff_ticks,
-            eh_insts: stats.eh_insts,
-            ratio,
-            wall_ms: fast_wall.as_secs_f64() * 1e3,
-            rate_per_s: rate,
-        });
+        rows.push(
+            BenchRow {
+                section: "fast_forward".to_string(),
+                scheme: scheme.name().to_string(),
+                app: "blink".to_string(),
+                steps: stats.steps,
+                ff_ticks: stats.ff_ticks,
+                eh_insts: stats.eh_insts,
+                ratio,
+                wall_ms: fast_wall.as_secs_f64() * 1e3,
+                rate_per_s: rate,
+                ..BenchRow::default()
+            }
+            .with_spans(&stats),
+        );
     }
     print_table(
         &format!("hibernation fast-forward, 0.3 µW / 100 µF, {window_s}s window (best of {iters})"),
@@ -246,6 +309,7 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
             let ratio = stats.steps as f64 / (stats.dispatches.max(1)) as f64;
             if !attacked {
                 worst_clean_ratio = worst_clean_ratio.min(ratio);
+                assert_runtime_op_floor("event_horizon", scheme, ratio);
             }
             let fast_wall = time_best_of(iters, run_fast);
             let exact_wall = time_best_of(iters, run_exact);
@@ -255,21 +319,28 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
                 cell.to_string(),
                 stats.steps.to_string(),
                 stats.eh_insts.to_string(),
+                stats.eh_runtime_ops.to_string(),
+                span_ends(&stats),
+                stats.eh_refused.to_string(),
                 format!("{ratio:.1}x"),
                 format!("{:.1}M/s", rate / 1e6),
                 format!("{:.1}x", exact_wall.as_secs_f64() / fast_wall.as_secs_f64()),
             ]);
-            rows.push(BenchRow {
-                section: "event_horizon".to_string(),
-                scheme: scheme.name().to_string(),
-                app: format!("bitcnt/{cell}"),
-                steps: stats.steps,
-                ff_ticks: stats.ff_ticks,
-                eh_insts: stats.eh_insts,
-                ratio,
-                wall_ms: fast_wall.as_secs_f64() * 1e3,
-                rate_per_s: rate,
-            });
+            rows.push(
+                BenchRow {
+                    section: "event_horizon".to_string(),
+                    scheme: scheme.name().to_string(),
+                    app: format!("bitcnt/{cell}"),
+                    steps: stats.steps,
+                    ff_ticks: stats.ff_ticks,
+                    eh_insts: stats.eh_insts,
+                    ratio,
+                    wall_ms: fast_wall.as_secs_f64() * 1e3,
+                    rate_per_s: rate,
+                    ..BenchRow::default()
+                }
+                .with_spans(&stats),
+            );
         }
     }
     print_table(
@@ -279,6 +350,9 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
             "cell",
             "steps",
             "coalesced",
+            "rt ops",
+            "ends e/t/b/p",
+            "refused",
             "ratio",
             "steps/s",
             "wall speedup",
@@ -356,14 +430,27 @@ fn bench_batch_step(rows: &mut Vec<BenchRow>, quick: bool) {
             );
         }
         let stats = batch.stats();
-        let (steps, dispatches) = batch.devices().iter().fold((0u64, 0u64), |(s, d), sim| {
-            let f = sim.fast_path_stats();
-            (s + f.steps, d + f.dispatches)
-        });
+        // Totals over the batch of the counters this row reports.
+        let fast = batch.devices().iter().map(Simulator::fast_path_stats).fold(
+            FastPathStats::default(),
+            |t, s| FastPathStats {
+                steps: t.steps + s.steps,
+                dispatches: t.dispatches + s.dispatches,
+                eh_runtime_ops: t.eh_runtime_ops + s.eh_runtime_ops,
+                eh_end_energy: t.eh_end_energy + s.eh_end_energy,
+                eh_end_time: t.eh_end_time + s.eh_end_time,
+                eh_end_budget: t.eh_end_budget + s.eh_end_budget,
+                eh_end_program: t.eh_end_program + s.eh_end_program,
+                eh_refused: t.eh_refused + s.eh_refused,
+                ..t
+            },
+        );
+        let steps = fast.steps;
         // Deterministic: simulated steps per scalar dispatch, i.e. how
         // many ops each coalesced plan retires for the price of one.
-        let ratio = steps as f64 / dispatches.max(1) as f64;
+        let ratio = steps as f64 / fast.dispatches.max(1) as f64;
         worst_ratio = worst_ratio.min(ratio);
+        assert_runtime_op_floor("batch_step", scheme, ratio);
 
         let batch_wall = time_best_of(iters, run_batch);
         let ns_per_op = batch_wall.as_nanos() as f64 / steps.max(1) as f64;
@@ -372,24 +459,41 @@ fn bench_batch_step(rows: &mut Vec<BenchRow>, quick: bool) {
             steps.to_string(),
             format!("{}", stats.spans),
             format!("{}\u{2030}", stats.occupancy_permille()),
+            fast.eh_runtime_ops.to_string(),
+            span_ends(&fast),
+            fast.eh_refused.to_string(),
             format!("{ratio:.1}x"),
             format!("{ns_per_op:.1}ns"),
         ]);
-        rows.push(BenchRow {
-            section: "batch_step".to_string(),
-            scheme: scheme.name().to_string(),
-            app: format!("bitcnt x{devices}"),
-            steps,
-            ff_ticks: stats.spans,
-            eh_insts: stats.coalesced_steps,
-            ratio,
-            wall_ms: batch_wall.as_secs_f64() * 1e3,
-            rate_per_s: steps as f64 / batch_wall.as_secs_f64(),
-        });
+        rows.push(
+            BenchRow {
+                section: "batch_step".to_string(),
+                scheme: scheme.name().to_string(),
+                app: format!("bitcnt x{devices}"),
+                steps,
+                ff_ticks: stats.spans,
+                eh_insts: stats.coalesced_steps,
+                ratio,
+                wall_ms: batch_wall.as_secs_f64() * 1e3,
+                rate_per_s: steps as f64 / batch_wall.as_secs_f64(),
+                ..BenchRow::default()
+            }
+            .with_spans(&fast),
+        );
     }
     print_table(
         &format!("DeviceBatch lock-step, bitcnt x{devices}, {window_s}s window (best of {iters})"),
-        &["scheme", "steps", "spans", "occupancy", "ratio", "ns/op"],
+        &[
+            "scheme",
+            "steps",
+            "spans",
+            "occupancy",
+            "rt ops",
+            "ends e/t/b/p",
+            "refused",
+            "ratio",
+            "ns/op",
+        ],
         &table,
     );
     assert!(
@@ -466,17 +570,21 @@ fn bench_fault_path(rows: &mut Vec<BenchRow>, quick: bool) {
             ],
         ],
     );
-    rows.push(BenchRow {
-        section: "fault_path".to_string(),
-        scheme: scheme.name().to_string(),
-        app: "bitcnt".to_string(),
-        steps,
-        ff_ticks: 0,
-        eh_insts: guarded.fast_path_stats().eh_insts,
-        ratio: overhead,
-        wall_ms: guarded_wall.as_secs_f64() * 1e3,
-        rate_per_s: steps as f64 / guarded_wall.as_secs_f64(),
-    });
+    rows.push(
+        BenchRow {
+            section: "fault_path".to_string(),
+            scheme: scheme.name().to_string(),
+            app: "bitcnt".to_string(),
+            steps,
+            ff_ticks: 0,
+            eh_insts: guarded.fast_path_stats().eh_insts,
+            ratio: overhead,
+            wall_ms: guarded_wall.as_secs_f64() * 1e3,
+            rate_per_s: steps as f64 / guarded_wall.as_secs_f64(),
+            ..BenchRow::default()
+        }
+        .with_spans(&guarded.fast_path_stats()),
+    );
     let max_overhead = if quick { 1.10 } else { 1.02 };
     assert!(
         overhead < max_overhead,
@@ -522,6 +630,7 @@ fn bench_dispatch(rows: &mut Vec<BenchRow>, quick: bool) {
             ratio: speedup,
             wall_ms: pre_wall.as_secs_f64() * 1e3,
             rate_per_s: rate,
+            ..BenchRow::default()
         });
     }
     print_table(
@@ -562,6 +671,7 @@ fn bench_campaign(rows: &mut Vec<BenchRow>, quick: bool) {
         ratio: 1.0,
         wall_ms: wall.as_secs_f64() * 1e3,
         rate_per_s: rate,
+        ..BenchRow::default()
     });
 }
 
@@ -648,6 +758,7 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
         ratio: overhead,
         wall_ms: journaled_wall.as_secs_f64() * 1e3,
         rate_per_s: items as f64 / journaled_wall.as_secs_f64(),
+        ..BenchRow::default()
     });
     // Quick-mode windows total ~70 ms, where a single millisecond of
     // scheduler noise already exceeds 2%; the smoke run only guards
@@ -753,6 +864,7 @@ fn bench_serve_submit(rows: &mut Vec<BenchRow>, quick: bool) {
         ratio: overhead,
         wall_ms: served_wall.as_secs_f64() * 1e3,
         rate_per_s: items as f64 / served_wall.as_secs_f64(),
+        ..BenchRow::default()
     });
     assert!(
         overhead < 1.10,
@@ -798,6 +910,7 @@ fn bench_checker(rows: &mut Vec<BenchRow>, quick: bool) {
             ratio: 1.0,
             wall_ms: wall.as_secs_f64() * 1e3,
             rate_per_s: rate,
+            ..BenchRow::default()
         });
     }
     print_table(
@@ -901,6 +1014,7 @@ fn bench_incremental_check(rows: &mut Vec<BenchRow>, quick: bool) {
         ratio,
         wall_ms: warm_wall.as_secs_f64() * 1e3,
         rate_per_s: windows as f64 / warm_wall.as_secs_f64().max(1e-9),
+        ..BenchRow::default()
     });
     assert!(
         ratio >= 5.0,
@@ -989,6 +1103,7 @@ fn bench_prune_tick(rows: &mut Vec<BenchRow>, quick: bool) {
         ratio: 1.0,
         wall_ms: wall.as_secs_f64() * 1e3,
         rate_per_s: rate,
+        ..BenchRow::default()
     });
     const MAX_NS_PER_LINE: f64 = 2_000_000.0; // 2 ms/line, fsyncs included
     assert!(

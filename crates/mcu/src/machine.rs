@@ -336,26 +336,33 @@ impl Machine {
 
     /// Retires a span of predecoded instructions in one batched call —
     /// the machine/NVM/peripheral half of the simulator's event-horizon
-    /// stepping. Returns the number of instructions retired (possibly 0).
+    /// stepping. Returns the number of instructions retired (possibly 0)
+    /// and, when the span stopped *after* a runtime op, that op's event.
     ///
-    /// The span ends, *without executing the stopping entry*, at:
+    /// `admit(cycles, energy_nj, overhead)` is consulted *before* each
+    /// entry executes, with that entry's precomputed costs; `overhead` is
+    /// `true` for the compiler-inserted runtime ops (`Boundary`,
+    /// `Checkpoint`). When it declines, machine, NVM and peripherals are
+    /// exactly as if the entry never started. That lets the caller replay
+    /// its energy/time bookkeeping per instruction (bit-identically to the
+    /// per-step reference) and stop the moment a guard would fail, without
+    /// ever having to undo an instruction. An admitted runtime op executes
+    /// and the call returns right away with its [`StepEvent`]: the caller
+    /// applies the op's scheme effect (a checkpoint-slot write, a region
+    /// commit) and may call again to continue the same span.
     ///
-    /// * the first entry that surfaces a runtime event the caller must
-    ///   handle exactly — `Boundary`, `Checkpoint` or `Halt` ([`StepEvent::Io`]
-    ///   is runtime-inert in the simulator and stays in-span);
+    /// Otherwise the span ends, *without executing the stopping entry*, at:
+    ///
+    /// * `Halt`, whose completion protocol the caller runs exactly;
     /// * the first `Store` whose resolved address is at or above
     ///   `store_fence` — writes into the checkpoint-runtime NVM area can
     ///   flip scheme state (e.g. the GECKO mode word) that the caller's
     ///   admission reasoning assumed constant;
     /// * `max_insts` instructions retired; or
-    /// * `admit(cycles, energy_nj)` returning `false` for the next entry.
+    /// * `admit` returning `false` for the next entry.
     ///
-    /// `admit` is consulted *before* each instruction executes, with that
-    /// entry's precomputed costs; when it declines, machine, NVM and
-    /// peripherals are exactly as if the instruction never started. That
-    /// lets the caller replay its energy/time bookkeeping per instruction
-    /// (bit-identically to the per-step reference) and stop the moment a
-    /// guard would fail, without ever having to undo an instruction.
+    /// [`StepEvent::Io`] is runtime-inert in the simulator and stays
+    /// in-span like any plain instruction.
     ///
     /// # Panics
     ///
@@ -368,33 +375,38 @@ impl Machine {
         periph: &mut Peripherals,
         max_insts: u64,
         store_fence: u32,
-        mut admit: impl FnMut(u64, f64) -> bool,
-    ) -> u64 {
+        mut admit: impl FnMut(u64, f64, bool) -> bool,
+    ) -> (u64, Option<StepEvent>) {
         assert!(!self.halted, "stepping a halted machine");
         let mut done = 0u64;
         while done < max_insts {
             let entry = pre.entry(self.pc.block, self.pc.index);
-            match entry.op {
-                POp::Boundary { .. } | POp::Checkpoint { .. } | POp::Halt => break,
+            let overhead = match entry.op {
+                POp::Halt => break,
+                POp::Boundary { .. } | POp::Checkpoint { .. } => true,
                 POp::Store { base, off, .. } => {
                     let addr = (self.regs.get(base).wrapping_add(off)) as u32;
                     if addr >= store_fence {
                         break;
                     }
+                    false
                 }
-                _ => {}
-            }
-            if !admit(entry.cycles, entry.energy_nj) {
+                _ => false,
+            };
+            if !admit(entry.cycles, entry.energy_nj, overhead) {
                 break;
             }
             let event = self.exec_pop(entry.op, nvm, periph);
+            done += 1;
+            if overhead {
+                return (done, event);
+            }
             debug_assert!(
                 matches!(event, None | Some(StepEvent::Io(_))),
-                "span-ending ops are filtered before execution"
+                "runtime ops return above and Halt never executes in-span"
             );
-            done += 1;
         }
-        done
+        (done, None)
     }
 
     /// Executes one predecoded operation — the shared core of
@@ -939,10 +951,9 @@ mod tests {
         assert_eq!(pa.sent(), pb.sent());
     }
 
-    #[test]
-    fn retire_span_matches_per_step_and_stops_at_events() {
-        // Same shape as the differential test above: a loop with memory
-        // traffic and IO, ended by Boundary/Checkpoint/Halt pseudo-ops.
+    /// The differential test's program shape: a loop with memory traffic
+    /// and IO, then a Boundary, a Checkpoint and Halt.
+    fn span_test_program() -> Program {
         let mut b = ProgramBuilder::new("t");
         let d = b.segment("d", 8, true);
         let (sum, i, addr) = (Reg::R1, Reg::R2, Reg::R3);
@@ -969,33 +980,38 @@ mod tests {
         });
         b.push(Inst::Checkpoint { reg: sum, slot: 0 });
         b.halt();
-        let p = b.finish().unwrap();
+        b.finish().unwrap()
+    }
 
-        let cost = CostModel::default();
-        let energy = EnergyModel::default();
-        let pre = PredecodedProgram::build(&p, &cost, &energy);
-        let fence = 1 << 10; // no app store reaches this address
+    fn span_test_setup() -> (Program, PredecodedProgram) {
+        let p = span_test_program();
+        let pre = PredecodedProgram::build(&p, &CostModel::default(), &EnergyModel::default());
+        (p, pre)
+    }
 
-        // Reference: per-step until the first event-surfacing entry.
+    /// No app store in the span test program reaches this address.
+    const SPAN_FENCE: u32 = 1 << 10;
+
+    #[test]
+    fn retire_span_matches_per_step_and_returns_runtime_ops() {
+        let (p, pre) = span_test_setup();
+
+        // Reference: per-step up to and including the first runtime op.
         let mut nvm_a = Nvm::new(1 << 10);
         let mut pa = Peripherals::new(3);
         let mut a = Machine::new(p.entry());
         let mut ref_insts = 0u64;
         let mut ref_cycles = 0u64;
         let mut ref_energy = 0.0f64;
-        loop {
-            let e = pre.entry(a.pc().block, a.pc().index);
-            if matches!(
-                e.op,
-                POp::Boundary { .. } | POp::Checkpoint { .. } | POp::Halt
-            ) {
-                break;
-            }
+        let ref_event = loop {
             let o = a.step_predecoded(&pre, &mut nvm_a, &mut pa);
             ref_insts += 1;
             ref_cycles += o.cycles;
             ref_energy += o.energy_nj;
-        }
+            if matches!(o.event, Some(StepEvent::Boundary(_))) {
+                break o.event;
+            }
+        };
 
         // Batched: one retire_span with an admit that mirrors the sums.
         let mut nvm_b = Nvm::new(1 << 10);
@@ -1003,17 +1019,95 @@ mod tests {
         let mut m = Machine::new(p.entry());
         let mut cycles = 0u64;
         let mut energy_nj = 0.0f64;
-        let done = m.retire_span(&pre, &mut nvm_b, &mut pb, u64::MAX, fence, |c, e| {
-            cycles += c;
-            energy_nj += e;
-            true
-        });
+        let mut flags = Vec::new();
+        let (done, op) = m.retire_span(
+            &pre,
+            &mut nvm_b,
+            &mut pb,
+            u64::MAX,
+            SPAN_FENCE,
+            |c, e, overhead| {
+                cycles += c;
+                energy_nj += e;
+                flags.push(overhead);
+                true
+            },
+        );
         assert_eq!(done, ref_insts);
+        assert_eq!(op, ref_event, "returns the executed boundary");
         assert_eq!(cycles, ref_cycles);
         assert_eq!(energy_nj.to_bits(), ref_energy.to_bits());
-        assert_eq!(m, a, "machines land on the same boundary");
+        assert_eq!(m, a, "machines land just past the same boundary");
         assert_eq!(nvm_a.words(), nvm_b.words());
         assert_eq!(pa.sent(), pb.sent());
+        assert_eq!(
+            flags.iter().filter(|&&o| o).count(),
+            1,
+            "only the boundary is flagged overhead"
+        );
+        assert_eq!(flags.last(), Some(&true));
+
+        // Worst-step really bounds every admitted entry.
+        let (wc, we) = pre.worst_step();
+        assert!(ref_cycles <= wc * ref_insts);
+        assert!(ref_energy <= we * ref_insts as f64);
+
+        // Re-entering continues the same span: the checkpoint op comes
+        // back with the register's value at the store.
+        let (n, op) = m.retire_span(
+            &pre,
+            &mut nvm_b,
+            &mut pb,
+            u64::MAX,
+            SPAN_FENCE,
+            |_, _, o| {
+                assert!(o, "the next entry is the checkpoint");
+                true
+            },
+        );
+        assert_eq!(n, 1);
+        assert_eq!(
+            op,
+            Some(StepEvent::Checkpoint {
+                reg: Reg::R1,
+                value: a.regs().get(Reg::R1),
+                slot: 0
+            })
+        );
+
+        // Halt still ends the span before it executes.
+        let before = m.clone();
+        let (n, op) = m.retire_span(
+            &pre,
+            &mut nvm_b,
+            &mut pb,
+            u64::MAX,
+            SPAN_FENCE,
+            |_, _, _| panic!("halt is never offered to admit"),
+        );
+        assert_eq!((n, op), (0, None));
+        assert_eq!(m, before);
+        assert!(!m.is_halted());
+        assert_eq!(pre.entry(m.pc().block, m.pc().index).op, POp::Halt);
+    }
+
+    #[test]
+    fn retire_span_declined_runtime_op_does_not_execute() {
+        let (p, pre) = span_test_setup();
+        let mut nvm = Nvm::new(1 << 10);
+        let mut periph = Peripherals::new(3);
+        let mut m = Machine::new(p.entry());
+        // Refuse overhead only: the span parks on the unexecuted boundary.
+        let (n, op) = m.retire_span(
+            &pre,
+            &mut nvm,
+            &mut periph,
+            u64::MAX,
+            SPAN_FENCE,
+            |_, _, o| !o,
+        );
+        assert!(n > 0);
+        assert_eq!(op, None);
         assert!(
             matches!(
                 pre.entry(m.pc().block, m.pc().index).op,
@@ -1022,23 +1116,25 @@ mod tests {
             "span stops exactly at the unexecuted boundary"
         );
 
-        // Worst-step really bounds every admitted entry.
-        let (wc, we) = pre.worst_step();
-        assert!(ref_cycles <= wc * ref_insts);
-        assert!(ref_energy <= we * ref_insts as f64);
-
         // Declining admission leaves the machine untouched.
         let before = m.clone();
-        let n = m.retire_span(&pre, &mut nvm_b, &mut pb, u64::MAX, fence, |_, _| false);
-        assert_eq!(n, 0);
+        let words = nvm.words().to_vec();
+        let (n, op) = m.retire_span(
+            &pre,
+            &mut nvm,
+            &mut periph,
+            u64::MAX,
+            SPAN_FENCE,
+            |_, _, _| false,
+        );
+        assert_eq!((n, op), (0, None));
         assert_eq!(m, before);
+        assert_eq!(nvm.words(), &words[..]);
 
         // max_insts caps the span mid-way.
-        let mut nvm_c = Nvm::new(1 << 10);
-        let mut pc2 = Peripherals::new(3);
         let mut c = Machine::new(p.entry());
-        let n = c.retire_span(&pre, &mut nvm_c, &mut pc2, 2, fence, |_, _| true);
-        assert_eq!(n, 2);
+        let (n, op) = c.retire_span(&pre, &mut nvm, &mut periph, 2, SPAN_FENCE, |_, _, _| true);
+        assert_eq!((n, op), (2, None));
     }
 
     #[test]
@@ -1060,8 +1156,8 @@ mod tests {
         let mut nvm = Nvm::new(128);
         let mut periph = Peripherals::new(0);
         let mut m = Machine::new(p.entry());
-        let n = m.retire_span(&pre, &mut nvm, &mut periph, u64::MAX, 64, |_, _| true);
-        assert_eq!(n, 4, "stops before the fenced store");
+        let (n, op) = m.retire_span(&pre, &mut nvm, &mut periph, u64::MAX, 64, |_, _, _| true);
+        assert_eq!((n, op), (4, None), "stops before the fenced store");
         assert_eq!(nvm.read(d), 5, "app store executed");
         assert_eq!(nvm.read(64), 0, "fenced store did not");
         assert!(

@@ -223,7 +223,9 @@ pub enum ExecMode {
 /// many simulation steps ran, and how many of them the two coalescers
 /// (hibernation fast-forward, event-horizon active stepping) batched past
 /// the full per-step dispatch. `steps == dispatches + ff_ticks + eh_insts`
-/// always holds.
+/// always holds, and every event-horizon span ends for exactly one
+/// reason: `eh_spans == eh_end_energy + eh_end_time + eh_end_budget +
+/// eh_end_program`.
 ///
 /// These counters are *diagnostics*, not simulation state: they are
 /// excluded from [`Simulator::snapshot`], [`Simulator::state_hash`] and
@@ -247,6 +249,26 @@ pub struct FastPathStats {
     pub eh_insts: u64,
     /// Event-horizon spans (maximal runs of batched instructions).
     pub eh_spans: u64,
+    /// Compiler-inserted runtime ops (region boundaries, checkpoint
+    /// stores) retired inside event-horizon spans; counted in `eh_insts`.
+    pub eh_runtime_ops: u64,
+    /// Spans ended by the worst-case energy guard (the next instruction
+    /// could have dipped below the monitor or brown-out threshold).
+    pub eh_end_energy: u64,
+    /// Spans ended by a time horizon: a harvester segment, attack-window
+    /// or fault-window edge (`t_guard`), or the caller's `t_end`.
+    pub eh_end_time: u64,
+    /// Spans that retired their whole step budget: the closed-form
+    /// energy horizon or the caller's step cap.
+    pub eh_end_budget: u64,
+    /// Spans ended by a program op: `Halt`, a store into the runtime NVM
+    /// area, or a runtime op while GECKO rollback probation is pending.
+    pub eh_end_program: u64,
+    /// ON-state steps where no span could start (a guard bailed —
+    /// including coalescing being off or the interpreted mode — the
+    /// closed-form horizon was below [`MIN_ACTIVE_SPAN`], or the first
+    /// instruction was not admitted), so the exact path ran instead.
+    pub eh_refused: u64,
 }
 
 /// The per-device inputs of the event-horizon span solver, sampled at the
@@ -285,6 +307,82 @@ struct ActiveGuards {
     e_guard_j: f64,
     /// See [`SpanProfile::worst_loss_j`].
     worst_loss_j: f64,
+    /// Worst-case energy (J) a runtime op's scheme effect draws on top of
+    /// its own step before the next monitor poll: Ratchet's register-save
+    /// sequence; 0 for schemes whose runtime ops are single steps.
+    commit_loss_j: f64,
+    /// Simulated time (s) that same sequence adds.
+    commit_s: f64,
+}
+
+/// Why an event-horizon span ended (the [`FastPathStats`] `eh_end_*`
+/// counters).
+#[derive(Debug, Clone, Copy)]
+enum SpanEnd {
+    Energy,
+    Time,
+    Budget,
+    Program,
+}
+
+/// The local copies an event-horizon span replays the per-step energy,
+/// time and monitor bookkeeping on; they commit back to the simulator in
+/// one shot when the span ends.
+struct SpanMeter {
+    cap: Capacitor,
+    adc: AdcMonitor,
+    t: f64,
+    energy_nj: f64,
+    forward_cycles: u64,
+    overhead_cycles: u64,
+    /// The harvester power the span's guards pinned.
+    power: f64,
+    /// Whether an armed unfiltered ADC is polled after every step.
+    adc_polls: bool,
+    v_max: f64,
+    v_backup: f64,
+    v_off: f64,
+    cost: CostModel,
+    energy: EnergyModel,
+}
+
+impl SpanMeter {
+    /// [`Simulator::consume`]'s float operations, in its order, on the
+    /// locals. The span's admission guard rules out brown-out.
+    #[inline]
+    fn consume(&mut self, cycles: u64, extra_nj: f64, forward: bool) {
+        let dt = self.cost.cycles_to_seconds(cycles);
+        self.cap.charge(self.power, dt, self.v_max);
+        let e_nj = self.energy.cycles_energy_nj(cycles) + extra_nj;
+        self.energy_nj += e_nj;
+        if forward {
+            self.forward_cycles += cycles;
+        } else {
+            self.overhead_cycles += cycles;
+        }
+        self.t += dt;
+        let alive = self.cap.discharge_j(e_nj * 1e-9);
+        debug_assert!(
+            alive && self.cap.voltage_v() >= self.v_off,
+            "the energy guard must preclude in-span brown-out"
+        );
+    }
+
+    /// Replays the per-step checkpoint poll when an ADC is armed (quiet
+    /// span: amplitude 0). Held polls return the vetted held reading;
+    /// fresh conversions see the guarded voltage and cannot quantize
+    /// below `V_backup`.
+    #[inline]
+    fn poll(&mut self) {
+        if self.adc_polls {
+            let cap = &self.cap;
+            let r = self.adc.read_with(|| cap.voltage_v(), 0.0, self.t);
+            debug_assert!(
+                r >= self.v_backup,
+                "in-span polls must not assert the checkpoint signal"
+            );
+        }
+    }
 }
 
 /// A full capture of a [`Simulator`]'s mutable state: volatile machine
@@ -841,7 +939,13 @@ impl Simulator {
         }
         let n = match self.state {
             PowerState::Sleeping => self.try_fast_forward(max_steps, t_end),
-            PowerState::On => self.try_advance_active(max_steps, t_end),
+            PowerState::On => {
+                let n = self.try_advance_active(max_steps, t_end);
+                if n == 0 {
+                    self.fast.eh_refused += 1;
+                }
+                n
+            }
         };
         if n > 0 {
             return n;
@@ -1387,8 +1491,25 @@ impl Simulator {
         let (worst_cycles, worst_energy_nj) = self.pre.worst_step();
         let max_dt = self.cost.cycles_to_seconds(worst_cycles);
         let v_rail = self.cap.voltage_v().max(self.thresholds.v_max);
-        let leak_j = self.cap.leak_siemens() * v_rail * v_rail * max_dt;
-        let worst_loss_j = worst_energy_nj * 1e-9 + leak_j;
+        let leak_w = self.cap.leak_siemens() * v_rail * v_rail;
+        let worst_loss_j = worst_energy_nj * 1e-9 + leak_w * max_dt;
+        // A Ratchet boundary's register-save sequence runs between the
+        // boundary step and the next poll; bound it the same way.
+        let (commit_loss_j, commit_s) = match self.scheme {
+            SchemeKind::Ratchet => {
+                let (save, commit) = self.ratchet_commit_costs();
+                let loss_j = |(cycles, extra_nj): (u64, f64)| {
+                    (self.energy.cycles_energy_nj(cycles) + extra_nj) * 1e-9
+                        + leak_w * self.cost.cycles_to_seconds(cycles)
+                };
+                (
+                    Reg::COUNT as f64 * loss_j(save) + loss_j(commit),
+                    self.cost
+                        .cycles_to_seconds(Reg::COUNT as u64 * save.0 + commit.0),
+                )
+            }
+            _ => (0.0, 0.0),
+        };
 
         let margin_v = self.adc.lsb_v() + 1e-9;
         let v_guard = if polls {
@@ -1411,6 +1532,8 @@ impl Simulator {
             t_guard,
             e_guard_j,
             worst_loss_j,
+            commit_loss_j,
+            commit_s,
         })
     }
 
@@ -1448,12 +1571,23 @@ impl Simulator {
     /// voltage monitor when the JIT protocol (or probation) is armed. The
     /// batch is sound when every per-step reaction is provably a no-op:
     ///
-    /// * **Span enders** — [`Machine::retire_span`] stops *before*
-    ///   executing any `Boundary`/`Checkpoint`/`Halt` entry and any store
-    ///   into the runtime NVM area ([`RUNTIME_AREA_FENCE`]), so scheme
-    ///   state (`jit_protocol_active`, probation) is constant in-span and
-    ///   event handling happens on the exact path. `Io` events stay
-    ///   in-span: the device loop ignores them.
+    /// * **Runtime ops in-span** — an admitted `Boundary`/`Checkpoint` is
+    ///   metered as overhead, executes, and [`Machine::retire_span`] hands
+    ///   its event back. The span meters Ratchet's register-save sequence
+    ///   on its locals (16 saves, then the commit, as the per-step path
+    ///   does), applies the scheme effect through `apply_runtime_op` (the
+    ///   per-step path's own checkpoint-slot write or region commit),
+    ///   replays one poll, and re-enters with the same guards. None of
+    ///   those effects changes the scheme state the guards assumed
+    ///   (`jit_protocol_active`, probation), and the admit guards cover
+    ///   the op's whole effect: Ratchet's sequence loss (`commit_loss_j`)
+    ///   and time (`commit_s`) are added to the step's own worst case.
+    ///   `Io` events stay in-span: the device loop ignores them.
+    /// * **Span enders** — `retire_span` stops *before* executing `Halt`
+    ///   and any store into the runtime NVM area ([`RUNTIME_AREA_FENCE`]);
+    ///   while GECKO rollback probation is pending, every runtime op ends
+    ///   the span too (the probation boundary can re-enable the JIT
+    ///   protocol). All of these run on the exact path.
     /// * **No brown-out, no checkpoint signal** — the closed-form sizing
     ///   ([`segment::safe_steps`]) under the worst-case per-instruction
     ///   loss ([`PredecodedProgram::worst_step`] plus a full step of
@@ -1496,6 +1630,8 @@ impl Simulator {
             t_guard,
             e_guard_j: e_guard,
             worst_loss_j,
+            commit_loss_j,
+            commit_s,
         } = guards;
         let horizon = segment::safe_steps(self.cap.energy_j(), e_guard, worst_loss_j);
         if horizon < MIN_ACTIVE_SPAN {
@@ -1505,79 +1641,132 @@ impl Simulator {
             return 0;
         }
 
-        // The span replays `consume` (and the armed ADC poll) on locals in
-        // the exact per-step operation order; everything commits back in
-        // one shot when the span ends, so the committed trajectory is
-        // bit-identical to stepping each instruction.
-        let mut cap = self.cap.clone();
-        let mut adc = self.adc.clone();
-        let mut t = self.t_s;
-        let mut energy_nj_acc = self.metrics.energy_nj;
-        let mut span_cycles = 0u64;
-        let cost = self.cost;
-        let energy = self.energy;
-        let v_max = self.thresholds.v_max;
-        let v_backup = self.thresholds.v_backup;
-        let v_off = self.thresholds.v_off;
         let budget = horizon.min(max_steps);
-
-        let done = self.machine.retire_span(
-            &self.pre,
-            &mut self.nvm,
-            &mut self.periph,
-            budget,
-            RUNTIME_AREA_FENCE,
-            |cycles, energy_nj| {
-                // The reference loop-head conditions, checked before the
-                // instruction executes: the time horizons and the exact
-                // worst-case energy guard on the live local capacitor.
-                if t >= t_end || t >= t_guard {
-                    return false;
+        // Probation resolves at the first boundary and may re-enable the
+        // JIT protocol, changing whether the monitor polls: while it is
+        // pending, runtime ops end the span and run on the exact path.
+        let probation = self.probe.is_some();
+        let (save, commit) = self.ratchet_commit_costs();
+        let mut meter = SpanMeter {
+            cap: self.cap.clone(),
+            adc: self.adc.clone(),
+            t: self.t_s,
+            energy_nj: self.metrics.energy_nj,
+            forward_cycles: 0,
+            overhead_cycles: 0,
+            power,
+            adc_polls,
+            v_max: self.thresholds.v_max,
+            v_backup: self.thresholds.v_backup,
+            v_off: self.thresholds.v_off,
+            cost: self.cost,
+            energy: self.energy,
+        };
+        let mut done = 0u64;
+        let end = loop {
+            let mut refused = None;
+            let (n, op) = self.machine.retire_span(
+                &self.pre,
+                &mut self.nvm,
+                &mut self.periph,
+                budget - done,
+                RUNTIME_AREA_FENCE,
+                |cycles, energy_nj, overhead| {
+                    // The reference loop-head conditions, checked before
+                    // the instruction executes: the time horizons and the
+                    // exact worst-case energy guard on the live local
+                    // capacitor. A runtime op's whole effect must fit:
+                    // Ratchet's register-save sequence runs before the
+                    // next poll.
+                    if meter.t >= t_end || meter.t >= t_guard {
+                        refused = Some(SpanEnd::Time);
+                        return false;
+                    }
+                    let mut loss_j = worst_loss_j;
+                    if overhead {
+                        if probation {
+                            refused = Some(SpanEnd::Program);
+                            return false;
+                        }
+                        if meter.t + commit_s >= t_guard {
+                            refused = Some(SpanEnd::Time);
+                            return false;
+                        }
+                        loss_j += commit_loss_j;
+                    }
+                    if meter.cap.energy_j() - loss_j < e_guard {
+                        refused = Some(SpanEnd::Energy);
+                        return false;
+                    }
+                    let base_nj = meter.energy.cycles_energy_nj(cycles);
+                    meter.consume(cycles, (energy_nj - base_nj).max(0.0), !overhead);
+                    // A runtime op polls after its scheme effect, below.
+                    if !overhead {
+                        meter.poll();
+                    }
+                    true
+                },
+            );
+            done += n;
+            let Some(event) = op else {
+                break refused.unwrap_or(if done == budget {
+                    SpanEnd::Budget
+                } else {
+                    SpanEnd::Program
+                });
+            };
+            // The op executed: apply its scheme effect exactly as the
+            // per-step path does, metering Ratchet's register-save
+            // sequence on the locals, then poll once.
+            self.fast.eh_runtime_ops += 1;
+            if let (SchemeKind::Ratchet, StepEvent::Boundary(_)) = (self.scheme, event) {
+                for _ in 0..Reg::COUNT {
+                    meter.consume(save.0, save.1, false);
                 }
-                if cap.energy_j() - worst_loss_j < e_guard {
-                    return false;
-                }
-                let dt = cost.cycles_to_seconds(cycles);
-                cap.charge(power, dt, v_max);
-                let base_nj = energy.cycles_energy_nj(cycles);
-                let e_nj = base_nj + (energy_nj - base_nj).max(0.0);
-                energy_nj_acc += e_nj;
-                span_cycles += cycles;
-                t += dt;
-                let alive = cap.discharge_j(e_nj * 1e-9);
-                debug_assert!(
-                    alive && cap.voltage_v() >= v_off,
-                    "the energy guard must preclude in-span brown-out"
-                );
-                if adc_polls {
-                    // Replay the exact checkpoint poll (quiet span:
-                    // amplitude 0). Held polls return the vetted held
-                    // reading; fresh conversions see the guarded voltage
-                    // and cannot quantize below V_backup.
-                    let r = adc.read_with(|| cap.voltage_v(), 0.0, t);
-                    debug_assert!(
-                        r >= v_backup,
-                        "in-span polls must not assert the checkpoint signal"
-                    );
-                }
-                true
-            },
-        );
+                meter.consume(commit.0, commit.1, false);
+            }
+            self.apply_runtime_op(event, false);
+            meter.poll();
+            if done == budget {
+                break SpanEnd::Budget;
+            }
+        };
         if done > 0 {
-            self.cap = cap;
-            self.adc = adc;
-            self.t_s = t;
-            self.metrics.energy_nj = energy_nj_acc;
-            // Every in-span instruction is forward progress: overhead
-            // events (Boundary/Checkpoint) are span enders.
-            self.metrics.forward_cycles += span_cycles;
-            self.cycles_since_boot += span_cycles;
+            self.cap = meter.cap;
+            self.adc = meter.adc;
+            self.t_s = meter.t;
+            self.metrics.energy_nj = meter.energy_nj;
+            self.metrics.forward_cycles += meter.forward_cycles;
+            self.metrics.overhead_cycles += meter.overhead_cycles;
+            self.cycles_since_boot += meter.forward_cycles + meter.overhead_cycles;
             self.metrics.sim_time_s = self.t_s;
             self.fast.steps += done;
             self.fast.eh_insts += done;
             self.fast.eh_spans += 1;
+            match end {
+                SpanEnd::Energy => self.fast.eh_end_energy += 1,
+                SpanEnd::Time => self.fast.eh_end_time += 1,
+                SpanEnd::Budget => self.fast.eh_end_budget += 1,
+                SpanEnd::Program => self.fast.eh_end_program += 1,
+            }
         }
         done
+    }
+
+    /// The per-instruction Ratchet boundary costs as `(cycles, extra_nj)`
+    /// consumes: one register save into the inactive buffer (paid
+    /// `Reg::COUNT` times), then the index load + flip + packed commit
+    /// store. The per-step path and event-horizon spans both meter from
+    /// here, and the span guards bound from here, so all three agree.
+    fn ratchet_commit_costs(&self) -> ((u64, f64), (u64, f64)) {
+        let extra_nj = self.energy.nvm_write_extra_nj;
+        (
+            (self.cost.checkpoint, extra_nj),
+            (
+                self.cost.load + self.cost.alu + self.cost.boundary,
+                extra_nj,
+            ),
+        )
     }
 
     fn uses_monitor_for_wake(&self) -> bool {
@@ -1814,16 +2003,12 @@ impl Simulator {
         }
 
         match out.event {
-            Some(StepEvent::Boundary(region)) => self.handle_boundary(region),
-            Some(StepEvent::Checkpoint { reg, value, slot }) => {
-                self.metrics.checkpoint_stores += 1;
-                self.gecko.write_slot(&mut self.nvm, reg, slot, value);
-            }
             Some(StepEvent::Halted) => {
                 self.complete_run();
                 return;
             }
-            _ => {}
+            Some(event) => self.apply_runtime_op(event, true),
+            None => {}
         }
         if self.state != PowerState::On {
             return;
@@ -1861,17 +2046,39 @@ impl Simulator {
         }
     }
 
-    fn handle_boundary(&mut self, region: RegionId) {
+    /// Applies a runtime op's scheme effect: a checkpoint-slot write, or a
+    /// region commit (with Ratchet's register save and GECKO's probation
+    /// resolution). The per-step path and event-horizon spans both apply
+    /// runtime ops through here.
+    ///
+    /// `meter` says whether to meter Ratchet's register-save sequence
+    /// here. The per-step path does, save by save, so a brown-out
+    /// mid-sequence leaves exactly the partial buffer the hardware would.
+    /// A span has already replayed the same consumes
+    /// ([`Simulator::ratchet_commit_costs`]) on its locals, and its
+    /// admission proved they cannot brown out.
+    fn apply_runtime_op(&mut self, event: StepEvent, meter: bool) {
+        let region = match event {
+            StepEvent::Boundary(region) => region,
+            StepEvent::Checkpoint { reg, value, slot } => {
+                self.metrics.checkpoint_stores += 1;
+                self.gecko.write_slot(&mut self.nvm, reg, slot, value);
+                return;
+            }
+            StepEvent::Io(_) | StepEvent::Halted => return,
+        };
         self.metrics.boundary_commits += 1;
         match self.scheme {
             SchemeKind::Nvp => {}
             SchemeKind::Ratchet => {
                 // Centralized checkpoint: 16 registers into the inactive
                 // buffer, then the atomic commit word.
+                let ((save_cycles, save_nj), (commit_cycles, commit_nj)) =
+                    self.ratchet_commit_costs();
                 let buf = self.ratchet.write_buffer(&self.nvm);
                 let snapshot = self.machine.regs().snapshot();
                 for r in Reg::all() {
-                    if !self.consume(self.cost.checkpoint, self.energy.nvm_write_extra_nj, false) {
+                    if meter && !self.consume(save_cycles, save_nj, false) {
                         self.power_failure();
                         return;
                     }
@@ -1879,11 +2086,7 @@ impl Simulator {
                         .write_reg(&mut self.nvm, buf, r, snapshot[r.index()]);
                 }
                 // Index load + flip + packed commit store.
-                if !self.consume(
-                    self.cost.load + self.cost.alu + self.cost.boundary,
-                    self.energy.nvm_write_extra_nj,
-                    false,
-                ) {
+                if meter && !self.consume(commit_cycles, commit_nj, false) {
                     self.power_failure();
                     return;
                 }
@@ -2147,5 +2350,127 @@ mod tests {
         assert_eq!(ma.forward_cycles, mb.forward_cycles);
         assert_eq!(ma.checksum_errors, 0);
         assert_eq!(mb.checksum_errors, 0);
+    }
+
+    /// A load/add/store loop on one NVM counter with no I/O and no
+    /// multiply or divide: Ratchet puts a boundary in every iteration, and
+    /// the program's worst-case step (a store) costs far less than one
+    /// boundary's register-save sequence.
+    fn war_loop_app() -> App {
+        use gecko_isa::{BinOp, Cond, ProgramBuilder};
+        const ITERATIONS: i32 = 100_000;
+        let mut b = ProgramBuilder::new("warloop");
+        let out = b.segment("out", 2, true);
+        let (i, acc, base) = (Reg::R1, Reg::R2, Reg::R3);
+        b.mov(base, out as i32);
+        b.mov(i, 0);
+        b.store(i, base, 1);
+        let head = b.new_label("head");
+        let body = b.new_label("body");
+        let exit = b.new_label("exit");
+        b.bind(head);
+        b.set_loop_bound(ITERATIONS as u32);
+        b.branch(Cond::Lt, i, ITERATIONS, body, exit);
+        b.bind(body);
+        b.load(acc, base, 1);
+        b.bin(BinOp::Add, acc, acc, 1);
+        b.store(acc, base, 1);
+        b.bin(BinOp::Add, i, i, 1);
+        b.jump(head);
+        b.bind(exit);
+        b.load(acc, base, 1);
+        b.store(acc, base, 0);
+        b.halt();
+        App {
+            name: "warloop",
+            program: b.finish().expect("warloop builds"),
+            image: vec![],
+            checksum_addr: out,
+            expected_checksum: ITERATIONS,
+        }
+    }
+
+    fn next_op(sim: &Simulator) -> gecko_mcu::POp {
+        let pc = sim.machine.pc();
+        sim.pre.entry(pc.block, pc.index).op
+    }
+
+    #[test]
+    fn ratchet_boundary_beyond_the_sequence_guard_is_declined_then_exact() {
+        // Reach a Ratchet boundary with energy covering one worst-case
+        // step above the guard but not the register-save sequence on top:
+        // the span must retire the plain steps before it, decline the
+        // boundary, and leave it to the exact path.
+        const LEAD: u64 = 3;
+        let app = war_loop_app();
+        let build = || {
+            // No harvest, no leakage: energy only falls, by exactly what
+            // each step draws.
+            let mut cfg = SimConfig::harvesting(SchemeKind::Ratchet);
+            cfg.harvester = Box::new(ConstantPower::new(0.0));
+            cfg
+        };
+        let exact_sim = || {
+            let mut sim = Simulator::new(&app, build()).unwrap();
+            sim.set_exec_mode(ExecMode::Interpreted);
+            sim.set_fast_forward(false);
+            sim.set_event_horizon(false);
+            sim
+        };
+
+        // Locate a boundary past start-up, LEAD plain steps after another
+        // instruction, and measure the energy those steps draw.
+        let mut walk = exact_sim();
+        walk.run_steps(500);
+        while !matches!(next_op(&walk), gecko_mcu::POp::Boundary { .. }) {
+            walk.step_one();
+        }
+        let at_boundary = walk.fast_path_stats().steps;
+        let mut probe = exact_sim();
+        probe.run_steps(at_boundary - LEAD);
+        let lead_j = probe.energy_j();
+        probe.run_steps(LEAD);
+        let lead_j = lead_j - probe.energy_j();
+
+        let mut fast = exact_sim();
+        fast.run_steps(at_boundary - LEAD);
+        fast.set_exec_mode(ExecMode::Predecoded);
+        fast.set_event_horizon(true);
+        let g = fast
+            .active_span_guards()
+            .expect("a quiet, constant-power span");
+        assert!(
+            g.commit_loss_j > 8.0 * g.worst_loss_j,
+            "the sequence must outweigh the span's entry threshold"
+        );
+        // At the boundary: one worst step plus most of the sequence above
+        // the guard, so a plain step would be admitted but the boundary not.
+        let at_boundary_j = g.e_guard_j + g.worst_loss_j + 0.9 * g.commit_loss_j;
+        let c = fast.cap.capacitance_f();
+        fast.cap = Capacitor::new(c, (2.0 * (at_boundary_j + lead_j) / c).sqrt());
+        let mut exact = exact_sim();
+        exact.run_steps(at_boundary - LEAD);
+        exact.cap = fast.cap.clone();
+
+        let before = fast.fast_path_stats();
+        assert_eq!(fast.advance_to_horizon(u64::MAX, f64::INFINITY), LEAD);
+        let s = fast.fast_path_stats();
+        assert_eq!(s.eh_end_energy - before.eh_end_energy, 1, "{s:?}");
+        assert_eq!(s.eh_runtime_ops, before.eh_runtime_ops);
+        assert!(matches!(next_op(&fast), gecko_mcu::POp::Boundary { .. }));
+
+        // The next span declines the boundary at once; the exact path runs it.
+        let commits = fast.metrics.boundary_commits;
+        assert_eq!(fast.advance_to_horizon(u64::MAX, f64::INFINITY), 1);
+        let s2 = fast.fast_path_stats();
+        assert_eq!(s2.dispatches - s.dispatches, 1);
+        assert_eq!(s2.eh_refused - s.eh_refused, 1);
+        assert_eq!(fast.metrics.boundary_commits, commits + 1);
+
+        exact.run_steps(LEAD + 1);
+        assert_eq!(fast.metrics, exact.metrics);
+        assert_eq!(fast.state_hash(), exact.state_hash());
+        assert_eq!(fast.time_s().to_bits(), exact.time_s().to_bits());
+        assert_eq!(fast.voltage_v().to_bits(), exact.voltage_v().to_bits());
     }
 }

@@ -10,6 +10,8 @@
 
 use gecko_emi::attack::DpiPoint;
 use gecko_emi::{AttackSchedule, EmiSignal, Injection, MonitorKind};
+use gecko_isa::Inst;
+use gecko_sim::areas::GeckoMode;
 use gecko_sim::{ExecMode, SchemeKind, SimConfig, Simulator};
 
 fn quick() -> bool {
@@ -159,6 +161,189 @@ fn harvesting_duty_cycle_is_bit_identical() {
         fast.run_for(w);
         exact.run_for(w);
         assert_equivalent(&fast, &exact, &format!("harvesting/{}", scheme.name()));
+    }
+}
+
+/// The `sweep_clean` cell shape: the paper's 1.2 mW harvester into a
+/// 100 µF buffer charged to 3.3 V, which duty-cycles many times a second.
+fn small_buffer_config(scheme: SchemeKind, seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::harvesting(scheme).with_capacitor(100e-6, 3.3);
+    cfg.seed = seed;
+    cfg
+}
+
+/// Every event-horizon span ends for exactly one counted reason.
+fn assert_span_ends_add_up(sim: &Simulator, label: &str) {
+    let s = sim.fast_path_stats();
+    assert_eq!(
+        s.eh_spans,
+        s.eh_end_energy + s.eh_end_time + s.eh_end_budget + s.eh_end_program,
+        "{label}: span-end reasons: {s:?}"
+    );
+}
+
+#[test]
+fn harvesting_small_buffer_grid_is_bit_identical() {
+    // The regime the served harvesting sweep runs: active spans retire
+    // boundaries and checkpoint stores in-span, drain to V_backup,
+    // checkpoint, hibernate and resume several times per window.
+    let (apps, window) = if quick() { (4, 0.1) } else { (usize::MAX, 0.4) };
+    for app in gecko_apps::all_apps().into_iter().take(apps) {
+        for scheme in SchemeKind::all() {
+            for seed in [1, 2] {
+                let mut fast = Simulator::new(&app, small_buffer_config(scheme, seed)).unwrap();
+                let mut exact = Simulator::new(&app, small_buffer_config(scheme, seed)).unwrap();
+                make_exact(&mut exact);
+                fast.run_for(window);
+                exact.run_for(window);
+                let tag = format!("small-buffer/{}/{}/seed{seed}", app.name, scheme.name());
+                assert_equivalent(&fast, &exact, &tag);
+                assert_span_ends_add_up(&fast, &tag);
+                if matches!(scheme, SchemeKind::Gecko | SchemeKind::Ratchet) {
+                    let s = fast.fast_path_stats();
+                    assert!(
+                        s.eh_runtime_ops > 0,
+                        "{tag}: runtime ops must retire in-span: {s:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn probation_boundary_ends_the_span_and_stays_exact() {
+    // A burst drives GECKO into rollback mode; a later power failure
+    // boots it in rollback mode on probation. Probation resolves at the
+    // first boundary (re-enabling the JIT protocol), so runtime ops must
+    // end spans until it does — and the walk must match the reference.
+    let app = gecko_apps::app_by_name("bitcnt").unwrap();
+    let attack = AttackSchedule::bursts(
+        EmiSignal::new(27e6, 20.0),
+        Injection::Dpi(DpiPoint::P2),
+        &[0.004],
+        0.003,
+    );
+    let build = || fig4_config(SchemeKind::Gecko, attack.clone());
+    let mut fast = Simulator::new(&app, build()).unwrap();
+    let mut exact = Simulator::new(&app, build()).unwrap();
+    make_exact(&mut exact);
+    fast.run_for(0.03);
+    exact.run_for(0.03);
+    assert_equivalent(&fast, &exact, "probation/attacked");
+    assert_eq!(
+        fast.gecko_mode(),
+        Some(GeckoMode::Rollback),
+        "attack detected"
+    );
+
+    fast.inject_power_failure();
+    exact.inject_power_failure();
+    let start = fast.fast_path_stats();
+    while !fast.is_on() {
+        fast.advance_to_horizon(u64::MAX, f64::INFINITY);
+    }
+    // Walk span by span until probation resolves; the boundary that
+    // resolves it must run on the exact path, right after a span that
+    // stopped in front of a runtime op.
+    let mut program_ends = 0;
+    while fast.metrics.jit_reenables == 0 {
+        let pc = fast.pc();
+        let at_boundary = matches!(
+            fast.program().block(pc.block).insts.get(pc.index),
+            Some(Inst::Boundary { .. })
+        );
+        let before = fast.fast_path_stats();
+        let n = fast.advance_to_horizon(u64::MAX, f64::INFINITY);
+        let after = fast.fast_path_stats();
+        program_ends += after.eh_end_program - before.eh_end_program;
+        if fast.metrics.jit_reenables > 0 {
+            assert!(at_boundary, "probation resolves at a boundary");
+            assert_eq!(n, 1);
+            assert_eq!(after.dispatches - before.dispatches, 1, "exact step");
+        }
+        assert!(
+            after.steps - start.steps < 1_000_000,
+            "probation never resolved"
+        );
+    }
+    assert!(
+        program_ends > 0,
+        "a span must stop in front of the probation ops"
+    );
+    assert_eq!(fast.gecko_mode(), Some(GeckoMode::Jit));
+    exact.run_steps(fast.fast_path_stats().steps - start.steps);
+    assert_equivalent(&fast, &exact, "probation/resolved");
+
+    // After re-enablement, runtime ops retire in-span again.
+    let ops = fast.fast_path_stats().eh_runtime_ops;
+    fast.run_for(0.01);
+    exact.run_for(0.01);
+    assert_equivalent(&fast, &exact, "probation/after");
+    assert!(fast.fast_path_stats().eh_runtime_ops > ops);
+}
+
+#[test]
+fn slices_and_forks_right_after_an_in_span_runtime_op_are_exact() {
+    // Land a run_capped slice, and a snapshot fork, on the step right
+    // after a boundary or checkpoint op the batched walk retired in-span.
+    let app = gecko_apps::app_by_name("bitcnt").unwrap();
+    for scheme in [SchemeKind::Gecko, SchemeKind::Ratchet] {
+        let build = || fig4_config(scheme, AttackSchedule::none());
+        // On the reference walk, find the first runtime op past 17k steps
+        // with no app completion (a `Halt`, which ends spans) in the
+        // `TAIL` steps before it.
+        const TAIL: u64 = 50;
+        let mut walk = Simulator::new(&app, build()).unwrap();
+        make_exact(&mut walk);
+        walk.run_steps(17_000);
+        let mut since_completion = 0;
+        loop {
+            let pc = walk.pc();
+            let op = walk.program().block(pc.block).insts.get(pc.index).copied();
+            let completions = walk.metrics.completions;
+            walk.step_one();
+            since_completion = if walk.metrics.completions == completions {
+                since_completion + 1
+            } else {
+                0
+            };
+            let runtime_op = matches!(op, Some(Inst::Boundary { .. } | Inst::Checkpoint { .. }));
+            if runtime_op && since_completion > TAIL {
+                break;
+            }
+        }
+        let land = walk.fast_path_stats().steps;
+        let goal = land + 30_000;
+        let tag = scheme.name();
+
+        // A slice ending exactly on the op: the tail of the walk to it
+        // must be batched, so the op retired in-span.
+        let mut sliced = Simulator::new(&app, build()).unwrap();
+        sliced.run_capped(f64::INFINITY, u64::MAX, land - TAIL);
+        let before = sliced.fast_path_stats();
+        assert_eq!(sliced.run_capped(f64::INFINITY, u64::MAX, TAIL), TAIL);
+        let after = sliced.fast_path_stats();
+        assert_eq!(after.dispatches, before.dispatches, "{tag}: batched tail");
+        assert!(after.eh_runtime_ops > before.eh_runtime_ops, "{tag}");
+        assert_eq!(after.eh_end_budget - before.eh_end_budget, 1, "{tag}");
+
+        // Fork there, diverge, rewind, and resume.
+        let snap = sliced.snapshot();
+        sliced.run_steps(5_000);
+        sliced.restore(&snap);
+        sliced.run_steps(goal - land);
+
+        let mut straight = Simulator::new(&app, build()).unwrap();
+        straight.run_steps(goal);
+        let mut exact = Simulator::new(&app, build()).unwrap();
+        make_exact(&mut exact);
+        exact.run_steps(goal);
+        assert_equivalent(&straight, &exact, &format!("{tag}/straight"));
+        assert_eq!(sliced.metrics, exact.metrics, "{tag}: sliced + forked");
+        assert_eq!(sliced.state_hash(), exact.state_hash());
+        assert_eq!(sliced.time_s().to_bits(), exact.time_s().to_bits());
+        assert_eq!(sliced.voltage_v().to_bits(), exact.voltage_v().to_bits());
     }
 }
 
