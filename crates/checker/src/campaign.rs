@@ -1273,8 +1273,6 @@ impl CheckCampaign {
             journal_diagnostics,
             memo_windows,
             frontier_steals: frontier.steals(),
-            // Checks always run per item; the batch counters stay zero.
-            ..FleetCounters::default()
         };
         let wall_s = started.elapsed().as_secs_f64();
 

@@ -31,7 +31,7 @@ use gecko_compiler::{CompileError, CompileOptions, CompileStats};
 use gecko_emi::{AttackSchedule, DeviceModel, FaultSchedule, MonitorKind};
 use gecko_energy::{ConstantPower, StarvedHarvester};
 use gecko_sim::report::Value;
-use gecko_sim::{BatchStats, DeviceBatch, Metrics, SchemeKind, SimConfig, Simulator};
+use gecko_sim::{Metrics, SchemeKind, SimConfig, Simulator};
 
 use crate::cache::ProgramCache;
 use crate::journal::{self, Journal};
@@ -571,7 +571,6 @@ impl std::error::Error for CampaignError {}
 pub struct Campaign {
     spec: CampaignSpec,
     workers: usize,
-    batch: usize,
     sink: Arc<dyn TelemetrySink>,
     sup: SupervisorSpec,
     journal: Option<Arc<Journal>>,
@@ -580,13 +579,12 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Wraps a spec with 1 worker, per-item execution (batch size 1), no
-    /// telemetry sink, and the default supervision policy.
+    /// Wraps a spec with 1 worker, no telemetry sink, and the default
+    /// supervision policy.
     pub fn new(spec: CampaignSpec) -> Campaign {
         Campaign {
             spec,
             workers: 1,
-            batch: 1,
             sink: Arc::new(NullSink),
             sup: SupervisorSpec::default(),
             journal: None,
@@ -601,17 +599,9 @@ impl Campaign {
         self
     }
 
-    /// Sets the lock-step batch size (builder style; clamped to ≥ 1).
-    /// With `n > 1`, each worker claims up to `n` consecutive pending
-    /// items at a time and steps their devices lock-step through one
-    /// [`gecko_sim::DeviceBatch`], sizing every ON-state span in a single
-    /// structure-of-arrays solver pass. Results are bit-identical to
-    /// per-item execution at any batch size and worker count — the
-    /// journal/resume vocabulary, run keys, and fingerprints are pure
-    /// functions of the spec, so a journal written at one batch size
-    /// resumes at any other (see DESIGN.md §16).
-    pub fn batch_size(mut self, n: usize) -> Campaign {
-        self.batch = n.max(1);
+    /// No-op: the lock-step batched path measured slower and was retired (DESIGN.md §16).
+    #[deprecated(note = "no-op; every campaign runs per item (DESIGN.md §16)")]
+    pub fn batch_size(self, _n: usize) -> Campaign {
         self
     }
 
@@ -751,12 +741,6 @@ impl Campaign {
             }
         }
         let resumed = skip.iter().filter(|&&s| s).count() as u64;
-
-        if self.batch > 1 {
-            return self.run_batched(
-                &apps, &items, &cache, &sink, &run_keys, &skip, restored, resumed,
-            );
-        }
 
         sink.emit(Event::new(
             "campaign_started",
@@ -920,422 +904,6 @@ impl Campaign {
             wall_s,
             halted: pool.halted,
         })
-    }
-
-    /// The lock-step execution path behind [`Campaign::batch_size`]:
-    /// pending (non-resumed) items are sharded, in item order, into groups
-    /// of up to `batch`, and each worker claims one *group* at a time,
-    /// stepping its devices through a [`DeviceBatch`]. Everything
-    /// observable — per-item metrics, the journal vocabulary, the
-    /// deterministic digest — is bit-identical to per-item execution:
-    /// devices are independent, the batch planner commits exactly the
-    /// spans each device would size for itself, and run keys/fingerprints
-    /// never see the group layout. Group identity (the supervision and
-    /// chaos key) is the FNV fold of the member run keys, so it is
-    /// worker-count-invariant but, by design, batch-size-*variant* — only
-    /// failure injection keys off it, never results.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batched(
-        &self,
-        apps: &[App],
-        items: &[WorkItem],
-        cache: &ProgramCache,
-        sink: &Arc<dyn TelemetrySink>,
-        run_keys: &[u64],
-        skip: &[bool],
-        mut restored: Vec<Option<RunResult>>,
-        resumed: u64,
-    ) -> Result<CampaignReport, CampaignError> {
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-        let spec = &self.spec;
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut current: Vec<usize> = Vec::new();
-        for (i, &skipped) in skip.iter().enumerate() {
-            if skipped {
-                continue;
-            }
-            current.push(i);
-            if current.len() == self.batch {
-                groups.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            groups.push(current);
-        }
-        let group_keys: Vec<u64> = groups
-            .iter()
-            .map(|g| {
-                let mut h = FNV_OFFSET;
-                for &i in g {
-                    fnv_u64(&mut h, run_keys[i]);
-                }
-                h
-            })
-            .collect();
-        let group_skip = vec![false; groups.len()];
-        let workers = self.workers.min(groups.len()).max(1);
-
-        sink.emit(Event::new(
-            "campaign_started",
-            vec![
-                ("campaign", Value::Str(spec.name.clone())),
-                ("items", Value::U64(items.len() as u64)),
-                ("workers", Value::U64(workers as u64)),
-                ("batch", Value::U64(self.batch as u64)),
-                ("groups", Value::U64(groups.len() as u64)),
-                ("resumed", Value::U64(resumed)),
-            ],
-        ));
-
-        let started = Instant::now();
-        let budget = self.sup.resolve_budget(spec.workload_seconds());
-        // The pool's post-hoc deadline check must tolerate a full group's
-        // worth of work; the cooperative per-group checks below scale to
-        // the actual member count.
-        let pool_budget = RunBudget {
-            max_steps: budget.max_steps,
-            deadline: budget
-                .deadline
-                .saturating_mul(u32::try_from(self.batch).unwrap_or(u32::MAX)),
-        };
-        // Halt/drain bridge: `halt_after` and the user kill switch act at
-        // group granularity — a worker finishes (and journals) the group
-        // it is on, then stops claiming.
-        let internal_stop = AtomicBool::new(false);
-        let accounted = AtomicU64::new(resumed);
-        let halt_quota = self.halt_after.map(|n| n + resumed);
-        let kill_switch = self.kill_switch.as_deref();
-
-        let pool_cfg = PoolConfig {
-            workers,
-            run_keys: &group_keys,
-            skip: &group_skip,
-            sup: &self.sup,
-            budget: pool_budget,
-            halt_after: None,
-            stop: Some(&internal_stop),
-            claim: None,
-            sink,
-        };
-        let journal = self.journal.as_deref();
-        let pool = run_supervised(&pool_cfg, |g, attempt, _budget, attempt_started| {
-            let members = &groups[g];
-            let t0 = Instant::now();
-            let mut sims = Vec::with_capacity(members.len());
-            let mut meta = Vec::with_capacity(members.len());
-            for &i in members {
-                let item = items[i];
-                sink.emit(Event::new(
-                    "item_started",
-                    vec![
-                        ("item", Value::U64(i as u64)),
-                        ("attempt", Value::U64(attempt as u64)),
-                        ("batch", Value::U64(members.len() as u64)),
-                        ("app", Value::Str(spec.apps[item.app_idx].clone())),
-                        (
-                            "scheme",
-                            Value::Str(spec.schemes[item.scheme_idx].name().to_string()),
-                        ),
-                        (
-                            "attack",
-                            Value::Str(spec.attacks[item.attack_idx].label.clone()),
-                        ),
-                    ],
-                ));
-                let scheme = spec.schemes[item.scheme_idx];
-                let (compiled, cache_hit) =
-                    match cache.get_or_compile(&apps[item.app_idx], scheme, &spec.compile) {
-                        Ok(found) => found,
-                        Err(error) => {
-                            return Ok(Err(CampaignError::Compile {
-                                app: spec.apps[item.app_idx].clone(),
-                                scheme,
-                                error,
-                            }))
-                        }
-                    };
-                sims.push(Simulator::from_compiled(&compiled, spec.config_for(&item)));
-                meta.push((compiled.stats, cache_hit));
-            }
-            let group_budget = RunBudget {
-                max_steps: budget.max_steps.saturating_mul(members.len() as u64),
-                deadline: budget
-                    .deadline
-                    .saturating_mul(u32::try_from(members.len()).unwrap_or(u32::MAX)),
-            };
-            let mut dbatch = DeviceBatch::new(sims);
-            let (all_metrics, all_buckets) = run_batch_workload_budgeted(
-                &mut dbatch,
-                spec.workload,
-                &group_budget,
-                attempt_started,
-            )?;
-            let stats = dbatch.stats();
-            let wall_each = (t0.elapsed().as_nanos() as u64) / members.len().max(1) as u64;
-            let mut results = Vec::with_capacity(members.len());
-            for (k, (&i, buckets)) in members.iter().zip(all_buckets).enumerate() {
-                let result = RunResult {
-                    item: items[i],
-                    metrics: all_metrics[k],
-                    buckets,
-                    compile_stats: meta[k].0,
-                    cache_hit: meta[k].1,
-                    wall_ns: wall_each,
-                };
-                if let Some(journal) = journal {
-                    for line in journal::encode_run(run_keys[i], &result) {
-                        journal.append(&line);
-                    }
-                }
-                sink.emit(Event::new(
-                    "item_finished",
-                    vec![
-                        ("item", Value::U64(i as u64)),
-                        ("completions", Value::U64(result.metrics.completions)),
-                        ("forward_cycles", Value::U64(result.metrics.forward_cycles)),
-                        (
-                            "checksum_errors",
-                            Value::U64(result.metrics.checksum_errors),
-                        ),
-                        ("wall_ns", Value::U64(result.wall_ns)),
-                        ("cache_hit", Value::Bool(result.cache_hit)),
-                    ],
-                ));
-                results.push(result);
-            }
-            let done =
-                accounted.fetch_add(members.len() as u64, Ordering::Relaxed) + members.len() as u64;
-            if halt_quota.is_some_and(|h| done >= h) {
-                internal_stop.store(true, Ordering::Relaxed);
-            }
-            if kill_switch.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                internal_stop.store(true, Ordering::Relaxed);
-            }
-            Ok(Ok(GroupOutcome { results, stats }))
-        });
-
-        if let Some(journal) = journal {
-            journal.sync();
-        }
-        let wall_s = started.elapsed().as_secs_f64();
-
-        // Flatten group outcomes onto per-item slots, then merge in item
-        // order exactly like the per-item path. A failed group fails each
-        // member under its own run key.
-        let mut slots: Vec<Option<Result<RunResult, RunFailure>>> =
-            (0..items.len()).map(|_| None).collect();
-        let mut batch_stats = BatchStats::default();
-        let mut batched_runs = 0u64;
-        for (g, outcome) in pool.outcomes.into_iter().enumerate() {
-            match outcome {
-                None => debug_assert!(pool.halted, "group {g} unclaimed without a halt"),
-                Some(ItemOutcome::Done(Ok(out))) => {
-                    batch_stats.absorb(&out.stats);
-                    batched_runs += out.results.len() as u64;
-                    for r in out.results {
-                        let i = r.item.index;
-                        slots[i] = Some(Ok(r));
-                    }
-                }
-                Some(ItemOutcome::Done(Err(e))) => return Err(e),
-                Some(ItemOutcome::Failed(f)) => {
-                    for &i in &groups[g] {
-                        slots[i] = Some(Err(refail_member(&f, run_keys[i], i)));
-                    }
-                }
-            }
-        }
-        let mut results = Vec::with_capacity(items.len());
-        let mut failures = Vec::new();
-        for i in 0..items.len() {
-            if skip[i] {
-                results.push(restored[i].take().expect("restored above"));
-                continue;
-            }
-            match slots[i].take() {
-                None => debug_assert!(pool.halted, "item {i} unclaimed without a halt"),
-                Some(Ok(r)) => results.push(r),
-                Some(Err(f)) => failures.push(f),
-            }
-        }
-        let dropped_records =
-            sink.dropped_records() + self.journal.as_ref().map_or(0, |j| j.dropped());
-        if dropped_records > 0 {
-            sink.emit(Event::new(
-                "sink_dropped",
-                vec![("dropped", Value::U64(dropped_records))],
-            ));
-            failures.push(RunFailure::SinkDropped {
-                dropped: dropped_records,
-            });
-        }
-
-        let mut totals = Metrics::default();
-        let mut item_wall = Histogram::new();
-        for r in &results {
-            totals.absorb(&r.metrics);
-            item_wall.record(r.wall_ns);
-        }
-        let counters = FleetCounters {
-            items: results.len() as u64,
-            compile_misses: cache.misses(),
-            compile_hits: cache.hits(),
-            failures: failures
-                .iter()
-                .filter(|f| !matches!(f, RunFailure::SinkDropped { .. }))
-                .count() as u64,
-            retries: pool.retries,
-            resumed,
-            dropped_records,
-            batched_runs,
-            batch_spans: batch_stats.spans,
-            batch_fallbacks: batch_stats.fallback_rounds,
-            batch_occupancy_permille: batch_stats.occupancy_permille(),
-            ..FleetCounters::default()
-        };
-
-        sink.emit(Event::new(
-            "campaign_finished",
-            vec![
-                ("campaign", Value::Str(spec.name.clone())),
-                ("items", Value::U64(counters.items)),
-                ("completions", Value::U64(totals.completions)),
-                ("wall_s", Value::F64(wall_s)),
-                ("compile_misses", Value::U64(counters.compile_misses)),
-                ("compile_hits", Value::U64(counters.compile_hits)),
-                ("failures", Value::U64(counters.failures)),
-                ("resumed", Value::U64(counters.resumed)),
-                ("batched_runs", Value::U64(counters.batched_runs)),
-                (
-                    "batch_occupancy_permille",
-                    Value::U64(counters.batch_occupancy_permille),
-                ),
-                ("halted", Value::Bool(pool.halted)),
-            ],
-        ));
-        sink.flush();
-
-        Ok(CampaignReport {
-            spec: spec.clone(),
-            workers,
-            results,
-            failures,
-            totals,
-            counters,
-            item_wall,
-            wall_s,
-            halted: pool.halted,
-        })
-    }
-}
-
-/// What one lock-step group hands back to the merge: the member results in
-/// group order plus the batch's diagnostic counters.
-struct GroupOutcome {
-    results: Vec<RunResult>,
-    stats: BatchStats,
-}
-
-/// Rekeys a group-level failure onto one member: the classification,
-/// payload and accounting carry over; partial metrics do not (they are
-/// only meaningful per device).
-fn refail_member(f: &RunFailure, run_key: u64, item: usize) -> RunFailure {
-    match f {
-        RunFailure::Panicked { payload, .. } => RunFailure::Panicked {
-            run_key,
-            item,
-            payload: payload.clone(),
-        },
-        RunFailure::TimedOut { steps, wall_ms, .. } => RunFailure::TimedOut {
-            run_key,
-            item,
-            steps: *steps,
-            wall_ms: *wall_ms,
-            partial: None,
-        },
-        RunFailure::Transient {
-            payload, attempts, ..
-        } => RunFailure::Transient {
-            run_key,
-            item,
-            payload: payload.clone(),
-            attempts: *attempts,
-        },
-        RunFailure::SinkDropped { dropped } => RunFailure::SinkDropped { dropped: *dropped },
-    }
-}
-
-/// Runs one group's workload on its [`DeviceBatch`] in
-/// `BUDGET_SLICE_STEPS`-sized `drain` rounds, checking the (group-scaled)
-/// step budget and wall deadline between rounds — the batched sibling of
-/// [`run_workload_budgeted`], with the same bit-exactness argument:
-/// capping a drain round can only split coalesced spans.
-fn run_batch_workload_budgeted(
-    batch: &mut DeviceBatch,
-    workload: Workload,
-    budget: &RunBudget,
-    attempt_started: Instant,
-) -> Result<(Vec<Metrics>, Vec<Vec<Metrics>>), AttemptFail> {
-    let mut taken = 0u64;
-    match workload {
-        Workload::RunFor { seconds } => {
-            batch.begin_run_for(seconds);
-            drain_batch_budgeted(batch, budget, attempt_started, &mut taken)?;
-            Ok((batch.metrics(), vec![Vec::new(); batch.len()]))
-        }
-        Workload::UntilCompletions { n, max_seconds } => {
-            batch.begin_until_completions(n, max_seconds);
-            drain_batch_budgeted(batch, budget, attempt_started, &mut taken)?;
-            Ok((batch.metrics(), vec![Vec::new(); batch.len()]))
-        }
-        Workload::Buckets {
-            horizon_s,
-            bucket_s,
-        } => {
-            assert!(bucket_s > 0.0 && horizon_s > 0.0, "positive timeline");
-            let n = (horizon_s / bucket_s).round().max(1.0) as usize;
-            let mut buckets = vec![Vec::with_capacity(n); batch.len()];
-            for _ in 0..n {
-                batch.begin_run_for(bucket_s);
-                drain_batch_budgeted(batch, budget, attempt_started, &mut taken)?;
-                for (dest, m) in buckets.iter_mut().zip(batch.metrics()) {
-                    dest.push(m);
-                }
-            }
-            let finals = buckets.iter().map(|b| *b.last().expect("n >= 1")).collect();
-            Ok((finals, buckets))
-        }
-    }
-}
-
-fn drain_batch_budgeted(
-    batch: &mut DeviceBatch,
-    budget: &RunBudget,
-    attempt_started: Instant,
-    taken: &mut u64,
-) -> Result<(), AttemptFail> {
-    loop {
-        if batch.idle() {
-            return Ok(());
-        }
-        if *taken >= budget.max_steps {
-            return Err(AttemptFail::TimedOut {
-                steps: *taken,
-                wall_ms: attempt_started.elapsed().as_secs_f64() * 1e3,
-                partial: None,
-            });
-        }
-        let slice = BUDGET_SLICE_STEPS.min(budget.max_steps - *taken);
-        *taken += batch.drain(slice);
-        let wall = attempt_started.elapsed();
-        if wall > budget.deadline {
-            return Err(AttemptFail::TimedOut {
-                steps: *taken,
-                wall_ms: wall.as_secs_f64() * 1e3,
-                partial: None,
-            });
-        }
     }
 }
 

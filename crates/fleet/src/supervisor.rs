@@ -546,7 +546,9 @@ pub struct PoolConfig<'a> {
     /// Resolved per-run budget.
     pub budget: RunBudget,
     /// Stop claiming new items once this many runs have been accounted
-    /// (completed or failed) this session — the graceful-kill hook.
+    /// (completed or failed; skipped items count) — the graceful-kill
+    /// hook. Quota is reserved when a run is claimed, so exactly
+    /// `halt_after` runs are accounted at any worker count.
     pub halt_after: Option<u64>,
     /// Cooperative kill switch: when the flag flips true, workers finish
     /// the run they are on (journaling it as usual) and stop claiming new
@@ -622,9 +624,16 @@ where
                     if cfg.skip[i] {
                         continue;
                     }
+                    // Reserve this run's share of the quota at claim time,
+                    // so concurrent workers can never account more than
+                    // `halt_after` runs between them.
+                    let prior = accounted.fetch_add(1, Ordering::Relaxed);
+                    if cfg.halt_after.is_some_and(|h| prior >= h) {
+                        halted.store(true, Ordering::Relaxed);
+                        break;
+                    }
                     let (outcome, item_retries) = supervise_item(cfg, cfg.run_keys[i], i, attempt);
                     retries.fetch_add(item_retries, Ordering::Relaxed);
-                    accounted.fetch_add(1, Ordering::Relaxed);
                     local.push((i, outcome));
                 }
                 local
@@ -975,21 +984,37 @@ mod tests {
         let skip = vec![false; 32];
         let sup = SupervisorSpec::default();
         let sink = null_sink();
-        let cfg = PoolConfig {
-            workers: 1,
-            run_keys: &keys,
-            skip: &skip,
-            sup: &sup,
-            budget: sup.resolve_budget(0.01),
-            halt_after: Some(10),
-            stop: None,
-            claim: None,
-            sink: &sink,
-        };
-        let report = run_supervised(&cfg, |i, _, _, _| Ok(i));
-        assert!(report.halted);
-        let done = report.outcomes.iter().flatten().count();
-        assert_eq!(done, 10, "exactly halt_after runs were accounted");
+        for workers in [1, 2, 8] {
+            let cfg = PoolConfig {
+                workers,
+                run_keys: &keys,
+                skip: &skip,
+                sup: &sup,
+                budget: sup.resolve_budget(0.01),
+                halt_after: Some(10),
+                stop: None,
+                claim: None,
+                sink: &sink,
+            };
+            // The first attempt of every worker waits at a barrier, so all
+            // of them are mid-run at once and every worker reaches the
+            // quota check with runs still in flight — where an overshoot
+            // shows.
+            let barrier = std::sync::Barrier::new(workers);
+            let started = AtomicUsize::new(0);
+            let report = run_supervised(&cfg, |i, _, _, _| {
+                if started.fetch_add(1, Ordering::SeqCst) < workers {
+                    barrier.wait();
+                }
+                Ok(i)
+            });
+            assert!(report.halted);
+            let done = report.outcomes.iter().flatten().count();
+            assert_eq!(
+                done, 10,
+                "exactly halt_after runs were accounted (workers={workers})"
+            );
+        }
     }
 
     #[test]

@@ -263,19 +263,6 @@ pub struct FleetCounters {
     pub resumed: u64,
     /// Telemetry/journal records dropped by degraded sinks.
     pub dropped_records: u64,
-    /// Runs executed through the lock-step `DeviceBatch` path (zero when
-    /// the campaign ran per-item).
-    pub batched_runs: u64,
-    /// Coalesced spans the batched path committed (event-horizon active
-    /// spans plus hibernation fast-forwards).
-    pub batch_spans: u64,
-    /// Device-rounds where an ON device fell off the batch planner onto
-    /// the exact scalar path (it rejoins at the next round).
-    pub batch_fallbacks: u64,
-    /// Batch-planner coverage in permille of live device-rounds (0 when
-    /// nothing ran batched). Diagnostic ratio, not additive — recomputed
-    /// from the summed round counters at merge time.
-    pub batch_occupancy_permille: u64,
     /// Malformed or unknown-tag journal lines surfaced as diagnostics
     /// during a resume (each costs a re-run of the affected item).
     pub journal_diagnostics: u64,

@@ -1,7 +1,6 @@
 //! The EM instruction-fault axis and the energy-starvation supply: both
 //! new campaign dimensions must obey the fleet's core determinism
-//! guarantee (worker count and batch size change wall-clock, never
-//! results), and their physics must show up in the metrics — armed fault
+//! guarantee (the worker count changes wall-clock, never results), and their physics must show up in the metrics — armed fault
 //! windows retire faulted instructions, disarmed ones are bit-identical
 //! to no fault at all, and a starved harvester slows the device down.
 
@@ -49,19 +48,15 @@ fn fault_spec() -> CampaignSpec {
 }
 
 #[test]
-fn fault_axis_is_worker_and_batch_invariant() {
+fn fault_axis_is_worker_count_invariant() {
     let solo = Campaign::new(fault_spec()).workers(1).run().unwrap();
     let fleet = Campaign::new(fault_spec()).workers(7).run().unwrap();
-    let batched = Campaign::new(fault_spec())
-        .workers(3)
-        .batch_size(4)
-        .run()
-        .unwrap();
+    let pool = Campaign::new(fault_spec()).workers(3).run().unwrap();
 
     assert_eq!(solo.results.len(), 2 * 2 * 3);
     let digest = solo.deterministic_digest();
-    assert_eq!(digest, fleet.deterministic_digest(), "worker count");
-    assert_eq!(digest, batched.deterministic_digest(), "batch size");
+    assert_eq!(digest, fleet.deterministic_digest(), "7 workers");
+    assert_eq!(digest, pool.deterministic_digest(), "3 workers");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! job-<id>/
-//!   job.json         submission envelope (kind, workers, halt_after, batch, spec)
+//!   job.json         submission envelope (kind, workers, halt_after, incremental, spec)
 //!   journal/         segmented fleet run journal — the resume checkpoint
 //!     seg-000000.jsonl ...
 //!   telemetry/       segmented event log, append-only across sessions
@@ -370,11 +370,6 @@ pub struct Job {
     pub workers: usize,
     /// Deterministic interruption point, if requested.
     pub halt_after: Option<u64>,
-    /// Lock-step devices per worker claim (1 = per-item execution).
-    /// Sweeps only; checks always run per item. Results and digests are
-    /// batch-size-invariant (DESIGN.md §16), so a resumed job may finish
-    /// at a different batch size than it started with.
-    pub batch: usize,
     /// Grid size: expanded items for sweeps, (app × scheme) pairs for
     /// checks.
     pub grid: u64,
@@ -463,7 +458,6 @@ impl Job {
                 "halt_after".into(),
                 self.halt_after.map_or(Json::Null, Json::U64),
             ),
-            ("batch".into(), Json::U64(self.batch as u64)),
             ("incremental".into(), Json::Bool(self.incremental)),
             ("grid".into(), Json::U64(self.grid)),
             ("items_done".into(), Json::U64(done)),
@@ -740,7 +734,6 @@ impl Queue {
             .workers
             .unwrap_or(inner.cfg.job_workers)
             .clamp(1, inner.cfg.max_job_workers);
-        let batch = sub.batch.unwrap_or(1).max(1);
         let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
         let dir = inner.cfg.journal_root.join(format!("job-{id}"));
         std::fs::create_dir_all(&dir)
@@ -753,7 +746,6 @@ impl Queue {
                 "halt_after".into(),
                 sub.halt_after.map_or(Json::Null, Json::U64),
             ),
-            ("batch".into(), Json::U64(batch as u64)),
             ("incremental".into(), Json::Bool(sub.incremental)),
             ("spec".into(), sub.spec.clone()),
         ]);
@@ -768,7 +760,6 @@ impl Queue {
             spec: sub.spec,
             workers,
             halt_after: sub.halt_after,
-            batch,
             grid,
             incremental: sub.incremental,
             stop: Arc::new(AtomicBool::new(false)),
@@ -881,14 +872,9 @@ fn restore_job(inner: &QueueInner, id: u64, dir: &Path) -> Option<Arc<Job>> {
     // `halt_after` is a one-shot interruption hook: it already fired in
     // the session that journaled the halt, so a restored job resumes to
     // completion instead of halting again every session. job.json keeps
-    // the submitted value for provenance only. `batch`, by contrast, is a
-    // durable execution knob (and results-invariant), so it survives.
+    // the submitted value for provenance only. A `batch` key from a daemon
+    // that still had the lock-step path is ignored (DESIGN.md §16).
     let halt_after = None;
-    let batch = envelope
-        .get("batch")
-        .and_then(Json::as_u64)
-        .map_or(1, |n| n as usize)
-        .max(1);
     // Envelopes from pre-incremental daemons default to off.
     let incremental = envelope
         .get("incremental")
@@ -930,7 +916,6 @@ fn restore_job(inner: &QueueInner, id: u64, dir: &Path) -> Option<Arc<Job>> {
         spec,
         workers,
         halt_after,
-        batch,
         grid,
         incremental,
         sink,
@@ -1173,7 +1158,6 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
                 let total = spec.expand().len() as u64;
                 let mut campaign = Campaign::new(spec)
                     .workers(job.workers)
-                    .batch_size(job.batch)
                     .sink(sink)
                     .resume(journal)
                     .kill_switch(Arc::clone(&job.stop));
@@ -1317,7 +1301,6 @@ mod tests {
             spec,
             workers: Some(1),
             halt_after,
-            batch: None,
             incremental: false,
         }
     }
@@ -1390,6 +1373,52 @@ mod tests {
         // "Restart": a fresh queue over the same root resumes the job.
         let queue = Queue::start(cfg).unwrap();
         let job = queue.job(id).expect("job restored");
+        assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        let status = job.status_value();
+        assert_eq!(status.get("digest").and_then(Json::as_u64), Some(reference));
+        assert_eq!(status.get("items_resumed").and_then(Json::as_u64), Some(1));
+        queue.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn old_job_json_with_batch_knob_resumes_to_the_uninterrupted_digest() {
+        let cfg = test_config("legacy-batch");
+        let root = cfg.journal_root.clone();
+        let spec = spec_io::spec_from_value(&tiny_sweep_spec(), "").unwrap();
+        let reference = Campaign::new(spec.clone())
+            .run()
+            .unwrap()
+            .deterministic_digest();
+
+        // A job directory as a daemon with the lock-step path left it:
+        // job.json still carries `"batch": 64`, and the journal holds one
+        // of the two runs followed by a torn, half-written line.
+        let dir = root.join("job-5");
+        let journal = Journal::open_segmented(&dir.join("journal"), LogConfig::default()).unwrap();
+        let partial = Campaign::new(spec)
+            .journal(Arc::new(journal))
+            .halt_after(1)
+            .run()
+            .unwrap();
+        assert!(partial.halted);
+        let tail = std::fs::read_dir(dir.join("journal"))
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .max()
+            .unwrap();
+        let mut torn = std::fs::OpenOptions::new().append(true).open(tail).unwrap();
+        std::io::Write::write_all(&mut torn, br#"{"kind":"run","key":"#).unwrap();
+        drop(torn);
+        let envelope = format!(
+            r#"{{"id":5,"kind":"sweep","workers":1,"halt_after":1,"batch":64,"incremental":false,"spec":{}}}"#,
+            tiny_sweep_spec().encode()
+        );
+        std::fs::write(dir.join("job.json"), envelope).unwrap();
+
+        let queue = Queue::start(cfg).unwrap();
+        let job = queue.job(5).expect("old job restored");
         assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
         let status = job.status_value();
         assert_eq!(status.get("digest").and_then(Json::as_u64), Some(reference));
@@ -1530,7 +1559,6 @@ mod tests {
             spec,
             workers: Some(1),
             halt_after: None,
-            batch: None,
             incremental: true,
         };
         let cold = queue.submit(JobKind::Check, sub(spec.clone())).unwrap();

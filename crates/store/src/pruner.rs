@@ -7,8 +7,8 @@
 //! 1. Load the segment's checkpoint — if one exists, prune from the next
 //!    entry after the highest pruned one; otherwise prune from the start.
 //! 2. Call [`Segment::prune`] with the remaining budget.
-//! 3. Persist the returned checkpoint (atomically), then subtract the
-//!    entries pruned from the next segment's budget.
+//! 3. Persist the returned checkpoint (atomically) if it moved, then
+//!    subtract the entries pruned from the next segment's budget.
 //!
 //! Structural mutations happen *inside* `prune` (tmp + `sync_all` +
 //! rename) and the checkpoint is saved *after*, so a kill between the two
@@ -166,7 +166,11 @@ impl Pruner {
                 checkpoint: self.checkpoints.get(segment.kind()),
             };
             let out = segment.prune(input)?;
-            self.checkpoints.save(segment.kind(), out.checkpoint)?;
+            // An unchanged checkpoint is not rewritten, so an idle tick
+            // leaves the disk untouched (no `prune.json` in an empty root).
+            if out.checkpoint != input.checkpoint.unwrap_or_default() {
+                self.checkpoints.save(segment.kind(), out.checkpoint)?;
+            }
             budget = budget.saturating_sub(out.pruned);
             report.pruned += out.pruned as u64;
             report.reclaimed_bytes += out.reclaimed_bytes;
@@ -271,6 +275,27 @@ mod tests {
         assert_eq!(pruner.checkpoints().get("a").unwrap().pruned_entries, 5);
         assert_eq!(pruner.checkpoints().get("b").unwrap().pruned_entries, 9);
         assert_eq!(pruner.ticks(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn idle_ticks_write_nothing() {
+        let dir = std::env::temp_dir().join(format!("gecko-store-idle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("prune.json");
+        let mut pruner = Pruner::open(&path, 4).unwrap();
+        pruner.add(Counted {
+            kind: "empty",
+            total: 0,
+            calls: Arc::new(AtomicUsize::new(0)),
+        });
+        assert!(pruner.tick().unwrap().done);
+        assert!(
+            !path.exists(),
+            "a tick that pruned nothing wrote a checkpoint"
+        );
+        assert!(pruner.checkpoints().get("empty").is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

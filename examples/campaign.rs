@@ -6,7 +6,7 @@
 //! Output: the fleet summary table (per-item metrics rolled up), the two
 //! wall-clock times, and two deterministic digests that must be equal.
 //!
-//! Two flags exercise the supervision layer:
+//! Four flags exercise the supervision layer:
 //!
 //! * `--chaos` — rerun the grid with seeded fault injection (panics +
 //!   transients). Injected panics are quarantined into structured
@@ -23,15 +23,11 @@
 //!   compact the journal under a work budget with `gecko-store`'s pruner
 //!   (rebuilt from its persisted checkpoint between ticks, as if killed
 //!   mid-prune too), then resume and show pruning was invisible.
-//! * `--batch` — rerun the grid with lock-step batching (`batch_size`):
-//!   workers claim groups of devices and step them through a shared
-//!   `DeviceBatch` plan. Prints the batch counters (spans, occupancy) and
-//!   shows the digest is bit-identical to the per-item runs above.
 //!
 //! ```sh
 //! cargo run --release --example campaign
 //! GECKO_WORKERS=8 cargo run --release --example campaign
-//! cargo run --release --example campaign -- --chaos --resume --drain --prune --batch
+//! cargo run --release --example campaign -- --chaos --resume --drain --prune
 //! ```
 
 use std::sync::Arc;
@@ -248,45 +244,12 @@ fn prune_demo(workers: usize, reference: &gecko_suite::fleet::CampaignReport) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--batch`: lock-step batching, identical results, amortized planning.
-fn batch_demo(workers: usize, reference: &gecko_suite::fleet::CampaignReport) {
-    let items = spec().expand().len() as u64;
-    let batch = 16;
-    println!("\n--batch: rerunning the grid with batch_size({batch}) on {workers} workers...");
-    let batched = Campaign::new(spec())
-        .workers(workers)
-        .batch_size(batch)
-        .run()
-        .expect("campaign");
-    let c = &batched.counters;
-    println!(
-        "{}/{items} runs batched: {} lock-step spans, {} scalar fallback round(s), \
-         planner occupancy {}‰, wall {:.2}s",
-        c.batched_runs,
-        c.batch_spans,
-        c.batch_fallbacks,
-        c.batch_occupancy_permille,
-        batched.wall_s,
-    );
-    assert_eq!(
-        batched.deterministic_digest(),
-        reference.deterministic_digest(),
-        "batching must not change results"
-    );
-    println!(
-        "digest {:016x} matches the per-item runs bit-for-bit — batch size is \
-         a wall-clock knob, never a results knob",
-        batched.deterministic_digest()
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let chaos = args.iter().any(|a| a == "--chaos");
     let resume = args.iter().any(|a| a == "--resume");
     let drain = args.iter().any(|a| a == "--drain");
     let prune = args.iter().any(|a| a == "--prune");
-    let batch = args.iter().any(|a| a == "--batch");
     let workers = std::env::var("GECKO_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -337,8 +300,5 @@ fn main() {
     }
     if prune {
         prune_demo(workers, &fleet);
-    }
-    if batch {
-        batch_demo(workers, &fleet);
     }
 }
