@@ -13,14 +13,18 @@
 //!    box. Trajectory equality against the tick-exact reference is
 //!    asserted on every run; wall-clock steps/s are printed for scale.
 //! 2. **Event horizon** — batched active-execution stepping on the
-//!    Figure 4 workload (bench supply, victim app), clean and under a
-//!    continuous resonant DPI attack. The clean coalescing ratio
-//!    `steps / dispatches` is deterministic and asserted `>= 3x`, and
-//!    `>= 500x` for the instrumented schemes, whose boundary and
-//!    checkpoint ops retire in-span; trajectory equality against the
-//!    per-instruction reference is asserted on every run. Rows carry the
-//!    span diagnostics: runtime ops retired in-span, span ends by reason
-//!    (energy / time / budget / program op) and refused span entries.
+//!    Figure 4 workload (bench supply, victim app) in three cells: clean,
+//!    under a continuous DPI tone too weak to spoof the monitor
+//!    (`disturbed`, 100 MHz), and under a continuous resonant DPI attack
+//!    (`attacked`, 27 MHz), which lifts the span guard above the
+//!    capacitor and runs per instruction (1.0x by design). The clean and
+//!    disturbed coalescing ratios `steps / dispatches` are deterministic
+//!    and asserted `>= 3x`, and `>= 500x` for the instrumented schemes,
+//!    whose boundary and checkpoint ops retire in-span; trajectory
+//!    equality against the per-instruction reference is asserted on every
+//!    run. Rows carry the span diagnostics: runtime ops retired in-span,
+//!    span ends by reason (energy / time / attack edge / fault edge /
+//!    budget / program op) and refused span entries.
 //!    * **Batch step** — the harvesting duty-cycle workload through a
 //!      [`gecko_sim::DeviceBatch`]: a fleet of devices sharing one
 //!      predecoded program, planned and drained lock-step. Bit-exact
@@ -80,6 +84,8 @@ struct BenchRow {
     eh_runtime_ops: u64,
     eh_end_energy: u64,
     eh_end_time: u64,
+    eh_end_attack_edge: u64,
+    eh_end_fault_edge: u64,
     eh_end_budget: u64,
     eh_end_program: u64,
     eh_refused: u64,
@@ -97,6 +103,8 @@ impl_record!(BenchRow {
     eh_runtime_ops,
     eh_end_energy,
     eh_end_time,
+    eh_end_attack_edge,
+    eh_end_fault_edge,
     eh_end_budget,
     eh_end_program,
     eh_refused
@@ -109,6 +117,8 @@ impl BenchRow {
             eh_runtime_ops: s.eh_runtime_ops,
             eh_end_energy: s.eh_end_energy,
             eh_end_time: s.eh_end_time,
+            eh_end_attack_edge: s.eh_end_attack_edge,
+            eh_end_fault_edge: s.eh_end_fault_edge,
             eh_end_budget: s.eh_end_budget,
             eh_end_program: s.eh_end_program,
             eh_refused: s.eh_refused,
@@ -117,11 +127,16 @@ impl BenchRow {
     }
 }
 
-/// Span ends by reason, as `energy/time/budget/program`.
+/// Span ends by reason, as `energy/time/attack/fault/budget/program`.
 fn span_ends(s: &FastPathStats) -> String {
     format!(
-        "{}/{}/{}/{}",
-        s.eh_end_energy, s.eh_end_time, s.eh_end_budget, s.eh_end_program
+        "{}/{}/{}/{}/{}/{}",
+        s.eh_end_energy,
+        s.eh_end_time,
+        s.eh_end_attack_edge,
+        s.eh_end_fault_edge,
+        s.eh_end_budget,
+        s.eh_end_program
     )
 }
 
@@ -249,17 +264,19 @@ fn bench_fast_forward(rows: &mut Vec<BenchRow>, quick: bool) {
 }
 
 /// The Figure 4 cell shape: bench-supply active execution of the victim
-/// app, optionally under a continuous resonant DPI attack that pins the
-/// simulator on the per-instruction fallback for the whole window.
-fn fig4_cell(scheme: SchemeKind, attacked: bool) -> SimConfig {
+/// app, clean or under a continuous 20 dBm DPI tone at P2 of `tone_hz`.
+/// At 100 MHz the tone induces ~0.075 V at the monitor, too weak to spoof
+/// it, and spans keep running; at the 27 MHz resonance its amplitude
+/// lifts the span guard above the capacitor and pins the simulator on
+/// the per-instruction fallback for the whole window.
+fn fig4_cell(scheme: SchemeKind, tone_hz: Option<f64>) -> SimConfig {
     let cfg = SimConfig::bench_supply(scheme);
-    if attacked {
-        cfg.with_attack(AttackSchedule::continuous(
-            EmiSignal::new(27e6, 20.0),
+    match tone_hz {
+        Some(f) => cfg.with_attack(AttackSchedule::continuous(
+            EmiSignal::new(f, 20.0),
             Injection::Dpi(DpiPoint::P2),
-        ))
-    } else {
-        cfg
+        )),
+        None => cfg,
     }
 }
 
@@ -268,18 +285,21 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
     let window_s = if quick { 0.02 } else { 0.05 };
     let iters = if quick { 2 } else { 5 };
     let mut table = Vec::new();
-    let mut worst_clean_ratio = f64::INFINITY;
+    let mut worst_ratio = f64::INFINITY;
     for scheme in SchemeKind::all() {
         let compiled = CompiledApp::build(&app, scheme, &CompileOptions::default()).unwrap();
-        for attacked in [false, true] {
-            let cell = if attacked { "attacked" } else { "clean" };
+        for (cell, tone_hz) in [
+            ("clean", None),
+            ("disturbed", Some(100e6)),
+            ("attacked", Some(27e6)),
+        ] {
             let run_fast = || {
-                let mut sim = Simulator::from_compiled(&compiled, fig4_cell(scheme, attacked));
+                let mut sim = Simulator::from_compiled(&compiled, fig4_cell(scheme, tone_hz));
                 sim.run_for(window_s);
                 sim
             };
             let run_exact = || {
-                let mut sim = Simulator::from_compiled(&compiled, fig4_cell(scheme, attacked));
+                let mut sim = Simulator::from_compiled(&compiled, fig4_cell(scheme, tone_hz));
                 sim.set_exec_mode(ExecMode::Interpreted);
                 sim.set_fast_forward(false);
                 sim.set_event_horizon(false);
@@ -307,8 +327,8 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
             // The coalescing ratio is deterministic (simulated instructions,
             // not wall-clock), so the floor cannot flake on a loaded box.
             let ratio = stats.steps as f64 / (stats.dispatches.max(1)) as f64;
-            if !attacked {
-                worst_clean_ratio = worst_clean_ratio.min(ratio);
+            if cell != "attacked" {
+                worst_ratio = worst_ratio.min(ratio);
                 assert_runtime_op_floor("event_horizon", scheme, ratio);
             }
             let fast_wall = time_best_of(iters, run_fast);
@@ -351,7 +371,7 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
             "steps",
             "coalesced",
             "rt ops",
-            "ends e/t/b/p",
+            "ends e/t/a/f/b/p",
             "refused",
             "ratio",
             "steps/s",
@@ -360,10 +380,11 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
         &table,
     );
     assert!(
-        worst_clean_ratio >= 3.0,
-        "clean active execution must coalesce >= 3x (got {worst_clean_ratio:.1}x)"
+        worst_ratio >= 3.0,
+        "clean and weakly disturbed active execution must coalesce >= 3x \
+         (got {worst_ratio:.1}x)"
     );
-    println!("ok: event horizon coalesces >= {worst_clean_ratio:.1}x of active instructions");
+    println!("ok: event horizon coalesces >= {worst_ratio:.1}x of active instructions");
 }
 
 /// Section 2b: `DeviceBatch` lock-step stepping — a fleet of devices
@@ -439,6 +460,8 @@ fn bench_batch_step(rows: &mut Vec<BenchRow>, quick: bool) {
                 eh_runtime_ops: t.eh_runtime_ops + s.eh_runtime_ops,
                 eh_end_energy: t.eh_end_energy + s.eh_end_energy,
                 eh_end_time: t.eh_end_time + s.eh_end_time,
+                eh_end_attack_edge: t.eh_end_attack_edge + s.eh_end_attack_edge,
+                eh_end_fault_edge: t.eh_end_fault_edge + s.eh_end_fault_edge,
                 eh_end_budget: t.eh_end_budget + s.eh_end_budget,
                 eh_end_program: t.eh_end_program + s.eh_end_program,
                 eh_refused: t.eh_refused + s.eh_refused,
@@ -489,7 +512,7 @@ fn bench_batch_step(rows: &mut Vec<BenchRow>, quick: bool) {
             "spans",
             "occupancy",
             "rt ops",
-            "ends e/t/b/p",
+            "ends e/t/a/f/b/p",
             "refused",
             "ratio",
             "ns/op",

@@ -21,7 +21,7 @@
 //! horizon the device would size for itself, and
 //! `advance_to_horizon(plan, t_end)` commits the identical span
 //! `advance_to_horizon(u64::MAX, t_end)` would. Devices the planner cannot
-//! cover this round — attack edge in the window, filtered ADC, latched
+//! cover this round — an armed fault window, filtered ADC, latched
 //! comparator, a held reading below `V_backup`, or simply hibernating —
 //! fall back to the exact scalar path *inside the same
 //! `advance_to_horizon` call* and rejoin the planner at the next round.

@@ -224,8 +224,8 @@ pub enum ExecMode {
 /// (hibernation fast-forward, event-horizon active stepping) batched past
 /// the full per-step dispatch. `steps == dispatches + ff_ticks + eh_insts`
 /// always holds, and every event-horizon span ends for exactly one
-/// reason: `eh_spans == eh_end_energy + eh_end_time + eh_end_budget +
-/// eh_end_program`.
+/// reason: `eh_spans == eh_end_energy + eh_end_time + eh_end_attack_edge +
+/// eh_end_fault_edge + eh_end_budget + eh_end_program`.
 ///
 /// These counters are *diagnostics*, not simulation state: they are
 /// excluded from [`Simulator::snapshot`], [`Simulator::state_hash`] and
@@ -255,9 +255,13 @@ pub struct FastPathStats {
     /// Spans ended by the worst-case energy guard (the next instruction
     /// could have dipped below the monitor or brown-out threshold).
     pub eh_end_energy: u64,
-    /// Spans ended by a time horizon: a harvester segment, attack-window
-    /// or fault-window edge (`t_guard`), or the caller's `t_end`.
+    /// Spans ended by the caller's `t_end` or a harvester segment edge.
     pub eh_end_time: u64,
+    /// Spans ended in front of an attack-window edge, where the
+    /// disturbance amplitude the guards assumed changes.
+    pub eh_end_attack_edge: u64,
+    /// Spans ended in front of an armed fault-window edge.
+    pub eh_end_fault_edge: u64,
     /// Spans that retired their whole step budget: the closed-form
     /// energy horizon or the caller's step cap.
     pub eh_end_budget: u64,
@@ -284,8 +288,9 @@ pub struct SpanProfile {
     /// Energy stored in the capacitor right now (J).
     pub energy_j: f64,
     /// The guard floor (J): the worst-case-per-step energy the span must
-    /// never dip below — `V_backup + margin` while the monitor polls,
-    /// `V_off + margin` otherwise.
+    /// never dip below — `V_backup + margin + |amp|` while the monitor
+    /// polls under a disturbance of amplitude `amp`, `V_off + margin`
+    /// otherwise.
     pub e_guard_j: f64,
     /// Worst-case energy one instruction can cost (J): the program's
     /// costliest entry plus a full worst-case step of rail-voltage
@@ -300,9 +305,15 @@ struct ActiveGuards {
     adc_polls: bool,
     /// The pinned harvester power for the span (W).
     power: f64,
-    /// Simulated time the span must end strictly before (attack-quiet and
-    /// constant-power horizons, minus slack).
+    /// The disturbance amplitude (V) every in-span poll sees: constant
+    /// up to the next attack-window edge, 0 outside any window.
+    amp_v: f64,
+    /// Simulated time the span must end strictly before (constant-power,
+    /// attack-edge and fault-edge horizons, minus slack).
     t_guard: f64,
+    /// Which of those horizons set `t_guard`: the reason a span reports
+    /// when it stops there.
+    guard_end: SpanEnd,
     /// See [`SpanProfile::e_guard_j`].
     e_guard_j: f64,
     /// See [`SpanProfile::worst_loss_j`].
@@ -321,6 +332,8 @@ struct ActiveGuards {
 enum SpanEnd {
     Energy,
     Time,
+    AttackEdge,
+    FaultEdge,
     Budget,
     Program,
 }
@@ -339,6 +352,8 @@ struct SpanMeter {
     power: f64,
     /// Whether an armed unfiltered ADC is polled after every step.
     adc_polls: bool,
+    /// The disturbance amplitude the span's guards pinned.
+    amp_v: f64,
     v_max: f64,
     v_backup: f64,
     v_off: f64,
@@ -368,15 +383,16 @@ impl SpanMeter {
         );
     }
 
-    /// Replays the per-step checkpoint poll when an ADC is armed (quiet
-    /// span: amplitude 0). Held polls return the vetted held reading;
-    /// fresh conversions see the guarded voltage and cannot quantize
-    /// below `V_backup`.
+    /// Replays the per-step checkpoint poll when an ADC is armed, with the
+    /// span's pinned disturbance amplitude. Held polls return the vetted
+    /// held reading; fresh conversions see a voltage at least `amp + lsb`
+    /// above `V_backup`, so even the tone's trough cannot quantize below
+    /// it.
     #[inline]
     fn poll(&mut self) {
         if self.adc_polls {
             let cap = &self.cap;
-            let r = self.adc.read_with(|| cap.voltage_v(), 0.0, self.t);
+            let r = self.adc.read_with(|| cap.voltage_v(), self.amp_v, self.t);
             debug_assert!(
                 r >= self.v_backup,
                 "in-span polls must not assert the checkpoint signal"
@@ -1426,11 +1442,15 @@ impl Simulator {
 
     /// Derives the guard set an event-horizon span would run under right
     /// now, or `None` when any bail condition of the exact path holds:
-    /// coalescing disabled or interpreted mode, hibernating or halted, a
-    /// filtered ADC, a held reading already below `V_backup`, a latched
-    /// comparator, a non-constant harvester, or an attack window active at
-    /// this instant. This *is* `try_advance_active`'s prologue — factored
-    /// out so the batch planner and the in-device coalescer cannot drift.
+    /// coalescing disabled or interpreted mode, hibernating or halted, an
+    /// armed fault window or pending fault, a filtered ADC, a held reading
+    /// already below `V_backup`, a latched comparator, or a non-constant
+    /// harvester. An active attack window is no bail: its amplitude raises
+    /// the polled guard floor instead, so only a disturbance strong enough
+    /// to reach the monitor threshold shrinks the span below
+    /// [`MIN_ACTIVE_SPAN`]. This *is* `try_advance_active`'s prologue —
+    /// factored out so the batch planner and the in-device coalescer
+    /// cannot drift.
     fn active_span_guards(&self) -> Option<ActiveGuards> {
         if !self.event_horizon
             || self.exec_mode != ExecMode::Predecoded
@@ -1475,13 +1495,12 @@ impl Simulator {
             false
         };
         let (power, power_until) = self.harvester.constant_until(self.t_s)?;
-        let quiet_until = if polls {
-            if self.attack.active_at(self.t_s).is_some() {
-                return None;
-            }
-            self.attack.next_edge(self.t_s)
+        // The disturbance amplitude is constant up to the next attack-window
+        // edge; the span ends before it, so every in-span poll sees `amp_v`.
+        let (amp_v, attack_until) = if polls {
+            (self.disturbance_amp(), self.attack.next_edge(self.t_s))
         } else {
-            f64::INFINITY
+            (0.0, f64::INFINITY)
         };
 
         // Worst-case per-instruction loss: the program's costliest entry
@@ -1513,7 +1532,10 @@ impl Simulator {
 
         let margin_v = self.adc.lsb_v() + 1e-9;
         let v_guard = if polls {
-            self.thresholds.v_backup + margin_v
+            // A conversion reads at least `v - amp - lsb/2` and the
+            // comparator's trough is `v - amp`: above this floor no in-span
+            // poll can assert the checkpoint signal.
+            self.thresholds.v_backup + margin_v + amp_v.abs()
         } else {
             self.thresholds.v_off + margin_v
         };
@@ -1521,15 +1543,23 @@ impl Simulator {
         let slack = 2.0 * max_dt;
         // A span must end before the next armed fault-window edge: faults
         // strike executing instructions regardless of whether the monitor
-        // polls, so this horizon applies even when `quiet_until` does not.
+        // polls, so this horizon applies even when `attack_until` does not.
         let fault_until = self.fault.next_edge(self.t_s);
-        let t_guard = (power_until - slack)
-            .min(quiet_until - slack)
-            .min(fault_until - slack);
+        let (mut t_guard, mut guard_end) = (power_until - slack, SpanEnd::Time);
+        for (until, end) in [
+            (attack_until, SpanEnd::AttackEdge),
+            (fault_until, SpanEnd::FaultEdge),
+        ] {
+            if until - slack < t_guard {
+                (t_guard, guard_end) = (until - slack, end);
+            }
+        }
         Some(ActiveGuards {
             adc_polls,
             power,
+            amp_v,
             t_guard,
+            guard_end,
             e_guard_j,
             worst_loss_j,
             commit_loss_j,
@@ -1592,25 +1622,33 @@ impl Simulator {
     ///   ([`segment::safe_steps`]) under the worst-case per-instruction
     ///   loss ([`PredecodedProgram::worst_step`] plus a full step of
     ///   rail-voltage leakage) bounds how many instructions provably keep
-    ///   the capacitor above `V_backup + margin` (or `V_off + margin`
-    ///   when no monitor polls), where `margin` covers the ADC's
-    ///   worst-case round-up (`lsb + ε`) and drowns f64 drift. The admit
+    ///   the capacitor above `V_backup + margin + |amp|` (or
+    ///   `V_off + margin` when no monitor polls), where `margin` covers
+    ///   the ADC's worst-case round-up (`lsb + ε`) and drowns f64 drift,
+    ///   and `amp` is the pinned disturbance (below). The admit
     ///   closure re-checks the same worst-case guard against the *live*
     ///   local capacitor before every instruction, so the closed form
     ///   only sizes the span — admission is exact.
     /// * **Monitor state replayed or untouched** — an armed unfiltered
     ///   ADC is replayed per instruction on a local clone (conversions
     ///   are rare thanks to the sample-and-hold pipeline; held readings
-    ///   below `V_backup` bail at entry, and in-span conversions are
-    ///   quiet and above the guard, hence provably `>= V_backup`). An
-    ///   armed comparator above `V_backup + margin` with no disturbance
-    ///   can neither latch nor release, so skipping its evaluation leaves
-    ///   identical state; a latched one bails. A filtered ADC always
-    ///   bails (each poll shifts its median window).
-    /// * **Quiet attack horizon** — when the monitor polls, the span ends
+    ///   below `V_backup` bail at entry, and in-span conversions replay
+    ///   the pinned disturbance on a voltage above the guard, hence
+    ///   provably `>= V_backup`). An armed comparator whose trough
+    ///   `v - |amp|` stays above `V_backup + margin` can neither latch
+    ///   nor release, so skipping its evaluation leaves identical state;
+    ///   a latched one bails. A filtered ADC always bails (each poll
+    ///   shifts its median window).
+    /// * **Constant disturbance** — when the monitor polls, the span ends
     ///   two worst-case steps before the next attack-window edge
-    ///   ([`AttackSchedule::next_edge`]), so the disturbance amplitude is
-    ///   identically zero at every replayed poll; an active window bails.
+    ///   ([`AttackSchedule::next_edge`]), so every replayed poll sees the
+    ///   amplitude `amp` pinned at entry (0 outside any window), and the
+    ///   guard floor is raised by `|amp|`: `V_backup + margin + |amp|`.
+    ///   A conversion then reads at least `v - |amp| - lsb/2 > V_backup`,
+    ///   and the comparator's trough stays above its threshold. A
+    ///   resonant disturbance lifts the floor above the capacitor, the
+    ///   closed-form horizon drops below [`MIN_ACTIVE_SPAN`], and the
+    ///   exact path runs.
     /// * **Constant harvest** — [`PowerSource::constant_until`] pins the
     ///   harvester power for the whole span (minus the same slack), so
     ///   each replayed `charge` is bit-identical to the per-step one.
@@ -1627,7 +1665,9 @@ impl Simulator {
         let ActiveGuards {
             adc_polls,
             power,
+            amp_v,
             t_guard,
+            guard_end,
             e_guard_j: e_guard,
             worst_loss_j,
             commit_loss_j,
@@ -1656,6 +1696,7 @@ impl Simulator {
             overhead_cycles: 0,
             power,
             adc_polls,
+            amp_v,
             v_max: self.thresholds.v_max,
             v_backup: self.thresholds.v_backup,
             v_off: self.thresholds.v_off,
@@ -1678,8 +1719,12 @@ impl Simulator {
                     // capacitor. A runtime op's whole effect must fit:
                     // Ratchet's register-save sequence runs before the
                     // next poll.
-                    if meter.t >= t_end || meter.t >= t_guard {
+                    if meter.t >= t_end {
                         refused = Some(SpanEnd::Time);
+                        return false;
+                    }
+                    if meter.t >= t_guard {
+                        refused = Some(guard_end);
                         return false;
                     }
                     let mut loss_j = worst_loss_j;
@@ -1689,7 +1734,7 @@ impl Simulator {
                             return false;
                         }
                         if meter.t + commit_s >= t_guard {
-                            refused = Some(SpanEnd::Time);
+                            refused = Some(guard_end);
                             return false;
                         }
                         loss_j += commit_loss_j;
@@ -1746,6 +1791,8 @@ impl Simulator {
             match end {
                 SpanEnd::Energy => self.fast.eh_end_energy += 1,
                 SpanEnd::Time => self.fast.eh_end_time += 1,
+                SpanEnd::AttackEdge => self.fast.eh_end_attack_edge += 1,
+                SpanEnd::FaultEdge => self.fast.eh_end_fault_edge += 1,
                 SpanEnd::Budget => self.fast.eh_end_budget += 1,
                 SpanEnd::Program => self.fast.eh_end_program += 1,
             }

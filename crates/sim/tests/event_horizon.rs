@@ -5,11 +5,15 @@
 //! and capacitor voltage down to the last bit — across the scheme grid of
 //! the paper's fig. 4 workload, under attack and no-attack schedules,
 //! with `run_capped` slices and snapshot forks landing strictly inside
-//! would-be spans. Companion to `tests/fast_path.rs`, which proves the
-//! same property for predecoded dispatch and hibernation fast-forward.
+//! would-be spans, including spans that run inside attack windows too
+//! weak to move the monitor. Companion to `tests/fast_path.rs`, which
+//! proves the same property for predecoded dispatch and hibernation
+//! fast-forward.
 
 use gecko_emi::attack::DpiPoint;
-use gecko_emi::{AttackSchedule, EmiSignal, Injection, MonitorKind};
+use gecko_emi::fault::FaultModel;
+use gecko_emi::{AdcMonitor, AttackSchedule, EmiSignal, FaultSchedule, Injection, MonitorKind};
+use gecko_energy::ConstantPower;
 use gecko_isa::Inst;
 use gecko_sim::areas::GeckoMode;
 use gecko_sim::{ExecMode, SchemeKind, SimConfig, Simulator};
@@ -177,7 +181,12 @@ fn assert_span_ends_add_up(sim: &Simulator, label: &str) {
     let s = sim.fast_path_stats();
     assert_eq!(
         s.eh_spans,
-        s.eh_end_energy + s.eh_end_time + s.eh_end_budget + s.eh_end_program,
+        s.eh_end_energy
+            + s.eh_end_time
+            + s.eh_end_attack_edge
+            + s.eh_end_fault_edge
+            + s.eh_end_budget
+            + s.eh_end_program,
         "{label}: span-end reasons: {s:?}"
     );
 }
@@ -506,5 +515,247 @@ fn spoofed_pulse_strictly_inside_coalesced_segment_matches_reference() {
                 "{tag}: the pulse must actually bite (spoofed checkpoint or detection)"
             );
         }
+    }
+}
+
+/// [`assert_equivalent`] plus the whole captured device state, including
+/// the ADC's held conversion, which only later polls would observe: a
+/// span must replay every poll with the disturbance the exact path sees.
+fn assert_same_snapshot(fast: &Simulator, exact: &Simulator, label: &str) {
+    assert_equivalent(fast, exact, label);
+    assert_eq!(
+        format!("{:?}", fast.snapshot()),
+        format!("{:?}", exact.snapshot()),
+        "{label}: device state diverged"
+    );
+}
+
+/// A continuous DPI tone at P2 — the `sweep_attack` grid's direct-injection
+/// attack shape.
+fn dpi(freq_hz: f64) -> AttackSchedule {
+    AttackSchedule::continuous(EmiSignal::new(freq_hz, 20.0), Injection::Dpi(DpiPoint::P2))
+}
+
+/// The disturbance amplitude (V) `cfg`'s first attack window induces at
+/// its monitor input.
+fn induced_amp_v(cfg: &SimConfig) -> f64 {
+    let a = cfg.attack.windows()[0];
+    cfg.device
+        .induced_amplitude_v(cfg.monitor, &a.signal, a.injection)
+}
+
+/// The polled span guard floor without disturbance: `V_backup` plus the
+/// ADC's worst-case round-up and the f64 cushion.
+fn quiet_guard_v(cfg: &SimConfig) -> f64 {
+    cfg.thresholds.v_backup + AdcMonitor::default().lsb_v() + 1e-9
+}
+
+#[test]
+fn disturbed_grid_is_bit_identical_and_weak_cells_coalesce() {
+    // The `sweep_attack` cell shape (bitcnt on the 1.2 mW harvester) under
+    // attacks from too weak to move the monitor to resonant. A cell is
+    // weak when the raised guard floor `V_backup + margin + amp` still
+    // sits below a full capacitor: spans must keep carrying the run. A
+    // resonant cell lifts the floor above it: the exact path runs and the
+    // attack must still bite. Every cell must land on the per-instruction
+    // reference bit for bit.
+    let app = gecko_apps::app_by_name("bitcnt").unwrap();
+    let w = window_s();
+    let attacks = [
+        ("dpi-100MHz", dpi(100e6)),
+        ("dpi-54.9MHz", dpi(54.9e6)),
+        (
+            "remote-9.1MHz",
+            AttackSchedule::bursts(
+                EmiSignal::new(9.1e6, 35.0),
+                Injection::Remote { distance_m: 2.0 },
+                &[0.2 * w, 0.6 * w],
+                0.2 * w,
+            ),
+        ),
+        ("dpi-27MHz", dpi(27e6)),
+    ];
+    let faults = [
+        ("no-fault", FaultSchedule::none()),
+        (
+            "skip",
+            FaultSchedule::bursts(
+                EmiSignal::new(27e6, 35.0),
+                Injection::Dpi(DpiPoint::P2),
+                FaultModel::Skip,
+                &[0.5 * w],
+                0.02 * w,
+            ),
+        ),
+    ];
+    let (mut weak_cells, mut resonant_cells) = (0, 0);
+    for scheme in SchemeKind::all() {
+        for monitor in MonitorKind::all() {
+            for (attack_name, attack) in &attacks {
+                for (fault_name, fault) in &faults {
+                    let build = || {
+                        let mut cfg = SimConfig::harvesting(scheme)
+                            .with_attack(attack.clone())
+                            .with_fault(fault.clone());
+                        cfg.monitor = monitor;
+                        cfg
+                    };
+                    let mut fast = Simulator::new(&app, build()).unwrap();
+                    let mut exact = Simulator::new(&app, build()).unwrap();
+                    make_exact(&mut exact);
+                    fast.run_for(w);
+                    exact.run_for(w);
+                    let tag = format!(
+                        "disturbed/{}/{monitor:?}/{attack_name}/{fault_name}",
+                        scheme.name()
+                    );
+                    assert_same_snapshot(&fast, &exact, &tag);
+                    assert_span_ends_add_up(&fast, &tag);
+                    let s = fast.fast_path_stats();
+                    let cfg = build();
+                    let amp = induced_amp_v(&cfg);
+                    if quiet_guard_v(&cfg) + amp < cfg.thresholds.v_max {
+                        weak_cells += 1;
+                        assert!(
+                            s.eh_insts > 10 * s.dispatches,
+                            "{tag}: a weak disturbance (amp {amp:.4} V) must not pin \
+                             the exact path: {s:?}"
+                        );
+                        // Spans run up to every window edge in reach.
+                        let bursts = cfg.attack.windows()[0].end_s.is_finite();
+                        assert_eq!(s.eh_end_attack_edge > 0, bursts, "{tag}: {s:?}");
+                        let armed = !cfg.fault.is_empty();
+                        assert_eq!(s.eh_end_fault_edge > 0, armed, "{tag}: {s:?}");
+                    } else {
+                        resonant_cells += 1;
+                        // Ratchet never consults the monitor for a JIT
+                        // checkpoint: a spoofed reading only shuts it down.
+                        assert!(
+                            scheme == SchemeKind::Ratchet
+                                || fast.metrics.jit_checkpoints > 0
+                                || fast.metrics.attack_detections > 0,
+                            "{tag}: a resonant disturbance (amp {amp:.4} V) must still \
+                             bite: {:?}",
+                            fast.metrics
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        weak_cells > 0 && resonant_cells > 0,
+        "{weak_cells}/{resonant_cells}"
+    );
+}
+
+#[test]
+fn capacitor_inside_the_disturbed_guard_band_declines_spans() {
+    // With no harvest the capacitor only falls. Once it drops below
+    // `V_backup + margin + amp` (but is still above `V_backup + margin`,
+    // where a quiet span would still run), a weak tone could pull a poll
+    // under `V_backup`: every step must take the exact path, and the walk
+    // must stay on the reference trajectory.
+    let app = gecko_apps::app_by_name("bitcnt").unwrap();
+    for scheme in [SchemeKind::Nvp, SchemeKind::Gecko] {
+        for monitor in MonitorKind::all() {
+            let build = || {
+                let mut cfg = SimConfig::harvesting(scheme)
+                    .with_capacitor(100e-6, 3.3)
+                    .with_attack(dpi(100e6));
+                cfg.harvester = Box::new(ConstantPower::new(0.0));
+                cfg.monitor = monitor;
+                cfg
+            };
+            let tag = format!("guard-band/{}/{monitor:?}", scheme.name());
+            let cfg = build();
+            let lo = quiet_guard_v(&cfg);
+            let hi = lo + induced_amp_v(&cfg);
+            assert!(hi - lo > 0.05, "{tag}: the band must be wide");
+
+            let mut fast = Simulator::new(&app, build()).unwrap();
+            while fast.is_on() && fast.voltage_v() >= hi {
+                fast.advance_to_horizon(u64::MAX, f64::INFINITY);
+            }
+            assert!(
+                fast.is_on() && fast.voltage_v() > lo,
+                "{tag}: inside the band"
+            );
+            assert!(fast.fast_path_stats().eh_insts > 0, "{tag}: spans above it");
+            let mut declined = 0;
+            while fast.is_on() && fast.voltage_v() > lo {
+                let before = fast.fast_path_stats();
+                assert_eq!(fast.advance_to_horizon(u64::MAX, f64::INFINITY), 1);
+                let after = fast.fast_path_stats();
+                assert_eq!(after.dispatches, before.dispatches + 1, "{tag}");
+                assert_eq!(after.eh_refused, before.eh_refused + 1, "{tag}");
+                declined += 1;
+            }
+            assert!(declined > 100, "{tag}: only {declined} steps in the band");
+
+            let mut exact = Simulator::new(&app, build()).unwrap();
+            make_exact(&mut exact);
+            exact.run_steps(fast.fast_path_stats().steps);
+            assert_equivalent(&fast, &exact, &tag);
+            fast.run_for(0.01);
+            exact.run_for(0.01);
+            assert_equivalent(&fast, &exact, &format!("{tag}/after"));
+        }
+    }
+}
+
+#[test]
+fn slices_and_forks_inside_disturbed_spans_are_exact() {
+    // The weak-tone analog of the slice and fork tests above: spans run
+    // inside an open attack window, and `run_capped` slices and a
+    // snapshot fork split them without observable effect.
+    let app = gecko_apps::app_by_name("bitcnt").unwrap();
+    let build = |scheme| fig4_config(scheme, dpi(100e6));
+    for scheme in [SchemeKind::Nvp, SchemeKind::Gecko] {
+        let tag = scheme.name();
+        let t_end = window_s();
+        let mut whole = Simulator::new(&app, build(scheme)).unwrap();
+        whole.run_for(t_end);
+        let s = whole.fast_path_stats();
+        assert!(
+            s.eh_insts > 10 * s.dispatches,
+            "{tag}: disturbed spans: {s:?}"
+        );
+        let mut sliced = Simulator::new(&app, build(scheme)).unwrap();
+        let mut slice = 1u64;
+        while sliced.time_s() < t_end {
+            sliced.run_capped(t_end, u64::MAX, slice);
+            slice = (slice * 7 + 3) % 997 + 1;
+        }
+        let mut exact = Simulator::new(&app, build(scheme)).unwrap();
+        make_exact(&mut exact);
+        exact.run_for(t_end);
+        assert_same_snapshot(&whole, &exact, &format!("{tag}/whole"));
+        assert_same_snapshot(&sliced, &exact, &format!("{tag}/sliced"));
+
+        // Fork in the middle of the first long disturbed span past 15k
+        // steps, diverge, rewind, and resume.
+        let mut probe = Simulator::new(&app, build(scheme)).unwrap();
+        let fork = loop {
+            let start = probe.fast_path_stats().steps;
+            let n = probe.advance_to_horizon(u64::MAX, f64::INFINITY);
+            if start > 15_000 && n > 1_000 {
+                break start + n / 2;
+            }
+        };
+        let goal = fork + 40_000;
+        let mut forked = Simulator::new(&app, build(scheme)).unwrap();
+        forked.run_steps(fork);
+        let snap = forked.snapshot();
+        forked.run_steps(5_000);
+        forked.restore(&snap);
+        forked.run_steps(goal - fork);
+        let mut exact = Simulator::new(&app, build(scheme)).unwrap();
+        make_exact(&mut exact);
+        exact.run_steps(goal);
+        assert_eq!(forked.metrics, exact.metrics, "{tag}: forked");
+        assert_eq!(forked.state_hash(), exact.state_hash(), "{tag}: forked");
+        assert_eq!(forked.time_s().to_bits(), exact.time_s().to_bits());
+        assert_eq!(forked.voltage_v().to_bits(), exact.voltage_v().to_bits());
     }
 }

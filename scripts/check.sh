@@ -58,7 +58,7 @@ echo "==> incremental smoke (persistent memo store: warm re-checks byte-identica
 echo "    worker/steal/kill-resume digest-invariant, change-driven invalidation)"
 GECKO_QUICK=1 cargo test --offline --release -q -p gecko-check --test incremental
 
-echo "==> bench smoke (fast-path + event-horizon + batch_step coalescing floors, BENCH_sim.json)"
+echo "==> bench smoke (fast-path + event-horizon clean/disturbed + batch_step coalescing floors, BENCH_sim.json)"
 GECKO_QUICK=1 cargo bench --offline -p gecko-bench --bench fast_path
 
 echo "==> OK"
