@@ -1460,6 +1460,9 @@ pub fn check_summary(report: &CheckReport) -> String {
 }
 
 #[cfg(test)]
+mod golden;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::verdict::Blame;

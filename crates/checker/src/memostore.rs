@@ -746,6 +746,16 @@ pub fn classify_memo_lines(lines: &[String]) -> Vec<Verdict> {
     verdicts
 }
 
+/// Decodes one raw line of the store's vocabulary (test access to the
+/// parse + decode pair [`MemoStore::open`] runs per line).
+#[cfg(test)]
+fn decode_memo_text(line: &str) -> Option<Result<MemoLine, ChunkLineError>> {
+    decode_memo_line(&parse_flat_json(line)?)
+}
+
+#[cfg(test)]
+mod golden;
+
 #[cfg(test)]
 mod tests {
     use super::*;

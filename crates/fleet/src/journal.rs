@@ -740,6 +740,9 @@ pub fn classify_campaign_lines(journal_lines: &[String]) -> Vec<Verdict> {
 }
 
 #[cfg(test)]
+mod golden;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::WorkItem;
