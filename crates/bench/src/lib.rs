@@ -21,6 +21,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use gecko_sim::experiments::Fidelity;
+use gecko_sim::report::Json;
 use gecko_sim::Record;
 
 /// The fidelity selected by the environment (`GECKO_QUICK=1` → `Quick`).
@@ -97,47 +98,25 @@ pub fn git_commit_short() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Writes `target/gecko-results/<name>.json`: one JSON object holding the
-/// current commit hash and an array of [`SummaryRow`]s. Hand-rolled — the
-/// workspace is serde-free by design.
+/// current commit hash and an array of [`SummaryRow`]s.
 pub fn save_json_summary(name: &str, rows: &[SummaryRow]) {
-    let mut body = String::new();
-    body.push_str("{\n  \"commit\": \"");
-    body.push_str(&json_escape(&git_commit_short()));
-    body.push_str("\",\n  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_op\": {}, \"ratio\": {}}}{}\n",
-            json_escape(&row.name),
-            json_num(row.ns_per_op),
-            json_num(row.ratio),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
+    let rows = rows
+        .iter()
+        .map(|row| {
+            Json::Obj(vec![
+                ("name".into(), Json::Str(row.name.clone())),
+                ("ns_per_op".into(), Json::F64(row.ns_per_op)),
+                ("ratio".into(), Json::F64(row.ratio)),
+            ])
+        })
+        .collect();
+    let doc = Json::Obj(vec![
+        ("commit".into(), Json::Str(git_commit_short())),
+        ("rows".into(), Json::Arr(rows)),
+    ]);
     let path = results_dir().join(format!("{name}.json"));
-    match fs::write(&path, body) {
+    match fs::write(&path, doc.encode() + "\n") {
         Ok(()) => println!("[saved {}]", path.display()),
         Err(e) => eprintln!("warning: could not write {name}.json: {e}"),
     }
@@ -240,23 +219,53 @@ mod tests {
 
     #[test]
     fn json_summary_is_well_formed() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
-        assert_eq!(json_num(1.5), "1.5");
-        assert_eq!(json_num(f64::NAN), "null");
         assert!(!git_commit_short().is_empty());
         save_json_summary(
             "BENCH_selftest",
-            &[SummaryRow {
-                name: "section/scheme".to_string(),
-                ns_per_op: 12.5,
-                ratio: 3.0,
-            }],
+            &[
+                SummaryRow {
+                    name: "section/scheme \"q\"\n".to_string(),
+                    ns_per_op: 12.5,
+                    ratio: 3.0,
+                },
+                SummaryRow {
+                    name: "section/idle".to_string(),
+                    ns_per_op: 0.1 + 0.2,
+                    ratio: f64::NAN,
+                },
+            ],
         );
         let text = fs::read_to_string(results_dir().join("BENCH_selftest.json")).unwrap();
-        assert!(text.contains("\"commit\": \""), "{text}");
         assert!(
-            text.contains("{\"name\": \"section/scheme\", \"ns_per_op\": 12.5, \"ratio\": 3}"),
+            text.contains(r#""name":"section/scheme \"q\"\n""#),
             "{text}"
+        );
+        assert!(text.contains(r#""ratio":3.0"#), "{text}");
+        let doc = Json::parse(&text).unwrap();
+        let keys: Vec<&str> = doc
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["commit", "rows"]);
+        assert_eq!(
+            doc.get("commit").and_then(Json::as_str),
+            Some(git_commit_short().as_str())
+        );
+        let row = |name: &str, ns_per_op: f64, ratio: Json| {
+            Json::Obj(vec![
+                ("name".into(), Json::Str(name.into())),
+                ("ns_per_op".into(), Json::F64(ns_per_op)),
+                ("ratio".into(), ratio),
+            ])
+        };
+        assert_eq!(
+            doc.get("rows").and_then(Json::as_arr).unwrap(),
+            [
+                row("section/scheme \"q\"\n", 12.5, Json::F64(3.0)),
+                row("section/idle", 0.1 + 0.2, Json::Null),
+            ]
         );
     }
 

@@ -29,14 +29,14 @@ use std::time::Instant;
 
 use gecko_apps::App;
 use gecko_compiler::{fingerprint_program, CompileError, CompileOptions, ProgramFingerprints};
-use gecko_fleet::journal::{decode_header, encode_header, field, parse_flat_json, JsonScalar};
-use gecko_fleet::telemetry::json_kv;
+use gecko_fleet::journal::{decode_header_record, encode_header};
 use gecko_fleet::{
     quarantine, run_supervised, AttemptFail, ChaosSink, ChaosSpec, Event, FleetCounters, Frontier,
     Journal, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec, TelemetrySink,
 };
 use gecko_sim::device::CompiledApp;
-use gecko_sim::{SchemeKind, Simulator, Value};
+use gecko_sim::report::{json_kv, Json, Value};
+use gecko_sim::{SchemeKind, Simulator};
 use gecko_store::Verdict;
 
 use crate::explore::{
@@ -514,26 +514,22 @@ fn encode_chunk(run_key: u64, item: usize, stats: &CheckStats, violations: &[Vio
     ])
 }
 
-/// Decodes one `chunk_done` line's parsed fields. `None` means the line
-/// is not a chunk record at all (foreign vocabulary); `Some(Err(_))` is a
-/// chunk record this binary cannot use, with a path-carrying reason.
-/// Shared between journal replay and the prune classifier so both agree
-/// on what "decodable" means.
-fn decode_chunk_line(
-    fields: &[(String, JsonScalar)],
-) -> Option<Result<(u64, JournaledChunk), ChunkLineError>> {
-    if field(fields, "kind")?.as_str()? != CHUNK_DONE {
+/// Decodes one parsed `chunk_done` line. `None` means the line is not a
+/// chunk record at all (foreign vocabulary); `Some(Err(_))` is a chunk
+/// record this binary cannot use, with a path-carrying reason. Shared
+/// between journal replay and the prune classifier so both agree on what
+/// "decodable" means.
+fn decode_chunk_line(rec: &Json) -> Option<Result<(u64, JournaledChunk), ChunkLineError>> {
+    if rec.get("kind")?.as_str()? != CHUNK_DONE {
         return None;
     }
-    Some(decode_chunk_fields(fields))
+    Some(decode_chunk_fields(rec))
 }
 
-fn decode_chunk_fields(
-    fields: &[(String, JsonScalar)],
-) -> Result<(u64, JournaledChunk), ChunkLineError> {
+fn decode_chunk_fields(rec: &Json) -> Result<(u64, JournaledChunk), ChunkLineError> {
     let u = |name: &str| {
-        field(fields, name)
-            .and_then(JsonScalar::as_u64)
+        rec.get(name)
+            .and_then(Json::as_u64)
             .ok_or_else(|| ChunkLineError::Malformed {
                 path: name.to_string(),
             })
@@ -547,11 +543,12 @@ fn decode_chunk_fields(
         steps: u("steps")?,
         violations: u("violations")?,
     };
-    let viols_text = field(fields, "viols")
-        .and_then(JsonScalar::as_str)
-        .ok_or_else(|| ChunkLineError::Malformed {
-            path: "viols".to_string(),
-        })?;
+    let viols_text =
+        rec.get("viols")
+            .and_then(Json::as_str)
+            .ok_or_else(|| ChunkLineError::Malformed {
+                path: "viols".to_string(),
+            })?;
     let mut violations = Vec::new();
     if !viols_text.is_empty() {
         for (vi, part) in viols_text.split(';').enumerate() {
@@ -608,14 +605,14 @@ fn decode_chunks(lines: &[String]) -> DecodedJournal {
     let mut chunks = HashMap::new();
     let mut diagnostics = Vec::new();
     for (i, line) in lines.iter().enumerate() {
-        if let Some(h) = decode_header(line) {
+        let Some(rec) = Json::parse_flat(line) else {
+            continue;
+        };
+        if let Some(h) = decode_header_record(&rec) {
             header.get_or_insert(h);
             continue;
         }
-        let Some(fields) = parse_flat_json(line) else {
-            continue;
-        };
-        match decode_chunk_line(&fields) {
+        match decode_chunk_line(&rec) {
             Some(Ok((run_key, chunk))) => {
                 chunks.insert(run_key, chunk);
             }
@@ -650,18 +647,18 @@ pub fn classify_check_lines(lines: &[String]) -> Vec<Verdict> {
     // ones are dead weight the decoder would overwrite anyway.
     let mut last_chunk: HashMap<u64, usize> = HashMap::new();
     for (i, line) in lines.iter().enumerate() {
-        if decode_header(line).is_some() {
+        let Some(rec) = Json::parse_flat(line) else {
+            verdicts[i] = Verdict::Delete; // garbage: decoder skips it
+            continue;
+        };
+        if decode_header_record(&rec).is_some() {
             if saw_header {
                 verdicts[i] = Verdict::Delete; // decode keeps the first
             }
             saw_header = true;
             continue;
         }
-        let Some(fields) = parse_flat_json(line) else {
-            verdicts[i] = Verdict::Delete; // garbage: decoder skips it
-            continue;
-        };
-        match decode_chunk_line(&fields) {
+        match decode_chunk_line(&rec) {
             Some(Ok((run_key, _))) => {
                 if let Some(prev) = last_chunk.insert(run_key, i) {
                     verdicts[prev] = Verdict::Delete;

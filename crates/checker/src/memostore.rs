@@ -33,10 +33,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use gecko_compiler::ProgramFingerprints;
-use gecko_fleet::journal::{field, parse_flat_json, JsonScalar};
 use gecko_fleet::lock_unpoisoned;
-use gecko_fleet::telemetry::json_kv;
-use gecko_sim::Value;
+use gecko_sim::report::{json_kv, Json, Value};
 use gecko_store::{LogConfig, SegmentedLog, Verdict};
 
 use crate::campaign::{
@@ -212,21 +210,21 @@ fn encode_memo_line(line: &MemoLine) -> String {
 /// Decodes one parsed line. `None` means the line is not in this store's
 /// vocabulary at all; `Some(Err(_))` is one of our kinds this binary
 /// cannot use.
-fn decode_memo_line(fields: &[(String, JsonScalar)]) -> Option<Result<MemoLine, ChunkLineError>> {
-    let kind = field(fields, "kind")?.as_str()?;
+fn decode_memo_line(rec: &Json) -> Option<Result<MemoLine, ChunkLineError>> {
+    let kind = rec.get("kind")?.as_str()?;
     if !matches!(kind, MEMO_META | MEMO_SLAB | MEMO_STATE | MEMO_DROP) {
         return None;
     }
     let u = |name: &str| {
-        field(fields, name)
-            .and_then(JsonScalar::as_u64)
+        rec.get(name)
+            .and_then(Json::as_u64)
             .ok_or_else(|| ChunkLineError::Malformed {
                 path: name.to_string(),
             })
     };
     let s = |name: &str| {
-        field(fields, name)
-            .and_then(JsonScalar::as_str)
+        rec.get(name)
+            .and_then(Json::as_str)
             .map(str::to_string)
             .ok_or_else(|| ChunkLineError::Malformed {
                 path: name.to_string(),
@@ -366,10 +364,10 @@ impl MemoStore {
         let log = Arc::new(SegmentedLog::open(dir, LogConfig::default())?);
         let mut state = StoreState::default();
         for line in log.lines() {
-            let Some(fields) = parse_flat_json(&line) else {
+            let Some(rec) = Json::parse_flat(&line) else {
                 continue;
             };
-            if let Some(Ok(memo_line)) = decode_memo_line(&fields) {
+            if let Some(Ok(memo_line)) = decode_memo_line(&rec) {
                 state.apply(&memo_line);
             }
         }
@@ -650,15 +648,15 @@ pub fn classify_memo_lines(lines: &[String]) -> Vec<Verdict> {
     let parsed: Vec<Parsed> = lines
         .iter()
         .map(|line| {
-            let Some(fields) = parse_flat_json(line) else {
+            let Some(rec) = Json::parse_flat(line) else {
                 return Parsed::Garbage;
             };
-            match decode_memo_line(&fields) {
+            match decode_memo_line(&rec) {
                 None => Parsed::Foreign,
                 Some(Ok(memo_line)) => Parsed::Line(memo_line),
                 Some(Err(ChunkLineError::Malformed { .. })) => Parsed::Malformed,
                 Some(Err(ChunkLineError::UnknownTag { .. })) => Parsed::ForwardCompat {
-                    run_key: field(&fields, "run_key").and_then(JsonScalar::as_u64),
+                    run_key: rec.get("run_key").and_then(Json::as_u64),
                 },
             }
         })
@@ -750,7 +748,7 @@ pub fn classify_memo_lines(lines: &[String]) -> Vec<Verdict> {
 /// parse + decode pair [`MemoStore::open`] runs per line).
 #[cfg(test)]
 fn decode_memo_text(line: &str) -> Option<Result<MemoLine, ChunkLineError>> {
-    decode_memo_line(&parse_flat_json(line)?)
+    decode_memo_line(&Json::parse_flat(line)?)
 }
 
 #[cfg(test)]

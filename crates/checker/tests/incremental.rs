@@ -22,9 +22,9 @@ use gecko_check::{
     classify_memo_lines, war_counter_app, CheckCampaign, CheckSpec, ExploreConfig, MemoStore,
 };
 use gecko_compiler::{fingerprint_program, CompileOptions};
-use gecko_fleet::journal::{field, parse_flat_json};
 use gecko_isa::{BinOp, Cond, ProgramBuilder, Reg, Word};
 use gecko_sim::device::CompiledApp;
+use gecko_sim::report::Json;
 use gecko_sim::SchemeKind;
 use gecko_store::{LogConfig, SegmentedLog, Verdict};
 
@@ -238,13 +238,13 @@ fn mid_chunk_kills_resume_bit_exactly_even_after_a_prune() {
     let cut = lines
         .iter()
         .position(|line| {
-            let Some(fields) = parse_flat_json(line) else {
+            let Some(rec) = Json::parse_flat(line) else {
                 return false;
             };
-            if field(&fields, "kind").and_then(|s| s.as_str()) != Some("memo_slab") {
+            if rec.get("kind").and_then(Json::as_str) != Some("memo_slab") {
                 return false;
             }
-            let u = |n: &str| field(&fields, n).and_then(|s| s.as_u64());
+            let u = |n: &str| rec.get(n).and_then(Json::as_u64);
             match (u("done"), u("start"), u("end")) {
                 (Some(done), Some(start), Some(end)) => done < end - start,
                 _ => false,
@@ -253,10 +253,8 @@ fn mid_chunk_kills_resume_bit_exactly_even_after_a_prune() {
         .expect("a mid-slab flush record");
     let mut killed: Vec<String> = lines[..=cut].to_vec();
     for line in &lines[cut + 1..] {
-        let is_state = parse_flat_json(line)
-            .as_deref()
-            .and_then(|f| field(f, "kind").and_then(|s| s.as_str().map(str::to_string)))
-            == Some("memo_state".to_string());
+        let is_state = Json::parse_flat(line)
+            .is_some_and(|rec| rec.get("kind").and_then(Json::as_str) == Some("memo_state"));
         if !is_state {
             break;
         }

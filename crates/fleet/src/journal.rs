@@ -12,10 +12,12 @@
 //!
 //! Design notes:
 //!
-//! * Lines are written through the same dependency-free encoder as every
-//!   other JSON artifact in the workspace ([`gecko_sim::report`]); f64
-//!   fields round-trip exactly because the encoder emits Rust's shortest
-//!   round-trip formatting (integral floats keep a `.0`).
+//! * Lines are written and read through the workspace's one JSON codec
+//!   ([`gecko_sim::report::Json`]): written as flat objects and read back
+//!   with [`Json::parse_flat`], which rejects torn and nested lines. f64
+//!   fields round-trip exactly because the writer emits Rust's shortest
+//!   round-trip formatting (integral floats keep a `.0`). The golden-line
+//!   fixtures in this module's tests pin the on-disk bytes.
 //! * A run's `bucket` lines are appended *before* its `run_done` line, so
 //!   a torn write (kill mid-append) at worst loses the final line — a run
 //!   without its `run_done` marker is simply re-executed.
@@ -44,13 +46,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gecko_compiler::CompileStats;
-use gecko_sim::report::{Record as _, Value};
+use gecko_sim::report::{json_kv, Json, Record as _, Value};
 use gecko_sim::Metrics;
 use gecko_store::{SegmentedLog, Verdict};
 
 use crate::campaign::RunResult;
 use crate::supervisor::lock_unpoisoned;
-use crate::telemetry::json_kv;
 
 /// The storage behind a journal: an in-memory line buffer (tests,
 /// kill/resume property tests), an append-only file, or a segmented log
@@ -225,227 +226,12 @@ impl std::fmt::Debug for Journal {
 }
 
 // ---------------------------------------------------------------------------
-// A tolerant flat-JSON reader (the decoder half of the workspace's
-// dependency-free JSON story; the encoder lives in gecko_sim::report).
-// ---------------------------------------------------------------------------
-
-/// A scalar read back from a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonScalar {
-    /// A string.
-    Str(String),
-    /// A non-negative integer (no `.`/exponent, no sign).
-    U64(u64),
-    /// A negative integer.
-    I64(i64),
-    /// A float (the encoder always emits a `.` for floats).
-    F64(f64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl JsonScalar {
-    /// The value as `u64`, if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonScalar::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as `f64` (integers widen).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonScalar::F64(v) => Some(*v),
-            JsonScalar::U64(v) => Some(*v as f64),
-            JsonScalar::I64(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// The value as `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonScalar::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as `&str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonScalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object (`{"key": scalar, ...}`) into ordered
-/// key/value pairs. Returns `None` on anything malformed or nested — a
-/// torn journal line is skipped, never fatal.
-pub fn parse_flat_json(line: &str) -> Option<Vec<(String, JsonScalar)>> {
-    let mut p = Parser {
-        bytes: line.trim().as_bytes(),
-        i: 0,
-    };
-    p.expect(b'{')?;
-    let mut out = Vec::new();
-    p.skip_ws();
-    if p.eat(b'}') {
-        return p.at_end().then_some(out);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        let value = p.scalar()?;
-        out.push((key, value));
-        p.skip_ws();
-        if p.eat(b',') {
-            continue;
-        }
-        p.expect(b'}')?;
-        return p.at_end().then_some(out);
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.i).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Option<()> {
-        self.eat(b).then_some(())
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.i == self.bytes.len()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    self.i += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.i + 1..self.i + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.i += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.i += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // slicing at char boundaries is safe via chars()).
-                    let rest = std::str::from_utf8(&self.bytes[self.i..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn scalar(&mut self) -> Option<JsonScalar> {
-        match self.peek()? {
-            b'"' => Some(JsonScalar::Str(self.string()?)),
-            b't' => self.literal("true", JsonScalar::Bool(true)),
-            b'f' => self.literal("false", JsonScalar::Bool(false)),
-            b'n' => self.literal("null", JsonScalar::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => None,
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonScalar) -> Option<JsonScalar> {
-        let end = self.i + word.len();
-        if self.bytes.get(self.i..end)? == word.as_bytes() {
-            self.i = end;
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    fn number(&mut self) -> Option<JsonScalar> {
-        let start = self.i;
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => self.i += 1,
-                b'.' | b'e' | b'E' => {
-                    is_float = true;
-                    self.i += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.i]).ok()?;
-        if is_float {
-            text.parse().ok().map(JsonScalar::F64)
-        } else if text.starts_with('-') {
-            text.parse().ok().map(JsonScalar::I64)
-        } else {
-            text.parse().ok().map(JsonScalar::U64)
-        }
-    }
-}
-
-/// Convenience over [`parse_flat_json`]: field lookup by name.
-pub fn field<'a>(fields: &'a [(String, JsonScalar)], name: &str) -> Option<&'a JsonScalar> {
-    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-// ---------------------------------------------------------------------------
 // Campaign journal lines
 // ---------------------------------------------------------------------------
 
 /// Journal line kinds for metric campaigns (`gecko-fleet`). The checker
-/// defines its own vocabulary on top of the same [`Journal`] + parser.
+/// defines its own vocabulary on top of the same [`Journal`] and
+/// [`Json::parse_flat`].
 pub mod lines {
     /// Header: campaign identity + spec fingerprint.
     pub const HEADER: &str = "campaign";
@@ -466,13 +252,17 @@ pub fn encode_header(name: &str, fingerprint: u64) -> String {
 
 /// Decodes a journal header line (`None` if this is not a header).
 pub fn decode_header(line: &str) -> Option<(String, u64)> {
-    let fields = parse_flat_json(line)?;
-    if field(&fields, "journal")?.as_str()? != lines::HEADER {
+    decode_header_record(&Json::parse_flat(line)?)
+}
+
+/// [`decode_header`] on a line already read with [`Json::parse_flat`].
+pub fn decode_header_record(rec: &Json) -> Option<(String, u64)> {
+    if rec.get("journal")?.as_str()? != lines::HEADER {
         return None;
     }
     Some((
-        field(&fields, "name")?.as_str()?.to_string(),
-        field(&fields, "fingerprint")?.as_u64()?,
+        rec.get("name")?.as_str()?.to_string(),
+        rec.get("fingerprint")?.as_u64()?,
     ))
 }
 
@@ -536,9 +326,9 @@ pub(crate) struct JournaledRun {
     pub wall_ns: u64,
 }
 
-fn metrics_from(fields: &[(String, JsonScalar)]) -> Option<Metrics> {
-    let u = |name: &str| field(fields, name)?.as_u64();
-    let f = |name: &str| field(fields, name)?.as_f64();
+fn metrics_from(rec: &Json) -> Option<Metrics> {
+    let u = |name: &str| rec.get(name)?.as_u64();
+    let f = |name: &str| rec.get(name)?.as_f64();
     Some(Metrics {
         sim_time_s: f("sim_time_s")?,
         forward_cycles: u("forward_cycles")?,
@@ -561,8 +351,8 @@ fn metrics_from(fields: &[(String, JsonScalar)]) -> Option<Metrics> {
     })
 }
 
-fn compile_stats_from(fields: &[(String, JsonScalar)]) -> Option<CompileStats> {
-    let u = |name: &str| Some(field(fields, name)?.as_u64()? as usize);
+fn compile_stats_from(rec: &Json) -> Option<CompileStats> {
+    let u = |name: &str| Some(rec.get(name)?.as_u64()? as usize);
     Some(CompileStats {
         regions: u("cs_regions")?,
         regions_split: u("cs_regions_split")?,
@@ -588,33 +378,32 @@ pub(crate) fn decode_campaign(
     let mut buckets: HashMap<u64, Vec<(u64, Metrics)>> = HashMap::new();
     let mut runs = HashMap::new();
     for line in journal_lines {
-        let Some(fields) = parse_flat_json(line) else {
+        let Some(rec) = Json::parse_flat(line) else {
             continue;
         };
-        if let Some(h) = decode_header(line) {
+        if let Some(h) = decode_header_record(&rec) {
             header.get_or_insert(h);
             continue;
         }
-        let Some(kind) = field(&fields, "kind").and_then(JsonScalar::as_str) else {
+        let Some(kind) = rec.get("kind").and_then(Json::as_str) else {
             continue;
         };
-        let Some(run_key) = field(&fields, "run_key").and_then(JsonScalar::as_u64) else {
+        let Some(run_key) = rec.get("run_key").and_then(Json::as_u64) else {
             continue;
         };
         match kind {
             k if k == lines::BUCKET => {
-                let (Some(index), Some(metrics)) = (
-                    field(&fields, "bucket").and_then(JsonScalar::as_u64),
-                    metrics_from(&fields),
-                ) else {
+                let (Some(index), Some(metrics)) =
+                    (rec.get("bucket").and_then(Json::as_u64), metrics_from(&rec))
+                else {
                     continue;
                 };
                 buckets.entry(run_key).or_default().push((index, metrics));
             }
             k if k == lines::RUN_DONE => {
                 let decoded = (|| {
-                    let item = field(&fields, "item")?.as_u64()? as usize;
-                    let n_buckets = field(&fields, "buckets")?.as_u64()?;
+                    let item = rec.get("item")?.as_u64()? as usize;
+                    let n_buckets = rec.get("buckets")?.as_u64()?;
                     let mut edges = buckets.remove(&run_key).unwrap_or_default();
                     edges.sort_by_key(|(i, _)| *i);
                     let complete = edges.len() as u64 == n_buckets
@@ -624,11 +413,11 @@ pub(crate) fn decode_campaign(
                     }
                     Some(JournaledRun {
                         item,
-                        metrics: metrics_from(&fields)?,
+                        metrics: metrics_from(&rec)?,
                         buckets: edges.into_iter().map(|(_, m)| m).collect(),
-                        compile_stats: compile_stats_from(&fields)?,
-                        cache_hit: field(&fields, "cache_hit")?.as_bool()?,
-                        wall_ns: field(&fields, "wall_ns")?.as_u64()?,
+                        compile_stats: compile_stats_from(&rec)?,
+                        cache_hit: rec.get("cache_hit")?.as_bool()?,
+                        wall_ns: rec.get("wall_ns")?.as_u64()?,
                     })
                 })();
                 if let Some(run) = decoded {
@@ -665,27 +454,25 @@ pub fn classify_campaign_lines(journal_lines: &[String]) -> Vec<Verdict> {
     // decoder will restore).
     let mut last_group: HashMap<u64, Vec<usize>> = HashMap::new();
     for (i, line) in journal_lines.iter().enumerate() {
-        let Some(fields) = parse_flat_json(line) else {
+        let Some(rec) = Json::parse_flat(line) else {
             verdicts[i] = Verdict::Delete; // torn/garbage: invisible to the decoder
             continue;
         };
-        if decode_header(line).is_some() {
+        if decode_header_record(&rec).is_some() {
             if seen_header {
                 verdicts[i] = Verdict::Delete; // the decoder keeps the first header
             }
             seen_header = true;
             continue;
         }
-        let kind = field(&fields, "kind").and_then(JsonScalar::as_str);
-        let run_key = field(&fields, "run_key").and_then(JsonScalar::as_u64);
+        let kind = rec.get("kind").and_then(Json::as_str);
+        let run_key = rec.get("run_key").and_then(Json::as_u64);
         match (kind, run_key) {
             (Some(k), Some(run_key)) if k == lines::BUCKET => {
                 // The decoder only accumulates a bucket edge that carries
                 // an index and full metrics; anything less is invisible.
-                let usable = field(&fields, "bucket")
-                    .and_then(JsonScalar::as_u64)
-                    .is_some()
-                    && metrics_from(&fields).is_some();
+                let usable = rec.get("bucket").and_then(Json::as_u64).is_some()
+                    && metrics_from(&rec).is_some();
                 if usable {
                     pending.entry(run_key).or_default().push(i);
                 } else {
@@ -699,11 +486,11 @@ pub fn classify_campaign_lines(journal_lines: &[String]) -> Vec<Verdict> {
                 // sort to a contiguous 0..n matching the declared count,
                 // and the run_done payload fully decodes.
                 let complete = (|| {
-                    let n_buckets = field(&fields, "buckets")?.as_u64()?;
+                    let n_buckets = rec.get("buckets")?.as_u64()?;
                     let mut edges: Vec<u64> = Vec::with_capacity(group.len() - 1);
                     for &gi in &group[..group.len() - 1] {
-                        let f = parse_flat_json(&journal_lines[gi])?;
-                        edges.push(field(&f, "bucket")?.as_u64()?);
+                        let edge = Json::parse_flat(&journal_lines[gi])?;
+                        edges.push(edge.get("bucket")?.as_u64()?);
                     }
                     edges.sort_unstable();
                     let contiguous = edges.len() as u64 == n_buckets
@@ -711,11 +498,11 @@ pub fn classify_campaign_lines(journal_lines: &[String]) -> Vec<Verdict> {
                     if !contiguous {
                         return None;
                     }
-                    field(&fields, "item")?.as_u64()?;
-                    metrics_from(&fields)?;
-                    compile_stats_from(&fields)?;
-                    field(&fields, "cache_hit")?.as_bool()?;
-                    field(&fields, "wall_ns")?.as_u64()?;
+                    rec.get("item")?.as_u64()?;
+                    metrics_from(&rec)?;
+                    compile_stats_from(&rec)?;
+                    rec.get("cache_hit")?.as_bool()?;
+                    rec.get("wall_ns")?.as_u64()?;
                     Some(())
                 })()
                 .is_some();
@@ -759,33 +546,33 @@ mod tests {
             ("b", Value::Bool(true)),
             ("z", Value::Null),
         ]);
-        let fields = parse_flat_json(&line).expect("parses");
-        assert_eq!(field(&fields, "s").unwrap().as_str(), Some("a\"b\\c\nd"));
-        assert_eq!(field(&fields, "u").unwrap().as_u64(), Some(u64::MAX));
-        assert_eq!(field(&fields, "i"), Some(&JsonScalar::I64(-42)));
+        let rec = Json::parse_flat(&line).expect("parses");
+        assert_eq!(rec.get("s").unwrap().as_str(), Some("a\"b\\c\nd"));
+        assert_eq!(rec.get("u").unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(rec.get("i"), Some(&Json::I64(-42)));
         // Bit-exact f64 round-trips — the property resume correctness
         // rests on.
         assert_eq!(
-            field(&fields, "f").unwrap().as_f64().unwrap().to_bits(),
+            rec.get("f").unwrap().as_f64().unwrap().to_bits(),
             (0.1f64 + 0.2).to_bits()
         );
-        assert_eq!(field(&fields, "g").unwrap().as_f64(), Some(2.0));
+        assert_eq!(rec.get("g").unwrap().as_f64(), Some(2.0));
         assert_eq!(
-            field(&fields, "tiny").unwrap().as_f64().unwrap().to_bits(),
+            rec.get("tiny").unwrap().as_f64().unwrap().to_bits(),
             3.1e-7f64.to_bits()
         );
-        assert_eq!(field(&fields, "b").unwrap().as_bool(), Some(true));
-        assert_eq!(field(&fields, "z"), Some(&JsonScalar::Null));
+        assert_eq!(rec.get("b").unwrap().as_bool(), Some(true));
+        assert_eq!(rec.get("z"), Some(&Json::Null));
     }
 
     #[test]
     fn parser_rejects_torn_and_nested_lines() {
-        assert!(parse_flat_json("").is_none());
-        assert!(parse_flat_json("{\"a\":1").is_none(), "torn line");
-        assert!(parse_flat_json("{\"a\":{\"b\":1}}").is_none(), "nested");
-        assert!(parse_flat_json("{\"a\":[1]}").is_none(), "array");
-        assert!(parse_flat_json("{\"a\":1} trailing").is_none());
-        assert!(parse_flat_json("{}").is_some_and(|f| f.is_empty()));
+        assert!(Json::parse_flat("").is_none());
+        assert!(Json::parse_flat("{\"a\":1").is_none(), "torn line");
+        assert!(Json::parse_flat("{\"a\":{\"b\":1}}").is_none(), "nested");
+        assert!(Json::parse_flat("{\"a\":[1]}").is_none(), "array");
+        assert!(Json::parse_flat("{\"a\":1} trailing").is_none());
+        assert_eq!(Json::parse_flat("{}"), Some(Json::Obj(Vec::new())));
     }
 
     fn sample_result(index: usize, buckets: usize) -> RunResult {

@@ -16,8 +16,8 @@
 //! workspace uses ([`SchemeKind::from_name`],
 //! [`gecko_emi::devices::device_by_name`]).
 //!
-//! Encoding mirrors [`gecko_sim::report::Value`]'s formatting exactly, so
-//! `spec_from_json(spec_to_json(s)) == s` and re-encoding a parsed
+//! Encoding goes through [`Json::encode`], the workspace's one JSON
+//! writer, so `spec_from_json(spec_to_json(s)) == s` and re-encoding a parsed
 //! document reproduces it byte-for-byte (the round-trip property suite
 //! pins this down).
 
@@ -27,7 +27,6 @@ use gecko_emi::devices::device_by_name;
 use gecko_emi::fault::{FaultModel, FaultSchedule, TimedFault};
 use gecko_emi::{AttackSchedule, EmiSignal, Injection, MonitorKind, TimedAttack};
 use gecko_sim::report::Record;
-use gecko_sim::Metrics;
 
 use crate::campaign::{
     AttackCase, CampaignReport, CampaignSpec, CapacitorSpec, DeviceCase, FaultCase, RunResult,
@@ -853,15 +852,6 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 // CampaignReport encode
 // ---------------------------------------------------------------------------
 
-fn metrics_value(m: &Metrics) -> Json {
-    Json::Obj(
-        m.fields()
-            .into_iter()
-            .map(|(name, value)| (name.to_string(), Json::from_value(&value)))
-            .collect(),
-    )
-}
-
 fn failure_value(f: &RunFailure) -> Json {
     Json::Obj(vec![
         ("kind".into(), Json::Str(f.kind().name().to_string())),
@@ -928,10 +918,10 @@ fn result_value(spec: &CampaignSpec, r: &RunResult, deterministic: bool) -> Json
                 ),
             ]),
         ),
-        ("metrics".into(), metrics_value(&r.metrics)),
+        ("metrics".into(), r.metrics.to_object()),
         (
             "buckets".into(),
-            Json::Arr(r.buckets.iter().map(metrics_value).collect()),
+            Json::Arr(r.buckets.iter().map(Record::to_object).collect()),
         ),
     ];
     if !deterministic {
@@ -966,7 +956,7 @@ fn report_value(report: &CampaignReport, deterministic: bool) -> Json {
             ]),
         ));
     }
-    fields.push(("totals".into(), metrics_value(&report.totals)));
+    fields.push(("totals".into(), report.totals.to_object()));
     fields.push((
         "results".into(),
         Json::Arr(

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use gecko_sim::report::{write_json_string, Record, Value};
+use gecko_sim::report::{Record, Value};
 
 use crate::supervisor::lock_unpoisoned;
 
@@ -378,21 +378,6 @@ impl Sequencer {
     pub fn next(&self) -> u64 {
         self.0.fetch_add(1, Ordering::Relaxed)
     }
-}
-
-/// Helper: a `("k", v)` JSON object string from raw parts, for summaries.
-pub fn json_kv(pairs: &[(&str, Value)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(k, &mut out);
-        out.push(':');
-        v.write_json(&mut out);
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! this module adds the pieces the fleet crate cannot host (anything
 //! touching `gecko_check` types) plus the HTTP-only envelopes. The same
 //! rules apply: strict unknown-field rejection, path-carrying errors, and
-//! encoding that reuses [`gecko_sim::report::Value`] formatting so
+//! encoding through [`Json::encode`], the workspace's one JSON writer, so
 //! encode → decode → encode is byte-identical.
 
 use gecko_check::{CheckReport, CheckSpec, ExploreConfig};
@@ -394,15 +394,7 @@ fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
             report
                 .results
                 .iter()
-                .map(|pair| {
-                    Json::Obj(
-                        pair.to_row()
-                            .fields()
-                            .into_iter()
-                            .map(|(name, value)| (name.to_string(), Json::from_value(&value)))
-                            .collect(),
-                    )
-                })
+                .map(|pair| pair.to_row().to_object())
                 .collect(),
         ),
     ));
@@ -511,7 +503,7 @@ pub fn event_value(seq: u64, event: &Event) -> Json {
         event
             .fields()
             .into_iter()
-            .map(|(name, value)| (name.to_string(), Json::from_value(&value))),
+            .map(|(name, value)| (name.to_string(), value)),
     );
     Json::Obj(fields)
 }

@@ -112,8 +112,12 @@ fn encode_line(kind: &str, cp: PruneCheckpoint) -> String {
 }
 
 /// A deliberately tiny flat-JSON reader: `{"kind":"...", "k":u64, ...}`.
-/// (The store sits below `gecko-fleet` in the dependency graph, so it
-/// cannot borrow the fleet's parser.)
+/// The workspace's JSON codec lives in `gecko_sim::report`, but the store
+/// is std-only and depends on no workspace crate: borrowing the codec
+/// would add a `gecko-store → gecko-sim` edge to the dependency graph and
+/// change the lockfile of every package built on the store, the served
+/// benchmark's included. `prune.json` lines are flat and fixed-shape, so
+/// this reader stays small.
 fn decode_line(line: &str) -> Option<(String, PruneCheckpoint)> {
     let mut rest = line.trim().strip_prefix('{')?.strip_suffix('}')?;
     let mut kind = None;

@@ -58,6 +58,10 @@ echo "==> incremental smoke (persistent memo store: warm re-checks byte-identica
 echo "    worker/steal/kill-resume digest-invariant, change-driven invalidation)"
 GECKO_QUICK=1 cargo test --offline --release -q -p gecko-check --test incremental
 
+echo "==> benchmark self-test (the served end-to-end benchmark builds and its unit tests pass"
+echo "    against the current crates; --locked fails if its committed lockfile would change)"
+cargo test --offline --release -q --locked --manifest-path crates/bench/src/bin/gecko-e2e/Cargo.toml
+
 echo "==> bench smoke (fast-path + event-horizon clean/disturbed + batch_step coalescing floors, BENCH_sim.json)"
 GECKO_QUICK=1 cargo bench --offline -p gecko-bench --bench fast_path
 
