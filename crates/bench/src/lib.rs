@@ -3,8 +3,8 @@
 //! The benchmark harness that regenerates **every table and figure** of the
 //! paper's evaluation. Each `benches/` target (plain `harness = false`
 //! binaries, so `cargo bench` runs them) computes the corresponding rows —
-//! the heavyweight sweeps (fig4, fig5, fig8, fig11, fig13) through the
-//! `gecko-fleet` campaign engine, the rest through the sequential
+//! the heavyweight sweeps (fig4, fig5, fig7, fig8, fig11, fig13) through
+//! the `gecko_fleet::figures` campaigns, the rest through the
 //! `gecko_sim::experiments` entry points — prints a paper-style table, and
 //! persists the raw rows as JSON-lines under `target/gecko-results/`
 //! through the fleet telemetry pipeline.

@@ -31,8 +31,9 @@ use gecko_apps::App;
 use gecko_compiler::{fingerprint_program, CompileError, CompileOptions, ProgramFingerprints};
 use gecko_fleet::journal::{decode_header_record, encode_header};
 use gecko_fleet::{
-    quarantine, run_supervised, AttemptFail, ChaosSink, ChaosSpec, Event, FleetCounters, Frontier,
-    Journal, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec, TelemetrySink,
+    account_dropped, quarantine, run_supervised, AttemptFail, ChaosSpec, Event, FleetCounters,
+    Frontier, Journal, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec,
+    TelemetrySink,
 };
 use gecko_sim::device::CompiledApp;
 use gecko_sim::report::{json_kv, Json, Value};
@@ -683,6 +684,30 @@ struct WorkItem {
     end: u64,
 }
 
+/// Rebuilds the violations a journal or memo slab persisted by replaying
+/// each schedule (persisted violations carry no blame). `None` when any
+/// replay disagrees with its persisted outcome: the chunk is then re-run
+/// instead of trusted.
+fn replay_persisted(
+    compiled: &CompiledApp,
+    explore: &ExploreConfig,
+    golden: u64,
+    persisted: &[JournaledViolation],
+) -> Option<Vec<Violation>> {
+    persisted
+        .iter()
+        .map(|jv| {
+            let (outcome, blame) = replay(compiled, explore, &jv.schedule, golden);
+            (outcome == jv.outcome).then(|| Violation {
+                window: jv.window,
+                schedule: jv.schedule.clone(),
+                outcome,
+                blame,
+            })
+        })
+        .collect()
+}
+
 /// A runnable checker campaign: spec + workers + telemetry sink +
 /// supervision policy.
 pub struct CheckCampaign {
@@ -885,16 +910,7 @@ impl CheckCampaign {
         }
 
         let workers = self.workers.min(items.len()).max(1);
-        let chaos = self.sup.chaos;
-        let sink: Arc<dyn TelemetrySink> = if chaos.sink_fail_per_mille > 0 {
-            Arc::new(ChaosSink::new(
-                Arc::clone(&self.sink),
-                chaos.seed,
-                chaos.sink_fail_per_mille,
-            ))
-        } else {
-            Arc::clone(&self.sink)
-        };
+        let sink = self.sup.chaos.wrap_sink(&self.sink);
 
         let run_keys: Vec<u64> = items
             .iter()
@@ -961,23 +977,9 @@ impl CheckCampaign {
                     continue;
                 }
                 let p = &pairs[items[i].pair];
-                let mut violations = Vec::with_capacity(chunk.violations.len());
-                let mut consistent = true;
-                for jv in &chunk.violations {
-                    let (outcome, blame) =
-                        replay(&p.compiled, &spec.explore, &jv.schedule, p.golden);
-                    if outcome != jv.outcome {
-                        consistent = false;
-                        break;
-                    }
-                    violations.push(Violation {
-                        window: jv.window,
-                        schedule: jv.schedule.clone(),
-                        outcome,
-                        blame,
-                    });
-                }
-                if consistent {
+                if let Some(violations) =
+                    replay_persisted(&p.compiled, &spec.explore, p.golden, &chunk.violations)
+                {
                     skip[i] = true;
                     restored[i] = Some((chunk.stats, violations));
                 }
@@ -1002,25 +1004,11 @@ impl CheckCampaign {
                 let Some(slab) = memo.restore(*key, p.golden, &fps[item.pair]) else {
                     continue;
                 };
-                let mut violations = Vec::with_capacity(slab.violations.len());
-                let mut consistent = true;
-                for jv in &slab.violations {
-                    let (outcome, blame) =
-                        replay(&p.compiled, &spec.explore, &jv.schedule, p.golden);
-                    if outcome != jv.outcome {
-                        consistent = false;
-                        break;
-                    }
-                    violations.push(Violation {
-                        window: jv.window,
-                        schedule: jv.schedule.clone(),
-                        outcome,
-                        blame,
-                    });
-                }
-                if !consistent {
+                let Some(violations) =
+                    replay_persisted(&p.compiled, &spec.explore, p.golden, &slab.violations)
+                else {
                     continue;
-                }
+                };
                 memo_windows += slab.done;
                 if slab.done >= slab.total {
                     skip[i] = true;
@@ -1236,17 +1224,7 @@ impl CheckCampaign {
             }
         }
 
-        let dropped_records =
-            sink.dropped_records() + self.journal.as_ref().map_or(0, |j| j.dropped());
-        if dropped_records > 0 {
-            sink.emit(Event::new(
-                "sink_dropped",
-                vec![("dropped", Value::U64(dropped_records))],
-            ));
-            failures.push(RunFailure::SinkDropped {
-                dropped: dropped_records,
-            });
-        }
+        let dropped_records = account_dropped(&*sink, self.journal.as_deref(), &mut failures);
 
         let mut totals = CheckStats::default();
         for r in &results {

@@ -36,7 +36,7 @@ use gecko_sim::{Metrics, SchemeKind, SimConfig, Simulator};
 use crate::cache::ProgramCache;
 use crate::journal::{self, Journal};
 use crate::supervisor::{
-    run_supervised, AttemptFail, ChaosSink, ChaosSpec, ItemOutcome, PoolConfig, RunBudget,
+    account_dropped, run_supervised, AttemptFail, ChaosSpec, ItemOutcome, PoolConfig, RunBudget,
     RunFailure, SupervisorSpec,
 };
 use crate::telemetry::{Event, FleetCounters, Histogram, NullSink, TelemetrySink};
@@ -694,16 +694,7 @@ impl Campaign {
         let workers = self.workers.min(items.len());
         let cache = ProgramCache::new();
 
-        let chaos = self.sup.chaos;
-        let sink: Arc<dyn TelemetrySink> = if chaos.sink_fail_per_mille > 0 {
-            Arc::new(ChaosSink::new(
-                Arc::clone(&self.sink),
-                chaos.seed,
-                chaos.sink_fail_per_mille,
-            ))
-        } else {
-            Arc::clone(&self.sink)
-        };
+        let sink = self.sup.chaos.wrap_sink(&self.sink);
 
         let run_keys: Vec<u64> = items.iter().map(|item| spec.run_key(item)).collect();
         let fingerprint = spec.fingerprint();
@@ -845,17 +836,7 @@ impl Campaign {
                 Some(ItemOutcome::Failed(f)) => failures.push(f),
             }
         }
-        let dropped_records =
-            sink.dropped_records() + self.journal.as_ref().map_or(0, |j| j.dropped());
-        if dropped_records > 0 {
-            sink.emit(Event::new(
-                "sink_dropped",
-                vec![("dropped", Value::U64(dropped_records))],
-            ));
-            failures.push(RunFailure::SinkDropped {
-                dropped: dropped_records,
-            });
-        }
+        let dropped_records = account_dropped(&*sink, self.journal.as_deref(), &mut failures);
 
         let mut totals = Metrics::default();
         let mut item_wall = Histogram::new();
@@ -1205,21 +1186,191 @@ mod tests {
         ));
     }
 
+    /// One configuration axis of the figure sweeps: a campaign over it,
+    /// and the `(app, config)` a person would hand-build for each of its
+    /// cells, in item order.
+    struct DirectAxis {
+        axis: &'static str,
+        spec: CampaignSpec,
+        cells: Vec<(&'static str, SimConfig)>,
+    }
+
+    fn direct_axes() -> Vec<DirectAxis> {
+        use gecko_emi::attack::DpiPoint;
+        use gecko_emi::{EmiSignal, Injection};
+        use SchemeKind::{Gecko, GeckoNoPrune, Nvp};
+
+        let remote = |freq_hz: f64, power_dbm: f64, distance_m: f64| {
+            AttackSchedule::continuous(
+                EmiSignal::new(freq_hz, power_dbm),
+                Injection::Remote { distance_m },
+            )
+        };
+        let dpi =
+            |point| AttackSchedule::continuous(EmiSignal::new(27e6, 20.0), Injection::Dpi(point));
+        let bursts = AttackSchedule::bursts(
+            EmiSignal::new(27e6, 35.0),
+            Injection::Remote { distance_m: 5.0 },
+            &[0.05],
+            0.05,
+        );
+        let fr2311 = || gecko_emi::devices::msp430fr2311();
+        let fr6989 = || gecko_emi::devices::msp430fr6989();
+        let victim = |name: &str| {
+            CampaignSpec::new(name)
+                .apps(["bitcnt"])
+                .schemes([Nvp])
+                .workload(Workload::RunFor { seconds: 0.01 })
+        };
+        let bench = SimConfig::bench_supply;
+
+        vec![
+            DirectAxis {
+                axis: "bench supply on the default board",
+                spec: tiny_spec(),
+                cells: vec![
+                    ("blink", bench(Nvp)),
+                    ("blink", bench(Gecko)),
+                    ("crc16", bench(Nvp)),
+                    ("crc16", bench(Gecko)),
+                ],
+            },
+            DirectAxis {
+                axis: "DPI P1/P2 on a non-default board",
+                spec: victim("dpi")
+                    .devices([DeviceCase::new(fr2311(), MonitorKind::Adc)])
+                    .attacks([
+                        AttackCase::none(),
+                        AttackCase::new("P1", dpi(DpiPoint::P1)),
+                        AttackCase::new("P2", dpi(DpiPoint::P2)),
+                    ]),
+                cells: vec![
+                    ("bitcnt", bench(Nvp).with_device(fr2311(), MonitorKind::Adc)),
+                    (
+                        "bitcnt",
+                        bench(Nvp)
+                            .with_device(fr2311(), MonitorKind::Adc)
+                            .with_attack(dpi(DpiPoint::P1)),
+                    ),
+                    (
+                        "bitcnt",
+                        bench(Nvp)
+                            .with_device(fr2311(), MonitorKind::Adc)
+                            .with_attack(dpi(DpiPoint::P2)),
+                    ),
+                ],
+            },
+            DirectAxis {
+                axis: "remote injection at a given power and distance",
+                spec: victim("remote").attacks([
+                    AttackCase::none(),
+                    AttackCase::new("2m@25dBm", remote(27e6, 25.0, 2.0)),
+                ]),
+                cells: vec![
+                    ("bitcnt", bench(Nvp)),
+                    ("bitcnt", bench(Nvp).with_attack(remote(27e6, 25.0, 2.0))),
+                ],
+            },
+            DirectAxis {
+                axis: "comparator monitor on a comparator board",
+                spec: victim("comparator")
+                    .devices([DeviceCase::new(fr6989(), MonitorKind::Comparator)])
+                    .attacks([
+                        AttackCase::none(),
+                        AttackCase::new("27MHz", remote(27e6, 35.0, 5.0)),
+                    ]),
+                cells: vec![
+                    (
+                        "bitcnt",
+                        bench(Nvp).with_device(fr6989(), MonitorKind::Comparator),
+                    ),
+                    (
+                        "bitcnt",
+                        bench(Nvp)
+                            .with_device(fr6989(), MonitorKind::Comparator)
+                            .with_attack(remote(27e6, 35.0, 5.0)),
+                    ),
+                ],
+            },
+            DirectAxis {
+                axis: "UntilCompletions under GECKO w/o pruning",
+                spec: CampaignSpec::new("completions")
+                    .apps(["crc16"])
+                    .schemes([Nvp, GeckoNoPrune])
+                    .workload(Workload::UntilCompletions {
+                        n: 3,
+                        max_seconds: 30.0,
+                    }),
+                cells: vec![("crc16", bench(Nvp)), ("crc16", bench(GeckoNoPrune))],
+            },
+            DirectAxis {
+                axis: "harvesting supply, 100 uF capacitor and bursts under Buckets",
+                spec: victim("timeline")
+                    .schemes([Nvp, Gecko])
+                    .attacks([AttackCase::new("burst", bursts.clone())])
+                    .supply(Supply::Harvesting { power_w: 1.2e-3 })
+                    .capacitor(CapacitorSpec {
+                        capacitance_f: 100e-6,
+                        initial_voltage_v: 3.3,
+                        rescale_thresholds: false,
+                    })
+                    .workload(Workload::Buckets {
+                        horizon_s: 0.2,
+                        bucket_s: 0.05,
+                    }),
+                cells: [Nvp, Gecko]
+                    .map(|scheme| {
+                        let cfg = SimConfig::harvesting(scheme)
+                            .with_capacitor(100e-6, 3.3)
+                            .with_attack(bursts.clone());
+                        ("bitcnt", cfg)
+                    })
+                    .into(),
+            },
+        ]
+    }
+
+    /// The engine's cells equal hand-built `Simulator` runs, one table row
+    /// per configuration axis the figure sweeps use: budgeted slicing,
+    /// the program cache and `config_for` change no metric.
     #[test]
     fn campaign_matches_direct_simulation() {
-        let spec = tiny_spec();
-        let report = Campaign::new(spec.clone()).run().unwrap();
-        assert_eq!(report.results.len(), 4);
-        // Cell (crc16, Gecko) must equal a hand-built simulator run.
-        let app = gecko_apps::app_by_name("crc16").unwrap();
-        let mut sim = Simulator::new(&app, SimConfig::bench_supply(SchemeKind::Gecko)).unwrap();
-        let direct = sim.run_for(0.01);
-        let cell = report.result_for(1, 1, 0, 0, 0);
-        assert_eq!(cell.metrics, direct);
-        // The program cache compiled each (app, scheme) exactly once.
-        assert_eq!(report.counters.compile_misses, 4);
-        assert_eq!(report.counters.compile_hits, 0);
-        assert!(report.totals.completions >= direct.completions);
+        for DirectAxis { axis, spec, cells } in direct_axes() {
+            let report = Campaign::new(spec.clone()).workers(2).run().unwrap();
+            assert_eq!(report.results.len(), cells.len(), "{axis}");
+            let mut totals = Metrics::default();
+            for (cell, (app, cfg)) in report.results.iter().zip(cells) {
+                let app = gecko_apps::app_by_name(app).unwrap();
+                let mut sim = Simulator::new(&app, cfg).unwrap();
+                let (metrics, buckets) = match spec.workload {
+                    Workload::RunFor { seconds } => (sim.run_for(seconds), Vec::new()),
+                    Workload::UntilCompletions { n, max_seconds } => {
+                        (sim.run_until_completions(n, max_seconds), Vec::new())
+                    }
+                    Workload::Buckets {
+                        horizon_s,
+                        bucket_s,
+                    } => {
+                        let n = (horizon_s / bucket_s).round() as usize;
+                        let buckets: Vec<Metrics> = (0..n).map(|_| sim.run_for(bucket_s)).collect();
+                        (*buckets.last().unwrap(), buckets)
+                    }
+                };
+                let at = format!("{axis}: item {}", cell.item.index);
+                assert_eq!(cell.metrics, metrics, "{at}");
+                assert_eq!(cell.buckets, buckets, "{at}");
+                totals.absorb(&metrics);
+            }
+            assert_eq!(report.totals, totals, "{axis}");
+            // The program cache compiled each (app, scheme) exactly once.
+            let pairs = (spec.apps.len() * spec.schemes.len()) as u64;
+            assert_eq!(report.counters.compile_misses, pairs, "{axis}");
+            assert_eq!(
+                report.counters.compile_hits,
+                report.results.len() as u64 - pairs,
+                "{axis}"
+            );
+        }
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!   runs; [`Campaign::resume`] skips journaled runs and merges
 //!   bit-exactly against an uninterrupted campaign at any worker count.
 //!
-//! The heavyweight paper sweeps have drop-in ports in [`figures`] that
-//! reproduce the sequential `gecko_sim::experiments` rows exactly.
+//! The paper's heavyweight sweeps (Figures 4, 5, 7, 8, 11 and 13) live in
+//! [`figures`] as campaigns; a one-worker run is their sequential
+//! reference.
 //!
 //! ```
 //! use gecko_fleet::{Campaign, CampaignSpec, SchemeKind, Workload};
@@ -73,8 +74,9 @@ pub use spec_io::{
     report_deterministic_json, report_to_json, spec_from_json, spec_to_json, DecodeError, SpecError,
 };
 pub use supervisor::{
-    lock_unpoisoned, quarantine, run_supervised, AttemptFail, ChaosSink, ChaosSpec, FailureKind,
-    ItemOutcome, PoolConfig, PoolReport, RunBudget, RunFailure, SupervisorSpec, TRANSIENT_PREFIX,
+    account_dropped, lock_unpoisoned, quarantine, run_supervised, AttemptFail, ChaosSink,
+    ChaosSpec, FailureKind, ItemOutcome, PoolConfig, PoolReport, RunBudget, RunFailure,
+    SupervisorSpec, TRANSIENT_PREFIX,
 };
 pub use telemetry::{
     Event, FleetCounters, Histogram, MemorySink, NullSink, SegmentedSink, TelemetrySink,

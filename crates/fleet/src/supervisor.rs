@@ -44,6 +44,7 @@ use gecko_isa::rng::{SplitMix64, GOLDEN_GAMMA};
 use gecko_sim::report::Value;
 use gecko_sim::Metrics;
 
+use crate::journal::Journal;
 use crate::telemetry::{Event, TelemetrySink};
 
 /// Panic-payload prefix that marks a failure as *transient* (retryable):
@@ -132,6 +133,20 @@ impl ChaosSpec {
             panic: roll(self.panic_per_mille),
             transient: roll(self.transient_per_mille),
             slow: roll(self.slow_per_mille),
+        }
+    }
+
+    /// `sink` wrapped in a [`ChaosSink`] when this policy drops telemetry
+    /// records, `sink` itself otherwise.
+    pub fn wrap_sink(&self, sink: &Arc<dyn TelemetrySink>) -> Arc<dyn TelemetrySink> {
+        if self.sink_fail_per_mille > 0 {
+            Arc::new(ChaosSink::new(
+                Arc::clone(sink),
+                self.seed,
+                self.sink_fail_per_mille,
+            ))
+        } else {
+            Arc::clone(sink)
         }
     }
 }
@@ -342,6 +357,25 @@ pub enum RunFailure {
         /// Records dropped over the whole campaign.
         dropped: u64,
     },
+}
+
+/// Sums the records `sink` and `journal` dropped over a campaign. When
+/// any were, emits one `sink_dropped` event and records one
+/// [`RunFailure::SinkDropped`] in `failures`. Returns the sum.
+pub fn account_dropped(
+    sink: &dyn TelemetrySink,
+    journal: Option<&Journal>,
+    failures: &mut Vec<RunFailure>,
+) -> u64 {
+    let dropped = sink.dropped_records() + journal.map_or(0, Journal::dropped);
+    if dropped > 0 {
+        sink.emit(Event::new(
+            "sink_dropped",
+            vec![("dropped", Value::U64(dropped))],
+        ));
+        failures.push(RunFailure::SinkDropped { dropped });
+    }
+    dropped
 }
 
 impl RunFailure {

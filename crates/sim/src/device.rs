@@ -1898,14 +1898,6 @@ impl Simulator {
 
     fn boot_gecko(&mut self) {
         let repeat = self.gecko.boot_check_and_record(&mut self.nvm);
-        #[cfg(feature = "sim-trace")]
-        eprintln!(
-            "[boot t={:.6}] mode={:?} committed={} crossings={} repeat={repeat}",
-            self.t_s,
-            self.gecko.mode(&self.nvm),
-            self.gecko.committed_region(&self.nvm),
-            self.gecko.crossings(&self.nvm)
-        );
         let _ = self.consume(30, 0.0, false);
         match self.gecko.mode(&self.nvm) {
             GeckoMode::Fresh => {
@@ -1950,12 +1942,6 @@ impl Simulator {
 
     fn gecko_rollback_restore(&mut self) {
         let region = self.gecko.committed_region(&self.nvm);
-        #[cfg(feature = "sim-trace")]
-        eprintln!(
-            "[rollback t={:.6}] region={region} actions={}",
-            self.t_s,
-            self.recovery.actions(region).len()
-        );
         let lookup = self.recovery.lookup_cost_insts() as u64;
         let _ = self.consume(lookup * self.cost.alu, 0.0, false);
         let actions: Vec<RestoreAction> = self.recovery.actions(region).to_vec();
@@ -2226,11 +2212,6 @@ impl Simulator {
         self.metrics.completions += 1;
         if got != self.app.expected_checksum {
             self.metrics.checksum_errors += 1;
-            #[cfg(feature = "sim-trace")]
-            eprintln!(
-                "[CORRUPT t={:.6}] got={got} expected={} completion #{}",
-                self.t_s, self.app.expected_checksum, self.metrics.completions
-            );
         }
         if !self.do_reload() {
             return;

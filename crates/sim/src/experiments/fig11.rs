@@ -1,7 +1,8 @@
 //! Figure 11: normalized execution time of Ratchet, GECKO w/o pruning and
-//! GECKO over the NVP baseline — outage-free bench-supply runs.
+//! GECKO over the NVP baseline — outage-free bench-supply runs. The grid
+//! runs on the campaign engine (`gecko_fleet::figures::fig11`).
 
-use super::{Fidelity, SchemeKind, SimConfig, Simulator};
+use super::SchemeKind;
 
 /// One app × scheme measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,39 +24,6 @@ crate::impl_record!(Fig11Row {
     normalized
 });
 
-fn cycles_per_run(app: &gecko_apps::App, scheme: SchemeKind, runs: u64) -> f64 {
-    let mut sim = Simulator::new(app, SimConfig::bench_supply(scheme)).expect("compiles");
-    let m = sim.run_until_completions(runs, 30.0);
-    assert!(m.completions >= runs, "{}: {:?}", app.name, m);
-    (m.forward_cycles + m.overhead_cycles) as f64 / m.completions as f64
-}
-
-/// Runs Figure 11 over all eleven apps and four schemes.
-pub fn rows(fidelity: Fidelity) -> Vec<Fig11Row> {
-    let runs = match fidelity {
-        Fidelity::Quick => 3,
-        Fidelity::Full => 20,
-    };
-    let mut out = Vec::new();
-    for app in gecko_apps::all_apps() {
-        let nvp = cycles_per_run(&app, SchemeKind::Nvp, runs);
-        for scheme in SchemeKind::all() {
-            let c = if scheme == SchemeKind::Nvp {
-                nvp
-            } else {
-                cycles_per_run(&app, scheme, runs)
-            };
-            out.push(Fig11Row {
-                app: app.name.to_string(),
-                scheme: scheme.name().to_string(),
-                cycles_per_run: c,
-                normalized: c / nvp,
-            });
-        }
-    }
-    out
-}
-
 /// Geometric-mean normalized time per scheme — the "avg" bar.
 pub fn summary(rows: &[Fig11Row]) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -69,42 +37,4 @@ pub fn summary(rows: &[Fig11Row]) -> Vec<(String, f64)> {
         out.push((scheme.name().to_string(), geomean));
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn figure11_ordering_holds() {
-        // A 3-app subset keeps the test quick while checking the shape.
-        let subset = ["crc16", "fir", "blink"];
-        let mut all = Vec::new();
-        for name in subset {
-            let app = gecko_apps::app_by_name(name).unwrap();
-            let nvp = cycles_per_run(&app, SchemeKind::Nvp, 3);
-            for scheme in SchemeKind::all() {
-                let c = cycles_per_run(&app, scheme, 3);
-                all.push(Fig11Row {
-                    app: name.to_string(),
-                    scheme: scheme.name().to_string(),
-                    cycles_per_run: c,
-                    normalized: c / nvp,
-                });
-            }
-        }
-        let s = summary(&all);
-        let get = |n: &str| s.iter().find(|(k, _)| k == n).unwrap().1;
-        let (nvp, ratchet, gecko, unpruned) = (
-            get("NVP"),
-            get("Ratchet"),
-            get("GECKO"),
-            get("GECKO w/o pruning"),
-        );
-        assert!((nvp - 1.0).abs() < 1e-9);
-        assert!(ratchet > 1.4, "Ratchet {ratchet}");
-        assert!(gecko < 1.2, "GECKO {gecko}");
-        assert!(gecko <= unpruned + 1e-9, "{gecko} vs {unpruned}");
-        assert!(unpruned < ratchet, "{unpruned} vs {ratchet}");
-    }
 }

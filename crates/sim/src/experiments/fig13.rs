@@ -6,9 +6,7 @@
 //! detection/recovery dynamics happen at millisecond scale, so the 45-
 //! minute wall experiments compress without changing the story). Bucket
 //! throughput is normalized to the unattacked NVP rate, as in the paper.
-
-use super::{Fidelity, SchemeKind, SimConfig, Simulator, VICTIM_APP};
-use gecko_emi::{AttackSchedule, EmiSignal, Injection};
+//! The timelines run on the campaign engine (`gecko_fleet::figures::fig13`).
 
 /// Paper-minutes compressed into one simulated second.
 pub const MINUTES_PER_SIM_SECOND: f64 = 1.0;
@@ -46,102 +44,4 @@ pub fn scenarios() -> Vec<(&'static str, Vec<f64>)> {
         ("e", vec![15.0, 30.0, 35.0]),
         ("f", vec![10.0, 25.0, 40.0]),
     ]
-}
-
-/// Runs all six scenarios × three schemes.
-pub fn rows(fidelity: Fidelity) -> Vec<Fig13Row> {
-    // One paper-minute = `scale` simulated seconds.
-    let scale = match fidelity {
-        Fidelity::Quick => 0.25,
-        Fidelity::Full => 1.0,
-    };
-    let horizon_min = 50.0;
-    let burst_min = 5.0;
-    let bucket_min = 2.5;
-    let app = gecko_apps::app_by_name(VICTIM_APP).expect("victim app");
-    // A 100 µF buffer gives a ~0.3 s charge cycle, so every bucket averages
-    // several cycles and the timeline is smooth (the paper's minutes-long
-    // buckets average thousands of cycles).
-    let cap_f = 100e-6;
-
-    // Baseline: unattacked NVP completions per bucket.
-    let mut base_sim = Simulator::new(
-        &app,
-        SimConfig::harvesting(SchemeKind::Nvp).with_capacitor(cap_f, 3.3),
-    )
-    .expect("compiles");
-    let base = base_sim.run_for(horizon_min * scale);
-    let base_per_bucket = (base.completions as f64 * bucket_min / horizon_min).max(1e-9);
-
-    let mut out = Vec::new();
-    for (label, bursts) in scenarios() {
-        let schedule = AttackSchedule::bursts(
-            EmiSignal::new(27e6, 35.0),
-            Injection::Remote { distance_m: 5.0 },
-            &bursts.iter().map(|m| m * scale).collect::<Vec<_>>(),
-            burst_min * scale,
-        );
-        for scheme in [SchemeKind::Nvp, SchemeKind::Ratchet, SchemeKind::Gecko] {
-            let cfg = SimConfig::harvesting(scheme)
-                .with_capacitor(cap_f, 3.3)
-                .with_attack(schedule.clone());
-            let mut sim = Simulator::new(&app, cfg).expect("compiles");
-            let mut prev = 0u64;
-            let mut t = 0.0;
-            while t < horizon_min {
-                let m = sim.run_for(bucket_min * scale);
-                let done = m.completions - prev;
-                prev = m.completions;
-                let mid = (t + bucket_min / 2.0) * scale;
-                out.push(Fig13Row {
-                    scenario: label.to_string(),
-                    scheme: scheme.name().to_string(),
-                    t_min: t,
-                    under_attack: schedule.active_at(mid).is_some(),
-                    throughput_pct: 100.0 * done as f64 / base_per_bucket,
-                });
-                t += bucket_min;
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Scenario (d) distills the figure's story: during the attack NVP and
-    /// Ratchet stall while GECKO keeps serving; after it ends GECKO returns
-    /// to full throughput.
-    #[test]
-    fn scenario_d_story() {
-        let rows: Vec<Fig13Row> = rows(Fidelity::Quick)
-            .into_iter()
-            .filter(|r| r.scenario == "d")
-            .collect();
-        let avg = |scheme: &str, attacked: bool| -> f64 {
-            let v: Vec<f64> = rows
-                .iter()
-                .filter(|r| r.scheme == scheme && r.under_attack == attacked)
-                .map(|r| r.throughput_pct)
-                .collect();
-            v.iter().sum::<f64>() / v.len().max(1) as f64
-        };
-        let gecko_attacked = avg("GECKO", true);
-        let nvp_attacked = avg("NVP", true);
-        let ratchet_attacked = avg("Ratchet", true);
-        assert!(
-            gecko_attacked > 3.0 * nvp_attacked.max(1.0)
-                || (nvp_attacked < 5.0 && gecko_attacked > 15.0),
-            "GECKO {gecko_attacked}% vs NVP {nvp_attacked}%"
-        );
-        assert!(
-            gecko_attacked > 3.0 * ratchet_attacked.max(1.0)
-                || (ratchet_attacked < 5.0 && gecko_attacked > 15.0),
-            "GECKO {gecko_attacked}% vs Ratchet {ratchet_attacked}%"
-        );
-        // Quiet-phase throughput recovers.
-        assert!(avg("GECKO", false) > 50.0, "{}", avg("GECKO", false));
-    }
 }

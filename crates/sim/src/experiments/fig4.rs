@@ -1,10 +1,7 @@
 //! Figure 4: direct power injection (DPI) on ADC-monitored boards —
 //! forward progress rate vs. attack frequency, injection points P1 and P2,
-//! 20 dBm, 1 MHz–1 GHz sweep.
-
-use super::{attacked_rate, clean_forward_cycles, log_freq_grid, Fidelity};
-use gecko_emi::attack::DpiPoint;
-use gecko_emi::{EmiSignal, Injection, MonitorKind};
+//! 20 dBm, 1 MHz–1 GHz sweep. The sweep runs on the campaign engine
+//! (`gecko_fleet::figures::fig4`).
 
 /// One DPI measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,61 +22,3 @@ crate::impl_record!(Fig4Row {
     freq_hz,
     rate
 });
-
-/// Runs the Figure 4 sweep.
-pub fn rows(fidelity: Fidelity) -> Vec<Fig4Row> {
-    let points = match fidelity {
-        Fidelity::Quick => 9,
-        Fidelity::Full => 49,
-    };
-    let freqs = log_freq_grid(1e6, 1e9, points);
-    let window = fidelity.window_s();
-    let mut out = Vec::new();
-    for device in gecko_emi::devices::all_devices() {
-        let clean = clean_forward_cycles(&device, MonitorKind::Adc, window);
-        for (label, point) in [("P1", DpiPoint::P1), ("P2", DpiPoint::P2)] {
-            for &f in &freqs {
-                let rate = attacked_rate(
-                    &device,
-                    MonitorKind::Adc,
-                    EmiSignal::new(f, 20.0),
-                    Injection::Dpi(point),
-                    window,
-                    clean,
-                );
-                out.push(Fig4Row {
-                    device: device.name().to_string(),
-                    point: label.to_string(),
-                    freq_hz: f,
-                    rate,
-                });
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_sweep_shows_resonance_and_hf_immunity() {
-        let rows: Vec<Fig4Row> = rows(Fidelity::Quick)
-            .into_iter()
-            .filter(|r| r.device.contains("FR5994"))
-            .collect();
-        assert!(!rows.is_empty());
-        // High frequencies (≥ 200 MHz) are harmless on every point.
-        for r in rows.iter().filter(|r| r.freq_hz > 2e8) {
-            assert!(r.rate > 0.8, "{r:?}");
-        }
-        // Something in the tens-of-MHz band hurts via P2.
-        let p2_min = rows
-            .iter()
-            .filter(|r| r.point == "P2" && r.freq_hz < 1e8)
-            .map(|r| r.rate)
-            .fold(f64::INFINITY, f64::min);
-        assert!(p2_min < 0.5, "P2 low-band minimum {p2_min}");
-    }
-}

@@ -1,8 +1,6 @@
 //! Figure 5: remote EMI attack on ADC-monitored boards — forward progress
-//! rate vs. attack frequency, 5–500 MHz sweep at 35 dBm from 5 m.
-
-use super::{attacked_rate, clean_forward_cycles, lin_freq_grid, Fidelity};
-use gecko_emi::{EmiSignal, Injection, MonitorKind};
+//! rate vs. attack frequency, 5–500 MHz sweep at 35 dBm from 5 m. The
+//! sweep runs on the campaign engine (`gecko_fleet::figures::fig5`).
 
 /// One remote-attack measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,71 +23,3 @@ crate::impl_record!(Fig5Row {
 pub const POWER_DBM: f64 = 35.0;
 /// Attack distance (m).
 pub const DISTANCE_M: f64 = 5.0;
-
-/// Runs the Figure 5 sweep for the given monitor kind (`Adc` here;
-/// [`super::fig7`] reuses this for comparator boards).
-pub fn sweep(
-    fidelity: Fidelity,
-    monitor: MonitorKind,
-    only_comparator_boards: bool,
-) -> Vec<Fig5Row> {
-    let step = match fidelity {
-        Fidelity::Quick => 11e6,
-        Fidelity::Full => 5e6,
-    };
-    let freqs = lin_freq_grid(5e6, 500e6, step);
-    let window = fidelity.window_s();
-    let mut out = Vec::new();
-    for device in gecko_emi::devices::all_devices() {
-        if only_comparator_boards && !device.has_comparator() {
-            continue;
-        }
-        let clean = clean_forward_cycles(&device, monitor, window);
-        for &f in &freqs {
-            let rate = attacked_rate(
-                &device,
-                monitor,
-                EmiSignal::new(f, POWER_DBM),
-                Injection::Remote {
-                    distance_m: DISTANCE_M,
-                },
-                window,
-                clean,
-            );
-            out.push(Fig5Row {
-                device: device.name().to_string(),
-                freq_hz: f,
-                rate,
-            });
-        }
-    }
-    out
-}
-
-/// Runs the Figure 5 sweep (all nine boards, ADC monitors).
-pub fn rows(fidelity: Fidelity) -> Vec<Fig5Row> {
-    sweep(fidelity, MonitorKind::Adc, false)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_board_has_a_dos_frequency() {
-        let rows = rows(Fidelity::Quick);
-        let devices: std::collections::BTreeSet<_> =
-            rows.iter().map(|r| r.device.clone()).collect();
-        assert_eq!(devices.len(), 9);
-        for d in devices {
-            let min = rows
-                .iter()
-                .filter(|r| r.device == d)
-                .map(|r| r.rate)
-                .fold(f64::INFINITY, f64::min);
-            // Quick grid has 25 MHz spacing; it still brushes the resonance
-            // band closely enough to show suppression.
-            assert!(min < 0.6, "{d}: min rate {min}");
-        }
-    }
-}

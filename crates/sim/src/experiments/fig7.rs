@@ -1,38 +1,10 @@
 //! Figure 7: remote EMI attack on the comparator-monitored boards
 //! (MSP430FR5994 and FR6989) — forward progress rate vs. frequency.
 //! The comparator, being continuous-time, collapses far harder than the
-//! sampled ADC at its resonance (Table I's `Comp-R_min ≈ 10⁻²%`).
+//! sampled ADC at its resonance (Table I's `Comp-R_min ≈ 10⁻²%`). The
+//! sweep runs on the campaign engine (`gecko_fleet::figures::fig7`).
 
-use gecko_emi::MonitorKind;
-
-use super::fig5::{sweep, Fig5Row};
-use super::Fidelity;
+use super::fig5::Fig5Row;
 
 /// Row type shared with Figure 5.
 pub type Fig7Row = Fig5Row;
-
-/// Runs the Figure 7 sweep (comparator boards only).
-pub fn rows(fidelity: Fidelity) -> Vec<Fig7Row> {
-    sweep(fidelity, MonitorKind::Comparator, true)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn comparator_boards_collapse_at_their_resonances() {
-        let rows = rows(Fidelity::Quick);
-        let devices: std::collections::BTreeSet<_> =
-            rows.iter().map(|r| r.device.clone()).collect();
-        assert_eq!(devices.len(), 2, "FR5994 and FR6989");
-        for d in devices {
-            let min = rows
-                .iter()
-                .filter(|r| r.device == d)
-                .map(|r| r.rate)
-                .fold(f64::INFINITY, f64::min);
-            assert!(min < 0.05, "{d}: comparator min rate {min}");
-        }
-    }
-}

@@ -1,8 +1,6 @@
 //! Figure 8: attack distance vs. transmit power — forward progress rate of
-//! the victim within a 5-meter attack range at the resonant frequency.
-
-use super::{attacked_rate, clean_forward_cycles, Fidelity};
-use gecko_emi::{EmiSignal, Injection, MonitorKind};
+//! the victim within a 5-meter attack range at the resonant frequency. The
+//! grid runs on the campaign engine (`gecko_fleet::figures::fig8`).
 
 /// One distance/power measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,58 +18,3 @@ crate::impl_record!(Fig8Row {
     power_dbm,
     rate
 });
-
-/// Runs the Figure 8 grid on the MSP430FR5994 at its 27 MHz resonance.
-pub fn rows(fidelity: Fidelity) -> Vec<Fig8Row> {
-    let (distances, powers): (Vec<f64>, Vec<f64>) = match fidelity {
-        Fidelity::Quick => (vec![0.5, 2.0, 5.0], vec![10.0, 25.0, 35.0]),
-        Fidelity::Full => (
-            vec![0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0],
-            vec![0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0],
-        ),
-    };
-    let device = gecko_emi::devices::msp430fr5994();
-    let window = fidelity.window_s();
-    let clean = clean_forward_cycles(&device, MonitorKind::Adc, window);
-    let mut out = Vec::new();
-    for &d in &distances {
-        for &p in &powers {
-            let rate = attacked_rate(
-                &device,
-                MonitorKind::Adc,
-                EmiSignal::new(27e6, p),
-                Injection::Remote { distance_m: d },
-                window,
-                clean,
-            );
-            out.push(Fig8Row {
-                distance_m: d,
-                power_dbm: p,
-                rate,
-            });
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn more_power_hurts_more_and_distance_helps() {
-        let rows = rows(Fidelity::Quick);
-        let get = |d: f64, p: f64| {
-            rows.iter()
-                .find(|r| (r.distance_m - d).abs() < 1e-9 && (r.power_dbm - p).abs() < 1e-9)
-                .map(|r| r.rate)
-                .unwrap()
-        };
-        // At close range, full power is devastating; weak power is not.
-        assert!(get(0.5, 35.0) < 0.2, "{}", get(0.5, 35.0));
-        assert!(get(5.0, 10.0) > 0.6, "{}", get(5.0, 10.0));
-        // Monotone trends (allowing simulator noise of 10 percentage points).
-        assert!(get(0.5, 35.0) <= get(5.0, 35.0) + 0.1);
-        assert!(get(5.0, 35.0) <= get(5.0, 10.0) + 0.1);
-    }
-}

@@ -1,11 +1,15 @@
 //! One entry point per table and figure of the paper's evaluation
 //! (Section IV for the attack studies, Section VII for the GECKO
-//! evaluation). Each module exposes a `rows(...)` function returning typed
-//! records (see [`crate::report::Record`]); the `gecko-bench` crate renders
-//! them as paper-style tables and persists them as JSON through the
-//! `gecko-fleet` telemetry sinks. The heavyweight grid sweeps (fig4, fig5,
-//! fig8, fig11, fig13) also have campaign-engine ports in
-//! `gecko_fleet::figures` that fan the same cells out over a worker pool.
+//! evaluation). Each module exposes typed records (see
+//! [`crate::report::Record`]); the `gecko-bench` crate renders them as
+//! paper-style tables and persists them as JSON through the `gecko-fleet`
+//! telemetry sinks. Most modules also compute their rows here through a
+//! `rows(...)` function. The heavyweight grid sweeps (Figures 4, 5, 7, 8,
+//! 11 and 13) are the exception: they run only on the campaign engine, in
+//! `gecko_fleet::figures`, which fans their cells out over a worker pool.
+//! Their modules here keep the row types, grid constants and summaries
+//! the fleet sweeps and bench targets share, because `gecko-fleet`
+//! depends on this crate and not the other way round.
 //!
 //! Every experiment accepts a [`Fidelity`]: `Quick` shrinks sweeps and
 //! windows so integration tests finish in seconds, `Full` is what the
