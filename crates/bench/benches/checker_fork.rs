@@ -16,6 +16,14 @@
 //! re-converge to the boundary state and memoization collapses almost the
 //! whole sweep; GECKO's pruned checkpoints leave more distinct
 //! post-recovery states, so its ratio is honest but smaller.
+//!
+//! A second deterministic table counts the NVM words each fork moves: the
+//! words the memo key hashes plus the words the snapshot refill and the
+//! restore copy. A full-image fork moves the whole NVM every time; a
+//! page-tracked fork moves only the pages either side touched (see
+//! `Nvm::touched_pages`). The `>= 32x` assertion pins that gap.
+
+use std::collections::HashSet;
 
 use gecko_bench::{print_table, time_best_of};
 use gecko_check::{check_compiled, ExploreConfig};
@@ -59,6 +67,51 @@ fn cold_restart_sweep(compiled: &CompiledApp, windows: u64, budget: u64) -> (u64
     (steps, violations)
 }
 
+/// NVM words moved per fork over the first `windows` windows, as
+/// (full-image words, page-tracked words, forks). Mirrors the depth-1
+/// checker walk: per window a snapshot refill, then per fork (a power
+/// failure and a spoofed checkpoint) the settle, the memo-key hash, the
+/// drain of a state not seen before, and the restore.
+fn fork_nvm_words(compiled: &CompiledApp, windows: u64, budget: u64) -> (u64, u64, u64) {
+    let mut sim = Simulator::from_compiled(compiled, SimConfig::bench_supply(compiled.scheme));
+    let full = u64::from(sim.nvm().len());
+    let page = u64::from(sim.nvm().page_words());
+    let pages = |sim: &Simulator| sim.nvm().touched_pages().collect::<HashSet<u32>>();
+    let union = |a: &HashSet<u32>, b: &HashSet<u32>| page * a.union(b).count() as u64;
+    let mut base = sim.snapshot();
+    let mut base_pages = pages(&sim);
+    let mut seen = HashSet::new();
+    let (mut before, mut after, mut forks) = (0u64, 0u64, 0u64);
+    for _ in 0..windows {
+        let now = pages(&sim);
+        after += union(&base_pages, &now);
+        before += full;
+        sim.snapshot_into(&mut base);
+        base_pages = now;
+        for spoof in [false, true] {
+            forks += 1;
+            if spoof {
+                sim.inject_spoofed_checkpoint();
+            } else {
+                sim.inject_power_failure();
+            }
+            let mut spent = 0u64;
+            while !sim.is_on() && spent < budget {
+                spent += sim.advance_sleep(budget - spent);
+            }
+            after += page * sim.nvm().touched_pages().count() as u64;
+            if seen.insert(sim.state_hash()) {
+                sim.run_capped(f64::INFINITY, 1, budget);
+            }
+            after += union(&base_pages, &pages(&sim));
+            before += 2 * full;
+            sim.restore(&base);
+        }
+        sim.step_one();
+    }
+    (before, after, forks)
+}
+
 fn main() {
     let quick = std::env::var_os("GECKO_QUICK").is_some();
     let cap = if quick { 150 } else { 600 };
@@ -66,6 +119,8 @@ fn main() {
     let app = gecko_apps::app_by_name("crc16").unwrap();
 
     let mut table = Vec::new();
+    let mut words_table = Vec::new();
+    let mut words_ratios = Vec::new();
     let mut ratchet_ratio = 0.0;
     for scheme in [SchemeKind::Ratchet, SchemeKind::Gecko] {
         let compiled = CompiledApp::build(&app, scheme, &CompileOptions::default()).unwrap();
@@ -94,6 +149,18 @@ fn main() {
             cold_restart_sweep(&compiled, report.stats.windows, budget)
         });
 
+        let (full_words, touched_words, forks) =
+            fork_nvm_words(&compiled, report.stats.windows, budget);
+        let words_ratio = full_words as f64 / touched_words as f64;
+        words_ratios.push((scheme, words_ratio));
+        words_table.push(vec![
+            scheme.name().to_string(),
+            forks.to_string(),
+            (full_words / forks).to_string(),
+            (touched_words / forks).to_string(),
+            format!("{words_ratio:.1}x"),
+        ]);
+
         let ratio = cold_steps as f64 / fork_steps as f64;
         if scheme == SchemeKind::Ratchet {
             ratchet_ratio = ratio;
@@ -121,6 +188,17 @@ fn main() {
         ],
         &table,
     );
+    print_table(
+        &format!("NVM words hashed + copied per fork, crc16, {cap} windows"),
+        &["scheme", "forks", "full image", "touched pages", "ratio"],
+        &words_table,
+    );
+    for (scheme, ratio) in words_ratios {
+        assert!(
+            ratio >= 32.0,
+            "{scheme}: a fork must move >= 32x fewer NVM words than a full-image fork (got {ratio:.1}x)"
+        );
+    }
     assert!(
         ratchet_ratio >= 5.0,
         "snapshot-fork must beat cold restart by >= 5x (got {ratchet_ratio:.1}x)"

@@ -356,9 +356,14 @@ pub(crate) fn check_windows_resumed(
         }
     };
 
+    // One snapshot buffer per fork level, refilled in place: a refill or
+    // a restore copies only the NVM pages either side touched.
+    let mut base = sim.snapshot();
+    let mut after_primary = base.clone();
+    let mut resume = base.clone();
     for window in first..end {
         stats.windows += 1;
-        let base = sim.snapshot();
+        sim.snapshot_into(&mut base);
         for &kind in &primary {
             // Depth 1: the primary fault alone.
             stats.forks += 1;
@@ -410,7 +415,7 @@ pub(crate) fn check_windows_resumed(
                 let fault_site = kind
                     .is_em_fault()
                     .then(|| Blame::fault_site(&sim, compiled, kind));
-                let after_primary = sim.snapshot();
+                sim.snapshot_into(&mut after_primary);
                 for &nk in &nested {
                     sim.restore(&after_primary);
                     let mut advanced = 0u64;
@@ -421,7 +426,7 @@ pub(crate) fn check_windows_resumed(
                         }
                         advanced = offset;
                         stats.forks += 1;
-                        let resume = sim.snapshot();
+                        sim.snapshot_into(&mut resume);
                         nk.inject(&mut sim);
                         let mut blame2 = Blame::capture(&sim, compiled);
                         if let Some(r) = blame2.region {

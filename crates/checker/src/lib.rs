@@ -15,13 +15,17 @@
 //!   faults (skip / corrupt), judged against the faulted-continuous
 //!   reference rather than the golden checksum (DESIGN.md §17).
 //! * **Snapshot-fork exploration** — the golden trace is walked once;
-//!   each window forks via [`gecko_sim::Simulator::snapshot`] /
-//!   `restore` instead of re-executing the prefix from cold, turning the
-//!   naive O(n²) sweep into amortized O(n) (the `checker_fork` bench in
-//!   `crates/bench` measures the ratio).
+//!   each window forks via [`gecko_sim::Simulator::snapshot_into`] /
+//!   [`gecko_sim::Simulator::restore`] instead of re-executing the prefix
+//!   from cold, turning the naive O(n²) sweep into amortized O(n) (the
+//!   `checker_fork` bench in `crates/bench` measures the ratio). A slab
+//!   refills three snapshot buffers in place, and a refill or restore
+//!   copies only the NVM pages either state touched.
 //! * **Memoization** — explorations are deduped on an FNV hash of the
-//!   post-recovery *logical* state; re-converged recoveries are answered
-//!   from the memo table (soundness argument in DESIGN.md §10).
+//!   post-recovery *logical* state
+//!   ([`gecko_sim::Simulator::state_hash`], which reads only touched NVM
+//!   pages yet equals a scan of every word); re-converged recoveries are
+//!   answered from the memo table (soundness argument in DESIGN.md §10).
 //! * **Counterexample shrinking** — a violating injection schedule is
 //!   minimized by replay (drop injections, lower offsets) and blamed in
 //!   `gecko-compiler` vocabulary: the committed region, its boundary and

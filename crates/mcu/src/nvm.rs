@@ -1,6 +1,14 @@
 //! The non-volatile main memory (FRAM model).
 
+use std::ops::Range;
+
 use gecko_isa::Word;
+
+/// Words per page of the [`Nvm::touched_pages`] bitmap.
+pub const PAGE_WORDS: u32 = 256;
+
+/// The 64-bit FNV prime of [`Nvm::fold_fnv`].
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// Word-addressed non-volatile memory.
 ///
@@ -11,9 +19,16 @@ use gecko_isa::Word;
 ///
 /// Address decoding wraps: the effective address is taken modulo the memory
 /// size (a power of two), mirroring MCUs that ignore high address bits.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every write marks its page of [`PAGE_WORDS`] words as touched, and only
+/// [`Nvm::reset`] clears the marks, so a page that is not touched is all
+/// zero. Cloning, [`Clone::clone_from`] and [`Nvm::fold_fnv`] rely on that
+/// to do work proportional to the touched pages, not to the memory size.
+/// Equality compares words and counters, never the marks.
 pub struct Nvm {
     words: Vec<Word>,
+    /// One bit per page, set by every write since the last reset.
+    touched: Vec<u64>,
     mask: u32,
     reads: u64,
     writes: u64,
@@ -30,8 +45,10 @@ impl Nvm {
             size_words.is_power_of_two(),
             "NVM size must be a power of two, got {size_words}"
         );
+        let pages = size_words.div_ceil(PAGE_WORDS) as usize;
         Nvm {
             words: vec![0; size_words as usize],
+            touched: vec![0; pages.div_ceil(64)],
             mask: size_words - 1,
             reads: 0,
             writes: 0,
@@ -49,25 +66,32 @@ impl Nvm {
     }
 
     /// Reads the word at `addr` (wrapping), counting the access.
+    #[inline]
     pub fn load(&mut self, addr: u32) -> Word {
         self.reads += 1;
         self.words[(addr & self.mask) as usize]
     }
 
     /// Writes the word at `addr` (wrapping), counting the access.
+    #[inline]
     pub fn store(&mut self, addr: u32, value: Word) {
         self.writes += 1;
-        self.words[(addr & self.mask) as usize] = value;
+        self.write(addr, value);
     }
 
     /// Reads without counting (for inspection by tests and experiments).
+    #[inline]
     pub fn read(&self, addr: u32) -> Word {
         self.words[(addr & self.mask) as usize]
     }
 
     /// Writes without counting (for loading memory images).
+    #[inline]
     pub fn write(&mut self, addr: u32, value: Word) {
-        self.words[(addr & self.mask) as usize] = value;
+        let i = addr & self.mask;
+        let page = (i / PAGE_WORDS) as usize;
+        self.touched[page / 64] |= 1 << (page % 64);
+        self.words[i as usize] = value;
     }
 
     /// Copies `values` into memory starting at `base` (used to load app
@@ -84,9 +108,44 @@ impl Nvm {
     }
 
     /// A read-only view of the entire memory, uncounted (tooling access:
-    /// state hashing and checkpoint inspection, not program loads).
+    /// checkpoint inspection and tests, not program loads).
     pub fn words(&self) -> &[Word] {
         &self.words
+    }
+
+    /// The indices of the pages written since the last reset, ascending.
+    /// Page `p` holds the words `p * PAGE_WORDS ..` (the whole memory is
+    /// one page when it is smaller than [`PAGE_WORDS`]); every other page
+    /// is all zero.
+    pub fn touched_pages(&self) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.touched)
+    }
+
+    /// Words per page: [`PAGE_WORDS`], or the memory size if smaller.
+    pub fn page_words(&self) -> u32 {
+        self.len().min(PAGE_WORDS)
+    }
+
+    /// Continues the 64-bit-lane FNV-1a hash `h` over the whole image:
+    /// one `h = (h ^ lane) * FNV_PRIME` per pair of words, the even word
+    /// in the low half. An untouched page is all zero, and eating a zero
+    /// lane is a bare multiply, so each untouched page folds in as one
+    /// multiply by `FNV_PRIME^(page lanes)`. The result is bit-identical to
+    /// eating every lane of [`Nvm::words`] in order.
+    pub fn fold_fnv(&self, mut h: u64) -> u64 {
+        let lanes = self.page_words().div_ceil(2);
+        let skip = FNV_PRIME.wrapping_pow(lanes);
+        let mut next = 0;
+        for page in self.touched_pages() {
+            h = h.wrapping_mul(skip.wrapping_pow(page - next));
+            for pair in self.words[page_range(page, self.page_words())].chunks(2) {
+                let lo = pair[0] as u32 as u64;
+                let hi = pair.get(1).map_or(0, |&w| w as u32 as u64);
+                h = (h ^ (lo | (hi << 32))).wrapping_mul(FNV_PRIME);
+            }
+            next = page + 1;
+        }
+        h.wrapping_mul(skip.wrapping_pow(self.len() / self.page_words() - next))
     }
 
     /// Total counted loads.
@@ -101,15 +160,99 @@ impl Nvm {
 
     /// Zeroes the contents and counters (fresh chip).
     pub fn reset(&mut self) {
-        self.words.fill(0);
+        let page_words = self.page_words();
+        for page in set_bits(&self.touched) {
+            self.words[page_range(page, page_words)].fill(0);
+        }
+        self.touched.fill(0);
         self.reads = 0;
         self.writes = 0;
+    }
+}
+
+/// The word indices of page `page` of `page_words` words.
+fn page_range(page: u32, page_words: u32) -> Range<usize> {
+    let start = (page * page_words) as usize;
+    start..start + page_words as usize
+}
+
+/// The indices of the set bits of `bitmap`, ascending.
+fn set_bits(bitmap: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    bitmap.iter().enumerate().flat_map(|(i, &bits)| {
+        let mut rest = bits;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                i as u32 * 64 + bit
+            })
+        })
+    })
+}
+
+impl Clone for Nvm {
+    /// Copies the touched pages into a zeroed allocation.
+    fn clone(&self) -> Nvm {
+        let mut words = vec![0; self.words.len()];
+        for page in self.touched_pages() {
+            let r = page_range(page, self.page_words());
+            words[r.clone()].copy_from_slice(&self.words[r]);
+        }
+        Nvm {
+            words,
+            touched: self.touched.clone(),
+            mask: self.mask,
+            reads: self.reads,
+            writes: self.writes,
+        }
+    }
+
+    /// Copies the pages `source` touched and zeroes the ones only `self`
+    /// touched; pages neither touched are zero on both sides already.
+    fn clone_from(&mut self, source: &Nvm) {
+        if self.words.len() != source.words.len() {
+            *self = source.clone();
+            return;
+        }
+        let page_words = self.page_words();
+        for (i, (mine, &theirs)) in self.touched.iter_mut().zip(&source.touched).enumerate() {
+            for bit in set_bits(&[*mine | theirs]) {
+                let r = page_range(i as u32 * 64 + bit, page_words);
+                if theirs & (1 << bit) != 0 {
+                    self.words[r.clone()].copy_from_slice(&source.words[r]);
+                } else {
+                    self.words[r].fill(0);
+                }
+            }
+            *mine = theirs;
+        }
+        self.reads = source.reads;
+        self.writes = source.writes;
+    }
+}
+
+impl PartialEq for Nvm {
+    fn eq(&self, other: &Nvm) -> bool {
+        self.words == other.words && self.reads == other.reads && self.writes == other.writes
+    }
+}
+
+/// Like equality, leaves the touched marks out.
+impl std::fmt::Debug for Nvm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Nvm")
+            .field("words", &self.words)
+            .field("mask", &self.mask)
+            .field("reads", &self.reads)
+            .field("writes", &self.writes)
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gecko_isa::SplitMix64;
 
     #[test]
     fn load_store_roundtrip() {
@@ -154,6 +297,127 @@ mod tests {
         m.reset();
         assert_eq!(m.read(1), 0);
         assert_eq!(m.write_count(), 0);
+    }
+
+    /// Today's reference for [`Nvm::fold_fnv`]: every lane of the image.
+    fn full_scan(mut h: u64, words: &[Word]) -> u64 {
+        for pair in words.chunks(2) {
+            let lo = pair[0] as u32 as u64;
+            let hi = pair.get(1).map_or(0, |&w| w as u32 as u64);
+            h = (h ^ (lo | (hi << 32))).wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    /// The page invariant and everything built on it, against a flat model.
+    fn assert_matches_model(m: &Nvm, model: &[Word], what: &str) {
+        assert_eq!(m.words(), model, "{what}: words");
+        let mut touched = m.touched_pages().peekable();
+        for page in 0..m.len() / m.page_words() {
+            if touched.next_if_eq(&page).is_none() {
+                assert!(
+                    model[page_range(page, m.page_words())]
+                        .iter()
+                        .all(|&w| w == 0),
+                    "{what}: untouched page {page} is not zero"
+                );
+            }
+        }
+        assert_eq!(touched.next(), None, "{what}: page past the end");
+        for seed in [0xcbf2_9ce4_8422_2325, 0] {
+            assert_eq!(m.fold_fnv(seed), full_scan(seed, model), "{what}: hash");
+        }
+    }
+
+    /// A seeded walk of writes, resets, clones and `clone_from`s over two
+    /// memories whose touched sets drift apart, checked after every step
+    /// against page-blind `Vec<Word>` models.
+    #[test]
+    fn touched_pages_match_a_flat_model() {
+        let mut rng = SplitMix64::new(0x0A6E_5EED);
+        for (size, steps) in [(64u32, 3_000), (65_536, 400)] {
+            let mut nvms = [Nvm::new(size), Nvm::new(size)];
+            let mut models = [vec![0; size as usize], vec![0; size as usize]];
+            let pages = (size / PAGE_WORDS).max(1) as u64;
+            for step in 0..steps {
+                let k = rng.range_u64(0, 2) as usize;
+                // A handful of hot pages keeps both sides sparse, with a
+                // rare write anywhere (wrapping past the end included).
+                let addr = if rng.range_u64(0, 8) == 0 {
+                    rng.next_u64() as u32
+                } else {
+                    (rng.range_u64(0, pages.min(6)) * u64::from(PAGE_WORDS)
+                        + rng.range_u64(0, u64::from(PAGE_WORDS))) as u32
+                };
+                let value = if rng.range_u64(0, 4) == 0 {
+                    0
+                } else {
+                    rng.next_u64() as Word
+                };
+                let (m, model) = (&mut nvms[k], &mut models[k]);
+                let slot = (addr % size) as usize;
+                let what = match rng.range_u64(0, 20) {
+                    0..=7 => {
+                        m.store(addr, value);
+                        model[slot] = value;
+                        "store"
+                    }
+                    8..=11 => {
+                        m.write(addr, value);
+                        model[slot] = value;
+                        "write"
+                    }
+                    12..=14 => {
+                        let image: Vec<Word> = (0..rng.range_u64(1, 600))
+                            .map(|_| rng.next_u64() as Word)
+                            .collect();
+                        m.write_image(addr, &image);
+                        for (i, &v) in image.iter().enumerate() {
+                            model[(addr.wrapping_add(i as u32) % size) as usize] = v;
+                        }
+                        "write_image"
+                    }
+                    15 => {
+                        m.reset();
+                        model.fill(0);
+                        "reset"
+                    }
+                    16 => {
+                        nvms[k] = nvms[1 - k].clone();
+                        models[k] = models[1 - k].clone();
+                        assert_eq!(nvms[k], nvms[1 - k], "clone equals its source");
+                        "clone"
+                    }
+                    _ => {
+                        let [a, b] = &mut nvms;
+                        let (dst, src) = if k == 0 { (a, &*b) } else { (b, &*a) };
+                        dst.clone_from(src);
+                        models[k] = models[1 - k].clone();
+                        assert_eq!(
+                            dst.words(),
+                            src.words(),
+                            "clone_from gives the source's words"
+                        );
+                        assert_eq!(dst, src, "clone_from equals its source");
+                        "clone_from"
+                    }
+                };
+                for side in 0..2 {
+                    let what = format!("size {size}, step {step}, {what}, side {side}");
+                    assert_matches_model(&nvms[side], &models[side], &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equality_ignores_the_touched_pages() {
+        let mut a = Nvm::new(1024);
+        let b = Nvm::new(1024);
+        a.write(700, 0);
+        assert_eq!(a.touched_pages().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(a, b);
+        assert_eq!(a.fold_fnv(1), b.fold_fnv(1));
     }
 
     #[test]

@@ -75,34 +75,21 @@ impl std::fmt::Display for HttpError {
 
 /// Reads and parses one HTTP/1.1 request from `stream`.
 ///
+/// The head (request line and headers) is read under a budget of
+/// `MAX_HEAD_BYTES`, so an endless line costs at most that much memory.
 /// `max_body` bounds `Content-Length`; bigger bodies are rejected before
 /// any body byte is read so a hostile client can't make us buffer
 /// gigabytes.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
+pub fn read_request<R: Read>(stream: R, max_body: usize) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    let mut head_bytes = 0usize;
-
+    let mut budget = MAX_HEAD_BYTES;
     let mut request_line = String::new();
-    let n = reader.read_line(&mut request_line).map_err(HttpError::Io)?;
-    if n == 0 {
-        return Err(HttpError::ConnectionClosed);
-    }
-    head_bytes += n;
+    read_head_line(&mut reader, &mut request_line, &mut budget)?;
 
+    let mut head = String::new();
     let mut content_length = 0usize;
     loop {
-        head.clear();
-        let n = reader.read_line(&mut head).map_err(HttpError::Io)?;
-        if n == 0 {
-            return Err(HttpError::ConnectionClosed);
-        }
-        head_bytes += n;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(HttpError::TooLarge(format!(
-                "request head exceeds {MAX_HEAD_BYTES} bytes"
-            )));
-        }
+        read_head_line(&mut reader, &mut head, &mut budget)?;
         let line = head.trim_end_matches(['\r', '\n']);
         if line.is_empty() {
             break;
@@ -150,6 +137,32 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         query,
         body,
     })
+}
+
+/// Reads one head line, newline included, into `line`, reading no more
+/// than the `budget` head bytes left and charging what it read. A line cut
+/// off by the budget is `TooLarge`; one cut off by the end of the stream
+/// is `ConnectionClosed`.
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    line: &mut String,
+    budget: &mut usize,
+) -> Result<(), HttpError> {
+    line.clear();
+    let n = reader
+        .take(*budget as u64)
+        .read_line(line)
+        .map_err(HttpError::Io)?;
+    *budget -= n;
+    if line.ends_with('\n') {
+        Ok(())
+    } else if *budget == 0 {
+        Err(HttpError::TooLarge(format!(
+            "request head exceeds {MAX_HEAD_BYTES} bytes"
+        )))
+    } else {
+        Err(HttpError::ConnectionClosed)
+    }
 }
 
 /// Standard reason phrase for the handful of codes the API uses.
@@ -319,6 +332,69 @@ mod tests {
         // Body is 16 bytes against an 8-byte limit.
         let _ = http_call(&addr, "POST", "/v1/campaigns", "0123456789abcdef");
         server.join().unwrap();
+    }
+
+    /// A reader that hands out one byte per `read`.
+    struct Drip<'a>(&'a [u8]);
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some((&first, rest)) = self.0.split_first() else {
+                return Ok(0);
+            };
+            if buf.is_empty() {
+                return Ok(0);
+            }
+            buf[0] = first;
+            self.0 = rest;
+            Ok(1)
+        }
+    }
+
+    const REQUEST: &[u8] =
+        b"POST /v1/jobs/7/events?from=3 HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"x\":1}";
+
+    #[test]
+    fn endless_request_line_is_too_large_after_the_head_budget() {
+        let line = vec![b'A'; 4 * MAX_HEAD_BYTES];
+        match read_request(&line[..], 1024) {
+            Err(HttpError::TooLarge(_)) => {}
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_header_line_is_too_large() {
+        let mut raw = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        raw.extend(std::iter::repeat_n(b'p', MAX_HEAD_BYTES));
+        raw.extend_from_slice(b"\r\n\r\n");
+        match read_request(&raw[..], 1024) {
+            Err(HttpError::TooLarge(_)) => {}
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_head_is_connection_closed() {
+        let head_end = REQUEST.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        for cut in [0, 5, 20, head_end, head_end + 3] {
+            match read_request(&REQUEST[..cut], 1024) {
+                Err(HttpError::ConnectionClosed) => {}
+                other => panic!("cut at {cut}: expected ConnectionClosed, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn byte_at_a_time_reader_parses_the_same_request() {
+        let whole = read_request(REQUEST, 1024).unwrap();
+        let dripped = read_request(Drip(REQUEST), 1024).unwrap();
+        for req in [&whole, &dripped] {
+            assert_eq!(req.method, "POST");
+            assert_eq!(req.path, "/v1/jobs/7/events");
+            assert_eq!(req.query, "from=3");
+            assert_eq!(req.body, br#"{"x":1}"#);
+        }
     }
 
     #[test]

@@ -997,6 +997,29 @@ impl Simulator {
         }
     }
 
+    /// [`Simulator::snapshot`] into an existing buffer, reusing its
+    /// allocations: the NVM copy costs O(pages touched by either state),
+    /// so a caller that forks repeatedly keeps one buffer per fork level
+    /// instead of allocating a snapshot per fork.
+    pub fn snapshot_into(&self, snap: &mut SimSnapshot) {
+        snap.machine.clone_from(&self.machine);
+        snap.nvm.clone_from(&self.nvm);
+        snap.periph.clone_from(&self.periph);
+        snap.cap.clone_from(&self.cap);
+        snap.adc.clone_from(&self.adc);
+        snap.adc_filter.clone_from(&self.adc_filter);
+        snap.comp_backup.clone_from(&self.comp_backup);
+        snap.comp_wake.clone_from(&self.comp_wake);
+        snap.state = self.state;
+        snap.t_s = self.t_s;
+        snap.probe = self.probe;
+        snap.wake_stable = self.wake_stable;
+        snap.suppressed_s = self.suppressed_s;
+        snap.cycles_since_boot = self.cycles_since_boot;
+        snap.pending_fault = self.pending_fault;
+        snap.metrics = self.metrics;
+    }
+
     /// Rewinds the device to a state previously captured by
     /// [`Simulator::snapshot`]. The snapshot must come from this simulator
     /// (or one built from the same `CompiledApp` and configuration);
@@ -1034,8 +1057,7 @@ impl Simulator {
         const FNV_PRIME: u64 = 0x1000_0000_01b3;
         let mut h = FNV_OFFSET;
         let mut eat = |word: u64| {
-            // 64-bit-lane FNV: one multiply per word keeps hashing the
-            // 64 K-word NVM cheap enough to run at every fork.
+            // 64-bit-lane FNV, one multiply per lane.
             h = (h ^ word).wrapping_mul(FNV_PRIME);
         };
         for v in self.machine.regs().snapshot() {
@@ -1069,12 +1091,11 @@ impl Simulator {
         });
         eat(self.metrics.fault_skips);
         eat(self.metrics.fault_corruptions);
-        for pair in self.nvm.words().chunks(2) {
-            let lo = pair[0] as u32 as u64;
-            let hi = pair.get(1).map_or(0, |&w| w as u32 as u64);
-            eat(lo | (hi << 32));
-        }
-        h
+        // The NVM image, two words per lane. Only the touched pages are
+        // read; each untouched (all-zero) page folds in as one multiply,
+        // so the hash equals a scan of every word at a cost of O(touched
+        // pages), which is what lets the checker hash at every fork.
+        self.nvm.fold_fnv(h)
     }
 
     // ----- fault / EMI injection ----------------------------------------

@@ -65,4 +65,8 @@ cargo test --offline --release -q --locked --manifest-path crates/bench/src/bin/
 echo "==> bench smoke (fast-path + event-horizon clean/disturbed + batch_step coalescing floors, BENCH_sim.json)"
 GECKO_QUICK=1 cargo bench --offline -p gecko-bench --bench fast_path
 
+echo "==> checker fork bench (snapshot-fork >= 5x cheaper than cold restart in steps,"
+echo "    page-tracked forks move >= 32x fewer NVM words than full-image forks)"
+GECKO_QUICK=1 cargo bench --offline -p gecko-bench --bench checker_fork
+
 echo "==> OK"
