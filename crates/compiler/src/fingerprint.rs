@@ -22,27 +22,10 @@
 
 use std::collections::BTreeMap;
 
+use gecko_isa::fnv::{fnv_str, fnv_u64, FNV_OFFSET};
 use gecko_isa::{Program, RegionId};
 
 use crate::recovery::{RecoveryTable, RegionTable, RestoreAction};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_str(mut h: u64, s: &str) -> u64 {
-    h = fnv_u64(h, s.len() as u64);
-    for byte in s.bytes() {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Fingerprints of one compiled artifact: the whole program plus one
 /// digest per idempotent region, in region-id order.

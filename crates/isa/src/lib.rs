@@ -50,6 +50,7 @@ pub mod asm;
 pub mod builder;
 pub mod cost;
 pub mod dot;
+pub mod fnv;
 pub mod inst;
 pub mod program;
 pub mod rng;
