@@ -296,43 +296,29 @@ pub(crate) fn check_windows(
     end: u64,
     golden: u64,
 ) -> (CheckStats, Vec<Violation>) {
-    let (out, _) = check_windows_resumed(
-        compiled,
-        cfg,
-        start,
-        end,
-        golden,
-        None,
-        None,
-        &mut NullObserver,
-    );
+    let out = check_windows_resumed(compiled, cfg, start, end, golden, None, &mut NullObserver);
     (out.stats, out.violations)
 }
 
 /// The resumable core of [`check_windows`]: explores windows
 /// `start + prefix.windows_done .. end`, continuing from a restored
-/// [`SlabPrefix`] (counters, violations, regions and memo preload) and —
-/// when the caller hands back a simulator already positioned on the first
-/// unchecked window — reusing it instead of re-advancing a fresh one from
-/// step 0. Returns the slab outcome plus the simulator positioned at
-/// `end`, ready to carry into an adjacent slab.
+/// [`SlabPrefix`] (counters, violations, regions and memo preload), on a
+/// fresh simulator advanced from step 0 to the first unchecked window.
 ///
 /// Resume determinism: the memo table is per-slab and `settle_and_check`
 /// replays restored entries as hits, so a run resumed mid-slab produces
 /// the same cumulative `CheckStats` (and identical violations) as an
 /// uninterrupted run of the whole slab — the repositioning `advance` is
 /// not counted in `stats.steps` either way.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn check_windows_resumed(
     compiled: &CompiledApp,
     cfg: &ExploreConfig,
     start: u64,
     end: u64,
     golden: u64,
-    carry: Option<Simulator>,
     prefix: Option<SlabPrefix>,
     observer: &mut dyn ExploreObserver,
-) -> (SlabOutcome, Simulator) {
+) -> SlabOutcome {
     debug_assert!(end <= golden);
     let budget = explore_budget(golden);
     let primary = cfg.primary_kinds();
@@ -344,17 +330,11 @@ pub(crate) fn check_windows_resumed(
     let mut violations = prefix.violations;
     let mut regions = prefix.regions;
 
-    let mut sim = match carry {
-        Some(sim) => sim,
-        None => {
-            let mut sim = checker_sim(compiled, cfg.seed, cfg.fast_forward);
-            // Reposition onto the golden trace at the first unchecked
-            // window. `advance` coalesces where it can and lands
-            // bit-identically to `first` individual steps.
-            sim.advance(first);
-            sim
-        }
-    };
+    let mut sim = checker_sim(compiled, cfg.seed, cfg.fast_forward);
+    // Reposition onto the golden trace at the first unchecked window.
+    // `advance` coalesces where it can and lands bit-identically to
+    // `first` individual steps.
+    sim.advance(first);
 
     // One snapshot buffer per fork level, refilled in place: a refill or
     // a restore copies only the NVM pages either side touched.
@@ -478,14 +458,11 @@ pub(crate) fn check_windows_resumed(
             fresh_memo: &memo.log,
         });
     }
-    (
-        SlabOutcome {
-            stats,
-            violations,
-            regions,
-        },
-        sim,
-    )
+    SlabOutcome {
+        stats,
+        violations,
+        regions,
+    }
 }
 
 /// Advances `n` qualifying steps for injection kind `kind` (see

@@ -7,8 +7,8 @@
 //! * warm re-runs over the fig-4 scheme grid (EMI + instruction-fault
 //!   primaries included) produce byte-identical reports, with ≥ 90% of
 //!   windows answered from the persisted memo;
-//! * digests are invariant across worker counts, steal schedules and
-//!   kill-and-resume boundaries — the frontier is pure scheduling;
+//! * digests are invariant across worker counts and kill-and-resume
+//!   boundaries;
 //! * a kill *between* mid-slab flushes (simulated by truncating the memo
 //!   log at a mid-slab record) resumes bit-exactly, before and after a
 //!   [`classify_memo_lines`] prune of the truncated log;
@@ -27,10 +27,6 @@ use gecko_sim::device::CompiledApp;
 use gecko_sim::report::Json;
 use gecko_sim::SchemeKind;
 use gecko_store::{LogConfig, SegmentedLog, Verdict};
-
-fn quick() -> bool {
-    std::env::var_os("GECKO_QUICK").is_some()
-}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gecko-incr-{}-{tag}", std::process::id()));
@@ -119,9 +115,9 @@ fn warm_reruns_are_byte_identical_and_memo_backed() {
 }
 
 /// One violating pair (NVP) and one clean pair (GECKO), six chunks each —
-/// enough items that 2 and 8 workers genuinely interleave and steal.
+/// enough items that 2 and 8 workers genuinely interleave.
 fn duo_spec() -> CheckSpec {
-    CheckSpec::new("steal-invariance")
+    CheckSpec::new("worker-invariance")
         .apps([war_counter_app(6)])
         .schemes([SchemeKind::Nvp, SchemeKind::Gecko])
         .explore(ExploreConfig {
@@ -135,61 +131,46 @@ fn duo_spec() -> CheckSpec {
 }
 
 #[test]
-fn kill_and_resume_digests_are_invariant_across_workers_and_steal_schedules() {
+fn kill_and_resume_digests_are_invariant_across_workers() {
     let reference = CheckCampaign::new(duo_spec()).workers(1).run().unwrap();
 
     for workers in [1usize, 2, 8] {
-        // Bias 1 and 999 force maximally uneven steal splits (the victim
-        // keeps 0.1% / 99.9% of its lease); pure scheduling, so every
-        // combination must certify the same digest. Workers = 1 never
-        // steals, so the bias sweep is redundant there.
-        let biases: &[u64] = if workers == 1 {
-            &[500]
-        } else if quick() {
-            &[999]
-        } else {
-            &[1, 999]
+        let dir = scratch(&format!("workers-{workers}"));
+        let partial = {
+            let store = Arc::new(MemoStore::open(&dir).unwrap());
+            CheckCampaign::new(duo_spec())
+                .workers(workers)
+                .memo(store)
+                .halt_after(5)
+                .run()
+                .unwrap()
         };
-        for &bias in biases {
-            let dir = scratch(&format!("steal-{workers}-{bias}"));
-            let partial = {
-                let store = Arc::new(MemoStore::open(&dir).unwrap());
-                CheckCampaign::new(duo_spec())
-                    .workers(workers)
-                    .steal_bias(bias)
-                    .memo(store)
-                    .halt_after(5)
-                    .run()
-                    .unwrap()
-            };
-            assert!(partial.halted, "workers={workers} bias={bias}: must halt");
-            assert_eq!(
-                partial.counters.memo_windows, 0,
-                "the killed run started cold"
-            );
+        assert!(partial.halted, "workers={workers}: must halt");
+        assert_eq!(
+            partial.counters.memo_windows, 0,
+            "the killed run started cold"
+        );
 
-            // Resume from the reopened store alone — no journal.
-            let resumed = {
-                let store = Arc::new(MemoStore::open(&dir).unwrap());
-                CheckCampaign::new(duo_spec())
-                    .workers(workers)
-                    .steal_bias(bias)
-                    .memo(store)
-                    .run()
-                    .unwrap()
-            };
-            assert!(!resumed.halted);
-            assert!(
-                resumed.counters.memo_windows > 0,
-                "workers={workers} bias={bias}: the killed run's slabs must answer"
-            );
-            assert_eq!(
-                resumed.deterministic_digest(),
-                reference.deterministic_digest(),
-                "workers={workers} bias={bias}"
-            );
-            assert_eq!(resumed.results, reference.results);
-        }
+        // Resume from the reopened store alone — no journal.
+        let resumed = {
+            let store = Arc::new(MemoStore::open(&dir).unwrap());
+            CheckCampaign::new(duo_spec())
+                .workers(workers)
+                .memo(store)
+                .run()
+                .unwrap()
+        };
+        assert!(!resumed.halted);
+        assert!(
+            resumed.counters.memo_windows > 0,
+            "workers={workers}: the killed run's slabs must answer"
+        );
+        assert_eq!(
+            resumed.deterministic_digest(),
+            reference.deterministic_digest(),
+            "workers={workers}"
+        );
+        assert_eq!(resumed.results, reference.results);
     }
 }
 

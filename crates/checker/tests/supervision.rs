@@ -133,6 +133,50 @@ fn killed_check_campaigns_resume_bit_exactly() {
 }
 
 #[test]
+fn a_quota_that_covers_every_chunk_is_not_a_halt() {
+    let reference = CheckCampaign::new(spec()).workers(2).run().unwrap();
+    for workers in [1usize, 4] {
+        // The quota trips only after the last chunk is accounted: no
+        // work was left undone, so the run is complete, not halted.
+        let whole = CheckCampaign::new(spec())
+            .workers(workers)
+            .halt_after(12)
+            .run()
+            .unwrap();
+        assert!(!whole.halted, "workers={workers}: nothing left undone");
+        assert_eq!(
+            whole.deterministic_digest(),
+            reference.deterministic_digest()
+        );
+
+        // The same holds for a resumed session whose quota covers exactly
+        // the 8 chunks its journal lacks.
+        let journal = Arc::new(Journal::memory());
+        let partial = CheckCampaign::new(spec())
+            .workers(workers)
+            .journal(Arc::clone(&journal))
+            .halt_after(4)
+            .run()
+            .unwrap();
+        assert!(partial.halted);
+        let rest = CheckCampaign::new(spec())
+            .workers(workers)
+            .resume(journal)
+            .halt_after(8)
+            .run()
+            .unwrap();
+        assert!(
+            !rest.halted,
+            "workers={workers}: the resumed quota covers the rest"
+        );
+        assert_eq!(
+            rest.deterministic_digest(),
+            reference.deterministic_digest()
+        );
+    }
+}
+
+#[test]
 fn check_journals_from_a_different_spec_are_rejected() {
     let journal = Arc::new(Journal::memory());
     CheckCampaign::new(spec())

@@ -30,18 +30,16 @@
 //!   called by the campaign once the pool drains (and segment seals fsync
 //!   on their own), so the clean path stays cheap while a power cut can
 //!   only cost lines since the last checkpoint — which resume re-executes.
-//! * A file torn mid-append is repaired on [`Journal::open`] (the partial
-//!   final line is truncated away and counted in
-//!   [`Journal::torn_tails`]), so resume never sees a glued-together
-//!   hybrid of an old tail and a new append.
-//! * For long-running services, [`Journal::segmented`] stores the lines
-//!   in a [`gecko_store::SegmentedLog`] — sealed segments the store's
-//!   pruner can compact (under [`classify_campaign_lines`]) without
-//!   disturbing the bit-exact resume guarantee.
+//! * On disk, [`Journal::open_segmented`] stores the lines in a
+//!   [`gecko_store::SegmentedLog`] — sealed segments the store's pruner
+//!   can compact (under [`classify_campaign_lines`]) without disturbing
+//!   the bit-exact resume guarantee. A tail torn mid-append is repaired
+//!   when the log opens (the partial final line is truncated away and
+//!   counted in [`Journal::torn_tails`]), so resume never sees a
+//!   glued-together hybrid of an old tail and a new append.
 
 use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -54,14 +52,10 @@ use crate::campaign::RunResult;
 use crate::supervisor::lock_unpoisoned;
 
 /// The storage behind a journal: an in-memory line buffer (tests,
-/// kill/resume property tests), an append-only file, or a segmented log
-/// managed by `gecko-store` (prunable, retention-aware).
+/// kill/resume property tests) or a segmented log managed by
+/// `gecko-store` (prunable, retention-aware).
 enum Backend {
     Memory(Vec<String>),
-    File {
-        path: PathBuf,
-        writer: std::io::BufWriter<std::fs::File>,
-    },
     Segmented(Arc<SegmentedLog>),
 }
 
@@ -71,7 +65,6 @@ enum Backend {
 pub struct Journal {
     backend: Mutex<Backend>,
     dropped: AtomicU64,
-    torn_tails: AtomicU64,
 }
 
 impl Journal {
@@ -80,32 +73,7 @@ impl Journal {
         Journal {
             backend: Mutex::new(Backend::Memory(Vec::new())),
             dropped: AtomicU64::new(0),
-            torn_tails: AtomicU64::new(0),
         }
-    }
-
-    /// Opens (creating if needed) an append-only file journal. Existing
-    /// lines are preserved — that is the whole point. A final line torn
-    /// by a kill mid-append is truncated away (and counted in
-    /// [`Journal::torn_tails`]) rather than poisoning the next append.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-open and tail-repair errors.
-    pub fn open(path: &Path) -> std::io::Result<Journal> {
-        let torn = path.exists() && gecko_store::repair_torn_tail(path)?;
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Journal {
-            backend: Mutex::new(Backend::File {
-                path: path.to_path_buf(),
-                writer: std::io::BufWriter::new(file),
-            }),
-            dropped: AtomicU64::new(0),
-            torn_tails: AtomicU64::new(u64::from(torn)),
-        })
     }
 
     /// Wraps a [`SegmentedLog`] as a journal. The log stays shared: the
@@ -115,11 +83,14 @@ impl Journal {
         Journal {
             backend: Mutex::new(Backend::Segmented(log)),
             dropped: AtomicU64::new(0),
-            torn_tails: AtomicU64::new(0),
         }
     }
 
     /// Opens (creating if needed) a segmented journal in directory `dir`.
+    /// Existing lines are preserved — that is the whole point — and a
+    /// final line torn by a kill mid-append is truncated away (and
+    /// counted in [`Journal::torn_tails`]) rather than poisoning the next
+    /// append.
     ///
     /// # Errors
     ///
@@ -133,7 +104,7 @@ impl Journal {
     pub fn segment_log(&self) -> Option<Arc<SegmentedLog>> {
         match &*lock_unpoisoned(&self.backend) {
             Backend::Segmented(log) => Some(Arc::clone(log)),
-            _ => None,
+            Backend::Memory(_) => None,
         }
     }
 
@@ -143,12 +114,6 @@ impl Journal {
         let mut backend = lock_unpoisoned(&self.backend);
         match &mut *backend {
             Backend::Memory(lines) => lines.push(line.to_string()),
-            Backend::File { writer, .. } => {
-                let ok = writeln!(writer, "{line}").is_ok() && writer.flush().is_ok();
-                if !ok {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
             Backend::Segmented(log) => log.append(line),
         }
     }
@@ -162,9 +127,6 @@ impl Journal {
         let mut backend = lock_unpoisoned(&self.backend);
         let result = match &mut *backend {
             Backend::Memory(_) => Ok(()),
-            Backend::File { writer, .. } => {
-                writer.flush().and_then(|()| writer.get_ref().sync_all())
-            }
             Backend::Segmented(log) => log.sync(),
         };
         if result.is_err() {
@@ -172,24 +134,12 @@ impl Journal {
         }
     }
 
-    /// Every line currently in the journal, in append order (for a file
-    /// journal this re-reads the file, so it also sees lines written by
-    /// a previous process).
+    /// Every line currently in the journal, in append order (an on-disk
+    /// journal re-reads its segments, so it also sees lines written by a
+    /// previous process).
     pub fn lines(&self) -> Vec<String> {
-        let mut backend = lock_unpoisoned(&self.backend);
-        match &mut *backend {
+        match &*lock_unpoisoned(&self.backend) {
             Backend::Memory(lines) => lines.clone(),
-            Backend::File { path, writer } => {
-                let _ = writer.flush();
-                let mut text = String::new();
-                match std::fs::File::open(&*path) {
-                    Ok(mut f) => {
-                        let _ = f.read_to_string(&mut text);
-                    }
-                    Err(_) => return Vec::new(),
-                }
-                text.lines().map(str::to_string).collect()
-            }
             Backend::Segmented(log) => log.lines(),
         }
     }
@@ -199,18 +149,17 @@ impl Journal {
     pub fn dropped(&self) -> u64 {
         let backend_drops = match &*lock_unpoisoned(&self.backend) {
             Backend::Segmented(log) => log.dropped(),
-            _ => 0,
+            Backend::Memory(_) => 0,
         };
         self.dropped.load(Ordering::Relaxed) + backend_drops
     }
 
     /// Torn final lines truncated away when the journal was opened.
     pub fn torn_tails(&self) -> u64 {
-        let backend_torn = match &*lock_unpoisoned(&self.backend) {
+        match &*lock_unpoisoned(&self.backend) {
             Backend::Segmented(log) => log.torn_tails(),
-            _ => 0,
-        };
-        self.torn_tails.load(Ordering::Relaxed) + backend_torn
+            Backend::Memory(_) => 0,
+        }
     }
 }
 
@@ -219,7 +168,6 @@ impl std::fmt::Debug for Journal {
         let backend = lock_unpoisoned(&self.backend);
         match &*backend {
             Backend::Memory(lines) => write!(f, "Journal::memory({} lines)", lines.len()),
-            Backend::File { path, .. } => write!(f, "Journal::open({})", path.display()),
             Backend::Segmented(log) => write!(f, "Journal::segmented({log:?})"),
         }
     }
@@ -712,22 +660,22 @@ mod tests {
 
     #[test]
     fn open_repairs_a_torn_tail_and_counts_it() {
-        let path =
-            std::env::temp_dir().join(format!("gecko-journal-torn-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let dir = std::env::temp_dir().join(format!("gecko-journal-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         {
-            let journal = Journal::open(&path).unwrap();
+            let journal = Journal::open_segmented(&dir, gecko_store::LogConfig::default()).unwrap();
             journal.append(&encode_header("torn", 3));
             for line in encode_run(5, &sample_result(0, 0)) {
                 journal.append(&line);
             }
         }
-        // Kill mid-append: chop the file mid-byte of its last record.
-        let mut bytes = std::fs::read(&path).unwrap();
+        // Kill mid-append: chop the active tail mid-byte of its last record.
+        let tail = dir.join("seg-000000.jsonl");
+        let mut bytes = std::fs::read(&tail).unwrap();
         bytes.truncate(bytes.len() - 7);
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(&tail, &bytes).unwrap();
 
-        let journal = Journal::open(&path).unwrap();
+        let journal = Journal::open_segmented(&dir, gecko_store::LogConfig::default()).unwrap();
         assert_eq!(journal.torn_tails(), 1, "repair is counted");
         let (header, runs) = decode_campaign(&journal.lines());
         assert_eq!(header, Some(("torn".to_string(), 3)));
@@ -741,7 +689,7 @@ mod tests {
         let (_, runs) = decode_campaign(&journal.lines());
         assert!(runs.contains_key(&5));
         assert_eq!(journal.dropped(), 0);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -783,22 +731,21 @@ mod tests {
     }
 
     #[test]
-    fn file_journal_persists_across_reopen() {
-        let path =
-            std::env::temp_dir().join(format!("gecko-journal-test-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+    fn on_disk_journal_persists_across_reopen() {
+        let dir = std::env::temp_dir().join(format!("gecko-journal-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         {
-            let journal = Journal::open(&path).unwrap();
+            let journal = Journal::open_segmented(&dir, gecko_store::LogConfig::default()).unwrap();
             journal.append(&encode_header("file", 7));
             for line in encode_run(9, &sample_result(0, 0)) {
                 journal.append(&line);
             }
             assert_eq!(journal.dropped(), 0);
         }
-        let reopened = Journal::open(&path).unwrap();
+        let reopened = Journal::open_segmented(&dir, gecko_store::LogConfig::default()).unwrap();
         let (header, runs) = decode_campaign(&reopened.lines());
         assert_eq!(header, Some(("file".to_string(), 7)));
         assert!(runs.contains_key(&9));
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

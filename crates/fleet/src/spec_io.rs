@@ -47,7 +47,8 @@ pub struct DecodeError {
 }
 
 impl DecodeError {
-    fn new(path: &str, message: impl Into<String>) -> DecodeError {
+    /// A decoding failure at `path`.
+    pub fn new(path: &str, message: impl Into<String>) -> DecodeError {
         DecodeError {
             path: path.to_string(),
             message: message.into(),
@@ -102,13 +103,23 @@ impl From<DecodeError> for SpecError {
 
 // ---------------------------------------------------------------------------
 // Typed accessors (path-carrying)
+//
+// Public so every strict wire codec in the workspace (gecko-serve's check
+// spec and submit envelope) reports errors with the same paths and the
+// same words as the campaign spec codec.
 // ---------------------------------------------------------------------------
 
-fn type_err(v: &Json, path: &str, wanted: &str) -> DecodeError {
+/// The error for node `v` at `path` not being `wanted` (e.g. "a string").
+pub fn type_err(v: &Json, path: &str, wanted: &str) -> DecodeError {
     DecodeError::new(path, format!("expected {wanted}, got {}", v.kind_name()))
 }
 
-fn as_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, DecodeError> {
+/// `v` as a string.
+///
+/// # Errors
+///
+/// A [`type_err`] at `path` for any other kind.
+pub fn as_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, DecodeError> {
     v.as_str().ok_or_else(|| type_err(v, path, "a string"))
 }
 
@@ -116,7 +127,12 @@ fn as_f64(v: &Json, path: &str) -> Result<f64, DecodeError> {
     v.as_f64().ok_or_else(|| type_err(v, path, "a number"))
 }
 
-fn as_u64(v: &Json, path: &str) -> Result<u64, DecodeError> {
+/// `v` as a non-negative integer.
+///
+/// # Errors
+///
+/// A [`type_err`] at `path` for any other kind or a negative value.
+pub fn as_u64(v: &Json, path: &str) -> Result<u64, DecodeError> {
     v.as_u64()
         .ok_or_else(|| type_err(v, path, "a non-negative integer"))
 }
@@ -125,27 +141,47 @@ fn as_usize(v: &Json, path: &str) -> Result<usize, DecodeError> {
     Ok(as_u64(v, path)? as usize)
 }
 
-fn as_bool(v: &Json, path: &str) -> Result<bool, DecodeError> {
+/// `v` as a boolean.
+///
+/// # Errors
+///
+/// A [`type_err`] at `path` for any other kind.
+pub fn as_bool(v: &Json, path: &str) -> Result<bool, DecodeError> {
     v.as_bool().ok_or_else(|| type_err(v, path, "a boolean"))
 }
 
-fn as_arr<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], DecodeError> {
+/// `v` as an array.
+///
+/// # Errors
+///
+/// A [`type_err`] at `path` for any other kind.
+pub fn as_arr<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], DecodeError> {
     v.as_arr().ok_or_else(|| type_err(v, path, "an array"))
 }
 
-fn as_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], DecodeError> {
+/// `v` as an object's fields, in document order.
+///
+/// # Errors
+///
+/// A [`type_err`] at `path` for any other kind.
+pub fn as_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], DecodeError> {
     v.as_obj().ok_or_else(|| type_err(v, path, "an object"))
 }
 
-/// Required-field lookup.
-fn get<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, DecodeError> {
+/// Required-field lookup of `key` in the object `v` at `path`.
+///
+/// # Errors
+///
+/// A [`type_err`] when `v` is not an object, or a missing-field error at
+/// `path`.
+pub fn get<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, DecodeError> {
     as_obj(v, path)?;
     v.get(key)
         .ok_or_else(|| DecodeError::new(path, format!("missing required field `{key}`")))
 }
 
 /// Optional-field lookup; an explicit `null` reads as absent.
-fn opt<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
+pub fn opt<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
     match v.get(key) {
         Some(Json::Null) | None => None,
         Some(found) => Some(found),
@@ -154,7 +190,12 @@ fn opt<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
 
 /// Rejects fields outside `allowed` — typos come back as errors naming
 /// the accepted spellings, not as silently ignored keys.
-fn check_keys(v: &Json, path: &str, allowed: &[&str]) -> Result<(), DecodeError> {
+///
+/// # Errors
+///
+/// A [`type_err`] when `v` is not an object, or an unknown-field error at
+/// `path`.
+pub fn check_keys(v: &Json, path: &str, allowed: &[&str]) -> Result<(), DecodeError> {
     for (key, _) in as_obj(v, path)? {
         if !allowed.contains(&key.as_str()) {
             return Err(DecodeError::new(
@@ -852,7 +893,9 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 // CampaignReport encode
 // ---------------------------------------------------------------------------
 
-fn failure_value(f: &RunFailure) -> Json {
+/// A quarantined failure as a report document entry: its kind, item,
+/// run key and one-line description.
+pub fn failure_value(f: &RunFailure) -> Json {
     Json::Obj(vec![
         ("kind".into(), Json::Str(f.kind().name().to_string())),
         (

@@ -269,10 +269,6 @@ pub struct FleetCounters {
     /// Check windows answered from a persisted memo store instead of
     /// re-explored (`gecko-check` incremental runs only).
     pub memo_windows: u64,
-    /// Work-stealing frontier steals performed by the claim layer (zero
-    /// under the static-cursor discipline). Scheduling diagnostic — not
-    /// part of any deterministic digest.
-    pub frontier_steals: u64,
 }
 
 /// A log₂-bucketed histogram of `u64` samples (wall-times, cycle counts).

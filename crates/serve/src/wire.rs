@@ -10,80 +10,21 @@
 
 use gecko_check::{CheckReport, CheckSpec, ExploreConfig};
 use gecko_fleet::json::Json;
-use gecko_fleet::spec_io::{DecodeError, SpecError};
-use gecko_fleet::supervisor::RunFailure;
+use gecko_fleet::spec_io::{
+    as_arr, as_bool, as_obj, as_str, as_u64, check_keys, failure_value, get, opt, type_err,
+    DecodeError, SpecError,
+};
 use gecko_fleet::telemetry::Event;
 use gecko_fleet::SchemeKind;
 use gecko_sim::report::Record;
 
 // ---------------------------------------------------------------------------
-// Path-carrying accessors (same shape as spec_io's private helpers)
+// Path-carrying accessors: spec_io's, plus the one width it lacks
 // ---------------------------------------------------------------------------
-
-fn err(path: &str, message: impl Into<String>) -> DecodeError {
-    DecodeError {
-        path: path.to_string(),
-        message: message.into(),
-    }
-}
-
-fn type_err(v: &Json, path: &str, wanted: &str) -> DecodeError {
-    err(path, format!("expected {wanted}, got {}", v.kind_name()))
-}
-
-fn as_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, DecodeError> {
-    v.as_str().ok_or_else(|| type_err(v, path, "a string"))
-}
-
-fn as_u64(v: &Json, path: &str) -> Result<u64, DecodeError> {
-    v.as_u64()
-        .ok_or_else(|| type_err(v, path, "a non-negative integer"))
-}
 
 fn as_u32(v: &Json, path: &str) -> Result<u32, DecodeError> {
     u32::try_from(as_u64(v, path)?)
         .map_err(|_| type_err(v, path, "an integer that fits in 32 bits"))
-}
-
-fn as_bool(v: &Json, path: &str) -> Result<bool, DecodeError> {
-    v.as_bool().ok_or_else(|| type_err(v, path, "a boolean"))
-}
-
-fn as_arr<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], DecodeError> {
-    v.as_arr().ok_or_else(|| type_err(v, path, "an array"))
-}
-
-fn as_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], DecodeError> {
-    v.as_obj().ok_or_else(|| type_err(v, path, "an object"))
-}
-
-fn get<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, DecodeError> {
-    as_obj(v, path)?;
-    v.get(key)
-        .ok_or_else(|| err(path, format!("missing required field `{key}`")))
-}
-
-/// Optional-field lookup; an explicit `null` reads as absent.
-fn opt<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
-    match v.get(key) {
-        Some(Json::Null) | None => None,
-        Some(found) => Some(found),
-    }
-}
-
-fn check_keys(v: &Json, path: &str, allowed: &[&str]) -> Result<(), DecodeError> {
-    for (key, _) in as_obj(v, path)? {
-        if !allowed.contains(&key.as_str()) {
-            return Err(err(
-                path,
-                format!(
-                    "unknown field `{key}` (expected one of: {})",
-                    allowed.join(", ")
-                ),
-            ));
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -199,7 +140,7 @@ pub fn check_spec_from_value(v: &Json, path: &str) -> Result<CheckSpec, DecodeEr
             let app_name = as_str(entry, &epath)?;
             let app = gecko_apps::app_by_name(app_name).ok_or_else(|| {
                 let known: Vec<&str> = gecko_apps::all_apps().iter().map(|a| a.name).collect();
-                err(
+                DecodeError::new(
                     &epath,
                     format!(
                         "unknown app `{app_name}` (known apps: {})",
@@ -216,7 +157,7 @@ pub fn check_spec_from_value(v: &Json, path: &str) -> Result<CheckSpec, DecodeEr
             let epath = format!("{spath}[{i}]");
             let slug = as_str(entry, &epath)?;
             let scheme = SchemeKind::from_name(slug).ok_or_else(|| {
-                err(
+                DecodeError::new(
                     &epath,
                     format!(
                         "unknown scheme `{slug}` (expected nvp, ratchet, gecko, gecko-no-prune)"
@@ -304,7 +245,10 @@ pub fn check_spec_from_value(v: &Json, path: &str) -> Result<CheckSpec, DecodeEr
     if let Some(c) = opt(v, "chunk_windows") {
         let n = as_u64(c, &sub("chunk_windows"))?;
         if n == 0 {
-            return Err(err(&sub("chunk_windows"), "must be at least 1"));
+            return Err(DecodeError::new(
+                &sub("chunk_windows"),
+                "must be at least 1",
+            ));
         }
         spec.chunk_windows = n;
     }
@@ -326,18 +270,6 @@ pub fn check_spec_from_json(text: &str) -> Result<CheckSpec, SpecError> {
 // ---------------------------------------------------------------------------
 // CheckReport documents
 // ---------------------------------------------------------------------------
-
-fn failure_value(f: &RunFailure) -> Json {
-    Json::Obj(vec![
-        ("kind".into(), Json::Str(f.kind().name().to_string())),
-        (
-            "item".into(),
-            f.item().map_or(Json::Null, |i| Json::U64(i as u64)),
-        ),
-        ("run_key".into(), f.run_key().map_or(Json::Null, Json::U64)),
-        ("detail".into(), Json::Str(f.describe())),
-    ])
-}
 
 fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
     let t = &report.totals;
@@ -373,7 +305,6 @@ fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
                     Json::U64(c.journal_diagnostics),
                 ),
                 ("memo_windows".into(), Json::U64(c.memo_windows)),
-                ("frontier_steals".into(), Json::U64(c.frontier_steals)),
             ]),
         ));
     }
@@ -468,14 +399,14 @@ pub fn parse_submission(text: &str) -> Result<Submission, SpecError> {
         .map(|w| as_u64(w, "workers").map(|n| n as usize))
         .transpose()?;
     if workers == Some(0) {
-        return Err(err("workers", "must be at least 1").into());
+        return Err(DecodeError::new("workers", "must be at least 1").into());
     }
     let halt_after = opt(&doc, "halt_after")
         .map(|h| as_u64(h, "halt_after"))
         .transpose()?;
     if let Some(batch) = opt(&doc, "batch") {
         if as_u64(batch, "batch")? == 0 {
-            return Err(err("batch", "must be at least 1").into());
+            return Err(DecodeError::new("batch", "must be at least 1").into());
         }
     }
     let incremental = opt(&doc, "incremental")

@@ -77,6 +77,6 @@ pub mod retention;
 
 pub use checkpoint::{CheckpointStore, PruneCheckpoint};
 pub use compact::{Classifier, LogCompactor, Verdict};
-pub use log::{repair_torn_tail, LogConfig, SegmentInfo, SegmentLines, SegmentedLog};
+pub use log::{LogConfig, SegmentInfo, SegmentLines, SegmentedLog};
 pub use pruner::{PruneInput, PruneOutput, Pruner, Segment, StoreError, TickReport};
 pub use retention::LogRetention;

@@ -106,13 +106,8 @@ fn open_tail(path: &Path) -> std::io::Result<(std::io::BufWriter<std::fs::File>,
 
 /// Truncates `path` back to its last `\n` (or to empty), so a line torn
 /// by a kill mid-append never reaches a reader. Returns `true` if a torn
-/// tail was actually repaired. Exposed for single-file journals that want
-/// the same open-time repair the segmented log performs on its tail.
-///
-/// # Errors
-///
-/// Propagates open/read/truncate errors.
-pub fn repair_torn_tail(path: &Path) -> std::io::Result<bool> {
+/// tail was actually repaired.
+fn repair_torn_tail(path: &Path) -> std::io::Result<bool> {
     let mut file = std::fs::OpenOptions::new()
         .read(true)
         .write(true)
