@@ -28,10 +28,11 @@ use std::time::Instant;
 
 use gecko_apps::App;
 use gecko_compiler::{fingerprint_program, CompileError, CompileOptions, ProgramFingerprints};
-use gecko_fleet::journal::{decode_header_record, encode_header};
+use gecko_fleet::journal::decode_header_record;
 use gecko_fleet::{
     account_dropped, quarantine, run_supervised, AttemptFail, ChaosSpec, Event, FleetCounters,
-    Journal, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec, TelemetrySink,
+    ItemOutcome, Journal, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec,
+    TelemetrySink,
 };
 use gecko_isa::fnv::{fnv_str, fnv_u64, FNV_OFFSET};
 use gecko_sim::device::CompiledApp;
@@ -298,6 +299,16 @@ pub(crate) struct JournaledViolation {
     pub(crate) outcome: Outcome,
 }
 
+impl From<&Violation> for JournaledViolation {
+    fn from(v: &Violation) -> JournaledViolation {
+        JournaledViolation {
+            window: v.window,
+            schedule: v.schedule.clone(),
+            outcome: v.outcome,
+        }
+    }
+}
+
 #[derive(Debug, PartialEq)]
 struct JournaledChunk {
     item: usize,
@@ -369,7 +380,7 @@ impl JournalDiagnostic {
 }
 
 /// `"12p,3c"` — offset plus a one-letter injection kind per element.
-pub(crate) fn encode_schedule(schedule: &[PlannedInjection]) -> String {
+fn encode_schedule(schedule: &[PlannedInjection]) -> String {
     let parts: Vec<String> = schedule
         .iter()
         .map(|inj| {
@@ -386,10 +397,7 @@ pub(crate) fn encode_schedule(schedule: &[PlannedInjection]) -> String {
     parts.join(",")
 }
 
-pub(crate) fn decode_schedule(
-    text: &str,
-    path: &str,
-) -> Result<Vec<PlannedInjection>, ChunkLineError> {
+fn decode_schedule(text: &str, path: &str) -> Result<Vec<PlannedInjection>, ChunkLineError> {
     if text.is_empty() {
         return Ok(Vec::new());
     }
@@ -454,11 +462,10 @@ pub(crate) fn decode_outcome(text: &str, path: &str) -> Result<Outcome, ChunkLin
     }
 }
 
-/// One completed chunk as a single journal line (single-line records are
-/// torn-write safe by construction: a half-written line fails to parse
-/// and the chunk is simply re-run).
-fn encode_chunk(run_key: u64, item: usize, stats: &CheckStats, violations: &[Violation]) -> String {
-    let viols: Vec<String> = violations
+/// `"7|12p,3c|corrupt.4294967291;9|5k|stuck"` — window, schedule and
+/// outcome per violation. Shared by `chunk_done` and `memo_slab` records.
+pub(crate) fn encode_viols(violations: &[JournaledViolation]) -> String {
+    let parts: Vec<String> = violations
         .iter()
         .map(|v| {
             format!(
@@ -469,18 +476,79 @@ fn encode_chunk(run_key: u64, item: usize, stats: &CheckStats, violations: &[Vio
             )
         })
         .collect();
-    json_kv(&[
-        ("kind", Value::Str(CHUNK_DONE.to_string())),
-        ("run_key", Value::U64(run_key)),
-        ("item", Value::U64(item as u64)),
+    parts.join(";")
+}
+
+pub(crate) fn decode_viols(text: &str) -> Result<Vec<JournaledViolation>, ChunkLineError> {
+    if text.is_empty() {
+        return Ok(Vec::new());
+    }
+    text.split(';')
+        .enumerate()
+        .map(|(vi, part)| {
+            let mut cols = part.splitn(3, '|');
+            let mut col = |name: &str| {
+                cols.next().ok_or_else(|| ChunkLineError::Malformed {
+                    path: format!("viols[{vi}].{name}"),
+                })
+            };
+            let window = col("window")?
+                .parse()
+                .map_err(|_| ChunkLineError::Malformed {
+                    path: format!("viols[{vi}].window"),
+                })?;
+            let schedule = decode_schedule(col("schedule")?, &format!("viols[{vi}].schedule"))?;
+            let outcome = decode_outcome(col("outcome")?, &format!("viols[{vi}].outcome"))?;
+            Ok(JournaledViolation {
+                window,
+                schedule,
+                outcome,
+            })
+        })
+        .collect()
+}
+
+/// The six [`CheckStats`] counters as record fields, in their on-disk
+/// order. Shared by `chunk_done` and `memo_slab` records.
+pub(crate) fn stats_fields(stats: &CheckStats) -> [(&'static str, Value); 6] {
+    [
         ("windows", Value::U64(stats.windows)),
         ("forks", Value::U64(stats.forks)),
         ("explored", Value::U64(stats.explored)),
         ("memo_hits", Value::U64(stats.memo_hits)),
         ("steps", Value::U64(stats.steps)),
         ("violations", Value::U64(stats.violations)),
-        ("viols", Value::Str(viols.join(";"))),
-    ])
+    ]
+}
+
+/// Reads the six [`CheckStats`] counters through `u`, a record's
+/// required-`u64` field accessor.
+pub(crate) fn decode_stats(
+    u: impl Fn(&str) -> Result<u64, ChunkLineError>,
+) -> Result<CheckStats, ChunkLineError> {
+    Ok(CheckStats {
+        windows: u("windows")?,
+        forks: u("forks")?,
+        explored: u("explored")?,
+        memo_hits: u("memo_hits")?,
+        steps: u("steps")?,
+        violations: u("violations")?,
+    })
+}
+
+/// One completed chunk as a single journal line (single-line records are
+/// torn-write safe by construction: a half-written line fails to parse
+/// and the chunk is simply re-run).
+fn encode_chunk(run_key: u64, item: usize, stats: &CheckStats, violations: &[Violation]) -> String {
+    let viols: Vec<JournaledViolation> = violations.iter().map(JournaledViolation::from).collect();
+    let mut fields = vec![
+        ("kind", Value::Str(CHUNK_DONE.to_string())),
+        ("run_key", Value::U64(run_key)),
+        ("item", Value::U64(item as u64)),
+    ];
+    fields.extend(stats_fields(stats));
+    fields.push(("viols", Value::Str(encode_viols(&viols))));
+    json_kv(&fields)
 }
 
 /// Decodes one parsed `chunk_done` line. `None` means the line is not a
@@ -504,50 +572,14 @@ fn decode_chunk_fields(rec: &Json) -> Result<(u64, JournaledChunk), ChunkLineErr
             })
     };
     let run_key = u("run_key")?;
-    let stats = CheckStats {
-        windows: u("windows")?,
-        forks: u("forks")?,
-        explored: u("explored")?,
-        memo_hits: u("memo_hits")?,
-        steps: u("steps")?,
-        violations: u("violations")?,
-    };
+    let stats = decode_stats(u)?;
     let viols_text =
         rec.get("viols")
             .and_then(Json::as_str)
             .ok_or_else(|| ChunkLineError::Malformed {
                 path: "viols".to_string(),
             })?;
-    let mut violations = Vec::new();
-    if !viols_text.is_empty() {
-        for (vi, part) in viols_text.split(';').enumerate() {
-            let mut cols = part.splitn(3, '|');
-            let col = |cols: &mut std::str::SplitN<'_, char>, name: &str| {
-                cols.next()
-                    .map(str::to_string)
-                    .ok_or_else(|| ChunkLineError::Malformed {
-                        path: format!("viols[{vi}].{name}"),
-                    })
-            };
-            let window: u64 =
-                col(&mut cols, "window")?
-                    .parse()
-                    .map_err(|_| ChunkLineError::Malformed {
-                        path: format!("viols[{vi}].window"),
-                    })?;
-            let schedule = decode_schedule(
-                &col(&mut cols, "schedule")?,
-                &format!("viols[{vi}].schedule"),
-            )?;
-            let outcome =
-                decode_outcome(&col(&mut cols, "outcome")?, &format!("viols[{vi}].outcome"))?;
-            violations.push(JournaledViolation {
-                window,
-                schedule,
-                outcome,
-            });
-        }
-    }
+    let violations = decode_viols(viols_text)?;
     Ok((
         run_key,
         JournaledChunk {
@@ -558,28 +590,19 @@ fn decode_chunk_fields(rec: &Json) -> Result<(u64, JournaledChunk), ChunkLineErr
     ))
 }
 
-/// A decoded checker journal: header (if any), completed chunks keyed by
-/// run key, and one diagnostic per chunk line that failed to decode.
-type DecodedJournal = (
-    Option<(String, u64)>,
-    HashMap<u64, JournaledChunk>,
-    Vec<JournalDiagnostic>,
-);
-
-/// Replays a checker journal: header (if any) plus completed chunks keyed
-/// by run key, plus one diagnostic per chunk line that failed to decode.
-/// Unparseable non-chunk lines are skipped; later duplicates win.
-fn decode_chunks(lines: &[String]) -> DecodedJournal {
-    let mut header = None;
+/// Replays a checker journal: completed chunks keyed by run key, plus one
+/// diagnostic per chunk line that failed to decode (the header is
+/// [`Journal::bind`]'s business). Unparseable non-chunk lines are
+/// skipped; later duplicates win.
+fn decode_chunks(lines: &[String]) -> (HashMap<u64, JournaledChunk>, Vec<JournalDiagnostic>) {
     let mut chunks = HashMap::new();
     let mut diagnostics = Vec::new();
     for (i, line) in lines.iter().enumerate() {
         let Some(rec) = Json::parse_flat(line) else {
             continue;
         };
-        if let Some(h) = decode_header_record(&rec) {
-            header.get_or_insert(h);
-            continue;
+        if decode_header_record(&rec).is_some() {
+            continue; // a header is never a chunk, whatever else it carries
         }
         match decode_chunk_line(&rec) {
             Some(Ok((run_key, chunk))) => {
@@ -589,7 +612,7 @@ fn decode_chunks(lines: &[String]) -> DecodedJournal {
             None => {}
         }
     }
-    (header, chunks, diagnostics)
+    (chunks, diagnostics)
 }
 
 /// Scans a checker journal and returns one diagnostic per `chunk_done`
@@ -598,7 +621,7 @@ fn decode_chunks(lines: &[String]) -> DecodedJournal {
 /// vocabulary — are reported here (and re-explored on resume) rather
 /// than silently dropped.
 pub fn check_journal_diagnostics(lines: &[String]) -> Vec<JournalDiagnostic> {
-    decode_chunks(lines).2
+    decode_chunks(lines).1
 }
 
 /// Classifies a checker journal for [`gecko_store::LogCompactor`]: marks
@@ -890,58 +913,48 @@ impl CheckCampaign {
         } else {
             Vec::new()
         };
-        let memo_generation = self.memo.as_ref().map(|m| m.begin(&spec.name, fingerprint));
 
-        // Restore completed chunks from the journal (and stamp the header
-        // on a fresh one). A journaled violation carries no blame — that
-        // is rebuilt here by replaying its schedule, and the chunk is
-        // rejected (re-run) if the replay disagrees with the journal.
-        let mut skip = vec![false; items.len()];
-        let mut restored: Vec<Option<(CheckStats, Vec<Violation>)>> = Vec::new();
-        restored.resize_with(items.len(), || None);
-        let mut journal_diagnostics = 0u64;
-        if let Some(journal) = &self.journal {
-            let (header, chunks, diagnostics) = decode_chunks(&journal.lines());
-            journal_diagnostics = diagnostics.len() as u64;
-            // Surface undecodable chunk lines instead of silently
-            // re-exploring them: an unknown tag means the journal was
-            // written by a different (likely newer) vocabulary.
-            for d in &diagnostics {
-                sink.emit(Event::new(
-                    "journal_line_undecodable",
-                    vec![
-                        ("line", Value::U64(d.line as u64)),
-                        ("path", Value::Str(d.path.clone())),
-                        ("message", Value::Str(d.message.clone())),
-                    ],
-                ));
+        // Bind the journal to this spec (stamping a fresh one) before
+        // anything else is touched: a refused resume leaves the memo
+        // store as it was.
+        let journal_lines = match &self.journal {
+            Some(journal) => {
+                let lines = journal.lines();
+                journal
+                    .bind(&lines, &spec.name, fingerprint)
+                    .map_err(CheckError::Journal)?;
+                lines
             }
-            match header {
-                Some((name, fp)) if fp != fingerprint => {
-                    return Err(CheckError::Journal(format!(
-                        "journal belongs to check {name:?} (fingerprint {fp:#018x}), \
-                         not this spec (fingerprint {fingerprint:#018x})"
-                    )));
-                }
-                Some(_) => {}
-                None => journal.append(&encode_header(&spec.name, fingerprint)),
-            }
-            for (i, key) in run_keys.iter().enumerate() {
-                let Some(chunk) = chunks.get(key) else {
-                    continue;
-                };
-                if chunk.item != i {
-                    continue;
-                }
-                let p = &pairs[items[i].pair];
-                if let Some(violations) =
-                    replay_persisted(&p.compiled, &spec.explore, p.golden, &chunk.violations)
-                {
-                    skip[i] = true;
-                    restored[i] = Some((chunk.stats, violations));
-                }
-            }
+            None => Vec::new(),
+        };
+        let memo_generation = self.memo.as_ref().map(|m| m.begin(&spec.name, fingerprint));
+        let (chunks, diagnostics) = decode_chunks(&journal_lines);
+        // Surface undecodable chunk lines instead of silently re-exploring
+        // them: an unknown tag means the journal was written by a
+        // different (likely newer) vocabulary.
+        for d in &diagnostics {
+            sink.emit(Event::new(
+                "journal_line_undecodable",
+                vec![
+                    ("line", Value::U64(d.line as u64)),
+                    ("path", Value::Str(d.path.clone())),
+                    ("message", Value::Str(d.message.clone())),
+                ],
+            ));
         }
+        // A journaled violation carries no blame — that is rebuilt here by
+        // replaying its schedule, and the chunk is rejected (re-run) if
+        // the replay disagrees with the journal.
+        let mut restored: Vec<Option<(CheckStats, Vec<Violation>)>> = run_keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let chunk = chunks.get(key).filter(|chunk| chunk.item == i)?;
+                let p = &pairs[items[i].pair];
+                replay_persisted(&p.compiled, &spec.explore, p.golden, &chunk.violations)
+                    .map(|violations| (chunk.stats, violations))
+            })
+            .collect();
 
         // Memo restore pass (after the journal's — this campaign's own
         // completed chunks win). A complete slab answers the whole chunk
@@ -953,7 +966,7 @@ impl CheckCampaign {
         let mut memo_windows = 0u64;
         if let Some(memo) = &self.memo {
             for (i, key) in run_keys.iter().enumerate() {
-                if skip[i] {
+                if restored[i].is_some() {
                     continue;
                 }
                 let item = items[i];
@@ -968,7 +981,6 @@ impl CheckCampaign {
                 };
                 memo_windows += slab.done;
                 if slab.done >= slab.total {
-                    skip[i] = true;
                     restored[i] = Some((slab.stats, violations));
                 } else {
                     *prefixes[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(SlabPrefix {
@@ -981,7 +993,7 @@ impl CheckCampaign {
                 }
             }
         }
-        let resumed = skip.iter().filter(|&&s| s).count() as u64;
+        let resumed = restored.iter().flatten().count() as u64;
 
         sink.emit(Event::new(
             "check_started",
@@ -1000,18 +1012,17 @@ impl CheckCampaign {
         let mut budget = self.sup.resolve_budget(0.0);
         budget.max_steps = self.sup.max_steps.unwrap_or(u64::MAX);
 
-        let pool_cfg = PoolConfig {
+        let cfg = PoolConfig {
             workers,
             run_keys: &run_keys,
-            skip: &skip,
             sup: &self.sup,
             budget,
-            halt_after: self.halt_after.map(|n| n + resumed),
+            halt_after: self.halt_after,
             stop: self.kill_switch.as_deref(),
             sink: &sink,
         };
         let journal = self.journal.as_deref();
-        let pool = run_supervised(&pool_cfg, |i, attempt, budget, attempt_started| {
+        let pool = run_supervised(&cfg, restored, |i, attempt, budget, attempt_started| {
             let item = items[i];
             let p = &pairs[item.pair];
             // A restored partial slab is taken (not cloned): a retry after
@@ -1099,20 +1110,14 @@ impl CheckCampaign {
             })
             .collect();
         let mut failures = Vec::new();
-        for (i, (item, slot)) in items.iter().zip(pool.outcomes).enumerate() {
-            if skip[i] {
-                let (stats, violations) = restored[i].take().expect("restored above");
-                results[item.pair].stats.absorb(&stats);
-                results[item.pair].violations.extend(violations);
-                continue;
-            }
+        for (item, slot) in items.iter().zip(pool.outcomes) {
             match slot {
-                None => debug_assert!(pool.halted, "item {i} unclaimed without a halt"),
-                Some(gecko_fleet::ItemOutcome::Done((stats, violations))) => {
+                Some(ItemOutcome::Done((stats, violations))) => {
                     results[item.pair].stats.absorb(&stats);
                     results[item.pair].violations.extend(violations);
                 }
-                Some(gecko_fleet::ItemOutcome::Failed(f)) => failures.push(f),
+                Some(ItemOutcome::Failed(f)) => failures.push(f),
+                None => {} // left unclaimed by a halt
             }
         }
 
@@ -1145,6 +1150,7 @@ impl CheckCampaign {
             }
         }
 
+        let failed_runs = failures.len() as u64;
         let dropped_records = account_dropped(&*sink, self.journal.as_deref(), &mut failures);
 
         let mut totals = CheckStats::default();
@@ -1159,14 +1165,11 @@ impl CheckCampaign {
             states_explored: totals.explored,
             memo_hits: totals.memo_hits,
             violations: totals.violations,
-            failures: failures
-                .iter()
-                .filter(|f| !matches!(f, RunFailure::SinkDropped { .. }))
-                .count() as u64,
+            failures: failed_runs,
             retries: pool.retries,
             resumed,
             dropped_records,
-            journal_diagnostics,
+            journal_diagnostics: diagnostics.len() as u64,
             memo_windows,
         };
         let wall_s = started.elapsed().as_secs_f64();
@@ -1363,6 +1366,7 @@ mod golden;
 mod tests {
     use super::*;
     use crate::verdict::Blame;
+    use gecko_fleet::journal::{decode_header, encode_header};
 
     fn sample_chunk(run_key: u64, item: usize, windows: u64) -> String {
         let stats = CheckStats {
@@ -1416,16 +1420,16 @@ mod tests {
         // The invariant the compactor relies on: pruning is invisible to
         // the decoder (diagnostics differ — the pruned lines were
         // exactly the diagnosed ones — so compare header + chunks).
-        let (h_all, c_all, _) = decode_chunks(&lines);
-        let (h_pruned, c_pruned, _) = decode_chunks(&pruned);
-        assert_eq!((h_all, c_all), (h_pruned, c_pruned));
+        let header = |lines: &[String]| lines.iter().find_map(|l| decode_header(l));
+        assert_eq!(decode_chunks(&lines).0, decode_chunks(&pruned).0);
+        assert_eq!(header(&lines), header(&pruned));
 
         // Exactly the dead lines go: stale chunk, garbage, broken chunk,
         // duplicate header. The foreign run_done line survives.
         assert_eq!(pruned.len(), 4);
         assert!(pruned.iter().any(|l| l.contains("run_done")));
-        let (header, chunks, _) = decode_chunks(&pruned);
-        assert_eq!(header, Some(("check".to_string(), 0xBEEF)));
+        let (chunks, _) = decode_chunks(&pruned);
+        assert_eq!(header(&pruned), Some(("check".to_string(), 0xBEEF)));
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[&11].stats.windows, 640);
     }

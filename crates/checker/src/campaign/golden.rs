@@ -2,7 +2,9 @@
 //! exact bytes the encoder writes and what they decode to. Journals of an
 //! older binary must still resume, so this string is the on-disk format.
 
-use super::{decode_chunks, encode_chunk, encode_header, JournaledChunk, JournaledViolation};
+use gecko_fleet::journal::{decode_header, encode_header};
+
+use super::{decode_chunks, encode_chunk, JournaledChunk, JournaledViolation};
 use crate::verdict::{Blame, CheckStats, InjectionKind, PlannedInjection, Violation};
 use crate::Outcome;
 
@@ -69,8 +71,8 @@ fn encoder_writes_the_golden_bytes() {
 #[test]
 fn golden_line_decodes_to_the_expected_chunk() {
     let lines = vec![encode_header("check", 7), CHUNK_DONE.to_string()];
-    let (header, chunks, diagnostics) = decode_chunks(&lines);
-    assert_eq!(header, Some(("check".to_string(), 7)));
+    let (chunks, diagnostics) = decode_chunks(&lines);
+    assert_eq!(decode_header(&lines[0]), Some(("check".to_string(), 7)));
     assert!(diagnostics.is_empty(), "{diagnostics:?}");
     assert_eq!(chunks.len(), 1);
     assert_eq!(

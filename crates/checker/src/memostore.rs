@@ -38,8 +38,8 @@ use gecko_sim::report::{json_kv, Json, Value};
 use gecko_store::{LogConfig, SegmentedLog, Verdict};
 
 use crate::campaign::{
-    decode_outcome, decode_schedule, encode_outcome, encode_schedule, ChunkLineError,
-    JournaledViolation,
+    decode_outcome, decode_stats, decode_viols, encode_outcome, encode_viols, stats_fields,
+    ChunkLineError, JournaledViolation,
 };
 use crate::explore::{ExploreObserver, SlabOutcome, SlabProgress};
 use crate::verdict::{CheckStats, Outcome, Violation};
@@ -113,51 +113,6 @@ fn decode_regions(text: &str) -> Result<BTreeSet<u32>, ChunkLineError> {
         .collect()
 }
 
-fn encode_viols(violations: &[JournaledViolation]) -> String {
-    let parts: Vec<String> = violations
-        .iter()
-        .map(|v| {
-            format!(
-                "{}|{}|{}",
-                v.window,
-                encode_schedule(&v.schedule),
-                encode_outcome(v.outcome)
-            )
-        })
-        .collect();
-    parts.join(";")
-}
-
-fn decode_viols(text: &str) -> Result<Vec<JournaledViolation>, ChunkLineError> {
-    let mut out = Vec::new();
-    if text.is_empty() {
-        return Ok(out);
-    }
-    for (vi, part) in text.split(';').enumerate() {
-        let mut cols = part.splitn(3, '|');
-        let mut col = |name: &str| {
-            cols.next()
-                .map(str::to_string)
-                .ok_or_else(|| ChunkLineError::Malformed {
-                    path: format!("viols[{vi}].{name}"),
-                })
-        };
-        let window: u64 = col("window")?
-            .parse()
-            .map_err(|_| ChunkLineError::Malformed {
-                path: format!("viols[{vi}].window"),
-            })?;
-        let schedule = decode_schedule(&col("schedule")?, &format!("viols[{vi}].schedule"))?;
-        let outcome = decode_outcome(&col("outcome")?, &format!("viols[{vi}].outcome"))?;
-        out.push(JournaledViolation {
-            window,
-            schedule,
-            outcome,
-        });
-    }
-    Ok(out)
-}
-
 fn encode_memo_line(line: &MemoLine) -> String {
     match line {
         MemoLine::Meta {
@@ -170,24 +125,22 @@ fn encode_memo_line(line: &MemoLine) -> String {
             ("fingerprint", Value::U64(*fingerprint)),
             ("generation", Value::U64(*generation)),
         ]),
-        MemoLine::Slab { run_key, rec } => json_kv(&[
-            ("kind", Value::Str(MEMO_SLAB.to_string())),
-            ("run_key", Value::U64(*run_key)),
-            ("start", Value::U64(rec.start)),
-            ("end", Value::U64(rec.end)),
-            ("done", Value::U64(rec.done)),
-            ("golden", Value::U64(rec.golden)),
-            ("program_fp", Value::U64(rec.program_fp)),
-            ("rfp", Value::U64(rec.rfp)),
-            ("regions", Value::Str(encode_regions(&rec.regions))),
-            ("windows", Value::U64(rec.stats.windows)),
-            ("forks", Value::U64(rec.stats.forks)),
-            ("explored", Value::U64(rec.stats.explored)),
-            ("memo_hits", Value::U64(rec.stats.memo_hits)),
-            ("steps", Value::U64(rec.stats.steps)),
-            ("violations", Value::U64(rec.stats.violations)),
-            ("viols", Value::Str(encode_viols(&rec.violations))),
-        ]),
+        MemoLine::Slab { run_key, rec } => {
+            let mut fields = vec![
+                ("kind", Value::Str(MEMO_SLAB.to_string())),
+                ("run_key", Value::U64(*run_key)),
+                ("start", Value::U64(rec.start)),
+                ("end", Value::U64(rec.end)),
+                ("done", Value::U64(rec.done)),
+                ("golden", Value::U64(rec.golden)),
+                ("program_fp", Value::U64(rec.program_fp)),
+                ("rfp", Value::U64(rec.rfp)),
+                ("regions", Value::Str(encode_regions(&rec.regions))),
+            ];
+            fields.extend(stats_fields(&rec.stats));
+            fields.push(("viols", Value::Str(encode_viols(&rec.violations))));
+            json_kv(&fields)
+        }
         MemoLine::State {
             run_key,
             upto,
@@ -246,14 +199,7 @@ fn decode_memo_line(rec: &Json) -> Option<Result<MemoLine, ChunkLineError>> {
                 program_fp: u("program_fp")?,
                 rfp: u("rfp")?,
                 regions: decode_regions(&s("regions")?)?,
-                stats: CheckStats {
-                    windows: u("windows")?,
-                    forks: u("forks")?,
-                    explored: u("explored")?,
-                    memo_hits: u("memo_hits")?,
-                    steps: u("steps")?,
-                    violations: u("violations")?,
-                },
+                stats: decode_stats(u)?,
                 violations: decode_viols(&s("viols")?)?,
             },
         }),
@@ -562,14 +508,7 @@ impl<'a> SlabWriter<'a> {
                 .unwrap_or(0),
             regions: regions.clone(),
             stats: *stats,
-            violations: violations
-                .iter()
-                .map(|v| JournaledViolation {
-                    window: v.window,
-                    schedule: v.schedule.clone(),
-                    outcome: v.outcome,
-                })
-                .collect(),
+            violations: violations.iter().map(JournaledViolation::from).collect(),
         };
         self.store.append_applied(&MemoLine::Slab {
             run_key: self.run_key,

@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
-use gecko_check::{war_counter_app, CheckCampaign, CheckError, CheckSpec, ExploreConfig};
+use gecko_check::{
+    war_counter_app, CheckCampaign, CheckError, CheckSpec, ExploreConfig, MemoStore,
+};
 use gecko_fleet::{ChaosSpec, Journal, RunFailure};
 use gecko_sim::SchemeKind;
 
@@ -178,6 +180,17 @@ fn a_quota_that_covers_every_chunk_is_not_a_halt() {
 
 #[test]
 fn check_journals_from_a_different_spec_are_rejected() {
+    // A warmed memo store rides along with the refused resume: the
+    // refusal must leave it exactly as it was.
+    let dir = std::env::temp_dir().join(format!("gecko-check-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(MemoStore::open(&dir).unwrap());
+    let cold = CheckCampaign::new(spec())
+        .memo(Arc::clone(&store))
+        .run()
+        .unwrap();
+    let generation = store.generation();
+
     let journal = Arc::new(Journal::memory());
     CheckCampaign::new(spec())
         .journal(Arc::clone(&journal))
@@ -187,6 +200,7 @@ fn check_journals_from_a_different_spec_are_rejected() {
     let different = spec().chunk_windows(16); // different chunk grid
     let err = CheckCampaign::new(different)
         .resume(journal)
+        .memo(Arc::clone(&store))
         .run()
         .unwrap_err();
     match err {
@@ -195,4 +209,17 @@ fn check_journals_from_a_different_spec_are_rejected() {
         }
         other => panic!("expected a journal rejection, got {other}"),
     }
+    assert_eq!(
+        store.generation(),
+        generation,
+        "a refused resume must not begin a new memo generation"
+    );
+
+    let warm = CheckCampaign::new(spec()).memo(store).run().unwrap();
+    assert_eq!(
+        warm.counters.memo_windows, warm.totals.windows,
+        "the store still answers every window of the original spec"
+    );
+    assert_eq!(warm.deterministic_digest(), cold.deterministic_digest());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,6 +23,7 @@
 //! and an optional [`Journal`] checkpoints completed runs so a killed
 //! campaign resumes bit-exactly ([`Campaign::resume`]).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -678,41 +679,35 @@ impl Campaign {
         let sink = self.sup.chaos.wrap_sink(&self.sink);
 
         let run_keys: Vec<u64> = items.iter().map(|item| spec.run_key(item)).collect();
-        let fingerprint = spec.fingerprint();
 
-        // Restore completed runs from the journal (and stamp the header
-        // on a fresh one).
-        let mut skip = vec![false; items.len()];
-        let mut restored: Vec<Option<RunResult>> = vec![None; items.len()];
-        if let Some(journal) = &self.journal {
-            let (header, runs) = journal::decode_campaign(&journal.lines());
-            match header {
-                Some((name, fp)) if fp != fingerprint => {
-                    return Err(CampaignError::Journal(format!(
-                        "journal belongs to campaign {name:?} (fingerprint {fp:#018x}), \
-                         not this spec (fingerprint {fingerprint:#018x})"
-                    )));
-                }
-                Some(_) => {}
-                None => journal.append(&journal::encode_header(&spec.name, fingerprint)),
+        // Bind the journal to this spec (stamping a fresh one), then
+        // restore its completed runs.
+        let runs = match &self.journal {
+            Some(journal) => {
+                let lines = journal.lines();
+                journal
+                    .bind(&lines, &spec.name, spec.fingerprint())
+                    .map_err(CampaignError::Journal)?;
+                journal::decode_campaign(&lines)
             }
-            for (i, key) in run_keys.iter().enumerate() {
-                if let Some(run) = runs.get(key) {
-                    if run.item == i {
-                        skip[i] = true;
-                        restored[i] = Some(RunResult {
-                            item: items[i],
-                            metrics: run.metrics,
-                            buckets: run.buckets.clone(),
-                            compile_stats: run.compile_stats,
-                            cache_hit: run.cache_hit,
-                            wall_ns: run.wall_ns,
-                        });
-                    }
-                }
-            }
-        }
-        let resumed = skip.iter().filter(|&&s| s).count() as u64;
+            None => HashMap::new(),
+        };
+        let restored: Vec<Option<Result<RunResult, CampaignError>>> = run_keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let run = runs.get(key).filter(|run| run.item == i)?;
+                Some(Ok(RunResult {
+                    item: items[i],
+                    metrics: run.metrics,
+                    buckets: run.buckets.clone(),
+                    compile_stats: run.compile_stats,
+                    cache_hit: run.cache_hit,
+                    wall_ns: run.wall_ns,
+                }))
+            })
+            .collect();
+        let resumed = restored.iter().flatten().count() as u64;
 
         sink.emit(Event::new(
             "campaign_started",
@@ -726,18 +721,17 @@ impl Campaign {
 
         let started = Instant::now();
         let budget = self.sup.resolve_budget(spec.workload_seconds());
-        let pool_cfg = PoolConfig {
+        let cfg = PoolConfig {
             workers,
             run_keys: &run_keys,
-            skip: &skip,
             sup: &self.sup,
             budget,
-            halt_after: self.halt_after.map(|n| n + resumed),
+            halt_after: self.halt_after,
             stop: self.kill_switch.as_deref(),
             sink: &sink,
         };
         let journal = self.journal.as_deref();
-        let pool = run_supervised(&pool_cfg, |i, attempt, budget, attempt_started| {
+        let pool = run_supervised(&cfg, restored, |i, attempt, budget, attempt_started| {
             let item = items[i];
             sink.emit(Event::new(
                 "item_started",
@@ -798,24 +792,18 @@ impl Campaign {
         }
         let wall_s = started.elapsed().as_secs_f64();
 
-        // Deterministic merge: walk slots in item order; journaled runs
-        // fill their slots, fresh results and failures fill the rest.
+        // Deterministic merge: walk slots in item order (journaled runs
+        // come back as `Done`; unclaimed slots only follow a halt).
         let mut results = Vec::with_capacity(items.len());
         let mut failures = Vec::new();
-        for (i, slot) in pool.outcomes.into_iter().enumerate() {
-            if skip[i] {
-                results.push(restored[i].take().expect("restored above"));
-                continue;
-            }
+        for slot in pool.outcomes.into_iter().flatten() {
             match slot {
-                // Unclaimed is only reachable after a halt (or behind a
-                // crashed supervisor worker, which the pool reports).
-                None => debug_assert!(pool.halted, "item {i} unclaimed without a halt"),
-                Some(ItemOutcome::Done(Ok(r))) => results.push(r),
-                Some(ItemOutcome::Done(Err(e))) => return Err(e),
-                Some(ItemOutcome::Failed(f)) => failures.push(f),
+                ItemOutcome::Done(Ok(r)) => results.push(r),
+                ItemOutcome::Done(Err(e)) => return Err(e),
+                ItemOutcome::Failed(f) => failures.push(f),
             }
         }
+        let failed_runs = failures.len() as u64;
         let dropped_records = account_dropped(&*sink, self.journal.as_deref(), &mut failures);
 
         let mut totals = Metrics::default();
@@ -828,10 +816,7 @@ impl Campaign {
             items: results.len() as u64,
             compile_misses: cache.misses(),
             compile_hits: cache.hits(),
-            failures: failures
-                .iter()
-                .filter(|f| !matches!(f, RunFailure::SinkDropped { .. }))
-                .count() as u64,
+            failures: failed_runs,
             retries: pool.retries,
             resumed,
             dropped_records,

@@ -24,8 +24,8 @@
 //! * Journal I/O never panics a worker: failed appends degrade to a drop
 //!   counter, surfaced like any other degraded sink.
 //! * Malformed or foreign lines are skipped, not fatal; the spec
-//!   fingerprint in the header is what guards against resuming the wrong
-//!   campaign.
+//!   fingerprint in the header, checked by [`Journal::bind`], is what
+//!   guards against resuming the wrong campaign.
 //! * Durability is checkpoint-shaped, not per-line: [`Journal::sync`] is
 //!   called by the campaign once the pool drains (and segment seals fsync
 //!   on their own), so the clean path stays cheap while a power cut can
@@ -159,6 +159,30 @@ impl Journal {
         match &*lock_unpoisoned(&self.backend) {
             Backend::Segmented(log) => log.torn_tails(),
             Backend::Memory(_) => 0,
+        }
+    }
+
+    /// Binds this journal to the campaign `name` whose spec hashes to
+    /// `fingerprint`, given the journal's current `lines`: the first
+    /// header in them must carry `fingerprint`, and a journal with no
+    /// header yet is stamped with one. Call it before trusting anything
+    /// the journal restores.
+    ///
+    /// # Errors
+    ///
+    /// A message naming both fingerprints when the journal belongs to a
+    /// different spec; nothing is appended then.
+    pub fn bind(&self, lines: &[String], name: &str, fingerprint: u64) -> Result<(), String> {
+        match lines.iter().find_map(|line| decode_header(line)) {
+            Some((_, fp)) if fp == fingerprint => Ok(()),
+            Some((owner, fp)) => Err(format!(
+                "journal belongs to campaign {owner:?} (fingerprint {fp:#018x}), \
+                 not this spec (fingerprint {fingerprint:#018x})"
+            )),
+            None => {
+                self.append(&encode_header(name, fingerprint));
+                Ok(())
+            }
         }
     }
 }
@@ -314,24 +338,21 @@ fn compile_stats_from(rec: &Json) -> Option<CompileStats> {
     })
 }
 
-/// Replays a campaign journal: the header (if any) plus every completed
-/// run keyed by run key. Runs whose `run_done` line is missing or torn —
-/// or whose bucket lines are incomplete — are silently absent (they will
-/// simply be re-executed). Later duplicates win, so a journal appended by
-/// two overlapping sessions still resolves deterministically.
-pub(crate) fn decode_campaign(
-    journal_lines: &[String],
-) -> (Option<(String, u64)>, HashMap<u64, JournaledRun>) {
-    let mut header = None;
+/// Replays a campaign journal: every completed run keyed by run key (the
+/// header is [`Journal::bind`]'s business). Runs whose `run_done` line is
+/// missing or torn — or whose bucket lines are incomplete — are silently
+/// absent (they will simply be re-executed). Later duplicates win, so a
+/// journal appended by two overlapping sessions still resolves
+/// deterministically.
+pub(crate) fn decode_campaign(journal_lines: &[String]) -> HashMap<u64, JournaledRun> {
     let mut buckets: HashMap<u64, Vec<(u64, Metrics)>> = HashMap::new();
     let mut runs = HashMap::new();
     for line in journal_lines {
         let Some(rec) = Json::parse_flat(line) else {
             continue;
         };
-        if let Some(h) = decode_header_record(&rec) {
-            header.get_or_insert(h);
-            continue;
+        if decode_header_record(&rec).is_some() {
+            continue; // a header is never a run, whatever else it carries
         }
         let Some(kind) = rec.get("kind").and_then(Json::as_str) else {
             continue;
@@ -375,7 +396,7 @@ pub(crate) fn decode_campaign(
             _ => {}
         }
     }
-    (header, runs)
+    runs
 }
 
 /// Classifies every line of a campaign journal for the store's
@@ -482,6 +503,30 @@ mod tests {
     use super::*;
     use crate::campaign::WorkItem;
 
+    fn first_header(lines: &[String]) -> Option<(String, u64)> {
+        lines.iter().find_map(|line| decode_header(line))
+    }
+
+    #[test]
+    fn bind_checks_the_first_header_and_stamps_a_fresh_journal() {
+        let journal = Journal::memory();
+        assert_eq!(journal.bind(&journal.lines(), "b", 0xB1), Ok(()));
+        assert_eq!(journal.lines(), vec![encode_header("b", 0xB1)], "stamped");
+        assert_eq!(journal.bind(&journal.lines(), "b", 0xB1), Ok(()));
+        assert_eq!(journal.lines().len(), 1, "a bound journal is not restamped");
+
+        // Only the first header counts, and a refusal appends nothing.
+        journal.append(&encode_header("other", 0xB2));
+        assert_eq!(journal.bind(&journal.lines(), "other", 0xB1), Ok(()));
+        let err = journal
+            .bind(&journal.lines(), "other", 0xB2)
+            .expect_err("first header carries 0xB1");
+        assert!(err.contains("0x00000000000000b1"), "{err}");
+        assert!(err.contains("0x00000000000000b2"), "{err}");
+        assert!(err.contains("\"b\""), "{err}");
+        assert_eq!(journal.lines().len(), 2);
+    }
+
     #[test]
     fn parser_round_trips_encoder_output() {
         let line = json_kv(&[
@@ -573,8 +618,11 @@ mod tests {
         for line in encode_run(11, &a).iter().chain(encode_run(22, &b).iter()) {
             journal.append(line);
         }
-        let (header, runs) = decode_campaign(&journal.lines());
-        assert_eq!(header, Some(("rt".to_string(), 0xFEED)));
+        let runs = decode_campaign(&journal.lines());
+        assert_eq!(
+            first_header(&journal.lines()),
+            Some(("rt".to_string(), 0xFEED))
+        );
         assert_eq!(runs.len(), 2);
         let ra = &runs[&11];
         assert_eq!(ra.item, 0);
@@ -599,7 +647,7 @@ mod tests {
         journal.append(&partial[0]);
         // ...and a torn half-line from the kill itself.
         journal.append("{\"kind\":\"run_done\",\"run_key\":2,\"it");
-        let (_, runs) = decode_campaign(&journal.lines());
+        let runs = decode_campaign(&journal.lines());
         assert!(runs.contains_key(&1), "completed run survives");
         assert!(!runs.contains_key(&2), "unfinished run is re-executed");
     }
@@ -642,6 +690,7 @@ mod tests {
             decode_campaign(&pruned),
             "pruning must be invisible to the decoder"
         );
+        assert_eq!(first_header(&all), first_header(&pruned));
         assert!(
             pruned.iter().any(|l| l.contains("chunk_done")),
             "foreign lines survive"
@@ -677,8 +726,11 @@ mod tests {
 
         let journal = Journal::open_segmented(&dir, gecko_store::LogConfig::default()).unwrap();
         assert_eq!(journal.torn_tails(), 1, "repair is counted");
-        let (header, runs) = decode_campaign(&journal.lines());
-        assert_eq!(header, Some(("torn".to_string(), 3)));
+        let runs = decode_campaign(&journal.lines());
+        assert_eq!(
+            first_header(&journal.lines()),
+            Some(("torn".to_string(), 3))
+        );
         assert!(!runs.contains_key(&5), "the torn run is re-executed");
         // Appends after the repair start on a fresh line — journal the
         // run again and it decodes.
@@ -686,7 +738,7 @@ mod tests {
             journal.append(&line);
         }
         journal.sync();
-        let (_, runs) = decode_campaign(&journal.lines());
+        let runs = decode_campaign(&journal.lines());
         assert!(runs.contains_key(&5));
         assert_eq!(journal.dropped(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -712,8 +764,11 @@ mod tests {
         journal.sync();
         let log = journal.segment_log().expect("segmented backend");
         assert!(log.segments().len() > 1, "small segments rotate");
-        let (header, runs) = decode_campaign(&journal.lines());
-        assert_eq!(header, Some(("seg".to_string(), 11)));
+        let runs = decode_campaign(&journal.lines());
+        assert_eq!(
+            first_header(&journal.lines()),
+            Some(("seg".to_string(), 11))
+        );
         assert_eq!(runs.len(), 6);
 
         // Reopen reads the same lines back.
@@ -725,7 +780,7 @@ mod tests {
             },
         )
         .unwrap();
-        let (_, runs) = decode_campaign(&reopened.lines());
+        let runs = decode_campaign(&reopened.lines());
         assert_eq!(runs.len(), 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -743,8 +798,11 @@ mod tests {
             assert_eq!(journal.dropped(), 0);
         }
         let reopened = Journal::open_segmented(&dir, gecko_store::LogConfig::default()).unwrap();
-        let (header, runs) = decode_campaign(&reopened.lines());
-        assert_eq!(header, Some(("file".to_string(), 7)));
+        let runs = decode_campaign(&reopened.lines());
+        assert_eq!(
+            first_header(&reopened.lines()),
+            Some(("file".to_string(), 7))
+        );
         assert!(runs.contains_key(&9));
         let _ = std::fs::remove_dir_all(&dir);
     }

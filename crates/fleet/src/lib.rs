@@ -76,12 +76,10 @@ pub use supervisor::{
     ChaosSpec, FailureKind, ItemOutcome, PoolConfig, PoolReport, RunBudget, RunFailure,
     SupervisorSpec, TRANSIENT_PREFIX,
 };
-pub use telemetry::{
-    Event, FleetCounters, Histogram, MemorySink, NullSink, SegmentedSink, TelemetrySink,
-};
+pub use telemetry::{Event, FleetCounters, Histogram, MemorySink, NullSink, TelemetrySink};
 
 #[cfg(feature = "json")]
-pub use telemetry::{persist_records, JsonlSink};
+pub use telemetry::persist_records;
 
 // Re-exports so campaign code needs only this crate.
 /// The byte-wise FNV-1a every persisted identity folds through, for

@@ -31,8 +31,9 @@
 //!
 //! [`run_supervised`] is the generic worker pool shared by
 //! `gecko_fleet::Campaign` and `gecko-check`'s `CheckCampaign`: an atomic
-//! work cursor, per-item supervision, optional journal-resume skipping and
-//! an optional halt-after-N-runs graceful stop.
+//! work cursor, per-item supervision, results restored from a journal
+//! passed straight through, and an optional halt-after-N-runs graceful
+//! stop.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -558,15 +559,15 @@ pub enum ItemOutcome<T> {
 /// The pool's merged outcome: one slot per item, in item order.
 #[derive(Debug)]
 pub struct PoolReport<T> {
-    /// Per-item outcomes; `None` for items never claimed (skipped by the
-    /// caller's resume set, or unclaimed after a halt).
+    /// Per-item outcomes: `Done` for restored items, the run's outcome
+    /// for claimed ones, `None` for items left unclaimed after a halt.
     pub outcomes: Vec<Option<ItemOutcome<T>>>,
     /// Retry attempts performed beyond each run's first try.
     pub retries: u64,
-    /// Whether work was left undone: some non-skipped item has no outcome
-    /// because the `halt_after` quota or the `stop` flag ended claiming
-    /// early (or, with either set, a crashed worker lost it). A quota that
-    /// trips after the last item finished is no halt.
+    /// Whether work was left undone: some item has no outcome because the
+    /// `halt_after` quota or the `stop` flag ended claiming early (or,
+    /// with either set, a crashed worker lost it). A quota that trips
+    /// after the last item finished is no halt.
     pub halted: bool,
 }
 
@@ -576,16 +577,15 @@ pub struct PoolConfig<'a> {
     pub workers: usize,
     /// Stable per-item run keys (chaos/backoff streams key off these).
     pub run_keys: &'a [u64],
-    /// Items to skip entirely (already restored from a journal).
-    pub skip: &'a [bool],
     /// Supervision policy.
     pub sup: &'a SupervisorSpec,
     /// Resolved per-run budget.
     pub budget: RunBudget,
     /// Stop claiming new items once this many runs have been accounted
-    /// (completed or failed; skipped items count) — the graceful-kill
-    /// hook. Quota is reserved when a run is claimed, so exactly
-    /// `halt_after` runs are accounted at any worker count.
+    /// in this session (completed or failed; restored items do not
+    /// count) — the graceful-kill hook. Quota is reserved when a run is
+    /// claimed, so exactly `halt_after` runs are accounted at any worker
+    /// count.
     pub halt_after: Option<u64>,
     /// Cooperative kill switch: when the flag flips true, workers finish
     /// the run they are on (journaling it as usual) and stop claiming new
@@ -597,26 +597,36 @@ pub struct PoolConfig<'a> {
     pub sink: &'a Arc<dyn TelemetrySink>,
 }
 
-/// Executes `attempt` for every non-skipped item on a supervised worker
-/// pool: panics are quarantined, budgets enforced (cooperatively by the
-/// closure plus a post-hoc deadline check), transient failures retried
-/// with deterministic backoff, and chaos injected per the spec. The
-/// closure receives `(item index, attempt number (1-based), budget,
-/// attempt start)` and returns its result or a cooperative failure.
+/// Executes `attempt` for every item not `restored` (one slot per item,
+/// `Some` for a result a journal or store already holds) on a supervised
+/// worker pool: panics are quarantined, budgets enforced (cooperatively
+/// by the closure plus a post-hoc deadline check), transient failures
+/// retried with deterministic backoff, and chaos injected per the spec.
+/// The closure receives `(item index, attempt number (1-based), budget,
+/// attempt start)` and returns its result or a cooperative failure; it is
+/// never called for a restored item, whose value comes back untouched as
+/// `Done`.
 ///
 /// Outcomes land in item order; which worker ran what never matters.
-pub fn run_supervised<T, F>(cfg: &PoolConfig<'_>, attempt: F) -> PoolReport<T>
+pub fn run_supervised<T, F>(
+    cfg: &PoolConfig<'_>,
+    restored: Vec<Option<T>>,
+    attempt: F,
+) -> PoolReport<T>
 where
     T: Send,
     F: Fn(usize, u32, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
 {
     let n = cfg.run_keys.len();
-    assert_eq!(cfg.skip.len(), n, "skip mask must cover every item");
+    assert_eq!(restored.len(), n, "restored must cover every item");
+    let mut slots: Vec<Option<ItemOutcome<T>>> = restored
+        .into_iter()
+        .map(|r| r.map(ItemOutcome::Done))
+        .collect();
+    let claimable: Vec<bool> = slots.iter().map(Option::is_none).collect();
     let cursor = AtomicUsize::new(0);
-    let accounted = AtomicU64::new(cfg.skip.iter().filter(|&&s| s).count() as u64);
+    let accounted = AtomicU64::new(0);
     let retries = AtomicU64::new(0);
-    let mut slots: Vec<Option<ItemOutcome<T>>> = Vec::new();
-    slots.resize_with(n, || None);
     let workers = cfg.workers.clamp(1, n.max(1));
 
     let mut worker_crash: Option<String> = None;
@@ -627,6 +637,7 @@ where
             let accounted = &accounted;
             let retries = &retries;
             let attempt = &attempt;
+            let claimable = &claimable;
             handles.push(scope.spawn(move || {
                 let mut local: Vec<(usize, ItemOutcome<T>)> = Vec::new();
                 loop {
@@ -644,7 +655,7 @@ where
                     if i >= n {
                         break;
                     }
-                    if cfg.skip[i] {
+                    if !claimable[i] {
                         continue;
                     }
                     // Reserve this run's share of the quota at claim time,
@@ -687,7 +698,7 @@ where
     // without a halt those are exactly the `None` slots.
     if let Some(msg) = worker_crash {
         for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_none() && !cfg.skip[i] && cfg.halt_after.is_none() && cfg.stop.is_none() {
+            if slot.is_none() && cfg.halt_after.is_none() && cfg.stop.is_none() {
                 *slot = Some(ItemOutcome::Failed(RunFailure::Panicked {
                     run_key: cfg.run_keys[i],
                     item: i,
@@ -697,10 +708,7 @@ where
         }
     }
 
-    let halted = slots
-        .iter()
-        .zip(cfg.skip)
-        .any(|(slot, &skip)| slot.is_none() && !skip);
+    let halted = slots.iter().any(Option::is_none);
     PoolReport {
         halted,
         outcomes: slots,
@@ -881,20 +889,18 @@ mod tests {
     #[test]
     fn pool_quarantines_panics_and_drains_the_queue() {
         let keys: Vec<u64> = (0..16).collect();
-        let skip = vec![false; 16];
         let sup = SupervisorSpec::default();
         let sink = null_sink();
         let cfg = PoolConfig {
             workers: 4,
             run_keys: &keys,
-            skip: &skip,
             sup: &sup,
             budget: sup.resolve_budget(0.01),
             halt_after: None,
             stop: None,
             sink: &sink,
         };
-        let report = run_supervised(&cfg, |i, _, _, _| {
+        let report = run_supervised(&cfg, vec![None; 16], |i, _, _, _| {
             if i % 5 == 0 {
                 panic!("run {i} exploded");
             }
@@ -920,7 +926,6 @@ mod tests {
     #[test]
     fn transient_failures_retry_with_bounded_attempts() {
         let keys = [77u64];
-        let skip = [false];
         let sup = SupervisorSpec {
             max_attempts: 3,
             backoff_base_ms: 0,
@@ -930,7 +935,6 @@ mod tests {
         let cfg = PoolConfig {
             workers: 1,
             run_keys: &keys,
-            skip: &skip,
             sup: &sup,
             budget: sup.resolve_budget(0.01),
             halt_after: None,
@@ -938,7 +942,7 @@ mod tests {
             sink: &sink,
         };
         // Succeeds on the third attempt.
-        let report = run_supervised(&cfg, |_, attempt, _, _| {
+        let report = run_supervised(&cfg, vec![None], |_, attempt, _, _| {
             if attempt < 3 {
                 Err(AttemptFail::Transient {
                     payload: format!("flaky #{attempt}"),
@@ -951,11 +955,15 @@ mod tests {
         assert!(matches!(report.outcomes[0], Some(ItemOutcome::Done(3))));
 
         // Never succeeds: classified Transient with the attempt count.
-        let report = run_supervised(&cfg, |_, attempt, _, _| -> Result<u32, AttemptFail> {
-            Err(AttemptFail::Transient {
-                payload: format!("flaky #{attempt}"),
-            })
-        });
+        let report = run_supervised(
+            &cfg,
+            vec![None],
+            |_, attempt, _, _| -> Result<u32, AttemptFail> {
+                Err(AttemptFail::Transient {
+                    payload: format!("flaky #{attempt}"),
+                })
+            },
+        );
         assert_eq!(report.retries, 2);
         match report.outcomes[0].as_ref().unwrap() {
             ItemOutcome::Failed(RunFailure::Transient {
@@ -971,7 +979,6 @@ mod tests {
     #[test]
     fn transient_panics_are_retried_too() {
         let keys = [5u64];
-        let skip = [false];
         let sup = SupervisorSpec {
             max_attempts: 2,
             backoff_base_ms: 0,
@@ -981,14 +988,13 @@ mod tests {
         let cfg = PoolConfig {
             workers: 1,
             run_keys: &keys,
-            skip: &skip,
             sup: &sup,
             budget: sup.resolve_budget(0.01),
             halt_after: None,
             stop: None,
             sink: &sink,
         };
-        let report = run_supervised(&cfg, |_, attempt, _, _| {
+        let report = run_supervised(&cfg, vec![None], |_, attempt, _, _| {
             if attempt == 1 {
                 panic!("{TRANSIENT_PREFIX}lost the resource");
             }
@@ -1004,41 +1010,70 @@ mod tests {
     #[test]
     fn halt_after_stops_claiming() {
         let keys: Vec<u64> = (0..32).collect();
-        let skip = vec![false; 32];
         let sup = SupervisorSpec::default();
         let sink = null_sink();
-        // (quota, runs accounted, work left undone): a quota equal to the
-        // item count trips only after the last run, which is no halt.
-        for (quota, expected, halted) in [(10, 10, true), (32, 32, false)] {
+        // (quota, every third item restored, fresh runs accounted, work
+        // left undone): a quota equal to the fresh item count trips only
+        // after the last run, which is no halt.
+        for (quota, restore, expected, halted) in [
+            (10, false, 10, true),
+            (32, false, 32, false),
+            (10, true, 10, true),
+            (21, true, 21, false),
+        ] {
             for workers in [1, 2, 8] {
                 let cfg = PoolConfig {
                     workers,
                     run_keys: &keys,
-                    skip: &skip,
                     sup: &sup,
                     budget: sup.resolve_budget(0.01),
                     halt_after: Some(quota),
                     stop: None,
                     sink: &sink,
                 };
+                let is_restored = |i: usize| restore && i.is_multiple_of(3);
+                let restored: Vec<Option<usize>> = (0..keys.len())
+                    .map(|i| is_restored(i).then_some(1000 + i))
+                    .collect();
                 // The first attempt of every worker waits at a barrier, so
                 // all of them are mid-run at once and every worker reaches
                 // the quota check with runs still in flight — where an
                 // overshoot shows.
                 let barrier = std::sync::Barrier::new(workers);
                 let started = AtomicUsize::new(0);
-                let report = run_supervised(&cfg, |i, _, _, _| {
+                let ran_restored = AtomicBool::new(false);
+                let report = run_supervised(&cfg, restored, |i, _, _, _| {
+                    ran_restored.fetch_or(is_restored(i), Ordering::SeqCst);
                     if started.fetch_add(1, Ordering::SeqCst) < workers {
                         barrier.wait();
                     }
                     Ok(i)
                 });
-                assert_eq!(report.halted, halted, "quota={quota} workers={workers}");
-                let done = report.outcomes.iter().flatten().count();
-                assert_eq!(
-                    done, expected,
-                    "exactly halt_after runs were accounted (quota={quota} workers={workers})"
+                let ctx = format!("quota={quota} restore={restore} workers={workers}");
+                assert_eq!(report.halted, halted, "{ctx}");
+                assert!(
+                    !ran_restored.load(Ordering::SeqCst),
+                    "{ctx}: restored item ran"
                 );
+                let mut fresh = 0;
+                for (i, outcome) in report.outcomes.iter().enumerate() {
+                    match outcome {
+                        Some(ItemOutcome::Done(v)) if is_restored(i) => {
+                            assert_eq!(*v, 1000 + i, "{ctx}: restored value untouched");
+                        }
+                        Some(ItemOutcome::Done(v)) => {
+                            assert_eq!(*v, i, "{ctx}");
+                            fresh += 1;
+                        }
+                        None => assert!(!is_restored(i), "{ctx}: restored slot lost"),
+                        Some(other) => panic!("{ctx}: unexpected {other:?}"),
+                    }
+                }
+                assert_eq!(
+                    fresh, expected,
+                    "{ctx}: exactly halt_after fresh runs were accounted"
+                );
+                assert_eq!(started.load(Ordering::SeqCst), expected, "{ctx}");
             }
         }
     }

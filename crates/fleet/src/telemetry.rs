@@ -11,9 +11,10 @@
 //!   non-deterministic across worker counts; use them for progress
 //!   monitoring and post-hoc analysis, not for reproducibility checks.
 //!
-//! Sinks: [`NullSink`] (default), [`MemorySink`] (tests), and — behind the
-//! `json` feature — [`JsonlSink`], which writes one JSON object per line
-//! using the dependency-free encoder in [`gecko_sim::report`].
+//! Sinks: [`NullSink`] (default) and [`MemorySink`] (tests); a daemon
+//! brings its own (gecko-serve's job sink). Behind the `json` feature,
+//! [`persist_records`] writes record dumps one JSON object per line
+//! through the dependency-free encoder in [`gecko_sim::report`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -107,107 +108,6 @@ impl MemorySink {
 impl TelemetrySink for MemorySink {
     fn emit(&self, event: Event) {
         lock_unpoisoned(&self.events).push(event);
-    }
-}
-
-/// A JSON-lines sink over any writer (usually a file): one event object
-/// per line, in arrival order.
-///
-/// Write failures never panic the emitting worker: the record is dropped,
-/// the drop is counted, and the campaign surfaces the total as a
-/// `SinkDropped` failure — telemetry degrades, the science continues.
-#[cfg(feature = "json")]
-pub struct JsonlSink<W: std::io::Write + Send> {
-    writer: Mutex<W>,
-    dropped: AtomicU64,
-}
-
-#[cfg(feature = "json")]
-impl JsonlSink<std::io::BufWriter<std::fs::File>> {
-    /// Creates (truncating) a JSON-lines file sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink::from_writer(std::io::BufWriter::new(file)))
-    }
-}
-
-#[cfg(feature = "json")]
-impl<W: std::io::Write + Send> JsonlSink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn from_writer(writer: W) -> Self {
-        JsonlSink {
-            writer: Mutex::new(writer),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Unwraps the writer (flushing is the caller's business).
-    pub fn into_inner(self) -> W {
-        self.writer
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-#[cfg(feature = "json")]
-impl<W: std::io::Write + Send> TelemetrySink for JsonlSink<W> {
-    fn emit(&self, event: Event) {
-        let line = event.to_json();
-        let mut w = lock_unpoisoned(&self.writer);
-        if writeln!(w, "{line}").is_err() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn flush(&self) {
-        if lock_unpoisoned(&self.writer).flush().is_err() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn dropped_records(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// A telemetry sink writing one event object per line into a
-/// [`gecko_store::SegmentedLog`] — the retention-aware sibling of
-/// [`JsonlSink`]. Old segments can be aged out by the store's pruner
-/// (`LogRetention`) while the campaign keeps appending to the tail; drop
-/// accounting and degradation semantics come from the log itself.
-pub struct SegmentedSink {
-    log: std::sync::Arc<gecko_store::SegmentedLog>,
-}
-
-impl SegmentedSink {
-    /// Wraps a shared segmented log as a sink.
-    pub fn new(log: std::sync::Arc<gecko_store::SegmentedLog>) -> SegmentedSink {
-        SegmentedSink { log }
-    }
-
-    /// The underlying log (for pruner registration and stats).
-    pub fn log(&self) -> std::sync::Arc<gecko_store::SegmentedLog> {
-        std::sync::Arc::clone(&self.log)
-    }
-}
-
-impl TelemetrySink for SegmentedSink {
-    fn emit(&self, event: Event) {
-        self.log.append(&event.to_json());
-    }
-
-    fn flush(&self) {
-        // A failed sync is not a lost line (the append already landed in
-        // the OS cache); the log's drop counter covers real losses.
-        let _ = self.log.sync();
-    }
-
-    fn dropped_records(&self) -> u64 {
-        self.log.dropped()
     }
 }
 
@@ -416,38 +316,5 @@ mod tests {
         let q50 = a.quantile(0.5).unwrap();
         assert!(q50 <= 100, "lower half is the small values: {q50}");
         assert!(a.quantile(1.0).unwrap() >= 512);
-    }
-
-    #[cfg(feature = "json")]
-    #[test]
-    fn jsonl_sink_degrades_to_drop_counting_on_io_error() {
-        struct Broken;
-        impl std::io::Write for Broken {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Err(std::io::Error::other("disk full"))
-            }
-        }
-        let sink = JsonlSink::from_writer(Broken);
-        assert_eq!(sink.dropped_records(), 0);
-        sink.emit(Event::new("x", vec![]));
-        sink.emit(Event::new("y", vec![]));
-        assert_eq!(sink.dropped_records(), 2, "every failed write counted");
-        sink.flush();
-        assert_eq!(sink.dropped_records(), 3, "failed flush counted too");
-    }
-
-    #[cfg(feature = "json")]
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let sink = JsonlSink::from_writer(Vec::new());
-        sink.emit(Event::new("x", vec![("v", Value::F64(1.5))]));
-        sink.emit(Event::new("y", vec![]));
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.starts_with(r#"{"event":"x","v":1.5}"#));
     }
 }
