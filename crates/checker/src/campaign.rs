@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use gecko_apps::App;
 use gecko_compiler::{fingerprint_program, CompileError, CompileOptions, ProgramFingerprints};
-use gecko_fleet::journal::decode_header_record;
+use gecko_fleet::journal::Replay;
 use gecko_fleet::{
     account_dropped, quarantine, run_supervised, AttemptFail, ChaosSpec, Event, FleetCounters,
     ItemOutcome, Journal, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec,
@@ -317,8 +317,8 @@ struct JournaledChunk {
 }
 
 /// Why one `chunk_done` journal line could not be decoded. Split so the
-/// prune classifier and resume diagnostics can tell dead weight from
-/// forward-compatible records.
+/// decoders can tell dead weight (pruned) from forward-compatible
+/// records (kept and diagnosed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ChunkLineError {
     /// Structurally broken (half-written, wrong field types): invisible
@@ -553,9 +553,7 @@ fn encode_chunk(run_key: u64, item: usize, stats: &CheckStats, violations: &[Vio
 
 /// Decodes one parsed `chunk_done` line. `None` means the line is not a
 /// chunk record at all (foreign vocabulary); `Some(Err(_))` is a chunk
-/// record this binary cannot use, with a path-carrying reason. Shared
-/// between journal replay and the prune classifier so both agree on what
-/// "decodable" means.
+/// record this binary cannot use, with a path-carrying reason.
 fn decode_chunk_line(rec: &Json) -> Option<Result<(u64, JournaledChunk), ChunkLineError>> {
     if rec.get("kind")?.as_str()? != CHUNK_DONE {
         return None;
@@ -590,29 +588,36 @@ fn decode_chunk_fields(rec: &Json) -> Result<(u64, JournaledChunk), ChunkLineErr
     ))
 }
 
-/// Replays a checker journal: completed chunks keyed by run key, plus one
-/// diagnostic per chunk line that failed to decode (the header is
-/// [`Journal::bind`]'s business). Unparseable non-chunk lines are
-/// skipped; later duplicates win.
-fn decode_chunks(lines: &[String]) -> (HashMap<u64, JournaledChunk>, Vec<JournalDiagnostic>) {
-    let mut chunks = HashMap::new();
+/// Replays a checker journal: completed chunks keyed by run key (the
+/// header is [`Journal::bind`]'s business), one diagnostic per chunk line
+/// that failed to decode, and one [`Verdict`] per line. Later duplicates
+/// win. `Delete` marks exactly the lines no decoder — present or future —
+/// can use: garbage, repeated headers, structurally broken `chunk_done`
+/// lines and chunks a later record for the same run key superseded.
+/// Lines in a foreign but parseable vocabulary are kept, and so are
+/// `chunk_done` lines carrying *unknown tags* (a newer writer's records):
+/// pruning those would destroy data a newer binary could still resume
+/// from.
+fn decode_chunks(
+    lines: &[String],
+) -> (
+    HashMap<u64, JournaledChunk>,
+    Vec<JournalDiagnostic>,
+    Vec<Verdict>,
+) {
     let mut diagnostics = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let Some(rec) = Json::parse_flat(line) else {
-            continue;
-        };
-        if decode_header_record(&rec).is_some() {
-            continue; // a header is never a chunk, whatever else it carries
-        }
-        match decode_chunk_line(&rec) {
-            Some(Ok((run_key, chunk))) => {
-                chunks.insert(run_key, chunk);
+    let (chunks, verdicts) = Replay::walk(lines, |replay, i, rec| match decode_chunk_line(rec) {
+        Some(Ok((run_key, chunk))) => replay.restore(run_key, chunk, vec![i]),
+        Some(Err(error)) => {
+            if matches!(error, ChunkLineError::Malformed { .. }) {
+                replay.discard([i]);
             }
-            Some(Err(error)) => diagnostics.push(JournalDiagnostic::from_error(i, &error)),
-            None => {}
+            diagnostics.push(JournalDiagnostic::from_error(i, &error));
         }
-    }
-    (chunks, diagnostics)
+        None => {}
+    })
+    .finish();
+    (chunks, diagnostics, verdicts)
 }
 
 /// Scans a checker journal and returns one diagnostic per `chunk_done`
@@ -624,47 +629,10 @@ pub fn check_journal_diagnostics(lines: &[String]) -> Vec<JournalDiagnostic> {
     decode_chunks(lines).1
 }
 
-/// Classifies a checker journal for [`gecko_store::LogCompactor`]: marks
-/// [`Verdict::Delete`] on exactly the lines no decoder — present or
-/// future — can use: unparseable garbage, duplicate headers,
-/// structurally broken `chunk_done` lines, and `chunk_done` lines
-/// superseded by a later record with the same run key. Lines in a
-/// foreign but parseable vocabulary are kept, and so are `chunk_done`
-/// lines carrying *unknown tags* (a newer writer's records): pruning
-/// those would destroy data a newer binary could still resume from.
+/// Classifies a checker journal for [`gecko_store::LogCompactor`]: the
+/// [`Verdict`]s of the very pass resume decodes the journal with.
 pub fn classify_check_lines(lines: &[String]) -> Vec<Verdict> {
-    let mut verdicts = vec![Verdict::Keep; lines.len()];
-    let mut saw_header = false;
-    // Latest decodable chunk_done line per run key wins; all earlier
-    // ones are dead weight the decoder would overwrite anyway.
-    let mut last_chunk: HashMap<u64, usize> = HashMap::new();
-    for (i, line) in lines.iter().enumerate() {
-        let Some(rec) = Json::parse_flat(line) else {
-            verdicts[i] = Verdict::Delete; // garbage: decoder skips it
-            continue;
-        };
-        if decode_header_record(&rec).is_some() {
-            if saw_header {
-                verdicts[i] = Verdict::Delete; // decode keeps the first
-            }
-            saw_header = true;
-            continue;
-        }
-        match decode_chunk_line(&rec) {
-            Some(Ok((run_key, _))) => {
-                if let Some(prev) = last_chunk.insert(run_key, i) {
-                    verdicts[prev] = Verdict::Delete;
-                }
-            }
-            // Structurally broken: invisible to every decoder.
-            Some(Err(ChunkLineError::Malformed { .. })) => verdicts[i] = Verdict::Delete,
-            // Unknown vocabulary: forward-compatible data, keep it.
-            Some(Err(ChunkLineError::UnknownTag { .. })) => {}
-            // Not a chunk record: a foreign writer's line, keep it.
-            None => {}
-        }
-    }
-    verdicts
+    decode_chunks(lines).2
 }
 
 /// One claimable unit of checker work: a window chunk of one pair.
@@ -928,7 +896,7 @@ impl CheckCampaign {
             None => Vec::new(),
         };
         let memo_generation = self.memo.as_ref().map(|m| m.begin(&spec.name, fingerprint));
-        let (chunks, diagnostics) = decode_chunks(&journal_lines);
+        let (chunks, diagnostics, _) = decode_chunks(&journal_lines);
         // Surface undecodable chunk lines instead of silently re-exploring
         // them: an unknown tag means the journal was written by a
         // different (likely newer) vocabulary.
@@ -1367,6 +1335,7 @@ mod tests {
     use super::*;
     use crate::verdict::Blame;
     use gecko_fleet::journal::{decode_header, encode_header};
+    use gecko_isa::rng::SplitMix64;
 
     fn sample_chunk(run_key: u64, item: usize, windows: u64) -> String {
         let stats = CheckStats {
@@ -1410,12 +1379,7 @@ mod tests {
             sample_chunk(12, 1, 512),
         ];
         let verdicts = classify_check_lines(&lines);
-        let pruned: Vec<String> = lines
-            .iter()
-            .zip(&verdicts)
-            .filter(|(_, v)| **v == Verdict::Keep)
-            .map(|(l, _)| l.clone())
-            .collect();
+        let pruned = without(&lines, |i| verdicts[i] == Verdict::Delete);
 
         // The invariant the compactor relies on: pruning is invisible to
         // the decoder (diagnostics differ — the pruned lines were
@@ -1428,10 +1392,79 @@ mod tests {
         // duplicate header. The foreign run_done line survives.
         assert_eq!(pruned.len(), 4);
         assert!(pruned.iter().any(|l| l.contains("run_done")));
-        let (chunks, _) = decode_chunks(&pruned);
+        let (chunks, _, _) = decode_chunks(&pruned);
         assert_eq!(header(&pruned), Some(("check".to_string(), 0xBEEF)));
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[&11].stats.windows, 640);
+    }
+
+    /// The lines of `lines` whose index `gone` does not select.
+    fn without(lines: &[String], gone: impl Fn(usize) -> bool) -> Vec<String> {
+        (0..lines.len())
+            .filter(|&i| !gone(i))
+            .map(|i| lines[i].clone())
+            .collect()
+    }
+
+    #[test]
+    fn deleting_any_prefix_of_the_delete_lines_keeps_resume_unchanged() {
+        let foreign = [
+            r#"{"kind":"run_done","run_key":1,"item":0}"#,
+            r#"{"kind":"chunk_done","run_key":2,"item":1,"windows":8,"forks":1,"explored":1,"memo_hits":0,"steps":5,"violations":1,"viols":"7|5z|clean"}"#,
+            r#"{"kind":"mystery","run_key":0}"#,
+        ];
+        let mut rng = SplitMix64::new(0x5EED_0005);
+        for _ in 0..150 {
+            let mut lines = vec![encode_header("hostile", 5)];
+            for _ in 0..rng.range_u64(1, 6) {
+                let key = rng.range_u64(0, 3);
+                lines.push(sample_chunk(key, key as usize, 64 * rng.range_u64(1, 3)));
+            }
+            // Hostile rewrites: duplicated lines, swapped neighbours, a
+            // field deleted, a torn prefix, a foreign-kind line inserted.
+            for _ in 0..rng.range_u64(0, 6) {
+                let i = rng.range_u64(0, lines.len() as u64) as usize;
+                match rng.range_u64(0, 5) {
+                    0 => {
+                        let at = rng.range_u64(0, lines.len() as u64 + 1) as usize;
+                        lines.insert(at, lines[i].clone());
+                    }
+                    1 if i + 1 < lines.len() => lines.swap(i, i + 1),
+                    2 => {
+                        if let Some(Json::Obj(mut fields)) = Json::parse_flat(&lines[i]) {
+                            if !fields.is_empty() {
+                                fields.remove(rng.range_u64(0, fields.len() as u64) as usize);
+                                lines[i] = Json::Obj(fields).encode();
+                            }
+                        }
+                    }
+                    3 => {
+                        let cut = rng.range_u64(0, lines[i].len() as u64) as usize;
+                        lines[i].truncate(cut);
+                    }
+                    _ => {
+                        let pick = rng.range_u64(0, foreign.len() as u64) as usize;
+                        lines.insert(i, foreign[pick].to_string());
+                    }
+                }
+            }
+
+            let (chunks, _, verdicts) = decode_chunks(&lines);
+            let deletes: Vec<usize> = (0..lines.len())
+                .filter(|&i| verdicts[i] == Verdict::Delete)
+                .collect();
+            let header = |lines: &[String]| lines.iter().find_map(|l| decode_header(l));
+            for j in 0..=deletes.len() {
+                let pruned = without(&lines, |i| deletes[..j].contains(&i));
+                assert_eq!(
+                    decode_chunks(&pruned).0,
+                    chunks,
+                    "{lines:#?} without lines {:?}",
+                    &deletes[..j]
+                );
+                assert_eq!(header(&pruned), header(&lines));
+            }
+        }
     }
 
     #[test]

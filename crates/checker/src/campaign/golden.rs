@@ -71,7 +71,7 @@ fn encoder_writes_the_golden_bytes() {
 #[test]
 fn golden_line_decodes_to_the_expected_chunk() {
     let lines = vec![encode_header("check", 7), CHUNK_DONE.to_string()];
-    let (chunks, diagnostics) = decode_chunks(&lines);
+    let (chunks, diagnostics, _) = decode_chunks(&lines);
     assert_eq!(decode_header(&lines[0]), Some(("check".to_string(), 7)));
     assert!(diagnostics.is_empty(), "{diagnostics:?}");
     assert_eq!(chunks.len(), 1);

@@ -697,6 +697,7 @@ mod golden;
 mod tests {
     use super::*;
     use crate::verdict::{InjectionKind, PlannedInjection};
+    use gecko_isa::rng::SplitMix64;
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -901,10 +902,6 @@ mod tests {
             state_line(4, 24, 0x7),
         ];
         let verdicts = classify_memo_lines(&lines);
-        let keys = [1u64, 2, 3, 4, 99];
-        let dir_a = scratch("subset-a");
-        let baseline = observable(&store_from_lines(&dir_a, &lines), &fps, &keys);
-
         let deleted: Vec<usize> = (0..lines.len())
             .filter(|&i| verdicts[i] == Verdict::Delete)
             .collect();
@@ -915,22 +912,72 @@ mod tests {
                 assert_eq!(verdicts[i], Verdict::Keep, "line {i}");
             }
         }
-
         // Removing each marked line alone — and all of them at once —
         // leaves the restore-observable state bit-identical.
         let mut subsets: Vec<Vec<usize>> = deleted.iter().map(|&i| vec![i]).collect();
-        subsets.push(deleted.clone());
-        for (si, subset) in subsets.iter().enumerate() {
+        subsets.push(deleted);
+        assert_subsets_are_invisible(&lines, &subsets);
+
+        // Seeded random streams of every line kind, under random subsets
+        // of their deletions.
+        let mut rng = SplitMix64::new(0x5EED_0006);
+        for _ in 0..150 {
+            let lines: Vec<String> = (0..rng.range_u64(4, 18))
+                .map(|_| {
+                    let key = rng.range_u64(1, 4);
+                    let step = 8 * rng.range_u64(1, 9);
+                    match rng.range_u64(0, 8) {
+                        0 => meta_line(7 + rng.range_u64(0, 2), rng.range_u64(1, 4)),
+                        1 | 2 => slab_line(&fps, key, step, 64),
+                        3 | 4 => state_line(key, step, rng.next_u64()),
+                        5 => encode_memo_line(&MemoLine::Drop { run_key: key }),
+                        6 => format!(
+                            r#"{{"kind":"memo_state","run_key":{key},"upto":{step},"state":9,"outcome":"vaporized"}}"#
+                        ),
+                        _ => {
+                            let line = slab_line(&fps, key, step, 64);
+                            line[..rng.range_u64(0, line.len() as u64) as usize].to_string()
+                        }
+                    }
+                })
+                .collect();
+            let verdicts = classify_memo_lines(&lines);
+            let deleted: Vec<usize> = (0..lines.len())
+                .filter(|&i| verdicts[i] == Verdict::Delete)
+                .collect();
+            let mut subsets: Vec<Vec<usize>> = (0..4)
+                .map(|_| {
+                    let mut pick = deleted.clone();
+                    pick.retain(|_| rng.range_u64(0, 2) == 0);
+                    pick
+                })
+                .collect();
+            subsets.push(deleted);
+            assert_subsets_are_invisible(&lines, &subsets);
+        }
+    }
+
+    /// Removing the lines of any one of `subsets` from `lines` leaves
+    /// what the store restores, and its generation, unchanged.
+    fn assert_subsets_are_invisible(lines: &[String], subsets: &[Vec<usize>]) {
+        let fps = fake_fps();
+        let keys = [1u64, 2, 3, 4, 99];
+        let dir = scratch("subsets");
+        let baseline = observable(&store_from_lines(&dir, lines), &fps, &keys);
+        for subset in subsets {
             let kept: Vec<String> = lines
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| !subset.contains(i))
                 .map(|(_, l)| l.clone())
                 .collect();
-            let dir = scratch(&format!("subset-{si}"));
             let pruned = observable(&store_from_lines(&dir, &kept), &fps, &keys);
-            assert_eq!(baseline, pruned, "removing lines {subset:?} changed decode");
+            assert_eq!(
+                baseline, pruned,
+                "removing lines {subset:?} of {lines:#?} changed decode"
+            );
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -688,7 +688,7 @@ impl Campaign {
                 journal
                     .bind(&lines, &spec.name, spec.fingerprint())
                     .map_err(CampaignError::Journal)?;
-                journal::decode_campaign(&lines)
+                journal::decode_campaign(&lines).0
             }
             None => HashMap::new(),
         };

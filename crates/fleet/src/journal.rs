@@ -32,8 +32,11 @@
 //!   only cost lines since the last checkpoint — which resume re-executes.
 //! * On disk, [`Journal::open_segmented`] stores the lines in a
 //!   [`gecko_store::SegmentedLog`] — sealed segments the store's pruner
-//!   can compact (under [`classify_campaign_lines`]) without disturbing
-//!   the bit-exact resume guarantee. A tail torn mid-append is repaired
+//!   can compact without disturbing the bit-exact resume guarantee. The
+//!   compactor's verdicts ([`classify_campaign_lines`]) are the resume
+//!   decoder's own: one [`Replay`] pass yields both the restored runs and
+//!   one verdict per line, so the lines compaction deletes are exactly
+//!   the ones resume threw away. A tail torn mid-append is repaired
 //!   when the log opens (the partial final line is truncated away and
 //!   counted in [`Journal::torn_tails`]), so resume never sees a
 //!   glued-together hybrid of an old tail and a new append.
@@ -338,161 +341,161 @@ fn compile_stats_from(rec: &Json) -> Option<CompileStats> {
     })
 }
 
-/// Replays a campaign journal: every completed run keyed by run key (the
-/// header is [`Journal::bind`]'s business). Runs whose `run_done` line is
-/// missing or torn — or whose bucket lines are incomplete — are silently
-/// absent (they will simply be re-executed). Later duplicates win, so a
-/// journal appended by two overlapping sessions still resolves
-/// deterministically.
-pub(crate) fn decode_campaign(journal_lines: &[String]) -> HashMap<u64, JournaledRun> {
-    let mut buckets: HashMap<u64, Vec<(u64, Metrics)>> = HashMap::new();
-    let mut runs = HashMap::new();
-    for line in journal_lines {
-        let Some(rec) = Json::parse_flat(line) else {
-            continue;
+/// One pass of a journal decoder and what it did with every line: the
+/// bookkeeping the run and chunk journals share. Its [`Verdict`]s are
+/// what the store's compactor prunes by, so resume and compaction read a
+/// journal through the same code and cannot disagree.
+///
+/// Every line starts as [`Verdict::Keep`]. [`Replay::walk`] marks garbage
+/// and every header after the first `Delete`; the decoder marks what it
+/// throws away ([`Replay::discard`]) and files each restored record with
+/// the lines it was built from ([`Replay::restore`]).
+pub struct Replay<T> {
+    verdicts: Vec<Verdict>,
+    restored: HashMap<u64, (T, Vec<usize>)>,
+}
+
+impl<T> Replay<T> {
+    /// Walks `lines` in order, handing every parseable non-header record
+    /// to `visit` with its line index. The first header is kept (it is
+    /// [`Journal::bind`]'s); a header is never a record, whatever else it
+    /// carries.
+    pub fn walk(
+        lines: &[String],
+        mut visit: impl FnMut(&mut Replay<T>, usize, &Json),
+    ) -> Replay<T> {
+        let mut replay = Replay {
+            verdicts: vec![Verdict::Keep; lines.len()],
+            restored: HashMap::new(),
         };
-        if decode_header_record(&rec).is_some() {
-            continue; // a header is never a run, whatever else it carries
+        let mut seen_header = false;
+        for (i, line) in lines.iter().enumerate() {
+            match Json::parse_flat(line) {
+                None => replay.verdicts[i] = Verdict::Delete,
+                Some(rec) if decode_header_record(&rec).is_some() => {
+                    if std::mem::replace(&mut seen_header, true) {
+                        replay.verdicts[i] = Verdict::Delete;
+                    }
+                }
+                Some(rec) => visit(&mut replay, i, &rec),
+            }
         }
-        let Some(kind) = rec.get("kind").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(run_key) = rec.get("run_key").and_then(Json::as_u64) else {
-            continue;
+        replay
+    }
+
+    /// Marks `lines` as thrown away by the decoder.
+    pub fn discard(&mut self, lines: impl IntoIterator<Item = usize>) {
+        for i in lines {
+            self.verdicts[i] = Verdict::Delete;
+        }
+    }
+
+    /// Restores `record` under `key` from `lines`, superseding (and
+    /// discarding the lines of) any earlier record for `key`.
+    pub fn restore(&mut self, key: u64, record: T, lines: Vec<usize>) {
+        if let Some((_, superseded)) = self.restored.insert(key, (record, lines)) {
+            self.discard(superseded);
+        }
+    }
+
+    /// The restored records by key, and one verdict per line.
+    pub fn finish(self) -> (HashMap<u64, T>, Vec<Verdict>) {
+        let records = self
+            .restored
+            .into_iter()
+            .map(|(k, (r, _))| (k, r))
+            .collect();
+        (records, self.verdicts)
+    }
+}
+
+/// A usable `bucket` edge awaiting its run's `run_done`: (line, bucket
+/// index, metrics).
+type Edge = (usize, u64, Metrics);
+
+/// Replays a campaign journal: every completed run keyed by run key (the
+/// header is [`Journal::bind`]'s business), plus one [`Verdict`] per
+/// line. A `run_done` line consumes every edge its key accumulated since
+/// the previous one, whether or not it decodes; the group restores a run
+/// only when the marker decodes and edges `0..buckets` are all there
+/// (the last edge journaled for an index wins). `Delete` marks what the
+/// pass threw away: garbage, repeated headers, unusable edges, groups
+/// that restored nothing or that a later run for the same key
+/// superseded, and edges a restored run did not use. A run whose
+/// `run_done` is missing or torn is re-executed; its trailing edges stay
+/// `Keep` (the campaign may still be appending them), as do lines in a
+/// foreign vocabulary.
+///
+/// Losing edges can make a group incomplete but never complete, so
+/// deleting any prefix of the `Delete` lines — a budgeted compaction that
+/// stops partway — leaves the runs unchanged.
+pub(crate) fn decode_campaign(
+    journal_lines: &[String],
+) -> (HashMap<u64, JournaledRun>, Vec<Verdict>) {
+    let mut pending: HashMap<u64, Vec<Edge>> = HashMap::new();
+    Replay::walk(journal_lines, |replay, i, rec| {
+        let (Some(kind), Some(run_key)) = (
+            rec.get("kind").and_then(Json::as_str),
+            rec.get("run_key").and_then(Json::as_u64),
+        ) else {
+            return;
         };
         match kind {
-            k if k == lines::BUCKET => {
-                let (Some(index), Some(metrics)) =
-                    (rec.get("bucket").and_then(Json::as_u64), metrics_from(&rec))
-                else {
-                    continue;
-                };
-                buckets.entry(run_key).or_default().push((index, metrics));
-            }
-            k if k == lines::RUN_DONE => {
-                let decoded = (|| {
-                    let item = rec.get("item")?.as_u64()? as usize;
-                    let n_buckets = rec.get("buckets")?.as_u64()?;
-                    let mut edges = buckets.remove(&run_key).unwrap_or_default();
-                    edges.sort_by_key(|(i, _)| *i);
-                    let complete = edges.len() as u64 == n_buckets
-                        && edges.iter().enumerate().all(|(i, (j, _))| i as u64 == *j);
-                    if !complete {
-                        return None;
+            lines::BUCKET => match (rec.get("bucket").and_then(Json::as_u64), metrics_from(rec)) {
+                (Some(index), Some(metrics)) => {
+                    pending
+                        .entry(run_key)
+                        .or_default()
+                        .push((i, index, metrics));
+                }
+                _ => replay.discard([i]),
+            },
+            lines::RUN_DONE => {
+                let edges = pending.remove(&run_key).unwrap_or_default();
+                let group: Vec<usize> = edges.iter().map(|e| e.0).chain([i]).collect();
+                match decode_run(rec, edges) {
+                    Some((run, mut used)) => {
+                        used.push(i);
+                        replay.discard(group.into_iter().filter(|l| !used.contains(l)));
+                        replay.restore(run_key, run, used);
                     }
-                    Some(JournaledRun {
-                        item,
-                        metrics: metrics_from(&rec)?,
-                        buckets: edges.into_iter().map(|(_, m)| m).collect(),
-                        compile_stats: compile_stats_from(&rec)?,
-                        cache_hit: rec.get("cache_hit")?.as_bool()?,
-                        wall_ns: rec.get("wall_ns")?.as_u64()?,
-                    })
-                })();
-                if let Some(run) = decoded {
-                    runs.insert(run_key, run);
+                    None => replay.discard(group),
                 }
             }
             _ => {}
         }
-    }
-    runs
+    })
+    .finish()
+}
+
+/// Builds a run from its `run_done` record and the edges its group
+/// consumed, with the edge lines it used; `None` when the marker does
+/// not decode or an edge in `0..buckets` is missing.
+fn decode_run(rec: &Json, edges: Vec<Edge>) -> Option<(JournaledRun, Vec<usize>)> {
+    let n_buckets = rec.get("buckets")?.as_u64()?;
+    let by_index: HashMap<u64, (usize, Metrics)> = edges
+        .into_iter()
+        .map(|(line, b, m)| (b, (line, m)))
+        .collect();
+    let (used, buckets) = (0..n_buckets)
+        .map(|b| by_index.get(&b).copied())
+        .collect::<Option<(Vec<usize>, Vec<Metrics>)>>()?;
+    let run = JournaledRun {
+        item: rec.get("item")?.as_u64()? as usize,
+        metrics: metrics_from(rec)?,
+        buckets,
+        compile_stats: compile_stats_from(rec)?,
+        cache_hit: rec.get("cache_hit")?.as_bool()?,
+        wall_ns: rec.get("wall_ns")?.as_u64()?,
+    };
+    Some((run, used))
 }
 
 /// Classifies every line of a campaign journal for the store's
-/// compactor: one [`Verdict`] per line, where `Delete` marks lines
-/// the resume decoder either skips (torn/garbage, incomplete run groups,
-/// duplicate headers) or resolves against a later duplicate (superseded
-/// runs). The invariant pruning rests on: deleting every `Delete` line
-/// leaves `decode_campaign` output unchanged — so a resumed campaign
-/// merges bit-exactly whether or not the journal was pruned in between.
-///
-/// A run's lines are classified as a *group* (its `bucket` edges plus the
-/// `run_done` marker), mirroring how the decoder consumes them: a
-/// superseded run's whole group dies together, and an incomplete group
-/// (torn `run_done`, missing edges) is dead because the decoder restores
-/// nothing from it. Trailing `bucket` lines with no `run_done` yet are
-/// kept — the campaign may still be appending their run. Parseable lines
-/// in a foreign vocabulary are kept untouched.
+/// compactor: the [`Verdict`]s of the very pass resume decodes the
+/// journal with.
 pub fn classify_campaign_lines(journal_lines: &[String]) -> Vec<Verdict> {
-    let mut verdicts = vec![Verdict::Keep; journal_lines.len()];
-    let mut seen_header = false;
-    // Per key: bucket-line indices of the group currently being appended.
-    let mut pending: HashMap<u64, Vec<usize>> = HashMap::new();
-    // Per key: the line indices of the last *complete* group (the one the
-    // decoder will restore).
-    let mut last_group: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, line) in journal_lines.iter().enumerate() {
-        let Some(rec) = Json::parse_flat(line) else {
-            verdicts[i] = Verdict::Delete; // torn/garbage: invisible to the decoder
-            continue;
-        };
-        if decode_header_record(&rec).is_some() {
-            if seen_header {
-                verdicts[i] = Verdict::Delete; // the decoder keeps the first header
-            }
-            seen_header = true;
-            continue;
-        }
-        let kind = rec.get("kind").and_then(Json::as_str);
-        let run_key = rec.get("run_key").and_then(Json::as_u64);
-        match (kind, run_key) {
-            (Some(k), Some(run_key)) if k == lines::BUCKET => {
-                // The decoder only accumulates a bucket edge that carries
-                // an index and full metrics; anything less is invisible.
-                let usable = rec.get("bucket").and_then(Json::as_u64).is_some()
-                    && metrics_from(&rec).is_some();
-                if usable {
-                    pending.entry(run_key).or_default().push(i);
-                } else {
-                    verdicts[i] = Verdict::Delete;
-                }
-            }
-            (Some(k), Some(run_key)) if k == lines::RUN_DONE => {
-                let mut group = pending.remove(&run_key).unwrap_or_default();
-                group.push(i);
-                // Mirror the decoder's completeness test exactly: edges
-                // sort to a contiguous 0..n matching the declared count,
-                // and the run_done payload fully decodes.
-                let complete = (|| {
-                    let n_buckets = rec.get("buckets")?.as_u64()?;
-                    let mut edges: Vec<u64> = Vec::with_capacity(group.len() - 1);
-                    for &gi in &group[..group.len() - 1] {
-                        let edge = Json::parse_flat(&journal_lines[gi])?;
-                        edges.push(edge.get("bucket")?.as_u64()?);
-                    }
-                    edges.sort_unstable();
-                    let contiguous = edges.len() as u64 == n_buckets
-                        && edges.iter().enumerate().all(|(j, e)| j as u64 == *e);
-                    if !contiguous {
-                        return None;
-                    }
-                    rec.get("item")?.as_u64()?;
-                    metrics_from(&rec)?;
-                    compile_stats_from(&rec)?;
-                    rec.get("cache_hit")?.as_bool()?;
-                    rec.get("wall_ns")?.as_u64()?;
-                    Some(())
-                })()
-                .is_some();
-                if complete {
-                    if let Some(superseded) = last_group.insert(run_key, group) {
-                        for idx in superseded {
-                            verdicts[idx] = Verdict::Delete;
-                        }
-                    }
-                } else {
-                    // The decoder consumes the edges and restores nothing:
-                    // the whole group is dead.
-                    for idx in group {
-                        verdicts[idx] = Verdict::Delete;
-                    }
-                }
-            }
-            _ => {} // foreign vocabulary: not ours to prune
-        }
-    }
-    verdicts
+    decode_campaign(journal_lines).1
 }
 
 #[cfg(test)]
@@ -502,6 +505,7 @@ mod golden;
 mod tests {
     use super::*;
     use crate::campaign::WorkItem;
+    use gecko_isa::rng::SplitMix64;
 
     fn first_header(lines: &[String]) -> Option<(String, u64)> {
         lines.iter().find_map(|line| decode_header(line))
@@ -618,7 +622,7 @@ mod tests {
         for line in encode_run(11, &a).iter().chain(encode_run(22, &b).iter()) {
             journal.append(line);
         }
-        let runs = decode_campaign(&journal.lines());
+        let (runs, _) = decode_campaign(&journal.lines());
         assert_eq!(
             first_header(&journal.lines()),
             Some(("rt".to_string(), 0xFEED))
@@ -647,9 +651,17 @@ mod tests {
         journal.append(&partial[0]);
         // ...and a torn half-line from the kill itself.
         journal.append("{\"kind\":\"run_done\",\"run_key\":2,\"it");
-        let runs = decode_campaign(&journal.lines());
+        let (runs, _) = decode_campaign(&journal.lines());
         assert!(runs.contains_key(&1), "completed run survives");
         assert!(!runs.contains_key(&2), "unfinished run is re-executed");
+    }
+
+    /// The lines of `lines` whose index `gone` does not select.
+    fn without(lines: &[String], gone: impl Fn(usize) -> bool) -> Vec<String> {
+        (0..lines.len())
+            .filter(|&i| !gone(i))
+            .map(|i| lines[i].clone())
+            .collect()
     }
 
     #[test]
@@ -676,21 +688,47 @@ mod tests {
         // A foreign-vocabulary line is not ours to prune.
         journal.append("{\"kind\":\"chunk_done\",\"run_key\":4,\"windows\":3}");
 
+        // A run_done without "item" consumes its group and restores
+        // nothing — so a later group for the key stands alone, and one
+        // with no edges of its own stays incomplete.
+        let run = encode_run(5, &sample_result(0, 1));
+        let itemless = run[1].replacen("\"item\":0,", "", 1);
+        assert_ne!(itemless, run[1]);
+        let header = encode_header("cls", 9);
+        let drift = [
+            vec![
+                header.clone(),
+                run[0].clone(),
+                itemless.clone(),
+                run[1].clone(),
+            ],
+            vec![
+                header,
+                run[0].clone(),
+                itemless,
+                run[0].clone(),
+                run[1].clone(),
+            ],
+        ];
+
+        for (n, all) in [journal.lines()].into_iter().chain(drift).enumerate() {
+            let verdicts = classify_campaign_lines(&all);
+            let pruned = without(&all, |i| verdicts[i] == Verdict::Delete);
+            assert!(
+                pruned.len() < all.len(),
+                "input {n}: something was prunable"
+            );
+            assert_eq!(
+                decode_campaign(&all).0,
+                decode_campaign(&pruned).0,
+                "input {n}: pruning must be invisible to the decoder"
+            );
+            assert_eq!(first_header(&all), first_header(&pruned), "input {n}");
+        }
+
         let all = journal.lines();
         let verdicts = classify_campaign_lines(&all);
-        let pruned: Vec<String> = all
-            .iter()
-            .zip(&verdicts)
-            .filter(|(_, v)| **v == Verdict::Keep)
-            .map(|(l, _)| l.clone())
-            .collect();
-        assert!(pruned.len() < all.len(), "something was prunable");
-        assert_eq!(
-            decode_campaign(&all),
-            decode_campaign(&pruned),
-            "pruning must be invisible to the decoder"
-        );
-        assert_eq!(first_header(&all), first_header(&pruned));
+        let pruned = without(&all, |i| verdicts[i] == Verdict::Delete);
         assert!(
             pruned.iter().any(|l| l.contains("chunk_done")),
             "foreign lines survive"
@@ -705,6 +743,77 @@ mod tests {
             1,
             "exactly one header survives"
         );
+    }
+
+    /// Rewrites `lines` the ways a hostile or crashing writer could:
+    /// duplicated lines, swapped neighbours, a field deleted, a torn
+    /// prefix, and a line from `foreign` inserted.
+    fn mutate(rng: &mut SplitMix64, lines: &mut Vec<String>, foreign: &[&str]) {
+        for _ in 0..rng.range_u64(0, 6) {
+            let i = rng.range_u64(0, lines.len() as u64) as usize;
+            match rng.range_u64(0, 5) {
+                0 => {
+                    let at = rng.range_u64(0, lines.len() as u64 + 1) as usize;
+                    lines.insert(at, lines[i].clone());
+                }
+                1 if i + 1 < lines.len() => lines.swap(i, i + 1),
+                2 => {
+                    if let Some(Json::Obj(mut fields)) = Json::parse_flat(&lines[i]) {
+                        if !fields.is_empty() {
+                            fields.remove(rng.range_u64(0, fields.len() as u64) as usize);
+                            lines[i] = Json::Obj(fields).encode();
+                        }
+                    }
+                }
+                3 => {
+                    let cut = rng.range_u64(0, lines[i].len() as u64) as usize;
+                    lines[i].truncate(cut);
+                }
+                _ => {
+                    let pick = rng.range_u64(0, foreign.len() as u64) as usize;
+                    lines.insert(i, foreign[pick].to_string());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deleting_any_prefix_of_the_delete_lines_keeps_resume_unchanged() {
+        let foreign = [
+            "{\"kind\":\"chunk_done\",\"run_key\":2,\"windows\":3}",
+            "{\"kind\":\"mystery\",\"run_key\":1}",
+            "{\"kind\":\"bucket\",\"bucket\":0}",
+            "{\"run_key\":3,\"item\":2}",
+        ];
+        let mut rng = SplitMix64::new(0x5EED_0004);
+        for _ in 0..150 {
+            let mut lines = vec![encode_header("hostile", 4)];
+            for _ in 0..rng.range_u64(1, 5) {
+                // A key always journals the same run: resume is
+                // deterministic, so a re-run rewrites identical lines.
+                let key = rng.range_u64(0, 3);
+                lines.extend(encode_run(key, &sample_result(key as usize, key as usize)));
+            }
+            if rng.range_u64(0, 2) == 0 {
+                lines.pop(); // killed before the last run_done
+            }
+            mutate(&mut rng, &mut lines, &foreign);
+
+            let (runs, verdicts) = decode_campaign(&lines);
+            let deletes: Vec<usize> = (0..lines.len())
+                .filter(|&i| verdicts[i] == Verdict::Delete)
+                .collect();
+            for j in 0..=deletes.len() {
+                let pruned = without(&lines, |i| deletes[..j].contains(&i));
+                assert_eq!(
+                    decode_campaign(&pruned).0,
+                    runs,
+                    "{lines:#?} without lines {:?}",
+                    &deletes[..j]
+                );
+                assert_eq!(first_header(&pruned), first_header(&lines));
+            }
+        }
     }
 
     #[test]
@@ -726,7 +835,7 @@ mod tests {
 
         let journal = Journal::open_segmented(&dir, gecko_store::LogConfig::default()).unwrap();
         assert_eq!(journal.torn_tails(), 1, "repair is counted");
-        let runs = decode_campaign(&journal.lines());
+        let (runs, _) = decode_campaign(&journal.lines());
         assert_eq!(
             first_header(&journal.lines()),
             Some(("torn".to_string(), 3))
@@ -738,7 +847,7 @@ mod tests {
             journal.append(&line);
         }
         journal.sync();
-        let runs = decode_campaign(&journal.lines());
+        let (runs, _) = decode_campaign(&journal.lines());
         assert!(runs.contains_key(&5));
         assert_eq!(journal.dropped(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -764,7 +873,7 @@ mod tests {
         journal.sync();
         let log = journal.segment_log().expect("segmented backend");
         assert!(log.segments().len() > 1, "small segments rotate");
-        let runs = decode_campaign(&journal.lines());
+        let (runs, _) = decode_campaign(&journal.lines());
         assert_eq!(
             first_header(&journal.lines()),
             Some(("seg".to_string(), 11))
@@ -780,7 +889,7 @@ mod tests {
             },
         )
         .unwrap();
-        let runs = decode_campaign(&reopened.lines());
+        let (runs, _) = decode_campaign(&reopened.lines());
         assert_eq!(runs.len(), 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -798,7 +907,7 @@ mod tests {
             assert_eq!(journal.dropped(), 0);
         }
         let reopened = Journal::open_segmented(&dir, gecko_store::LogConfig::default()).unwrap();
-        let runs = decode_campaign(&reopened.lines());
+        let (runs, _) = decode_campaign(&reopened.lines());
         assert_eq!(
             first_header(&reopened.lines()),
             Some(("file".to_string(), 7))

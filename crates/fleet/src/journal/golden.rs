@@ -96,7 +96,7 @@ fn golden_lines_decode_to_the_expected_run() {
         Some(("fig \"β\"\tsweep".to_string(), 0xFEDC_BA98_7654_3210))
     );
     let lines: Vec<String> = fixtures().iter().map(|l| l.to_string()).collect();
-    let runs = decode_campaign(&lines);
+    let (runs, _) = decode_campaign(&lines);
     assert_eq!(runs.len(), 1);
     let run = &runs[&RUN_KEY];
     let expected = result();
@@ -125,7 +125,7 @@ fn every_strict_prefix_of_a_golden_line_is_garbage() {
                 "{:?}",
                 torn[0]
             );
-            let runs = decode_campaign(&torn);
+            let (runs, _) = decode_campaign(&torn);
             assert!(
                 decode_header(&torn[0]).is_none() && runs.is_empty(),
                 "{:?}",

@@ -27,8 +27,10 @@
 //! per tick, with its [`gecko_store::PruneCheckpoint`]s persisted in
 //! `prune.json` under the journal root.
 //!
-//! The restart scan derives state from those files alone: `result.json`
-//! means Done, `state.json` means Cancelled/Failed, anything else means
+//! The three terminal files are published atomically (temporary file,
+//! then rename). The restart scan derives state from the files alone: a
+//! `result.json` whose digest decodes means Done, `state.json` means
+//! Cancelled/Failed, anything else (a torn `result.json` included) means
 //! the job was interrupted (daemon killed, graceful shutdown, or
 //! `halt_after`) and goes back on the queue — [`Campaign::resume`] skips
 //! the journaled runs and the merged report is bit-exact against an
@@ -879,13 +881,15 @@ fn restore_job(inner: &QueueInner, id: u64, dir: &Path) -> Option<Arc<Job>> {
         .unwrap_or(false);
     let (name, grid) = validate_spec(kind, &spec).ok()?;
 
-    // Terminal-state detection from the directory contents alone.
-    let (state, error, digest) = if let Ok(text) = std::fs::read_to_string(dir.join("result.json"))
-    {
-        let digest = Json::parse(&text)
-            .ok()
-            .and_then(|doc| doc.get("digest")?.as_u64());
-        (JobState::Done, None, digest)
+    // Terminal-state detection from the directory contents alone. Only a
+    // result.json whose digest decodes means Done: a torn one (written in
+    // place by an older daemon killed mid-write) re-queues the job, and
+    // resume rebuilds the document from the journal.
+    let done_digest = std::fs::read_to_string(dir.join("result.json"))
+        .ok()
+        .and_then(|text| Json::parse(&text).ok()?.get("digest")?.as_u64());
+    let (state, error, digest) = if let Some(digest) = done_digest {
+        (JobState::Done, None, Some(digest))
     } else if let Ok(text) = std::fs::read_to_string(dir.join("state.json")) {
         let doc = Json::parse(&text).ok()?;
         let state = match doc.get("state")?.as_str()? {
@@ -953,7 +957,18 @@ fn write_state_file(dir: &Path, state: &str, error: Option<&str>) {
             error.map_or(Json::Null, |e| Json::Str(e.to_string())),
         ),
     ]);
-    let _ = std::fs::write(dir.join("state.json"), doc.encode());
+    let _ = publish(dir, "state.json", &doc.encode());
+}
+
+/// Writes `dir/name` atomically: to a temporary file first, then renamed
+/// over the target, so readers and the restart scan see the old file or
+/// the whole new one, never a torn prefix. No fsync: the journal, synced
+/// when the pool drains, is the durable record a lost file is rebuilt
+/// from.
+fn publish(dir: &Path, name: &str, contents: &str) -> std::io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, dir.join(name))
 }
 
 /// GCs finished `job-<id>/` directories under the retention policy.
@@ -1230,8 +1245,8 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
 
     match outcome {
         Ok((true, digest, full, det)) => {
-            let write = std::fs::write(job.dir.join("result.det.json"), det)
-                .and_then(|()| std::fs::write(job.dir.join("result.json"), full));
+            let write = publish(&job.dir, "result.det.json", &det)
+                .and_then(|()| publish(&job.dir, "result.json", &full));
             match write {
                 Ok(()) => job.set_state(JobState::Done, None, Some(digest)),
                 Err(e) => {
@@ -1374,6 +1389,43 @@ mod tests {
         let status = job.status_value();
         assert_eq!(status.get("digest").and_then(Json::as_u64), Some(reference));
         assert_eq!(status.get("items_resumed").and_then(Json::as_u64), Some(1));
+        queue.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn torn_result_file_is_rebuilt_from_the_journal_on_restart() {
+        let cfg = test_config("torn-result");
+        let root = cfg.journal_root.clone();
+        let queue = Queue::start(cfg.clone()).unwrap();
+        let job = queue
+            .submit(JobKind::Sweep, submission(tiny_sweep_spec(), None))
+            .unwrap();
+        assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        let digest = job.status_value().get("digest").and_then(Json::as_u64);
+        assert!(digest.is_some());
+        let (id, result) = (job.id, job.dir.join("result.json"));
+        queue.shutdown();
+        drop(queue);
+
+        // A daemon killed mid-write leaves half the document behind.
+        let bytes = std::fs::read(&result).unwrap();
+        std::fs::write(&result, &bytes[..bytes.len() / 2]).unwrap();
+
+        let queue = Queue::start(cfg).unwrap();
+        let job = queue.job(id).expect("job restored");
+        assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        assert_eq!(
+            job.status_value().get("digest").and_then(Json::as_u64),
+            digest
+        );
+        let rebuilt = std::fs::read_to_string(&result).unwrap();
+        assert_eq!(
+            Json::parse(&rebuilt)
+                .ok()
+                .and_then(|doc| doc.get("digest")?.as_u64()),
+            digest
+        );
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

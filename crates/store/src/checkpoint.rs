@@ -164,6 +164,7 @@ fn read_string(s: &str) -> Option<(String, &str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gecko_isa::rng::SplitMix64;
 
     #[test]
     fn checkpoints_round_trip_across_reopen() {
@@ -217,6 +218,61 @@ mod tests {
         let store = CheckpointStore::open(&path).unwrap();
         assert_eq!(store.all().count(), 1);
         assert_eq!(store.get("ok").map(|c| c.next_segment), Some(7));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shuffled_duplicated_and_torn_lines_never_panic_and_the_last_line_wins() {
+        let dir = std::env::temp_dir().join(format!("gecko-store-cp-fuzz-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("prune.json");
+        let kinds = ["journal", "telemetry", "check-memo", "q\"uo\\te", "β-seg"];
+        let junk: Vec<char> = "{}\":,\\ 0123456789.-β".chars().collect();
+        let mut rng = SplitMix64::new(0x5EED_0007);
+        for _ in 0..200 {
+            // (line, what it decodes to): intact lines decode, torn
+            // prefixes and letter-free junk never do.
+            let mut lines: Vec<(String, Option<(&str, PruneCheckpoint)>)> = Vec::new();
+            for _ in 0..rng.range_u64(1, 12) {
+                let kind = kinds[rng.range_u64(0, kinds.len() as u64) as usize];
+                let cp = PruneCheckpoint {
+                    next_segment: rng.range_u64(0, 100),
+                    pruned_entries: rng.next_u64(),
+                    reclaimed_bytes: rng.range_u64(0, 1 << 20),
+                };
+                let line = encode_line(kind, cp);
+                match rng.range_u64(0, 5) {
+                    0 => {
+                        let cuts: Vec<usize> = line.char_indices().map(|(at, _)| at).collect();
+                        let cut = cuts[rng.range_u64(0, cuts.len() as u64) as usize];
+                        lines.push((line[..cut].to_string(), None));
+                    }
+                    1 => {
+                        let len = rng.range_u64(0, 24);
+                        let text = (0..len)
+                            .map(|_| junk[rng.range_u64(0, junk.len() as u64) as usize])
+                            .collect();
+                        lines.push((text, None));
+                    }
+                    2 => lines.extend([(line.clone(), Some((kind, cp))), (line, Some((kind, cp)))]),
+                    _ => lines.push((line, Some((kind, cp)))),
+                }
+            }
+            for i in (1..lines.len()).rev() {
+                lines.swap(i, rng.range_u64(0, i as u64 + 1) as usize);
+            }
+            let text: Vec<&str> = lines.iter().map(|(l, _)| l.as_str()).collect();
+            std::fs::write(&path, text.join("\n")).unwrap();
+
+            let mut expected = BTreeMap::new();
+            for (kind, cp) in lines.iter().filter_map(|(_, d)| *d) {
+                expected.insert(kind, cp);
+            }
+            let store = CheckpointStore::open(&path).unwrap();
+            let got: BTreeMap<&str, PruneCheckpoint> = store.all().collect();
+            assert_eq!(got, expected, "{text:#?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

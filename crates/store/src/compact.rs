@@ -4,9 +4,11 @@
 //!
 //! The classifier sees the *whole* log (every segment, append order) and
 //! returns one [`Verdict`] per line — that is where vocabulary-specific
-//! rules live (a `run_done` record superseded by a later duplicate, a
-//! torn line the decoder already skips, bucket lines belonging to a
-//! superseded run). The compactor contributes the mechanics:
+//! rules live. For the run and chunk journals the classifier *is* the
+//! resume decoder: its pass reports which lines it threw away (a torn
+//! line it skipped, a record a later duplicate superseded, the bucket
+//! lines of a run that restored nothing), so compaction deletes exactly
+//! what resume ignores. The compactor contributes the mechanics:
 //!
 //! * Only **sealed** segments are rewritten; the active tail (and any
 //!   concurrent appends landing in it) is never touched.

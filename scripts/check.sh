@@ -70,3 +70,4 @@ echo "    page-tracked forks move >= 32x fewer NVM words than full-image forks)"
 GECKO_QUICK=1 cargo bench --offline -p gecko-bench --bench checker_fork
 
 echo "==> OK"
+echo "(info) non-test lines under crates/ (scripts/loc.sh): $(scripts/loc.sh)"
