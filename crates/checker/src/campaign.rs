@@ -629,7 +629,7 @@ pub fn check_journal_diagnostics(lines: &[String]) -> Vec<JournalDiagnostic> {
     decode_chunks(lines).1
 }
 
-/// Classifies a checker journal for [`gecko_store::LogCompactor`]: the
+/// Classifies a checker journal for [`gecko_store::SegmentedLog::compact`]: the
 /// [`Verdict`]s of the very pass resume decodes the journal with.
 pub fn classify_check_lines(lines: &[String]) -> Vec<Verdict> {
     decode_chunks(lines).2
@@ -1057,7 +1057,7 @@ impl CheckCampaign {
             journal.sync();
         }
         // Same boundary for the memo store: records appended by the pool
-        // are durable before the report (or a pruner) can see them.
+        // are durable before the report (or a compaction) can see them.
         if let Some(memo) = &self.memo {
             memo.sync();
         }
@@ -1331,11 +1331,13 @@ pub fn check_summary(report: &CheckReport) -> String {
 mod golden;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::verdict::Blame;
     use gecko_fleet::journal::{decode_header, encode_header};
     use gecko_isa::rng::SplitMix64;
+    use gecko_store::{LogConfig, SegmentedLog};
+    use std::path::Path;
 
     fn sample_chunk(run_key: u64, item: usize, windows: u64) -> String {
         let stats = CheckStats {
@@ -1384,7 +1386,6 @@ mod tests {
         // The invariant the compactor relies on: pruning is invisible to
         // the decoder (diagnostics differ — the pruned lines were
         // exactly the diagnosed ones — so compare header + chunks).
-        let header = |lines: &[String]| lines.iter().find_map(|l| decode_header(l));
         assert_eq!(decode_chunks(&lines).0, decode_chunks(&pruned).0);
         assert_eq!(header(&lines), header(&pruned));
 
@@ -1406,54 +1407,62 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn deleting_any_prefix_of_the_delete_lines_keeps_resume_unchanged() {
+    /// A seeded hostile chunk journal: a header, a few chunk records,
+    /// then hostile rewrites — duplicated lines, swapped neighbours, a
+    /// field deleted, a torn prefix, a foreign-kind line inserted.
+    fn hostile_journal(rng: &mut SplitMix64) -> Vec<String> {
         let foreign = [
             r#"{"kind":"run_done","run_key":1,"item":0}"#,
             r#"{"kind":"chunk_done","run_key":2,"item":1,"windows":8,"forks":1,"explored":1,"memo_hits":0,"steps":5,"violations":1,"viols":"7|5z|clean"}"#,
             r#"{"kind":"mystery","run_key":0}"#,
         ];
-        let mut rng = SplitMix64::new(0x5EED_0005);
-        for _ in 0..150 {
-            let mut lines = vec![encode_header("hostile", 5)];
-            for _ in 0..rng.range_u64(1, 6) {
-                let key = rng.range_u64(0, 3);
-                lines.push(sample_chunk(key, key as usize, 64 * rng.range_u64(1, 3)));
-            }
-            // Hostile rewrites: duplicated lines, swapped neighbours, a
-            // field deleted, a torn prefix, a foreign-kind line inserted.
-            for _ in 0..rng.range_u64(0, 6) {
-                let i = rng.range_u64(0, lines.len() as u64) as usize;
-                match rng.range_u64(0, 5) {
-                    0 => {
-                        let at = rng.range_u64(0, lines.len() as u64 + 1) as usize;
-                        lines.insert(at, lines[i].clone());
-                    }
-                    1 if i + 1 < lines.len() => lines.swap(i, i + 1),
-                    2 => {
-                        if let Some(Json::Obj(mut fields)) = Json::parse_flat(&lines[i]) {
-                            if !fields.is_empty() {
-                                fields.remove(rng.range_u64(0, fields.len() as u64) as usize);
-                                lines[i] = Json::Obj(fields).encode();
-                            }
+        let mut lines = vec![encode_header("hostile", 5)];
+        for _ in 0..rng.range_u64(1, 6) {
+            let key = rng.range_u64(0, 3);
+            lines.push(sample_chunk(key, key as usize, 64 * rng.range_u64(1, 3)));
+        }
+        for _ in 0..rng.range_u64(0, 6) {
+            let i = rng.range_u64(0, lines.len() as u64) as usize;
+            match rng.range_u64(0, 5) {
+                0 => {
+                    let at = rng.range_u64(0, lines.len() as u64 + 1) as usize;
+                    lines.insert(at, lines[i].clone());
+                }
+                1 if i + 1 < lines.len() => lines.swap(i, i + 1),
+                2 => {
+                    if let Some(Json::Obj(mut fields)) = Json::parse_flat(&lines[i]) {
+                        if !fields.is_empty() {
+                            fields.remove(rng.range_u64(0, fields.len() as u64) as usize);
+                            lines[i] = Json::Obj(fields).encode();
                         }
                     }
-                    3 => {
-                        let cut = rng.range_u64(0, lines[i].len() as u64) as usize;
-                        lines[i].truncate(cut);
-                    }
-                    _ => {
-                        let pick = rng.range_u64(0, foreign.len() as u64) as usize;
-                        lines.insert(i, foreign[pick].to_string());
-                    }
+                }
+                3 => {
+                    let cut = rng.range_u64(0, lines[i].len() as u64) as usize;
+                    lines[i].truncate(cut);
+                }
+                _ => {
+                    let pick = rng.range_u64(0, foreign.len() as u64) as usize;
+                    lines.insert(i, foreign[pick].to_string());
                 }
             }
+        }
+        lines
+    }
 
+    fn header(lines: &[String]) -> Option<(String, u64)> {
+        lines.iter().find_map(|l| decode_header(l))
+    }
+
+    #[test]
+    fn deleting_any_prefix_of_the_delete_lines_keeps_resume_unchanged() {
+        let mut rng = SplitMix64::new(0x5EED_0005);
+        for _ in 0..150 {
+            let lines = hostile_journal(&mut rng);
             let (chunks, _, verdicts) = decode_chunks(&lines);
             let deletes: Vec<usize> = (0..lines.len())
                 .filter(|&i| verdicts[i] == Verdict::Delete)
                 .collect();
-            let header = |lines: &[String]| lines.iter().find_map(|l| decode_header(l));
             for j in 0..=deletes.len() {
                 let pruned = without(&lines, |i| deletes[..j].contains(&i));
                 assert_eq!(
@@ -1464,6 +1473,61 @@ mod tests {
                 );
                 assert_eq!(header(&pruned), header(&lines));
             }
+        }
+    }
+
+    /// Appends `lines` to a fresh [`SegmentedLog`] in `dir` under a seeded
+    /// schedule — a random segment size and `delete_limit`, budgeted
+    /// [`SegmentedLog::compact`] calls between appends, the log sometimes
+    /// reopened from disk first — and checks after every call, and after
+    /// a final seal-and-drain, that `decode` reads the compacted log
+    /// exactly as it reads the lines appended so far.
+    pub(crate) fn assert_compaction_is_invisible<T: PartialEq + std::fmt::Debug>(
+        rng: &mut SplitMix64,
+        dir: &Path,
+        lines: &[String],
+        classify: fn(&[String]) -> Vec<Verdict>,
+        decode: impl Fn(&[String]) -> T,
+    ) {
+        let _ = std::fs::remove_dir_all(dir);
+        let cfg = LogConfig {
+            max_segment_bytes: 96 * rng.range_u64(1, 9),
+        };
+        let delete_limit = rng.range_u64(0, 4) as usize;
+        let mut log = SegmentedLog::open(dir, cfg).unwrap();
+        let check = |log: &SegmentedLog, appended: usize| {
+            assert_eq!(
+                decode(&log.lines()),
+                decode(&lines[..appended]),
+                "{cfg:?}, delete_limit {delete_limit}, after {appended} of {lines:#?}"
+            );
+        };
+        for n in 1..=lines.len() {
+            log.append(&lines[n - 1]);
+            if rng.range_u64(0, 3) == 0 {
+                if rng.range_u64(0, 2) == 0 {
+                    drop(log);
+                    log = SegmentedLog::open(dir, cfg).unwrap();
+                }
+                log.compact(classify, delete_limit).unwrap();
+                check(&log, n);
+            }
+        }
+        log.seal().unwrap();
+        while !log.compact(classify, delete_limit).unwrap().done {}
+        check(&log, lines.len());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn compaction_under_any_schedule_is_invisible_to_resume() {
+        let dir = std::env::temp_dir().join(format!("gecko-check-schedule-{}", std::process::id()));
+        let mut rng = SplitMix64::new(0x5EED_0008);
+        for _ in 0..120 {
+            let lines = hostile_journal(&mut rng);
+            assert_compaction_is_invisible(&mut rng, &dir, &lines, classify_check_lines, |lines| {
+                (decode_chunks(lines).0, header(lines))
+            });
         }
     }
 

@@ -22,9 +22,10 @@
 //!
 //! Record vocabulary (single-line JSON, torn-write safe by construction):
 //! `memo_meta` (store fingerprint + generation; a meta with a new
-//! fingerprint clears everything), `memo_slab` (later wins per run key),
-//! `memo_state` (append-only), `memo_drop` (clears one run key). The log
-//! prunes under the standard [`gecko_store::Pruner`] budget via
+//! fingerprint clears everything), `memo_slab` (later wins per run key;
+//! a complete one clears its key's states), `memo_state` (append-only),
+//! `memo_drop` (clears one run key). The log
+//! compacts through [`SegmentedLog::compact`] with
 //! [`classify_memo_lines`], which only ever deletes lines whose removal —
 //! one by one or all at once — is invisible to `MemoStore::restore`.
 
@@ -70,6 +71,13 @@ struct SlabRecord {
     regions: BTreeSet<u32>,
     stats: CheckStats,
     violations: Vec<JournaledViolation>,
+}
+
+impl SlabRecord {
+    /// Every window of the slab is checked: it preloads no memo entries.
+    fn complete(&self) -> bool {
+        self.done >= self.end.saturating_sub(self.start)
+    }
 }
 
 /// One decoded line of the store's vocabulary.
@@ -249,6 +257,13 @@ impl StoreState {
                 self.generation = *generation;
             }
             MemoLine::Slab { run_key, rec } => {
+                // A complete slab never preloads memo entries, so the
+                // entries before it are dead for good: clearing them here
+                // keeps them dead whatever is appended later (the writer
+                // drops a key before re-exploring a complete slab anyway).
+                if rec.complete() {
+                    self.states.remove(run_key);
+                }
                 self.slabs.insert(*run_key, rec.clone());
             }
             MemoLine::State {
@@ -323,8 +338,8 @@ impl MemoStore {
         })
     }
 
-    /// The underlying log (for wiring into a [`gecko_store::Pruner`] via
-    /// [`gecko_store::LogCompactor`] with [`classify_memo_lines`]).
+    /// The underlying log (compacted with
+    /// `log.compact(classify_memo_lines, delete_limit)`).
     pub fn log(&self) -> Arc<SegmentedLog> {
         Arc::clone(&self.log)
     }
@@ -548,14 +563,15 @@ impl ExploreObserver for SlabWriter<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Prune classifier
+// Compaction classifier
 // ---------------------------------------------------------------------------
 
-/// Classifies a memo log for [`gecko_store::LogCompactor`], marking
+/// Classifies a memo log for [`SegmentedLog::compact`], marking
 /// [`Verdict::Delete`] only on lines whose removal is invisible to
 /// `MemoStore::restore` — and stays invisible if *any subset* of the
-/// marked lines is removed (the compactor rewrites sealed segments only,
-/// so marked lines in the active tail survive every prune):
+/// marked lines is removed, and whatever lines are appended afterwards
+/// (compaction rewrites sealed segments only, so marked lines in the
+/// active tail survive every call, and the log keeps growing):
 ///
 /// * unparseable garbage and structurally broken records of our
 ///   vocabulary (no decoder sees them);
@@ -563,12 +579,15 @@ impl ExploreObserver for SlabWriter<'_> {
 ///   (metas themselves are always kept — they *are* the clearing
 ///   structure — so the wipe happens with or without the wiped lines);
 /// * slab records superseded by a later decodable record for the same
-///   run key, and records killed by a later `memo_drop` of their key;
-/// * state entries that can never be preloaded: their key's effective
-///   slab is absent or complete, or their `upto` outruns its `done`
-///   (orphans of a torn flush);
+///   run key — except a complete slab that clears state entries nothing
+///   else kills — and records killed by a later `memo_drop` of their key;
+/// * state entries a later complete slab of their key cleared;
 /// * drops with nothing before them to drop, and drops whose effect a
 ///   later meta-wipe reproduces.
+///
+/// A state entry with no slab yet, or whose `upto` outruns its slab's
+/// `done` (an orphan of a torn flush), is kept: a later slab record can
+/// still cover it.
 ///
 /// Lines in a foreign vocabulary — and our-kind records carrying unknown
 /// tags (a newer writer's data) — are kept.
@@ -631,14 +650,33 @@ pub fn classify_memo_lines(lines: &[String]) -> Vec<Verdict> {
 
     // Effective slab per key: the last decodable, un-wiped, un-dropped
     // record.
-    let mut effective_slab: HashMap<u64, (usize, u64, u64)> = HashMap::new(); // key → (idx, done, total)
+    let mut effective_slab: HashMap<u64, usize> = HashMap::new();
     for (i, p) in parsed.iter().enumerate() {
-        if let Parsed::Line(MemoLine::Slab { run_key, rec }) = p {
+        if let Parsed::Line(MemoLine::Slab { run_key, .. }) = p {
             if !wiped(i) && !dropped(*run_key, i) {
-                effective_slab.insert(*run_key, (i, rec.done, rec.end.saturating_sub(rec.start)));
+                effective_slab.insert(*run_key, i);
             }
         }
     }
+
+    // Complete slabs clear their key's state entries. Per key: the last
+    // decodable complete slab, and the first state entry no wipe or drop
+    // kills — a complete slab after it is what keeps it dead.
+    let mut last_complete: HashMap<u64, usize> = HashMap::new();
+    let mut first_live_state: HashMap<u64, usize> = HashMap::new();
+    for (i, p) in parsed.iter().enumerate() {
+        match p {
+            Parsed::Line(MemoLine::Slab { run_key, rec }) if rec.complete() => {
+                last_complete.insert(*run_key, i);
+            }
+            Parsed::Line(MemoLine::State { run_key, .. }) if !wiped(i) && !dropped(*run_key, i) => {
+                first_live_state.entry(*run_key).or_insert(i);
+            }
+            _ => {}
+        }
+    }
+    let cleared = |key: u64, i: usize| last_complete.get(&key).is_some_and(|&c| i < c);
+    let clears_live_state = |key: u64, i: usize| first_live_state.get(&key).is_some_and(|&s| s < i);
 
     let mut verdicts = vec![Verdict::Keep; lines.len()];
     let mut seen_keys: BTreeSet<u64> = BTreeSet::new();
@@ -652,24 +690,17 @@ pub fn classify_memo_lines(lines: &[String]) -> Vec<Verdict> {
                 }
             }
             Parsed::Line(MemoLine::Meta { .. }) => {}
-            Parsed::Line(MemoLine::Slab { run_key, .. }) => {
+            Parsed::Line(MemoLine::Slab { run_key, rec }) => {
                 seen_keys.insert(*run_key);
-                let is_effective = effective_slab
-                    .get(run_key)
-                    .is_some_and(|&(at, _, _)| at == i);
-                if !is_effective {
+                let is_effective = effective_slab.get(run_key).is_some_and(|&at| at == i);
+                let clearing = rec.complete() && clears_live_state(*run_key, i);
+                if !is_effective && !clearing {
                     verdicts[i] = Verdict::Delete;
                 }
             }
-            Parsed::Line(MemoLine::State { run_key, upto, .. }) => {
+            Parsed::Line(MemoLine::State { run_key, .. }) => {
                 seen_keys.insert(*run_key);
-                let dead = wiped(i)
-                    || dropped(*run_key, i)
-                    || match effective_slab.get(run_key) {
-                        None => true,
-                        Some(&(_, done, total)) => done >= total || *upto > done,
-                    };
-                if dead {
+                if wiped(i) || dropped(*run_key, i) || cleared(*run_key, i) {
                     verdicts[i] = Verdict::Delete;
                 }
             }
@@ -892,7 +923,7 @@ mod tests {
             state_line(1, 32, 0x3),
             state_line(1, 48, 0x4),     // orphan: upto > done
             slab_line(&fps, 2, 64, 64), // complete
-            state_line(2, 32, 0x5),     // dead: its slab is complete
+            state_line(2, 32, 0x5),     // after its complete slab: wiped below
             encode_memo_line(&MemoLine::Drop { run_key: 99 }), // nothing to drop
             meta_line(8, 2),            // different fp: wipes everything above
             slab_line(&fps, 4, 16, 64),
@@ -922,25 +953,7 @@ mod tests {
         // of their deletions.
         let mut rng = SplitMix64::new(0x5EED_0006);
         for _ in 0..150 {
-            let lines: Vec<String> = (0..rng.range_u64(4, 18))
-                .map(|_| {
-                    let key = rng.range_u64(1, 4);
-                    let step = 8 * rng.range_u64(1, 9);
-                    match rng.range_u64(0, 8) {
-                        0 => meta_line(7 + rng.range_u64(0, 2), rng.range_u64(1, 4)),
-                        1 | 2 => slab_line(&fps, key, step, 64),
-                        3 | 4 => state_line(key, step, rng.next_u64()),
-                        5 => encode_memo_line(&MemoLine::Drop { run_key: key }),
-                        6 => format!(
-                            r#"{{"kind":"memo_state","run_key":{key},"upto":{step},"state":9,"outcome":"vaporized"}}"#
-                        ),
-                        _ => {
-                            let line = slab_line(&fps, key, step, 64);
-                            line[..rng.range_u64(0, line.len() as u64) as usize].to_string()
-                        }
-                    }
-                })
-                .collect();
+            let lines = random_memo_lines(&mut rng);
             let verdicts = classify_memo_lines(&lines);
             let deleted: Vec<usize> = (0..lines.len())
                 .filter(|&i| verdicts[i] == Verdict::Delete)
@@ -955,6 +968,51 @@ mod tests {
             subsets.push(deleted);
             assert_subsets_are_invisible(&lines, &subsets);
         }
+    }
+
+    /// A seeded stream of every memo line kind — metas, slabs, states,
+    /// drops, forward-compatible records and torn slab prefixes — over
+    /// run keys 1..=3.
+    fn random_memo_lines(rng: &mut SplitMix64) -> Vec<String> {
+        let fps = fake_fps();
+        (0..rng.range_u64(4, 18))
+            .map(|_| {
+                let key = rng.range_u64(1, 4);
+                let step = 8 * rng.range_u64(1, 9);
+                match rng.range_u64(0, 8) {
+                    0 => meta_line(7 + rng.range_u64(0, 2), rng.range_u64(1, 4)),
+                    1 | 2 => slab_line(&fps, key, step, 64),
+                    3 | 4 => state_line(key, step, rng.next_u64()),
+                    5 => encode_memo_line(&MemoLine::Drop { run_key: key }),
+                    6 => format!(
+                        r#"{{"kind":"memo_state","run_key":{key},"upto":{step},"state":9,"outcome":"vaporized"}}"#
+                    ),
+                    _ => {
+                        let line = slab_line(&fps, key, step, 64);
+                        line[..rng.range_u64(0, line.len() as u64) as usize].to_string()
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compaction_under_any_schedule_is_invisible_to_restore() {
+        let fps = fake_fps();
+        let keys = [1u64, 2, 3, 4, 99];
+        let (dir, decoded) = (scratch("schedule"), scratch("schedule-decoded"));
+        let mut rng = SplitMix64::new(0x5EED_0009);
+        for _ in 0..120 {
+            let lines = random_memo_lines(&mut rng);
+            crate::campaign::tests::assert_compaction_is_invisible(
+                &mut rng,
+                &dir,
+                &lines,
+                classify_memo_lines,
+                |lines| observable(&store_from_lines(&decoded, lines), &fps, &keys),
+            );
+        }
+        let _ = std::fs::remove_dir_all(&decoded);
     }
 
     /// Removing the lines of any one of `subsets` from `lines` leaves

@@ -31,9 +31,9 @@
 //!   on their own), so the clean path stays cheap while a power cut can
 //!   only cost lines since the last checkpoint — which resume re-executes.
 //! * On disk, [`Journal::open_segmented`] stores the lines in a
-//!   [`gecko_store::SegmentedLog`] — sealed segments the store's pruner
-//!   can compact without disturbing the bit-exact resume guarantee. The
-//!   compactor's verdicts ([`classify_campaign_lines`]) are the resume
+//!   [`gecko_store::SegmentedLog`] — sealed segments
+//!   [`SegmentedLog::compact`] can rewrite without disturbing the
+//!   bit-exact resume guarantee. Its verdicts ([`classify_campaign_lines`]) are the resume
 //!   decoder's own: one [`Replay`] pass yields both the restored runs and
 //!   one verdict per line, so the lines compaction deletes are exactly
 //!   the ones resume threw away. A tail torn mid-append is repaired
@@ -80,8 +80,9 @@ impl Journal {
     }
 
     /// Wraps a [`SegmentedLog`] as a journal. The log stays shared: the
-    /// campaign appends through this journal while the store's pruner
-    /// compacts sealed segments of the same log concurrently.
+    /// campaign appends through this journal while
+    /// [`SegmentedLog::compact`] rewrites sealed segments of the same log
+    /// concurrently.
     pub fn segmented(log: Arc<SegmentedLog>) -> Journal {
         Journal {
             backend: Mutex::new(Backend::Segmented(log)),
@@ -103,7 +104,7 @@ impl Journal {
     }
 
     /// The underlying segmented log, when this journal has one (for
-    /// pruner registration and stats).
+    /// compaction and stats).
     pub fn segment_log(&self) -> Option<Arc<SegmentedLog>> {
         match &*lock_unpoisoned(&self.backend) {
             Backend::Segmented(log) => Some(Arc::clone(log)),
@@ -777,28 +778,35 @@ mod tests {
         }
     }
 
+    const FOREIGN: [&str; 4] = [
+        "{\"kind\":\"chunk_done\",\"run_key\":2,\"windows\":3}",
+        "{\"kind\":\"mystery\",\"run_key\":1}",
+        "{\"kind\":\"bucket\",\"bucket\":0}",
+        "{\"run_key\":3,\"item\":2}",
+    ];
+
+    /// A seeded hostile run journal: a header, a few runs (a key always
+    /// journals the same run — resume is deterministic, so a re-run
+    /// rewrites identical lines), maybe a missing last `run_done`, then
+    /// [`mutate`]'s rewrites.
+    fn hostile_journal(rng: &mut SplitMix64) -> Vec<String> {
+        let mut lines = vec![encode_header("hostile", 4)];
+        for _ in 0..rng.range_u64(1, 5) {
+            let key = rng.range_u64(0, 3);
+            lines.extend(encode_run(key, &sample_result(key as usize, key as usize)));
+        }
+        if rng.range_u64(0, 2) == 0 {
+            lines.pop(); // killed before the last run_done
+        }
+        mutate(rng, &mut lines, &FOREIGN);
+        lines
+    }
+
     #[test]
     fn deleting_any_prefix_of_the_delete_lines_keeps_resume_unchanged() {
-        let foreign = [
-            "{\"kind\":\"chunk_done\",\"run_key\":2,\"windows\":3}",
-            "{\"kind\":\"mystery\",\"run_key\":1}",
-            "{\"kind\":\"bucket\",\"bucket\":0}",
-            "{\"run_key\":3,\"item\":2}",
-        ];
         let mut rng = SplitMix64::new(0x5EED_0004);
         for _ in 0..150 {
-            let mut lines = vec![encode_header("hostile", 4)];
-            for _ in 0..rng.range_u64(1, 5) {
-                // A key always journals the same run: resume is
-                // deterministic, so a re-run rewrites identical lines.
-                let key = rng.range_u64(0, 3);
-                lines.extend(encode_run(key, &sample_result(key as usize, key as usize)));
-            }
-            if rng.range_u64(0, 2) == 0 {
-                lines.pop(); // killed before the last run_done
-            }
-            mutate(&mut rng, &mut lines, &foreign);
-
+            let lines = hostile_journal(&mut rng);
             let (runs, verdicts) = decode_campaign(&lines);
             let deletes: Vec<usize> = (0..lines.len())
                 .filter(|&i| verdicts[i] == Verdict::Delete)
@@ -813,6 +821,123 @@ mod tests {
                 );
                 assert_eq!(first_header(&pruned), first_header(&lines));
             }
+        }
+    }
+
+    /// Appends `lines` to a fresh [`SegmentedLog`] in `dir` under a seeded
+    /// schedule — a random segment size and `delete_limit`, budgeted
+    /// [`SegmentedLog::compact`] calls between appends, the log sometimes
+    /// reopened from disk first — and checks after every call, and after
+    /// a final seal-and-drain, that `decode` reads the compacted log
+    /// exactly as it reads the lines appended so far.
+    fn assert_compaction_is_invisible<T: PartialEq + std::fmt::Debug>(
+        rng: &mut SplitMix64,
+        dir: &Path,
+        lines: &[String],
+        classify: fn(&[String]) -> Vec<Verdict>,
+        decode: impl Fn(&[String]) -> T,
+    ) {
+        let _ = std::fs::remove_dir_all(dir);
+        let cfg = gecko_store::LogConfig {
+            max_segment_bytes: 96 * rng.range_u64(1, 9),
+        };
+        let delete_limit = rng.range_u64(0, 4) as usize;
+        let mut log = SegmentedLog::open(dir, cfg).unwrap();
+        let check = |log: &SegmentedLog, appended: usize| {
+            assert_eq!(
+                decode(&log.lines()),
+                decode(&lines[..appended]),
+                "{cfg:?}, delete_limit {delete_limit}, after {appended} of {lines:#?}"
+            );
+        };
+        for n in 1..=lines.len() {
+            log.append(&lines[n - 1]);
+            if rng.range_u64(0, 3) == 0 {
+                if rng.range_u64(0, 2) == 0 {
+                    drop(log);
+                    log = SegmentedLog::open(dir, cfg).unwrap();
+                }
+                log.compact(classify, delete_limit).unwrap();
+                check(&log, n);
+            }
+        }
+        log.seal().unwrap();
+        while !log.compact(classify, delete_limit).unwrap().done {}
+        check(&log, lines.len());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn compaction_under_any_schedule_is_invisible_to_resume() {
+        let dir = scratch_dir("schedule");
+        let mut rng = SplitMix64::new(0x5EED_0007);
+        for _ in 0..120 {
+            let lines = hostile_journal(&mut rng);
+            assert_compaction_is_invisible(
+                &mut rng,
+                &dir,
+                &lines,
+                classify_campaign_lines,
+                |lines| (decode_campaign(lines).0, first_header(lines)),
+            );
+        }
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gecko-journal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A group whose edge sits in a segment compacted before the group's
+    /// `run_done` lines arrived: a budgeted compaction must delete the
+    /// stranded edge before the marker that consumed it, or the edge
+    /// joins the key's next group and restores a run the full journal
+    /// does not. Run twice: with 64-byte segments (every line sealed)
+    /// and with explicit seals that leave the intact marker in the tail.
+    #[test]
+    fn compacting_a_straddling_group_keeps_resume_unchanged() {
+        let run = encode_run(5, &sample_result(0, 1));
+        let itemless = run[1].replacen("\"item\":0,", "", 1);
+        assert_ne!(itemless, run[1]);
+        for marker_in_tail in [false, true] {
+            let dir = scratch_dir(&format!("straddle-{marker_in_tail}"));
+            let cfg = gecko_store::LogConfig {
+                max_segment_bytes: if marker_in_tail { 1 << 20 } else { 64 },
+            };
+            let log = SegmentedLog::open(&dir, cfg).unwrap();
+            log.append(&encode_header("straddle", 5));
+            log.append(&run[0]);
+            log.seal().unwrap();
+            // The edge is in flight: nothing to delete yet.
+            let first = log.compact(classify_campaign_lines, 1).unwrap();
+            assert_eq!((first.pruned, first.done), (0, true));
+            log.append(&itemless);
+            log.seal().unwrap();
+            log.append(&run[1]);
+            let tail = log.segment_lines().pop().unwrap().lines;
+            assert_eq!(tail.len(), usize::from(marker_in_tail));
+            assert!(decode_campaign(&log.lines()).0.is_empty());
+            drop(log);
+
+            // Compaction keeps no state: each call reopens the log from disk.
+            let mut calls = 0;
+            loop {
+                let log = SegmentedLog::open(&dir, cfg).unwrap();
+                let c = log.compact(classify_campaign_lines, 1).unwrap();
+                calls += 1;
+                assert!(
+                    decode_campaign(&log.lines()).0.is_empty(),
+                    "call {calls} restored a run: {:#?}",
+                    log.lines()
+                );
+                if c.done {
+                    break;
+                }
+                assert!(calls < 10, "budgeted compaction must converge");
+            }
+            assert!(calls > 1, "a budget of 1 splits the compaction");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Kill-mid-prune resilience: compacting a segmented campaign journal
-//! under a work budget — with the pruner killed and rebuilt from its
-//! persisted checkpoint between every tick — must be invisible to a
-//! bit-exact resume at any worker count.
+//! under a work budget — with the log reopened from disk before every
+//! call, as if the process was killed between them — must be invisible
+//! to a bit-exact resume at any worker count.
 //!
 //! These are the integration-level proofs for the gecko-store contract;
 //! the unit tests in `gecko_store::compact` cover the same invariants on
@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use gecko_fleet::{classify_campaign_lines, Campaign, CampaignSpec, Journal, SchemeKind, Workload};
 use gecko_isa::SplitMix64;
-use gecko_store::{LogCompactor, LogConfig, Pruner, SegmentedLog};
+use gecko_store::{LogConfig, SegmentedLog};
 
 fn spec() -> CampaignSpec {
     CampaignSpec::new("prune")
@@ -38,15 +38,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One budgeted prune tick with log, checkpoints, and pruner all opened
-/// fresh from disk — every call is a separate "process", so a kill
-/// between ticks is the norm here, not the exception. Returns whether
-/// the backlog is clear.
+/// One budgeted compaction with the log opened fresh from disk — every
+/// call is a separate "process", so a kill between calls is the norm
+/// here, not the exception. Returns whether the backlog is clear.
 fn prune_tick(dir: &Path, delete_limit: usize) -> bool {
-    let log = Arc::new(SegmentedLog::open(&dir.join("journal"), tiny_cfg()).unwrap());
-    let mut pruner = Pruner::open(&dir.join("prune.json"), delete_limit).unwrap();
-    pruner.add(LogCompactor::new("campaign", log, classify_campaign_lines));
-    pruner.tick().unwrap().done
+    let log = SegmentedLog::open(&dir.join("journal"), tiny_cfg()).unwrap();
+    log.compact(classify_campaign_lines, delete_limit)
+        .unwrap()
+        .done
 }
 
 /// Byte-copies the segment files of one journal dir into another.
@@ -74,8 +73,8 @@ fn kill_mid_prune_resume_is_bit_exact_at_1_2_8_workers() {
         assert!(halted.halted, "workers={workers}");
         drop(journal);
 
-        // Budgeted prune ticks with the pruner killed and rebuilt from
-        // its checkpoint between each one.
+        // Budgeted compactions with the log reopened from disk between
+        // each one.
         for _ in 0..4 {
             prune_tick(&dir, 3);
         }
@@ -138,6 +137,12 @@ fn prune_and_resume_commute_and_budget_one_converges() {
             .run()
             .unwrap();
         assert_eq!(resumed_first.deterministic_digest(), reference, "{round}");
+        let (c, d) = (
+            temp_dir(&format!("commute-c{round}")),
+            temp_dir(&format!("commute-d{round}")),
+        );
+        copy_journal(&b, &c);
+        copy_journal(&b, &d);
         while !prune_tick(&b, budget) {}
         let journal = Arc::new(Journal::open_segmented(&b.join("journal"), tiny_cfg()).unwrap());
         let replayed = Campaign::new(spec())
@@ -148,16 +153,12 @@ fn prune_and_resume_commute_and_budget_one_converges() {
         assert_eq!(replayed.counters.resumed, ITEMS, "round {round}");
         assert_eq!(replayed.deterministic_digest(), reference, "{round}");
 
-        // Convergence: delete_limit=1 drip-pruning lands on the exact
-        // segment layout an unlimited prune produces in one tick.
-        let c = temp_dir(&format!("commute-c{round}"));
-        copy_journal(&b, &c);
-        // b's prune checkpoint already says "done"; reset it so the drip
-        // prune starts from scratch on both copies.
-        let _ = std::fs::remove_file(b.join("prune.json"));
-        while !prune_tick(&b, 1) {}
-        while !prune_tick(&c, 0) {}
-        let drip = SegmentedLog::open(&b.join("journal"), tiny_cfg()).unwrap();
+        // Convergence: delete_limit=1 drip-pruning of the resumed,
+        // uncompacted journal lands on the exact segment layout one
+        // unlimited call produces.
+        while !prune_tick(&d, 1) {}
+        assert!(prune_tick(&c, 0), "an unlimited call clears the backlog");
+        let drip = SegmentedLog::open(&d.join("journal"), tiny_cfg()).unwrap();
         let bulk = SegmentedLog::open(&c.join("journal"), tiny_cfg()).unwrap();
         let layout = |log: &SegmentedLog| -> Vec<(u64, bool, Vec<String>)> {
             log.segment_lines()
@@ -171,7 +172,7 @@ fn prune_and_resume_commute_and_budget_one_converges() {
             "budget-1 pruning must converge to the unlimited layout (round {round})"
         );
 
-        for dir in [&a, &b, &c] {
+        for dir in [&a, &b, &c, &d] {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

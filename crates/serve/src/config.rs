@@ -42,13 +42,13 @@ pub struct ServeConfig {
     /// Retention: maximum age in seconds of a finished job directory. 0 =
     /// unlimited.
     pub retain_age_secs: u64,
-    /// Background pruner tick period in seconds. 0 disables the
-    /// background thread (retention then only runs when a tick is driven
-    /// explicitly, as tests do).
+    /// Background job-directory GC tick period in seconds. 0 disables
+    /// the background thread (retention then only runs when a tick is
+    /// driven explicitly, as tests do).
     pub prune_interval_secs: u64,
-    /// Work budget per pruner tick — at most this many entries (job
-    /// directories, log lines) are deleted per tick, so a tick never
-    /// stalls the daemon. 0 = unlimited.
+    /// Work budget per GC tick and per memo-log compaction — at most this
+    /// many entries (job directories, log lines) are deleted per call, so
+    /// a call never stalls the daemon. 0 = unlimited.
     pub prune_delete_limit: usize,
 }
 

@@ -15,7 +15,7 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// A parsed HTTP request: method, percent-decoded-free path, query
 /// string, and body.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Upper-cased method token (`GET`, `POST`, `DELETE`, ...).
     pub method: String,
@@ -100,10 +100,11 @@ pub fn read_request<R: Read>(stream: R, max_body: usize) -> Result<Request, Http
             )));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
-                .parse()
-                .map_err(|_| HttpError::Malformed(format!("bad Content-Length `{value}`")))?;
+            // 1*DIGIT only: `usize::from_str` would also accept a sign.
+            content_length = Some(value.trim())
+                .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| HttpError::Malformed(format!("bad Content-Length `{value}`")))?;
         }
     }
 
@@ -288,6 +289,7 @@ pub fn http_call(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gecko_isa::rng::SplitMix64;
     use std::net::TcpListener;
 
     /// One request/response exchange through real sockets exercises both
@@ -334,20 +336,18 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// A reader that hands out one byte per `read`.
-    struct Drip<'a>(&'a [u8]);
+    /// A reader that hands out at most `step` bytes per `read`.
+    struct Drip<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
 
     impl Read for Drip<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let Some((&first, rest)) = self.0.split_first() else {
-                return Ok(0);
-            };
-            if buf.is_empty() {
-                return Ok(0);
-            }
-            buf[0] = first;
-            self.0 = rest;
-            Ok(1)
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
         }
     }
 
@@ -388,7 +388,14 @@ mod tests {
     #[test]
     fn byte_at_a_time_reader_parses_the_same_request() {
         let whole = read_request(REQUEST, 1024).unwrap();
-        let dripped = read_request(Drip(REQUEST), 1024).unwrap();
+        let dripped = read_request(
+            Drip {
+                data: REQUEST,
+                step: 1,
+            },
+            1024,
+        )
+        .unwrap();
         for req in [&whole, &dripped] {
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/v1/jobs/7/events");
@@ -408,5 +415,143 @@ mod tests {
         let err = req.query_u64("wait_ms", 0).unwrap_err();
         assert!(err.contains("wait_ms"), "{err}");
         assert!(err.contains("soon"), "{err}");
+    }
+
+    /// A seeded valid request: its bytes and the request they parse to.
+    fn random_request(rng: &mut SplitMix64) -> (Vec<u8>, Request) {
+        let method = ["GET", "POST", "DELETE", "put"][rng.range_u64(0, 4) as usize];
+        let path = format!("/v1/jobs/{}", rng.range_u64(0, 1000));
+        let query = match rng.range_u64(0, 3) {
+            0 => String::new(),
+            _ => format!("from={}&wait_ms={}", rng.next_u64() % 100, rng.next_u64()),
+        };
+        let body: Vec<u8> = (0..rng.range_u64(0, 48))
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        let target = if query.is_empty() {
+            path.clone()
+        } else {
+            format!("{path}?{query}")
+        };
+        let mut raw = format!("{method} {target} HTTP/1.1\r\n").into_bytes();
+        for i in 0..rng.range_u64(0, 4) {
+            let pad: String = (0..rng.range_u64(0, 40))
+                .map(|_| char::from(b'a' + rng.range_u64(0, 26) as u8))
+                .collect();
+            raw.extend(format!("X-Pad-{i}: {pad}\r\n").bytes());
+        }
+        if !body.is_empty() || rng.range_u64(0, 2) == 0 {
+            let name = ["Content-Length", "content-length", "CONTENT-LENGTH"]
+                [rng.range_u64(0, 3) as usize];
+            raw.extend(format!("{name}: {}\r\n", body.len()).bytes());
+        }
+        raw.extend_from_slice(b"\r\n");
+        raw.extend_from_slice(&body);
+        let request = Request {
+            method: method.to_ascii_uppercase(),
+            path,
+            query,
+            body,
+        };
+        (raw, request)
+    }
+
+    /// `raw` with its `Content-Length` value replaced by `value` (one is
+    /// added first when the request has none).
+    fn with_content_length(raw: &[u8], value: &str) -> Vec<u8> {
+        let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 2;
+        let mut head: Vec<String> = String::from_utf8_lossy(&raw[..head_end])
+            .split("\r\n")
+            .filter(|line| !line.is_empty())
+            .filter(|line| !line.to_ascii_lowercase().starts_with("content-length:"))
+            .map(str::to_string)
+            .collect();
+        head.push(format!("Content-Length: {value}"));
+        let mut out = (head.join("\r\n") + "\r\n\r\n").into_bytes();
+        out.extend_from_slice(&raw[head_end + 2..]);
+        out
+    }
+
+    /// Hostile inputs — torn requests, oversized heads and bodies, lying
+    /// and non-numeric `Content-Length`s — read whole and drip-fed 1–7
+    /// bytes per `read`: each either parses to exactly what an unbroken
+    /// read of the same bytes gives, or is an `HttpError`; nothing
+    /// panics.
+    #[test]
+    fn hostile_requests_parse_exactly_or_fail_cleanly() {
+        const MAX_BODY: usize = 64;
+        let mut rng = SplitMix64::new(0x5EED_0010);
+        for case in 0..600 {
+            let (raw, request) = random_request(&mut rng);
+            let (bytes, expect): (Vec<u8>, Result<Request, &str>) = match case % 6 {
+                0 => (raw, Ok(request)),
+                1 => {
+                    let cut = rng.range_u64(0, raw.len() as u64) as usize;
+                    (raw[..cut].to_vec(), Err("torn"))
+                }
+                2 => {
+                    let pad = "h".repeat(MAX_HEAD_BYTES + rng.range_u64(0, 64) as usize);
+                    let at = raw.windows(2).position(|w| w == b"\r\n").unwrap() + 2;
+                    let mut bytes = raw[..at].to_vec();
+                    bytes.extend(format!("X-Big: {pad}\r\n").bytes());
+                    bytes.extend_from_slice(&raw[at..]);
+                    (bytes, Err("too large"))
+                }
+                3 => {
+                    let len = MAX_BODY + 1 + rng.range_u64(0, 1 << 40) as usize;
+                    (
+                        with_content_length(&raw, &len.to_string()),
+                        Err("too large"),
+                    )
+                }
+                4 => {
+                    let len = request.body.len();
+                    let claim = rng.range_u64(0, len as u64 + 8) as usize;
+                    let bytes = with_content_length(&raw, &claim.to_string());
+                    if claim <= len {
+                        let mut short = request.clone();
+                        short.body.truncate(claim);
+                        (bytes, Ok(short))
+                    } else {
+                        (bytes, Err("short body"))
+                    }
+                }
+                _ => {
+                    let junk = [
+                        "",
+                        "abc",
+                        "-1",
+                        "+7",
+                        "1.5",
+                        "0x10",
+                        "7 7",
+                        "١٢",
+                        "18446744073709551616",
+                    ][rng.range_u64(0, 9) as usize];
+                    (with_content_length(&raw, junk), Err("bad length"))
+                }
+            };
+            let whole = read_request(&bytes[..], MAX_BODY);
+            let step = rng.range_u64(1, 8) as usize;
+            let dripped = read_request(Drip { data: &bytes, step }, MAX_BODY);
+            let shown = String::from_utf8_lossy(&bytes[..bytes.len().min(200)]).into_owned();
+            match (&whole, &dripped) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "case {case}, step {step}: {shown:?}"),
+                (Err(_), Err(_)) => {}
+                _ => panic!("case {case}, step {step}: whole {whole:?} vs dripped {dripped:?}"),
+            }
+            match (expect, whole) {
+                (Ok(want), Ok(got)) => assert_eq!(got, want, "case {case}: {shown:?}"),
+                (Err(kind), Err(e)) => {
+                    let fits = match kind {
+                        "too large" => matches!(e, HttpError::TooLarge(_)),
+                        "bad length" => matches!(e, HttpError::Malformed(_)),
+                        _ => true,
+                    };
+                    assert!(fits, "case {case}: {kind} input gave {e:?}: {shown:?}");
+                }
+                (want, got) => panic!("case {case}: expected {want:?}, got {got:?}: {shown:?}"),
+            }
+        }
     }
 }

@@ -21,11 +21,11 @@
 //! segments are fsynced, a torn active tail is repaired (and counted) on
 //! open, and a legacy flat `journal.jsonl` from an older daemon is
 //! moved into `journal/` as its first segment when the job next runs, so
-//! it still resumes. A background pruner GCs finished `job-<id>/`
+//! it still resumes. A background thread GCs finished `job-<id>/`
 //! directories under the configured retention policy (`retain_jobs` /
-//! `retain_bytes` / `retain_age_secs`), a bounded number of deletions
-//! per tick, with its [`gecko_store::PruneCheckpoint`]s persisted in
-//! `prune.json` under the journal root.
+//! `retain_bytes` / `retain_age_secs`), at most `prune_delete_limit`
+//! deletions per tick; the policy is re-derived from the jobs table each
+//! tick, so nothing about it is persisted.
 //!
 //! The three terminal files are published atomically (temporary file,
 //! then rename). The restart scan derives state from the files alone: a
@@ -50,10 +50,7 @@ use gecko_fleet::supervisor::lock_unpoisoned;
 use gecko_fleet::telemetry::{Event, TelemetrySink};
 use gecko_fleet::{Campaign, Journal};
 use gecko_sim::report::Value;
-use gecko_store::{
-    LogCompactor, LogConfig, PruneInput, PruneOutput, Pruner, Segment, SegmentedLog, StoreError,
-    TickReport,
-};
+use gecko_store::{Compaction, LogConfig, SegmentedLog};
 
 use crate::config::ServeConfig;
 use crate::wire;
@@ -565,9 +562,10 @@ struct QueueInner {
     pending_cond: Condvar,
     shutting_down: AtomicBool,
     next_id: AtomicU64,
-    // Retention pruner (None when prune.json could not be opened). The
-    // background tick thread and `Queue::prune_now` share it.
-    pruner: Mutex<Option<Pruner>>,
+    // Job-directory GC totals since boot. The background tick thread and
+    // `Queue::prune_now` hold the lock for a whole pass, so passes never
+    // race over the same directory.
+    gc: Mutex<GcTotals>,
     prune_gate: Mutex<()>,
     prune_cond: Condvar,
 }
@@ -596,21 +594,10 @@ impl Queue {
             pending_cond: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
-            pruner: Mutex::new(None),
+            gc: Mutex::new(GcTotals::default()),
             prune_gate: Mutex::new(()),
             prune_cond: Condvar::new(),
         });
-        // The segment holds a Weak so the pruner inside QueueInner does
-        // not keep QueueInner alive through itself.
-        if let Ok(mut pruner) = Pruner::open(
-            &inner.cfg.journal_root.join("prune.json"),
-            inner.cfg.prune_delete_limit,
-        ) {
-            pruner.add(JobDirsSegment {
-                inner: Arc::downgrade(&inner),
-            });
-            *lock_unpoisoned(&inner.pruner) = Some(pruner);
-        }
         let queue = Queue {
             inner: Arc::clone(&inner),
             workers: Mutex::new(Vec::new()),
@@ -632,7 +619,7 @@ impl Queue {
                 std::thread::Builder::new()
                     .name("gecko-serve-prune".to_string())
                     .spawn(move || prune_loop(&inner))
-                    .expect("spawn pruner"),
+                    .expect("spawn job-directory GC"),
             );
         }
         drop(workers);
@@ -645,7 +632,7 @@ impl Queue {
     }
 
     /// The `/v1/config` document: the effective config plus live store
-    /// stats (pruner checkpoints, tick count).
+    /// stats (job-directory GC totals since boot).
     pub fn config_value(&self) -> Json {
         let mut doc = self.inner.cfg.to_value();
         if let Json::Obj(fields) = &mut doc {
@@ -654,44 +641,31 @@ impl Queue {
         doc
     }
 
-    /// Live store stats: one [`gecko_store::PruneCheckpoint`] per
-    /// registered segment kind plus the tick counter. `null` when the
-    /// pruner failed to boot.
+    /// Live store stats, all counted since boot: GC ticks run, the
+    /// per-tick budget, job directories removed and the bytes they held.
     pub fn store_stats(&self) -> Json {
-        let guard = lock_unpoisoned(&self.inner.pruner);
-        let Some(pruner) = guard.as_ref() else {
-            return Json::Null;
-        };
-        let checkpoints: Vec<(String, Json)> = pruner
-            .checkpoints()
-            .all()
-            .map(|(kind, cp)| {
-                (
-                    kind.to_string(),
-                    Json::Obj(vec![
-                        ("next_segment".into(), Json::U64(cp.next_segment)),
-                        ("pruned_entries".into(), Json::U64(cp.pruned_entries)),
-                        ("reclaimed_bytes".into(), Json::U64(cp.reclaimed_bytes)),
-                    ]),
-                )
-            })
-            .collect();
+        let gc = *lock_unpoisoned(&self.inner.gc);
         Json::Obj(vec![
-            ("ticks".into(), Json::U64(pruner.ticks())),
+            ("ticks".into(), Json::U64(gc.ticks)),
             (
                 "delete_limit".into(),
                 Json::U64(self.inner.cfg.prune_delete_limit as u64),
             ),
-            ("checkpoints".into(), Json::Obj(checkpoints)),
+            ("pruned_entries".into(), Json::U64(gc.pruned_entries)),
+            ("reclaimed_bytes".into(), Json::U64(gc.reclaimed_bytes)),
         ])
     }
 
-    /// Runs one pruner tick synchronously (what the background thread
-    /// does every `prune_interval_secs`). Tests drive retention through
-    /// this for determinism.
-    pub fn prune_now(&self) -> Option<TickReport> {
-        let mut guard = lock_unpoisoned(&self.inner.pruner);
-        guard.as_mut().and_then(|p| p.tick().ok())
+    /// Runs one job-directory GC tick synchronously (what the background
+    /// thread does every `prune_interval_secs`). Tests drive retention
+    /// through this for determinism.
+    ///
+    /// # Errors
+    ///
+    /// The first directory that fails to delete; the directories removed
+    /// before it stay counted.
+    pub fn prune_now(&self) -> std::io::Result<Compaction> {
+        gc_tick(&self.inner)
     }
 
     /// Submits a job. The spec document is fully decoded (and therefore
@@ -971,91 +945,84 @@ fn publish(dir: &Path, name: &str, contents: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, dir.join(name))
 }
 
-/// GCs finished `job-<id>/` directories under the retention policy.
-///
-/// The "entries" of this segment are whole job directories: one pruned
-/// entry = one terminal (done/failed/cancelled) job removed from disk and
-/// from the jobs table, oldest id first. Interrupted jobs are never
-/// candidates — they resume on the next boot. The checkpoint's
-/// `next_segment` records the highest removed id + 1 for observability
-/// only; candidates are always re-derived from the live jobs table, so a
-/// job that *becomes* terminal later is still eligible below that
-/// frontier.
-struct JobDirsSegment {
-    inner: std::sync::Weak<QueueInner>,
+/// Job-directory GC totals since boot.
+#[derive(Clone, Copy, Default)]
+struct GcTotals {
+    ticks: u64,
+    pruned_entries: u64,
+    reclaimed_bytes: u64,
 }
 
-impl Segment for JobDirsSegment {
-    fn kind(&self) -> &str {
-        "job_dirs"
-    }
+/// One GC tick: [`collect_job_dirs`] under the configured budget, with
+/// the totals updated for what it removed (even when it stopped on an
+/// error).
+fn gc_tick(inner: &QueueInner) -> std::io::Result<Compaction> {
+    let mut totals = lock_unpoisoned(&inner.gc);
+    totals.ticks += 1;
+    let mut report = Compaction::default();
+    let result = collect_job_dirs(inner, inner.cfg.prune_delete_limit, &mut report);
+    totals.pruned_entries += report.pruned as u64;
+    totals.reclaimed_bytes += report.reclaimed_bytes;
+    result.map(|()| report)
+}
 
-    fn prune(&self, input: PruneInput) -> Result<PruneOutput, StoreError> {
-        let mut cp = input.checkpoint.unwrap_or_default();
-        let Some(inner) = self.inner.upgrade() else {
-            return Ok(PruneOutput {
-                pruned: 0,
-                reclaimed_bytes: 0,
-                done: true,
-                checkpoint: cp,
-            });
-        };
-        let cfg = &inner.cfg;
-        let mut terminal: Vec<Arc<Job>> = lock_unpoisoned(&inner.jobs)
-            .iter()
-            .filter(|j| {
-                matches!(
-                    j.state(),
-                    JobState::Done | JobState::Failed | JobState::Cancelled
-                )
-            })
-            .cloned()
-            .collect();
-        terminal.sort_by_key(|j| j.id);
-        let sizes: Vec<u64> = terminal.iter().map(|j| dir_size(&j.dir)).collect();
-        let ages: Vec<u64> = terminal.iter().map(|j| dir_age_secs(&j.dir)).collect();
-        let mut total: u64 = sizes.iter().sum();
-
-        // Oldest-first victim count: delete while any retention limit is
-        // violated. Count and bytes limits shrink as victims accrue; the
-        // age limit applies per directory.
-        let mut victims = 0;
-        while victims < terminal.len() {
-            let count_over = cfg.retain_jobs != 0 && terminal.len() - victims > cfg.retain_jobs;
-            let bytes_over = cfg.retain_bytes != 0 && total > cfg.retain_bytes;
-            let age_over = cfg.retain_age_secs != 0 && ages[victims] > cfg.retain_age_secs;
-            if !(count_over || bytes_over || age_over) {
-                break;
-            }
-            total -= sizes[victims];
-            victims += 1;
-        }
-
-        let mut pruned = 0;
-        let mut reclaimed_bytes = 0;
-        let mut done = true;
-        for (job, &bytes) in terminal.iter().zip(&sizes).take(victims) {
-            if pruned >= input.delete_limit {
-                done = false;
-                break;
-            }
-            if let Err(e) = std::fs::remove_dir_all(&job.dir) {
-                return Err(StoreError::Io(e));
-            }
-            lock_unpoisoned(&inner.jobs).retain(|j| j.id != job.id);
-            pruned += 1;
-            reclaimed_bytes += bytes;
-            cp.next_segment = cp.next_segment.max(job.id + 1);
-            cp.pruned_entries += 1;
-            cp.reclaimed_bytes += bytes;
-        }
-        Ok(PruneOutput {
-            pruned,
-            reclaimed_bytes,
-            done,
-            checkpoint: cp,
+/// GCs finished `job-<id>/` directories under the retention policy,
+/// removing at most `delete_limit` of them (0 means no limit) and
+/// recording each removal in `out`.
+///
+/// Candidates are the terminal (done/failed/cancelled) jobs, oldest id
+/// first, re-derived from the live jobs table on every call; a removed
+/// job leaves the disk and the table. Interrupted jobs are never
+/// candidates — they resume on the next boot.
+fn collect_job_dirs(
+    inner: &QueueInner,
+    delete_limit: usize,
+    out: &mut Compaction,
+) -> std::io::Result<()> {
+    let cfg = &inner.cfg;
+    let mut terminal: Vec<Arc<Job>> = lock_unpoisoned(&inner.jobs)
+        .iter()
+        .filter(|j| {
+            matches!(
+                j.state(),
+                JobState::Done | JobState::Failed | JobState::Cancelled
+            )
         })
+        .cloned()
+        .collect();
+    terminal.sort_by_key(|j| j.id);
+    let sizes: Vec<u64> = terminal.iter().map(|j| dir_size(&j.dir)).collect();
+    let ages: Vec<u64> = terminal.iter().map(|j| dir_age_secs(&j.dir)).collect();
+    let mut total: u64 = sizes.iter().sum();
+
+    // Oldest-first victim count: delete while any retention limit is
+    // violated. Count and bytes limits shrink as victims accrue; the
+    // age limit applies per directory.
+    let mut victims = 0;
+    while victims < terminal.len() {
+        let count_over = cfg.retain_jobs != 0 && terminal.len() - victims > cfg.retain_jobs;
+        let bytes_over = cfg.retain_bytes != 0 && total > cfg.retain_bytes;
+        let age_over = cfg.retain_age_secs != 0 && ages[victims] > cfg.retain_age_secs;
+        if !(count_over || bytes_over || age_over) {
+            break;
+        }
+        total -= sizes[victims];
+        victims += 1;
     }
+
+    let budget = if delete_limit == 0 {
+        usize::MAX
+    } else {
+        delete_limit
+    };
+    out.done = victims <= budget;
+    for (job, &bytes) in terminal.iter().zip(&sizes).take(victims.min(budget)) {
+        std::fs::remove_dir_all(&job.dir)?;
+        lock_unpoisoned(&inner.jobs).retain(|j| j.id != job.id);
+        out.pruned += 1;
+        out.reclaimed_bytes += bytes;
+    }
+    Ok(())
 }
 
 /// Recursive directory size in bytes (0 for anything unreadable).
@@ -1083,17 +1050,15 @@ fn dir_age_secs(dir: &Path) -> u64 {
         .map_or(0, |d| d.as_secs())
 }
 
-/// Background retention thread: one pruner tick per interval, waking
-/// early (and exiting) on shutdown.
+/// Background retention thread: one GC tick per interval, waking early
+/// (and exiting) on shutdown.
 fn prune_loop(inner: &Arc<QueueInner>) {
     let interval = Duration::from_secs(inner.cfg.prune_interval_secs.max(1));
     loop {
         if inner.shutting_down.load(Ordering::SeqCst) {
             return;
         }
-        if let Some(pruner) = lock_unpoisoned(&inner.pruner).as_mut() {
-            let _ = pruner.tick();
-        }
+        let _ = gc_tick(inner);
         let gate = lock_unpoisoned(&inner.prune_gate);
         let _unused = inner
             .prune_cond
@@ -1192,12 +1157,11 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
                 // daemon session) checking the same spec. Opened
                 // best-effort — a store that fails to open just means a
                 // cold run.
-                let memo: Option<(PathBuf, Arc<MemoStore>)> = if job.incremental {
+                let memo: Option<Arc<MemoStore>> = if job.incremental {
                     job.dir.parent().and_then(|root| {
                         let key = memo_key(&wire::check_spec_value(&spec).encode());
                         let dir = root.join("memo").join(format!("{key:016x}"));
-                        let store = MemoStore::open(&dir).ok()?;
-                        Some((dir, Arc::new(store)))
+                        MemoStore::open(&dir).ok().map(Arc::new)
                     })
                 } else {
                     None
@@ -1207,7 +1171,7 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
                     .sink(sink)
                     .resume(journal)
                     .kill_switch(Arc::clone(&job.stop));
-                if let Some((_, store)) = &memo {
+                if let Some(store) = &memo {
                     campaign = campaign.memo(Arc::clone(store));
                 }
                 if let Some(n) = job.halt_after {
@@ -1216,18 +1180,11 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
                 let report = campaign.run().map_err(|e| format!("{e:?}"))?;
                 // Budgeted compaction of the memo log, after the run so
                 // the sealed segments it rewrites already hold this run's
-                // flushed records. Its checkpoint lives beside the log.
-                if let Some((dir, store)) = memo {
-                    if let Ok(mut pruner) =
-                        Pruner::open(&dir.join("prune.json"), cfg.prune_delete_limit)
-                    {
-                        pruner.add(LogCompactor::new(
-                            "check-memo",
-                            store.log(),
-                            classify_memo_lines,
-                        ));
-                        let _ = pruner.tick();
-                    }
+                // flushed records.
+                if let Some(store) = memo {
+                    let _ = store
+                        .log()
+                        .compact(classify_memo_lines, cfg.prune_delete_limit);
                 }
                 Ok((
                     !report.halted,
@@ -1557,29 +1514,31 @@ mod tests {
         let after = std::fs::read(root.join(format!("job-{}/result.json", ids[2]))).unwrap();
         assert_eq!(survivor_result, after, "GC must not touch kept results");
 
-        // The /v1/config document carries the pruner's checkpoint.
+        // The /v1/config document carries the GC totals since boot.
         let stats = queue.store_stats();
-        let pruned = stats
-            .get("checkpoints")
-            .and_then(|c| c.get("job_dirs"))
-            .and_then(|c| c.get("pruned_entries"))
-            .and_then(Json::as_u64);
-        assert_eq!(pruned, Some(2));
+        let total = |key: &str| stats.get(key).and_then(Json::as_u64);
+        assert_eq!(total("ticks"), Some(3));
+        assert_eq!(total("pruned_entries"), Some(2));
+        assert_eq!(
+            total("reclaimed_bytes"),
+            Some(r1.reclaimed_bytes + r2.reclaimed_bytes)
+        );
+        assert!(r1.reclaimed_bytes > 0);
         queue.shutdown();
         drop(queue);
 
         // Restart: GC'd jobs stay gone, the survivor restores as Done,
-        // and the persisted checkpoint is still there.
+        // and nothing about the GC was persisted — a leftover `prune.json`
+        // from an older daemon is never read.
+        std::fs::write(root.join("prune.json"), "not json").unwrap();
         let queue = Queue::start(cfg).unwrap();
         assert!(queue.job(ids[0]).is_none());
         assert_eq!(queue.job(ids[2]).unwrap().state(), JobState::Done);
         let stats = queue.store_stats();
-        let pruned = stats
-            .get("checkpoints")
-            .and_then(|c| c.get("job_dirs"))
-            .and_then(|c| c.get("pruned_entries"))
-            .and_then(Json::as_u64);
-        assert_eq!(pruned, Some(2), "checkpoint survives restart");
+        assert_eq!(stats.get("pruned_entries").and_then(Json::as_u64), Some(0));
+        let r = queue.prune_now().unwrap();
+        assert_eq!((r.pruned, r.done), (0, true));
+        assert!(root.join(format!("job-{}", ids[2])).exists());
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1620,9 +1579,7 @@ mod tests {
         );
         let pruned = queue
             .store_stats()
-            .get("checkpoints")
-            .and_then(|c| c.get("job_dirs"))
-            .and_then(|c| c.get("pruned_entries"))
+            .get("pruned_entries")
             .and_then(Json::as_u64)
             .unwrap_or(0);
         assert!(pruned >= 1, "the byte cap never triggered a GC");

@@ -1,6 +1,6 @@
-//! [`LogCompactor`]: the generic [`Segment`] that rewrites a
-//! [`SegmentedLog`]'s sealed segments, keeping only the lines a
-//! caller-supplied classifier marks live.
+//! The vocabulary of [`SegmentedLog::compact`]: a classifier's
+//! [`Verdict`] per line in, a [`Compaction`] report (or a
+//! [`StoreError`]) out.
 //!
 //! The classifier sees the *whole* log (every segment, append order) and
 //! returns one [`Verdict`] per line — that is where vocabulary-specific
@@ -8,28 +8,22 @@
 //! resume decoder: its pass reports which lines it threw away (a torn
 //! line it skipped, a record a later duplicate superseded, the bucket
 //! lines of a run that restored nothing), so compaction deletes exactly
-//! what resume ignores. The compactor contributes the mechanics:
+//! what resume ignores. The log contributes the mechanics:
 //!
 //! * Only **sealed** segments are rewritten; the active tail (and any
 //!   concurrent appends landing in it) is never touched.
-//! * Deletion is budgeted: at most `delete_limit` lines per call, and the
-//!   checkpoint does not advance past a segment until it is fully clean —
-//!   which is why a `delete_limit` of 1 converges to the same final
-//!   layout as an unlimited prune.
-//! * The checkpoint is monotone: once `next_segment` passes a segment,
-//!   that segment is never revisited. A record superseded *after* its
-//!   segment was compacted therefore survives on disk; decoders already
-//!   resolve duplicates (later wins), so this costs bytes, not
-//!   correctness.
-//! * Rewrites go through [`SegmentedLog::replace_segment`] (tmp +
-//!   `sync_all` + atomic rename), so a kill at any byte leaves either the
-//!   old or the new segment — and re-running the same prune afterwards is
-//!   a no-op-or-equivalent either way.
+//! * Deletion is budgeted and stateless: one call deletes the first
+//!   `delete_limit` `Delete` lines of the sealed segments in log order,
+//!   so what it removes is always a prefix of every `Delete` line the
+//!   classifier reported. Repeating calls with a `delete_limit` of 1
+//!   therefore converges to the layout one unlimited call produces.
+//! * Rewrites go through tmp + `sync_all` + atomic rename, segment by
+//!   segment in log order, so a kill at any byte leaves each segment
+//!   either old or new — and the lines removed so far are still a prefix
+//!   of the `Delete` lines, which the next call simply continues.
 
-use std::sync::Arc;
-
+#[cfg(doc)]
 use crate::log::SegmentedLog;
-use crate::pruner::{PruneInput, PruneOutput, Segment, StoreError};
 
 /// A classifier's decision for one log line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,119 +35,49 @@ pub enum Verdict {
     Delete,
 }
 
-/// A whole-log classifier: every line in append order in, one [`Verdict`]
-/// per line out.
-pub type Classifier = Box<dyn Fn(&[String]) -> Vec<Verdict> + Send + Sync>;
-
-/// A [`Segment`] that compacts one [`SegmentedLog`] under a classifier.
-pub struct LogCompactor {
-    kind: String,
-    log: Arc<SegmentedLog>,
-    classify: Classifier,
+/// What one [`SegmentedLog::compact`] call did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Compaction {
+    /// Lines (or, for the daemon's job-directory GC, directories)
+    /// deleted.
+    pub pruned: usize,
+    /// Bytes reclaimed.
+    pub reclaimed_bytes: u64,
+    /// `true` when nothing deletable is left *right now*: the call ran
+    /// out of candidates, not out of budget.
+    pub done: bool,
 }
 
-impl LogCompactor {
-    /// Builds a compactor for `log`. `classify` receives every line of
-    /// the log in append order and must return exactly one verdict per
-    /// line; it is called afresh each prune (the log may have grown).
-    pub fn new(
-        kind: impl Into<String>,
-        log: Arc<SegmentedLog>,
-        classify: impl Fn(&[String]) -> Vec<Verdict> + Send + Sync + 'static,
-    ) -> LogCompactor {
-        LogCompactor {
-            kind: kind.into(),
-            log,
-            classify: Box::new(classify),
+/// Errors compaction can surface.
+#[derive(Debug)]
+pub enum StoreError {
+    /// An underlying filesystem operation failed.
+    Io(std::io::Error),
+    /// The classifier returned the wrong number of verdicts.
+    Corrupt(String),
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreError::Io(e) => write!(f, "store I/O: {e}"),
+            StoreError::Corrupt(m) => write!(f, "store corrupt: {m}"),
         }
     }
 }
 
-impl Segment for LogCompactor {
-    fn kind(&self) -> &str {
-        &self.kind
-    }
+impl std::error::Error for StoreError {}
 
-    fn prune(&self, input: PruneInput) -> Result<PruneOutput, StoreError> {
-        let mut cp = input.checkpoint.unwrap_or_default();
-        let mut budget = input.delete_limit;
-        let by_segment = self.log.segment_lines();
-        let all: Vec<String> = by_segment
-            .iter()
-            .flat_map(|s| s.lines.iter().cloned())
-            .collect();
-        let verdicts = (self.classify)(&all);
-        if verdicts.len() != all.len() {
-            return Err(StoreError::Corrupt(format!(
-                "classifier for {:?} returned {} verdicts for {} lines",
-                self.kind,
-                verdicts.len(),
-                all.len()
-            )));
-        }
-
-        let mut pruned = 0usize;
-        let mut reclaimed = 0u64;
-        let mut done = true;
-        let mut offset = 0usize;
-        for seg in &by_segment {
-            let seg_verdicts = &verdicts[offset..offset + seg.lines.len()];
-            offset += seg.lines.len();
-            if !seg.sealed || seg.seq < cp.next_segment {
-                continue;
-            }
-            let deletable = seg_verdicts
-                .iter()
-                .filter(|v| **v == Verdict::Delete)
-                .count();
-            if deletable == 0 {
-                cp.next_segment = seg.seq + 1;
-                continue;
-            }
-            if budget == 0 {
-                done = false;
-                break;
-            }
-            // Delete the first `budget` dead lines; keep the rest (alive
-            // *and* dead-but-over-budget — the checkpoint stays on this
-            // segment until it is fully clean).
-            let take = deletable.min(budget);
-            let mut killed = 0usize;
-            let mut kept = Vec::with_capacity(seg.lines.len() - take);
-            for (line, verdict) in seg.lines.iter().zip(seg_verdicts) {
-                if *verdict == Verdict::Delete && killed < take {
-                    killed += 1;
-                    reclaimed += line.len() as u64 + 1;
-                } else {
-                    kept.push(line.clone());
-                }
-            }
-            self.log.replace_segment(seg.seq, &kept)?;
-            pruned += take;
-            budget -= take;
-            if take == deletable {
-                cp.next_segment = seg.seq + 1;
-            } else {
-                done = false;
-                break;
-            }
-        }
-        cp.pruned_entries += pruned as u64;
-        cp.reclaimed_bytes += reclaimed;
-        Ok(PruneOutput {
-            pruned,
-            reclaimed_bytes: reclaimed,
-            done,
-            checkpoint: cp,
-        })
+impl From<std::io::Error> for StoreError {
+    fn from(e: std::io::Error) -> StoreError {
+        StoreError::Io(e)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::LogConfig;
-    use crate::pruner::Pruner;
+    use crate::log::{LogConfig, SegmentedLog};
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -162,6 +86,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
+
+    const CFG: LogConfig = LogConfig {
+        max_segment_bytes: 24,
+    };
 
     /// Toy vocabulary: lines are `key=value`; the last line per key wins,
     /// lines starting with `!` are garbage.
@@ -195,52 +123,53 @@ mod tests {
         }
     }
 
-    /// The decoded view: last value per key, in the order keys appear.
-    fn decode(lines: &[String]) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = Vec::new();
-        for line in lines {
-            if line.starts_with('!') {
-                continue;
-            }
-            let (k, v) = line.split_once('=').unwrap();
-            match out.iter_mut().find(|(key, _)| key == k) {
-                Some((_, value)) => *value = v.to_string(),
-                None => out.push((k.to_string(), v.to_string())),
-            }
-        }
-        out
+    /// The decoded view: the last value per key.
+    fn decode(lines: &[String]) -> std::collections::BTreeMap<String, String> {
+        lines
+            .iter()
+            .filter(|line| !line.starts_with('!'))
+            .map(|line| {
+                let (k, v) = line.split_once('=').unwrap();
+                (k.to_string(), v.to_string())
+            })
+            .collect()
+    }
+
+    fn layout(log: &SegmentedLog) -> Vec<(u64, bool, Vec<String>)> {
+        log.segment_lines()
+            .into_iter()
+            .map(|s| (s.seq, s.sealed, s.lines))
+            .collect()
     }
 
     #[test]
     fn compaction_preserves_the_decoded_view() {
         let dir = scratch("decode");
-        let log = Arc::new(
-            SegmentedLog::open(
-                &dir.join("log"),
-                LogConfig {
-                    max_segment_bytes: 24,
-                },
-            )
-            .unwrap(),
-        );
+        let log = SegmentedLog::open(&dir, CFG).unwrap();
         fill(&log);
         let before = decode(&log.lines());
         let bytes_before = log.total_bytes();
+        let tail_before = layout(&log).pop().unwrap();
 
-        let mut pruner = Pruner::open(&dir.join("prune.json"), 0).unwrap();
-        pruner.add(LogCompactor::new("toy", Arc::clone(&log), classify_toy));
-        let t = pruner.tick().unwrap();
-        assert!(t.done);
-        assert!(t.pruned > 0);
-        assert_eq!(decode(&log.lines()), before, "pruning must be invisible");
+        let c = log.compact(classify_toy, 0).unwrap();
+        assert!(c.done);
+        assert!(c.pruned > 0);
+        assert_eq!(decode(&log.lines()), before, "compaction must be invisible");
         assert!(log.total_bytes() < bytes_before);
-        assert_eq!(t.reclaimed_bytes, bytes_before - log.total_bytes());
+        assert_eq!(c.reclaimed_bytes, bytes_before - log.total_bytes());
+        assert_eq!(layout(&log).pop().unwrap(), tail_before, "tail untouched");
 
-        // Idempotent: everything still-prunable sits in the tail, which
-        // the compactor never touches.
-        let again = pruner.tick().unwrap();
-        assert_eq!(again.pruned, 0);
-        assert!(again.done);
+        // Idempotent: everything still deletable sits in the tail, which
+        // compaction never touches.
+        let again = log.compact(classify_toy, 0).unwrap();
+        assert_eq!(
+            again,
+            Compaction {
+                pruned: 0,
+                reclaimed_bytes: 0,
+                done: true
+            }
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -248,63 +177,80 @@ mod tests {
     fn delete_limit_one_converges_to_the_unlimited_layout() {
         let dir_a = scratch("limit1");
         let dir_b = scratch("limitmax");
-        let cfg = LogConfig {
-            max_segment_bytes: 24,
-        };
-        let log_a = Arc::new(SegmentedLog::open(&dir_a.join("log"), cfg).unwrap());
-        let log_b = Arc::new(SegmentedLog::open(&dir_b.join("log"), cfg).unwrap());
-        fill(&log_a);
-        fill(&log_b);
+        let drip = SegmentedLog::open(&dir_a, CFG).unwrap();
+        let flood = SegmentedLog::open(&dir_b, CFG).unwrap();
+        fill(&drip);
+        fill(&flood);
 
-        let mut drip = Pruner::open(&dir_a.join("prune.json"), 1).unwrap();
-        drip.add(LogCompactor::new("toy", Arc::clone(&log_a), classify_toy));
-        let mut ticks = 0;
-        while !drip.tick().unwrap().done {
-            ticks += 1;
-            assert!(ticks < 10_000, "budgeted pruning must converge");
+        let mut calls = 0;
+        loop {
+            let c = drip.compact(classify_toy, 1).unwrap();
+            assert!(c.pruned <= 1);
+            if c.done {
+                break;
+            }
+            calls += 1;
+            assert!(calls < 10_000, "budgeted compaction must converge");
         }
-
-        let mut flood = Pruner::open(&dir_b.join("prune.json"), 0).unwrap();
-        flood.add(LogCompactor::new("toy", Arc::clone(&log_b), classify_toy));
-        assert!(flood.tick().unwrap().done);
-
-        let layout = |log: &SegmentedLog| -> Vec<(u64, Vec<String>)> {
-            log.segment_lines()
-                .into_iter()
-                .map(|s| (s.seq, s.lines))
-                .collect()
-        };
-        assert_eq!(layout(&log_a), layout(&log_b));
+        assert!(calls > 1, "the fixture needs several budgeted calls");
+        assert!(flood.compact(classify_toy, 0).unwrap().done);
+        assert_eq!(layout(&drip), layout(&flood));
         std::fs::remove_dir_all(&dir_a).unwrap();
         std::fs::remove_dir_all(&dir_b).unwrap();
     }
 
     #[test]
-    fn kill_between_rewrite_and_checkpoint_is_harmless() {
+    fn an_interrupted_compaction_reruns_from_the_disk_alone() {
         let dir = scratch("kill");
-        let cfg = LogConfig {
-            max_segment_bytes: 24,
-        };
-        let log = Arc::new(SegmentedLog::open(&dir.join("log"), cfg).unwrap());
+        let reference = scratch("kill-ref");
+        let log = SegmentedLog::open(&dir, CFG).unwrap();
         fill(&log);
+        fill(&SegmentedLog::open(&reference, CFG).unwrap());
         let before = decode(&log.lines());
 
-        // Prune with budget 3, but "crash" before the checkpoint save by
-        // simply discarding the pruner (its checkpoint file never saw the
-        // last update because we clone a stale copy first).
-        let mut p1 = Pruner::open(&dir.join("prune.json"), 3).unwrap();
-        p1.add(LogCompactor::new("toy", Arc::clone(&log), classify_toy));
-        let _ = p1.tick().unwrap();
-        // Roll the checkpoint file back to "nothing saved": the segment
-        // rewrites are on disk but the cursor is gone — the exact state a
-        // kill between rename and save leaves behind.
-        std::fs::remove_file(dir.join("prune.json")).unwrap();
+        // A budget of 3 stops partway — the state a kill between two
+        // segment rewrites leaves — and a rewrite killed before its
+        // rename leaves a stale tmp beside the segment it was replacing.
+        assert!(!log.compact(classify_toy, 3).unwrap().done);
+        let victim = log.segments()[0].seq;
+        std::fs::write(dir.join(format!("seg-{victim:06}.jsonl.tmp")), "junk").unwrap();
+        drop(log);
 
-        let mut p2 = Pruner::open(&dir.join("prune.json"), 0).unwrap();
-        p2.add(LogCompactor::new("toy", Arc::clone(&log), classify_toy));
-        let t = p2.tick().unwrap();
-        assert!(t.done);
-        assert_eq!(decode(&log.lines()), before, "replayed prune is invisible");
+        // Nothing but the segment files carries over to the rerun.
+        let log = SegmentedLog::open(&dir, CFG).unwrap();
+        assert_eq!(
+            decode(&log.lines()),
+            before,
+            "partial compaction is invisible"
+        );
+        assert!(log.compact(classify_toy, 0).unwrap().done);
+        assert_eq!(
+            decode(&log.lines()),
+            before,
+            "rerun compaction is invisible"
+        );
+        let unlimited = SegmentedLog::open(&reference, CFG).unwrap();
+        assert!(unlimited.compact(classify_toy, 0).unwrap().done);
+        assert_eq!(
+            layout(&log),
+            layout(&unlimited),
+            "rerun lands on one layout"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&reference).unwrap();
+    }
+
+    #[test]
+    fn a_wrong_verdict_count_is_an_error_and_changes_nothing() {
+        let dir = scratch("count");
+        let log = SegmentedLog::open(&dir, CFG).unwrap();
+        fill(&log);
+        let before = layout(&log);
+        match log.compact(|lines| vec![Verdict::Delete; lines.len() - 1], 0) {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains("verdicts"), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(layout(&log), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

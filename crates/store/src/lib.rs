@@ -1,13 +1,13 @@
-//! # gecko-store — segmented on-disk store with budgeted, resumable pruning
+//! # gecko-store — segmented on-disk store with stateless, budgeted compaction
 //!
 //! PR 4's run journal and PR 6's per-job telemetry files are append-only:
 //! a long-running daemon grows them without bound. This crate is the
-//! retention layer underneath them, practicing the same crash-consistency
+//! storage layer underneath them, practicing the same crash-consistency
 //! discipline the simulator models — every structural change to the store
-//! is *interruption-safe at any byte*, and pruning never touches the data
-//! a fingerprinted bit-exact resume depends on.
+//! is *interruption-safe at any byte*, and compaction never touches the
+//! data a fingerprinted bit-exact resume depends on.
 //!
-//! Three layers:
+//! Two modules:
 //!
 //! * [`log`] — [`SegmentedLog`]: an append-only JSON-lines log split into
 //!   sealed `seg-<n>.jsonl` segments plus one active tail. Sealing
@@ -15,40 +15,32 @@
 //!   power-cut mid-append) is truncated away and counted on reopen;
 //!   sealed segments are only ever rewritten via tmp + `sync_all` +
 //!   atomic rename.
-//! * [`pruner`] — the reth-shaped pruning machinery: a [`Segment`] trait
-//!   per data kind, each pruned under a `delete_limit` work budget per
-//!   [`Pruner::tick`], with a [`PruneCheckpoint`] persisted per segment
-//!   (in [`checkpoint::CheckpointStore`]) so pruning is incremental,
-//!   resumable, and safe to kill between any two syscalls.
-//! * [`compact`] / [`retention`] — the two generic [`Segment`]
-//!   implementations: [`LogCompactor`] rewrites sealed segments keeping
-//!   only the lines a caller-supplied classifier marks live (run-record
-//!   supersession, garbage lines), and [`LogRetention`] drops the oldest
-//!   lines of a log once it exceeds a byte cap (telemetry streams, where
-//!   old events age out wholesale).
+//! * [`compact`] — what [`SegmentedLog::compact`] speaks: a caller's
+//!   classifier returns one [`Verdict`] per line of the whole log, and
+//!   one call deletes the first `delete_limit` `Delete` lines of the
+//!   sealed segments in log order, reporting a [`Compaction`].
 //!
-//! The contract the whole crate is built around: for any interleaving of
-//! appends, prune ticks, and kills, `log.lines()` decoded by the owning
-//! vocabulary is identical to the unpruned decode — pruning only ever
-//! removes lines the decoder already ignored or superseded. The fleet and
+//! Compaction keeps no state between calls: every call classifies the
+//! whole log afresh, so whatever a call deletes — however small its
+//! budget, and wherever a kill cut it short — is a prefix of *all* the
+//! `Delete` lines of the log it read. That is exactly the property the
+//! fleet and checker decoders prove safe: for any interleaving of
+//! appends, compactions and kills, `log.lines()` decoded by the owning
+//! vocabulary is identical to the uncompacted decode. The fleet and
 //! checker crates supply the vocabulary-aware classifiers; this crate
-//! supplies the budget, checkpoint, and crash-safety mechanics.
+//! supplies the budget and crash-safety mechanics.
 //!
 //! ```
-//! use std::sync::Arc;
-//! use gecko_store::{LogConfig, Pruner, SegmentedLog, Verdict};
+//! use gecko_store::{LogConfig, SegmentedLog, Verdict};
 //!
 //! let dir = std::env::temp_dir().join(format!("store-doc-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
-//! let log = Arc::new(
-//!     SegmentedLog::open(&dir.join("log"), LogConfig { max_segment_bytes: 64 }).unwrap(),
-//! );
+//! let log = SegmentedLog::open(&dir, LogConfig { max_segment_bytes: 64 }).unwrap();
 //! for i in 0..24 {
 //!     log.append(&format!("{{\"k\":{}}}", i % 4)); // later duplicates win
 //! }
-//! let mut pruner = Pruner::open(&dir.join("prune.json"), 8).unwrap();
-//! pruner.add(gecko_store::LogCompactor::new("doc", Arc::clone(&log), |lines| {
-//!     // keep only the last line per key
+//! // Keep only the last line per key.
+//! let last_per_key = |lines: &[String]| -> Vec<Verdict> {
 //!     let key = |l: &str| l.bytes().rev().nth(1).unwrap();
 //!     lines
 //!         .iter()
@@ -61,22 +53,16 @@
 //!             }
 //!         })
 //!         .collect()
-//! }));
-//! while !pruner.tick().unwrap().done {} // budgeted, resumable ticks
+//! };
+//! while !log.compact(last_per_key, 8).unwrap().done {} // budgeted calls
 //! assert!(log.lines().len() < 24);
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 #![deny(missing_docs)]
 
-pub mod checkpoint;
 pub mod compact;
 pub mod log;
-pub mod pruner;
-pub mod retention;
 
-pub use checkpoint::{CheckpointStore, PruneCheckpoint};
-pub use compact::{Classifier, LogCompactor, Verdict};
+pub use compact::{Compaction, StoreError, Verdict};
 pub use log::{LogConfig, SegmentInfo, SegmentLines, SegmentedLog};
-pub use pruner::{PruneInput, PruneOutput, Pruner, Segment, StoreError, TickReport};
-pub use retention::LogRetention;

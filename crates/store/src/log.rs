@@ -20,15 +20,17 @@
 //!   last complete line and the repair is counted in
 //!   [`SegmentedLog::torn_tails`] — a half-written record never reaches a
 //!   reader.
-//! * Sealed segments are only ever rewritten through
-//!   [`SegmentedLog::replace_segment`]: write `.tmp`, `sync_all`, atomic
-//!   rename over the original (plus a best-effort directory sync).
+//! * Sealed segments are only ever rewritten by
+//!   [`SegmentedLog::compact`]: write `.tmp`, `sync_all`, atomic rename
+//!   over the original (plus a best-effort directory sync).
 //!   Stale `.tmp` files from a kill mid-rewrite are removed on open.
 
 use std::io::{Read as _, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use crate::compact::{Compaction, StoreError, Verdict};
 
 /// Tuning for a [`SegmentedLog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +57,7 @@ pub struct SegmentInfo {
     /// Current size in bytes.
     pub bytes: u64,
     /// Sealed segments are immutable except through
-    /// [`SegmentedLog::replace_segment`]; the unsealed tail takes
-    /// appends.
+    /// [`SegmentedLog::compact`]; the unsealed tail takes appends.
     pub sealed: bool,
 }
 
@@ -262,26 +263,20 @@ impl SegmentedLog {
     /// the reader's contract is "whatever is durable".
     pub fn segment_lines(&self) -> Vec<SegmentLines> {
         let mut s = self.lock();
+        self.read_locked(&mut s)
+    }
+
+    fn read_locked(&self, s: &mut LogState) -> Vec<SegmentLines> {
         let _ = s.writer.flush();
-        let read = |seq: u64| -> Vec<String> {
-            std::fs::read_to_string(seg_path(&self.dir, seq))
+        let read = |seq: u64, sealed: bool| SegmentLines {
+            seq,
+            sealed,
+            lines: std::fs::read_to_string(seg_path(&self.dir, seq))
                 .map(|text| text.lines().map(str::to_string).collect())
-                .unwrap_or_default()
+                .unwrap_or_default(),
         };
-        let mut out: Vec<SegmentLines> = s
-            .sealed
-            .iter()
-            .map(|(seq, _)| SegmentLines {
-                seq: *seq,
-                sealed: true,
-                lines: read(*seq),
-            })
-            .collect();
-        out.push(SegmentLines {
-            seq: s.active_seq,
-            sealed: false,
-            lines: read(s.active_seq),
-        });
+        let mut out: Vec<SegmentLines> = s.sealed.iter().map(|(seq, _)| read(*seq, true)).collect();
+        out.push(read(s.active_seq, false));
         out
     }
 
@@ -310,22 +305,82 @@ impl SegmentedLog {
         self.segments().iter().map(|s| s.bytes).sum()
     }
 
-    /// Atomically replaces sealed segment `seq` with `lines` (tmp file,
-    /// `sync_all`, rename; empty `lines` removes the segment file).
-    /// Refuses to touch the active tail or an unknown segment.
+    /// Compacts the log in one stateless call: `classify` sees every
+    /// line in append order and returns one [`Verdict`] per line, and the
+    /// first `delete_limit` `Delete` lines of the *sealed* segments, in log
+    /// order, are removed (`delete_limit` 0 means no limit). The active
+    /// tail is never touched. Each segment that loses lines is rewritten
+    /// through a tmp file, `sync_all` and an atomic rename, in log order,
+    /// so a kill at any point leaves a prefix of the `Delete` lines
+    /// removed; a segment left empty is unlinked.
+    ///
+    /// The log's lock is held throughout, so appends wait and the lines
+    /// rewritten are exactly the lines classified; `classify` must not
+    /// call back into this log.
     ///
     /// # Errors
     ///
-    /// `InvalidInput` for the active tail / unknown `seq`; otherwise the
-    /// underlying I/O error. On any error the original segment is intact.
-    pub fn replace_segment(&self, seq: u64, lines: &[String]) -> std::io::Result<()> {
+    /// [`StoreError::Corrupt`] when `classify` returns a verdict count
+    /// other than the line count (nothing is rewritten then);
+    /// [`StoreError::Io`] from a rewrite, with every segment before it
+    /// already compacted and it and every later one intact.
+    pub fn compact(
+        &self,
+        classify: impl FnOnce(&[String]) -> Vec<Verdict>,
+        delete_limit: usize,
+    ) -> Result<Compaction, StoreError> {
         let mut s = self.lock();
-        let Some(slot) = s.sealed.iter().position(|(q, _)| *q == seq) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("segment {seq} is not a sealed segment of this log"),
-            ));
+        let segments = self.read_locked(&mut s);
+        let all: Vec<String> = segments.iter().flat_map(|seg| seg.lines.clone()).collect();
+        let verdicts = classify(&all);
+        if verdicts.len() != all.len() {
+            return Err(StoreError::Corrupt(format!(
+                "classifier returned {} verdicts for {} lines",
+                verdicts.len(),
+                all.len()
+            )));
+        }
+        let mut budget = if delete_limit == 0 {
+            usize::MAX
+        } else {
+            delete_limit
         };
+        let mut out = Compaction {
+            done: true,
+            ..Compaction::default()
+        };
+        let mut verdicts = verdicts.into_iter();
+        for seg in segments.into_iter().filter(|seg| seg.sealed) {
+            let before = seg.lines.len();
+            let mut kept = Vec::with_capacity(before);
+            for (line, verdict) in seg.lines.into_iter().zip(verdicts.by_ref()) {
+                if verdict == Verdict::Delete {
+                    if budget > 0 {
+                        budget -= 1;
+                        out.reclaimed_bytes += line.len() as u64 + 1;
+                        continue;
+                    }
+                    out.done = false;
+                }
+                kept.push(line);
+            }
+            if kept.len() < before {
+                self.rewrite_locked(&mut s, seg.seq, &kept)?;
+                out.pruned += before - kept.len();
+            }
+        }
+        Ok(out)
+    }
+
+    /// Atomically replaces sealed segment `seq` with `lines` (tmp file,
+    /// `sync_all`, rename; empty `lines` removes the segment file). On
+    /// any error the original segment is intact.
+    fn rewrite_locked(&self, s: &mut LogState, seq: u64, lines: &[String]) -> std::io::Result<()> {
+        let slot = s
+            .sealed
+            .iter()
+            .position(|(q, _)| *q == seq)
+            .expect("only sealed segments are rewritten");
         let path = seg_path(&self.dir, seq);
         if lines.is_empty() {
             std::fs::remove_file(&path)?;
@@ -348,15 +403,6 @@ impl SegmentedLog {
             let _ = d.sync_all();
         }
         Ok(())
-    }
-
-    /// Removes sealed segment `seq` entirely (retention aging).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SegmentedLog::replace_segment`].
-    pub fn remove_segment(&self, seq: u64) -> std::io::Result<()> {
-        self.replace_segment(seq, &[])
     }
 
     /// Lines dropped because of I/O failures.
@@ -445,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn replace_segment_is_atomic_and_cleans_stale_tmps() {
+    fn rewrites_are_atomic_and_stale_tmps_are_cleaned() {
         let dir = scratch("replace");
         let cfg = LogConfig {
             max_segment_bytes: 24,
@@ -455,33 +501,28 @@ mod tests {
             log.append(&format!("{{\"i\":{i}}}"));
         }
         let first_sealed = log.segments()[0].seq;
-        log.replace_segment(first_sealed, &["{\"kept\":true}".to_string()])
+        let kept = vec!["{\"kept\":true}".to_string()];
+        log.rewrite_locked(&mut log.lock(), first_sealed, &kept)
             .unwrap();
-        assert!(log.lines().contains(&"{\"kept\":true}".to_string()));
-
-        // The active tail is off-limits.
-        let active = log.segments().last().unwrap().seq;
-        assert!(log.replace_segment(active, &[]).is_err());
+        assert!(log.lines().contains(&kept[0]));
+        assert_eq!(log.segments()[0].bytes, kept[0].len() as u64 + 1);
 
         // A stale tmp from a killed rewrite disappears on reopen and the
         // original segment content still reads back.
         let before = log.lines();
-        std::fs::write(
-            seg_path(&dir, first_sealed).with_extension("jsonl.tmp"),
-            "junk",
-        )
-        .unwrap();
+        let tmp = seg_path(&dir, first_sealed).with_extension("jsonl.tmp");
+        std::fs::write(&tmp, "junk").unwrap();
         drop(log);
         let log = SegmentedLog::open(&dir, cfg).unwrap();
         assert_eq!(log.lines(), before);
-        assert!(!seg_path(&dir, first_sealed)
-            .with_extension("jsonl.tmp")
-            .exists());
+        assert!(!tmp.exists());
 
-        // Removing a segment drops its lines and its file.
-        log.remove_segment(first_sealed).unwrap();
-        assert!(!log.lines().contains(&"{\"kept\":true}".to_string()));
+        // Rewriting to nothing drops the segment's lines and its file.
+        log.rewrite_locked(&mut log.lock(), first_sealed, &[])
+            .unwrap();
+        assert!(!log.lines().contains(&kept[0]));
         assert!(!seg_path(&dir, first_sealed).exists());
+        assert_ne!(log.segments()[0].seq, first_sealed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,9 +20,10 @@
 //!   finish the run they are on and journal it — a clean checkpoint, not
 //!   an abandoned pool — and a resume completes to the same digest.
 //! * `--prune` — journal to a segmented on-disk store, kill partway,
-//!   compact the journal under a work budget with `gecko-store`'s pruner
-//!   (rebuilt from its persisted checkpoint between ticks, as if killed
-//!   mid-prune too), then resume and show pruning was invisible.
+//!   compact the journal under a work budget with budgeted
+//!   `SegmentedLog::compact` calls (the log reopened from disk before
+//!   each, as if killed between them too), then resume and show
+//!   compaction was invisible.
 //!
 //! ```sh
 //! cargo run --release --example campaign
@@ -183,7 +184,7 @@ fn drain_demo(workers: usize, reference: &gecko_suite::fleet::CampaignReport) {
 /// `--prune`: segmented on-disk journal, budgeted compaction, resume.
 fn prune_demo(workers: usize, reference: &gecko_suite::fleet::CampaignReport) {
     use gecko_suite::fleet::classify_campaign_lines;
-    use gecko_suite::store::{LogCompactor, LogConfig, Pruner, SegmentedLog};
+    use gecko_suite::store::{LogConfig, SegmentedLog};
 
     let dir = std::env::temp_dir().join(format!("gecko-campaign-prune-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -207,19 +208,21 @@ fn prune_demo(workers: usize, reference: &gecko_suite::fleet::CampaignReport) {
     assert!(partial.halted);
     drop(journal);
 
-    // Budgeted prune ticks; the pruner is reopened from its persisted
-    // checkpoint each time, so a kill between ticks loses nothing.
-    let mut ticks = 0u32;
+    // Budgeted compaction calls; compaction keeps no state, so the log
+    // is reopened from disk before each, as if killed between them.
+    let mut calls = 0u32;
     loop {
-        let log = Arc::new(SegmentedLog::open(&dir.join("journal"), cfg).expect("log"));
-        let mut pruner = Pruner::open(&dir.join("prune.json"), 8).expect("pruner");
-        pruner.add(LogCompactor::new("campaign", log, classify_campaign_lines));
-        ticks += 1;
-        if pruner.tick().expect("tick").done {
+        let log = SegmentedLog::open(&dir.join("journal"), cfg).expect("log");
+        calls += 1;
+        if log
+            .compact(classify_campaign_lines, 8)
+            .expect("compact")
+            .done
+        {
             break;
         }
     }
-    println!("backlog clear after {ticks} budgeted prune tick(s) (delete_limit=8)");
+    println!("backlog clear after {calls} budgeted compaction call(s) (delete_limit=8)");
 
     let journal = Arc::new(Journal::open_segmented(&dir.join("journal"), cfg).expect("journal"));
     let resumed = Campaign::new(spec())

@@ -38,7 +38,7 @@ cargo run --offline --release --example campaign -- --chaos --resume --drain --p
 echo "==> batch smoke (DeviceBatch lock-step runs must equal scalar runs bit-for-bit)"
 GECKO_QUICK=1 cargo test --offline --release -q -p gecko-sim --test batch
 
-echo "==> store smoke (segmented store: kill-mid-prune resume digests, retention caps)"
+echo "==> store smoke (segmented store: stateless budgeted compaction, kill-mid-prune resume digests)"
 cargo test --offline --release -q -p gecko-store
 cargo test --offline --release -q -p gecko-fleet --test prune
 
