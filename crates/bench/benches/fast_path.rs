@@ -57,7 +57,8 @@
 //!    the identical deterministic digest.
 
 use gecko_bench::{
-    print_table, save_json_summary, save_rows, time_best_of, workers_from_env, SummaryRow,
+    print_table, save_json_summary, save_rows, time_best_of, time_pairs, workers_from_env,
+    SummaryRow,
 };
 use gecko_check::{check_app, ExploreConfig};
 use gecko_compiler::CompileOptions;
@@ -698,10 +699,14 @@ fn bench_campaign(rows: &mut Vec<BenchRow>, quick: bool) {
     });
 }
 
+/// Section 6: campaign resume. Plain and journaled runs are timed in
+/// adjacent pairs ([`time_pairs`]) and the journaling gate reads the
+/// median per-pair ratio.
 fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
     use std::sync::Arc;
     let seconds = if quick { 0.05 } else { 0.2 };
     let iters = if quick { 2 } else { 5 };
+    let pairs = if quick { 21 } else { 15 };
     let spec = || {
         CampaignSpec::new("bench_resume")
             .apps(["blink", "crc16"])
@@ -714,14 +719,17 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
 
     // Clean path: supervision is always on; the journal is the only delta.
     let plain = Campaign::new(spec()).workers(workers);
-    let plain_wall = time_best_of(iters, || plain.run().expect("campaign runs"));
-    let journaled_wall = time_best_of(iters, || {
-        Campaign::new(spec())
-            .workers(workers)
-            .journal(Arc::new(Journal::memory()))
-            .run()
-            .expect("journaled campaign runs")
-    });
+    let walls = time_pairs(
+        pairs,
+        || plain.run().expect("campaign runs"),
+        || {
+            Campaign::new(spec())
+                .workers(workers)
+                .journal(Arc::new(Journal::memory()))
+                .run()
+                .expect("journaled campaign runs")
+        },
+    );
 
     // Replay path: resuming from a complete journal re-executes nothing,
     // so it must merge bit-exactly and come back far faster.
@@ -746,28 +754,28 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
         resumed
     });
 
-    let overhead = journaled_wall.as_secs_f64() / plain_wall.as_secs_f64();
+    let overhead = walls.ratio;
     print_table(
-        &format!("campaign resume, {items} items x {seconds}s (best of {iters})"),
+        &format!(
+            "campaign resume, {items} items x {seconds}s \
+             (plain/journaled: median of {pairs} pairs; resumed: best of {iters})"
+        ),
         &["path", "wall", "vs plain"],
         &[
             vec![
                 "plain".to_string(),
-                format!("{:.1}ms", plain_wall.as_secs_f64() * 1e3),
+                format!("{:.1}ms", walls.base_s * 1e3),
                 "1.00x".to_string(),
             ],
             vec![
                 "journaled".to_string(),
-                format!("{:.1}ms", journaled_wall.as_secs_f64() * 1e3),
-                format!("{overhead:.3}x"),
+                format!("{:.1}ms", walls.other_s * 1e3),
+                format!("{overhead:.3}x (pair median)"),
             ],
             vec![
                 "resumed".to_string(),
                 format!("{:.1}ms", resume_wall.as_secs_f64() * 1e3),
-                format!(
-                    "{:.3}x",
-                    resume_wall.as_secs_f64() / plain_wall.as_secs_f64()
-                ),
+                format!("{:.3}x", resume_wall.as_secs_f64() / walls.base_s),
             ],
         ],
     );
@@ -779,8 +787,8 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
         ff_ticks: 0,
         eh_insts: 0,
         ratio: overhead,
-        wall_ms: journaled_wall.as_secs_f64() * 1e3,
-        rate_per_s: items as f64 / journaled_wall.as_secs_f64(),
+        wall_ms: walls.other_s * 1e3,
+        rate_per_s: items as f64 / walls.other_s,
         ..BenchRow::default()
     });
     // Quick-mode windows total ~70 ms, where a single millisecond of
@@ -790,10 +798,10 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
     assert!(
         overhead < max_overhead,
         "clean-path supervision + journaling overhead must stay < \
-         {max_overhead:.2}x (got {overhead:.3}x)"
+         {max_overhead:.2}x (median per-pair ratio {overhead:.3}x)"
     );
     assert!(
-        resume_wall < plain_wall,
+        resume_wall.as_secs_f64() < walls.base_s,
         "a full-journal resume must be faster than re-running the campaign"
     );
 }
@@ -802,15 +810,12 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
 /// through the daemon (HTTP submit, long-poll, result fetch, journal +
 /// telemetry files) vs the direct library call; serving must add < 10%.
 ///
-/// Direct and served runs are timed in adjacent pairs (alternating which
-/// goes first) and the gate reads the median per-pair ratio, so machine
-/// drift over the section lands in both halves of a pair instead of in
-/// the ratio.
+/// Direct and served runs are timed in adjacent pairs ([`time_pairs`])
+/// and the gate reads the median per-pair ratio.
 fn bench_serve_submit(rows: &mut Vec<BenchRow>, quick: bool) {
     use gecko_fleet::spec_to_json;
     use gecko_fleet::Json;
     use gecko_serve::{http_call, ServeConfig, Server};
-    use std::time::Instant;
 
     let seconds = if quick { 0.05 } else { 0.2 };
     let pairs = if quick { 31 } else { 21 };
@@ -862,36 +867,15 @@ fn bench_serve_submit(rows: &mut Vec<BenchRow>, quick: bool) {
             }
         }
     };
-    let time = |f: &dyn Fn()| {
-        let t0 = Instant::now();
-        f();
-        t0.elapsed().as_secs_f64()
-    };
-    let run_direct = || {
-        std::hint::black_box(direct.run().expect("direct campaign runs"));
-    };
-    served(); // warm the daemon's path too
-    let (mut direct_walls, mut served_walls, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for pair in 0..pairs {
-        let (d, s) = if pair % 2 == 0 {
-            (time(&run_direct), time(&served))
-        } else {
-            let s = time(&served);
-            (time(&run_direct), s)
-        };
-        direct_walls.push(d);
-        served_walls.push(s);
-        ratios.push(s / d);
-    }
+    let walls = time_pairs(
+        pairs,
+        || direct.run().expect("direct campaign runs"),
+        served,
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&data);
 
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let (direct_wall, served_wall) = (median(&mut direct_walls), median(&mut served_walls));
-    let overhead = median(&mut ratios);
+    let (direct_wall, served_wall, overhead) = (walls.base_s, walls.other_s, walls.ratio);
     print_table(
         &format!("serve submit→complete, {items} items x {seconds}s (median of {pairs} pairs)"),
         &["path", "wall", "vs direct"],

@@ -138,6 +138,64 @@ pub fn time_best_of<T>(iters: u32, mut f: impl FnMut() -> T) -> std::time::Durat
     best
 }
 
+/// Median wall times of two closures timed by [`time_pairs`], and their
+/// median per-pair ratio.
+#[derive(Debug, Clone, Copy)]
+pub struct PairedWalls {
+    /// Median wall of the baseline closure, in seconds.
+    pub base_s: f64,
+    /// Median wall of the compared closure, in seconds.
+    pub other_s: f64,
+    /// Median per-pair `other / base` wall ratio.
+    pub ratio: f64,
+}
+
+/// Times `base` and `other` in `pairs` adjacent pairs after one warm-up
+/// call of each, alternating which goes first. A gate on the median
+/// per-pair ratio sees machine drift over the section land in both halves
+/// of a pair instead of in the ratio, as best-of blocks timed one after
+/// the other would.
+pub fn time_pairs<A, B>(
+    pairs: usize,
+    mut base: impl FnMut() -> A,
+    mut other: impl FnMut() -> B,
+) -> PairedWalls {
+    assert!(pairs > 0);
+    std::hint::black_box(base());
+    std::hint::black_box(other());
+    let mut time_base = || {
+        let t0 = Instant::now();
+        std::hint::black_box(base());
+        t0.elapsed().as_secs_f64()
+    };
+    let mut time_other = || {
+        let t0 = Instant::now();
+        std::hint::black_box(other());
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut bases, mut others, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (b, o) = if pair % 2 == 0 {
+            (time_base(), time_other())
+        } else {
+            let o = time_other();
+            (time_base(), o)
+        };
+        bases.push(b);
+        others.push(o);
+        ratios.push(o / b);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    PairedWalls {
+        base_s: median(bases),
+        other_s: median(others),
+        ratio: median(ratios),
+    }
+}
+
 /// Renders a fixed-width table: a header row and data rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use gecko_apps::App;
@@ -40,11 +40,8 @@ use gecko_sim::report::{json_kv, Json, Value};
 use gecko_sim::SchemeKind;
 use gecko_store::Verdict;
 
-use crate::explore::{
-    check_windows, check_windows_resumed, golden_steps, ExploreConfig, ExploreObserver,
-    GoldenError, NullObserver, SlabPrefix,
-};
-use crate::memostore::{MemoStore, SlabWriter};
+use crate::explore::{check_windows, golden_steps, ExploreConfig, GoldenError};
+use crate::memostore::MemoStore;
 use crate::shrink::{replay, shrink_schedule};
 use crate::verdict::{CheckStats, InjectionKind, PairReport, PlannedInjection, Violation};
 use crate::Outcome;
@@ -228,14 +225,14 @@ pub fn check_compiled(
         error,
     })?;
     let windows = explore.max_windows.map_or(golden, |m| m.min(golden));
-    let (stats, violations) = check_windows(compiled, explore, 0, windows, golden);
+    let outcome = check_windows(compiled, explore, 0, windows, golden);
     let mut report = PairReport {
         app: compiled.app.name.to_string(),
         scheme: compiled.scheme,
         golden_steps: golden,
         depth: explore.depth,
-        stats,
-        violations,
+        stats: outcome.stats,
+        violations: outcome.violations,
         counterexample: None,
     };
     if let Some(first) = report.violations.first() {
@@ -742,13 +739,14 @@ impl CheckCampaign {
         self.journal(journal)
     }
 
-    /// Attaches a durable memo store (builder style): every chunk's
-    /// logical-state memo table and completion frontier persist through
-    /// [`MemoStore`] as the chunk explores, and a later campaign over the
-    /// same spec answers complete chunks from disk, resumes partial ones
-    /// mid-chunk, and re-explores only chunks whose blamed compiled
-    /// regions changed (DESIGN.md §18). Results are bit-identical with
-    /// and without a store, cold or warm.
+    /// Attaches a durable memo store (builder style): every checked
+    /// chunk's counters, violations and blamed regions persist through
+    /// [`MemoStore`] as one record, written when the chunk is journaled
+    /// (after its step-budget check). A later campaign over the same spec
+    /// answers those chunks from disk and re-explores the rest — chunks
+    /// never finished, quarantined, or whose blamed compiled regions
+    /// changed (DESIGN.md §18). Results are bit-identical with and
+    /// without a store, cold or warm.
     pub fn memo(mut self, memo: Arc<MemoStore>) -> CheckCampaign {
         self.memo = Some(memo);
         self
@@ -925,12 +923,9 @@ impl CheckCampaign {
             .collect();
 
         // Memo restore pass (after the journal's — this campaign's own
-        // completed chunks win). A complete slab answers the whole chunk
-        // from disk; a partial slab becomes a [`SlabPrefix`] and the
-        // chunk resumes mid-slab. Violations are replay-validated exactly
-        // like journaled ones before anything is trusted.
-        let mut prefixes: Vec<Mutex<Option<SlabPrefix>>> = Vec::new();
-        prefixes.resize_with(items.len(), Default::default);
+        // completed chunks win): a stored slab answers its whole chunk
+        // from disk. Violations are replay-validated exactly like
+        // journaled ones before anything is trusted.
         let mut memo_windows = 0u64;
         if let Some(memo) = &self.memo {
             for (i, key) in run_keys.iter().enumerate() {
@@ -939,26 +934,16 @@ impl CheckCampaign {
                 }
                 let item = items[i];
                 let p = &pairs[item.pair];
-                let Some(slab) = memo.restore(*key, p.golden, &fps[item.pair]) else {
+                let Some((stats, persisted)) = memo.restore(*key, p.golden, &fps[item.pair]) else {
                     continue;
                 };
                 let Some(violations) =
-                    replay_persisted(&p.compiled, &spec.explore, p.golden, &slab.violations)
+                    replay_persisted(&p.compiled, &spec.explore, p.golden, &persisted)
                 else {
                     continue;
                 };
-                memo_windows += slab.done;
-                if slab.done >= slab.total {
-                    restored[i] = Some((slab.stats, violations));
-                } else {
-                    *prefixes[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(SlabPrefix {
-                        windows_done: slab.done,
-                        stats: slab.stats,
-                        violations,
-                        regions: slab.regions,
-                        memo: slab.memo,
-                    });
-                }
+                memo_windows += item.end - item.start;
+                restored[i] = Some((stats, violations));
             }
         }
         let resumed = restored.iter().flatten().count() as u64;
@@ -993,40 +978,8 @@ impl CheckCampaign {
         let pool = run_supervised(&cfg, restored, |i, attempt, budget, attempt_started| {
             let item = items[i];
             let p = &pairs[item.pair];
-            // A restored partial slab is taken (not cloned): a retry after
-            // a failed attempt re-explores from scratch, which is the
-            // uninterrupted run by definition.
-            let prefix = prefixes[i].lock().unwrap_or_else(|e| e.into_inner()).take();
-            let prefix_done = prefix.as_ref().map_or(0, |pre| pre.windows_done);
-            let mut writer = self.memo.as_ref().map(|memo| {
-                SlabWriter::new(
-                    memo,
-                    &fps[item.pair],
-                    run_keys[i],
-                    item.start,
-                    item.end,
-                    p.golden,
-                    prefix_done,
-                )
-            });
-            let observer: &mut dyn ExploreObserver = match &mut writer {
-                Some(writer) => writer,
-                None => &mut NullObserver,
-            };
-            let outcome = check_windows_resumed(
-                &p.compiled,
-                &spec.explore,
-                item.start,
-                item.end,
-                p.golden,
-                prefix,
-                observer,
-            );
-            if let Some(writer) = &mut writer {
-                writer.finish(&outcome);
-            }
+            let outcome = check_windows(&p.compiled, &spec.explore, item.start, item.end, p.golden);
             let stats = outcome.stats;
-            let violations = outcome.violations;
             if stats.steps > budget.max_steps {
                 return Err(AttemptFail::TimedOut {
                     steps: stats.steps,
@@ -1034,6 +987,14 @@ impl CheckCampaign {
                     partial: None,
                 });
             }
+            // One durable record per checked chunk, beside its journal
+            // line and past the budget check: a quarantined chunk leaves
+            // neither behind.
+            if let Some(memo) = &self.memo {
+                let fps = &fps[item.pair];
+                memo.record(run_keys[i], fps, item.start, item.end, p.golden, &outcome);
+            }
+            let violations = outcome.violations;
             if let Some(journal) = journal {
                 journal.append(&encode_chunk(run_keys[i], i, &stats, &violations));
             }

@@ -203,145 +203,52 @@ impl std::fmt::Display for GoldenError {
 
 /// The memo table: post-recovery state hash → observed outcome. One table
 /// per work-item chunk, so memo-hit counts are worker-count-invariant.
-pub(crate) type MemoTable = HashMap<u64, Outcome>;
+type MemoTable = HashMap<u64, Outcome>;
 
-/// A memo table plus the insertion log of entries discovered *this run*
-/// (restored entries are preloaded into the table only). The log is what a
-/// persistent store flushes: replaying it over the restored entries
-/// rebuilds the table exactly.
-pub(crate) struct MemoLog {
-    table: MemoTable,
-    log: Vec<(u64, Outcome)>,
-}
-
-impl MemoLog {
-    fn preloaded(entries: &[(u64, Outcome)]) -> MemoLog {
-        MemoLog {
-            table: entries.iter().copied().collect(),
-            log: Vec::new(),
-        }
-    }
-}
-
-/// Resumable progress of one window slab: everything a mid-slab restart
-/// needs to continue bit-exactly where a killed run stopped.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SlabPrefix {
-    /// Windows of the slab already checked (the next window is
-    /// `start + windows_done`).
-    pub windows_done: u64,
-    /// Cumulative counters over those windows.
-    pub stats: CheckStats,
-    /// Violations found in those windows, in window order.
-    pub violations: Vec<Violation>,
-    /// Raw region ids blamed by any fork so far.
-    pub regions: BTreeSet<u32>,
-    /// Memo entries to preload (state hash → outcome).
-    pub memo: Vec<(u64, Outcome)>,
-}
-
-/// Final result of one slab: cumulative counters, violations in window
-/// order, and every region any fork blamed (the invalidation footprint a
-/// persistent memo keys on).
+/// Result of one slab (a work-item chunk of windows): counters,
+/// violations in window order, and every region any fork blamed (the
+/// invalidation footprint a persistent memo keys on).
 pub(crate) struct SlabOutcome {
-    /// Cumulative counters (prefix included when resumed).
+    /// Counters over the slab.
     pub stats: CheckStats,
-    /// Violations in window order (prefix included when resumed).
+    /// Violations in window order.
     pub violations: Vec<Violation>,
     /// Raw region ids blamed by any fork of the slab.
     pub regions: BTreeSet<u32>,
 }
 
-/// A read-only view of slab progress, handed to the observer after every
-/// completed window. All fields are cumulative over the slab (including a
-/// restored prefix), except `fresh_memo`, which holds only the memo
-/// entries discovered this run — exactly what a durable store has not yet
-/// seen.
-pub(crate) struct SlabProgress<'a> {
-    /// Windows completed so far (absolute within the slab).
-    pub windows_done: u64,
-    /// Cumulative counters.
-    pub stats: &'a CheckStats,
-    /// Violations so far, in window order.
-    pub violations: &'a [Violation],
-    /// Regions blamed so far.
-    pub regions: &'a BTreeSet<u32>,
-    /// Memo entries discovered this run, in insertion order.
-    pub fresh_memo: &'a [(u64, Outcome)],
-}
-
-/// Observes slab progress window by window — the persistence seam. The
-/// exploration loop is observer-blind: verdicts, counters and step counts
-/// are bit-identical whatever the observer does.
-pub(crate) trait ExploreObserver {
-    /// Called after each window completes (the simulator is already
-    /// repositioned on the next window).
-    fn window_done(&mut self, progress: SlabProgress<'_>);
-}
-
-/// The no-op observer ([`check_windows`] uses it).
-pub(crate) struct NullObserver;
-
-impl ExploreObserver for NullObserver {
-    fn window_done(&mut self, _progress: SlabProgress<'_>) {}
-}
-
-/// Explores the windows `start..end` of the golden trace and returns the
-/// chunk's counters and violations (in window order). `golden` is the
-/// trace length from [`golden_steps`]; `end` must not exceed it.
+/// Explores the windows `start..end` of the golden trace on a fresh
+/// simulator advanced from step 0 to `start`. `golden` is the trace length
+/// from [`golden_steps`]; `end` must not exceed it. The repositioning
+/// `advance` is not counted in `stats.steps`.
 pub(crate) fn check_windows(
     compiled: &CompiledApp,
     cfg: &ExploreConfig,
     start: u64,
     end: u64,
     golden: u64,
-) -> (CheckStats, Vec<Violation>) {
-    let out = check_windows_resumed(compiled, cfg, start, end, golden, None, &mut NullObserver);
-    (out.stats, out.violations)
-}
-
-/// The resumable core of [`check_windows`]: explores windows
-/// `start + prefix.windows_done .. end`, continuing from a restored
-/// [`SlabPrefix`] (counters, violations, regions and memo preload), on a
-/// fresh simulator advanced from step 0 to the first unchecked window.
-///
-/// Resume determinism: the memo table is per-slab and `settle_and_check`
-/// replays restored entries as hits, so a run resumed mid-slab produces
-/// the same cumulative `CheckStats` (and identical violations) as an
-/// uninterrupted run of the whole slab — the repositioning `advance` is
-/// not counted in `stats.steps` either way.
-pub(crate) fn check_windows_resumed(
-    compiled: &CompiledApp,
-    cfg: &ExploreConfig,
-    start: u64,
-    end: u64,
-    golden: u64,
-    prefix: Option<SlabPrefix>,
-    observer: &mut dyn ExploreObserver,
 ) -> SlabOutcome {
     debug_assert!(end <= golden);
     let budget = explore_budget(golden);
     let primary = cfg.primary_kinds();
     let nested = cfg.nested_kinds();
-    let prefix = prefix.unwrap_or_default();
-    let first = start + prefix.windows_done.min(end.saturating_sub(start));
-    let mut memo = MemoLog::preloaded(&prefix.memo);
-    let mut stats = prefix.stats;
-    let mut violations = prefix.violations;
-    let mut regions = prefix.regions;
+    let mut memo = MemoTable::new();
+    let mut stats = CheckStats::default();
+    let mut violations = Vec::new();
+    let mut regions = BTreeSet::new();
 
     let mut sim = checker_sim(compiled, cfg.seed, cfg.fast_forward);
-    // Reposition onto the golden trace at the first unchecked window.
-    // `advance` coalesces where it can and lands bit-identically to
-    // `first` individual steps.
-    sim.advance(first);
+    // Reposition onto the golden trace at the first window. `advance`
+    // coalesces where it can and lands bit-identically to `start`
+    // individual steps.
+    sim.advance(start);
 
     // One snapshot buffer per fork level, refilled in place: a refill or
     // a restore copies only the NVM pages either side touched.
     let mut base = sim.snapshot();
     let mut after_primary = base.clone();
     let mut resume = base.clone();
-    for window in first..end {
+    for window in start..end {
         stats.windows += 1;
         sim.snapshot_into(&mut base);
         for &kind in &primary {
@@ -450,13 +357,6 @@ pub(crate) fn check_windows_resumed(
         }
         // Advance the golden trace to the next window.
         sim.step_one();
-        observer.window_done(SlabProgress {
-            windows_done: window + 1 - start,
-            stats: &stats,
-            violations: &violations,
-            regions: &regions,
-            fresh_memo: &memo.log,
-        });
     }
     SlabOutcome {
         stats,
@@ -502,7 +402,7 @@ fn settle_and_check(
     compiled: &CompiledApp,
     cfg: &ExploreConfig,
     budget: u64,
-    memo: &mut MemoLog,
+    memo: &mut MemoTable,
     stats: &mut CheckStats,
 ) -> Outcome {
     // Recovery phase: recharge, debounced wake, boot, restore. Sleeping
@@ -524,7 +424,7 @@ fn settle_and_check(
     }
     let key = sim.state_hash();
     if cfg.memoize {
-        if let Some(&cached) = memo.table.get(&key) {
+        if let Some(&cached) = memo.get(&key) {
             stats.memo_hits += 1;
             return cached;
         }
@@ -548,8 +448,7 @@ fn settle_and_check(
         }
     };
     if cfg.memoize {
-        memo.table.insert(key, outcome);
-        memo.log.push((key, outcome));
+        memo.insert(key, outcome);
     }
     outcome
 }

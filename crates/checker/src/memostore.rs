@@ -1,18 +1,15 @@
-//! The durable memo/frontier store: checker verdicts that survive the
-//! process, on `gecko-store`'s segmented log.
+//! The durable memo store: checker verdicts that survive the process, on
+//! `gecko-store`'s segmented log.
 //!
-//! A checker campaign shards each (app, scheme) pair into window slabs.
-//! This store persists, per slab (keyed by the chunk run key):
-//!
-//! * a **slab record** — how many windows are done, the cumulative
-//!   [`CheckStats`], the violations (schedule + outcome; blame is rebuilt
-//!   by deterministic replay on restore), the blamed-region set, and the
-//!   program/region fingerprints the verdicts were proven against;
-//! * **memo-state entries** — the in-slab memo table's fresh inserts
-//!   (post-recovery state hash → outcome), each stamped with the window
-//!   boundary (`upto`) it was flushed at, so a killed run resumes
-//!   *mid-slab* with exactly the memo table an uninterrupted run would
-//!   have had at that boundary.
+//! A checker campaign shards each (app, scheme) pair into window slabs —
+//! its work-item chunks. This store persists one **slab record** per
+//! checked chunk, keyed by the chunk run key: the chunk's [`CheckStats`],
+//! its violations (schedule + outcome; blame is rebuilt by deterministic
+//! replay on restore), the blamed-region set, and the program/region
+//! fingerprints the verdicts were proven against. The campaign writes it
+//! once, beside the chunk's journal line and after the chunk's step-budget
+//! check, so a quarantined or killed chunk leaves no record and is
+//! re-explored from scratch.
 //!
 //! Soundness of reuse is change-driven (DESIGN.md §18): a slab restores
 //! iff the whole-program fingerprint matches, **or** every region its
@@ -22,14 +19,16 @@
 //!
 //! Record vocabulary (single-line JSON, torn-write safe by construction):
 //! `memo_meta` (store fingerprint + generation; a meta with a new
-//! fingerprint clears everything), `memo_slab` (later wins per run key;
-//! a complete one clears its key's states), `memo_state` (append-only),
-//! `memo_drop` (clears one run key). The log
-//! compacts through [`SegmentedLog::compact`] with
-//! [`classify_memo_lines`], which only ever deletes lines whose removal —
-//! one by one or all at once — is invisible to `MemoStore::restore`.
+//! fingerprint clears everything) and `memo_slab` (later wins per run
+//! key). Older binaries also wrote mid-slab progress: `memo_state` lines,
+//! `memo_drop` tombstones and partial `memo_slab` records (`done` below
+//! the slab's window count). Those logs still open; the retired records
+//! have no effect on restore. The log compacts through
+//! [`SegmentedLog::compact`] with [`classify_memo_lines`], which only
+//! ever deletes lines whose removal — one by one or all at once — is
+//! invisible to `MemoStore::restore`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -39,21 +38,16 @@ use gecko_sim::report::{json_kv, Json, Value};
 use gecko_store::{LogConfig, SegmentedLog, Verdict};
 
 use crate::campaign::{
-    decode_outcome, decode_stats, decode_viols, encode_outcome, encode_viols, stats_fields,
-    ChunkLineError, JournaledViolation,
+    decode_stats, decode_viols, encode_viols, stats_fields, ChunkLineError, JournaledViolation,
 };
-use crate::explore::{ExploreObserver, SlabOutcome, SlabProgress};
-use crate::verdict::{CheckStats, Outcome, Violation};
+use crate::explore::SlabOutcome;
+use crate::verdict::CheckStats;
 
 const MEMO_META: &str = "memo_meta";
 const MEMO_SLAB: &str = "memo_slab";
+/// Kinds only older binaries wrote (mid-slab resume); read as retired.
 const MEMO_STATE: &str = "memo_state";
 const MEMO_DROP: &str = "memo_drop";
-
-/// Windows between [`SlabWriter`] flushes: small enough that a killed run
-/// loses little work, large enough that the store never dominates the
-/// exploration it is caching.
-const FLUSH_WINDOWS: u64 = 32;
 
 // ---------------------------------------------------------------------------
 // Records
@@ -64,6 +58,7 @@ const FLUSH_WINDOWS: u64 = 32;
 struct SlabRecord {
     start: u64,
     end: u64,
+    /// Windows checked: `end - start` in every record this binary writes.
     done: u64,
     golden: u64,
     program_fp: u64,
@@ -73,14 +68,7 @@ struct SlabRecord {
     violations: Vec<JournaledViolation>,
 }
 
-impl SlabRecord {
-    /// Every window of the slab is checked: it preloads no memo entries.
-    fn complete(&self) -> bool {
-        self.done >= self.end.saturating_sub(self.start)
-    }
-}
-
-/// One decoded line of the store's vocabulary.
+/// One decoded live line of the store's vocabulary.
 #[derive(Debug, Clone, PartialEq)]
 enum MemoLine {
     Meta {
@@ -91,15 +79,6 @@ enum MemoLine {
     Slab {
         run_key: u64,
         rec: SlabRecord,
-    },
-    State {
-        run_key: u64,
-        upto: u64,
-        state: u64,
-        outcome: Outcome,
-    },
-    Drop {
-        run_key: u64,
     },
 }
 
@@ -149,32 +128,19 @@ fn encode_memo_line(line: &MemoLine) -> String {
             fields.push(("viols", Value::Str(encode_viols(&rec.violations))));
             json_kv(&fields)
         }
-        MemoLine::State {
-            run_key,
-            upto,
-            state,
-            outcome,
-        } => json_kv(&[
-            ("kind", Value::Str(MEMO_STATE.to_string())),
-            ("run_key", Value::U64(*run_key)),
-            ("upto", Value::U64(*upto)),
-            ("state", Value::U64(*state)),
-            ("outcome", Value::Str(encode_outcome(*outcome))),
-        ]),
-        MemoLine::Drop { run_key } => json_kv(&[
-            ("kind", Value::Str(MEMO_DROP.to_string())),
-            ("run_key", Value::U64(*run_key)),
-        ]),
     }
 }
 
 /// Decodes one parsed line. `None` means the line is not in this store's
 /// vocabulary at all; `Some(Err(_))` is one of our kinds this binary
-/// cannot use.
-fn decode_memo_line(rec: &Json) -> Option<Result<MemoLine, ChunkLineError>> {
+/// cannot use; `Some(Ok(None))` is a retired record (a `memo_state`, a
+/// `memo_drop` or a partial `memo_slab`), which restore ignores.
+fn decode_memo_line(rec: &Json) -> Option<Result<Option<MemoLine>, ChunkLineError>> {
     let kind = rec.get("kind")?.as_str()?;
-    if !matches!(kind, MEMO_META | MEMO_SLAB | MEMO_STATE | MEMO_DROP) {
-        return None;
+    match kind {
+        MEMO_META | MEMO_SLAB => {}
+        MEMO_STATE | MEMO_DROP => return Some(Ok(None)),
+        _ => return None,
     }
     let u = |name: &str| {
         rec.get(name)
@@ -191,18 +157,24 @@ fn decode_memo_line(rec: &Json) -> Option<Result<MemoLine, ChunkLineError>> {
                 path: name.to_string(),
             })
     };
-    Some((|| match kind {
-        MEMO_META => Ok(MemoLine::Meta {
-            name: s("name")?,
-            fingerprint: u("fingerprint")?,
-            generation: u("generation")?,
-        }),
-        MEMO_SLAB => Ok(MemoLine::Slab {
-            run_key: u("run_key")?,
+    Some((|| {
+        if kind == MEMO_META {
+            return Ok(Some(MemoLine::Meta {
+                name: s("name")?,
+                fingerprint: u("fingerprint")?,
+                generation: u("generation")?,
+            }));
+        }
+        let (run_key, start, end, done) = (u("run_key")?, u("start")?, u("end")?, u("done")?);
+        if done < end.saturating_sub(start) {
+            return Ok(None);
+        }
+        Ok(Some(MemoLine::Slab {
+            run_key,
             rec: SlabRecord {
-                start: u("start")?,
-                end: u("end")?,
-                done: u("done")?,
+                start,
+                end,
+                done,
                 golden: u("golden")?,
                 program_fp: u("program_fp")?,
                 rfp: u("rfp")?,
@@ -210,16 +182,7 @@ fn decode_memo_line(rec: &Json) -> Option<Result<MemoLine, ChunkLineError>> {
                 stats: decode_stats(u)?,
                 violations: decode_viols(&s("viols")?)?,
             },
-        }),
-        MEMO_STATE => Ok(MemoLine::State {
-            run_key: u("run_key")?,
-            upto: u("upto")?,
-            state: u("state")?,
-            outcome: decode_outcome(&s("outcome")?, "outcome")?,
-        }),
-        _ => Ok(MemoLine::Drop {
-            run_key: u("run_key")?,
-        }),
+        }))
     })())
 }
 
@@ -233,7 +196,6 @@ struct StoreState {
     fingerprint: Option<u64>,
     generation: u64,
     slabs: HashMap<u64, SlabRecord>,
-    states: HashMap<u64, Vec<(u64, u64, Outcome)>>,
 }
 
 impl StoreState {
@@ -250,65 +212,23 @@ impl StoreState {
                 // safe to answer from.
                 if !self.saw_meta || self.fingerprint != Some(*fingerprint) {
                     self.slabs.clear();
-                    self.states.clear();
                 }
                 self.saw_meta = true;
                 self.fingerprint = Some(*fingerprint);
                 self.generation = *generation;
             }
             MemoLine::Slab { run_key, rec } => {
-                // A complete slab never preloads memo entries, so the
-                // entries before it are dead for good: clearing them here
-                // keeps them dead whatever is appended later (the writer
-                // drops a key before re-exploring a complete slab anyway).
-                if rec.complete() {
-                    self.states.remove(run_key);
-                }
                 self.slabs.insert(*run_key, rec.clone());
-            }
-            MemoLine::State {
-                run_key,
-                upto,
-                state,
-                outcome,
-            } => self
-                .states
-                .entry(*run_key)
-                .or_default()
-                .push((*upto, *state, *outcome)),
-            MemoLine::Drop { run_key } => {
-                self.slabs.remove(run_key);
-                self.states.remove(run_key);
             }
         }
     }
 }
 
-/// A restored slab: everything [`MemoStore::restore`] could validate
-/// against the current artifact.
-#[derive(Debug, Clone)]
-pub(crate) struct RestoredSlab {
-    /// Windows of the slab already checked (`done >= total` means the
-    /// slab is complete and needs no re-exploration at all).
-    pub done: u64,
-    /// Total windows of the slab (`end - start`).
-    pub total: u64,
-    /// Cumulative counters over the done windows.
-    pub stats: CheckStats,
-    /// Violations found in the done windows (blame-free; rebuilt by
-    /// replay).
-    pub violations: Vec<JournaledViolation>,
-    /// Regions blamed so far.
-    pub regions: BTreeSet<u32>,
-    /// Memo preload for a mid-slab resume (empty for complete slabs).
-    pub memo: Vec<(u64, Outcome)>,
-}
-
-/// The durable memo/frontier store: decoded state of a
-/// [`SegmentedLog`] of memo records, kept consistent with the log under
-/// one lock. Open one per spec fingerprint (the serve layer keys the
-/// directory on it); a `begin` with a different fingerprint clears the
-/// store and bumps the generation.
+/// The durable memo store: decoded state of a [`SegmentedLog`] of memo
+/// records, kept consistent with the log under one lock. Open one per
+/// spec fingerprint (the serve layer keys the directory on it); a `begin`
+/// with a different fingerprint clears the store and bumps the
+/// generation.
 pub struct MemoStore {
     log: Arc<SegmentedLog>,
     state: Mutex<StoreState>,
@@ -328,7 +248,7 @@ impl MemoStore {
             let Some(rec) = Json::parse_flat(&line) else {
                 continue;
             };
-            if let Some(Ok(memo_line)) = decode_memo_line(&rec) {
+            if let Some(Ok(Some(memo_line))) = decode_memo_line(&rec) {
                 state.apply(&memo_line);
             }
         }
@@ -375,20 +295,18 @@ impl MemoStore {
         s.generation
     }
 
-    /// Validates and returns the stored slab for `run_key`, or `None`
-    /// when nothing stored is sound to reuse: the golden trace length
-    /// changed, or the program fingerprint changed *and* some blamed
-    /// region's fingerprint changed with it (change-driven invalidation —
-    /// a slab whose blamed regions all survive a recompile untouched
-    /// stays valid). Memo entries are returned only for partial slabs,
-    /// filtered to the flush boundary (`upto <= done`), so a torn write
-    /// of trailing state lines is invisible.
+    /// Validates and returns the stored counters and (blame-free)
+    /// violations for `run_key`, or `None` when nothing stored is sound
+    /// to reuse: the golden trace length changed, or the program
+    /// fingerprint changed *and* some blamed region's fingerprint changed
+    /// with it (change-driven invalidation — a slab whose blamed regions
+    /// all survive a recompile untouched stays valid).
     pub(crate) fn restore(
         &self,
         run_key: u64,
         golden: u64,
         fps: &ProgramFingerprints,
-    ) -> Option<RestoredSlab> {
+    ) -> Option<(CheckStats, Vec<JournaledViolation>)> {
         let s = lock_unpoisoned(&self.state);
         let rec = s.slabs.get(&run_key)?;
         if rec.golden != golden {
@@ -397,168 +315,45 @@ impl MemoStore {
         let valid = rec.program_fp == fps.program
             || (!rec.regions.is_empty()
                 && fps.region_set_digest(rec.regions.iter().copied()) == Some(rec.rfp));
-        if !valid {
-            return None;
-        }
-        let total = rec.end.saturating_sub(rec.start);
-        let memo = if rec.done < total {
-            s.states
-                .get(&run_key)
-                .map(|entries| {
-                    entries
-                        .iter()
-                        .filter(|(upto, _, _)| *upto <= rec.done)
-                        .map(|&(_, state, outcome)| (state, outcome))
-                        .collect()
-                })
-                .unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        Some(RestoredSlab {
-            done: rec.done,
-            total,
-            stats: rec.stats,
-            violations: rec.violations.clone(),
-            regions: rec.regions.clone(),
-            memo,
-        })
+        valid.then(|| (rec.stats, rec.violations.clone()))
     }
 
-    fn has_records(&self, run_key: u64) -> bool {
-        let s = lock_unpoisoned(&self.state);
-        s.slabs.contains_key(&run_key) || s.states.contains_key(&run_key)
-    }
-
-    fn append_applied(&self, line: &MemoLine) {
-        let mut s = lock_unpoisoned(&self.state);
-        self.log.append(&encode_memo_line(line));
-        s.apply(line);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The writer
-// ---------------------------------------------------------------------------
-
-/// Persists one slab's progress as it explores: an [`ExploreObserver`]
-/// that flushes memo-state lines plus a cumulative slab record every
-/// [`FLUSH_WINDOWS`] windows (entries first, then the slab record whose
-/// `done` covers them — so a kill between the two leaves only orphaned
-/// entries with `upto` past the last `done`, which restore filters out).
-pub(crate) struct SlabWriter<'a> {
-    store: &'a MemoStore,
-    fps: &'a ProgramFingerprints,
-    run_key: u64,
-    start: u64,
-    end: u64,
-    golden: u64,
-    /// Index into `fresh_memo` of the first unflushed entry.
-    flushed: usize,
-    /// `windows_done` at the last flush.
-    last_flush: u64,
-}
-
-impl<'a> SlabWriter<'a> {
-    /// A writer for the slab `start..end` of the pair fingerprinted by
-    /// `fps`. `resumed_done` is the restored prefix length (0 for a
-    /// from-scratch run); starting from scratch while the store still
-    /// holds records for this key — an invalidated restore, or a retry
-    /// after a partial flush — first drops them, so stale entries can
-    /// never mix with the fresh run's.
-    pub(crate) fn new(
-        store: &'a MemoStore,
-        fps: &'a ProgramFingerprints,
+    /// Appends the record of the checked slab `start..end` of the pair
+    /// fingerprinted by `fps`; it supersedes any earlier record for
+    /// `run_key`. The campaign calls this once per chunk, when it
+    /// journals the chunk.
+    pub(crate) fn record(
+        &self,
         run_key: u64,
+        fps: &ProgramFingerprints,
         start: u64,
         end: u64,
         golden: u64,
-        resumed_done: u64,
-    ) -> SlabWriter<'a> {
-        if resumed_done == 0 && store.has_records(run_key) {
-            store.append_applied(&MemoLine::Drop { run_key });
-        }
-        SlabWriter {
-            store,
-            fps,
-            run_key,
+        outcome: &SlabOutcome,
+    ) {
+        let rec = SlabRecord {
             start,
             end,
+            done: end.saturating_sub(start),
             golden,
-            flushed: 0,
-            last_flush: resumed_done,
-        }
-    }
-
-    fn flush(
-        &mut self,
-        done: u64,
-        stats: &CheckStats,
-        violations: &[Violation],
-        regions: &BTreeSet<u32>,
-        fresh_memo: &[(u64, Outcome)],
-    ) {
-        // `finish` passes an empty slice with `flushed` still at the last
-        // mid-slab boundary; saturate instead of indexing past the end.
-        for &(state, outcome) in fresh_memo.get(self.flushed..).unwrap_or_default() {
-            self.store.append_applied(&MemoLine::State {
-                run_key: self.run_key,
-                upto: done,
-                state,
-                outcome,
-            });
-        }
-        let rec = SlabRecord {
-            start: self.start,
-            end: self.end,
-            done,
-            golden: self.golden,
-            program_fp: self.fps.program,
-            // 0 is never a valid digest output's guarantee — but an
-            // unknown-region fallback only makes restore *refuse*, which
-            // is the conservative direction.
-            rfp: self
-                .fps
-                .region_set_digest(regions.iter().copied())
+            program_fp: fps.program,
+            // An unknown-region fallback only makes restore *refuse*,
+            // which is the conservative direction.
+            rfp: fps
+                .region_set_digest(outcome.regions.iter().copied())
                 .unwrap_or(0),
-            regions: regions.clone(),
-            stats: *stats,
-            violations: violations.iter().map(JournaledViolation::from).collect(),
+            regions: outcome.regions.clone(),
+            stats: outcome.stats,
+            violations: outcome
+                .violations
+                .iter()
+                .map(JournaledViolation::from)
+                .collect(),
         };
-        self.store.append_applied(&MemoLine::Slab {
-            run_key: self.run_key,
-            rec,
-        });
-        self.flushed = fresh_memo.len();
-        self.last_flush = done;
-    }
-
-    /// Seals the slab: writes the final record with `done = total`. State
-    /// lines are not flushed here — a complete slab never preloads memo
-    /// entries, so its trailing entries would be dead weight.
-    pub(crate) fn finish(&mut self, outcome: &SlabOutcome) {
-        let total = self.end.saturating_sub(self.start);
-        self.flush(
-            total,
-            &outcome.stats,
-            &outcome.violations,
-            &outcome.regions,
-            &[],
-        );
-    }
-}
-
-impl ExploreObserver for SlabWriter<'_> {
-    fn window_done(&mut self, p: SlabProgress<'_>) {
-        if p.windows_done >= self.last_flush + FLUSH_WINDOWS {
-            self.flush(
-                p.windows_done,
-                p.stats,
-                p.violations,
-                p.regions,
-                p.fresh_memo,
-            );
-        }
+        let line = MemoLine::Slab { run_key, rec };
+        let mut s = lock_unpoisoned(&self.state);
+        self.log.append(&encode_memo_line(&line));
+        s.apply(&line);
     }
 }
 
@@ -575,149 +370,69 @@ impl ExploreObserver for SlabWriter<'_> {
 ///
 /// * unparseable garbage and structurally broken records of our
 ///   vocabulary (no decoder sees them);
-/// * records wiped by a later meta announcing a different fingerprint
-///   (metas themselves are always kept — they *are* the clearing
-///   structure — so the wipe happens with or without the wiped lines);
-/// * slab records superseded by a later decodable record for the same
-///   run key — except a complete slab that clears state entries nothing
-///   else kills — and records killed by a later `memo_drop` of their key;
-/// * state entries a later complete slab of their key cleared;
-/// * drops with nothing before them to drop, and drops whose effect a
-///   later meta-wipe reproduces.
-///
-/// A state entry with no slab yet, or whose `upto` outruns its slab's
-/// `done` (an orphan of a torn flush), is kept: a later slab record can
-/// still cover it.
+/// * retired records — `memo_state`, `memo_drop` and partial `memo_slab`
+///   lines from older binaries (restore ignores them);
+/// * slab records wiped by a later meta announcing a different
+///   fingerprint (metas themselves are always kept — they *are* the
+///   clearing structure — so the wipe happens with or without the wiped
+///   lines), or superseded by a later slab record of the same run key.
 ///
 /// Lines in a foreign vocabulary — and our-kind records carrying unknown
 /// tags (a newer writer's data) — are kept.
 pub fn classify_memo_lines(lines: &[String]) -> Vec<Verdict> {
-    enum Parsed {
-        Garbage,
-        Foreign,
-        Malformed,
-        /// Our kind, unknown tags: forward-compatible data. The run key
-        /// still parses on slab/state lines and blocks drop deletion.
-        ForwardCompat {
-            run_key: Option<u64>,
-        },
-        Line(MemoLine),
-    }
-    let parsed: Vec<Parsed> = lines
+    // `Err` carries the verdict of a line decided on its own.
+    let parsed: Vec<Result<MemoLine, Verdict>> = lines
         .iter()
         .map(|line| {
             let Some(rec) = Json::parse_flat(line) else {
-                return Parsed::Garbage;
+                return Err(Verdict::Delete);
             };
             match decode_memo_line(&rec) {
-                None => Parsed::Foreign,
-                Some(Ok(memo_line)) => Parsed::Line(memo_line),
-                Some(Err(ChunkLineError::Malformed { .. })) => Parsed::Malformed,
-                Some(Err(ChunkLineError::UnknownTag { .. })) => Parsed::ForwardCompat {
-                    run_key: rec.get("run_key").and_then(Json::as_u64),
-                },
+                Some(Ok(Some(memo_line))) => Ok(memo_line),
+                Some(Ok(None)) | Some(Err(ChunkLineError::Malformed { .. })) => {
+                    Err(Verdict::Delete)
+                }
+                None | Some(Err(ChunkLineError::UnknownTag { .. })) => Err(Verdict::Keep),
             }
         })
         .collect();
 
-    // The wipe structure: metas are never deleted, so which meta clears
-    // is fixed — everything before the last clearing meta is dead.
-    let mut last_wipe: Option<usize> = None;
-    {
-        let mut saw_meta = false;
-        let mut fp = None;
-        for (i, p) in parsed.iter().enumerate() {
-            if let Parsed::Line(MemoLine::Meta { fingerprint, .. }) = p {
+    // The slab each run key restores from, replayed exactly like
+    // `StoreState::apply`: later wins, a clearing meta forgets them all.
+    let mut live: HashMap<u64, usize> = HashMap::new();
+    let (mut saw_meta, mut fp) = (false, None);
+    for (i, p) in parsed.iter().enumerate() {
+        match p {
+            Ok(MemoLine::Meta { fingerprint, .. }) => {
                 if !saw_meta || fp != Some(*fingerprint) {
-                    last_wipe = Some(i);
+                    live.clear();
                 }
                 saw_meta = true;
                 fp = Some(*fingerprint);
             }
+            Ok(MemoLine::Slab { run_key, .. }) => {
+                live.insert(*run_key, i);
+            }
+            Err(_) => {}
         }
     }
-    let wiped = |i: usize| last_wipe.is_some_and(|w| i < w);
-
-    // Last drop position per key, and whether any slab/state line (ours
-    // or forward-compatible) precedes each drop.
-    let mut last_drop: HashMap<u64, usize> = HashMap::new();
-    for (i, p) in parsed.iter().enumerate() {
-        if let Parsed::Line(MemoLine::Drop { run_key }) = p {
-            last_drop.insert(*run_key, i);
-        }
-    }
-    let dropped = |key: u64, i: usize| last_drop.get(&key).is_some_and(|&d| i < d);
-
-    // Effective slab per key: the last decodable, un-wiped, un-dropped
-    // record.
-    let mut effective_slab: HashMap<u64, usize> = HashMap::new();
-    for (i, p) in parsed.iter().enumerate() {
-        if let Parsed::Line(MemoLine::Slab { run_key, .. }) = p {
-            if !wiped(i) && !dropped(*run_key, i) {
-                effective_slab.insert(*run_key, i);
-            }
-        }
-    }
-
-    // Complete slabs clear their key's state entries. Per key: the last
-    // decodable complete slab, and the first state entry no wipe or drop
-    // kills — a complete slab after it is what keeps it dead.
-    let mut last_complete: HashMap<u64, usize> = HashMap::new();
-    let mut first_live_state: HashMap<u64, usize> = HashMap::new();
-    for (i, p) in parsed.iter().enumerate() {
-        match p {
-            Parsed::Line(MemoLine::Slab { run_key, rec }) if rec.complete() => {
-                last_complete.insert(*run_key, i);
-            }
-            Parsed::Line(MemoLine::State { run_key, .. }) if !wiped(i) && !dropped(*run_key, i) => {
-                first_live_state.entry(*run_key).or_insert(i);
-            }
-            _ => {}
-        }
-    }
-    let cleared = |key: u64, i: usize| last_complete.get(&key).is_some_and(|&c| i < c);
-    let clears_live_state = |key: u64, i: usize| first_live_state.get(&key).is_some_and(|&s| s < i);
-
-    let mut verdicts = vec![Verdict::Keep; lines.len()];
-    let mut seen_keys: BTreeSet<u64> = BTreeSet::new();
-    for (i, p) in parsed.iter().enumerate() {
-        match p {
-            Parsed::Garbage | Parsed::Malformed => verdicts[i] = Verdict::Delete,
-            Parsed::Foreign => {}
-            Parsed::ForwardCompat { run_key } => {
-                if let Some(key) = run_key {
-                    seen_keys.insert(*key);
-                }
-            }
-            Parsed::Line(MemoLine::Meta { .. }) => {}
-            Parsed::Line(MemoLine::Slab { run_key, rec }) => {
-                seen_keys.insert(*run_key);
-                let is_effective = effective_slab.get(run_key).is_some_and(|&at| at == i);
-                let clearing = rec.complete() && clears_live_state(*run_key, i);
-                if !is_effective && !clearing {
-                    verdicts[i] = Verdict::Delete;
-                }
-            }
-            Parsed::Line(MemoLine::State { run_key, .. }) => {
-                seen_keys.insert(*run_key);
-                if wiped(i) || dropped(*run_key, i) || cleared(*run_key, i) {
-                    verdicts[i] = Verdict::Delete;
-                }
-            }
-            Parsed::Line(MemoLine::Drop { run_key }) => {
-                if !seen_keys.contains(run_key) || wiped(i) {
-                    verdicts[i] = Verdict::Delete;
-                }
-            }
-        }
-    }
-    verdicts
+    let live: HashSet<usize> = live.into_values().collect();
+    parsed
+        .iter()
+        .enumerate()
+        .map(|(i, p)| match p {
+            Ok(MemoLine::Meta { .. }) => Verdict::Keep,
+            Ok(MemoLine::Slab { .. }) if live.contains(&i) => Verdict::Keep,
+            Ok(MemoLine::Slab { .. }) => Verdict::Delete,
+            Err(verdict) => *verdict,
+        })
+        .collect()
 }
 
 /// Decodes one raw line of the store's vocabulary (test access to the
 /// parse + decode pair [`MemoStore::open`] runs per line).
 #[cfg(test)]
-fn decode_memo_text(line: &str) -> Option<Result<MemoLine, ChunkLineError>> {
+fn decode_memo_text(line: &str) -> Option<Result<Option<MemoLine>, ChunkLineError>> {
     decode_memo_line(&Json::parse_flat(line)?)
 }
 
@@ -727,8 +442,13 @@ mod golden;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CheckCampaign, CheckSpec};
+    use crate::explore::ExploreConfig;
+    use crate::testprog::war_counter_app;
     use crate::verdict::{InjectionKind, PlannedInjection};
+    use crate::Outcome;
     use gecko_isa::rng::SplitMix64;
+    use gecko_sim::SchemeKind;
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -767,6 +487,8 @@ mod tests {
         }
     }
 
+    /// A slab record of windows `0..total` with `done` of them checked
+    /// (`done < total` is a retired partial slab).
     fn slab_line(fps: &ProgramFingerprints, run_key: u64, done: u64, total: u64) -> String {
         let regions: BTreeSet<u32> = [1u32].into_iter().collect();
         encode_memo_line(&MemoLine::Slab {
@@ -792,13 +514,16 @@ mod tests {
         })
     }
 
+    /// A retired `memo_state` line, as older binaries wrote it.
     fn state_line(run_key: u64, upto: u64, state: u64) -> String {
-        encode_memo_line(&MemoLine::State {
-            run_key,
-            upto,
-            state,
-            outcome: Outcome::Clean,
-        })
+        format!(
+            r#"{{"kind":"memo_state","run_key":{run_key},"upto":{upto},"state":{state},"outcome":"clean"}}"#
+        )
+    }
+
+    /// A retired `memo_drop` tombstone, as older binaries wrote it.
+    fn drop_line(run_key: u64) -> String {
+        format!(r#"{{"kind":"memo_drop","run_key":{run_key}}}"#)
     }
 
     fn meta_line(fingerprint: u64, generation: u64) -> String {
@@ -813,21 +538,11 @@ mod tests {
     fn slabs_roundtrip_through_disk_and_validate_fingerprints() {
         let dir = scratch("roundtrip");
         let fps = fake_fps();
-        let store = store_from_lines(
-            &dir,
-            &[
-                meta_line(7, 1),
-                state_line(42, 16, 0xDEAD),
-                state_line(42, 48, 0xBEEF), // orphan: past the slab's done
-                slab_line(&fps, 42, 32, 64),
-            ],
-        );
+        let store = store_from_lines(&dir, &[meta_line(7, 1), slab_line(&fps, 42, 64, 64)]);
         assert_eq!(store.generation(), 1);
-        let restored = store.restore(42, 100, &fps).expect("valid slab");
-        assert_eq!((restored.done, restored.total), (32, 64));
-        assert_eq!(restored.stats, sample_stats(32));
-        assert_eq!(restored.violations.len(), 1);
-        assert_eq!(restored.memo, vec![(0xDEAD, Outcome::Clean)]);
+        let (stats, violations) = store.restore(42, 100, &fps).expect("valid slab");
+        assert_eq!(stats, sample_stats(64));
+        assert_eq!(violations.len(), 1);
 
         // Wrong golden trace length: nothing to reuse.
         assert!(store.restore(42, 101, &fps).is_none());
@@ -851,13 +566,16 @@ mod tests {
         assert_eq!(store.begin("t", 7), 1, "same spec reuses the generation");
 
         let fps = fake_fps();
-        let mut writer = SlabWriter::new(&store, &fps, 9, 0, 4, 100, 0);
-        writer.finish(&SlabOutcome {
+        let outcome = SlabOutcome {
             stats: sample_stats(4),
             violations: Vec::new(),
             regions: BTreeSet::new(),
-        });
-        assert!(store.restore(9, 100, &fps).is_some());
+        };
+        store.record(9, &fps, 0, 4, 100, &outcome);
+        assert_eq!(
+            store.restore(9, 100, &fps),
+            Some((sample_stats(4), Vec::new()))
+        );
 
         assert_eq!(store.begin("t", 8), 2, "new spec bumps the generation");
         assert!(
@@ -873,27 +591,32 @@ mod tests {
     }
 
     #[test]
-    fn from_scratch_writer_drops_stale_records() {
-        let dir = scratch("drop");
+    fn retired_records_have_no_effect_and_compact_away() {
         let fps = fake_fps();
-        let store = store_from_lines(
-            &dir,
-            &[
-                meta_line(7, 1),
-                state_line(5, 16, 0xAAAA),
-                slab_line(&fps, 5, 16, 64),
-            ],
+        let lines = vec![
+            meta_line(7, 1),
+            slab_line(&fps, 5, 64, 64),
+            state_line(5, 16, 0xAAAA),
+            slab_line(&fps, 5, 16, 64), // a later partial slab of the key
+            drop_line(5),
+            state_line(6, 16, 0xBBBB),
+            slab_line(&fps, 6, 32, 64), // a key with only partial progress
+        ];
+        let dir = scratch("retired");
+        let store = store_from_lines(&dir, &lines);
+        let (stats, violations) = store.restore(5, 100, &fps).expect("the complete slab");
+        assert_eq!((stats, violations.len()), (sample_stats(64), 1));
+        assert!(
+            store.restore(6, 100, &fps).is_none(),
+            "partial slabs never restore"
         );
-        assert!(store.restore(5, 100, &fps).is_some());
-        // A retry (or invalidated restore) starts from scratch: the stale
-        // partial records must not survive alongside the fresh run's.
-        let writer = SlabWriter::new(&store, &fps, 5, 0, 64, 100, 0);
-        assert!(store.restore(5, 100, &fps).is_none());
-        let _ = writer;
-        // And the drop is durable.
-        drop(store);
-        let store = MemoStore::open(&dir).unwrap();
-        assert!(store.restore(5, 100, &fps).is_none());
+        let verdicts = classify_memo_lines(&lines);
+        assert_eq!(verdicts[..2], [Verdict::Keep, Verdict::Keep]);
+        assert!(
+            verdicts[2..].iter().all(|v| *v == Verdict::Delete),
+            "{verdicts:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The restore-observable face of a store: what every run key answers,
@@ -909,34 +632,33 @@ mod tests {
     #[test]
     fn classifier_deletions_are_subset_safe() {
         let fps = fake_fps();
+        // Key 3's slab carries an outcome tag this binary does not know: a
+        // newer writer's data, kept.
+        let forward = slab_line(&fps, 3, 64, 64).replace("|stuck", "|vaporized");
         let lines = vec![
-            state_line(1, 8, 0x1), // pre-meta: wiped by the first meta
+            slab_line(&fps, 1, 64, 64), // pre-meta: wiped by the first meta
             meta_line(7, 1),
-            slab_line(&fps, 1, 8, 64), // superseded below
-            state_line(1, 8, 0x2),
+            slab_line(&fps, 1, 64, 64), // superseded below
+            state_line(1, 8, 0x2),      // retired
             "garbage, not json".to_string(),
             r#"{"kind":"memo_slab","run_key":"oops"}"#.to_string(), // malformed
-            r#"{"kind":"memo_state","run_key":3,"upto":1,"state":9,"outcome":"vaporized"}"#
-                .to_string(), // unknown tag: forward-compatible, keep
-            r#"{"kind":"other_store","run_key":1}"#.to_string(),    // foreign
-            slab_line(&fps, 1, 32, 64),
-            state_line(1, 32, 0x3),
-            state_line(1, 48, 0x4),     // orphan: upto > done
-            slab_line(&fps, 2, 64, 64), // complete
-            state_line(2, 32, 0x5),     // after its complete slab: wiped below
-            encode_memo_line(&MemoLine::Drop { run_key: 99 }), // nothing to drop
-            meta_line(8, 2),            // different fp: wipes everything above
-            slab_line(&fps, 4, 16, 64),
-            state_line(4, 16, 0x6),
-            encode_memo_line(&MemoLine::Drop { run_key: 4 }),
-            slab_line(&fps, 4, 24, 64),
-            state_line(4, 24, 0x7),
+            forward,
+            r#"{"kind":"other_store","run_key":1}"#.to_string(), // foreign
+            slab_line(&fps, 1, 32, 64),                          // retired partial
+            slab_line(&fps, 1, 64, 64),
+            slab_line(&fps, 2, 64, 64), // wiped below
+            drop_line(99),              // retired
+            meta_line(8, 2),            // different fp: wipes every slab above
+            slab_line(&fps, 4, 64, 64), // superseded below
+            drop_line(4),               // retired
+            slab_line(&fps, 4, 64, 64),
+            state_line(4, 24, 0x7), // retired
         ];
         let verdicts = classify_memo_lines(&lines);
         let deleted: Vec<usize> = (0..lines.len())
             .filter(|&i| verdicts[i] == Verdict::Delete)
             .collect();
-        assert!(deleted.len() >= 8, "the fixture exercises deletions");
+        assert_eq!(deleted.len(), 12, "the fixture exercises deletions");
         // Metas and forward-compatible records are never deleted.
         for (i, line) in lines.iter().enumerate() {
             if line.contains("memo_meta") || line.contains("vaporized") {
@@ -970,9 +692,9 @@ mod tests {
         }
     }
 
-    /// A seeded stream of every memo line kind — metas, slabs, states,
-    /// drops, forward-compatible records and torn slab prefixes — over
-    /// run keys 1..=3.
+    /// A seeded stream of every memo line kind — metas, complete and
+    /// partial slabs, retired states and drops, forward-compatible records
+    /// and torn slab prefixes — over run keys 1..=3.
     fn random_memo_lines(rng: &mut SplitMix64) -> Vec<String> {
         let fps = fake_fps();
         (0..rng.range_u64(4, 18))
@@ -983,7 +705,7 @@ mod tests {
                     0 => meta_line(7 + rng.range_u64(0, 2), rng.range_u64(1, 4)),
                     1 | 2 => slab_line(&fps, key, step, 64),
                     3 | 4 => state_line(key, step, rng.next_u64()),
-                    5 => encode_memo_line(&MemoLine::Drop { run_key: key }),
+                    5 => drop_line(key),
                     6 => format!(
                         r#"{{"kind":"memo_state","run_key":{key},"upto":{step},"state":9,"outcome":"vaporized"}}"#
                     ),
@@ -1038,44 +760,99 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A memo log as a binary with mid-slab resume left it, built from the
+    /// golden fixtures: after each real complete slab, a later partial
+    /// slab of the same key (one that would validate if it were read), a
+    /// state line and a drop. Resume answers every chunk from the
+    /// complete slabs alone, bit-exactly, raw and after compaction.
     #[test]
-    fn mid_slab_flushes_restore_the_exact_boundary() {
-        let dir = scratch("flush");
-        let fps = fake_fps();
-        let store = store_from_lines(&dir, &[meta_line(7, 1)]);
-        let mut writer = SlabWriter::new(&store, &fps, 77, 100, 200, 500, 0);
-        let stats = sample_stats(40);
-        let violations: Vec<Violation> = Vec::new();
-        let regions: BTreeSet<u32> = [1].into_iter().collect();
-        let fresh: Vec<(u64, Outcome)> = (0..10u64).map(|i| (i, Outcome::Clean)).collect();
-        // Below the flush threshold: nothing persisted yet.
-        writer.window_done(SlabProgress {
-            windows_done: 31,
-            stats: &stats,
-            violations: &violations,
-            regions: &regions,
-            fresh_memo: &fresh[..4],
-        });
-        assert!(store.restore(77, 500, &fps).is_none());
-        // Crossing it: entries + slab record land, in that order.
-        writer.window_done(SlabProgress {
-            windows_done: 32,
-            stats: &stats,
-            violations: &violations,
-            regions: &regions,
-            fresh_memo: &fresh[..6],
-        });
-        let restored = store.restore(77, 500, &fps).expect("flushed");
-        assert_eq!((restored.done, restored.total), (32, 100));
-        assert_eq!(restored.memo.len(), 6);
-        // Finish seals with done = total and no further state lines.
-        writer.finish(&SlabOutcome {
-            stats: sample_stats(100),
-            violations: Vec::new(),
-            regions: regions.clone(),
-        });
-        let full = store.restore(77, 500, &fps).expect("complete");
-        assert_eq!((full.done, full.total), (100, 100));
-        assert!(full.memo.is_empty(), "complete slabs preload nothing");
+    fn legacy_logs_resume_from_their_complete_slabs_only() {
+        let spec = || {
+            CheckSpec::new("legacy")
+                .apps([war_counter_app(6)])
+                .schemes([SchemeKind::Nvp])
+                .explore(ExploreConfig {
+                    depth: 2,
+                    power_failure_windows: false,
+                    refail_horizon: 8,
+                    max_windows: Some(24),
+                    ..ExploreConfig::default()
+                })
+                .chunk_windows(8)
+        };
+        let reference = CheckCampaign::new(spec()).run().unwrap();
+        assert!(!reference.is_clean(), "violations exercise the replay path");
+        let cold_dir = scratch("legacy-cold");
+        let cold = {
+            let store = Arc::new(MemoStore::open(&cold_dir).unwrap());
+            CheckCampaign::new(spec())
+                .memo(Arc::clone(&store))
+                .run()
+                .unwrap();
+            store.log().lines()
+        };
+
+        let golden_key = golden::RUN_KEY.to_string();
+        let mut legacy = Vec::new();
+        for line in &cold {
+            legacy.push(line.clone());
+            let rec = Json::parse_flat(line).unwrap();
+            if rec.get("kind").and_then(Json::as_str) != Some(MEMO_SLAB) {
+                continue;
+            }
+            let field = |name: &str| rec.get(name).and_then(Json::as_u64).unwrap();
+            let key = field("run_key").to_string();
+            let partial = golden::SLAB
+                .replace(&golden_key, &key)
+                .replace(r#""done":96"#, r#""done":1"#)
+                .replace(
+                    r#""golden":4096"#,
+                    &format!(r#""golden":{}"#, field("golden")),
+                )
+                .replace(
+                    r#""program_fp":1229782938247303441"#,
+                    &format!(r#""program_fp":{}"#, field("program_fp")),
+                );
+            legacy.push(partial);
+            legacy.push(golden::STATE.replace(&golden_key, &key));
+            legacy.push(golden::DROP.replace(&golden_key, &key));
+        }
+        assert_eq!(legacy.len(), 1 + 4 * (cold.len() - 1));
+
+        let compacted = scratch("legacy-compacted");
+        {
+            let log = SegmentedLog::open(
+                &compacted,
+                LogConfig {
+                    max_segment_bytes: 256,
+                },
+            )
+            .unwrap();
+            for line in &legacy {
+                log.append(line);
+            }
+            log.seal().unwrap();
+            while !log.compact(classify_memo_lines, 0).unwrap().done {}
+            assert_eq!(log.lines(), cold, "compaction leaves the complete slabs");
+        }
+        let raw = scratch("legacy-raw");
+        drop(store_from_lines(&raw, &legacy));
+        for dir in [&raw, &compacted] {
+            let store = Arc::new(MemoStore::open(dir).unwrap());
+            let resumed = CheckCampaign::new(spec()).memo(store).run().unwrap();
+            assert_eq!(
+                resumed.deterministic_digest(),
+                reference.deterministic_digest(),
+                "{dir:?}"
+            );
+            assert_eq!(resumed.results, reference.results, "{dir:?}");
+            assert_eq!(
+                resumed.counters.memo_windows, resumed.totals.windows,
+                "{dir:?}: every chunk answers from its complete slab"
+            );
+        }
+        for dir in [cold_dir, raw, compacted] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Golden-line fixtures for the memo store: the exact bytes the encoder
 //! writes for every record kind, and what those bytes decode to. A store
 //! written by an older binary must still restore, so these strings are
-//! the on-disk format.
+//! the on-disk format. `STATE` and `DROP` are retired kinds only older
+//! binaries wrote; they stay as legacy inputs.
 
 use std::collections::BTreeSet;
 
@@ -12,15 +13,15 @@ use crate::Outcome;
 
 const META: &str = r#"{"kind":"memo_meta","name":"fig \"β\"\tcheck","fingerprint":18364758544493064720,"generation":3}"#;
 
-const SLAB: &str = r#"{"kind":"memo_slab","run_key":11400714819323198485,"start":64,"end":128,"done":96,"golden":4096,"program_fp":1229782938247303441,"rfp":2459565876494606882,"regions":"1,4,17","windows":32,"forks":128,"explored":40,"memo_hits":88,"steps":5000,"violations":1,"viols":"70|12p,3c|corrupt.4294967291"}"#;
+pub(super) const SLAB: &str = r#"{"kind":"memo_slab","run_key":11400714819323198485,"start":64,"end":128,"done":96,"golden":4096,"program_fp":1229782938247303441,"rfp":2459565876494606882,"regions":"1,4,17","windows":32,"forks":128,"explored":40,"memo_hits":88,"steps":5000,"violations":1,"viols":"70|12p,3c|corrupt.4294967291"}"#;
 
-const STATE: &str = r#"{"kind":"memo_state","run_key":11400714819323198485,"upto":96,"state":16045690984503111693,"outcome":"corrupt.2147483648"}"#;
+pub(super) const STATE: &str = r#"{"kind":"memo_state","run_key":11400714819323198485,"upto":96,"state":16045690984503111693,"outcome":"corrupt.2147483648"}"#;
 
-const DROP: &str = r#"{"kind":"memo_drop","run_key":11400714819323198485}"#;
+pub(super) const DROP: &str = r#"{"kind":"memo_drop","run_key":11400714819323198485}"#;
 
-const RUN_KEY: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(super) const RUN_KEY: u64 = 0x9E37_79B9_7F4A_7C15;
 
-fn records() -> [(&'static str, MemoLine); 4] {
+fn records() -> [(&'static str, MemoLine); 2] {
     [
         (
             META,
@@ -67,16 +68,6 @@ fn records() -> [(&'static str, MemoLine); 4] {
                 },
             },
         ),
-        (
-            STATE,
-            MemoLine::State {
-                run_key: RUN_KEY,
-                upto: 96,
-                state: 0xDEAD_BEEF_CAFE_F00D,
-                outcome: Outcome::Corrupt { got: i32::MIN },
-            },
-        ),
-        (DROP, MemoLine::Drop { run_key: RUN_KEY }),
     ]
 }
 
@@ -90,6 +81,14 @@ fn encoder_writes_the_golden_bytes() {
 #[test]
 fn golden_lines_decode_to_the_expected_records() {
     for (golden, record) in records() {
-        assert_eq!(decode_memo_text(golden), Some(Ok(record)));
+        assert_eq!(decode_memo_text(golden), Some(Ok(Some(record))));
+    }
+}
+
+#[test]
+fn retired_lines_decode_as_retired() {
+    let partial = SLAB.replace(r#""done":96"#, r#""done":63"#);
+    for line in [STATE, DROP, &partial] {
+        assert_eq!(decode_memo_text(line), Some(Ok(None)), "{line}");
     }
 }

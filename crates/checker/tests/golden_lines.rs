@@ -3,8 +3,9 @@
 //! The fixtures are the golden bytes of every line kind the workspace
 //! persists (the unit tests next to each encoder pin the same strings):
 //! the campaign journal header, `bucket` and `run_done`; the checker's
-//! `chunk_done`; and the memo store's `memo_meta`, `memo_slab`,
-//! `memo_state` and `memo_drop`. A kill mid-append leaves a strict prefix
+//! `chunk_done`; and the memo store's `memo_meta` and `memo_slab`, plus
+//! the `memo_state` and `memo_drop` lines only older binaries wrote
+//! (still read, as retired records). A kill mid-append leaves a strict prefix
 //! of one of them, which every classifier must treat as garbage, never
 //! as a foreign record to keep and never with a panic.
 
@@ -57,5 +58,16 @@ fn lines_carrying_nested_values_are_garbage() {
         assert_garbage(&format!(r#"{body},"extra":{{"a":1}}}}"#));
         assert_garbage(&format!(r#"{body},"extra":[1]}}"#));
         assert_garbage(&format!(r#"{body},"extra":[]}}"#));
+    }
+}
+
+#[test]
+fn retired_memo_lines_are_deleted_whole() {
+    for line in &FIXTURES[6..] {
+        assert_eq!(
+            classify_memo_lines(&[line.to_string()]),
+            vec![Verdict::Delete],
+            "{line}"
+        );
     }
 }

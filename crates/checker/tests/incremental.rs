@@ -9,9 +9,12 @@
 //!   windows answered from the persisted memo;
 //! * digests are invariant across worker counts and kill-and-resume
 //!   boundaries;
-//! * a kill *between* mid-slab flushes (simulated by truncating the memo
-//!   log at a mid-slab record) resumes bit-exactly, before and after a
-//!   [`classify_memo_lines`] prune of the truncated log;
+//! * a cold check writes one record per chunk, once, and a chunk
+//!   quarantined for its step budget leaves none, so a warm re-check
+//!   reproduces the cold report;
+//! * a kill mid-chunk (simulated by cutting the memo log inside the
+//!   chunk's record) re-explores that chunk whole and resumes
+//!   bit-exactly, before and after a [`classify_memo_lines`] prune;
 //! * recompiling one region invalidates only the slabs blamed on it.
 
 use std::path::PathBuf;
@@ -19,9 +22,11 @@ use std::sync::Arc;
 
 use gecko_apps::App;
 use gecko_check::{
-    classify_memo_lines, war_counter_app, CheckCampaign, CheckSpec, ExploreConfig, MemoStore,
+    classify_memo_lines, war_counter_app, CheckCampaign, CheckReport, CheckSpec, ExploreConfig,
+    MemoStore,
 };
 use gecko_compiler::{fingerprint_program, CompileOptions};
+use gecko_fleet::{RunFailure, SupervisorSpec};
 use gecko_isa::{BinOp, Cond, ProgramBuilder, Reg, Word};
 use gecko_sim::device::CompiledApp;
 use gecko_sim::report::Json;
@@ -174,35 +179,131 @@ fn kill_and_resume_digests_are_invariant_across_workers() {
     }
 }
 
+/// The (app, scheme, window) quarantine fingerprint of a report: every
+/// failure must be a step-budget timeout.
+fn timeouts(report: &CheckReport) -> Vec<(u64, usize, u64)> {
+    report
+        .failures
+        .iter()
+        .map(|f| match f {
+            RunFailure::TimedOut {
+                run_key,
+                item,
+                steps,
+                ..
+            } => (*run_key, *item, *steps),
+            other => panic!("unexpected failure {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn over_budget_chunks_stay_quarantined_on_warm_rechecks() {
+    // crc16 and blink under NVP and GECKO, 30 windows each: one chunk per
+    // pair. A step cap just under the costliest chunk quarantines it.
+    let spec = || {
+        CheckSpec::new("budget-leak")
+            .app_names(&["crc16", "blink"])
+            .unwrap()
+            .schemes([SchemeKind::Nvp, SchemeKind::Gecko])
+            .explore(ExploreConfig {
+                seed: 1,
+                ..ExploreConfig::default().with_depth(2).with_max_windows(30)
+            })
+    };
+    let uncapped = CheckCampaign::new(spec()).workers(2).run().unwrap();
+    let max_steps = uncapped
+        .results
+        .iter()
+        .map(|r| r.stats.steps)
+        .max()
+        .unwrap()
+        - 1;
+    let capped = || {
+        CheckCampaign::new(spec())
+            .workers(2)
+            .supervisor(SupervisorSpec {
+                max_steps: Some(max_steps),
+                max_attempts: 1,
+                ..SupervisorSpec::default()
+            })
+    };
+    let storeless = capped().run().unwrap();
+    assert!(
+        !storeless.failures.is_empty(),
+        "the cap must quarantine a chunk"
+    );
+
+    let dir = scratch("budget-leak");
+    let run = || {
+        let store = Arc::new(MemoStore::open(&dir).unwrap());
+        capped().memo(store).run().unwrap()
+    };
+    let cold = run();
+    let warm = run();
+    for (tag, report) in [("cold", &cold), ("warm", &warm)] {
+        assert_eq!(timeouts(report), timeouts(&storeless), "{tag}: failures");
+        assert_eq!(report.results, storeless.results, "{tag}: results");
+        assert_eq!(
+            report.deterministic_digest(),
+            storeless.deterministic_digest(),
+            "{tag}: digest"
+        );
+    }
+    assert!(warm.counters.memo_windows > 0, "the passing chunks answer");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One pair (NVP over the WAR counter) in two chunks of over 32 windows.
+fn long_chunks_spec() -> CheckSpec {
+    CheckSpec::new("long-chunks")
+        .apps([war_counter_app(10)])
+        .schemes([SchemeKind::Nvp])
+        .explore(ExploreConfig {
+            depth: 2,
+            power_failure_windows: false,
+            refail_horizon: 10,
+            max_windows: Some(68),
+            ..ExploreConfig::default()
+        })
+        .chunk_windows(34)
+}
+
+fn kind_of(line: &str) -> Option<String> {
+    Some(Json::parse_flat(line)?.get("kind")?.as_str()?.to_string())
+}
+
+#[test]
+fn a_cold_check_writes_one_record_per_chunk() {
+    let dir = scratch("write-once");
+    let store = Arc::new(MemoStore::open(&dir).unwrap());
+    let cold = CheckCampaign::new(long_chunks_spec())
+        .memo(Arc::clone(&store))
+        .run()
+        .unwrap();
+    assert_eq!(cold.totals.windows, 68, "two full 34-window chunks");
+    let kinds: Vec<Option<String>> = store.log().lines().iter().map(|l| kind_of(l)).collect();
+    let expect = |kind: &str| Some(kind.to_string());
+    assert_eq!(
+        kinds,
+        [
+            expect("memo_meta"),
+            expect("memo_slab"),
+            expect("memo_slab")
+        ],
+        "one meta, then one slab per chunk"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn mid_chunk_kills_resume_bit_exactly_even_after_a_prune() {
-    // One pair, one chunk, > 32 windows: the slab writer flushes mid-slab
-    // at the 32-window boundary, which is exactly the on-disk state a
-    // kill between flushes leaves behind.
-    let spec = || {
-        CheckSpec::new("midchunk")
-            .apps([war_counter_app(10)])
-            .schemes([SchemeKind::Nvp])
-            .explore(ExploreConfig {
-                depth: 2,
-                power_failure_windows: false,
-                refail_horizon: 10,
-                max_windows: Some(64),
-                ..ExploreConfig::default()
-            })
-            .chunk_windows(64)
-    };
-    let reference = CheckCampaign::new(spec()).run().unwrap();
-    assert!(
-        reference.totals.windows > 40,
-        "needs a mid-slab flush: got {} windows",
-        reference.totals.windows
-    );
+    let reference = CheckCampaign::new(long_chunks_spec()).run().unwrap();
 
     let dir = scratch("midchunk-full");
     let lines = {
         let store = Arc::new(MemoStore::open(&dir).unwrap());
-        let full = CheckCampaign::new(spec())
+        let full = CheckCampaign::new(long_chunks_spec())
             .memo(Arc::clone(&store))
             .run()
             .unwrap();
@@ -213,37 +314,15 @@ fn mid_chunk_kills_resume_bit_exactly_even_after_a_prune() {
         store.log().lines()
     };
 
-    // Cut right after the first mid-slab record (done < total), then keep
-    // any state lines that follow it: those belong to the *next* flush,
-    // so they are exactly the orphans a torn final write leaves.
-    let cut = lines
-        .iter()
-        .position(|line| {
-            let Some(rec) = Json::parse_flat(line) else {
-                return false;
-            };
-            if rec.get("kind").and_then(Json::as_str) != Some("memo_slab") {
-                return false;
-            }
-            let u = |n: &str| rec.get(n).and_then(Json::as_u64);
-            match (u("done"), u("start"), u("end")) {
-                (Some(done), Some(start), Some(end)) => done < end - start,
-                _ => false,
-            }
-        })
-        .expect("a mid-slab flush record");
-    let mut killed: Vec<String> = lines[..=cut].to_vec();
-    for line in &lines[cut + 1..] {
-        let is_state = Json::parse_flat(line)
-            .is_some_and(|rec| rec.get("kind").and_then(Json::as_str) == Some("memo_state"));
-        if !is_state {
-            break;
-        }
-        killed.push(line.clone());
-    }
+    // A kill while the second chunk's record was being appended: the log
+    // ends in a torn prefix of it.
+    let (last, kept) = lines.split_last().unwrap();
+    assert_eq!(kind_of(last).as_deref(), Some("memo_slab"));
+    let mut killed = kept.to_vec();
+    killed.push(last[..last.len() / 2].to_string());
 
-    // The pruned variant: a compactor pass over the killed log. Orphaned
-    // trailing state lines are exactly what it deletes.
+    // The pruned variant: a compactor pass over the killed log. The torn
+    // record is exactly what it deletes.
     let verdicts = classify_memo_lines(&killed);
     let pruned: Vec<String> = killed
         .iter()
@@ -251,6 +330,7 @@ fn mid_chunk_kills_resume_bit_exactly_even_after_a_prune() {
         .filter(|(_, v)| **v == Verdict::Keep)
         .map(|(l, _)| l.clone())
         .collect();
+    assert_eq!(pruned, kept);
 
     for (tag, log_lines) in [("raw", &killed), ("pruned", &pruned)] {
         let rdir = scratch(&format!("midchunk-{tag}"));
@@ -262,11 +342,13 @@ fn mid_chunk_kills_resume_bit_exactly_even_after_a_prune() {
             let _ = log.sync();
         }
         let store = Arc::new(MemoStore::open(&rdir).unwrap());
-        let resumed = CheckCampaign::new(spec()).memo(store).run().unwrap();
-        let (mw, w) = (resumed.counters.memo_windows, resumed.totals.windows);
-        assert!(
-            mw > 0 && mw < w,
-            "{tag}: a mid-chunk kill resumes partially, got {mw}/{w}"
+        let resumed = CheckCampaign::new(long_chunks_spec())
+            .memo(store)
+            .run()
+            .unwrap();
+        assert_eq!(
+            resumed.counters.memo_windows, 34,
+            "{tag}: the first chunk answers, the killed one re-explores whole"
         );
         assert_eq!(
             resumed.deterministic_digest(),

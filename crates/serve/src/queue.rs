@@ -841,7 +841,10 @@ fn restore_job(inner: &QueueInner, id: u64, dir: &Path) -> Option<Arc<Job>> {
     let envelope = Json::parse(&std::fs::read_to_string(dir.join("job.json")).ok()?).ok()?;
     let kind = JobKind::from_name(envelope.get("kind")?.as_str()?)?;
     let spec = envelope.get("spec")?.clone();
-    let workers = envelope.get("workers")?.as_u64()? as usize;
+    // Clamped like a submission: an older or hand-edited envelope must not
+    // spawn more pool threads than this daemon admits.
+    let workers = envelope.get("workers")?.as_u64()?;
+    let workers = workers.clamp(1, inner.cfg.max_job_workers as u64) as usize;
     // `halt_after` is a one-shot interruption hook: it already fired in
     // the session that journaled the halt, so a restored job resumes to
     // completion instead of halting again every session. job.json keeps
@@ -1473,6 +1476,30 @@ mod tests {
         // The flat file became the segmented journal's first segment.
         assert!(!dir.join("journal.jsonl").exists());
         assert!(dir.join("journal").join("seg-000000.jsonl").exists());
+        queue.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn restored_job_workers_are_clamped_like_a_submission() {
+        let cfg = test_config("clamp-workers");
+        let root = cfg.journal_root.clone();
+        // Cancelled jobs never execute, so nothing runs with these counts.
+        for (id, workers) in [(7, 100_000u64), (8, 0)] {
+            let dir = root.join(format!("job-{id}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let envelope = format!(
+                r#"{{"id":{id},"kind":"sweep","workers":{workers},"halt_after":null,"incremental":false,"spec":{}}}"#,
+                tiny_sweep_spec().encode()
+            );
+            std::fs::write(dir.join("job.json"), envelope).unwrap();
+            write_state_file(&dir, "cancelled", None);
+        }
+        let queue = Queue::start(cfg.clone()).unwrap();
+        let hostile = queue.job(7).expect("cancelled job restored");
+        assert_eq!(hostile.state(), JobState::Cancelled);
+        assert_eq!(hostile.workers, cfg.max_job_workers);
+        assert_eq!(queue.job(8).expect("cancelled job restored").workers, 1);
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -54,8 +54,9 @@ GECKO_QUICK=1 cargo test --offline --release -q -p gecko-check --test faults
 GECKO_QUICK=1 cargo test --offline --release -q -p gecko-fleet --test faults
 cargo run --offline --release --example fault_lab
 
-echo "==> incremental smoke (persistent memo store: warm re-checks byte-identical,"
-echo "    worker-count and kill-resume digest-invariant, change-driven invalidation)"
+echo "==> incremental smoke (persistent memo store: one record per checked chunk, warm re-checks"
+echo "    byte-identical even with quarantined chunks, worker-count and kill-resume"
+echo "    digest-invariant, change-driven invalidation)"
 GECKO_QUICK=1 cargo test --offline --release -q -p gecko-check --test incremental
 
 echo "==> benchmark self-test (the served end-to-end benchmark builds and its unit tests pass"
