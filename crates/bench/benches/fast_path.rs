@@ -1021,14 +1021,32 @@ fn bench_incremental_check(rows: &mut Vec<BenchRow>, quick: bool) {
     // Deterministic warm-over-cold work ratio: every window costs an
     // exploration cold; warm only re-explores the non-memoized remainder.
     let ratio = windows as f64 / (windows - memo).max(1) as f64;
+    // What the warm run's re-prove pass cost: persisted violations
+    // replayed, and the drains the per-chunk outcome table could not
+    // answer. A drain runs at most once per replay.
+    let (reproved, drains) = (warm.counters.reproved, warm.counters.reprove_drains);
+    assert!(
+        drains <= reproved,
+        "re-prove drains ({drains}) exceed the violations re-proven ({reproved})"
+    );
 
     print_table(
         &format!("incremental check, warcount+crc16 under GECKO, {windows} windows"),
-        &["path", "explored", "memo", "wall", "ns/window"],
+        &[
+            "path",
+            "explored",
+            "memo",
+            "reproved",
+            "drains",
+            "wall",
+            "ns/window",
+        ],
         &[
             vec![
                 "cold".to_string(),
                 windows.to_string(),
+                "0".to_string(),
+                "0".to_string(),
                 "0".to_string(),
                 format!("{:.1}ms", cold_wall.as_secs_f64() * 1e3),
                 format!("{:.0}", cold_wall.as_nanos() as f64 / windows.max(1) as f64),
@@ -1037,6 +1055,8 @@ fn bench_incremental_check(rows: &mut Vec<BenchRow>, quick: bool) {
                 "warm".to_string(),
                 (windows - memo).to_string(),
                 memo.to_string(),
+                reproved.to_string(),
+                drains.to_string(),
                 format!("{:.1}ms", warm_wall.as_secs_f64() * 1e3),
                 format!("{:.0}", warm_wall.as_nanos() as f64 / windows.max(1) as f64),
             ],

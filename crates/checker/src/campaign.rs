@@ -19,10 +19,12 @@
 //! (`chunk_done`) on top of the fleet's line format; a journaled
 //! violation stores only its schedule and outcome — the
 //! [`Blame`](crate::verdict::Blame) context is rebuilt on resume by
-//! [`crate::shrink::replay`], which is deterministic.
+//! deterministic replay, one [`Replayer`] per chunk, with chunks fanned
+//! out over the campaign's workers.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,7 +44,7 @@ use gecko_store::Verdict;
 
 use crate::explore::{check_windows, golden_steps, ExploreConfig, GoldenError};
 use crate::memostore::MemoStore;
-use crate::shrink::{replay, shrink_schedule};
+use crate::shrink::{shrink_schedule, Replayer};
 use crate::verdict::{CheckStats, InjectionKind, PairReport, PlannedInjection, Violation};
 use crate::Outcome;
 
@@ -640,28 +642,102 @@ struct WorkItem {
     end: u64,
 }
 
-/// Rebuilds the violations a journal or memo slab persisted by replaying
-/// each schedule (persisted violations carry no blame). `None` when any
-/// replay disagrees with its persisted outcome: the chunk is then re-run
-/// instead of trusted.
-fn replay_persisted(
-    compiled: &CompiledApp,
-    explore: &ExploreConfig,
+/// One (app, scheme) pair of a campaign: the shared artifact, its golden
+/// trace length, and the windows checked.
+struct Pair {
+    compiled: Arc<CompiledApp>,
     golden: u64,
-    persisted: &[JournaledViolation],
-) -> Option<Vec<Violation>> {
-    persisted
-        .iter()
-        .map(|jv| {
-            let (outcome, blame) = replay(compiled, explore, &jv.schedule, golden);
-            (outcome == jv.outcome).then(|| Violation {
-                window: jv.window,
-                schedule: jv.schedule.clone(),
-                outcome,
-                blame,
-            })
+    windows: u64,
+}
+
+/// A chunk's persisted verdict awaiting re-proof: its counters and
+/// blame-free violations, from the resume journal or the memo store.
+struct Persisted {
+    stats: CheckStats,
+    violations: Vec<JournaledViolation>,
+    from_memo: bool,
+}
+
+/// What the re-prove pass restored: per item, the index of the winning
+/// candidate and its violations with blame rebuilt; plus the persisted
+/// violations replayed and the drains those replays ran.
+struct Reproof {
+    won: Vec<Option<(usize, Vec<Violation>)>>,
+    replays: u64,
+    drains: u64,
+}
+
+/// Re-proves the persisted candidates of every item by replaying each
+/// violation's schedule (persisted violations carry no blame). Per item
+/// the first candidate, in precedence order, whose every replay agrees
+/// with its persisted outcome wins; a disagreement falls through to the
+/// next candidate, and an item with no winner is re-explored instead of
+/// trusted. Each item replays on its own [`Replayer`], so results never
+/// depend on scheduling: `workers` scoped threads claim items off an
+/// atomic cursor (one worker runs inline), and results merge in item
+/// order.
+fn reprove(
+    workers: usize,
+    explore: &ExploreConfig,
+    pairs: &[Pair],
+    items: &[WorkItem],
+    candidates: &[Vec<Persisted>],
+) -> Reproof {
+    let prove = |i: usize| {
+        let p = &pairs[items[i].pair];
+        let mut replayer = Replayer::new(&p.compiled, explore, p.golden);
+        let won = candidates[i].iter().enumerate().find_map(|(c, cand)| {
+            let violations: Option<Vec<Violation>> = cand
+                .violations
+                .iter()
+                .map(|jv| {
+                    let (outcome, blame) = replayer.replay(&jv.schedule);
+                    (outcome == jv.outcome).then(|| Violation {
+                        window: jv.window,
+                        schedule: jv.schedule.clone(),
+                        outcome,
+                        blame,
+                    })
+                })
+                .collect();
+            violations.map(|v| (c, v))
+        });
+        (won, replayer.replays(), replayer.drains())
+    };
+    let todo: Vec<usize> = (0..items.len())
+        .filter(|&i| !candidates[i].is_empty())
+        .collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut out = Vec::new();
+        while let Some(&i) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            out.push((i, prove(i)));
+        }
+        out
+    };
+    let threads = workers.min(todo.len());
+    let done = if threads <= 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         })
-        .collect()
+    };
+    let mut reproof = Reproof {
+        won: vec![None; items.len()],
+        replays: 0,
+        drains: 0,
+    };
+    for (i, (won, replays, drains)) in done {
+        reproof.won[i] = won;
+        reproof.replays += replays;
+        reproof.drains += drains;
+    }
+    reproof
 }
 
 /// A runnable checker campaign: spec + workers + telemetry sink +
@@ -798,11 +874,6 @@ impl CheckCampaign {
         let cache = ProgramCache::new();
 
         // Phase 1 (sequential, pair order): compile + golden trace.
-        struct Pair {
-            compiled: Arc<CompiledApp>,
-            golden: u64,
-            windows: u64,
-        }
         let mut pairs = Vec::with_capacity(spec.apps.len() * spec.schemes.len());
         for app in &spec.apps {
             for &scheme in &spec.schemes {
@@ -908,44 +979,52 @@ impl CheckCampaign {
                 ],
             ));
         }
-        // A journaled violation carries no blame — that is rebuilt here by
-        // replaying its schedule, and the chunk is rejected (re-run) if
-        // the replay disagrees with the journal.
-        let mut restored: Vec<Option<(CheckStats, Vec<Violation>)>> = run_keys
+        // Restore candidates per item, in precedence order: this
+        // campaign's own journaled chunk first, then the memo store's slab.
+        // Nothing is trusted yet — every persisted violation is re-proven
+        // below, and a chunk whose replays disagree is re-explored.
+        let candidates: Vec<Vec<Persisted>> = run_keys
             .iter()
             .enumerate()
             .map(|(i, key)| {
-                let chunk = chunks.get(key).filter(|chunk| chunk.item == i)?;
-                let p = &pairs[items[i].pair];
-                replay_persisted(&p.compiled, &spec.explore, p.golden, &chunk.violations)
-                    .map(|violations| (chunk.stats, violations))
+                let pair = items[i].pair;
+                let mut found = Vec::new();
+                if let Some(chunk) = chunks.get(key).filter(|chunk| chunk.item == i) {
+                    found.push(Persisted {
+                        stats: chunk.stats,
+                        violations: chunk.violations.clone(),
+                        from_memo: false,
+                    });
+                }
+                if let Some(memo) = &self.memo {
+                    if let Some((stats, violations)) =
+                        memo.restore(*key, pairs[pair].golden, &fps[pair])
+                    {
+                        found.push(Persisted {
+                            stats,
+                            violations,
+                            from_memo: true,
+                        });
+                    }
+                }
+                found
             })
             .collect();
-
-        // Memo restore pass (after the journal's — this campaign's own
-        // completed chunks win): a stored slab answers its whole chunk
-        // from disk. Violations are replay-validated exactly like
-        // journaled ones before anything is trusted.
+        let reproof = reprove(workers, &spec.explore, &pairs, &items, &candidates);
         let mut memo_windows = 0u64;
-        if let Some(memo) = &self.memo {
-            for (i, key) in run_keys.iter().enumerate() {
-                if restored[i].is_some() {
-                    continue;
+        let restored: Vec<Option<(CheckStats, Vec<Violation>)>> = reproof
+            .won
+            .into_iter()
+            .enumerate()
+            .map(|(i, won)| {
+                let (c, violations) = won?;
+                let winner = &candidates[i][c];
+                if winner.from_memo {
+                    memo_windows += items[i].end - items[i].start;
                 }
-                let item = items[i];
-                let p = &pairs[item.pair];
-                let Some((stats, persisted)) = memo.restore(*key, p.golden, &fps[item.pair]) else {
-                    continue;
-                };
-                let Some(violations) =
-                    replay_persisted(&p.compiled, &spec.explore, p.golden, &persisted)
-                else {
-                    continue;
-                };
-                memo_windows += item.end - item.start;
-                restored[i] = Some((stats, violations));
-            }
-        }
+                Some((winner.stats, violations))
+            })
+            .collect();
         let resumed = restored.iter().flatten().count() as u64;
 
         sink.emit(Event::new(
@@ -956,6 +1035,8 @@ impl CheckCampaign {
                 ("items", Value::U64(items.len() as u64)),
                 ("workers", Value::U64(workers as u64)),
                 ("resumed", Value::U64(resumed)),
+                ("reproved", Value::U64(reproof.replays)),
+                ("reprove_drains", Value::U64(reproof.drains)),
             ],
         ));
 
@@ -1100,6 +1181,8 @@ impl CheckCampaign {
             dropped_records,
             journal_diagnostics: diagnostics.len() as u64,
             memo_windows,
+            reproved: reproof.replays,
+            reprove_drains: reproof.drains,
         };
         let wall_s = started.elapsed().as_secs_f64();
 

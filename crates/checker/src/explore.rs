@@ -407,17 +407,12 @@ fn settle_and_check(
 ) -> Outcome {
     // Recovery phase: recharge, debounced wake, boot, restore. Sleeping
     // spans advance through the fast-forward-aware batch primitive; it
-    // takes at most `budget - settle` steps and stops the moment the
-    // device wakes, so the step accounting (and the Stuck verdict) is
-    // identical to stepping one tick at a time.
-    let mut settle = 0u64;
-    while !sim.is_on() {
-        if settle >= budget {
-            return Outcome::Stuck;
-        }
-        let n = sim.advance_sleep(budget - settle);
-        stats.steps += n;
-        settle += n;
+    // takes at most `budget` steps and stops the moment the device wakes,
+    // so the step accounting (and the Stuck verdict) is identical to
+    // stepping one tick at a time.
+    stats.steps += sim.advance_sleep(budget);
+    if !sim.is_on() {
+        return Outcome::Stuck;
     }
     if sim.metrics.completions >= 1 {
         return outcome_of(sim, compiled);
@@ -430,27 +425,28 @@ fn settle_and_check(
         }
     }
     stats.explored += 1;
-    // Drain to the next completion through `run_capped` — the same
-    // `advance_to_horizon` seam as every run loop, coalescing both
-    // recharge hibernation and active execution. The returned step count
-    // is bit-identical to the per-step walk this replaced, so the Stuck
-    // budget and `CheckStats::steps` are unchanged.
-    let mut total = 0u64;
-    let outcome = loop {
-        if total >= budget {
-            break Outcome::Stuck;
-        }
-        let n = sim.run_capped(f64::INFINITY, 1, budget - total);
-        stats.steps += n;
-        total += n;
-        if sim.metrics.completions >= 1 {
-            break outcome_of(sim, compiled);
-        }
-    };
+    let (outcome, steps) = drain(sim, compiled, budget);
+    stats.steps += steps;
     if cfg.memoize {
         memo.insert(key, outcome);
     }
     outcome
+}
+
+/// Drains to the next completion within `budget` steps and returns the
+/// outcome (`Stuck` when the budget runs out first) plus the steps taken.
+/// One `run_capped` call — the same `advance_to_horizon` seam as every
+/// run loop, coalescing both recharge hibernation and active execution —
+/// returns only at a completion or with the budget spent, and its step
+/// count is bit-identical to a per-step walk.
+pub(crate) fn drain(sim: &mut Simulator, compiled: &CompiledApp, budget: u64) -> (Outcome, u64) {
+    let steps = sim.run_capped(f64::INFINITY, 1, budget);
+    let outcome = if sim.metrics.completions >= 1 {
+        outcome_of(sim, compiled)
+    } else {
+        Outcome::Stuck
+    };
+    (outcome, steps)
 }
 
 /// Classifies a completed run.

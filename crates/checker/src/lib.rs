@@ -66,7 +66,7 @@ pub use campaign::{
 };
 pub use explore::{golden_steps, ExploreConfig, GoldenError};
 pub use memostore::{classify_memo_lines, MemoStore};
-pub use shrink::{replay, shrink_schedule};
+pub use shrink::{replay, shrink_schedule, Replayer};
 pub use testprog::war_counter_app;
 pub use verdict::{
     blame_dot, schedule_to_string, Blame, CheckStats, Counterexample, InjectionKind, Outcome,

@@ -15,7 +15,10 @@
 //! * a kill mid-chunk (simulated by cutting the memo log inside the
 //!   chunk's record) re-explores that chunk whole and resumes
 //!   bit-exactly, before and after a [`classify_memo_lines`] prune;
-//! * recompiling one region invalidates only the slabs blamed on it.
+//! * recompiling one region invalidates only the slabs blamed on it;
+//! * warm re-checks re-prove persisted violations identically at any
+//!   worker count, and a slab whose persisted outcome was tampered with
+//!   is re-explored, alone, to the cold report.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -117,6 +120,116 @@ fn warm_reruns_are_byte_identical_and_memo_backed() {
         warm.memo_generation, cold.memo_generation,
         "same spec, same generation: the proof-of-clean names stable evidence"
     );
+}
+
+#[test]
+fn warm_reproofs_are_invariant_across_workers() {
+    let dir = scratch("reprove-workers");
+    let run = |workers: usize| {
+        let store = Arc::new(MemoStore::open(&dir).unwrap());
+        CheckCampaign::new(grid_spec())
+            .workers(workers)
+            .memo(store)
+            .run()
+            .unwrap()
+    };
+    let cold = run(2);
+    assert!(
+        cold.totals.violations > 0,
+        "violations exercise the re-prove"
+    );
+    for workers in [1usize, 2, 4] {
+        let warm = run(workers);
+        assert_eq!(
+            warm.deterministic_digest(),
+            cold.deterministic_digest(),
+            "workers={workers}"
+        );
+        assert_eq!(warm.results, cold.results, "workers={workers}");
+        assert_eq!(
+            warm.counters.memo_windows, warm.totals.windows,
+            "workers={workers}: every slab answers"
+        );
+        assert_eq!(
+            warm.counters.reproved, cold.totals.violations,
+            "workers={workers}: every persisted violation is re-proven"
+        );
+        assert!(warm.counters.reprove_drains <= warm.counters.reproved);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the outcome of the first violation in a `memo_slab` line to a
+/// different one, or returns `None` for a slab without violations.
+fn tamper_first_outcome(line: &str) -> Option<String> {
+    let viols = line.find(r#""viols":""#)? + r#""viols":""#.len();
+    let rest = &line[viols..];
+    let first = &rest[..rest.find([';', '"'])?];
+    let outcome_at = viols + first.rfind('|')? + 1;
+    let outcome = &line[outcome_at..viols + first.len()];
+    let forged = match outcome.strip_prefix("corrupt.") {
+        Some(got) => format!("corrupt.{}", got.parse::<u32>().ok()?.wrapping_add(1)),
+        None if outcome == "clean" => "stuck".to_string(),
+        None => "clean".to_string(),
+    };
+    Some(format!(
+        "{}{forged}{}",
+        &line[..outcome_at],
+        &line[viols + first.len()..]
+    ))
+}
+
+#[test]
+fn a_tampered_persisted_outcome_re_explores_only_its_chunk() {
+    let dir = scratch("tamper-cold");
+    let (cold, lines) = {
+        let store = Arc::new(MemoStore::open(&dir).unwrap());
+        let cold = CheckCampaign::new(grid_spec())
+            .workers(2)
+            .memo(Arc::clone(&store))
+            .run()
+            .unwrap();
+        (cold, store.log().lines())
+    };
+    let mut tampered = lines.clone();
+    let (at, forged) = tampered
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| kind_of(l).as_deref() == Some("memo_slab"))
+        .find_map(|(i, l)| Some((i, tamper_first_outcome(l)?)))
+        .expect("some slab persists a violation");
+    let rec = Json::parse_flat(&forged).expect("the forged slab still parses");
+    let field = |name: &str| rec.get(name).and_then(Json::as_u64).unwrap();
+    let forged_windows = field("end") - field("start");
+    tampered[at] = forged;
+
+    let rdir = scratch("tamper-warm");
+    {
+        let log = SegmentedLog::open(&rdir, LogConfig::default()).unwrap();
+        for line in &tampered {
+            log.append(line);
+        }
+        let _ = log.sync();
+    }
+    let warm = {
+        let store = Arc::new(MemoStore::open(&rdir).unwrap());
+        CheckCampaign::new(grid_spec())
+            .workers(2)
+            .memo(store)
+            .run()
+            .unwrap()
+    };
+    assert_eq!(warm.deterministic_digest(), cold.deterministic_digest());
+    assert_eq!(warm.results, cold.results);
+    assert!(warm.failures.is_empty(), "{:?}", warm.failures);
+    assert_eq!(
+        warm.counters.memo_windows,
+        warm.totals.windows - forged_windows,
+        "only the tampered chunk re-explores"
+    );
+    for d in [dir, rdir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
 
 /// One violating pair (NVP) and one clean pair (GECKO), six chunks each —

@@ -169,6 +169,12 @@ pub struct FleetCounters {
     /// Check windows answered from a persisted memo store instead of
     /// re-explored (`gecko-check` incremental runs only).
     pub memo_windows: u64,
+    /// Persisted violations re-proven by replay before a resumed or
+    /// incremental check trusts their chunk (`gecko-check` only).
+    pub reproved: u64,
+    /// Drains those re-proving replays actually ran; the rest were
+    /// answered from the per-chunk post-recovery outcome table.
+    pub reprove_drains: u64,
 }
 
 /// A log₂-bucketed histogram of `u64` samples (wall-times, cycle counts).

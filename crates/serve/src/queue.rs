@@ -86,6 +86,10 @@ struct SinkState {
     done_items: u64,
     total_items: Option<u64>,
     resumed: u64,
+    // A check's re-prove pass, off its `check_started` event: persisted
+    // violations replayed and the drains those replays ran.
+    reproved: u64,
+    reprove_drains: u64,
     closed: bool,
     // `journal_line_undecodable` events, pinned for the job status
     // document (the ring may evict them long before anyone polls): the
@@ -128,6 +132,8 @@ impl JobSink {
                 done_items: 0,
                 total_items: None,
                 resumed: 0,
+                reproved: 0,
+                reprove_drains: 0,
                 closed: false,
                 diagnostics: Vec::new(),
                 diagnostics_total: 0,
@@ -149,6 +155,14 @@ impl JobSink {
     pub fn progress(&self) -> (u64, Option<u64>, u64) {
         let s = lock_unpoisoned(&self.state);
         (s.done_items, s.total_items, s.resumed)
+    }
+
+    /// A check's re-prove pass: `(reproved, reprove_drains)` — persisted
+    /// violations replayed and the drains those replays ran. Known once
+    /// the campaign emits `check_started`.
+    fn reprove(&self) -> (u64, u64) {
+        let s = lock_unpoisoned(&self.state);
+        (s.reproved, s.reprove_drains)
     }
 
     /// Events that failed to reach the on-disk telemetry log: append
@@ -233,6 +247,8 @@ impl TelemetrySink for JobSink {
                                 s.resumed = *n;
                                 s.done_items = *n;
                             }
+                            "reproved" => s.reproved = *n,
+                            "reprove_drains" => s.reprove_drains = *n,
                             _ => {}
                         }
                     }
@@ -444,7 +460,7 @@ impl Job {
     pub fn status_value(&self) -> Json {
         let p = lock_unpoisoned(&self.progress);
         let (done, total, resumed) = self.sink.progress();
-        Json::Obj(vec![
+        let mut fields = vec![
             ("id".into(), Json::U64(self.id)),
             ("kind".into(), Json::Str(self.kind.name().to_string())),
             ("name".into(), Json::Str(self.name.clone())),
@@ -489,7 +505,15 @@ impl Job {
                 ])
             }),
             ("store".into(), self.store_value()),
-        ])
+        ];
+        if self.kind == JobKind::Check {
+            // Why a warm re-check took as long as it did: the persisted
+            // violations it re-proved and the drains that cost.
+            let (reproved, drains) = self.sink.reprove();
+            fields.push(("reproved".into(), Json::U64(reproved)));
+            fields.push(("reprove_drains".into(), Json::U64(drains)));
+        }
+        Json::Obj(fields)
     }
 
     /// Per-job store stats: segment counts and on-disk bytes for the
@@ -1682,6 +1706,64 @@ mod tests {
         assert_eq!(
             status.get("incremental").and_then(Json::as_bool),
             Some(true)
+        );
+        queue.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn check_status_reports_the_reprove_pass() {
+        let cfg = test_config("reprove");
+        let root = cfg.journal_root.clone();
+        let queue = Queue::start(cfg).unwrap();
+        // EM faults followed by re-failures violate under GECKO, so the
+        // warm job has persisted violations to re-prove.
+        let spec = Json::parse(
+            r#"{"name":"reprove-check","apps":["crc16"],"schemes":["gecko"],
+                "explore":{"depth":2,"fault_windows":true,"max_windows":10,"seed":1}}"#,
+        )
+        .unwrap();
+        let sub = |spec: Json| wire::Submission {
+            spec,
+            workers: Some(2),
+            halt_after: None,
+            incremental: true,
+        };
+        let reprove = |job: &Job| {
+            let full = Json::parse(&std::fs::read_to_string(job.dir.join("result.json")).unwrap())
+                .unwrap();
+            let status = job.status_value();
+            let counter = |name: &str| {
+                let reported = full
+                    .get("counters")
+                    .and_then(|c| c.get(name))
+                    .and_then(Json::as_u64);
+                assert_eq!(status.get(name).and_then(Json::as_u64), reported, "{name}");
+                reported.unwrap()
+            };
+            (counter("reproved"), counter("reprove_drains"))
+        };
+        let cold = queue.submit(JobKind::Check, sub(spec.clone())).unwrap();
+        assert_eq!(cold.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        assert_eq!(
+            reprove(&cold),
+            (0, 0),
+            "a cold store has nothing to re-prove"
+        );
+        let warm = queue.submit(JobKind::Check, sub(spec)).unwrap();
+        assert_eq!(warm.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        let (reproved, drains) = reprove(&warm);
+        assert!(reproved > 0, "the warm job re-proves persisted violations");
+        assert!(drains <= reproved);
+        // Neither counter reaches the deterministic document.
+        let det = std::fs::read_to_string(warm.dir.join("result.det.json")).unwrap();
+        assert!(
+            !det.contains(r#""reproved""#) && !det.contains("reprove_drains"),
+            "{det}"
+        );
+        assert_eq!(
+            det,
+            std::fs::read_to_string(cold.dir.join("result.det.json")).unwrap()
         );
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);

@@ -305,6 +305,8 @@ fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
                     Json::U64(c.journal_diagnostics),
                 ),
                 ("memo_windows".into(), Json::U64(c.memo_windows)),
+                ("reproved".into(), Json::U64(c.reproved)),
+                ("reprove_drains".into(), Json::U64(c.reprove_drains)),
             ]),
         ));
     }
