@@ -667,15 +667,45 @@ struct Reproof {
     drains: u64,
 }
 
+/// Runs `job` on every index of `todo` and returns the results in `todo`
+/// order: `workers` scoped threads claim indices off an atomic cursor
+/// (one worker runs inline), so the results never depend on scheduling
+/// as long as each job's does not.
+fn fan_out<T: Send>(workers: usize, todo: &[usize], job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut out = Vec::new();
+        loop {
+            let at = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = todo.get(at) else {
+                return out;
+            };
+            out.push((at, job(i)));
+        }
+    };
+    let threads = workers.min(todo.len());
+    let mut done = if threads <= 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    };
+    done.sort_unstable_by_key(|&(at, _)| at);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Re-proves the persisted candidates of every item by replaying each
 /// violation's schedule (persisted violations carry no blame). Per item
 /// the first candidate, in precedence order, whose every replay agrees
 /// with its persisted outcome wins; a disagreement falls through to the
 /// next candidate, and an item with no winner is re-explored instead of
-/// trusted. Each item replays on its own [`Replayer`], so results never
-/// depend on scheduling: `workers` scoped threads claim items off an
-/// atomic cursor (one worker runs inline), and results merge in item
-/// order.
+/// trusted. Each item replays on its own [`Replayer`] through
+/// [`fan_out`], and results merge in item order.
 fn reprove(
     workers: usize,
     explore: &ExploreConfig,
@@ -707,32 +737,13 @@ fn reprove(
     let todo: Vec<usize> = (0..items.len())
         .filter(|&i| !candidates[i].is_empty())
         .collect();
-    let cursor = AtomicUsize::new(0);
-    let work = || {
-        let mut out = Vec::new();
-        while let Some(&i) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            out.push((i, prove(i)));
-        }
-        out
-    };
-    let threads = workers.min(todo.len());
-    let done = if threads <= 1 {
-        work()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
-    };
+    let done = fan_out(workers, &todo, prove);
     let mut reproof = Reproof {
         won: vec![None; items.len()],
         replays: 0,
         drains: 0,
     };
-    for (i, (won, replays, drains)) in done {
+    for (&i, (won, replays, drains)) in todo.iter().zip(done) {
         reproof.won[i] = won;
         reproof.replays += replays;
         reproof.drains += drains;
@@ -853,7 +864,8 @@ impl CheckCampaign {
 
     /// Executes the campaign: compile and measure golden traces (in pair
     /// order), fan window chunks out across the supervised pool, merge in
-    /// item order, then shrink each failing pair's first violation.
+    /// item order, then shrink each failing pair's first violation on the
+    /// same workers.
     ///
     /// A chunk that panics (or blows its budget, or keeps failing
     /// transiently) is quarantined into [`CheckReport::failures`]; every
@@ -1012,7 +1024,9 @@ impl CheckCampaign {
             .collect();
         let reproof = reprove(workers, &spec.explore, &pairs, &items, &candidates);
         let mut memo_windows = 0u64;
-        let restored: Vec<Option<(CheckStats, Vec<Violation>)>> = reproof
+        // Pool items: a chunk's counters, violations and drain joins (a
+        // restored chunk ran no drains).
+        let restored: Vec<Option<(CheckStats, Vec<Violation>, u64)>> = reproof
             .won
             .into_iter()
             .enumerate()
@@ -1022,7 +1036,7 @@ impl CheckCampaign {
                 if winner.from_memo {
                     memo_windows += items[i].end - items[i].start;
                 }
-                Some((winner.stats, violations))
+                Some((winner.stats, violations, 0))
             })
             .collect();
         let resumed = restored.iter().flatten().count() as u64;
@@ -1060,7 +1074,7 @@ impl CheckCampaign {
             let item = items[i];
             let p = &pairs[item.pair];
             let outcome = check_windows(&p.compiled, &spec.explore, item.start, item.end, p.golden);
-            let stats = outcome.stats;
+            let (stats, drain_joins) = (outcome.stats, outcome.drain_joins);
             if stats.steps > budget.max_steps {
                 return Err(AttemptFail::TimedOut {
                     steps: stats.steps,
@@ -1090,7 +1104,7 @@ impl CheckCampaign {
                     ("violations", Value::U64(stats.violations)),
                 ],
             ));
-            Ok((stats, violations))
+            Ok((stats, violations, drain_joins))
         });
         // Checkpoint boundary: every chunk journaled by the pool is
         // forced to stable storage before the report claims it happened.
@@ -1120,35 +1134,41 @@ impl CheckCampaign {
             })
             .collect();
         let mut failures = Vec::new();
+        let mut drain_joins = 0u64;
         for (item, slot) in items.iter().zip(pool.outcomes) {
             match slot {
-                Some(ItemOutcome::Done((stats, violations))) => {
+                Some(ItemOutcome::Done((stats, violations, joins))) => {
                     results[item.pair].stats.absorb(&stats);
                     results[item.pair].violations.extend(violations);
+                    drain_joins += joins;
                 }
                 Some(ItemOutcome::Failed(f)) => failures.push(f),
                 None => {} // left unclaimed by a halt
             }
         }
 
-        // Shrink (sequential, pair order — itself deterministic, and
-        // quarantined so a shrinker bug cannot take down the campaign or
-        // the sibling pairs' counterexamples).
+        // Shrink each failing pair's first violation on the job's workers
+        // (every pair on its own replayer, so each counterexample is
+        // deterministic), quarantined so a shrinker bug cannot take down
+        // the campaign or the sibling pairs' counterexamples; merged in
+        // pair order.
         if spec.shrink {
-            for (pair, report) in results.iter_mut().enumerate() {
-                let Some(first) = report.violations.first() else {
-                    continue;
-                };
-                let schedule = first.schedule.clone();
-                let shrunk = quarantine(|| {
+            let failing: Vec<usize> = (0..results.len())
+                .filter(|&pair| !results[pair].violations.is_empty())
+                .collect();
+            let shrunk = fan_out(workers, &failing, |pair| {
+                quarantine(|| {
                     shrink_schedule(
                         &pairs[pair].compiled,
                         &spec.explore,
-                        &schedule,
+                        &results[pair].violations[0].schedule,
                         pairs[pair].golden,
                         spec.shrink_budget,
                     )
-                });
+                })
+            });
+            for (pair, shrunk) in failing.into_iter().zip(shrunk) {
+                let report = &mut results[pair];
                 match shrunk {
                     Ok(counterexample) => report.counterexample = Some(counterexample),
                     Err(payload) => failures.push(RunFailure::Panicked {
@@ -1183,6 +1203,7 @@ impl CheckCampaign {
             memo_windows,
             reproved: reproof.replays,
             reprove_drains: reproof.drains,
+            drain_joins,
         };
         let wall_s = started.elapsed().as_secs_f64();
 
@@ -1194,6 +1215,7 @@ impl CheckCampaign {
                 ("forks", Value::U64(counters.forks)),
                 ("states_explored", Value::U64(counters.states_explored)),
                 ("memo_hits", Value::U64(counters.memo_hits)),
+                ("drain_joins", Value::U64(counters.drain_joins)),
                 ("violations", Value::U64(counters.violations)),
                 ("failures", Value::U64(counters.failures)),
                 ("resumed", Value::U64(resumed)),

@@ -7,9 +7,11 @@
 //! [`gecko_sim::SimSnapshot`], injects the fault, follows the recovery to
 //! completion, and rewinds — amortized O(n) plus the (memoized) recovery
 //! suffixes. Explorations whose post-recovery resume state hashes equal to
-//! one already checked are answered from the memo table (see DESIGN.md §10
-//! for why the logical-state hash is a sound memo key under an undisturbed
-//! bench supply).
+//! one already checked are answered from the memo table, and a drain that
+//! reaches, at its first region commit, a state an earlier drain committed
+//! into joins that drain's outcome (see DESIGN.md §10 for why the
+//! logical-state hash is a sound key for both under an undisturbed bench
+//! supply).
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -205,6 +207,19 @@ impl std::fmt::Display for GoldenError {
 /// per work-item chunk, so memo-hit counts are worker-count-invariant.
 type MemoTable = HashMap<u64, Outcome>;
 
+/// The commit table: state hash at a drain's first region commit →
+/// (outcome, steps from that commit to completion). One per chunk, like
+/// the memo table.
+type CommitTable = HashMap<u64, (Outcome, u64)>;
+
+/// A chunk's exploration tables and the drains its commit table joined.
+#[derive(Default)]
+struct Tables {
+    memo: MemoTable,
+    commits: CommitTable,
+    joins: u64,
+}
+
 /// Result of one slab (a work-item chunk of windows): counters,
 /// violations in window order, and every region any fork blamed (the
 /// invalidation footprint a persistent memo keys on).
@@ -215,6 +230,9 @@ pub(crate) struct SlabOutcome {
     pub violations: Vec<Violation>,
     /// Raw region ids blamed by any fork of the slab.
     pub regions: BTreeSet<u32>,
+    /// Drains answered from the commit table at their first region commit
+    /// (counted in `stats.explored`; not part of any digest).
+    pub drain_joins: u64,
 }
 
 /// Explores the windows `start..end` of the golden trace on a fresh
@@ -232,7 +250,7 @@ pub(crate) fn check_windows(
     let budget = explore_budget(golden);
     let primary = cfg.primary_kinds();
     let nested = cfg.nested_kinds();
-    let mut memo = MemoTable::new();
+    let mut tables = Tables::default();
     let mut stats = CheckStats::default();
     let mut violations = Vec::new();
     let mut regions = BTreeSet::new();
@@ -263,7 +281,8 @@ pub(crate) fn check_windows(
             if let Some(r) = blame.region {
                 regions.insert(r.index() as u32);
             }
-            let outcome = settle_and_check(&mut sim, compiled, cfg, budget, &mut memo, &mut stats);
+            let outcome =
+                settle_and_check(&mut sim, compiled, cfg, budget, &mut tables, &mut stats);
             // The oracle. For the classic kinds the reference execution is
             // the golden run, so any corrupt completion violates. For the
             // EM fault kinds the depth-1 outcome *is* the reference — the
@@ -323,7 +342,12 @@ pub(crate) fn check_windows(
                             blame2.detail = format!("{site}; then {}", blame2.detail);
                         }
                         let outcome2 = settle_and_check(
-                            &mut sim, compiled, cfg, budget, &mut memo, &mut stats,
+                            &mut sim,
+                            compiled,
+                            cfg,
+                            budget,
+                            &mut tables,
+                            &mut stats,
                         );
                         // Judged against the reference: a corrupt
                         // completion that matches the faulted-continuous
@@ -362,6 +386,7 @@ pub(crate) fn check_windows(
         stats,
         violations,
         regions,
+        drain_joins: tables.joins,
     }
 }
 
@@ -396,13 +421,13 @@ pub(crate) fn advance_qualifying(
 /// memoized on the post-recovery state hash. The device first sleeps and
 /// recharges (or is already on, for no-op injections); once it is back on,
 /// the logical state determines the run's outcome, so that is the memo
-/// point.
+/// point. A memo miss drains through [`drain_or_join`].
 fn settle_and_check(
     sim: &mut Simulator,
     compiled: &CompiledApp,
     cfg: &ExploreConfig,
     budget: u64,
-    memo: &mut MemoTable,
+    tables: &mut Tables,
     stats: &mut CheckStats,
 ) -> Outcome {
     // Recovery phase: recharge, debounced wake, boot, restore. Sleeping
@@ -419,18 +444,87 @@ fn settle_and_check(
     }
     let key = sim.state_hash();
     if cfg.memoize {
-        if let Some(&cached) = memo.get(&key) {
+        if let Some(&cached) = tables.memo.get(&key) {
             stats.memo_hits += 1;
             return cached;
         }
     }
     stats.explored += 1;
-    let (outcome, steps) = drain(sim, compiled, budget);
+    // An artifact without regions (NVP) has no commit to stop at, so the
+    // walk would run step-exact to completion: it drains plainly, as does
+    // a check with the memo off.
+    let (outcome, steps) = if cfg.memoize && !compiled.regions.is_empty() {
+        drain_or_join(sim, compiled, budget, tables)
+    } else {
+        drain(sim, compiled, budget)
+    };
     stats.steps += steps;
     if cfg.memoize {
-        memo.insert(key, outcome);
+        tables.memo.insert(key, outcome);
     }
     outcome
+}
+
+/// [`drain`] with the same result, `(outcome, steps)`, that stops at the
+/// drain's first region commit when an earlier drain of the chunk
+/// committed into the same state. Runs re-executing an idempotent region
+/// from different failure windows converge again by the next commit, and
+/// from there the run, its verdict and its length are a function of the
+/// logical state (DESIGN.md §10).
+///
+/// The walk to the commit is step-exact (sleep spans advance through
+/// `advance_sleep`, which stops the moment the device wakes). A commit
+/// state found in the commit table answers when the earlier drain's
+/// remaining steps fit the budget left, and counts as a join; otherwise
+/// the drain continues with `run_capped`, and once it completes it
+/// records its own commit state. `Stuck` drains record nothing.
+fn drain_or_join(
+    sim: &mut Simulator,
+    compiled: &CompiledApp,
+    budget: u64,
+    tables: &mut Tables,
+) -> (Outcome, u64) {
+    let start = sim.committed_region();
+    let mut walked = 0u64;
+    while walked < budget && sim.metrics.completions < 1 {
+        if sim.is_on() {
+            sim.step_one();
+            walked += 1;
+        } else {
+            walked += sim.advance_sleep(budget - walked);
+        }
+        if sim.metrics.completions >= 1 || sim.committed_region() == start {
+            continue;
+        }
+        if !sim.is_on() {
+            // Only a powered instruction boundary is a join point: how
+            // long a sleep lasts depends on the capacitor, not the hash.
+            break;
+        }
+        let key = sim.state_hash();
+        if let Some(&(outcome, remaining)) = tables.commits.get(&key) {
+            if walked + remaining <= budget {
+                tables.joins += 1;
+                #[cfg(test)]
+                tests::assert_join_matches_a_plain_drain(
+                    sim,
+                    compiled,
+                    budget - walked,
+                    (outcome, remaining),
+                );
+                return (outcome, walked + remaining);
+            }
+        }
+        let (outcome, rest) = drain(sim, compiled, budget - walked);
+        if outcome != Outcome::Stuck {
+            tables.commits.entry(key).or_insert((outcome, rest));
+        }
+        return (outcome, walked + rest);
+    }
+    // Completed, out of budget or asleep at the first commit: `drain`
+    // finishes the run plainly (no step at all in the first two cases).
+    let (outcome, rest) = drain(sim, compiled, budget - walked);
+    (outcome, walked + rest)
 }
 
 /// Drains to the next completion within `budget` steps and returns the
@@ -457,5 +551,177 @@ pub(crate) fn outcome_of(sim: &Simulator, compiled: &CompiledApp) -> Outcome {
         }
     } else {
         Outcome::Clean
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gecko_compiler::CompileOptions;
+    use gecko_sim::{SchemeKind, SimSnapshot};
+
+    /// The differential every join runs under test: the outcome and step
+    /// count the commit table answered must equal a plain drain from the
+    /// commit state (the caller restores the simulator afterwards).
+    pub(super) fn assert_join_matches_a_plain_drain(
+        sim: &mut Simulator,
+        compiled: &CompiledApp,
+        budget: u64,
+        joined: (Outcome, u64),
+    ) {
+        assert_eq!(
+            drain(sim, compiled, budget),
+            joined,
+            "a join must answer what the drain it skips would"
+        );
+    }
+
+    fn build(app: &str, scheme: SchemeKind) -> CompiledApp {
+        let app = gecko_apps::app_by_name(app).unwrap();
+        CompiledApp::build(&app, scheme, &CompileOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn every_join_equals_a_plain_drain() {
+        // Each join asserts the differential above as it answers, so the
+        // grid below only has to produce joins; NVP never walks.
+        let cfg = ExploreConfig {
+            seed: 1,
+            ..ExploreConfig::default()
+        }
+        .with_depth(2)
+        .with_fault_windows(true);
+        for app in ["crc16", "blink", "bitcnt"] {
+            for scheme in SchemeKind::all() {
+                let compiled = build(app, scheme);
+                let golden = golden_steps(&compiled, cfg.seed).unwrap();
+                let joins = check_windows(&compiled, &cfg, 0, 10, golden).drain_joins;
+                assert_eq!(
+                    joins == 0,
+                    scheme == SchemeKind::Nvp,
+                    "{app}/{}",
+                    scheme.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_switch_turns_the_commit_table_off() {
+        let compiled = build("crc16", SchemeKind::GeckoNoPrune);
+        let cfg = ExploreConfig::default()
+            .with_depth(2)
+            .with_fault_windows(true);
+        let golden = golden_steps(&compiled, cfg.seed).unwrap();
+        let on = check_windows(&compiled, &cfg, 0, 4, golden);
+        let off = ExploreConfig {
+            memoize: false,
+            ..cfg
+        };
+        let off = check_windows(&compiled, &off, 0, 4, golden);
+        assert!(on.drain_joins > 0);
+        assert_eq!(off.drain_joins, 0);
+        assert_eq!(on.violations, off.violations);
+    }
+
+    /// The wake state after injecting `kind` at `window` and settling.
+    fn wake_state(
+        sim: &mut Simulator,
+        reset: &SimSnapshot,
+        window: u64,
+        kind: InjectionKind,
+    ) -> SimSnapshot {
+        sim.restore(reset);
+        sim.advance(window);
+        kind.inject(sim);
+        sim.advance_sleep(u64::MAX);
+        sim.snapshot()
+    }
+
+    /// Steps from a wake state to its first powered region commit, and
+    /// the state hash there.
+    fn first_commit(sim: &mut Simulator, wake: &SimSnapshot) -> Option<(u64, u64)> {
+        sim.restore(wake);
+        let start = sim.committed_region();
+        for walked in 1..100_000 {
+            sim.step_one();
+            if sim.metrics.completions >= 1 {
+                return None;
+            }
+            if sim.committed_region() != start && sim.is_on() {
+                return Some((walked, sim.state_hash()));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn a_join_never_answers_past_the_remaining_budget() {
+        // Two wake states, told apart by their hashes, that reach one
+        // commit state after walks of different lengths.
+        let compiled = build("crc16", SchemeKind::Gecko);
+        let cfg = ExploreConfig::default();
+        let golden = golden_steps(&compiled, cfg.seed).unwrap();
+        let mut sim = checker_sim(&compiled, cfg.seed, cfg.fast_forward);
+        let reset = sim.snapshot();
+        let mut seen: HashMap<u64, (u64, SimSnapshot, u64)> = HashMap::new();
+        let mut found = None;
+        'search: for window in 0..golden.min(400) {
+            for kind in ExploreConfig::default()
+                .with_fault_windows(true)
+                .primary_kinds()
+            {
+                let wake = wake_state(&mut sim, &reset, window, kind);
+                if !sim.is_on() {
+                    continue;
+                }
+                let wake_hash = sim.state_hash();
+                let Some((walked, key)) = first_commit(&mut sim, &wake) else {
+                    continue;
+                };
+                match seen.get(&key) {
+                    Some((w, other, h)) if *w != walked && *h != wake_hash => {
+                        found = Some(((*w, other.clone()), (walked, wake)));
+                        break 'search;
+                    }
+                    Some(_) => {}
+                    None => {
+                        seen.insert(key, (walked, wake, wake_hash));
+                    }
+                }
+            }
+        }
+        let ((w1, a), (w2, b)) = found.expect("two drains join at one commit");
+        let (short, long) = if w1 < w2 { (a, b) } else { (b, a) };
+        let plain = |sim: &mut Simulator, wake: &SimSnapshot, budget: u64| {
+            sim.restore(wake);
+            drain(sim, &compiled, budget)
+        };
+        let (outcome, short_steps) = plain(&mut sim, &short, u64::MAX);
+        assert_eq!(outcome, Outcome::Clean);
+        let (_, long_steps) = plain(&mut sim, &long, u64::MAX);
+        assert!(long_steps > short_steps);
+
+        // Only the shorter drain fits; then both do.
+        for (budget, joins) in [(short_steps, 0), (long_steps, 1)] {
+            for order in [[&short, &long], [&long, &short]] {
+                let mut tables = Tables::default();
+                for wake in order {
+                    sim.restore(wake);
+                    let mut stats = CheckStats::default();
+                    let got = settle_and_check(
+                        &mut sim,
+                        &compiled,
+                        &cfg,
+                        budget,
+                        &mut tables,
+                        &mut stats,
+                    );
+                    assert_eq!((got, stats.steps), plain(&mut sim, wake, budget));
+                }
+                assert_eq!(tables.joins, joins, "budget {budget}");
+            }
+        }
+        assert_eq!(plain(&mut sim, &long, short_steps).0, Outcome::Stuck);
     }
 }

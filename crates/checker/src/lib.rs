@@ -25,7 +25,9 @@
 //!   post-recovery *logical* state
 //!   ([`gecko_sim::Simulator::state_hash`], which reads only touched NVM
 //!   pages yet equals a scan of every word); re-converged recoveries are
-//!   answered from the memo table (soundness argument in DESIGN.md §10).
+//!   answered from the memo table, and a drain that reaches, at its first
+//!   region commit, a state an earlier drain committed into joins that
+//!   drain's outcome (soundness argument in DESIGN.md §10).
 //! * **Counterexample shrinking** — a violating injection schedule is
 //!   minimized by replay (drop injections, lower offsets) and blamed in
 //!   `gecko-compiler` vocabulary: the committed region, its boundary and

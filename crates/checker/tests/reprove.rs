@@ -3,10 +3,12 @@
 //! included, byte for byte.
 //!
 //! * Over the benchmark grid (crc16, blink and bitcnt under every scheme,
-//!   depth 2, fault windows, 30 windows, seed 1) every violation of a cold
-//!   check replays identically on one replayer per chunk, and a warm
+//!   depth 2, fault windows, 30 windows, seed 1) the cold check is pinned
+//!   pair by pair (counters, steps included, and the report digest), every
+//!   violation replays identically on one replayer per chunk, and a warm
 //!   re-check reports the pinned re-prove counters: 1,092 violations
-//!   re-proven by 634 drains.
+//!   re-proven by 634 drains. Cold counterexamples, shrunk on the job's
+//!   workers, are identical at 1, 2 and 4 workers.
 //! * Under a tight step budget, two schedules that recover into the same
 //!   state after settles of different lengths are each judged as the
 //!   reference judges them, in either order: a memoized drain never
@@ -15,8 +17,8 @@
 use std::sync::Arc;
 
 use gecko_check::{
-    golden_steps, replay, war_counter_app, CheckCampaign, CheckSpec, ExploreConfig, InjectionKind,
-    MemoStore, Outcome, PlannedInjection, Replayer,
+    golden_steps, replay, war_counter_app, CheckCampaign, CheckReport, CheckSpec, CheckStats,
+    ExploreConfig, InjectionKind, MemoStore, Outcome, PlannedInjection, Replayer,
 };
 use gecko_compiler::CompileOptions;
 use gecko_sim::device::CompiledApp;
@@ -40,13 +42,79 @@ fn bench_grid() -> CheckSpec {
         )
 }
 
+/// Per pair of the benchmark grid, in report order: `(forks, explored,
+/// memo_hits, steps, violations)` of the cold check (30 windows each).
+const COLD_PAIRS: [(&str, &str, [u64; 5]); 12] = [
+    ("crc16", "NVP", [6_700, 1_012, 5_688, 5_477_208, 0]),
+    ("crc16", "Ratchet", [6_708, 183, 6_525, 2_116_457, 0]),
+    ("crc16", "GECKO", [6_712, 2_098, 4_614, 12_109_532, 154]),
+    (
+        "crc16",
+        "GECKO w/o pruning",
+        [6_712, 2_589, 4_123, 16_051_561, 556],
+    ),
+    ("blink", "NVP", [6_148, 1_080, 5_068, 673_318, 0]),
+    ("blink", "Ratchet", [6_476, 426, 6_050, 692_744, 0]),
+    ("blink", "GECKO", [6_564, 2_637, 3_927, 832_131, 0]),
+    (
+        "blink",
+        "GECKO w/o pruning",
+        [6_564, 2_421, 4_143, 858_910, 0],
+    ),
+    ("bitcnt", "NVP", [6_708, 888, 5_820, 4_032_939, 0]),
+    ("bitcnt", "Ratchet", [6_716, 224, 6_492, 1_972_877, 0]),
+    ("bitcnt", "GECKO", [6_720, 1_864, 4_856, 8_138_026, 106]),
+    (
+        "bitcnt",
+        "GECKO w/o pruning",
+        [6_720, 2_073, 4_647, 9_219_294, 276],
+    ),
+];
+
+/// The cold check's report digest on the benchmark grid, pinned from the
+/// explorer before drains could join at region commits.
+const COLD_DIGEST: u64 = 0xa16c_33b3_31fc_7e30;
+
+/// Pins a cold check of the benchmark grid: every pair's counters, the
+/// totals and the digest.
+fn assert_pinned(cold: &CheckReport) {
+    let pairs: Vec<(&str, &str, CheckStats)> = cold
+        .results
+        .iter()
+        .map(|p| (p.app.as_str(), p.scheme.name(), p.stats))
+        .collect();
+    let want: Vec<(&str, &str, CheckStats)> = COLD_PAIRS
+        .iter()
+        .map(
+            |&(app, scheme, [forks, explored, memo_hits, steps, violations])| {
+                let stats = CheckStats {
+                    windows: 30,
+                    forks,
+                    explored,
+                    memo_hits,
+                    steps,
+                    violations,
+                };
+                (app, scheme, stats)
+            },
+        )
+        .collect();
+    assert_eq!(pairs, want);
+    let t = cold.totals;
+    assert_eq!(
+        (t.windows, t.forks, t.explored, t.memo_hits),
+        (360, 79_448, 17_495, 61_953)
+    );
+    assert_eq!((t.steps, t.violations), (62_174_997, 1_092));
+    assert_eq!(cold.deterministic_digest(), COLD_DIGEST);
+}
+
 #[test]
 fn a_shared_replayer_matches_fresh_replays_over_the_bench_grid() {
     let spec = bench_grid();
     let cold = CheckCampaign::new(bench_grid()).workers(2).run().unwrap();
-    assert_eq!(cold.totals.windows, 360);
-    assert_eq!(cold.totals.forks, 79_448);
-    assert_eq!(cold.totals.violations, 1_092);
+    assert_pinned(&cold);
+    assert!(cold.counters.drain_joins > 0, "cold drains join at commits");
 
     let (mut replays, mut drains) = (0u64, 0u64);
     let pairs = spec
@@ -102,6 +170,40 @@ fn a_shared_replayer_matches_fresh_replays_over_the_bench_grid() {
         (1_092, 634)
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cold_counterexamples_are_identical_at_any_worker_count() {
+    let run = |workers| {
+        CheckCampaign::new(bench_grid())
+            .workers(workers)
+            .run()
+            .unwrap()
+    };
+    let reference = run(1);
+    assert_pinned(&reference);
+    let shrunk = |report: &CheckReport| -> Vec<String> {
+        report
+            .results
+            .iter()
+            .map(|p| format!("{:?}", p.counterexample))
+            .collect()
+    };
+    assert_eq!(
+        reference
+            .results
+            .iter()
+            .filter(|p| p.counterexample.is_some())
+            .count(),
+        4,
+        "every failing pair shrinks"
+    );
+    for workers in [2, 4] {
+        let report = run(workers);
+        assert_eq!(shrunk(&report), shrunk(&reference), "{workers} workers");
+        assert_eq!(report.counters.drain_joins, reference.counters.drain_joins);
+        assert_eq!(report.deterministic_digest(), COLD_DIGEST);
+    }
 }
 
 /// The smallest `golden` whose budget lets the reference replay of

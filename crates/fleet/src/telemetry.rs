@@ -175,6 +175,10 @@ pub struct FleetCounters {
     /// Drains those re-proving replays actually ran; the rest were
     /// answered from the per-chunk post-recovery outcome table.
     pub reprove_drains: u64,
+    /// Explored drains answered at their first region commit from an
+    /// earlier drain of the same chunk (`gecko-check` only; counted in
+    /// `states_explored`).
+    pub drain_joins: u64,
 }
 
 /// A log₂-bucketed histogram of `u64` samples (wall-times, cycle counts).

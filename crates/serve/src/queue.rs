@@ -90,6 +90,9 @@ struct SinkState {
     // violations replayed and the drains those replays ran.
     reproved: u64,
     reprove_drains: u64,
+    // A check's explored drains that joined an earlier drain at their
+    // first region commit, off its `check_finished` event.
+    drain_joins: u64,
     closed: bool,
     // `journal_line_undecodable` events, pinned for the job status
     // document (the ring may evict them long before anyone polls): the
@@ -134,6 +137,7 @@ impl JobSink {
                 resumed: 0,
                 reproved: 0,
                 reprove_drains: 0,
+                drain_joins: 0,
                 closed: false,
                 diagnostics: Vec::new(),
                 diagnostics_total: 0,
@@ -157,12 +161,14 @@ impl JobSink {
         (s.done_items, s.total_items, s.resumed)
     }
 
-    /// A check's re-prove pass: `(reproved, reprove_drains)` — persisted
-    /// violations replayed and the drains those replays ran. Known once
-    /// the campaign emits `check_started`.
-    fn reprove(&self) -> (u64, u64) {
+    /// A check's drain counters: `(reproved, reprove_drains,
+    /// drain_joins)` — persisted violations replayed and the drains those
+    /// replays ran (known once the campaign emits `check_started`), and
+    /// the explored drains that joined an earlier one at a region commit
+    /// (known once it emits `check_finished`).
+    fn check_counters(&self) -> (u64, u64, u64) {
         let s = lock_unpoisoned(&self.state);
-        (s.reproved, s.reprove_drains)
+        (s.reproved, s.reprove_drains, s.drain_joins)
     }
 
     /// Events that failed to reach the on-disk telemetry log: append
@@ -255,6 +261,13 @@ impl TelemetrySink for JobSink {
                 }
             }
             "item_finished" | "check_item_finished" => s.done_items += 1,
+            "check_finished" => {
+                for (name, value) in &event.fields {
+                    if let ("drain_joins", Value::U64(n)) = (*name, value) {
+                        s.drain_joins = *n;
+                    }
+                }
+            }
             _ => {}
         }
         let seq = s.next_seq;
@@ -507,11 +520,13 @@ impl Job {
             ("store".into(), self.store_value()),
         ];
         if self.kind == JobKind::Check {
-            // Why a warm re-check took as long as it did: the persisted
-            // violations it re-proved and the drains that cost.
-            let (reproved, drains) = self.sink.reprove();
+            // Why a check took as long as it did: the persisted violations
+            // it re-proved and the drains that cost, and the explored
+            // drains cut short by joining an earlier one.
+            let (reproved, drains, joins) = self.sink.check_counters();
             fields.push(("reproved".into(), Json::U64(reproved)));
             fields.push(("reprove_drains".into(), Json::U64(drains)));
+            fields.push(("drain_joins".into(), Json::U64(joins)));
         }
         Json::Obj(fields)
     }
@@ -1741,24 +1756,33 @@ mod tests {
                 assert_eq!(status.get(name).and_then(Json::as_u64), reported, "{name}");
                 reported.unwrap()
             };
-            (counter("reproved"), counter("reprove_drains"))
+            (
+                counter("reproved"),
+                counter("reprove_drains"),
+                counter("drain_joins"),
+            )
         };
         let cold = queue.submit(JobKind::Check, sub(spec.clone())).unwrap();
         assert_eq!(cold.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        let (reproved, drains, joins) = reprove(&cold);
         assert_eq!(
-            reprove(&cold),
+            (reproved, drains),
             (0, 0),
             "a cold store has nothing to re-prove"
         );
+        assert!(joins > 0, "cold drains join at region commits");
         let warm = queue.submit(JobKind::Check, sub(spec)).unwrap();
         assert_eq!(warm.wait_stopped(Duration::from_secs(120)), JobState::Done);
-        let (reproved, drains) = reprove(&warm);
+        let (reproved, drains, joins) = reprove(&warm);
         assert!(reproved > 0, "the warm job re-proves persisted violations");
         assert!(drains <= reproved);
-        // Neither counter reaches the deterministic document.
+        assert_eq!(joins, 0, "a warm job explores nothing");
+        // No counter reaches the deterministic document.
         let det = std::fs::read_to_string(warm.dir.join("result.det.json")).unwrap();
         assert!(
-            !det.contains(r#""reproved""#) && !det.contains("reprove_drains"),
+            !det.contains(r#""reproved""#)
+                && !det.contains("reprove_drains")
+                && !det.contains("drain_joins"),
             "{det}"
         );
         assert_eq!(
