@@ -13,16 +13,14 @@
 //!
 //! The pool itself is `gecko_fleet`'s supervised pool: a chunk that
 //! panics is quarantined into a structured [`RunFailure`] instead of
-//! killing the campaign, budgets and bounded retry apply per chunk, and a
-//! [`Journal`] of completed chunks lets a killed campaign resume
-//! bit-exactly. Checker journal lines use their own vocabulary
-//! (`chunk_done`) on top of the fleet's line format; a journaled
-//! violation stores only its schedule and outcome — the
-//! [`Blame`](crate::verdict::Blame) context is rebuilt on resume by
-//! deterministic replay, one [`Replayer`] per chunk, with chunks fanned
-//! out over the campaign's workers.
+//! killing the campaign, and budgets and bounded retry apply per chunk.
+//! An attached [`MemoStore`] is the one durable record of completed
+//! chunks: a killed campaign resumes bit-exactly by attaching the same
+//! store again. A persisted violation stores only its schedule and
+//! outcome — the [`Blame`](crate::verdict::Blame) context is rebuilt on
+//! restore by deterministic replay, one [`Replayer`] per chunk, with
+//! chunks fanned out over the campaign's workers.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,17 +28,14 @@ use std::time::Instant;
 
 use gecko_apps::App;
 use gecko_compiler::{fingerprint_program, CompileError, CompileOptions, ProgramFingerprints};
-use gecko_fleet::journal::Replay;
 use gecko_fleet::{
     account_dropped, quarantine, run_supervised, AttemptFail, ChaosSpec, Event, FleetCounters,
-    ItemOutcome, Journal, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec,
-    TelemetrySink,
+    ItemOutcome, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec, TelemetrySink,
 };
 use gecko_isa::fnv::{fnv_str, fnv_u64, FNV_OFFSET};
 use gecko_sim::device::CompiledApp;
-use gecko_sim::report::{json_kv, Json, Value};
+use gecko_sim::report::Value;
 use gecko_sim::SchemeKind;
-use gecko_store::Verdict;
 
 use crate::explore::{check_windows, golden_steps, ExploreConfig, GoldenError};
 use crate::memostore::MemoStore;
@@ -125,8 +120,8 @@ impl CheckSpec {
         self
     }
 
-    /// FNV-1a fingerprint of everything a resumed journal must agree on:
-    /// the grid (via the chunk run keys), the exploration policy, the
+    /// FNV-1a fingerprint of everything a memo store's verdicts must agree
+    /// on: the grid (via the chunk run keys), the exploration policy, the
     /// compile options, and the shrink policy.
     fn fingerprint(&self, run_keys: &[u64]) -> u64 {
         let e = &self.explore;
@@ -151,8 +146,8 @@ impl CheckSpec {
         // Fingerprint the *effective* chunk size: the run loop clamps a
         // raw 0 (possible via the pub field) to 1, so two specs that
         // differ only in 0-vs-1 chunk the grid identically and must hash
-        // identically — otherwise a resume journal written by one would
-        // be spuriously dropped by the other.
+        // identically — otherwise a memo store written by one would be
+        // spuriously cleared by the other.
         h = fnv_u64(h, self.chunk_windows.max(1));
         h = fnv_u64(h, self.shrink as u64);
         h = fnv_u64(h, self.shrink_budget);
@@ -186,8 +181,6 @@ pub enum CheckError {
         /// What went wrong.
         error: GoldenError,
     },
-    /// The resume journal belongs to a different spec.
-    Journal(String),
 }
 
 impl fmt::Display for CheckError {
@@ -201,7 +194,6 @@ impl fmt::Display for CheckError {
             CheckError::Golden { app, scheme, error } => {
                 write!(f, "golden run of {app}/{}: {error}", scheme.name())
             }
-            CheckError::Journal(msg) => write!(f, "resume journal rejected: {msg}"),
         }
     }
 }
@@ -270,12 +262,12 @@ pub fn check_app(
 }
 
 // ---------------------------------------------------------------------------
-// Chunk identity + journal codec
+// Chunk identity + record codec
 // ---------------------------------------------------------------------------
 
 /// Stable identity of one chunk: content-addressed by (app, scheme,
 /// window range), so it survives spec reordering-neutral edits and keys
-/// the chaos/backoff/journal streams.
+/// the chaos/backoff streams and the memo store's records.
 fn chunk_run_key(app: &str, scheme: SchemeKind, start: u64, end: u64) -> u64 {
     let mut h = FNV_OFFSET;
     h = fnv_str(h, app);
@@ -285,12 +277,8 @@ fn chunk_run_key(app: &str, scheme: SchemeKind, start: u64, end: u64) -> u64 {
     h
 }
 
-/// Journal line kind for one completed checker chunk (the checker's
-/// `run_done` analogue; the header line is shared with `gecko_fleet`).
-const CHUNK_DONE: &str = "chunk_done";
-
-/// A violation as journaled: schedule + outcome only. `Blame` is derived
-/// state and is rebuilt by a deterministic [`replay`] on resume.
+/// A violation as persisted: schedule + outcome only. `Blame` is derived
+/// state and is rebuilt by a deterministic [`replay`] on restore.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct JournaledViolation {
     pub(crate) window: u64,
@@ -308,16 +296,9 @@ impl From<&Violation> for JournaledViolation {
     }
 }
 
-#[derive(Debug, PartialEq)]
-struct JournaledChunk {
-    item: usize,
-    stats: CheckStats,
-    violations: Vec<JournaledViolation>,
-}
-
-/// Why one `chunk_done` journal line could not be decoded. Split so the
-/// decoders can tell dead weight (pruned) from forward-compatible
-/// records (kept and diagnosed).
+/// Why one memo-store line of this crate's vocabulary could not be
+/// decoded. Split so the decoder can tell dead weight (pruned) from
+/// forward-compatible records (kept and diagnosed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ChunkLineError {
     /// Structurally broken (half-written, wrong field types): invisible
@@ -338,12 +319,13 @@ pub(crate) enum ChunkLineError {
     },
 }
 
-/// A diagnostic from decoding a resume journal: which line failed, where
-/// in the record, and why. Returned by [`check_journal_diagnostics`] and
-/// emitted as `journal_line_undecodable` telemetry on resume.
+/// A diagnostic from decoding a [`MemoStore`]'s log: which line failed,
+/// where in the record, and why. Returned by [`MemoStore::diagnostics`]
+/// and emitted as `journal_line_undecodable` telemetry by every campaign
+/// the store is attached to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalDiagnostic {
-    /// 0-based line number in the journal.
+    /// 0-based line number in the log.
     pub line: usize,
     /// Dotted path of the offending field (`viols[2].schedule[1]`).
     pub path: String,
@@ -362,12 +344,12 @@ impl fmt::Display for JournalDiagnostic {
 }
 
 impl JournalDiagnostic {
-    fn from_error(line: usize, error: &ChunkLineError) -> JournalDiagnostic {
+    pub(crate) fn from_error(line: usize, error: &ChunkLineError) -> JournalDiagnostic {
         match error {
             ChunkLineError::Malformed { path } => JournalDiagnostic {
                 line,
                 path: path.clone(),
-                message: "malformed chunk record".to_string(),
+                message: "malformed memo record".to_string(),
             },
             ChunkLineError::UnknownTag { path, tag } => JournalDiagnostic {
                 line,
@@ -462,7 +444,7 @@ pub(crate) fn decode_outcome(text: &str, path: &str) -> Result<Outcome, ChunkLin
 }
 
 /// `"7|12p,3c|corrupt.4294967291;9|5k|stuck"` — window, schedule and
-/// outcome per violation. Shared by `chunk_done` and `memo_slab` records.
+/// outcome per violation, as `memo_slab` records store it.
 pub(crate) fn encode_viols(violations: &[JournaledViolation]) -> String {
     let parts: Vec<String> = violations
         .iter()
@@ -508,7 +490,7 @@ pub(crate) fn decode_viols(text: &str) -> Result<Vec<JournaledViolation>, ChunkL
 }
 
 /// The six [`CheckStats`] counters as record fields, in their on-disk
-/// order. Shared by `chunk_done` and `memo_slab` records.
+/// order.
 pub(crate) fn stats_fields(stats: &CheckStats) -> [(&'static str, Value); 6] {
     [
         ("windows", Value::U64(stats.windows)),
@@ -535,105 +517,6 @@ pub(crate) fn decode_stats(
     })
 }
 
-/// One completed chunk as a single journal line (single-line records are
-/// torn-write safe by construction: a half-written line fails to parse
-/// and the chunk is simply re-run).
-fn encode_chunk(run_key: u64, item: usize, stats: &CheckStats, violations: &[Violation]) -> String {
-    let viols: Vec<JournaledViolation> = violations.iter().map(JournaledViolation::from).collect();
-    let mut fields = vec![
-        ("kind", Value::Str(CHUNK_DONE.to_string())),
-        ("run_key", Value::U64(run_key)),
-        ("item", Value::U64(item as u64)),
-    ];
-    fields.extend(stats_fields(stats));
-    fields.push(("viols", Value::Str(encode_viols(&viols))));
-    json_kv(&fields)
-}
-
-/// Decodes one parsed `chunk_done` line. `None` means the line is not a
-/// chunk record at all (foreign vocabulary); `Some(Err(_))` is a chunk
-/// record this binary cannot use, with a path-carrying reason.
-fn decode_chunk_line(rec: &Json) -> Option<Result<(u64, JournaledChunk), ChunkLineError>> {
-    if rec.get("kind")?.as_str()? != CHUNK_DONE {
-        return None;
-    }
-    Some(decode_chunk_fields(rec))
-}
-
-fn decode_chunk_fields(rec: &Json) -> Result<(u64, JournaledChunk), ChunkLineError> {
-    let u = |name: &str| {
-        rec.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ChunkLineError::Malformed {
-                path: name.to_string(),
-            })
-    };
-    let run_key = u("run_key")?;
-    let stats = decode_stats(u)?;
-    let viols_text =
-        rec.get("viols")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ChunkLineError::Malformed {
-                path: "viols".to_string(),
-            })?;
-    let violations = decode_viols(viols_text)?;
-    Ok((
-        run_key,
-        JournaledChunk {
-            item: u("item")? as usize,
-            stats,
-            violations,
-        },
-    ))
-}
-
-/// Replays a checker journal: completed chunks keyed by run key (the
-/// header is [`Journal::bind`]'s business), one diagnostic per chunk line
-/// that failed to decode, and one [`Verdict`] per line. Later duplicates
-/// win. `Delete` marks exactly the lines no decoder — present or future —
-/// can use: garbage, repeated headers, structurally broken `chunk_done`
-/// lines and chunks a later record for the same run key superseded.
-/// Lines in a foreign but parseable vocabulary are kept, and so are
-/// `chunk_done` lines carrying *unknown tags* (a newer writer's records):
-/// pruning those would destroy data a newer binary could still resume
-/// from.
-fn decode_chunks(
-    lines: &[String],
-) -> (
-    HashMap<u64, JournaledChunk>,
-    Vec<JournalDiagnostic>,
-    Vec<Verdict>,
-) {
-    let mut diagnostics = Vec::new();
-    let (chunks, verdicts) = Replay::walk(lines, |replay, i, rec| match decode_chunk_line(rec) {
-        Some(Ok((run_key, chunk))) => replay.restore(run_key, chunk, vec![i]),
-        Some(Err(error)) => {
-            if matches!(error, ChunkLineError::Malformed { .. }) {
-                replay.discard([i]);
-            }
-            diagnostics.push(JournalDiagnostic::from_error(i, &error));
-        }
-        None => {}
-    })
-    .finish();
-    (chunks, diagnostics, verdicts)
-}
-
-/// Scans a checker journal and returns one diagnostic per `chunk_done`
-/// line that could not be decoded, with the dotted path of the offending
-/// field. Records using unknown tags — a journal written by a newer
-/// vocabulary — are reported here (and re-explored on resume) rather
-/// than silently dropped.
-pub fn check_journal_diagnostics(lines: &[String]) -> Vec<JournalDiagnostic> {
-    decode_chunks(lines).1
-}
-
-/// Classifies a checker journal for [`gecko_store::SegmentedLog::compact`]: the
-/// [`Verdict`]s of the very pass resume decodes the journal with.
-pub fn classify_check_lines(lines: &[String]) -> Vec<Verdict> {
-    decode_chunks(lines).2
-}
-
 /// One claimable unit of checker work: a window chunk of one pair.
 #[derive(Debug, Clone, Copy)]
 struct WorkItem {
@@ -650,19 +533,15 @@ struct Pair {
     windows: u64,
 }
 
-/// A chunk's persisted verdict awaiting re-proof: its counters and
-/// blame-free violations, from the resume journal or the memo store.
-struct Persisted {
-    stats: CheckStats,
-    violations: Vec<JournaledViolation>,
-    from_memo: bool,
-}
+/// A chunk's persisted verdict awaiting re-proof, as the memo store
+/// restores it: its counters and blame-free violations.
+type Persisted = (CheckStats, Vec<JournaledViolation>);
 
-/// What the re-prove pass restored: per item, the index of the winning
-/// candidate and its violations with blame rebuilt; plus the persisted
-/// violations replayed and the drains those replays ran.
+/// What the re-prove pass restored: per item, the persisted counters and
+/// the violations with blame rebuilt; plus the persisted violations
+/// replayed and the drains those replays ran.
 struct Reproof {
-    won: Vec<Option<(usize, Vec<Violation>)>>,
+    restored: Vec<Option<(CheckStats, Vec<Violation>)>>,
     replays: u64,
     drains: u64,
 }
@@ -699,26 +578,24 @@ fn fan_out<T: Send>(workers: usize, todo: &[usize], job: impl Fn(usize) -> T + S
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Re-proves the persisted candidates of every item by replaying each
-/// violation's schedule (persisted violations carry no blame). Per item
-/// the first candidate, in precedence order, whose every replay agrees
-/// with its persisted outcome wins; a disagreement falls through to the
-/// next candidate, and an item with no winner is re-explored instead of
-/// trusted. Each item replays on its own [`Replayer`] through
-/// [`fan_out`], and results merge in item order.
+/// Re-proves the persisted verdict of every item by replaying each
+/// violation's schedule (persisted violations carry no blame). An item
+/// whose every replay agrees with its persisted outcome is restored; a
+/// disagreement re-explores the item instead of trusting it. Each item
+/// replays on its own [`Replayer`] through [`fan_out`], and results merge
+/// in item order.
 fn reprove(
     workers: usize,
     explore: &ExploreConfig,
     pairs: &[Pair],
     items: &[WorkItem],
-    candidates: &[Vec<Persisted>],
+    persisted: &[Option<Persisted>],
 ) -> Reproof {
     let prove = |i: usize| {
         let p = &pairs[items[i].pair];
         let mut replayer = Replayer::new(&p.compiled, explore, p.golden);
-        let won = candidates[i].iter().enumerate().find_map(|(c, cand)| {
-            let violations: Option<Vec<Violation>> = cand
-                .violations
+        let restored = persisted[i].as_ref().and_then(|(stats, violations)| {
+            let violations: Option<Vec<Violation>> = violations
                 .iter()
                 .map(|jv| {
                     let (outcome, blame) = replayer.replay(&jv.schedule);
@@ -730,21 +607,21 @@ fn reprove(
                     })
                 })
                 .collect();
-            violations.map(|v| (c, v))
+            Some((*stats, violations?))
         });
-        (won, replayer.replays(), replayer.drains())
+        (restored, replayer.replays(), replayer.drains())
     };
     let todo: Vec<usize> = (0..items.len())
-        .filter(|&i| !candidates[i].is_empty())
+        .filter(|&i| persisted[i].is_some())
         .collect();
     let done = fan_out(workers, &todo, prove);
     let mut reproof = Reproof {
-        won: vec![None; items.len()],
+        restored: vec![None; items.len()],
         replays: 0,
         drains: 0,
     };
-    for (&i, (won, replays, drains)) in todo.iter().zip(done) {
-        reproof.won[i] = won;
+    for (&i, (restored, replays, drains)) in todo.iter().zip(done) {
+        reproof.restored[i] = restored;
         reproof.replays += replays;
         reproof.drains += drains;
     }
@@ -758,7 +635,6 @@ pub struct CheckCampaign {
     workers: usize,
     sink: Arc<dyn TelemetrySink>,
     sup: SupervisorSpec,
-    journal: Option<Arc<Journal>>,
     memo: Option<Arc<MemoStore>>,
     halt_after: Option<u64>,
     kill_switch: Option<Arc<std::sync::atomic::AtomicBool>>,
@@ -772,7 +648,6 @@ impl CheckCampaign {
             workers: 1,
             sink: Arc::new(NullSink),
             sup: SupervisorSpec::default(),
-            journal: None,
             memo: None,
             halt_after: None,
             kill_switch: None,
@@ -810,30 +685,15 @@ impl CheckCampaign {
         self
     }
 
-    /// Attaches a journal (builder style): completed chunks are appended
-    /// as they finish, and chunks already present are skipped on [`run`]
-    /// (their violations' blame context is rebuilt by deterministic
-    /// replay).
-    ///
-    /// [`run`]: CheckCampaign::run
-    pub fn journal(mut self, journal: Arc<Journal>) -> CheckCampaign {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Alias for [`CheckCampaign::journal`], reading as intent.
-    pub fn resume(self, journal: Arc<Journal>) -> CheckCampaign {
-        self.journal(journal)
-    }
-
     /// Attaches a durable memo store (builder style): every checked
     /// chunk's counters, violations and blamed regions persist through
-    /// [`MemoStore`] as one record, written when the chunk is journaled
-    /// (after its step-budget check). A later campaign over the same spec
-    /// answers those chunks from disk and re-explores the rest — chunks
-    /// never finished, quarantined, or whose blamed compiled regions
-    /// changed (DESIGN.md §18). Results are bit-identical with and
-    /// without a store, cold or warm.
+    /// [`MemoStore`] as one record, written as the chunk finishes (after
+    /// its step-budget check). A later campaign over the same spec —
+    /// a warm re-check, or the resume of a killed run — answers those
+    /// chunks from disk and re-explores the rest: chunks never finished,
+    /// quarantined, or whose blamed compiled regions changed (DESIGN.md
+    /// §18). Results are bit-identical with and without a store, cold,
+    /// warm or resumed.
     pub fn memo(mut self, memo: Arc<MemoStore>) -> CheckCampaign {
         self.memo = Some(memo);
         self
@@ -849,9 +709,9 @@ impl CheckCampaign {
 
     /// Attaches a cooperative kill switch (builder style), mirroring
     /// `gecko_fleet::Campaign::kill_switch`: when the flag flips true,
-    /// workers finish the window chunk they are exploring, journal it,
-    /// and stop claiming new chunks (`halted` in the report). A journaled
-    /// check campaign then resumes bit-exactly.
+    /// workers finish the window chunk they are exploring, record it,
+    /// and stop claiming new chunks (`halted` in the report). A campaign
+    /// with a memo store then resumes bit-exactly from that store.
     pub fn kill_switch(mut self, stop: Arc<std::sync::atomic::AtomicBool>) -> CheckCampaign {
         self.kill_switch = Some(stop);
         self
@@ -874,9 +734,7 @@ impl CheckCampaign {
     ///
     /// # Errors
     ///
-    /// The first (in pair order) compile or golden-run error, or
-    /// [`CheckError::Journal`] when a resume journal's fingerprint does
-    /// not match this spec.
+    /// The first (in pair order) compile or golden-run error.
     pub fn run(&self) -> Result<CheckReport, CheckError> {
         let spec = &self.spec;
         if spec.apps.is_empty() || spec.schemes.is_empty() {
@@ -954,7 +812,8 @@ impl CheckCampaign {
         // attached: the identity change-driven invalidation keys on (a
         // persisted slab stays valid if the whole program is unchanged,
         // or if every region its exploration blamed is unchanged).
-        let fps: Vec<ProgramFingerprints> = if self.memo.is_some() {
+        let memo = self.memo.as_deref();
+        let fps: Vec<ProgramFingerprints> = if memo.is_some() {
             pairs
                 .iter()
                 .map(|p| fingerprint_program(&p.compiled.program, &p.compiled.recovery))
@@ -963,25 +822,16 @@ impl CheckCampaign {
             Vec::new()
         };
 
-        // Bind the journal to this spec (stamping a fresh one) before
-        // anything else is touched: a refused resume leaves the memo
-        // store as it was.
-        let journal_lines = match &self.journal {
-            Some(journal) => {
-                let lines = journal.lines();
-                journal
-                    .bind(&lines, &spec.name, fingerprint)
-                    .map_err(CheckError::Journal)?;
-                lines
-            }
-            None => Vec::new(),
-        };
-        let memo_generation = self.memo.as_ref().map(|m| m.begin(&spec.name, fingerprint));
-        let (chunks, diagnostics, _) = decode_chunks(&journal_lines);
-        // Surface undecodable chunk lines instead of silently re-exploring
-        // them: an unknown tag means the journal was written by a
-        // different (likely newer) vocabulary.
-        for d in &diagnostics {
+        // Drops the store counts from here on are this run's: a shared
+        // store outlives the runs it serves, and a warm re-check must not
+        // inherit an earlier run's write failures.
+        let memo_drops_before = memo.map_or(0, MemoStore::dropped);
+        let memo_generation = memo.map(|m| m.begin(&spec.name, fingerprint));
+        // Surface the store's undecodable lines instead of silently
+        // re-exploring their chunks: an unknown tag means the store was
+        // written by a different (likely newer) vocabulary.
+        let diagnostics = memo.map_or(&[][..], MemoStore::diagnostics);
+        for d in diagnostics {
             sink.emit(Event::new(
                 "journal_line_undecodable",
                 vec![
@@ -991,52 +841,29 @@ impl CheckCampaign {
                 ],
             ));
         }
-        // Restore candidates per item, in precedence order: this
-        // campaign's own journaled chunk first, then the memo store's slab.
-        // Nothing is trusted yet — every persisted violation is re-proven
-        // below, and a chunk whose replays disagree is re-explored.
-        let candidates: Vec<Vec<Persisted>> = run_keys
+        // The store's slab per item, if it has a sound one. Nothing is
+        // trusted yet — every persisted violation is re-proven below, and
+        // a chunk whose replays disagree is re-explored.
+        let persisted: Vec<Option<Persisted>> = run_keys
             .iter()
-            .enumerate()
-            .map(|(i, key)| {
-                let pair = items[i].pair;
-                let mut found = Vec::new();
-                if let Some(chunk) = chunks.get(key).filter(|chunk| chunk.item == i) {
-                    found.push(Persisted {
-                        stats: chunk.stats,
-                        violations: chunk.violations.clone(),
-                        from_memo: false,
-                    });
-                }
-                if let Some(memo) = &self.memo {
-                    if let Some((stats, violations)) =
-                        memo.restore(*key, pairs[pair].golden, &fps[pair])
-                    {
-                        found.push(Persisted {
-                            stats,
-                            violations,
-                            from_memo: true,
-                        });
-                    }
-                }
-                found
+            .zip(&items)
+            .map(|(&key, item)| {
+                let pair = item.pair;
+                memo?.restore(key, pairs[pair].golden, &fps[pair])
             })
             .collect();
-        let reproof = reprove(workers, &spec.explore, &pairs, &items, &candidates);
-        let mut memo_windows = 0u64;
+        let reproof = reprove(workers, &spec.explore, &pairs, &items, &persisted);
         // Pool items: a chunk's counters, violations and drain joins (a
         // restored chunk ran no drains).
+        let mut memo_windows = 0u64;
         let restored: Vec<Option<(CheckStats, Vec<Violation>, u64)>> = reproof
-            .won
+            .restored
             .into_iter()
-            .enumerate()
-            .map(|(i, won)| {
-                let (c, violations) = won?;
-                let winner = &candidates[i][c];
-                if winner.from_memo {
-                    memo_windows += items[i].end - items[i].start;
-                }
-                Some((winner.stats, violations, 0))
+            .zip(&items)
+            .map(|(slot, item)| {
+                let (stats, violations) = slot?;
+                memo_windows += item.end - item.start;
+                Some((stats, violations, 0))
             })
             .collect();
         let resumed = restored.iter().flatten().count() as u64;
@@ -1069,7 +896,6 @@ impl CheckCampaign {
             stop: self.kill_switch.as_deref(),
             sink: &sink,
         };
-        let journal = self.journal.as_deref();
         let pool = run_supervised(&cfg, restored, |i, attempt, budget, attempt_started| {
             let item = items[i];
             let p = &pairs[item.pair];
@@ -1082,17 +908,13 @@ impl CheckCampaign {
                     partial: None,
                 });
             }
-            // One durable record per checked chunk, beside its journal
-            // line and past the budget check: a quarantined chunk leaves
-            // neither behind.
-            if let Some(memo) = &self.memo {
+            // One durable record per checked chunk, past the budget
+            // check: a quarantined chunk leaves none behind.
+            if let Some(memo) = memo {
                 let fps = &fps[item.pair];
                 memo.record(run_keys[i], fps, item.start, item.end, p.golden, &outcome);
             }
             let violations = outcome.violations;
-            if let Some(journal) = journal {
-                journal.append(&encode_chunk(run_keys[i], i, &stats, &violations));
-            }
             sink.emit(Event::new(
                 "check_item_finished",
                 vec![
@@ -1106,17 +928,13 @@ impl CheckCampaign {
             ));
             Ok((stats, violations, drain_joins))
         });
-        // Checkpoint boundary: every chunk journaled by the pool is
-        // forced to stable storage before the report claims it happened.
+        // Checkpoint boundary: every chunk the pool recorded is forced to
+        // stable storage before the report (or a compaction) can see it.
         // Per-chunk appends stay fsync-free to keep the hot path cheap.
-        if let Some(journal) = journal {
-            journal.sync();
-        }
-        // Same boundary for the memo store: records appended by the pool
-        // are durable before the report (or a compaction) can see them.
-        if let Some(memo) = &self.memo {
+        if let Some(memo) = memo {
             memo.sync();
         }
+        let memo_drops = memo.map_or(0, |m| m.dropped() - memo_drops_before);
 
         // Deterministic merge, in item order (chunks of a pair are in
         // window order, so each pair's violations come out sorted).
@@ -1181,7 +999,7 @@ impl CheckCampaign {
         }
 
         let failed_runs = failures.len() as u64;
-        let dropped_records = account_dropped(&*sink, self.journal.as_deref(), &mut failures);
+        let dropped_records = account_dropped(&*sink, memo_drops, &mut failures);
 
         let mut totals = CheckStats::default();
         for r in &results {
@@ -1394,207 +1212,36 @@ pub fn check_summary(report: &CheckReport) -> String {
 }
 
 #[cfg(test)]
-mod golden;
-
-#[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::verdict::Blame;
-    use gecko_fleet::journal::{decode_header, encode_header};
-    use gecko_isa::rng::SplitMix64;
-    use gecko_store::{LogConfig, SegmentedLog};
-    use std::path::Path;
+    use gecko_store::{LogConfig, SegmentedLog, Verdict};
+    use std::path::{Path, PathBuf};
 
-    fn sample_chunk(run_key: u64, item: usize, windows: u64) -> String {
-        let stats = CheckStats {
-            windows,
-            forks: 3,
-            explored: 9,
-            memo_hits: 2,
-            steps: 40,
-            violations: 1,
-        };
-        let violations = vec![Violation {
-            window: 7,
-            schedule: vec![PlannedInjection {
-                after_steps: 5,
-                kind: InjectionKind::PowerFailure,
-            }],
-            outcome: Outcome::Stuck,
-            blame: Blame {
-                region: None,
-                block: None,
-                boundary_index: None,
-                recovery_slots: 0,
-                recovery_recomputes: 0,
-                checkpoint_pc: None,
-                detail: String::new(),
-            },
-        }];
-        encode_chunk(run_key, item, &stats, &violations)
-    }
+    use crate::memostore::classify_memo_lines;
 
-    #[test]
-    fn classifier_only_deletes_lines_the_decoder_ignores() {
-        let lines = vec![
-            encode_header("check", 0xBEEF),
-            sample_chunk(11, 0, 512), // superseded by the later key-11 record
-            "not json at all".to_string(),
-            r#"{"kind":"chunk_done","run_key":"oops"}"#.to_string(), // undecodable
-            r#"{"kind":"run_done","run_key":9}"#.to_string(),        // foreign vocabulary
-            sample_chunk(11, 0, 640),
-            encode_header("check", 0xBEEF), // duplicate header
-            sample_chunk(12, 1, 512),
-        ];
-        let verdicts = classify_check_lines(&lines);
-        let pruned = without(&lines, |i| verdicts[i] == Verdict::Delete);
-
-        // The invariant the compactor relies on: pruning is invisible to
-        // the decoder (diagnostics differ — the pruned lines were
-        // exactly the diagnosed ones — so compare header + chunks).
-        assert_eq!(decode_chunks(&lines).0, decode_chunks(&pruned).0);
-        assert_eq!(header(&lines), header(&pruned));
-
-        // Exactly the dead lines go: stale chunk, garbage, broken chunk,
-        // duplicate header. The foreign run_done line survives.
-        assert_eq!(pruned.len(), 4);
-        assert!(pruned.iter().any(|l| l.contains("run_done")));
-        let (chunks, _, _) = decode_chunks(&pruned);
-        assert_eq!(header(&pruned), Some(("check".to_string(), 0xBEEF)));
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[&11].stats.windows, 640);
-    }
-
-    /// The lines of `lines` whose index `gone` does not select.
-    fn without(lines: &[String], gone: impl Fn(usize) -> bool) -> Vec<String> {
-        (0..lines.len())
-            .filter(|&i| !gone(i))
-            .map(|i| lines[i].clone())
-            .collect()
-    }
-
-    /// A seeded hostile chunk journal: a header, a few chunk records,
-    /// then hostile rewrites — duplicated lines, swapped neighbours, a
-    /// field deleted, a torn prefix, a foreign-kind line inserted.
-    fn hostile_journal(rng: &mut SplitMix64) -> Vec<String> {
-        let foreign = [
-            r#"{"kind":"run_done","run_key":1,"item":0}"#,
-            r#"{"kind":"chunk_done","run_key":2,"item":1,"windows":8,"forks":1,"explored":1,"memo_hits":0,"steps":5,"violations":1,"viols":"7|5z|clean"}"#,
-            r#"{"kind":"mystery","run_key":0}"#,
-        ];
-        let mut lines = vec![encode_header("hostile", 5)];
-        for _ in 0..rng.range_u64(1, 6) {
-            let key = rng.range_u64(0, 3);
-            lines.push(sample_chunk(key, key as usize, 64 * rng.range_u64(1, 3)));
+    /// A fresh store directory holding exactly `lines`.
+    fn store_dir(tag: &str, lines: &[String]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("gecko-check-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let log = SegmentedLog::open(&dir, LogConfig::default()).unwrap();
+        for line in lines {
+            log.append(line);
         }
-        for _ in 0..rng.range_u64(0, 6) {
-            let i = rng.range_u64(0, lines.len() as u64) as usize;
-            match rng.range_u64(0, 5) {
-                0 => {
-                    let at = rng.range_u64(0, lines.len() as u64 + 1) as usize;
-                    lines.insert(at, lines[i].clone());
-                }
-                1 if i + 1 < lines.len() => lines.swap(i, i + 1),
-                2 => {
-                    if let Some(Json::Obj(mut fields)) = Json::parse_flat(&lines[i]) {
-                        if !fields.is_empty() {
-                            fields.remove(rng.range_u64(0, fields.len() as u64) as usize);
-                            lines[i] = Json::Obj(fields).encode();
-                        }
-                    }
-                }
-                3 => {
-                    let cut = rng.range_u64(0, lines[i].len() as u64) as usize;
-                    lines[i].truncate(cut);
-                }
-                _ => {
-                    let pick = rng.range_u64(0, foreign.len() as u64) as usize;
-                    lines.insert(i, foreign[pick].to_string());
-                }
-            }
-        }
-        lines
+        dir
     }
 
-    fn header(lines: &[String]) -> Option<(String, u64)> {
-        lines.iter().find_map(|l| decode_header(l))
-    }
-
-    #[test]
-    fn deleting_any_prefix_of_the_delete_lines_keeps_resume_unchanged() {
-        let mut rng = SplitMix64::new(0x5EED_0005);
-        for _ in 0..150 {
-            let lines = hostile_journal(&mut rng);
-            let (chunks, _, verdicts) = decode_chunks(&lines);
-            let deletes: Vec<usize> = (0..lines.len())
-                .filter(|&i| verdicts[i] == Verdict::Delete)
-                .collect();
-            for j in 0..=deletes.len() {
-                let pruned = without(&lines, |i| deletes[..j].contains(&i));
-                assert_eq!(
-                    decode_chunks(&pruned).0,
-                    chunks,
-                    "{lines:#?} without lines {:?}",
-                    &deletes[..j]
-                );
-                assert_eq!(header(&pruned), header(&lines));
-            }
-        }
-    }
-
-    /// Appends `lines` to a fresh [`SegmentedLog`] in `dir` under a seeded
-    /// schedule — a random segment size and `delete_limit`, budgeted
-    /// [`SegmentedLog::compact`] calls between appends, the log sometimes
-    /// reopened from disk first — and checks after every call, and after
-    /// a final seal-and-drain, that `decode` reads the compacted log
-    /// exactly as it reads the lines appended so far.
-    pub(crate) fn assert_compaction_is_invisible<T: PartialEq + std::fmt::Debug>(
-        rng: &mut SplitMix64,
-        dir: &Path,
-        lines: &[String],
-        classify: fn(&[String]) -> Vec<Verdict>,
-        decode: impl Fn(&[String]) -> T,
-    ) {
+    fn diagnostics_of(dir: &Path) -> Vec<JournalDiagnostic> {
+        let diagnostics = MemoStore::open(dir).unwrap().diagnostics().to_vec();
         let _ = std::fs::remove_dir_all(dir);
-        let cfg = LogConfig {
-            max_segment_bytes: 96 * rng.range_u64(1, 9),
-        };
-        let delete_limit = rng.range_u64(0, 4) as usize;
-        let mut log = SegmentedLog::open(dir, cfg).unwrap();
-        let check = |log: &SegmentedLog, appended: usize| {
-            assert_eq!(
-                decode(&log.lines()),
-                decode(&lines[..appended]),
-                "{cfg:?}, delete_limit {delete_limit}, after {appended} of {lines:#?}"
-            );
-        };
-        for n in 1..=lines.len() {
-            log.append(&lines[n - 1]);
-            if rng.range_u64(0, 3) == 0 {
-                if rng.range_u64(0, 2) == 0 {
-                    drop(log);
-                    log = SegmentedLog::open(dir, cfg).unwrap();
-                }
-                log.compact(classify, delete_limit).unwrap();
-                check(&log, n);
-            }
-        }
-        log.seal().unwrap();
-        while !log.compact(classify, delete_limit).unwrap().done {}
-        check(&log, lines.len());
-        let _ = std::fs::remove_dir_all(dir);
+        diagnostics
     }
 
-    #[test]
-    fn compaction_under_any_schedule_is_invisible_to_resume() {
-        let dir = std::env::temp_dir().join(format!("gecko-check-schedule-{}", std::process::id()));
-        let mut rng = SplitMix64::new(0x5EED_0008);
-        for _ in 0..120 {
-            let lines = hostile_journal(&mut rng);
-            assert_compaction_is_invisible(&mut rng, &dir, &lines, classify_check_lines, |lines| {
-                (decode_chunks(lines).0, header(lines))
-            });
-        }
+    /// A complete `memo_slab` record of run key `run_key` whose one
+    /// violation is `viols`.
+    fn slab_with(run_key: u64, viols: &str) -> String {
+        format!(
+            r#"{{"kind":"memo_slab","run_key":{run_key},"start":0,"end":8,"done":8,"golden":100,"program_fp":1,"rfp":2,"regions":"1","windows":8,"forks":1,"explored":1,"memo_hits":0,"steps":5,"violations":1,"viols":"{viols}"}}"#
+        )
     }
 
     #[test]
@@ -1622,17 +1269,20 @@ pub(crate) mod tests {
     fn unknown_tags_are_kept_on_prune_and_surfaced_as_diagnostics() {
         // A record as a future release might write it: same structure,
         // one injection tag ('z') this binary does not know.
-        let future = r#"{"kind": "chunk_done", "run_key": 99, "item": 3, "windows": 8, "forks": 1, "explored": 1, "memo_hits": 0, "steps": 5, "violations": 1, "viols": "7|5z|clean"}"#
-            .to_string();
-        let lines = vec![encode_header("check", 1), sample_chunk(1, 0, 512), future];
+        let meta = r#"{"kind":"memo_meta","name":"check","fingerprint":1,"generation":1}"#;
+        let lines = vec![
+            meta.to_string(),
+            slab_with(1, "7|5p|stuck"),
+            slab_with(99, "7|5z|clean"),
+        ];
 
         // The classifier must NOT delete it: a newer binary could still
-        // resume from it.
-        assert_eq!(classify_check_lines(&lines), vec![Verdict::Keep; 3]);
+        // restore from it.
+        assert_eq!(classify_memo_lines(&lines), vec![Verdict::Keep; 3]);
 
-        // And the decode surfaces a path-carrying diagnostic instead of
-        // silently dropping the record.
-        let diags = check_journal_diagnostics(&lines);
+        // And opening the store surfaces a path-carrying diagnostic
+        // instead of silently dropping the record.
+        let diags = diagnostics_of(&store_dir("future-tag", &lines));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 2);
         assert_eq!(diags[0].path, "viols[0].schedule[0]");
@@ -1643,29 +1293,18 @@ pub(crate) mod tests {
         );
 
         // An unknown *outcome* word is likewise diagnosed, not dropped.
-        let odd = r#"{"kind": "chunk_done", "run_key": 5, "item": 0, "windows": 1, "forks": 1, "explored": 1, "memo_hits": 0, "steps": 1, "violations": 1, "viols": "0|1p|detected"}"#
-            .to_string();
-        let diags = check_journal_diagnostics(std::slice::from_ref(&odd));
+        let odd = slab_with(5, "0|1p|detected");
+        let diags = diagnostics_of(&store_dir("future-outcome", std::slice::from_ref(&odd)));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].path, "viols[0].outcome");
-        assert_eq!(classify_check_lines(&[odd]), vec![Verdict::Keep]);
-    }
-
-    #[test]
-    fn classifier_keeps_everything_in_a_clean_journal() {
-        let lines = vec![
-            encode_header("check", 1),
-            sample_chunk(1, 0, 512),
-            sample_chunk(2, 1, 512),
-        ];
-        assert_eq!(classify_check_lines(&lines), vec![Verdict::Keep; 3]);
+        assert_eq!(classify_memo_lines(&[odd]), vec![Verdict::Keep]);
     }
 
     #[test]
     fn fingerprint_hashes_the_effective_chunk_size() {
         // The run loop clamps a raw 0 (set through the pub field) to 1,
         // so the fingerprint must too: both specs chunk the grid
-        // identically and must accept each other's resume journals.
+        // identically and must answer from each other's memo stores.
         let keys = [1u64, 2, 3];
         let mut zero = CheckSpec::new("t");
         zero.chunk_windows = 0;
@@ -1677,7 +1316,7 @@ pub(crate) mod tests {
 
     #[test]
     fn identity_hashes_are_pinned() {
-        // Journals, memo stores and served memo directories are keyed on
+        // Run journals, memo stores and served memo directories are keyed on
         // these byte-wise FNV-1a values, so they must never drift: a
         // changed value orphans every persisted record written before.
         let fleet = gecko_fleet::CampaignSpec::new("pin")
@@ -1713,10 +1352,14 @@ pub(crate) mod tests {
             .apps([crate::testprog::war_counter_app(3)])
             .schemes([SchemeKind::Gecko])
             .explore(ExploreConfig::default().with_max_windows(6));
-        let journal = Arc::new(Journal::memory());
-        journal.append(r#"{"kind":"chunk_done","run_key":"oops"}"#);
-        let report = CheckCampaign::new(spec).journal(journal).run().unwrap();
+        let dir = store_dir(
+            "undecodable",
+            &[r#"{"kind":"memo_slab","run_key":"oops"}"#.to_string()],
+        );
+        let store = Arc::new(MemoStore::open(&dir).unwrap());
+        let report = CheckCampaign::new(spec).memo(store).run().unwrap();
         assert_eq!(report.counters.journal_diagnostics, 1);
         assert!(report.is_clean());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

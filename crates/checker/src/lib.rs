@@ -63,8 +63,8 @@ pub mod testprog;
 pub mod verdict;
 
 pub use campaign::{
-    check_app, check_compiled, check_journal_diagnostics, check_summary, classify_check_lines,
-    CheckCampaign, CheckError, CheckReport, CheckSpec, JournalDiagnostic,
+    check_app, check_compiled, check_summary, CheckCampaign, CheckError, CheckReport, CheckSpec,
+    JournalDiagnostic,
 };
 pub use explore::{golden_steps, ExploreConfig, GoldenError};
 pub use memostore::{classify_memo_lines, MemoStore};

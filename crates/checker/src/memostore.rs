@@ -7,9 +7,10 @@
 //! its violations (schedule + outcome; blame is rebuilt by deterministic
 //! replay on restore), the blamed-region set, and the program/region
 //! fingerprints the verdicts were proven against. The campaign writes it
-//! once, beside the chunk's journal line and after the chunk's step-budget
-//! check, so a quarantined or killed chunk leaves no record and is
-//! re-explored from scratch.
+//! once, after the chunk's step-budget check, so a quarantined or killed
+//! chunk leaves no record and is re-explored from scratch. The store is
+//! a check campaign's only persisted chunk record: warm re-checks and
+//! the resume of a killed campaign both restore from it.
 //!
 //! Soundness of reuse is change-driven (DESIGN.md §18): a slab restores
 //! iff the whole-program fingerprint matches, **or** every region its
@@ -30,6 +31,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gecko_compiler::ProgramFingerprints;
@@ -38,7 +40,8 @@ use gecko_sim::report::{json_kv, Json, Value};
 use gecko_store::{LogConfig, SegmentedLog, Verdict};
 
 use crate::campaign::{
-    decode_stats, decode_viols, encode_viols, stats_fields, ChunkLineError, JournaledViolation,
+    decode_stats, decode_viols, encode_viols, stats_fields, ChunkLineError, JournalDiagnostic,
+    JournaledViolation,
 };
 use crate::explore::SlabOutcome;
 use crate::verdict::CheckStats;
@@ -232,11 +235,16 @@ impl StoreState {
 pub struct MemoStore {
     log: Arc<SegmentedLog>,
     state: Mutex<StoreState>,
+    diagnostics: Vec<JournalDiagnostic>,
+    sync_failures: AtomicU64,
 }
 
 impl MemoStore {
     /// Opens (or creates) the store in `dir`, replaying every decodable
-    /// record.
+    /// record and keeping one [`JournalDiagnostic`] per line of the
+    /// store's vocabulary it cannot decode. Lines in a foreign vocabulary
+    /// (say, an older binary's checker journal) and torn garbage are
+    /// skipped silently.
     ///
     /// # Errors
     ///
@@ -244,18 +252,30 @@ impl MemoStore {
     pub fn open(dir: &Path) -> std::io::Result<MemoStore> {
         let log = Arc::new(SegmentedLog::open(dir, LogConfig::default())?);
         let mut state = StoreState::default();
-        for line in log.lines() {
-            let Some(rec) = Json::parse_flat(&line) else {
+        let mut diagnostics = Vec::new();
+        for (i, line) in log.lines().iter().enumerate() {
+            let Some(rec) = Json::parse_flat(line) else {
                 continue;
             };
-            if let Some(Ok(Some(memo_line))) = decode_memo_line(&rec) {
-                state.apply(&memo_line);
+            match decode_memo_line(&rec) {
+                Some(Ok(Some(memo_line))) => state.apply(&memo_line),
+                Some(Err(error)) => diagnostics.push(JournalDiagnostic::from_error(i, &error)),
+                Some(Ok(None)) | None => {}
             }
         }
         Ok(MemoStore {
             log,
             state: Mutex::new(state),
+            diagnostics,
+            sync_failures: AtomicU64::new(0),
         })
+    }
+
+    /// One diagnostic per line of the store's vocabulary that
+    /// [`MemoStore::open`] could not decode (malformed, or carrying a tag
+    /// this binary does not know); their chunks re-explore.
+    pub fn diagnostics(&self) -> &[JournalDiagnostic] {
+        &self.diagnostics
     }
 
     /// The underlying log (compacted with
@@ -264,9 +284,20 @@ impl MemoStore {
         Arc::clone(&self.log)
     }
 
-    /// Forces all appended records to stable storage.
+    /// Forces all appended records to stable storage. A failure counts as
+    /// a drop (the records may not survive a power cut) instead of
+    /// panicking.
     pub fn sync(&self) {
-        let _ = self.log.sync();
+        if self.log.sync().is_err() {
+            self.sync_failures.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Records dropped because of I/O failures since this store was
+    /// opened, failed [`MemoStore::sync`] checkpoints included. A
+    /// campaign reports the growth of this count over its own run.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.log.dropped() + self.sync_failures.load(Ordering::Relaxed)
     }
 
     /// The current memo generation: bumped whenever `begin` sees a new
@@ -320,8 +351,8 @@ impl MemoStore {
 
     /// Appends the record of the checked slab `start..end` of the pair
     /// fingerprinted by `fps`; it supersedes any earlier record for
-    /// `run_key`. The campaign calls this once per chunk, when it
-    /// journals the chunk.
+    /// `run_key`. The campaign calls this once per checked chunk, after
+    /// the chunk's step-budget check.
     pub(crate) fn record(
         &self,
         run_key: u64,
@@ -719,6 +750,48 @@ mod tests {
             .collect()
     }
 
+    /// Appends `lines` to a fresh [`SegmentedLog`] in `dir` under a seeded
+    /// schedule — a random segment size and `delete_limit`, budgeted
+    /// [`SegmentedLog::compact`] calls between appends, the log sometimes
+    /// reopened from disk first — and checks after every call, and after
+    /// a final seal-and-drain, that `decode` reads the compacted log
+    /// exactly as it reads the lines appended so far.
+    fn assert_compaction_is_invisible<T: PartialEq + std::fmt::Debug>(
+        rng: &mut SplitMix64,
+        dir: &Path,
+        lines: &[String],
+        decode: impl Fn(&[String]) -> T,
+    ) {
+        let _ = std::fs::remove_dir_all(dir);
+        let cfg = LogConfig {
+            max_segment_bytes: 96 * rng.range_u64(1, 9),
+        };
+        let delete_limit = rng.range_u64(0, 4) as usize;
+        let mut log = SegmentedLog::open(dir, cfg).unwrap();
+        let check = |log: &SegmentedLog, appended: usize| {
+            assert_eq!(
+                decode(&log.lines()),
+                decode(&lines[..appended]),
+                "{cfg:?}, delete_limit {delete_limit}, after {appended} of {lines:#?}"
+            );
+        };
+        for n in 1..=lines.len() {
+            log.append(&lines[n - 1]);
+            if rng.range_u64(0, 3) == 0 {
+                if rng.range_u64(0, 2) == 0 {
+                    drop(log);
+                    log = SegmentedLog::open(dir, cfg).unwrap();
+                }
+                log.compact(classify_memo_lines, delete_limit).unwrap();
+                check(&log, n);
+            }
+        }
+        log.seal().unwrap();
+        while !log.compact(classify_memo_lines, delete_limit).unwrap().done {}
+        check(&log, lines.len());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn compaction_under_any_schedule_is_invisible_to_restore() {
         let fps = fake_fps();
@@ -727,13 +800,9 @@ mod tests {
         let mut rng = SplitMix64::new(0x5EED_0009);
         for _ in 0..120 {
             let lines = random_memo_lines(&mut rng);
-            crate::campaign::tests::assert_compaction_is_invisible(
-                &mut rng,
-                &dir,
-                &lines,
-                classify_memo_lines,
-                |lines| observable(&store_from_lines(&decoded, lines), &fps, &keys),
-            );
+            assert_compaction_is_invisible(&mut rng, &dir, &lines, |lines| {
+                observable(&store_from_lines(&decoded, lines), &fps, &keys)
+            });
         }
         let _ = std::fs::remove_dir_all(&decoded);
     }

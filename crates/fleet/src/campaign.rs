@@ -804,7 +804,11 @@ impl Campaign {
             }
         }
         let failed_runs = failures.len() as u64;
-        let dropped_records = account_dropped(&*sink, self.journal.as_deref(), &mut failures);
+        let dropped_records = account_dropped(
+            &*sink,
+            self.journal.as_deref().map_or(0, Journal::dropped),
+            &mut failures,
+        );
 
         let mut totals = Metrics::default();
         let mut item_wall = Histogram::new();

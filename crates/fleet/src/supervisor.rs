@@ -45,7 +45,6 @@ use gecko_isa::rng::{SplitMix64, GOLDEN_GAMMA};
 use gecko_sim::report::Value;
 use gecko_sim::Metrics;
 
-use crate::journal::Journal;
 use crate::telemetry::{Event, TelemetrySink};
 
 /// Panic-payload prefix that marks a failure as *transient* (retryable):
@@ -360,15 +359,16 @@ pub enum RunFailure {
     },
 }
 
-/// Sums the records `sink` and `journal` dropped over a campaign. When
-/// any were, emits one `sink_dropped` event and records one
+/// Sums the records `sink` dropped over a campaign and the `store_drops`
+/// its durable store (run journal or memo store) dropped. When any were,
+/// emits one `sink_dropped` event and records one
 /// [`RunFailure::SinkDropped`] in `failures`. Returns the sum.
 pub fn account_dropped(
     sink: &dyn TelemetrySink,
-    journal: Option<&Journal>,
+    store_drops: u64,
     failures: &mut Vec<RunFailure>,
 ) -> u64 {
-    let dropped = sink.dropped_records() + journal.map_or(0, Journal::dropped);
+    let dropped = sink.dropped_records() + store_drops;
     if dropped > 0 {
         sink.emit(Event::new(
             "sink_dropped",

@@ -3,25 +3,27 @@
 //! and every job's state survives a daemon restart.
 //!
 //! On-disk layout, one directory per job under the configured journal
-//! root:
+//! root, plus one shared memo store per incrementally checked spec:
 //!
 //! ```text
 //! job-<id>/
 //!   job.json         submission envelope (kind, workers, halt_after, incremental, spec)
-//!   journal/         segmented fleet run journal — the resume checkpoint
-//!     seg-000000.jsonl ...
+//!   journal/         the resume checkpoint: a sweep's fleet run journal, or a
+//!     seg-000000.jsonl ...   non-incremental check's job-local memo store
 //!   telemetry/       segmented event log, append-only across sessions
 //!     seg-000000.jsonl ...
 //!   result.json      full report document (written only when Done)
 //!   result.det.json  deterministic report document (written only when Done)
 //!   state.json       terminal non-Done marker (Cancelled / Failed)
+//! memo/<key>/        an incremental check's memo store, shared by every job
+//!   seg-000000.jsonl ...   of the same spec (such jobs create no journal/)
 //! ```
 //!
-//! Journal and telemetry are [`gecko_store::SegmentedLog`]s: sealed
-//! segments are fsynced, a torn active tail is repaired (and counted) on
-//! open, and a legacy flat `journal.jsonl` from an older daemon is
-//! moved into `journal/` as its first segment when the job next runs, so
-//! it still resumes. A background thread GCs finished `job-<id>/`
+//! Journal, memo and telemetry logs are [`gecko_store::SegmentedLog`]s:
+//! sealed segments are fsynced, a torn active tail is repaired (and
+//! counted) on open, and a legacy flat `journal.jsonl` from an older
+//! daemon is moved into `journal/` as its first segment when the job next
+//! runs, so it still resumes. A background thread GCs finished `job-<id>/`
 //! directories under the configured retention policy (`retain_jobs` /
 //! `retain_bytes` / `retain_age_secs`), at most `prune_delete_limit`
 //! deletions per tick; the policy is re-derived from the jobs table each
@@ -33,8 +35,9 @@
 //! Cancelled/Failed, anything else (a torn `result.json` included) means
 //! the job was interrupted (daemon killed, graceful shutdown, or
 //! `halt_after`) and goes back on the queue — [`Campaign::resume`] skips
-//! the journaled runs and the merged report is bit-exact against an
-//! uninterrupted run.
+//! the journaled runs, a check restores the chunks its memo store
+//! recorded, and the merged report is bit-exact against an uninterrupted
+//! run.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -42,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use gecko_check::{classify_memo_lines, CheckCampaign, MemoStore};
+use gecko_check::{classify_memo_lines, CheckCampaign, CheckSpec, MemoStore};
 use gecko_fleet::fnv::{fnv_bytes, FNV_OFFSET};
 use gecko_fleet::json::Json;
 use gecko_fleet::spec_io;
@@ -978,9 +981,9 @@ fn write_state_file(dir: &Path, state: &str, error: Option<&str>) {
 
 /// Writes `dir/name` atomically: to a temporary file first, then renamed
 /// over the target, so readers and the restart scan see the old file or
-/// the whole new one, never a torn prefix. No fsync: the journal, synced
-/// when the pool drains, is the durable record a lost file is rebuilt
-/// from.
+/// the whole new one, never a torn prefix. No fsync: the journal or memo
+/// store, synced when the pool drains, is the durable record a lost file
+/// is rebuilt from.
 fn publish(dir: &Path, name: &str, contents: &str) -> std::io::Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
     std::fs::write(&tmp, contents)?;
@@ -1141,44 +1144,59 @@ fn memo_key(text: &str) -> u64 {
     fnv_bytes(FNV_OFFSET, text.as_bytes())
 }
 
-/// Opens a job's segmented journal. A flat `journal.jsonl` written by an
+/// A job's `journal/` log directory. A flat `journal.jsonl` written by an
 /// older daemon is first moved in as `journal/seg-000000.jsonl` when the
 /// log has no segments yet; opening the log repairs its torn tail.
-fn open_journal(job_dir: &Path) -> std::io::Result<Journal> {
+fn journal_dir(job_dir: &Path) -> std::io::Result<PathBuf> {
     let dir = job_dir.join("journal");
     let legacy = job_dir.join("journal.jsonl");
     if legacy.exists() && log_dir_stats(&dir).0 == 0 {
         std::fs::create_dir_all(&dir)?;
         std::fs::rename(&legacy, dir.join("seg-000000.jsonl"))?;
     }
-    Journal::open_segmented(&dir, LogConfig::default())
+    Ok(dir)
+}
+
+/// Opens the memo store a check job records its chunks in and resumes
+/// from. Incremental jobs use the daemon's shared store for the spec,
+/// `<root>/memo/<key>/` (DESIGN.md §18), and create no `journal/`; when
+/// that store fails to open they fall back to a job-local one, so the run
+/// is cold but can still resume. Other jobs keep a job-local store in
+/// `job-<id>/journal/`.
+fn open_check_store(job: &Job, spec: &CheckSpec) -> Result<Arc<MemoStore>, String> {
+    if job.incremental {
+        if let Some(root) = job.dir.parent() {
+            let key = memo_key(&wire::check_spec_value(spec).encode());
+            let dir = root.join("memo").join(format!("{key:016x}"));
+            if let Ok(store) = MemoStore::open(&dir) {
+                return Ok(Arc::new(store));
+            }
+        }
+    }
+    journal_dir(&job.dir)
+        .and_then(|dir| MemoStore::open(&dir))
+        .map(Arc::new)
+        .map_err(|e| format!("opening journal: {e}"))
 }
 
 /// Runs one job to a stopped state, writing its terminal files.
 fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
     job.set_state(JobState::Running, None, None);
-    let journal = match open_journal(&job.dir) {
-        Ok(j) => Arc::new(j),
-        Err(e) => {
-            let msg = format!("opening journal: {e}");
-            write_state_file(&job.dir, "failed", Some(&msg));
-            job.set_state(JobState::Failed, Some(msg), None);
-            job.sink.close();
-            return;
-        }
-    };
     let sink: Arc<dyn TelemetrySink> = job.sink.clone();
 
     // Outcome of the run, normalized across sweep/check:
     // Ok((complete, digest, full_doc, det_doc)) or Err(message).
     let outcome: Result<(bool, u64, String, String), String> = match job.kind {
-        JobKind::Sweep => spec_io::spec_from_value(&job.spec, "")
-            .map_err(|e| format!("invalid campaign spec: {e}"))
-            .and_then(|spec| {
+        JobKind::Sweep => journal_dir(&job.dir)
+            .and_then(|dir| Journal::open_segmented(&dir, LogConfig::default()))
+            .map_err(|e| format!("opening journal: {e}"))
+            .and_then(|journal| {
+                let spec = spec_io::spec_from_value(&job.spec, "")
+                    .map_err(|e| format!("invalid campaign spec: {e}"))?;
                 let mut campaign = Campaign::new(spec)
                     .workers(job.workers)
                     .sink(sink)
-                    .resume(journal)
+                    .resume(Arc::new(journal))
                     .kill_switch(Arc::clone(&job.stop));
                 if let Some(n) = job.halt_after {
                     campaign = campaign.halt_after(n);
@@ -1194,28 +1212,12 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
         JobKind::Check => wire::check_spec_from_value(&job.spec, "")
             .map_err(|e| format!("invalid check spec: {e}"))
             .and_then(|spec| {
-                // Incremental mode: a durable memo store keyed by the
-                // canonical spec document, shared across every job (and
-                // daemon session) checking the same spec. Opened
-                // best-effort — a store that fails to open just means a
-                // cold run.
-                let memo: Option<Arc<MemoStore>> = if job.incremental {
-                    job.dir.parent().and_then(|root| {
-                        let key = memo_key(&wire::check_spec_value(&spec).encode());
-                        let dir = root.join("memo").join(format!("{key:016x}"));
-                        MemoStore::open(&dir).ok().map(Arc::new)
-                    })
-                } else {
-                    None
-                };
+                let store = open_check_store(job, &spec)?;
                 let mut campaign = CheckCampaign::new(spec)
                     .workers(job.workers)
                     .sink(sink)
-                    .resume(journal)
+                    .memo(Arc::clone(&store))
                     .kill_switch(Arc::clone(&job.stop));
-                if let Some(store) = &memo {
-                    campaign = campaign.memo(Arc::clone(store));
-                }
                 if let Some(n) = job.halt_after {
                     campaign = campaign.halt_after(n);
                 }
@@ -1223,11 +1225,9 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
                 // Budgeted compaction of the memo log, after the run so
                 // the sealed segments it rewrites already hold this run's
                 // flushed records.
-                if let Some(store) = memo {
-                    let _ = store
-                        .log()
-                        .compact(classify_memo_lines, cfg.prune_delete_limit);
-                }
+                let _ = store
+                    .log()
+                    .compact(classify_memo_lines, cfg.prune_delete_limit);
                 Ok((
                     !report.halted,
                     report.deterministic_digest(),
@@ -1788,6 +1788,126 @@ mod tests {
         assert_eq!(
             det,
             std::fs::read_to_string(cold.dir.join("result.det.json")).unwrap()
+        );
+        queue.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A violating check spec of three 4-window chunks, and the
+    /// deterministic document of its uninterrupted in-process run.
+    fn chunked_check_spec() -> (Json, String) {
+        let spec = Json::parse(
+            r#"{"name":"resume-check","apps":["crc16"],"schemes":["gecko"],
+                "explore":{"depth":2,"fault_windows":true,"max_windows":12,"seed":1},
+                "chunk_windows":4}"#,
+        )
+        .unwrap();
+        let report = CheckCampaign::new(wire::check_spec_from_value(&spec, "").unwrap())
+            .run()
+            .unwrap();
+        assert!(!report.is_clean(), "violations exercise the re-proof");
+        (spec, wire::check_report_deterministic_json(&report))
+    }
+
+    #[test]
+    fn halted_check_jobs_resume_after_restart_to_the_uninterrupted_document() {
+        let (spec, reference) = chunked_check_spec();
+        for incremental in [false, true] {
+            let cfg = test_config(&format!("check-resume-{incremental}"));
+            let root = cfg.journal_root.clone();
+            let queue = Queue::start(cfg.clone()).unwrap();
+            let sub = wire::Submission {
+                spec: spec.clone(),
+                workers: Some(2),
+                halt_after: Some(1),
+                incremental,
+            };
+            let job = queue.submit(JobKind::Check, sub).unwrap();
+            assert_eq!(
+                job.wait_stopped(Duration::from_secs(120)),
+                JobState::Interrupted
+            );
+            let id = job.id;
+            queue.shutdown();
+            drop(queue);
+
+            // "Restart": the job resumes from its memo store alone.
+            let queue = Queue::start(cfg).unwrap();
+            let job = queue.job(id).expect("job restored");
+            assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+            let status = job.status_value();
+            assert_eq!(
+                status.get("items_resumed").and_then(Json::as_u64),
+                Some(1),
+                "incremental={incremental}"
+            );
+            assert_eq!(
+                std::fs::read_to_string(job.dir.join("result.det.json")).unwrap(),
+                reference,
+                "incremental={incremental}"
+            );
+            // Incremental jobs record into the shared store only.
+            assert_eq!(job.dir.join("journal").exists(), !incremental);
+            assert_eq!(root.join("memo").exists(), incremental);
+            queue.shutdown();
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn an_old_chunk_done_journal_is_ignored_and_the_job_re_explores() {
+        let cfg = test_config("chunk-done");
+        let root = cfg.journal_root.clone();
+        let (spec, reference) = chunked_check_spec();
+
+        // The chunks' real run keys, read off a memo store's slab lines.
+        let keys_dir = root.join("keys");
+        let store = Arc::new(MemoStore::open(&keys_dir).unwrap());
+        CheckCampaign::new(wire::check_spec_from_value(&spec, "").unwrap())
+            .memo(Arc::clone(&store))
+            .run()
+            .unwrap();
+        let keys: Vec<u64> = store
+            .log()
+            .lines()
+            .iter()
+            .filter_map(|line| {
+                let rec = Json::parse(line).ok()?;
+                let slab = rec.get("kind")?.as_str()? == "memo_slab";
+                slab.then(|| rec.get("run_key")?.as_u64())?
+            })
+            .collect();
+        assert_eq!(keys.len(), 3);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&keys_dir);
+
+        // A job directory as a daemon with the checker journal left it,
+        // halted after two chunks: a header and two `chunk_done` lines
+        // under the real run keys, with counters that would corrupt the
+        // report if anything still trusted them.
+        let dir = root.join("job-7");
+        let log = SegmentedLog::open(&dir.join("journal"), LogConfig::default()).unwrap();
+        log.append(&gecko_fleet::journal::encode_header("resume-check", 0x5EED));
+        for (item, key) in keys.iter().take(2).enumerate() {
+            log.append(&format!(
+                r#"{{"kind":"chunk_done","run_key":{key},"item":{item},"windows":999,"forks":1,"explored":1,"memo_hits":0,"steps":1,"violations":0,"viols":""}}"#
+            ));
+        }
+        drop(log);
+        let envelope = format!(
+            r#"{{"id":7,"kind":"check","workers":1,"halt_after":2,"incremental":false,"spec":{}}}"#,
+            spec.encode()
+        );
+        std::fs::write(dir.join("job.json"), envelope).unwrap();
+
+        let queue = Queue::start(cfg).unwrap();
+        let job = queue.job(7).expect("old check job restored");
+        assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        let status = job.status_value();
+        assert_eq!(status.get("items_resumed").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            std::fs::read_to_string(dir.join("result.det.json")).unwrap(),
+            reference
         );
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);

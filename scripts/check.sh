@@ -30,7 +30,8 @@ GECKO_QUICK=1 cargo test --offline --workspace -q
 echo "==> checker smoke (exhaustive model check, capped windows)"
 GECKO_QUICK=1 cargo run --offline --release --example check
 
-echo "==> chaos smoke (supervised campaign: quarantine, retry, kill + resume)"
+echo "==> chaos smoke (supervised campaigns: quarantine, retry, kill + resume — sweeps from"
+echo "    their run journal, checks from their memo store)"
 cargo test --offline --release -q -p gecko-fleet --test supervision
 cargo test --offline --release -q -p gecko-check --test supervision
 cargo run --offline --release --example campaign -- --chaos --resume --drain --prune
@@ -54,9 +55,9 @@ GECKO_QUICK=1 cargo test --offline --release -q -p gecko-check --test faults
 GECKO_QUICK=1 cargo test --offline --release -q -p gecko-fleet --test faults
 cargo run --offline --release --example fault_lab
 
-echo "==> incremental smoke (persistent memo store: one record per checked chunk, warm re-checks"
-echo "    byte-identical even with quarantined chunks, worker-count and kill-resume"
-echo "    digest-invariant, change-driven invalidation)"
+echo "==> incremental smoke (persistent memo store: the one record per checked chunk, which warm"
+echo "    re-checks and kill-resume both restore from; byte-identical even with quarantined"
+echo "    chunks, worker-count and kill-resume digest-invariant, change-driven invalidation)"
 GECKO_QUICK=1 cargo test --offline --release -q -p gecko-check --test incremental
 
 echo "==> benchmark self-test (the served end-to-end benchmark builds and its unit tests pass"
