@@ -963,11 +963,16 @@ fn bench_checker(rows: &mut Vec<BenchRow>, quick: bool) {
     );
 
     // Drains that stop at their first region commit because an earlier
-    // drain of the chunk committed into the same state. Deterministic:
-    // the floor sits below the share measured on both grid sizes (about
-    // 0.04 under GECKO, 0.055-0.09 without pruning).
+    // drain of the chunk committed into a state with the same drain hash.
+    // Deterministic: each floor sits just below the share measured on
+    // both grid sizes (120 / 400 windows: Ratchet 0.571 / 0.727, GECKO
+    // 0.962 / 0.974, without pruning 0.964 / 0.975).
     let mut table = Vec::new();
-    for scheme in [SchemeKind::Gecko, SchemeKind::GeckoNoPrune] {
+    for (scheme, floor) in [
+        (SchemeKind::Ratchet, 0.55),
+        (SchemeKind::Gecko, 0.95),
+        (SchemeKind::GeckoNoPrune, 0.95),
+    ] {
         let spec = CheckSpec::new("bench_checker_joins")
             .apps([app.clone()])
             .schemes([scheme])
@@ -982,7 +987,7 @@ fn bench_checker(rows: &mut Vec<BenchRow>, quick: bool) {
             format!("{share:.3}"),
         ]);
         assert!(
-            share >= 0.03,
+            share >= floor,
             "{}: only {joins} of {explored} explored drains joined at a region commit",
             scheme.name()
         );

@@ -80,6 +80,16 @@ impl JitArea {
         self.base
     }
 
+    /// The area's boot-only words: all of it. The boot protocol reads
+    /// them ([`JitArea::try_restore`], [`JitArea::boot_check_and_record`]).
+    /// A checkpoint reads the recorded ACK ([`JitArea::begin_checkpoint`]),
+    /// but it ends in a shutdown the device only leaves by booting. A
+    /// runtime that re-arms the ACK check while running calls
+    /// `boot_check_and_record` only to rewrite the recorded ACK.
+    pub fn boot_only(&self) -> std::ops::Range<u32> {
+        self.base..self.base + Self::SIZE_WORDS
+    }
+
     /// Starts a checkpoint of `regs`/`pc`. The first action (performed
     /// immediately, costing one NVM write) invalidates the stored
     /// checkpoint; the payload then flows through

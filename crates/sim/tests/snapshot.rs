@@ -6,6 +6,8 @@
 //! injected failures, spoofed signals) before rewinding.
 
 use gecko_isa::{SplitMix64, Word};
+use gecko_mcu::FaultEffect;
+use gecko_sim::device::NVM_WORDS;
 use gecko_sim::{SchemeKind, SimConfig, SimSnapshot, Simulator};
 
 /// A seeded diversity of physical configurations: scheme, capacitance and
@@ -203,6 +205,55 @@ fn assert_hash_is_full_scan(sim: &Simulator, what: &str) {
     }
 }
 
+/// The NVM words `drain_hash()` reads as zero, written out from the
+/// runtime-area layouts (GECKO area at `NVM_WORDS - 160`, JIT area at
+/// `NVM_WORDS - 64`, Ratchet's at `NVM_WORDS - 256`) rather than taken from
+/// the areas' own `boot_only` ranges.
+fn boot_only_words() -> Vec<u32> {
+    let (gecko, jit, ratchet) = (NVM_WORDS - 160, NVM_WORDS - 64, NVM_WORDS - 256);
+    // The crossings stamp, the boot record, then `ON_CYCLES` and the 48
+    // checkpoint slots.
+    let mut words = vec![gecko + 1, gecko + 3, gecko + 4];
+    words.extend((6..55).map(|o| gecko + o));
+    // The whole JIT area, and Ratchet's two 16-register buffers.
+    words.extend((0..21).map(|o| jit + o));
+    words.extend((1..33).map(|o| ratchet + o));
+    words
+}
+
+/// `drain_hash()` is the full scan of the image with the boot-only words
+/// zeroed, continuing the volatile fold `state_hash()` starts from minus
+/// its two fault counters, and it writes nothing.
+///
+/// Peeling the masked scan off `drain_hash()` gives the volatile fold `v`;
+/// eating the two fault counters and a full scan of the real image into
+/// `v` must give `state_hash()`.
+fn assert_drain_hash_is_masked_full_scan(sim: &Simulator, what: &str) {
+    let nvm = sim.nvm();
+    let before: (Vec<u32>, u64) = (nvm.touched_pages().collect(), nvm.write_count());
+    let d = sim.drain_hash();
+    assert_eq!(
+        (nvm.touched_pages().collect(), nvm.write_count()),
+        before,
+        "{what}: drain_hash wrote"
+    );
+    let mut masked = nvm.words().to_vec();
+    for w in boot_only_words() {
+        masked[w as usize] = 0;
+    }
+    let volatile = peel_full_scan(d, &masked);
+    let eat = |h: u64, v: u64| (h ^ v).wrapping_mul(FNV_PRIME);
+    let counted = eat(
+        eat(volatile, sim.metrics.fault_skips),
+        sim.metrics.fault_corruptions,
+    );
+    assert_eq!(
+        full_scan(counted, nvm.words()),
+        sim.state_hash(),
+        "{what}: drain hash != masked full scan"
+    );
+}
+
 /// What a snapshot buffer was last filled with.
 struct Filled {
     hash: u64,
@@ -211,8 +262,8 @@ struct Filled {
 
 /// Random runs, injections, `snapshot_into` and `restore` on crc16, blink
 /// and bitcnt under every scheme. Every state must hash like the full
-/// scan, and every restore must land on exactly what its buffer was
-/// filled with. One buffer starts out filled from a simulator of another
+/// scan (the drain hash like the masked one), and every restore must land
+/// on exactly what its buffer was filled with. One buffer starts out filled from a simulator of another
 /// app, and both are refilled over divergent states, so `clone_from`
 /// keeps meeting touched sets it did not produce.
 #[test]
@@ -239,9 +290,15 @@ fn snapshot_into_and_restore_keep_the_full_scan_hash() {
             for op in 0..ops {
                 let what = format!("{} {scheme} op {op}", app.name);
                 let b = rng.range_u64(0, 2) as usize;
-                match rng.range_u64(0, 8) {
+                match rng.range_u64(0, 9) {
                     0 | 1 => {
                         sim.run_steps(rng.range_u64(1, 5_000));
+                    }
+                    8 => {
+                        // A skip leaves the fault counted but the state
+                        // otherwise plain.
+                        sim.inject_instruction_fault(FaultEffect::Skip);
+                        sim.run_steps(1);
                     }
                     2 => sim.inject_power_failure(),
                     3 => {
@@ -264,7 +321,97 @@ fn snapshot_into_and_restore_keep_the_full_scan_hash() {
                     }
                 }
                 assert_hash_is_full_scan(&sim, &what);
+                assert_drain_hash_is_masked_full_scan(&sim, &what);
             }
         }
+    }
+}
+
+/// crc16 under `scheme` on the bench supply with `value` preloaded at
+/// NVM word `addr` (through the data image, so it is there from reset).
+fn poked(scheme: SchemeKind, poke: Option<(u32, Word)>) -> Simulator {
+    let mut app = gecko_apps::app_by_name("crc16").unwrap();
+    app.image
+        .extend(poke.map(|(addr, value)| (addr, vec![value])));
+    Simulator::new(&app, SimConfig::bench_supply(scheme)).unwrap()
+}
+
+/// States that differ only in boot-only words share a drain hash, and
+/// keep sharing it while they run without booting; a difference anywhere
+/// else (the region, mode and reload words, Ratchet's commit word, the
+/// words next to the areas, a register) tells them apart.
+#[test]
+fn drain_hash_ignores_exactly_the_boot_only_words() {
+    let quick = std::env::var_os("GECKO_QUICK").is_some();
+    let (laps, lap) = if quick { (2, 500) } else { (4, 1_500) };
+    for scheme in SchemeKind::all() {
+        let mut plain = poked(scheme, None);
+        let mut pokes: Vec<Simulator> = boot_only_words()
+            .into_iter()
+            .map(|addr| poked(scheme, Some((addr, 0x5a5a))))
+            .collect();
+        for lap_no in 0..=laps {
+            for (sim, addr) in pokes.iter().zip(boot_only_words()) {
+                let what = format!("{scheme} word {addr:#x} lap {lap_no}");
+                assert_eq!(sim.metrics.reboots, 0, "{what}: bench supply");
+                assert_eq!(sim.drain_hash(), plain.drain_hash(), "{what}");
+                // The reload writes the poked image's extra word, so only
+                // the energy and cycle counts may differ.
+                let outcome = |s: &Simulator| (s.metrics.completions, s.metrics.checksum_errors);
+                assert_eq!(outcome(sim), outcome(&plain), "{what}: the runs agree");
+            }
+            plain.run_steps(lap);
+            for sim in &mut pokes {
+                sim.run_steps(lap);
+            }
+        }
+        // Nothing in NVP's boot provisioning rewrites a poked word, so
+        // the full state hash sees each poke.
+        if scheme == SchemeKind::Nvp {
+            let fresh = poked(scheme, None);
+            for addr in boot_only_words() {
+                let sim = poked(scheme, Some((addr, 0x5a5a)));
+                assert_ne!(sim.state_hash(), fresh.state_hash(), "{addr:#x}");
+            }
+        }
+    }
+
+    let (gecko, jit, ratchet) = (NVM_WORDS - 160, NVM_WORDS - 64, NVM_WORDS - 256);
+    let fresh = poked(SchemeKind::Nvp, None);
+    let kept = [
+        gecko,      // committed region
+        gecko + 2,  // mode
+        gecko + 5,  // reload flag
+        gecko + 55, // past the GECKO area
+        jit - 1,
+        jit + 21,
+        ratchet,      // commit word
+        ratchet + 33, // past the buffers
+        ratchet - 1,
+    ];
+    for addr in kept {
+        let sim = poked(SchemeKind::Nvp, Some((addr, 0x5a5a)));
+        assert_ne!(sim.drain_hash(), fresh.drain_hash(), "word {addr:#x}");
+    }
+
+    // A corrupted instruction that writes a register and nothing else.
+    let mut k = 0;
+    loop {
+        let (mut a, mut b) = (
+            poked(SchemeKind::Gecko, None),
+            poked(SchemeKind::Gecko, None),
+        );
+        a.run_steps(k);
+        b.run_steps(k);
+        b.inject_instruction_fault(FaultEffect::OpcodeCorrupt);
+        a.step_one();
+        b.step_one();
+        if a.nvm().words() == b.nvm().words() && a.pc() == b.pc() {
+            assert_ne!(a.state_hash(), b.state_hash());
+            assert_ne!(a.drain_hash(), b.drain_hash(), "a register at step {k}");
+            break;
+        }
+        k += 1;
+        assert!(k < 200, "no register-only corruption in 200 steps");
     }
 }
