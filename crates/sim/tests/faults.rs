@@ -9,11 +9,14 @@
 //!   matches the per-instruction reference exactly (the fault-edge bail
 //!   is observationally invisible);
 //! * a fault window covering an active span forces the scalar path — no
-//!   instruction may retire coalesced while a fault could land on it.
+//!   instruction may retire coalesced while a fault could land on it;
+//! * a one-shot fault armed by point injection dies with a crash or a
+//!   shutdown that comes before its instruction retires.
 
 use gecko_emi::attack::DpiPoint;
 use gecko_emi::fault::{FaultModel, FaultSchedule, TimedFault};
 use gecko_emi::{AttackSchedule, EmiSignal, Injection};
+use gecko_mcu::FaultEffect;
 use gecko_sim::{ExecMode, SchemeKind, SimConfig, Simulator};
 
 fn quick() -> bool {
@@ -200,4 +203,40 @@ fn fault_window_covering_a_span_forces_the_scalar_path() {
         faulted.fast_path_stats()
     );
     assert!(faulted.metrics.fault_skips > 0, "{:?}", faulted.metrics);
+}
+
+#[test]
+fn a_crash_before_the_faulted_instruction_disarms_the_fault() {
+    // A `+0` crash after an armed one-shot fault: the instruction the
+    // pulse aimed at never retires, so nothing after the reboot may
+    // suffer the fault. Without the crash the next instruction does.
+    let app = gecko_apps::app_by_name("crc16").unwrap();
+    for scheme in SchemeKind::all() {
+        for fault in [FaultEffect::Skip, FaultEffect::OpcodeCorrupt] {
+            let mut sim = Simulator::new(&app, SimConfig::bench_supply(scheme)).unwrap();
+            sim.run_steps(500);
+            let armed = sim.snapshot();
+            sim.inject_instruction_fault(fault);
+            sim.run_steps(1);
+            let hits = sim.metrics.fault_skips + sim.metrics.fault_corruptions;
+            assert_eq!(hits, 1, "{scheme} {fault:?}: the next instruction is hit");
+            for name in ["power failure", "spoofed checkpoint"] {
+                sim.restore(&armed);
+                sim.inject_instruction_fault(fault);
+                if name == "power failure" {
+                    sim.inject_power_failure();
+                } else {
+                    sim.inject_spoofed_checkpoint();
+                }
+                assert!(!sim.is_on(), "{scheme} {name}: the device stops");
+                sim.run_steps(20_000);
+                assert!(sim.metrics.reboots >= 1, "{scheme} {name}: it boots again");
+                assert_eq!(
+                    (sim.metrics.fault_skips, sim.metrics.fault_corruptions),
+                    (0, 0),
+                    "{scheme} {fault:?} then {name}: the fault survived the crash"
+                );
+            }
+        }
+    }
 }
