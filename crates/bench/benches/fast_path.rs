@@ -812,8 +812,8 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
 }
 
 /// Section 7: `gecko-serve` submit→complete overhead. The same quick grid
-/// through the daemon (HTTP submit, long-poll, result fetch, journal +
-/// telemetry files) vs the direct library call; serving must add < 10%.
+/// through the daemon (HTTP submit, long-poll, result fetch, the one job
+/// log) vs the direct library call; serving must add < 10%.
 ///
 /// Direct and served runs are timed in adjacent pairs ([`time_pairs`])
 /// and the gate reads the median per-pair ratio.

@@ -240,17 +240,24 @@ pub struct MemoStore {
 }
 
 impl MemoStore {
-    /// Opens (or creates) the store in `dir`, replaying every decodable
-    /// record and keeping one [`JournalDiagnostic`] per line of the
-    /// store's vocabulary it cannot decode. Lines in a foreign vocabulary
-    /// (say, an older binary's checker journal) and torn garbage are
-    /// skipped silently.
+    /// Opens (or creates) the store in `dir`: [`MemoStore::from_log`] on
+    /// a fresh [`SegmentedLog`] there.
     ///
     /// # Errors
     ///
     /// Propagates the underlying [`SegmentedLog::open`] I/O error.
     pub fn open(dir: &Path) -> std::io::Result<MemoStore> {
-        let log = Arc::new(SegmentedLog::open(dir, LogConfig::default())?);
+        let log = SegmentedLog::open(dir, LogConfig::default())?;
+        Ok(MemoStore::from_log(Arc::new(log)))
+    }
+
+    /// The store over an open `log`, replaying every decodable record and
+    /// keeping one [`JournalDiagnostic`] per line of the store's
+    /// vocabulary it cannot decode. Lines in a foreign vocabulary (say,
+    /// an older binary's checker journal, or the lines a served job's log
+    /// shares with its memo records) and torn garbage are skipped
+    /// silently.
+    pub fn from_log(log: Arc<SegmentedLog>) -> MemoStore {
         let mut state = StoreState::default();
         let mut diagnostics = Vec::new();
         for (i, line) in log.lines().iter().enumerate() {
@@ -263,16 +270,16 @@ impl MemoStore {
                 Some(Ok(None)) | None => {}
             }
         }
-        Ok(MemoStore {
+        MemoStore {
             log,
             state: Mutex::new(state),
             diagnostics,
             sync_failures: AtomicU64::new(0),
-        })
+        }
     }
 
     /// One diagnostic per line of the store's vocabulary that
-    /// [`MemoStore::open`] could not decode (malformed, or carrying a tag
+    /// [`MemoStore::from_log`] could not decode (malformed, or carrying a tag
     /// this binary does not know); their chunks re-explore.
     pub fn diagnostics(&self) -> &[JournalDiagnostic] {
         &self.diagnostics

@@ -19,9 +19,9 @@ pub struct ServeConfig {
     /// Cap on per-job simulation workers.
     pub max_job_workers: usize,
     /// Root directory for job state: one `job-<id>/` directory per job
-    /// holding `job.json`, segmented `journal/` + `telemetry/` logs, and
-    /// the terminal `result.json`/`state.json`. Scanned at boot to reload
-    /// the queue.
+    /// holding its segmented `journal/` log (envelope, run records or
+    /// memo slabs, events, terminal line), plus the shared `memo/<key>/`
+    /// stores of incremental checks. Scanned at boot to reload the queue.
     pub journal_root: PathBuf,
     /// Maximum jobs tracked at once (queued + running + finished).
     pub max_jobs: usize,

@@ -6,44 +6,38 @@
 //! root, plus one shared memo store per incrementally checked spec:
 //!
 //! ```text
-//! job-<id>/
-//!   job.json         submission envelope (kind, workers, halt_after, incremental, spec)
-//!   journal/         the resume checkpoint: a sweep's fleet run journal, or a
-//!     seg-000000.jsonl ...   non-incremental check's job-local memo store
-//!   telemetry/       segmented event log, append-only across sessions
-//!     seg-000000.jsonl ...
-//!   result.json      full report document (written only when Done)
-//!   result.det.json  deterministic report document (written only when Done)
-//!   state.json       terminal non-Done marker (Cancelled / Failed)
-//! memo/<key>/        an incremental check's memo store, shared by every job
-//!   seg-000000.jsonl ...   of the same spec (such jobs create no journal/)
+//! job-<id>/journal/      the job log, one segmented log of typed lines
+//!   seg-000000.jsonl ...
+//! memo/<key>/            an incremental check's memo store, shared by every job
+//!   seg-000000.jsonl ...   of the same spec
 //! ```
 //!
-//! Journal, memo and telemetry logs are [`gecko_store::SegmentedLog`]s:
-//! sealed segments are fsynced, a torn active tail is repaired (and
-//! counted) on open, and a legacy flat `journal.jsonl` from an older
-//! daemon is moved into `journal/` as its first segment when the job next
-//! runs, so it still resumes. A background thread GCs finished `job-<id>/`
-//! directories under the configured retention policy (`retain_jobs` /
-//! `retain_bytes` / `retain_age_secs`), at most `prune_delete_limit`
-//! deletions per tick; the policy is re-derived from the jobs table each
-//! tick, so nothing about it is persisted.
+//! The job log holds, in append order: an `envelope` line (kind, workers,
+//! halt_after, incremental, and the spec document as a string); a sweep's
+//! run records, or a non-incremental check's memo slabs; the telemetry
+//! events; and one terminal line, `result` (the digest plus the full and
+//! deterministic documents as strings) or `state` (Cancelled or Failed,
+//! with its error). Every line decodes with `Json::parse_flat`, so the
+//! run-journal and memo decoders keep the others' lines as foreign
+//! vocabulary. A background thread GCs finished `job-<id>/` directories
+//! under the configured retention policy (`retain_jobs` / `retain_bytes`
+//! / `retain_age_secs`), at most `prune_delete_limit` deletions per tick;
+//! the policy is re-derived from the jobs table each tick, so nothing
+//! about it is persisted.
 //!
-//! The three terminal files are published atomically (temporary file,
-//! then rename). The restart scan derives state from the files alone: a
-//! `result.json` whose digest decodes means Done, `state.json` means
-//! Cancelled/Failed, anything else (a torn `result.json` included) means
-//! the job was interrupted (daemon killed, graceful shutdown, or
-//! `halt_after`) and goes back on the queue — [`Campaign::resume`] skips
-//! the journaled runs, a check restores the chunks its memo store
-//! recorded, and the merged report is bit-exact against an uninterrupted
-//! run.
+//! The restart scan reads each job log: the first envelope line names the
+//! job, a last line that decodes in full as a terminal line ends it, and
+//! anything else (a torn terminal line included) means the job was
+//! interrupted and goes back on the queue — [`Campaign::resume`] skips the
+//! journaled runs, a check restores the chunks its memo store recorded,
+//! and the merged report is bit-exact against an uninterrupted run. An
+//! older daemon's job directory migrates in place (`migrate_legacy`).
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, SystemTime};
 
 use gecko_check::{classify_memo_lines, CheckCampaign, CheckSpec, MemoStore};
 use gecko_fleet::fnv::{fnv_bytes, FNV_OFFSET};
@@ -52,36 +46,34 @@ use gecko_fleet::spec_io;
 use gecko_fleet::supervisor::lock_unpoisoned;
 use gecko_fleet::telemetry::{Event, TelemetrySink};
 use gecko_fleet::{Campaign, Journal};
-use gecko_sim::report::Value;
+use gecko_sim::report::{json_kv, Value};
 use gecko_store::{Compaction, LogConfig, SegmentedLog};
 
 use crate::config::ServeConfig;
 use crate::wire;
 
 // ---------------------------------------------------------------------------
-// Job sink: bounded event ring + append-only file, long-poll wakeups
+// Job sink: bounded event ring + the job log, long-poll wakeups
 // ---------------------------------------------------------------------------
 
 /// Per-job telemetry sink: keeps the last `cap` events in a seq-numbered
 /// ring for the `/events` long-poll endpoint and appends every event to
-/// the job's segmented `telemetry/` log.
+/// the job log.
 ///
 /// `dropped_records()` is pinned to 0 on purpose: ring *eviction* is not
 /// a drop (the log retains everything), and reporting a nonzero count
 /// would append a `SinkDropped` failure to the report — which would break
 /// the served-vs-in-process digest equality this daemon is built around.
-/// Log-write failures are surfaced separately through
-/// [`JobSink::file_drops`] and the job status document.
+/// Log-write failures are counted by the job log and surfaced in the job
+/// status document.
 pub struct JobSink {
     cap: usize,
     state: Mutex<SinkState>,
     cond: Condvar,
-    log: Option<Arc<SegmentedLog>>,
-    // Events emitted while the log itself failed to open; write failures
-    // on an open log are counted by the log.
-    open_drops: AtomicU64,
+    log: Arc<SegmentedLog>,
 }
 
+#[derive(Default)]
 struct SinkState {
     events: VecDeque<(u64, String)>,
     next_seq: u64,
@@ -116,76 +108,21 @@ pub struct EventBatch {
     pub next: u64,
     /// Events evicted from the ring since the job started (a client that
     /// sees `from < next - events.len() - evicted_gap` lost history; the
-    /// full stream is always in the `telemetry/` log).
+    /// full stream is always in the job log).
     pub evicted: u64,
     /// No more events will ever arrive (job reached a stopped state).
     pub closed: bool,
 }
 
 impl JobSink {
-    /// Creates a sink with a ring of `cap` events, appending to the
-    /// segmented log in `dir`.
-    pub fn new(cap: usize, dir: &Path) -> JobSink {
-        let log = SegmentedLog::open(dir, LogConfig::default())
-            .ok()
-            .map(Arc::new);
+    /// Creates a sink with a ring of `cap` events, appending to `log`.
+    pub fn new(cap: usize, log: Arc<SegmentedLog>) -> JobSink {
         JobSink {
             cap: cap.max(16),
-            state: Mutex::new(SinkState {
-                events: VecDeque::new(),
-                next_seq: 0,
-                evicted: 0,
-                done_items: 0,
-                total_items: None,
-                resumed: 0,
-                reproved: 0,
-                reprove_drains: 0,
-                drain_joins: 0,
-                closed: false,
-                diagnostics: Vec::new(),
-                diagnostics_total: 0,
-            }),
+            state: Mutex::new(SinkState::default()),
             cond: Condvar::new(),
             log,
-            open_drops: AtomicU64::new(0),
         }
-    }
-
-    /// The segmented telemetry log (absent when its directory failed to
-    /// open).
-    pub fn log(&self) -> Option<&Arc<SegmentedLog>> {
-        self.log.as_ref()
-    }
-
-    /// Progress so far: `(done, total, resumed)`. `total` is known once
-    /// the campaign emits its `*_started` event.
-    pub fn progress(&self) -> (u64, Option<u64>, u64) {
-        let s = lock_unpoisoned(&self.state);
-        (s.done_items, s.total_items, s.resumed)
-    }
-
-    /// A check's drain counters: `(reproved, reprove_drains,
-    /// drain_joins)` — persisted violations replayed and the drains those
-    /// replays ran (known once the campaign emits `check_started`), and
-    /// the explored drains that joined an earlier one at a region commit
-    /// (known once it emits `check_finished`).
-    fn check_counters(&self) -> (u64, u64, u64) {
-        let s = lock_unpoisoned(&self.state);
-        (s.reproved, s.reprove_drains, s.drain_joins)
-    }
-
-    /// Events that failed to reach the on-disk telemetry log: append
-    /// failures counted by the log, plus everything emitted while the
-    /// log's directory could not be opened at all.
-    pub fn file_drops(&self) -> u64 {
-        let log_drops = self.log.as_ref().map_or(0, |l| l.dropped());
-        self.open_drops.load(Ordering::Relaxed) + log_drops
-    }
-
-    /// Events evicted from the ring (still on disk, gone from the poll
-    /// window).
-    pub fn evicted(&self) -> u64 {
-        lock_unpoisoned(&self.state).evicted
     }
 
     /// Marks the stream finished and wakes every long-poller. No extra
@@ -202,41 +139,22 @@ impl JobSink {
     /// are ready yet (long poll). Returns immediately once the stream is
     /// closed.
     pub fn wait_events(&self, from: u64, wait: Duration) -> EventBatch {
-        let deadline = Instant::now() + wait;
-        let mut s = lock_unpoisoned(&self.state);
-        loop {
-            let has_new = s.events.back().is_some_and(|(seq, _)| *seq >= from);
-            if has_new || s.closed {
-                let events: Vec<String> = s
-                    .events
-                    .iter()
-                    .filter(|(seq, _)| *seq >= from)
-                    .map(|(_, line)| line.clone())
-                    .collect();
-                return EventBatch {
-                    events,
-                    next: s.next_seq,
-                    evicted: s.evicted,
-                    closed: s.closed,
-                };
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return EventBatch {
-                    events: Vec::new(),
-                    next: s.next_seq,
-                    evicted: s.evicted,
-                    closed: s.closed,
-                };
-            }
-            let (guard, _) = self
-                .cond
-                .wait_timeout(s, deadline - now)
-                .unwrap_or_else(|p| {
-                    let (g, t) = p.into_inner();
-                    (g, t)
-                });
-            s = guard;
+        // Sequence numbers grow, so the newest event tells whether any has
+        // `seq >= from`.
+        let waiting = |s: &mut SinkState| !s.closed && s.events.back().is_none_or(|e| e.0 < from);
+        let s = lock_unpoisoned(&self.state);
+        let (s, _) = (self.cond.wait_timeout_while(s, wait, waiting))
+            .unwrap_or_else(PoisonError::into_inner);
+        EventBatch {
+            events: s
+                .events
+                .iter()
+                .filter(|(seq, _)| *seq >= from)
+                .map(|(_, line)| line.clone())
+                .collect(),
+            next: s.next_seq,
+            evicted: s.evicted,
+            closed: s.closed,
         }
     }
 }
@@ -285,12 +203,7 @@ impl TelemetrySink for JobSink {
         // Appended under the state lock so the persisted stream stays in
         // seq order across concurrent emitters (the log's own lock is a
         // leaf; no inversion).
-        match &self.log {
-            Some(log) => log.append(&line),
-            None => {
-                self.open_drops.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.log.append(&line);
         s.events.push_back((seq, line));
         if s.events.len() > self.cap {
             s.events.pop_front();
@@ -301,9 +214,7 @@ impl TelemetrySink for JobSink {
 
     fn flush(&self) {
         // A failed sync is not a lost line; the log keeps its own count.
-        if let Some(log) = &self.log {
-            let _ = log.sync();
-        }
+        let _ = self.log.sync();
     }
 
     // Deliberately the default 0 — see the type docs.
@@ -350,11 +261,11 @@ pub enum JobState {
     Queued,
     /// Executing.
     Running,
-    /// Finished completely; `result.json` + `result.det.json` exist.
+    /// Finished completely; the job log ends on its `result` line.
     Done,
-    /// Spec/compile/journal error; `state.json` has the message.
+    /// Spec/compile/journal error; the log ends on a `state` line.
     Failed,
-    /// Cancelled by the client; `state.json` marks it.
+    /// Cancelled by the client; the job log ends on a `state` line.
     Cancelled,
     /// Stopped at a clean checkpoint (shutdown drain or `halt_after`);
     /// resumes after restart.
@@ -387,7 +298,7 @@ struct JobProgress {
 }
 
 /// One submitted job: identity, validated spec document, run options,
-/// live state, and its telemetry sink.
+/// live state, its log and its telemetry sink.
 pub struct Job {
     /// Job id (also names the on-disk directory, `job-<id>`).
     pub id: u64,
@@ -397,6 +308,8 @@ pub struct Job {
     pub name: String,
     /// The job directory.
     pub dir: PathBuf,
+    /// The job log in `dir/journal/` (see the module docs).
+    pub log: Arc<SegmentedLog>,
     /// The validated spec document, as submitted.
     pub spec: Json,
     /// Simulation workers for this job.
@@ -409,7 +322,7 @@ pub struct Job {
     /// Check jobs: run against the daemon's durable memo store for this
     /// spec (DESIGN.md §18). Durable — a resumed job keeps its mode.
     pub incremental: bool,
-    /// The telemetry sink (ring + file).
+    /// The telemetry sink (ring + job log).
     pub sink: Arc<JobSink>,
     stop: Arc<AtomicBool>,
     cancel_requested: AtomicBool,
@@ -451,31 +364,17 @@ impl Job {
     /// Blocks up to `wait` for the job to reach a stopped state; returns
     /// the state it ended up in either way.
     pub fn wait_stopped(&self, wait: Duration) -> JobState {
-        let deadline = Instant::now() + wait;
-        let mut p = lock_unpoisoned(&self.progress);
-        loop {
-            if p.state.is_stopped() {
-                return p.state;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return p.state;
-            }
-            let (guard, _) = self
-                .progress_cond
-                .wait_timeout(p, deadline - now)
-                .unwrap_or_else(|e| {
-                    let (g, t) = e.into_inner();
-                    (g, t)
-                });
-            p = guard;
-        }
+        let p = lock_unpoisoned(&self.progress);
+        let running = |p: &mut JobProgress| !p.state.is_stopped();
+        let (p, _) = (self.progress_cond.wait_timeout_while(p, wait, running))
+            .unwrap_or_else(PoisonError::into_inner);
+        p.state
     }
 
     /// The `/v1/jobs/<id>` status document.
     pub fn status_value(&self) -> Json {
         let p = lock_unpoisoned(&self.progress);
-        let (done, total, resumed) = self.sink.progress();
+        let s = lock_unpoisoned(&self.sink.state);
         let mut fields = vec![
             ("id".into(), Json::U64(self.id)),
             ("kind".into(), Json::Str(self.kind.name().to_string())),
@@ -493,20 +392,17 @@ impl Job {
             ),
             ("incremental".into(), Json::Bool(self.incremental)),
             ("grid".into(), Json::U64(self.grid)),
-            ("items_done".into(), Json::U64(done)),
-            ("items_total".into(), total.map_or(Json::Null, Json::U64)),
-            ("items_resumed".into(), Json::U64(resumed)),
-            ("events_total".into(), {
-                let s = lock_unpoisoned(&self.sink.state);
-                Json::U64(s.next_seq)
-            }),
-            ("events_evicted".into(), Json::U64(self.sink.evicted())),
+            ("items_done".into(), Json::U64(s.done_items)),
             (
-                "telemetry_file_drops".into(),
-                Json::U64(self.sink.file_drops()),
+                "items_total".into(),
+                s.total_items.map_or(Json::Null, Json::U64),
             ),
-            ("journal_diagnostics".into(), {
-                let s = lock_unpoisoned(&self.sink.state);
+            ("items_resumed".into(), Json::U64(s.resumed)),
+            ("events_total".into(), Json::U64(s.next_seq)),
+            ("events_evicted".into(), Json::U64(s.evicted)),
+            ("log_drops".into(), Json::U64(self.log.dropped())),
+            (
+                "journal_diagnostics".into(),
                 Json::Obj(vec![
                     ("total".into(), Json::U64(s.diagnostics_total)),
                     (
@@ -518,71 +414,169 @@ impl Job {
                                 .collect(),
                         ),
                     ),
-                ])
-            }),
-            ("store".into(), self.store_value()),
+                ]),
+            ),
+            (
+                "store".into(),
+                Json::Obj(vec![
+                    (
+                        "journal_segments".into(),
+                        Json::U64(self.log.segments().len() as u64),
+                    ),
+                    ("journal_bytes".into(), Json::U64(self.log.total_bytes())),
+                ]),
+            ),
         ];
         if self.kind == JobKind::Check {
             // Why a check took as long as it did: the persisted violations
-            // it re-proved and the drains that cost, and the explored
-            // drains cut short by joining an earlier one.
-            let (reproved, drains, joins) = self.sink.check_counters();
-            fields.push(("reproved".into(), Json::U64(reproved)));
-            fields.push(("reprove_drains".into(), Json::U64(drains)));
-            fields.push(("drain_joins".into(), Json::U64(joins)));
+            // it re-proved and the drains that cost (off `check_started`),
+            // and the explored drains cut short by joining an earlier one
+            // (off `check_finished`).
+            fields.push(("reproved".into(), Json::U64(s.reproved)));
+            fields.push(("reprove_drains".into(), Json::U64(s.reprove_drains)));
+            fields.push(("drain_joins".into(), Json::U64(s.drain_joins)));
         }
         Json::Obj(fields)
     }
 
-    /// Per-job store stats: segment counts and on-disk bytes for the
-    /// job's journal and telemetry logs.
-    fn store_value(&self) -> Json {
-        let (tel_segments, tel_bytes) = self
-            .sink
-            .log()
-            .map_or((0, 0), |l| (l.segments().len() as u64, l.total_bytes()));
-        // The journal log is owned by the executing campaign, not the
-        // job, so its stats come from the directory itself.
-        let (jnl_segments, jnl_bytes) = log_dir_stats(&self.dir.join("journal"));
-        Json::Obj(vec![
-            ("journal_segments".into(), Json::U64(jnl_segments)),
-            ("journal_bytes".into(), Json::U64(jnl_bytes)),
-            ("telemetry_segments".into(), Json::U64(tel_segments)),
-            ("telemetry_bytes".into(), Json::U64(tel_bytes)),
-        ])
+    /// The full (or, with `deterministic`, the deterministic) report
+    /// document of a Done job, byte for byte as the `result` line at the
+    /// end of its log holds it.
+    pub fn result_doc(&self, deterministic: bool) -> Option<String> {
+        // Moves the document out of the parsed line instead of copying it.
+        let Json::Obj(fields) = Json::parse_flat(&self.log.last_line()?)? else {
+            return None;
+        };
+        let is_result = fields
+            .iter()
+            .any(|(k, v)| k == JOB_TAG && v.as_str() == Some(RESULT));
+        let key = if deterministic { "det" } else { "full" };
+        match fields.into_iter().find(|(k, _)| k == key)? {
+            (_, Json::Str(doc)) if is_result => Some(doc),
+            _ => None,
+        }
     }
 }
 
-/// Counts `seg-*.jsonl` segments and their bytes in a log directory.
-fn log_dir_stats(dir: &Path) -> (u64, u64) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return (0, 0);
-    };
-    let mut segments = 0;
-    let mut bytes = 0;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("seg-") && name.ends_with(".jsonl") {
-            segments += 1;
-            bytes += entry.metadata().map_or(0, |m| m.len());
-        }
+/// The key that tags the job log's own lines, and its values.
+const JOB_TAG: &str = "job";
+const ENVELOPE: &str = "envelope";
+const RESULT: &str = "result";
+const STATE: &str = "state";
+
+/// What a submission persists: the job log's first line.
+struct Envelope {
+    kind: JobKind,
+    workers: u64,
+    halt_after: Option<u64>,
+    incremental: bool,
+    spec: Json,
+}
+
+impl Envelope {
+    /// The envelope line of job `id`; the spec is embedded as a string so
+    /// the line stays flat.
+    fn encode(&self, id: u64) -> String {
+        json_kv(&[
+            (JOB_TAG, Json::Str(ENVELOPE.into())),
+            ("id", Json::U64(id)),
+            ("kind", Json::Str(self.kind.name().into())),
+            ("workers", Json::U64(self.workers)),
+            ("halt_after", self.halt_after.map_or(Json::Null, Json::U64)),
+            ("incremental", Json::Bool(self.incremental)),
+            ("spec", Json::Str(self.spec.encode())),
+        ])
     }
-    (segments, bytes)
+
+    /// Decodes an envelope line (`None` for any other line).
+    fn decode(line: &str) -> Option<Envelope> {
+        let rec = Json::parse_flat(line)?;
+        if rec.get(JOB_TAG)?.as_str()? != ENVELOPE {
+            return None;
+        }
+        let spec = Json::parse(rec.get("spec")?.as_str()?).ok()?;
+        Envelope::from_fields(&rec, spec)
+    }
+
+    /// The envelope fields of `rec`, with `spec` decoded by the caller.
+    /// Envelopes from pre-incremental daemons default `incremental` to
+    /// off; a `batch` key from a daemon that still had the lock-step path
+    /// is ignored (DESIGN.md §16).
+    fn from_fields(rec: &Json, spec: Json) -> Option<Envelope> {
+        Some(Envelope {
+            kind: JobKind::from_name(rec.get("kind")?.as_str()?)?,
+            workers: rec.get("workers")?.as_u64()?,
+            halt_after: rec.get("halt_after").and_then(Json::as_u64),
+            incremental: rec
+                .get("incremental")
+                .and_then(Json::as_bool)
+                .unwrap_or(false),
+            spec,
+        })
+    }
+}
+
+/// The terminal line of a Done job: its digest and both documents.
+fn result_line(digest: u64, full: String, det: String) -> String {
+    json_kv(&[
+        (JOB_TAG, Json::Str(RESULT.into())),
+        ("digest", Json::U64(digest)),
+        ("full", Json::Str(full)),
+        ("det", Json::Str(det)),
+    ])
+}
+
+/// The terminal line of a Cancelled (`"cancelled"`) or Failed
+/// (`"failed"`) job.
+fn state_line(state: &str, error: Option<&str>) -> String {
+    json_kv(&[
+        (JOB_TAG, Json::Str(STATE.into())),
+        ("state", Json::Str(state.into())),
+        ("error", error.map_or(Json::Null, |e| Json::Str(e.into()))),
+    ])
+}
+
+/// Decodes a terminal line in full into `(state, error, digest)`; `None`
+/// for any other line, or for a missing or mistyped field.
+fn decode_terminal(line: &str) -> Option<(JobState, Option<String>, Option<u64>)> {
+    let rec = Json::parse_flat(line)?;
+    match rec.get(JOB_TAG)?.as_str()? {
+        RESULT => {
+            rec.get("full")?.as_str()?;
+            rec.get("det")?.as_str()?;
+            Some((JobState::Done, None, Some(rec.get("digest")?.as_u64()?)))
+        }
+        STATE => {
+            let state = match rec.get("state")?.as_str()? {
+                "cancelled" => JobState::Cancelled,
+                "failed" => JobState::Failed,
+                _ => return None,
+            };
+            let error = match rec.get("error")? {
+                Json::Null => None,
+                error => Some(error.as_str()?.to_string()),
+            };
+            Some((state, error, None))
+        }
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Queue
 // ---------------------------------------------------------------------------
 
-/// Errors a submission can fail with (mapped to HTTP 400/409/503 by the
-/// server).
+/// Errors a submission can fail with (mapped to HTTP 400/409/500/503 by
+/// the server).
 #[derive(Debug)]
 pub enum SubmitError {
     /// The spec document did not decode.
     BadSpec(String),
     /// A daemon limit was exceeded.
     Limit(String),
+    /// The job directory or its log could not be created; nothing of it
+    /// is left behind.
+    Io(String),
     /// The queue is shutting down.
     ShuttingDown,
 }
@@ -590,8 +584,9 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::BadSpec(m) => write!(f, "{m}"),
-            SubmitError::Limit(m) => write!(f, "{m}"),
+            SubmitError::BadSpec(m) | SubmitError::Limit(m) | SubmitError::Io(m) => {
+                write!(f, "{m}")
+            }
             SubmitError::ShuttingDown => write!(f, "daemon is shutting down"),
         }
     }
@@ -718,7 +713,8 @@ impl Queue {
     ///
     /// [`SubmitError::BadSpec`] for undecodable specs,
     /// [`SubmitError::Limit`] for limit violations,
-    /// [`SubmitError::ShuttingDown`] during drain.
+    /// [`SubmitError::Io`] when the job directory or its envelope line
+    /// cannot be written, [`SubmitError::ShuttingDown`] during drain.
     pub fn submit(&self, kind: JobKind, sub: wire::Submission) -> Result<Arc<Job>, SubmitError> {
         let inner = &self.inner;
         if inner.shutting_down.load(Ordering::SeqCst) {
@@ -751,41 +747,16 @@ impl Queue {
             .clamp(1, inner.cfg.max_job_workers);
         let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
         let dir = inner.cfg.journal_root.join(format!("job-{id}"));
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| SubmitError::Limit(format!("creating {}: {e}", dir.display())))?;
-        let envelope = Json::Obj(vec![
-            ("id".into(), Json::U64(id)),
-            ("kind".into(), Json::Str(kind.name().to_string())),
-            ("workers".into(), Json::U64(workers as u64)),
-            (
-                "halt_after".into(),
-                sub.halt_after.map_or(Json::Null, Json::U64),
-            ),
-            ("incremental".into(), Json::Bool(sub.incremental)),
-            ("spec".into(), sub.spec.clone()),
-        ]);
-        std::fs::write(dir.join("job.json"), envelope.encode())
-            .map_err(|e| SubmitError::Limit(format!("persisting job.json: {e}")))?;
-        let job = Arc::new(Job {
-            id,
+        let envelope = Envelope {
             kind,
-            name,
-            sink: Arc::new(JobSink::new(inner.cfg.event_buffer, &dir.join("telemetry"))),
-            dir,
-            spec: sub.spec,
-            workers,
+            workers: workers as u64,
             halt_after: sub.halt_after,
-            grid,
             incremental: sub.incremental,
-            stop: Arc::new(AtomicBool::new(false)),
-            cancel_requested: AtomicBool::new(false),
-            progress: Mutex::new(JobProgress {
-                state: JobState::Queued,
-                error: None,
-                digest: None,
-            }),
-            progress_cond: Condvar::new(),
-        });
+            spec: sub.spec,
+        };
+        let log = create_job_log(&dir, &envelope.encode(id))
+            .map_err(|e| SubmitError::Io(format!("creating {}: {e}", dir.display())))?;
+        let job = Job::new(inner, id, dir, log, envelope, name, grid);
         lock_unpoisoned(&inner.jobs).push(Arc::clone(&job));
         lock_unpoisoned(&inner.pending).push_back(Arc::clone(&job));
         inner.pending_cond.notify_one();
@@ -816,7 +787,7 @@ impl Queue {
         if p.state == JobState::Queued {
             p.state = JobState::Cancelled;
             drop(p);
-            write_state_file(&job.dir, "cancelled", None);
+            job.log.append(&state_line("cancelled", None));
             job.sink.close();
             job.progress_cond.notify_all();
         }
@@ -858,18 +829,13 @@ impl Queue {
             .collect();
         found.sort_by_key(|(id, _)| *id);
         for (id, dir) in found {
-            match restore_job(inner, id, &dir) {
-                Some(job) => {
-                    let queued = job.state() == JobState::Queued;
-                    lock_unpoisoned(&inner.jobs).push(Arc::clone(&job));
-                    if queued {
-                        lock_unpoisoned(&inner.pending).push_back(job);
-                    }
-                }
-                None => {
-                    // A directory we cannot make sense of is left alone on
-                    // disk but not served; the id is still reserved so a
-                    // fresh submission cannot collide with it.
+            // A directory we cannot make sense of is left alone on disk but
+            // not served; the id is still reserved so a fresh submission
+            // cannot collide with it.
+            if let Some(job) = restore_job(inner, id, &dir) {
+                lock_unpoisoned(&inner.jobs).push(Arc::clone(&job));
+                if job.state() == JobState::Queued {
+                    lock_unpoisoned(&inner.pending).push_back(job);
                 }
             }
             let floor = id + 1;
@@ -878,76 +844,146 @@ impl Queue {
     }
 }
 
-/// Decodes `job.json` + terminal markers back into a [`Job`].
+/// Restores a job from its log (migrating an older daemon's directory
+/// first): the first envelope line names it, and a terminal last line
+/// that decodes in full stops it; anything else re-queues it.
 fn restore_job(inner: &QueueInner, id: u64, dir: &Path) -> Option<Arc<Job>> {
-    let envelope = Json::parse(&std::fs::read_to_string(dir.join("job.json")).ok()?).ok()?;
-    let kind = JobKind::from_name(envelope.get("kind")?.as_str()?)?;
-    let spec = envelope.get("spec")?.clone();
+    let log = open_job_log(id, dir).ok()?;
+    let lines = log.lines();
+    let mut envelope = lines.iter().find_map(|line| Envelope::decode(line))?;
     // Clamped like a submission: an older or hand-edited envelope must not
     // spawn more pool threads than this daemon admits.
-    let workers = envelope.get("workers")?.as_u64()?;
-    let workers = workers.clamp(1, inner.cfg.max_job_workers as u64) as usize;
+    envelope.workers = envelope.workers.clamp(1, inner.cfg.max_job_workers as u64);
     // `halt_after` is a one-shot interruption hook: it already fired in
     // the session that journaled the halt, so a restored job resumes to
-    // completion instead of halting again every session. job.json keeps
-    // the submitted value for provenance only. A `batch` key from a daemon
-    // that still had the lock-step path is ignored (DESIGN.md §16).
-    let halt_after = None;
-    // Envelopes from pre-incremental daemons default to off.
-    let incremental = envelope
-        .get("incremental")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    let (name, grid) = validate_spec(kind, &spec).ok()?;
-
-    // Terminal-state detection from the directory contents alone. Only a
-    // result.json whose digest decodes means Done: a torn one (written in
-    // place by an older daemon killed mid-write) re-queues the job, and
-    // resume rebuilds the document from the journal.
-    let done_digest = std::fs::read_to_string(dir.join("result.json"))
-        .ok()
-        .and_then(|text| Json::parse(&text).ok()?.get("digest")?.as_u64());
-    let (state, error, digest) = if let Some(digest) = done_digest {
-        (JobState::Done, None, Some(digest))
-    } else if let Ok(text) = std::fs::read_to_string(dir.join("state.json")) {
-        let doc = Json::parse(&text).ok()?;
-        let state = match doc.get("state")?.as_str()? {
-            "cancelled" => JobState::Cancelled,
-            "failed" => JobState::Failed,
-            _ => return None,
-        };
-        let error = doc.get("error").and_then(Json::as_str).map(str::to_string);
-        (state, error, None)
-    } else {
-        // No terminal marker: the previous session was interrupted (or
-        // never started the job). Re-queue; resume skips journaled runs.
-        (JobState::Queued, None, None)
-    };
-
-    let sink = Arc::new(JobSink::new(inner.cfg.event_buffer, &dir.join("telemetry")));
-    if state.is_stopped() {
-        sink.close();
+    // completion instead of halting again every session. The envelope
+    // keeps the submitted value for provenance only.
+    envelope.halt_after = None;
+    let (name, grid) = validate_spec(envelope.kind, &envelope.spec).ok()?;
+    let job = Job::new(inner, id, dir.to_path_buf(), log, envelope, name, grid);
+    // No decodable terminal line: the previous session was interrupted
+    // (or never started the job), so it stays Queued; resume skips the
+    // journaled runs.
+    if let Some((state, error, digest)) = lines.last().and_then(|line| decode_terminal(line)) {
+        job.set_state(state, error, digest);
+        job.sink.close();
     }
-    Some(Arc::new(Job {
-        id,
-        kind,
-        name,
-        dir: dir.to_path_buf(),
-        spec,
-        workers,
-        halt_after,
-        grid,
-        incremental,
-        sink,
-        stop: Arc::new(AtomicBool::new(false)),
-        cancel_requested: AtomicBool::new(false),
-        progress: Mutex::new(JobProgress {
-            state,
-            error,
-            digest,
-        }),
-        progress_cond: Condvar::new(),
-    }))
+    Some(job)
+}
+
+impl Job {
+    fn new(
+        inner: &QueueInner,
+        id: u64,
+        dir: PathBuf,
+        log: Arc<SegmentedLog>,
+        envelope: Envelope,
+        name: String,
+        grid: u64,
+    ) -> Arc<Job> {
+        Arc::new(Job {
+            id,
+            kind: envelope.kind,
+            name,
+            dir,
+            sink: Arc::new(JobSink::new(inner.cfg.event_buffer, Arc::clone(&log))),
+            log,
+            spec: envelope.spec,
+            workers: envelope.workers as usize,
+            halt_after: envelope.halt_after,
+            grid,
+            incremental: envelope.incremental,
+            stop: Arc::new(AtomicBool::new(false)),
+            cancel_requested: AtomicBool::new(false),
+            progress: Mutex::new(JobProgress {
+                state: JobState::Queued,
+                error: None,
+                digest: None,
+            }),
+            progress_cond: Condvar::new(),
+        })
+    }
+}
+
+/// Creates a new job's directory and its log holding `envelope`. Fails if
+/// the directory exists, or if the envelope line is lost (the job could
+/// not be restored); a directory created by a failed call is removed.
+fn create_job_log(dir: &Path, envelope: &str) -> std::io::Result<Arc<SegmentedLog>> {
+    std::fs::create_dir(dir)?;
+    let log = SegmentedLog::open(&dir.join("journal"), LogConfig::default()).and_then(|log| {
+        log.append(envelope);
+        match log.dropped() {
+            0 => Ok(Arc::new(log)),
+            _ => Err(std::io::Error::other("the envelope line was not written")),
+        }
+    });
+    if log.is_err() {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    log
+}
+
+/// Opens the log of job `id` in `dir`, first moving an older daemon's flat
+/// `journal.jsonl` in as its first segment (if `journal/` is empty), then
+/// running [`migrate_legacy`].
+fn open_job_log(id: u64, dir: &Path) -> std::io::Result<Arc<SegmentedLog>> {
+    let journal = dir.join("journal");
+    let flat = dir.join("journal.jsonl");
+    if flat.exists() && std::fs::read_dir(&journal).map_or(true, |mut d| d.next().is_none()) {
+        std::fs::create_dir_all(&journal)?;
+        std::fs::rename(&flat, journal.join("seg-000000.jsonl"))?;
+    }
+    let log = Arc::new(SegmentedLog::open(&journal, LogConfig::default())?);
+    migrate_legacy(id, dir, &log)?;
+    Ok(log)
+}
+
+/// Moves an older daemon's job files, if `dir` has a `job.json`, into the
+/// job log: the envelope from `job.json`, and a terminal line from
+/// `result.json` + `result.det.json` (if the digest decodes; a torn
+/// document re-queues the job) or from `state.json`, each unless the log
+/// has one. Then it syncs the log and deletes the old files, `job.json`
+/// last, so a kill repeats the migration.
+fn migrate_legacy(id: u64, dir: &Path, log: &SegmentedLog) -> std::io::Result<()> {
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).ok();
+    let Some(job_json) = read("job.json") else {
+        return Ok(());
+    };
+    let lines = log.lines();
+    if !lines.iter().any(|line| Envelope::decode(line).is_some()) {
+        let envelope = Json::parse(&job_json)
+            .ok()
+            .and_then(|doc| Envelope::from_fields(&doc, doc.get("spec")?.clone()))
+            .ok_or_else(|| std::io::Error::other("job.json does not decode"))?;
+        log.append(&envelope.encode(id));
+    }
+    if lines.last().and_then(|l| decode_terminal(l)).is_none() {
+        let done = read("result.json")
+            .zip(read("result.det.json"))
+            .and_then(|(full, det)| {
+                let digest = Json::parse(&full).ok()?.get("digest")?.as_u64()?;
+                Some(result_line(digest, full, det))
+            });
+        let stopped = || {
+            let doc = Json::parse(&read("state.json")?).ok()?;
+            let error = doc.get("error").and_then(Json::as_str);
+            Some(state_line(doc.get("state")?.as_str()?, error))
+        };
+        if let Some(line) = done.or_else(stopped) {
+            log.append(&line);
+        }
+    }
+    log.sync()?;
+    if log.dropped() > 0 {
+        return Err(std::io::Error::other("migrated lines were not written"));
+    }
+    // Everything they held is in the synced log now, so a file that fails
+    // to go is only left-over bytes.
+    for old in ["result.json", "result.det.json", "state.json"] {
+        let _ = std::fs::remove_file(dir.join(old));
+    }
+    let _ = std::fs::remove_dir_all(dir.join("telemetry"));
+    std::fs::remove_file(dir.join("job.json"))
 }
 
 /// Validates a spec document for `kind` and returns `(name, grid size)`.
@@ -966,28 +1002,6 @@ fn validate_spec(kind: JobKind, spec: &Json) -> Result<(String, u64), String> {
             Ok((decoded.name, grid))
         }
     }
-}
-
-fn write_state_file(dir: &Path, state: &str, error: Option<&str>) {
-    let doc = Json::Obj(vec![
-        ("state".into(), Json::Str(state.to_string())),
-        (
-            "error".into(),
-            error.map_or(Json::Null, |e| Json::Str(e.to_string())),
-        ),
-    ]);
-    let _ = publish(dir, "state.json", &doc.encode());
-}
-
-/// Writes `dir/name` atomically: to a temporary file first, then renamed
-/// over the target, so readers and the restart scan see the old file or
-/// the whole new one, never a torn prefix. No fsync: the journal or memo
-/// store, synced when the pool drains, is the durable record a lost file
-/// is rebuilt from.
-fn publish(dir: &Path, name: &str, contents: &str) -> std::io::Result<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, dir.join(name))
 }
 
 /// Job-directory GC totals since boot.
@@ -1036,8 +1050,9 @@ fn collect_job_dirs(
         .cloned()
         .collect();
     terminal.sort_by_key(|j| j.id);
-    let sizes: Vec<u64> = terminal.iter().map(|j| dir_size(&j.dir)).collect();
-    let ages: Vec<u64> = terminal.iter().map(|j| dir_age_secs(&j.dir)).collect();
+    // A job directory holds only its log.
+    let sizes: Vec<u64> = terminal.iter().map(|j| j.log.total_bytes()).collect();
+    let ages: Vec<u64> = terminal.iter().map(|j| log_age_secs(&j.log)).collect();
     let mut total: u64 = sizes.iter().sum();
 
     // Oldest-first victim count: delete while any retention limit is
@@ -1070,28 +1085,17 @@ fn collect_job_dirs(
     Ok(())
 }
 
-/// Recursive directory size in bytes (0 for anything unreadable).
-fn dir_size(dir: &Path) -> u64 {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
+/// Seconds since the job log was last written: the age of its newest
+/// segment's mtime (0 if unknown — an unreadable mtime never makes a job
+/// "old enough" to GC).
+fn log_age_secs(log: &SegmentedLog) -> u64 {
+    std::fs::read_dir(log.dir())
+        .into_iter()
         .flatten()
-        .map(|e| match e.metadata() {
-            Ok(m) if m.is_dir() => dir_size(&e.path()),
-            Ok(m) => m.len(),
-            Err(_) => 0,
-        })
-        .sum()
-}
-
-/// Seconds since the directory was last modified (0 if unknown — an
-/// unreadable mtime never makes a job "old enough" to GC).
-fn dir_age_secs(dir: &Path) -> u64 {
-    std::fs::metadata(dir)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|t| std::time::SystemTime::now().duration_since(t).ok())
+        .flatten()
+        .filter_map(|entry| entry.metadata().ok()?.modified().ok())
+        .max()
+        .and_then(|t| SystemTime::now().duration_since(t).ok())
         .map_or(0, |d| d.as_secs())
 }
 
@@ -1114,21 +1118,16 @@ fn prune_loop(inner: &Arc<QueueInner>) {
 
 fn worker_loop(inner: &Arc<QueueInner>) {
     loop {
-        let job = {
-            let mut pending = lock_unpoisoned(&inner.pending);
-            loop {
-                if inner.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = pending.pop_front() {
-                    break job;
-                }
-                pending = inner
-                    .pending_cond
-                    .wait(pending)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
+        let shutting_down = || inner.shutting_down.load(Ordering::SeqCst);
+        let pending = lock_unpoisoned(&inner.pending);
+        let idle = |p: &mut VecDeque<Arc<Job>>| p.is_empty() && !shutting_down();
+        let mut pending =
+            (inner.pending_cond.wait_while(pending, idle)).unwrap_or_else(PoisonError::into_inner);
+        let job = match pending.pop_front() {
+            Some(job) if !shutting_down() => job,
+            _ => return,
         };
+        drop(pending);
         // Cancelled while queued: nothing to do.
         if job.state() != JobState::Queued {
             continue;
@@ -1144,42 +1143,26 @@ fn memo_key(text: &str) -> u64 {
     fnv_bytes(FNV_OFFSET, text.as_bytes())
 }
 
-/// A job's `journal/` log directory. A flat `journal.jsonl` written by an
-/// older daemon is first moved in as `journal/seg-000000.jsonl` when the
-/// log has no segments yet; opening the log repairs its torn tail.
-fn journal_dir(job_dir: &Path) -> std::io::Result<PathBuf> {
-    let dir = job_dir.join("journal");
-    let legacy = job_dir.join("journal.jsonl");
-    if legacy.exists() && log_dir_stats(&dir).0 == 0 {
-        std::fs::create_dir_all(&dir)?;
-        std::fs::rename(&legacy, dir.join("seg-000000.jsonl"))?;
-    }
-    Ok(dir)
-}
-
-/// Opens the memo store a check job records its chunks in and resumes
-/// from. Incremental jobs use the daemon's shared store for the spec,
-/// `<root>/memo/<key>/` (DESIGN.md §18), and create no `journal/`; when
-/// that store fails to open they fall back to a job-local one, so the run
-/// is cold but can still resume. Other jobs keep a job-local store in
-/// `job-<id>/journal/`.
-fn open_check_store(job: &Job, spec: &CheckSpec) -> Result<Arc<MemoStore>, String> {
+/// The memo store a check job records its chunks in and resumes from.
+/// Incremental jobs use the daemon's shared store for the spec,
+/// `<root>/memo/<key>/` (DESIGN.md §18); when that store fails to open
+/// they fall back to a job-local one, so the run is cold but can still
+/// resume. A job-local store keeps its slabs in the job log.
+fn open_check_store(job: &Job, spec: &CheckSpec) -> Arc<MemoStore> {
     if job.incremental {
         if let Some(root) = job.dir.parent() {
             let key = memo_key(&wire::check_spec_value(spec).encode());
             let dir = root.join("memo").join(format!("{key:016x}"));
             if let Ok(store) = MemoStore::open(&dir) {
-                return Ok(Arc::new(store));
+                return Arc::new(store);
             }
         }
     }
-    journal_dir(&job.dir)
-        .and_then(|dir| MemoStore::open(&dir))
-        .map(Arc::new)
-        .map_err(|e| format!("opening journal: {e}"))
+    Arc::new(MemoStore::from_log(Arc::clone(&job.log)))
 }
 
-/// Runs one job to a stopped state, writing its terminal files.
+/// Runs one job to a stopped state, ending its log on a terminal line
+/// unless the job was interrupted.
 fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
     job.set_state(JobState::Running, None, None);
     let sink: Arc<dyn TelemetrySink> = job.sink.clone();
@@ -1187,12 +1170,10 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
     // Outcome of the run, normalized across sweep/check:
     // Ok((complete, digest, full_doc, det_doc)) or Err(message).
     let outcome: Result<(bool, u64, String, String), String> = match job.kind {
-        JobKind::Sweep => journal_dir(&job.dir)
-            .and_then(|dir| Journal::open_segmented(&dir, LogConfig::default()))
-            .map_err(|e| format!("opening journal: {e}"))
-            .and_then(|journal| {
-                let spec = spec_io::spec_from_value(&job.spec, "")
-                    .map_err(|e| format!("invalid campaign spec: {e}"))?;
+        JobKind::Sweep => spec_io::spec_from_value(&job.spec, "")
+            .map_err(|e| format!("invalid campaign spec: {e}"))
+            .and_then(|spec| {
+                let journal = Journal::segmented(Arc::clone(&job.log));
                 let mut campaign = Campaign::new(spec)
                     .workers(job.workers)
                     .sink(sink)
@@ -1212,7 +1193,7 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
         JobKind::Check => wire::check_spec_from_value(&job.spec, "")
             .map_err(|e| format!("invalid check spec: {e}"))
             .and_then(|spec| {
-                let store = open_check_store(job, &spec)?;
+                let store = open_check_store(job, &spec);
                 let mut campaign = CheckCampaign::new(spec)
                     .workers(job.workers)
                     .sink(sink)
@@ -1242,41 +1223,35 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
     // events poll.
     job.sink.close();
 
-    match outcome {
+    let (state, error) = match outcome {
         Ok((true, digest, full, det)) => {
-            let write = publish(&job.dir, "result.det.json", &det)
-                .and_then(|()| publish(&job.dir, "result.json", &full));
-            match write {
-                Ok(()) => job.set_state(JobState::Done, None, Some(digest)),
-                Err(e) => {
-                    let msg = format!("persisting result: {e}");
-                    write_state_file(&job.dir, "failed", Some(&msg));
-                    job.set_state(JobState::Failed, Some(msg), None);
-                }
+            let drops = job.log.dropped();
+            job.log.append(&result_line(digest, full, det));
+            if job.log.dropped() == drops {
+                return job.set_state(JobState::Done, None, Some(digest));
             }
+            // The next boot finds no terminal line and resumes the job.
+            let msg = "persisting result: the job log dropped the result line";
+            return job.set_state(JobState::Failed, Some(msg.to_string()), None);
         }
-        Ok((false, ..)) => {
-            // Stopped at a clean checkpoint: kill switch (cancel or daemon
-            // drain) or halt_after. Journal has everything completed so
-            // far; no terminal file means the next boot resumes it —
-            // except an explicit cancel, which is terminal.
-            if job.cancel_requested.load(Ordering::SeqCst) {
-                write_state_file(&job.dir, "cancelled", None);
-                job.set_state(JobState::Cancelled, None, None);
-            } else {
-                job.set_state(JobState::Interrupted, None, None);
-            }
+        // Stopped at a clean checkpoint: kill switch (cancel or daemon
+        // drain) or halt_after. The log has everything completed so far;
+        // no terminal line means the next boot resumes it — except an
+        // explicit cancel, which is terminal.
+        Ok((false, ..)) if !job.cancel_requested.load(Ordering::SeqCst) => {
+            return job.set_state(JobState::Interrupted, None, None);
         }
-        Err(msg) => {
-            write_state_file(&job.dir, "failed", Some(&msg));
-            job.set_state(JobState::Failed, Some(msg), None);
-        }
-    }
+        Ok((false, ..)) => (JobState::Cancelled, None),
+        Err(msg) => (JobState::Failed, Some(msg)),
+    };
+    job.log.append(&state_line(state.name(), error.as_deref()));
+    job.set_state(state, error, None);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gecko_isa::rng::SplitMix64;
 
     #[test]
     fn memo_key_is_pinned() {
@@ -1316,6 +1291,23 @@ mod tests {
         }
     }
 
+    /// The names in a directory, sorted.
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The only segment of a finished tiny job's log.
+    fn only_segment(job: &Job) -> PathBuf {
+        let segments = entries(job.log.dir());
+        assert_eq!(segments, ["seg-000000.jsonl"]);
+        job.log.dir().join(&segments[0])
+    }
+
     #[test]
     fn sweep_job_runs_to_done_with_digest() {
         let cfg = test_config("done");
@@ -1326,8 +1318,13 @@ mod tests {
             .unwrap();
         let state = job.wait_stopped(Duration::from_secs(120));
         assert_eq!(state, JobState::Done);
-        assert!(job.dir.join("result.json").exists());
-        assert!(job.dir.join("result.det.json").exists());
+        // One log per job: it opens on the envelope and ends on the result.
+        assert_eq!(entries(&job.dir), ["journal"]);
+        let lines = job.log.lines();
+        assert!(Envelope::decode(&lines[0]).is_some(), "{}", lines[0]);
+        let last = decode_terminal(lines.last().unwrap());
+        assert_eq!(last.map(|t| t.0), Some(JobState::Done));
+        assert!(job.result_doc(true).is_some() && job.result_doc(false).is_some());
         let status = job.status_value();
         assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
         assert!(status.get("digest").and_then(Json::as_u64).is_some());
@@ -1392,6 +1389,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// Hostile copy `kind` (0..5) of job log line `line`: cut short at a
+    /// seeded point, or with one field replaced by a mistyped, unknown or
+    /// nested value.
+    fn mutate_line(rng: &mut SplitMix64, kind: u64, line: &str, terminal: bool) -> String {
+        let Some(Json::Obj(mut fields)) = Json::parse_flat(line) else {
+            unreachable!("job lines are flat: {line}");
+        };
+        let mut set = |key: &str, value: Json| {
+            fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+        };
+        match kind {
+            0 => return line[..rng.range_u64(1, line.len() as u64) as usize].to_string(),
+            1 if terminal => set("digest", Json::Str("7".into())),
+            1 => set("workers", Json::I64(-1)),
+            2 if terminal => set("full", Json::U64(7)),
+            2 => set("kind", Json::Str("sweeps".into())),
+            3 => set(JOB_TAG, Json::Str("resultx".into())),
+            _ if terminal => set("det", Json::Obj(vec![("a".into(), Json::U64(1))])),
+            _ => set("spec", Json::Obj(vec![("a".into(), Json::U64(1))])),
+        }
+        Json::Obj(fields).encode()
+    }
+
     #[test]
     fn torn_result_file_is_rebuilt_from_the_journal_on_restart() {
         let cfg = test_config("torn-result");
@@ -1403,29 +1423,50 @@ mod tests {
         assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
         let digest = job.status_value().get("digest").and_then(Json::as_u64);
         assert!(digest.is_some());
-        let (id, result) = (job.id, job.dir.join("result.json"));
+        let (id, det) = (job.id, job.result_doc(true).unwrap());
+        let segment = only_segment(&job);
         queue.shutdown();
-        drop(queue);
+        drop((queue, job));
+        let original = std::fs::read_to_string(&segment).unwrap();
+        let lines: Vec<&str> = original.lines().collect();
 
-        // A daemon killed mid-write leaves half the document behind.
-        let bytes = std::fs::read(&result).unwrap();
-        std::fs::write(&result, &bytes[..bytes.len() / 2]).unwrap();
+        // Seeded hostile copies of the envelope (first) and the terminal
+        // (last) line. None may panic; a job whose terminal line no longer
+        // decodes in full must re-queue and resume to the same digest, and
+        // a job whose envelope no longer decodes is left alone on disk.
+        let mut rng = SplitMix64::new(0x70B_1095);
+        for trial in 0..16 {
+            let terminal = trial % 2 == 0;
+            let at = if terminal { lines.len() - 1 } else { 0 };
+            let mut hostile: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            let kind = trial / 2 % 5;
+            hostile[at] = mutate_line(&mut rng, kind, lines[at], terminal);
+            let mut text = hostile.join("\n");
+            // A cut last line is torn (no newline) half of the time.
+            if !(terminal && kind == 0 && rng.range_u64(0, 2) == 0) {
+                text.push('\n');
+            }
+            std::fs::write(&segment, &text).unwrap();
 
-        let queue = Queue::start(cfg).unwrap();
-        let job = queue.job(id).expect("job restored");
-        assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
-        assert_eq!(
-            job.status_value().get("digest").and_then(Json::as_u64),
-            digest
-        );
-        let rebuilt = std::fs::read_to_string(&result).unwrap();
-        assert_eq!(
-            Json::parse(&rebuilt)
-                .ok()
-                .and_then(|doc| doc.get("digest")?.as_u64()),
-            digest
-        );
-        queue.shutdown();
+            let queue = Queue::start(cfg.clone()).unwrap();
+            let Some(job) = queue.job(id) else {
+                assert!(!terminal, "trial {trial}: {}", hostile[at]);
+                queue.shutdown();
+                continue;
+            };
+            assert!(terminal, "trial {trial}: {}", hostile[at]);
+            assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+            let status = job.status_value();
+            assert_eq!(status.get("digest").and_then(Json::as_u64), digest);
+            assert_eq!(
+                status.get("items_resumed").and_then(Json::as_u64),
+                Some(2),
+                "trial {trial}: the job re-queued and resumed: {}",
+                hostile[at]
+            );
+            assert_eq!(job.result_doc(true).as_deref(), Some(det.as_str()));
+            queue.shutdown();
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1471,6 +1512,10 @@ mod tests {
         let status = job.status_value();
         assert_eq!(status.get("digest").and_then(Json::as_u64), Some(reference));
         assert_eq!(status.get("items_resumed").and_then(Json::as_u64), Some(1));
+        // Migrated: the envelope moved into the log and job.json is gone.
+        assert_eq!(entries(&dir), ["journal"]);
+        let envelope = job.log.lines().iter().find_map(|l| Envelope::decode(l));
+        assert_eq!(envelope.map(|e| e.workers), Some(1));
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1512,8 +1557,9 @@ mod tests {
         let status = job.status_value();
         assert_eq!(status.get("digest").and_then(Json::as_u64), Some(reference));
         assert_eq!(status.get("items_resumed").and_then(Json::as_u64), Some(1));
-        // The flat file became the segmented journal's first segment.
-        assert!(!dir.join("journal.jsonl").exists());
+        // The flat file became the job log's first segment, and the
+        // envelope moved into the log.
+        assert_eq!(entries(&dir), ["journal"]);
         assert!(dir.join("journal").join("seg-000000.jsonl").exists());
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
@@ -1525,14 +1571,20 @@ mod tests {
         let root = cfg.journal_root.clone();
         // Cancelled jobs never execute, so nothing runs with these counts.
         for (id, workers) in [(7, 100_000u64), (8, 0)] {
-            let dir = root.join(format!("job-{id}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            let envelope = format!(
-                r#"{{"id":{id},"kind":"sweep","workers":{workers},"halt_after":null,"incremental":false,"spec":{}}}"#,
-                tiny_sweep_spec().encode()
-            );
-            std::fs::write(dir.join("job.json"), envelope).unwrap();
-            write_state_file(&dir, "cancelled", None);
+            let log = SegmentedLog::open(
+                &root.join(format!("job-{id}")).join("journal"),
+                LogConfig::default(),
+            )
+            .unwrap();
+            let envelope = Envelope {
+                kind: JobKind::Sweep,
+                workers,
+                halt_after: None,
+                incremental: false,
+                spec: tiny_sweep_spec(),
+            };
+            log.append(&envelope.encode(id));
+            log.append(&state_line("cancelled", None));
         }
         let queue = Queue::start(cfg.clone()).unwrap();
         let hostile = queue.job(7).expect("cancelled job restored");
@@ -1559,8 +1611,7 @@ mod tests {
             assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
             ids.push(job.id);
         }
-        let survivor_result =
-            std::fs::read(root.join(format!("job-{}/result.json", ids[2]))).unwrap();
+        let survivor_log = std::fs::read(only_segment(&queue.job(ids[2]).unwrap())).unwrap();
 
         // 3 terminal jobs, retain 1 → two victims; the budget admits one
         // deletion per tick, so the first tick reports unfinished work.
@@ -1576,9 +1627,9 @@ mod tests {
         assert!(queue.job(ids[0]).is_none());
         assert!(queue.job(ids[1]).is_none());
         assert!(!root.join(format!("job-{}", ids[0])).exists());
-        assert!(queue.job(ids[2]).is_some());
-        let after = std::fs::read(root.join(format!("job-{}/result.json", ids[2]))).unwrap();
-        assert_eq!(survivor_result, after, "GC must not touch kept results");
+        let survivor = queue.job(ids[2]).unwrap();
+        let after = std::fs::read(only_segment(&survivor)).unwrap();
+        assert_eq!(survivor_log, after, "GC must not touch kept results");
 
         // The /v1/config document carries the GC totals since boot.
         let stats = queue.store_stats();
@@ -1623,9 +1674,13 @@ mod tests {
                 .submit(JobKind::Sweep, submission(tiny_sweep_spec(), None))
                 .unwrap();
             assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
-            // Simulate a heavy job: pad the dir so a handful of finished
-            // jobs overflows the cap deterministically.
-            std::fs::write(job.dir.join("pad.bin"), vec![0u8; 40 * 1024]).unwrap();
+            // Simulate a heavy job: pad its log so a handful of finished
+            // jobs overflows the cap deterministically; the log still
+            // ends on the result line.
+            let result = job.log.last_line().unwrap();
+            job.log
+                .append(&format!(r#"{{"pad":"{}"}}"#, "x".repeat(40 * 1024)));
+            job.log.append(&result);
             last = Some(job);
             let report = queue.prune_now().unwrap();
             assert!(report.done, "default budget clears the backlog per tick");
@@ -1637,7 +1692,7 @@ mod tests {
             .jobs()
             .iter()
             .filter(|j| j.state().is_stopped())
-            .map(|j| dir_size(&j.dir))
+            .map(|j| j.log.total_bytes())
             .sum();
         assert!(
             terminal_bytes <= CAP,
@@ -1652,11 +1707,14 @@ mod tests {
         // The survivor still serves its full result and status document.
         let job = last.unwrap();
         let job = queue.job(job.id).expect("newest job kept");
-        assert!(job.dir.join("result.json").exists());
+        assert!(job.result_doc(false).is_some());
         let store = job.status_value();
         let store = store.get("store").expect("status carries store stats");
-        assert!(store.get("telemetry_segments").and_then(Json::as_u64) >= Some(1));
         assert!(store.get("journal_segments").and_then(Json::as_u64) >= Some(1));
+        assert_eq!(
+            store.get("journal_bytes").and_then(Json::as_u64),
+            Some(job.log.total_bytes())
+        );
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1683,14 +1741,11 @@ mod tests {
         assert_eq!(warm.wait_stopped(Duration::from_secs(120)), JobState::Done);
 
         // Byte-identical deterministic documents, cold and warm.
-        let cold_det = std::fs::read(cold.dir.join("result.det.json")).unwrap();
-        let warm_det = std::fs::read(warm.dir.join("result.det.json")).unwrap();
-        assert_eq!(cold_det, warm_det);
+        assert_eq!(cold.result_doc(true), warm.result_doc(true));
 
         // The warm run answered (essentially all of) its windows from the
         // shared store and names the memo generation backing the verdict.
-        let full =
-            Json::parse(&std::fs::read_to_string(warm.dir.join("result.json")).unwrap()).unwrap();
+        let full = Json::parse(&warm.result_doc(false).unwrap()).unwrap();
         let memo_windows = full
             .get("counters")
             .and_then(|c| c.get("memo_windows"))
@@ -1745,8 +1800,7 @@ mod tests {
             incremental: true,
         };
         let reprove = |job: &Job| {
-            let full = Json::parse(&std::fs::read_to_string(job.dir.join("result.json")).unwrap())
-                .unwrap();
+            let full = Json::parse(&job.result_doc(false).unwrap()).unwrap();
             let status = job.status_value();
             let counter = |name: &str| {
                 let reported = full
@@ -1778,17 +1832,14 @@ mod tests {
         assert!(drains <= reproved);
         assert_eq!(joins, 0, "a warm job explores nothing");
         // No counter reaches the deterministic document.
-        let det = std::fs::read_to_string(warm.dir.join("result.det.json")).unwrap();
+        let det = warm.result_doc(true).unwrap();
         assert!(
             !det.contains(r#""reproved""#)
                 && !det.contains("reprove_drains")
                 && !det.contains("drain_joins"),
             "{det}"
         );
-        assert_eq!(
-            det,
-            std::fs::read_to_string(cold.dir.join("result.det.json")).unwrap()
-        );
+        assert_eq!(Some(det), cold.result_doc(true));
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1842,13 +1893,21 @@ mod tests {
                 "incremental={incremental}"
             );
             assert_eq!(
-                std::fs::read_to_string(job.dir.join("result.det.json")).unwrap(),
-                reference,
+                job.result_doc(true).as_deref(),
+                Some(reference.as_str()),
                 "incremental={incremental}"
             );
-            // Incremental jobs record into the shared store only.
-            assert_eq!(job.dir.join("journal").exists(), !incremental);
+            // Incremental jobs record memo slabs into the shared store
+            // only; every job keeps its own log.
+            let slabs = job
+                .log
+                .lines()
+                .iter()
+                .filter(|l| l.contains("memo_slab"))
+                .count();
+            assert_eq!(slabs > 0, !incremental, "incremental={incremental}");
             assert_eq!(root.join("memo").exists(), incremental);
+            assert_eq!(entries(&job.dir), ["journal"]);
             queue.shutdown();
             let _ = std::fs::remove_dir_all(&root);
         }
@@ -1905,10 +1964,7 @@ mod tests {
         assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
         let status = job.status_value();
         assert_eq!(status.get("items_resumed").and_then(Json::as_u64), Some(0));
-        assert_eq!(
-            std::fs::read_to_string(dir.join("result.det.json")).unwrap(),
-            reference
-        );
+        assert_eq!(job.result_doc(true).as_deref(), Some(reference.as_str()));
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1938,7 +1994,8 @@ mod tests {
             .unwrap();
         queue.cancel(&victim);
         assert_eq!(victim.state(), JobState::Cancelled);
-        assert!(victim.dir.join("state.json").exists());
+        let last = victim.log.last_line().and_then(|l| decode_terminal(&l));
+        assert_eq!(last, Some((JobState::Cancelled, None, None)));
         blocker.wait_stopped(Duration::from_secs(120));
         queue.shutdown();
         drop(queue);
@@ -1946,6 +2003,108 @@ mod tests {
         let queue = Queue::start(cfg).unwrap();
         let restored = queue.job(victim.id).expect("cancelled job restored");
         assert_eq!(restored.state(), JobState::Cancelled);
+        queue.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_legacy_done_directory_migrates_in_place_and_a_killed_migration_repeats() {
+        let cfg = test_config("migrate");
+        let root = cfg.journal_root.clone();
+        let spec = spec_io::spec_from_value(&tiny_sweep_spec(), "").unwrap();
+
+        // A Done job directory as an older daemon left it: job.json, the
+        // run journal, the telemetry log and both result documents.
+        let dir = root.join("job-9");
+        let journal = Journal::open_segmented(&dir.join("journal"), LogConfig::default()).unwrap();
+        let report = Campaign::new(spec)
+            .journal(Arc::new(journal))
+            .run()
+            .unwrap();
+        let (full, det) = (
+            spec_io::report_to_json(&report),
+            spec_io::report_deterministic_json(&report),
+        );
+        let legacy = [
+            (
+                "job.json",
+                format!(
+                    r#"{{"id":9,"kind":"sweep","workers":1,"halt_after":null,"incremental":false,"spec":{}}}"#,
+                    tiny_sweep_spec().encode()
+                ),
+            ),
+            ("result.json", full.clone()),
+            ("result.det.json", det.clone()),
+        ];
+        for (name, text) in &legacy {
+            std::fs::write(dir.join(name), text).unwrap();
+        }
+        let telemetry = SegmentedLog::open(&dir.join("telemetry"), LogConfig::default()).unwrap();
+        telemetry.append(r#"{"seq":0,"event":"campaign_started"}"#);
+        drop(telemetry);
+
+        let boot = |expect_lines: usize| {
+            let queue = Queue::start(cfg.clone()).unwrap();
+            let job = queue.job(9).expect("legacy job restored");
+            assert_eq!(job.state(), JobState::Done);
+            let digest = job.status_value().get("digest").and_then(Json::as_u64);
+            assert_eq!(digest, Some(report.deterministic_digest()));
+            // Both views are served byte for byte from the terminal line.
+            assert_eq!(job.result_doc(false).as_deref(), Some(full.as_str()));
+            assert_eq!(job.result_doc(true).as_deref(), Some(det.as_str()));
+            assert_eq!(entries(&dir), ["journal"]);
+            assert_eq!(job.log.lines().len(), expect_lines);
+            queue.shutdown();
+        };
+        let journaled = Journal::open_segmented(&dir.join("journal"), LogConfig::default())
+            .unwrap()
+            .lines()
+            .len();
+        // The journal, plus the envelope and the result line.
+        boot(journaled + 2);
+
+        // A kill mid-migration: result.json is already deleted, the rest
+        // of the old files are still there. The next boot finishes the
+        // migration without appending anything twice.
+        for (name, text) in &legacy[..] {
+            if *name != "result.json" {
+                std::fs::write(dir.join(name), text).unwrap();
+            }
+        }
+        boot(journaled + 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn age_retention_measures_from_the_last_write_to_the_job_log() {
+        let mut cfg = test_config("retain-age");
+        cfg.retain_age_secs = 600;
+        cfg.prune_interval_secs = 0;
+        let root = cfg.journal_root.clone();
+        let queue = Queue::start(cfg).unwrap();
+        let jobs: Vec<Arc<Job>> = (0..2)
+            .map(|_| {
+                let job = queue
+                    .submit(JobKind::Sweep, submission(tiny_sweep_spec(), None))
+                    .unwrap();
+                assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+                job
+            })
+            .collect();
+        // Both finished just now: nothing is old enough.
+        assert_eq!(queue.prune_now().unwrap().pruned, 0);
+
+        // The first job's log was last written an hour ago.
+        let an_hour_ago = SystemTime::now() - Duration::from_secs(3600);
+        std::fs::File::options()
+            .write(true)
+            .open(only_segment(&jobs[0]))
+            .unwrap()
+            .set_modified(an_hour_ago)
+            .unwrap();
+        assert_eq!(queue.prune_now().unwrap().pruned, 1);
+        assert!(queue.job(jobs[0].id).is_none() && !jobs[0].dir.exists());
+        assert!(queue.job(jobs[1].id).is_some() && jobs[1].dir.exists());
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

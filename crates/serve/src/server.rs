@@ -20,7 +20,8 @@
 //!
 //! Errors are `{"error": "..."}` with 400 (bad input), 404 (no such
 //! route/job), 405 (wrong method), 409 (result not ready), 413 (body too
-//! large), or 503 (shutting down).
+//! large), 500 (the job log could not be written or read), or 503
+//! (shutting down).
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -265,8 +266,8 @@ fn route(
                         )),
                     );
                 }
-                let file = match request.query_param("view") {
-                    Some("deterministic") => "result.det.json",
+                let deterministic = match request.query_param("view") {
+                    Some("deterministic") => true,
                     Some(other) => {
                         return (
                             400,
@@ -275,11 +276,14 @@ fn route(
                             )),
                         )
                     }
-                    None => "result.json",
+                    None => false,
                 };
-                match std::fs::read_to_string(job.dir.join(file)) {
-                    Ok(text) => (200, text),
-                    Err(e) => (500, error_body(&format!("reading {file}: {e}"))),
+                match job.result_doc(deterministic) {
+                    Some(text) => (200, text),
+                    None => (
+                        500,
+                        error_body(&format!("job {} has no readable result line", job.id)),
+                    ),
                 }
             }),
             _ => method_not_allowed("GET"),
@@ -339,6 +343,7 @@ fn submit(queue: &Arc<Queue>, kind: JobKind, request: &Request) -> (u16, String)
         Ok(job) => (201, job.status_value().encode()),
         Err(SubmitError::BadSpec(m)) => (400, error_body(&m)),
         Err(SubmitError::Limit(m)) => (409, error_body(&m)),
+        Err(SubmitError::Io(m)) => (500, error_body(&m)),
         Err(SubmitError::ShuttingDown) => (503, error_body("daemon is shutting down")),
     }
 }
@@ -393,6 +398,27 @@ mod tests {
         assert_eq!(r.status, 400);
         assert!(r.body.contains("geko"), "{}", r.body);
 
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_submission_that_cannot_create_its_job_directory_is_a_500_and_leaves_nothing() {
+        let (server, addr, root) = test_server("submit-io");
+        // The first job's directory name is taken by a regular file.
+        std::fs::write(root.join("job-1"), "not a job").unwrap();
+        let spec = r#"{"name":"x","apps":["blink"],"schemes":["gecko"],"seeds":[1],
+            "workload":{"kind":"run_for","seconds":0.001}}"#;
+        let r = http_call(&addr, "POST", "/v1/campaigns", spec).unwrap();
+        assert_eq!(r.status, 500, "{}", r.body);
+        assert!(r.body.contains("job-1"), "{}", r.body);
+        let r = http_call(&addr, "GET", "/v1/jobs", "").unwrap();
+        assert_eq!(r.body, r#"{"jobs":[]}"#);
+        assert!(!root.join("job-1").is_dir());
+        assert_eq!(
+            std::fs::read_to_string(root.join("job-1")).unwrap(),
+            "not a job"
+        );
         server.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -280,6 +280,22 @@ impl SegmentedLog {
         out
     }
 
+    /// The log's last line, read from one segment: the active tail, or
+    /// the newest sealed segment when the tail is empty (sealed segments
+    /// never are). `None` for an empty log or an unreadable segment.
+    pub fn last_line(&self) -> Option<String> {
+        let mut s = self.lock();
+        let _ = s.writer.flush();
+        let seq = match s.active_bytes {
+            0 => s.sealed.last()?.0,
+            _ => s.active_seq,
+        };
+        let mut text = std::fs::read_to_string(seg_path(&self.dir, seq)).ok()?;
+        text.truncate(text.trim_end_matches('\n').len());
+        text.drain(..text.rfind('\n').map_or(0, |i| i + 1));
+        (!text.is_empty()).then_some(text)
+    }
+
     /// Current segments, ascending by sequence number (active tail last).
     pub fn segments(&self) -> Vec<SegmentInfo> {
         let s = self.lock();
@@ -539,6 +555,10 @@ mod tests {
         assert_eq!(segs.len(), 2);
         assert!(segs[0].sealed);
         assert_eq!(log.total_bytes(), segs[0].bytes);
+        // An empty tail reads the last line from the newest sealed segment.
+        assert_eq!(log.last_line().as_deref(), Some("{\"a\":1}"));
+        log.append("{\"b\":2}");
+        assert_eq!(log.last_line().as_deref(), Some("{\"b\":2}"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,15 +9,18 @@
 //! transport, not semantics.
 //!
 //! `--smoke` runs the same flow quietly and exits non-zero on any
-//! mismatch; `scripts/check.sh` uses it as the serve smoke gate.
+//! mismatch; `scripts/check.sh` uses it as the serve smoke gate. Both
+//! modes also check the finished job's on-disk layout: its directory
+//! holds only `journal/`, one segmented log ending on the `result` line.
 //!
 //! ```sh
 //! cargo run --release --example serve
 //! cargo run --release --example serve -- --smoke
 //! ```
 
-use gecko_suite::fleet::{report_deterministic_json, spec_to_json, Campaign};
+use gecko_suite::fleet::{report_deterministic_json, spec_to_json, Campaign, Json};
 use gecko_suite::serve::{http_call, ServeConfig, Server};
+use gecko_suite::store::{LogConfig, SegmentedLog};
 
 fn spec() -> gecko_suite::fleet::CampaignSpec {
     use gecko_suite::emi::attack::DpiPoint;
@@ -138,6 +141,34 @@ fn main() {
     );
 
     server.shutdown();
+
+    // One log per job: the finished job's directory holds only its
+    // segmented `journal/`, and the log ends on the `result` line.
+    let job_dir = data.join(format!("job-{id}"));
+    let names = |dir: &std::path::Path| -> Vec<String> {
+        std::fs::read_dir(dir)
+            .expect("job directory")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect()
+    };
+    assert_eq!(names(&job_dir), ["journal"], "job directory layout");
+    let journal = job_dir.join("journal");
+    assert!(
+        names(&journal)
+            .iter()
+            .all(|n| n.starts_with("seg-") && n.ends_with(".jsonl")),
+        "job log holds only segments"
+    );
+    let log = SegmentedLog::open(&journal, LogConfig::default()).expect("job log opens");
+    let last = log.last_line().and_then(|line| Json::parse_flat(&line));
+    assert_eq!(
+        last.as_ref()
+            .and_then(|rec| rec.get("job"))
+            .and_then(Json::as_str),
+        Some("result"),
+        "the job log ends on its result line"
+    );
+    drop(log);
     let _ = std::fs::remove_dir_all(&data);
     println!(
         "serve {}: served result is byte-identical to the in-process run \

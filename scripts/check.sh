@@ -48,7 +48,8 @@ cargo test --offline --release -q -p gecko-store
 cargo test --offline --release -q -p gecko-fleet --test prune
 
 echo "==> serve smoke (daemon on an ephemeral port: submit fig4 sweep over HTTP,"
-echo "    poll to completion, served result must be byte-identical to the library)"
+echo "    poll to completion, served result must be byte-identical to the library;"
+echo "    the finished job directory holds only journal/, a log ending on its result line)"
 cargo run --offline --release --example serve -- --smoke
 cargo test --offline --release -q -p gecko-serve --test e2e
 
