@@ -539,13 +539,15 @@ fn bench_batch_step(rows: &mut Vec<BenchRow>, quick: bool) {
 /// a single fault ever firing. The trajectory must be bit-identical to a
 /// simulator that was never given a schedule, and the wall-clock overhead
 /// must stay under 2% (10% in the quick smoke run, where the window is
-/// small enough for scheduler noise to dominate).
+/// small enough for scheduler noise to dominate). Plain and guarded runs
+/// are timed in adjacent pairs ([`time_pairs`]) and the gate reads the
+/// median per-pair ratio, so drift between the two halves cancels.
 fn bench_fault_path(rows: &mut Vec<BenchRow>, quick: bool) {
     use gecko_emi::fault::{FaultModel, FaultSchedule, TimedFault};
 
     let app = gecko_apps::app_by_name("bitcnt").unwrap();
     let window_s = if quick { 0.05 } else { 0.2 };
-    let iters = if quick { 3 } else { 5 };
+    let pairs = if quick { 21 } else { 15 };
     // Armed (DPI P2 at 35 dBm clears the fault power threshold) but
     // opening three orders of magnitude past the simulated window.
     let far_future = FaultSchedule::from_windows(vec![TimedFault {
@@ -579,23 +581,24 @@ fn bench_fault_path(rows: &mut Vec<BenchRow>, quick: bool) {
     assert_eq!(plain.state_hash(), guarded.state_hash());
     assert_eq!(guarded.metrics.fault_skips, 0);
 
-    let plain_wall = time_best_of(iters, run_plain);
-    let guarded_wall = time_best_of(iters, run_guarded);
-    let overhead = guarded_wall.as_secs_f64() / plain_wall.as_secs_f64();
+    let walls = time_pairs(pairs, run_plain, run_guarded);
+    let overhead = walls.ratio;
     let steps = plain.fast_path_stats().steps;
     print_table(
-        &format!("fault-free fault-path overhead, bitcnt, {window_s}s window (best of {iters})"),
+        &format!(
+            "fault-free fault-path overhead, bitcnt, {window_s}s window (median of {pairs} pairs)"
+        ),
         &["path", "wall", "vs plain"],
         &[
             vec![
                 "plain".to_string(),
-                format!("{:.1}ms", plain_wall.as_secs_f64() * 1e3),
+                format!("{:.1}ms", walls.base_s * 1e3),
                 "1.00x".to_string(),
             ],
             vec![
                 "guarded".to_string(),
-                format!("{:.1}ms", guarded_wall.as_secs_f64() * 1e3),
-                format!("{overhead:.3}x"),
+                format!("{:.1}ms", walls.other_s * 1e3),
+                format!("{overhead:.3}x (pair median)"),
             ],
         ],
     );
@@ -608,8 +611,8 @@ fn bench_fault_path(rows: &mut Vec<BenchRow>, quick: bool) {
             ff_ticks: 0,
             eh_insts: guarded.fast_path_stats().eh_insts,
             ratio: overhead,
-            wall_ms: guarded_wall.as_secs_f64() * 1e3,
-            rate_per_s: steps as f64 / guarded_wall.as_secs_f64(),
+            wall_ms: walls.other_s * 1e3,
+            rate_per_s: steps as f64 / walls.other_s,
             ..BenchRow::default()
         }
         .with_spans(&guarded.fast_path_stats()),
@@ -747,7 +750,7 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
     let resume_wall = time_best_of(iters, || {
         let resumed = Campaign::new(spec())
             .workers(workers)
-            .resume(Arc::clone(&journal))
+            .journal(Arc::clone(&journal))
             .run()
             .expect("resume runs");
         assert_eq!(resumed.counters.resumed, items, "resume must skip all runs");

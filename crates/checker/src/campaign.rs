@@ -13,7 +13,8 @@
 //!
 //! The pool itself is `gecko_fleet`'s supervised pool: a chunk that
 //! panics is quarantined into a structured [`RunFailure`] instead of
-//! killing the campaign, and budgets and bounded retry apply per chunk.
+//! killing the campaign, and budgets apply per chunk; each claimed chunk
+//! is checked exactly once.
 //! An attached [`MemoStore`] is the one durable record of completed
 //! chunks: a killed campaign resumes bit-exactly by attaching the same
 //! store again. A persisted violation stores only its schedule and
@@ -267,7 +268,7 @@ pub fn check_app(
 
 /// Stable identity of one chunk: content-addressed by (app, scheme,
 /// window range), so it survives spec reordering-neutral edits and keys
-/// the chaos/backoff streams and the memo store's records.
+/// the chaos streams and the memo store's records.
 fn chunk_run_key(app: &str, scheme: SchemeKind, start: u64, end: u64) -> u64 {
     let mut h = FNV_OFFSET;
     h = fnv_str(h, app);
@@ -727,10 +728,10 @@ impl CheckCampaign {
     /// item order, then shrink each failing pair's first violation on the
     /// same workers.
     ///
-    /// A chunk that panics (or blows its budget, or keeps failing
-    /// transiently) is quarantined into [`CheckReport::failures`]; every
-    /// other chunk's result — including violations found by sibling
-    /// chunks, which still shrink — is unaffected.
+    /// A chunk that panics (or blows its budget) is quarantined into
+    /// [`CheckReport::failures`]; every other chunk's result — including
+    /// violations found by sibling chunks, which still shrink — is
+    /// unaffected.
     ///
     /// # Errors
     ///
@@ -896,15 +897,15 @@ impl CheckCampaign {
             stop: self.kill_switch.as_deref(),
             sink: &sink,
         };
-        let pool = run_supervised(&cfg, restored, |i, attempt, budget, attempt_started| {
+        let pool = run_supervised(&cfg, restored, |i, budget, run_started| {
             let item = items[i];
             let p = &pairs[item.pair];
             let outcome = check_windows(&p.compiled, &spec.explore, item.start, item.end, p.golden);
             let (stats, drain_joins) = (outcome.stats, outcome.drain_joins);
             if stats.steps > budget.max_steps {
-                return Err(AttemptFail::TimedOut {
+                return Err(AttemptFail {
                     steps: stats.steps,
-                    wall_ms: attempt_started.elapsed().as_secs_f64() * 1e3,
+                    wall_ms: run_started.elapsed().as_secs_f64() * 1e3,
                     partial: None,
                 });
             }
@@ -919,7 +920,6 @@ impl CheckCampaign {
                 "check_item_finished",
                 vec![
                     ("item", Value::U64(i as u64)),
-                    ("attempt", Value::U64(attempt as u64)),
                     ("app", Value::Str(p.compiled.app.name.to_string())),
                     ("scheme", Value::Str(p.compiled.scheme.name().to_string())),
                     ("windows", Value::U64(stats.windows)),
@@ -1014,7 +1014,6 @@ impl CheckCampaign {
             memo_hits: totals.memo_hits,
             violations: totals.violations,
             failures: failed_runs,
-            retries: pool.retries,
             resumed,
             dropped_records,
             journal_diagnostics: diagnostics.len() as u64,
@@ -1196,10 +1195,8 @@ pub fn check_summary(report: &CheckReport) -> String {
     let c = &report.counters;
     if !report.failures.is_empty() || c.resumed > 0 || report.halted {
         out.push_str(&format!(
-            "supervision: {} failure(s), {} retried attempt(s), {} resumed, \
-             {} dropped record(s){}\n",
+            "supervision: {} failure(s), {} resumed, {} dropped record(s){}\n",
             c.failures,
-            c.retries,
             c.resumed,
             c.dropped_records,
             if report.halted { " [halted]" } else { "" },

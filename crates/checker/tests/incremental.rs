@@ -337,7 +337,6 @@ fn over_budget_chunks_stay_quarantined_on_warm_rechecks() {
             .workers(2)
             .supervisor(SupervisorSpec {
                 max_steps: Some(max_steps),
-                max_attempts: 1,
                 ..SupervisorSpec::default()
             })
     };

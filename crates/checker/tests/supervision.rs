@@ -104,7 +104,7 @@ fn chunk_panics_quarantine_and_sibling_violations_still_shrink() {
     // The clean pair ran entirely outside the blast radius.
     assert_eq!(report.results[1], clean.results[1]);
 
-    // Chaos is keyed on (seed, chunk run key, attempt): the whole report,
+    // Chaos is keyed on (seed, chunk run key): the whole report,
     // failures included, is worker-count-invariant.
     let solo = CheckCampaign::new(spec())
         .chaos(chaos)

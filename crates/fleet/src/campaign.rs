@@ -19,9 +19,10 @@
 //! **Supervision.** Every run executes under the supervision layer
 //! ([`crate::supervisor`]): panics are quarantined into structured
 //! [`RunFailure`]s, step/wall budgets flag pathological cells instead of
-//! hanging on them, transient faults retry with deterministic backoff,
-//! and an optional [`Journal`] checkpoints completed runs so a killed
-//! campaign resumes bit-exactly ([`Campaign::resume`]).
+//! hanging on them, each run executes exactly once (the simulation is
+//! deterministic, so a second try would replay the same outcome), and an
+//! optional [`Journal`] checkpoints completed runs so a killed campaign
+//! resumes bit-exactly ([`Campaign::journal`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -381,7 +382,7 @@ impl CampaignSpec {
     /// Stable identity of one run: an FNV-1a hash of the cell's app name,
     /// scheme name, device index, attack label, fault label, and
     /// peripheral seed. Run keys identify completed runs in a resume
-    /// [`Journal`] and seed the per-run chaos/backoff streams, so they
+    /// [`Journal`] and seed the per-run chaos streams, so they
     /// must not depend on scheduling — and they don't: they are pure
     /// functions of the spec.
     pub fn run_key(&self, item: &WorkItem) -> u64 {
@@ -592,8 +593,8 @@ impl Campaign {
         self
     }
 
-    /// Overrides the supervision policy (builder style): budgets, retry
-    /// schedule, chaos.
+    /// Overrides the supervision policy (builder style): budgets and
+    /// chaos.
     pub fn supervisor(mut self, sup: SupervisorSpec) -> Campaign {
         self.sup = sup;
         self
@@ -616,14 +617,6 @@ impl Campaign {
         self
     }
 
-    /// Alias for [`Campaign::journal`] that reads better at the call site
-    /// when the journal already has content: resume the campaign, skipping
-    /// every journaled run. The merged report is bit-exact against an
-    /// uninterrupted run at any worker count.
-    pub fn resume(self, journal: Arc<Journal>) -> Campaign {
-        self.journal(journal)
-    }
-
     /// Stops claiming new runs once `n` runs have been accounted this
     /// session (builder style) — the deterministic "kill at a completed-run
     /// boundary" hook the kill/resume tests are built on. The report's
@@ -639,8 +632,8 @@ impl Campaign {
     /// are on, stop claiming new ones, and the report comes back with
     /// `halted` set. Combined with [`Campaign::journal`], this is the
     /// graceful-shutdown seam — a daemon drains in-flight work to a clean
-    /// checkpoint instead of abandoning it, and a later
-    /// [`Campaign::resume`] continues bit-exactly.
+    /// checkpoint instead of abandoning it, and a later run with the same
+    /// journal continues bit-exactly.
     pub fn kill_switch(mut self, stop: Arc<std::sync::atomic::AtomicBool>) -> Campaign {
         self.kill_switch = Some(stop);
         self
@@ -658,8 +651,8 @@ impl Campaign {
     ///
     /// Returns the first (in item order) resolution or compile error, or
     /// [`CampaignError::Journal`] when a resume journal belongs to a
-    /// different spec. Panics, budget overruns and exhausted retries are
-    /// *not* errors — they land in [`CampaignReport::failures`].
+    /// different spec. Panics and budget overruns are *not* errors — they
+    /// land in [`CampaignReport::failures`].
     pub fn run(&self) -> Result<CampaignReport, CampaignError> {
         let spec = &self.spec;
         let apps: Vec<App> = spec
@@ -731,13 +724,12 @@ impl Campaign {
             sink: &sink,
         };
         let journal = self.journal.as_deref();
-        let pool = run_supervised(&cfg, restored, |i, attempt, budget, attempt_started| {
+        let pool = run_supervised(&cfg, restored, |i, budget, run_started| {
             let item = items[i];
             sink.emit(Event::new(
                 "item_started",
                 vec![
                     ("item", Value::U64(i as u64)),
-                    ("attempt", Value::U64(attempt as u64)),
                     ("app", Value::Str(spec.apps[item.app_idx].clone())),
                     (
                         "scheme",
@@ -755,7 +747,7 @@ impl Campaign {
                 item,
                 &cache,
                 budget,
-                attempt_started,
+                run_started,
             )? {
                 Ok(r) => r,
                 Err(e) => return Ok(Err(e)),
@@ -821,7 +813,6 @@ impl Campaign {
             compile_misses: cache.misses(),
             compile_hits: cache.hits(),
             failures: failed_runs,
-            retries: pool.retries,
             resumed,
             dropped_records,
             ..FleetCounters::default()
@@ -857,8 +848,8 @@ impl Campaign {
     }
 }
 
-/// One supervised attempt of one item. The outer `Result` is the
-/// supervisor's vocabulary (budget overruns, transient faults); the inner
+/// The one supervised run of one item. The outer `Result` is the
+/// supervisor's vocabulary (budget overruns); the inner
 /// one carries hard campaign errors (compile failures are properties of
 /// the *spec*, not of one run, so they abort the campaign as before).
 fn run_item_budgeted(
@@ -867,7 +858,7 @@ fn run_item_budgeted(
     item: WorkItem,
     cache: &ProgramCache,
     budget: &RunBudget,
-    attempt_started: Instant,
+    run_started: Instant,
 ) -> Result<Result<RunResult, CampaignError>, AttemptFail> {
     let scheme = spec.schemes[item.scheme_idx];
     let t0 = Instant::now();
@@ -882,8 +873,7 @@ fn run_item_budgeted(
         }
     };
     let mut sim = Simulator::from_compiled(&compiled, spec.config_for(&item));
-    let (metrics, buckets) =
-        run_workload_budgeted(&mut sim, spec.workload, budget, attempt_started)?;
+    let (metrics, buckets) = run_workload_budgeted(&mut sim, spec.workload, budget, run_started)?;
     Ok(Ok(RunResult {
         item,
         metrics,
@@ -903,18 +893,18 @@ fn run_workload_budgeted(
     sim: &mut Simulator,
     workload: Workload,
     budget: &RunBudget,
-    attempt_started: Instant,
+    run_started: Instant,
 ) -> Result<(Metrics, Vec<Metrics>), AttemptFail> {
     let mut taken = 0u64;
     match workload {
         Workload::RunFor { seconds } => {
             let t_end = sim.time_s() + seconds;
-            run_span_budgeted(sim, t_end, u64::MAX, budget, attempt_started, &mut taken)?;
+            run_span_budgeted(sim, t_end, u64::MAX, budget, run_started, &mut taken)?;
             Ok((sim.metrics, Vec::new()))
         }
         Workload::UntilCompletions { n, max_seconds } => {
             let t_end = sim.time_s() + max_seconds;
-            run_span_budgeted(sim, t_end, n, budget, attempt_started, &mut taken)?;
+            run_span_budgeted(sim, t_end, n, budget, run_started, &mut taken)?;
             Ok((sim.metrics, Vec::new()))
         }
         Workload::Buckets {
@@ -926,7 +916,7 @@ fn run_workload_budgeted(
             let mut buckets = Vec::with_capacity(n);
             for _ in 0..n {
                 let t_end = sim.time_s() + bucket_s;
-                run_span_budgeted(sim, t_end, u64::MAX, budget, attempt_started, &mut taken)?;
+                run_span_budgeted(sim, t_end, u64::MAX, budget, run_started, &mut taken)?;
                 buckets.push(sim.metrics);
             }
             Ok((*buckets.last().expect("n >= 1"), buckets))
@@ -939,7 +929,7 @@ fn run_span_budgeted(
     t_end: f64,
     target_completions: u64,
     budget: &RunBudget,
-    attempt_started: Instant,
+    run_started: Instant,
     taken: &mut u64,
 ) -> Result<(), AttemptFail> {
     loop {
@@ -947,17 +937,17 @@ fn run_span_budgeted(
             return Ok(());
         }
         if *taken >= budget.max_steps {
-            return Err(AttemptFail::TimedOut {
+            return Err(AttemptFail {
                 steps: *taken,
-                wall_ms: attempt_started.elapsed().as_secs_f64() * 1e3,
+                wall_ms: run_started.elapsed().as_secs_f64() * 1e3,
                 partial: Some(Box::new(sim.metrics)),
             });
         }
         let slice = BUDGET_SLICE_STEPS.min(budget.max_steps - *taken);
         *taken += sim.run_capped(t_end, target_completions, slice);
-        let wall = attempt_started.elapsed();
+        let wall = run_started.elapsed();
         if wall > budget.deadline {
-            return Err(AttemptFail::TimedOut {
+            return Err(AttemptFail {
                 steps: *taken,
                 wall_ms: wall.as_secs_f64() * 1e3,
                 partial: Some(Box::new(sim.metrics)),

@@ -1,5 +1,5 @@
 //! Append-only JSON-lines run journals — the "checkpoint" behind
-//! [`Campaign::resume`](crate::Campaign::resume).
+//! [`Campaign::journal`](crate::Campaign::journal).
 //!
 //! A journal records, one JSON object per line, every run a campaign has
 //! completed: a header that fingerprints the spec, the full per-run
@@ -34,7 +34,7 @@
 //!   [`gecko_store::SegmentedLog`] — sealed segments
 //!   [`SegmentedLog::compact`] can rewrite without disturbing the
 //!   bit-exact resume guarantee. Its verdicts ([`classify_campaign_lines`]) are the resume
-//!   decoder's own: one [`Replay`] pass yields both the restored runs and
+//!   decoder's own: one decoder pass yields both the restored runs and
 //!   one verdict per line, so the lines compaction deletes are exactly
 //!   the ones resume threw away. A tail torn mid-append is repaired
 //!   when the log opens (the partial final line is truncated away and
@@ -101,15 +101,6 @@ impl Journal {
     /// Propagates [`SegmentedLog::open`] errors.
     pub fn open_segmented(dir: &Path, cfg: gecko_store::LogConfig) -> std::io::Result<Journal> {
         Ok(Journal::segmented(Arc::new(SegmentedLog::open(dir, cfg)?)))
-    }
-
-    /// The underlying segmented log, when this journal has one (for
-    /// compaction and stats).
-    pub fn segment_log(&self) -> Option<Arc<SegmentedLog>> {
-        match &*lock_unpoisoned(&self.backend) {
-            Backend::Segmented(log) => Some(Arc::clone(log)),
-            Backend::Memory(_) => None,
-        }
     }
 
     /// Appends one line (the terminating newline is added here). Never
@@ -206,8 +197,8 @@ impl std::fmt::Debug for Journal {
 // ---------------------------------------------------------------------------
 
 /// Journal line kinds for metric campaigns (`gecko-fleet`). The checker
-/// defines its own vocabulary on top of the same [`Journal`] and
-/// [`Json::parse_flat`].
+/// persists its chunks through its own memo store instead, in a
+/// vocabulary of its own read with the same [`Json::parse_flat`].
 pub mod lines {
     /// Header: campaign identity + spec fingerprint.
     pub const HEADER: &str = "campaign";
@@ -342,16 +333,16 @@ fn compile_stats_from(rec: &Json) -> Option<CompileStats> {
     })
 }
 
-/// One pass of a journal decoder and what it did with every line: the
-/// bookkeeping the run and chunk journals share. Its [`Verdict`]s are
-/// what the store's compactor prunes by, so resume and compaction read a
-/// journal through the same code and cannot disagree.
+/// One pass of the run-journal decoder ([`decode_campaign`]) and what it
+/// did with every line. Its [`Verdict`]s are what the store's compactor
+/// prunes by, so resume and compaction read a journal through the same
+/// code and cannot disagree.
 ///
 /// Every line starts as [`Verdict::Keep`]. [`Replay::walk`] marks garbage
 /// and every header after the first `Delete`; the decoder marks what it
 /// throws away ([`Replay::discard`]) and files each restored record with
 /// the lines it was built from ([`Replay::restore`]).
-pub struct Replay<T> {
+struct Replay<T> {
     verdicts: Vec<Verdict>,
     restored: HashMap<u64, (T, Vec<usize>)>,
 }
@@ -361,10 +352,7 @@ impl<T> Replay<T> {
     /// to `visit` with its line index. The first header is kept (it is
     /// [`Journal::bind`]'s); a header is never a record, whatever else it
     /// carries.
-    pub fn walk(
-        lines: &[String],
-        mut visit: impl FnMut(&mut Replay<T>, usize, &Json),
-    ) -> Replay<T> {
+    fn walk(lines: &[String], mut visit: impl FnMut(&mut Replay<T>, usize, &Json)) -> Replay<T> {
         let mut replay = Replay {
             verdicts: vec![Verdict::Keep; lines.len()],
             restored: HashMap::new(),
@@ -385,7 +373,7 @@ impl<T> Replay<T> {
     }
 
     /// Marks `lines` as thrown away by the decoder.
-    pub fn discard(&mut self, lines: impl IntoIterator<Item = usize>) {
+    fn discard(&mut self, lines: impl IntoIterator<Item = usize>) {
         for i in lines {
             self.verdicts[i] = Verdict::Delete;
         }
@@ -393,14 +381,14 @@ impl<T> Replay<T> {
 
     /// Restores `record` under `key` from `lines`, superseding (and
     /// discarding the lines of) any earlier record for `key`.
-    pub fn restore(&mut self, key: u64, record: T, lines: Vec<usize>) {
+    fn restore(&mut self, key: u64, record: T, lines: Vec<usize>) {
         if let Some((_, superseded)) = self.restored.insert(key, (record, lines)) {
             self.discard(superseded);
         }
     }
 
     /// The restored records by key, and one verdict per line.
-    pub fn finish(self) -> (HashMap<u64, T>, Vec<Verdict>) {
+    fn finish(self) -> (HashMap<u64, T>, Vec<Verdict>) {
         let records = self
             .restored
             .into_iter()
@@ -982,13 +970,16 @@ mod tests {
     fn segmented_journal_round_trips_and_exposes_its_log() {
         let dir = std::env::temp_dir().join(format!("gecko-journal-seg-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let journal = Journal::open_segmented(
-            &dir,
-            gecko_store::LogConfig {
-                max_segment_bytes: 256,
-            },
-        )
-        .unwrap();
+        let log = Arc::new(
+            SegmentedLog::open(
+                &dir,
+                gecko_store::LogConfig {
+                    max_segment_bytes: 256,
+                },
+            )
+            .unwrap(),
+        );
+        let journal = Journal::segmented(Arc::clone(&log));
         journal.append(&encode_header("seg", 11));
         for key in 0..6 {
             for line in encode_run(key, &sample_result(key as usize, 1)) {
@@ -996,7 +987,6 @@ mod tests {
             }
         }
         journal.sync();
-        let log = journal.segment_log().expect("segmented backend");
         assert!(log.segments().len() > 1, "small segments rotate");
         let (runs, _) = decode_campaign(&journal.lines());
         assert_eq!(
@@ -1006,7 +996,7 @@ mod tests {
         assert_eq!(runs.len(), 6);
 
         // Reopen reads the same lines back.
-        drop(journal);
+        drop((journal, log));
         let reopened = Journal::open_segmented(
             &dir,
             gecko_store::LogConfig {

@@ -24,12 +24,12 @@
 //! Two more layers make campaigns *survivable* (GECKO's own resilience
 //! discipline, applied to the harness):
 //!
-//! * [`supervisor`] — panic quarantine, step/wall run budgets, bounded
-//!   retry with deterministic backoff, and seeded [`ChaosSpec`] fault
-//!   injection; failures become structured [`RunFailure`]s in the report
-//!   instead of killing workers.
+//! * [`supervisor`] — panic quarantine, step/wall run budgets, and
+//!   seeded [`ChaosSpec`] fault injection; each run executes once and a
+//!   failure becomes a structured [`RunFailure`] in the report instead of
+//!   killing workers.
 //! * [`journal`] — an append-only JSON-lines [`Journal`] of completed
-//!   runs; [`Campaign::resume`] skips journaled runs and merges
+//!   runs; [`Campaign::journal`] skips journaled runs and merges
 //!   bit-exactly against an uninterrupted campaign at any worker count.
 //!
 //! The paper's heavyweight sweeps (Figures 4, 5, 7, 8, 11 and 13) live in
@@ -74,7 +74,7 @@ pub use spec_io::{
 pub use supervisor::{
     account_dropped, lock_unpoisoned, quarantine, run_supervised, AttemptFail, ChaosSink,
     ChaosSpec, FailureKind, ItemOutcome, PoolConfig, PoolReport, RunBudget, RunFailure,
-    SupervisorSpec, TRANSIENT_PREFIX,
+    SupervisorSpec,
 };
 pub use telemetry::{Event, FleetCounters, Histogram, MemorySink, NullSink, TelemetrySink};
 
@@ -128,9 +128,8 @@ pub fn fleet_summary(report: &CampaignReport) -> String {
     if !report.failures.is_empty() || c.resumed > 0 || report.halted || c.dropped_records > 0 {
         let _ = writeln!(
             out,
-            "supervision: {} failure(s), {} retried attempt(s), {} resumed, {} dropped record(s){}",
+            "supervision: {} failure(s), {} resumed, {} dropped record(s){}",
             c.failures,
-            c.retries,
             c.resumed,
             c.dropped_records,
             if report.halted { " [halted]" } else { "" },

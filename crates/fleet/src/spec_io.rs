@@ -993,7 +993,6 @@ fn report_value(report: &CampaignReport, deterministic: bool) -> Json {
                 ("compile_misses".into(), Json::U64(c.compile_misses)),
                 ("compile_hits".into(), Json::U64(c.compile_hits)),
                 ("failures".into(), Json::U64(c.failures)),
-                ("retries".into(), Json::U64(c.retries)),
                 ("resumed".into(), Json::U64(c.resumed)),
                 ("dropped_records".into(), Json::U64(c.dropped_records)),
             ]),

@@ -1,5 +1,5 @@
-//! The supervision layer: panic quarantine, run budgets, bounded retry
-//! with deterministic backoff, and deterministic chaos injection.
+//! The supervision layer: panic quarantine, run budgets, and
+//! deterministic chaos injection.
 //!
 //! GECKO's thesis is graceful degradation under hostile conditions, and
 //! the campaign engine holds itself to the same discipline: one
@@ -14,20 +14,18 @@
 //!   deadline; partial metrics ride along so a pathological configuration
 //!   is *flagged*, not hung on. Step-budget timeouts are deterministic;
 //!   deadline timeouts reflect real time.
-//! * [`RunFailure::Transient`] — the run signalled a retryable fault
-//!   (panic payload prefixed [`TRANSIENT_PREFIX`], or a cooperative
-//!   [`AttemptFail::Transient`]) and still failed after the bounded,
-//!   splitmix64-jittered retry schedule.
 //! * [`RunFailure::SinkDropped`] — telemetry records were dropped
 //!   (I/O failure or injected chaos); one structured failure summarizes
 //!   the count.
 //!
-//! [`ChaosSpec`] threads seeded fault injection (panics, transient
-//! faults, slow runs, sink write failures) through the same splitmix64
-//! discipline as every other stochastic element of the workspace: the
-//! fault plan for a run depends only on `(chaos seed, run key, attempt)`,
-//! never on scheduling, so supervision is exercised by deterministic,
-//! reproducible tests rather than luck.
+//! Each claimed item runs exactly once: the simulation is deterministic,
+//! so running it again would only replay the same outcome.
+//!
+//! [`ChaosSpec`] threads seeded fault injection (panics and sink write
+//! failures) through the same splitmix64 discipline as every other
+//! stochastic element of the workspace: the fault plan for a run depends
+//! only on `(chaos seed, run key)`, never on scheduling, so supervision is
+//! exercised by deterministic, reproducible tests rather than luck.
 //!
 //! [`run_supervised`] is the generic worker pool shared by
 //! `gecko_fleet::Campaign` and `gecko-check`'s `CheckCampaign`: an atomic
@@ -46,12 +44,6 @@ use gecko_sim::report::Value;
 use gecko_sim::Metrics;
 
 use crate::telemetry::{Event, TelemetrySink};
-
-/// Panic-payload prefix that marks a failure as *transient* (retryable):
-/// a run may `panic!("{TRANSIENT_PREFIX}lost the flaky resource")` and the
-/// supervisor will re-run it under the bounded backoff schedule instead of
-/// recording a hard panic.
-pub const TRANSIENT_PREFIX: &str = "transient: ";
 
 /// Default per-run wall-clock deadline (5 minutes) when the campaign does
 /// not override it — generous enough that it only fires on genuine hangs.
@@ -80,22 +72,14 @@ pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // ---------------------------------------------------------------------------
 
 /// Deterministic fault-injection policy, threaded through splitmix64: the
-/// plan for a run is a pure function of `(seed, run_key, attempt)`.
+/// plan for a run is a pure function of `(seed, run_key)`.
 /// Probabilities are in per-mille (`0` = never, `1000` = always).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosSpec {
     /// Chaos stream seed (decorrelated from the simulation seeds).
     pub seed: u64,
-    /// Probability (‰) that an attempt panics outright.
+    /// Probability (‰) that a run panics outright.
     pub panic_per_mille: u32,
-    /// Probability (‰) that an attempt fails with a transient
-    /// (retryable) fault.
-    pub transient_per_mille: u32,
-    /// Probability (‰) that an attempt is stalled by [`ChaosSpec::slow_ms`]
-    /// before the run starts (exercises the wall-clock deadline).
-    pub slow_per_mille: u32,
-    /// Stall duration for slow-run injection (ms).
-    pub slow_ms: u64,
     /// Probability (‰) that a telemetry record is dropped on write
     /// (exercises the sink-degradation path).
     pub sink_fail_per_mille: u32,
@@ -117,22 +101,18 @@ impl ChaosSpec {
 
     /// Whether every injection probability is zero.
     pub fn is_off(&self) -> bool {
-        self.panic_per_mille == 0
-            && self.transient_per_mille == 0
-            && self.slow_per_mille == 0
-            && self.sink_fail_per_mille == 0
+        self.panic_per_mille == 0 && self.sink_fail_per_mille == 0
     }
 
-    /// The deterministic fault plan for one attempt of one run. Exposed so
-    /// tests can predict exactly which runs a chaos campaign will fail.
-    pub fn plan_for(&self, run_key: u64, attempt: u32) -> ChaosPlan {
-        let mut rng =
-            SplitMix64::new(self.seed ^ run_key ^ (attempt as u64).wrapping_mul(GOLDEN_GAMMA));
-        let mut roll = |per_mille: u32| per_mille > 0 && rng.next_u64() % 1000 < per_mille as u64;
+    /// The deterministic fault plan for one run. Exposed so tests can
+    /// predict exactly which runs a chaos campaign will fail. The stream
+    /// is seeded `seed ^ run_key ^ GOLDEN_GAMMA`, the seed every chaos
+    /// campaign's failure set and digest were recorded under.
+    pub fn plan_for(&self, run_key: u64) -> ChaosPlan {
+        let mut rng = SplitMix64::new(self.seed ^ run_key ^ GOLDEN_GAMMA);
+        let per_mille = self.panic_per_mille;
         ChaosPlan {
-            panic: roll(self.panic_per_mille),
-            transient: roll(self.transient_per_mille),
-            slow: roll(self.slow_per_mille),
+            panic: per_mille > 0 && rng.next_u64() % 1000 < per_mille as u64,
         }
     }
 
@@ -151,15 +131,11 @@ impl ChaosSpec {
     }
 }
 
-/// The resolved fault plan for one attempt (see [`ChaosSpec::plan_for`]).
+/// The resolved fault plan for one run (see [`ChaosSpec::plan_for`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Panic before the run starts.
     pub panic: bool,
-    /// Fail with a transient (retryable) fault.
-    pub transient: bool,
-    /// Stall for [`ChaosSpec::slow_ms`] before the run starts.
-    pub slow: bool,
 }
 
 /// A telemetry sink wrapper that deterministically drops records with
@@ -211,19 +187,18 @@ impl TelemetrySink for ChaosSink {
 // Budgets and the supervision policy
 // ---------------------------------------------------------------------------
 
-/// The resolved per-run budget every attempt executes under.
+/// The resolved per-run budget every run executes under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
     /// Maximum simulation steps one run may take (deterministic bound).
     pub max_steps: u64,
-    /// Maximum wall-clock time one attempt may take.
+    /// Maximum wall-clock time one run may take.
     pub deadline: Duration,
 }
 
-/// Supervision policy for a campaign: budgets, the retry schedule, and
-/// the chaos policy. `None` budget fields are derived from the spec at
+/// Supervision policy for a campaign: budgets and the chaos policy. `None` budget fields are derived from the spec at
 /// run time (see [`SupervisorSpec::resolve_budget`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SupervisorSpec {
     /// Step budget override (`None` = derive from the workload:
     /// `seconds × `[`DERIVED_STEPS_PER_SIM_SECOND`], floored at
@@ -231,25 +206,8 @@ pub struct SupervisorSpec {
     pub max_steps: Option<u64>,
     /// Wall-clock deadline override in ms (`None` = [`DEFAULT_WALL_MS`]).
     pub max_wall_ms: Option<u64>,
-    /// Attempts per run (≥ 1): transient failures re-run up to this bound.
-    pub max_attempts: u32,
-    /// Base backoff between retry attempts (ms); attempt `k` sleeps
-    /// `base·2^(k-1)` plus splitmix64 jitter in `[0, base]`, capped at 1 s.
-    pub backoff_base_ms: u64,
     /// Fault-injection policy.
     pub chaos: ChaosSpec,
-}
-
-impl Default for SupervisorSpec {
-    fn default() -> SupervisorSpec {
-        SupervisorSpec {
-            max_steps: None,
-            max_wall_ms: None,
-            max_attempts: 3,
-            backoff_base_ms: 1,
-            chaos: ChaosSpec::off(),
-        }
-    }
 }
 
 impl SupervisorSpec {
@@ -264,22 +222,6 @@ impl SupervisorSpec {
             deadline: Duration::from_millis(self.max_wall_ms.unwrap_or(DEFAULT_WALL_MS)),
         }
     }
-
-    /// The deterministic backoff before retry attempt `next_attempt`
-    /// (2, 3, ...) of `run_key`: exponential in the attempt with
-    /// splitmix64 jitter, capped at one second.
-    pub fn backoff_for(&self, run_key: u64, next_attempt: u32) -> Duration {
-        let base = self.backoff_base_ms;
-        if base == 0 {
-            return Duration::ZERO;
-        }
-        let mut rng = SplitMix64::new(
-            self.chaos.seed ^ run_key ^ (next_attempt as u64).wrapping_mul(0xB0FF_0FF5),
-        );
-        let exp = base.saturating_mul(1u64 << (next_attempt.saturating_sub(2)).min(10));
-        let jitter = rng.range_u64(0, base + 1);
-        Duration::from_millis(exp.saturating_add(jitter).min(1_000))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -293,8 +235,6 @@ pub enum FailureKind {
     Panicked,
     /// The run exceeded its step budget or wall-clock deadline.
     TimedOut,
-    /// The run kept failing transiently through every retry attempt.
-    Transient,
     /// Telemetry records were dropped.
     SinkDropped,
 }
@@ -305,7 +245,6 @@ impl FailureKind {
         match self {
             FailureKind::Panicked => "panicked",
             FailureKind::TimedOut => "timed-out",
-            FailureKind::Transient => "transient",
             FailureKind::SinkDropped => "sink-dropped",
         }
     }
@@ -333,23 +272,12 @@ pub enum RunFailure {
         item: usize,
         /// Simulation steps taken before the budget fired.
         steps: u64,
-        /// Wall-clock ms the attempt had consumed.
+        /// Wall-clock ms the run had consumed.
         wall_ms: f64,
         /// Metrics accumulated up to the abort point (step-budget
         /// timeouts carry deterministic partials; deadline timeouts may
         /// not have any). Boxed to keep the failure enum small.
         partial: Option<Box<Metrics>>,
-    },
-    /// The run failed transiently on every one of `attempts` tries.
-    Transient {
-        /// Stable identity of the failed run.
-        run_key: u64,
-        /// Work-item index of the failed run.
-        item: usize,
-        /// The last transient payload.
-        payload: String,
-        /// Attempts consumed (== the configured `max_attempts`).
-        attempts: u32,
     },
     /// `dropped` telemetry/journal records were dropped instead of
     /// panicking the writer.
@@ -385,7 +313,6 @@ impl RunFailure {
         match self {
             RunFailure::Panicked { .. } => FailureKind::Panicked,
             RunFailure::TimedOut { .. } => FailureKind::TimedOut,
-            RunFailure::Transient { .. } => FailureKind::Transient,
             RunFailure::SinkDropped { .. } => FailureKind::SinkDropped,
         }
     }
@@ -393,9 +320,9 @@ impl RunFailure {
     /// The failed run's key (`None` for campaign-scoped failures).
     pub fn run_key(&self) -> Option<u64> {
         match self {
-            RunFailure::Panicked { run_key, .. }
-            | RunFailure::TimedOut { run_key, .. }
-            | RunFailure::Transient { run_key, .. } => Some(*run_key),
+            RunFailure::Panicked { run_key, .. } | RunFailure::TimedOut { run_key, .. } => {
+                Some(*run_key)
+            }
             RunFailure::SinkDropped { .. } => None,
         }
     }
@@ -404,9 +331,7 @@ impl RunFailure {
     /// failures).
     pub fn item(&self) -> Option<usize> {
         match self {
-            RunFailure::Panicked { item, .. }
-            | RunFailure::TimedOut { item, .. }
-            | RunFailure::Transient { item, .. } => Some(*item),
+            RunFailure::Panicked { item, .. } | RunFailure::TimedOut { item, .. } => Some(*item),
             RunFailure::SinkDropped { .. } => None,
         }
     }
@@ -428,14 +353,6 @@ impl RunFailure {
             } => format!(
                 "[item {item}] timed out (run {run_key:#018x}) after {steps} steps / {wall_ms:.1} ms"
             ),
-            RunFailure::Transient {
-                run_key,
-                item,
-                payload,
-                attempts,
-            } => format!(
-                "[item {item}] transient after {attempts} attempts (run {run_key:#018x}): {payload}"
-            ),
             RunFailure::SinkDropped { dropped } => {
                 format!("telemetry degraded: {dropped} record(s) dropped")
             }
@@ -443,7 +360,7 @@ impl RunFailure {
     }
 
     /// Folds the deterministic identity of this failure (kind, run key,
-    /// item, attempts) into an FNV-style digest closure. Partial metrics
+    /// item) into an FNV-style digest closure. Partial metrics
     /// and wall-clock are excluded: deadline timeouts reflect real time.
     pub fn digest_into(&self, eat: &mut dyn FnMut(u64)) {
         match self {
@@ -456,17 +373,6 @@ impl RunFailure {
                 eat(2);
                 eat(*run_key);
                 eat(*item as u64);
-            }
-            RunFailure::Transient {
-                run_key,
-                item,
-                attempts,
-                ..
-            } => {
-                eat(3);
-                eat(*run_key);
-                eat(*item as u64);
-                eat(*attempts as u64);
             }
             RunFailure::SinkDropped { dropped } => {
                 eat(4);
@@ -482,24 +388,17 @@ impl std::fmt::Display for RunFailure {
     }
 }
 
-/// A cooperative failure an attempt closure can report without panicking.
+/// The one failure a run closure reports without panicking: it checked
+/// its budget cooperatively and found it exceeded.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttemptFail {
-    /// The run exceeded its budget (the closure checked cooperatively).
-    TimedOut {
-        /// Steps taken when the budget fired.
-        steps: u64,
-        /// Wall ms consumed when the budget fired.
-        wall_ms: f64,
-        /// Metrics accumulated up to the abort point, when available.
-        /// Boxed so the `Err` variant stays pointer-sized.
-        partial: Option<Box<Metrics>>,
-    },
-    /// A retryable fault.
-    Transient {
-        /// What went wrong.
-        payload: String,
-    },
+pub struct AttemptFail {
+    /// Steps taken when the budget fired.
+    pub steps: u64,
+    /// Wall ms consumed when the budget fired.
+    pub wall_ms: f64,
+    /// Metrics accumulated up to the abort point, when available.
+    /// Boxed so the `Err` variant stays pointer-sized.
+    pub partial: Option<Box<Metrics>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -550,7 +449,7 @@ pub fn quarantine<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// What the pool recorded for one work item.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ItemOutcome<T> {
-    /// The run completed (possibly after retries).
+    /// The run completed.
     Done(T),
     /// The run failed and was quarantined.
     Failed(RunFailure),
@@ -562,8 +461,6 @@ pub struct PoolReport<T> {
     /// Per-item outcomes: `Done` for restored items, the run's outcome
     /// for claimed ones, `None` for items left unclaimed after a halt.
     pub outcomes: Vec<Option<ItemOutcome<T>>>,
-    /// Retry attempts performed beyond each run's first try.
-    pub retries: u64,
     /// Whether work was left undone: some item has no outcome because the
     /// `halt_after` quota or the `stop` flag ended claiming early (or,
     /// with either set, a crashed worker lost it). A quota that trips
@@ -575,7 +472,7 @@ pub struct PoolReport<T> {
 pub struct PoolConfig<'a> {
     /// Worker-thread count (clamped to ≥ 1 by the caller).
     pub workers: usize,
-    /// Stable per-item run keys (chaos/backoff streams key off these).
+    /// Stable per-item run keys (chaos streams key off these).
     pub run_keys: &'a [u64],
     /// Supervision policy.
     pub sup: &'a SupervisorSpec,
@@ -593,29 +490,23 @@ pub struct PoolConfig<'a> {
     /// `halt_after` — a daemon's shutdown/cancel path flips it from
     /// another thread, and a journaled campaign later resumes bit-exactly.
     pub stop: Option<&'a AtomicBool>,
-    /// Telemetry sink for `run_failed` / `run_retried` events.
+    /// Telemetry sink for `run_failed` events.
     pub sink: &'a Arc<dyn TelemetrySink>,
 }
 
-/// Executes `attempt` for every item not `restored` (one slot per item,
+/// Executes `run` once for every item not `restored` (one slot per item,
 /// `Some` for a result a journal or store already holds) on a supervised
 /// worker pool: panics are quarantined, budgets enforced (cooperatively
-/// by the closure plus a post-hoc deadline check), transient failures
-/// retried with deterministic backoff, and chaos injected per the spec.
-/// The closure receives `(item index, attempt number (1-based), budget,
-/// attempt start)` and returns its result or a cooperative failure; it is
-/// never called for a restored item, whose value comes back untouched as
-/// `Done`.
+/// by the closure plus a post-hoc deadline check), and chaos injected per
+/// the spec. The closure receives `(item index, budget, run start)` and
+/// returns its result or a cooperative timeout; it is never called for a
+/// restored item, whose value comes back untouched as `Done`.
 ///
 /// Outcomes land in item order; which worker ran what never matters.
-pub fn run_supervised<T, F>(
-    cfg: &PoolConfig<'_>,
-    restored: Vec<Option<T>>,
-    attempt: F,
-) -> PoolReport<T>
+pub fn run_supervised<T, F>(cfg: &PoolConfig<'_>, restored: Vec<Option<T>>, run: F) -> PoolReport<T>
 where
     T: Send,
-    F: Fn(usize, u32, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
+    F: Fn(usize, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
 {
     let n = cfg.run_keys.len();
     assert_eq!(restored.len(), n, "restored must cover every item");
@@ -626,7 +517,6 @@ where
     let claimable: Vec<bool> = slots.iter().map(Option::is_none).collect();
     let cursor = AtomicUsize::new(0);
     let accounted = AtomicU64::new(0);
-    let retries = AtomicU64::new(0);
     let workers = cfg.workers.clamp(1, n.max(1));
 
     let mut worker_crash: Option<String> = None;
@@ -635,8 +525,7 @@ where
         for _ in 0..workers {
             let cursor = &cursor;
             let accounted = &accounted;
-            let retries = &retries;
-            let attempt = &attempt;
+            let run = &run;
             let claimable = &claimable;
             handles.push(scope.spawn(move || {
                 let mut local: Vec<(usize, ItemOutcome<T>)> = Vec::new();
@@ -665,9 +554,7 @@ where
                     if cfg.halt_after.is_some_and(|h| prior >= h) {
                         break;
                     }
-                    let (outcome, item_retries) = supervise_item(cfg, cfg.run_keys[i], i, attempt);
-                    retries.fetch_add(item_retries, Ordering::Relaxed);
-                    local.push((i, outcome));
+                    local.push((i, supervise_item(cfg, cfg.run_keys[i], i, run)));
                 }
                 local
             }));
@@ -712,124 +599,67 @@ where
     PoolReport {
         halted,
         outcomes: slots,
-        retries: retries.load(Ordering::Relaxed),
     }
 }
 
-/// Supervises every attempt of one item: chaos, quarantine, budget
-/// classification, bounded retry. Returns the final outcome plus the
-/// number of retries consumed.
-fn supervise_item<T, F>(
-    cfg: &PoolConfig<'_>,
-    run_key: u64,
-    item: usize,
-    attempt: &F,
-) -> (ItemOutcome<T>, u64)
+/// Supervises the one run of one item: chaos, quarantine, budget
+/// classification.
+fn supervise_item<T, F>(cfg: &PoolConfig<'_>, run_key: u64, item: usize, run: &F) -> ItemOutcome<T>
 where
-    F: Fn(usize, u32, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
+    F: Fn(usize, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
 {
-    let sup = cfg.sup;
-    let mut retries = 0u64;
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let plan = sup.chaos.plan_for(run_key, attempts);
-        if plan.slow {
-            std::thread::sleep(Duration::from_millis(sup.chaos.slow_ms));
+    let plan = cfg.sup.chaos.plan_for(run_key);
+    let started = Instant::now();
+    let caught = quarantine(|| {
+        if plan.panic {
+            panic!("chaos: injected panic (run {run_key:#018x})");
         }
-        let started = Instant::now();
-        let caught = quarantine(|| {
-            if plan.panic {
-                panic!("chaos: injected panic (run {run_key:#018x}, attempt {attempts})");
+        run(item, &cfg.budget, started)
+    });
+    let failure = match caught {
+        Ok(Ok(value)) => {
+            let wall = started.elapsed();
+            if wall <= cfg.budget.deadline {
+                return ItemOutcome::Done(value);
             }
-            if plan.transient {
-                panic!("{TRANSIENT_PREFIX}chaos: injected transient fault (run {run_key:#018x}, attempt {attempts})");
-            }
-            attempt(item, attempts, &cfg.budget, started)
-        });
-        let transient_payload = match caught {
-            Ok(Ok(value)) => {
-                let wall = started.elapsed();
-                if wall > cfg.budget.deadline {
-                    // The run completed, but only by blowing through its
-                    // deadline between two cooperative checks: still a
-                    // pathological configuration worth flagging.
-                    let failure = RunFailure::TimedOut {
-                        run_key,
-                        item,
-                        steps: 0,
-                        wall_ms: wall.as_secs_f64() * 1e3,
-                        partial: None,
-                    };
-                    emit_run_failed(cfg, &failure, attempts);
-                    return (ItemOutcome::Failed(failure), retries);
-                }
-                return (ItemOutcome::Done(value), retries);
-            }
-            Ok(Err(AttemptFail::TimedOut {
-                steps,
-                wall_ms,
-                partial,
-            })) => {
-                let failure = RunFailure::TimedOut {
-                    run_key,
-                    item,
-                    steps,
-                    wall_ms,
-                    partial,
-                };
-                emit_run_failed(cfg, &failure, attempts);
-                return (ItemOutcome::Failed(failure), retries);
-            }
-            Ok(Err(AttemptFail::Transient { payload })) => payload,
-            Err(payload) => match payload.strip_prefix(TRANSIENT_PREFIX) {
-                Some(rest) => rest.to_string(),
-                None => {
-                    let failure = RunFailure::Panicked {
-                        run_key,
-                        item,
-                        payload,
-                    };
-                    emit_run_failed(cfg, &failure, attempts);
-                    return (ItemOutcome::Failed(failure), retries);
-                }
-            },
-        };
-        if attempts >= sup.max_attempts.max(1) {
-            let failure = RunFailure::Transient {
+            // The run completed, but only by blowing through its deadline
+            // between two cooperative checks: still a pathological
+            // configuration worth flagging.
+            RunFailure::TimedOut {
                 run_key,
                 item,
-                payload: transient_payload,
-                attempts,
-            };
-            emit_run_failed(cfg, &failure, attempts);
-            return (ItemOutcome::Failed(failure), retries);
+                steps: 0,
+                wall_ms: wall.as_secs_f64() * 1e3,
+                partial: None,
+            }
         }
-        retries += 1;
-        cfg.sink.emit(Event::new(
-            "run_retried",
-            vec![
-                ("item", Value::U64(item as u64)),
-                ("run_key", Value::U64(run_key)),
-                ("attempt", Value::U64(attempts as u64)),
-                ("payload", Value::Str(transient_payload)),
-            ],
-        ));
-        std::thread::sleep(sup.backoff_for(run_key, attempts + 1));
-    }
-}
-
-fn emit_run_failed(cfg: &PoolConfig<'_>, failure: &RunFailure, attempts: u32) {
+        Ok(Err(AttemptFail {
+            steps,
+            wall_ms,
+            partial,
+        })) => RunFailure::TimedOut {
+            run_key,
+            item,
+            steps,
+            wall_ms,
+            partial,
+        },
+        Err(payload) => RunFailure::Panicked {
+            run_key,
+            item,
+            payload,
+        },
+    };
     cfg.sink.emit(Event::new(
         "run_failed",
         vec![
-            ("item", Value::U64(failure.item().unwrap_or(0) as u64)),
-            ("run_key", Value::U64(failure.run_key().unwrap_or(0))),
+            ("item", Value::U64(item as u64)),
+            ("run_key", Value::U64(run_key)),
             ("kind", Value::Str(failure.kind().name().to_string())),
-            ("attempt", Value::U64(attempts as u64)),
             ("detail", Value::Str(failure.describe())),
         ],
     ));
+    ItemOutcome::Failed(failure)
 }
 
 #[cfg(test)]
@@ -861,7 +691,7 @@ mod tests {
             quarantine(|| -> u32 { panic!("boom") }),
             Err("boom".to_string())
         );
-        let msg = format!("{TRANSIENT_PREFIX}flaky");
+        let msg = String::from("formatted boom");
         assert_eq!(quarantine(|| -> u32 { panic!("{msg}") }), Err(msg));
     }
 
@@ -870,17 +700,14 @@ mod tests {
         let chaos = ChaosSpec {
             seed: 9,
             panic_per_mille: 500,
-            transient_per_mille: 500,
-            slow_per_mille: 500,
             ..ChaosSpec::default()
         };
         for key in [1u64, 2, 0xdead_beef] {
-            assert_eq!(chaos.plan_for(key, 1), chaos.plan_for(key, 1));
-            assert_eq!(chaos.plan_for(key, 2), chaos.plan_for(key, 2));
+            assert_eq!(chaos.plan_for(key), chaos.plan_for(key));
         }
-        let plans_a: Vec<ChaosPlan> = (0..64).map(|k| chaos.plan_for(k, 1)).collect();
+        let plans_a: Vec<ChaosPlan> = (0..64).map(|k| chaos.plan_for(k)).collect();
         let other = ChaosSpec { seed: 10, ..chaos };
-        let plans_b: Vec<ChaosPlan> = (0..64).map(|k| other.plan_for(k, 1)).collect();
+        let plans_b: Vec<ChaosPlan> = (0..64).map(|k| other.plan_for(k)).collect();
         assert_ne!(plans_a, plans_b, "seed must matter");
         assert!(ChaosSpec::off().is_off());
         assert!(!chaos.is_off());
@@ -900,7 +727,7 @@ mod tests {
             stop: None,
             sink: &sink,
         };
-        let report = run_supervised(&cfg, vec![None; 16], |i, _, _, _| {
+        let report = run_supervised(&cfg, vec![None; 16], |i, _, _| {
             if i % 5 == 0 {
                 panic!("run {i} exploded");
             }
@@ -921,90 +748,6 @@ mod tests {
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn transient_failures_retry_with_bounded_attempts() {
-        let keys = [77u64];
-        let sup = SupervisorSpec {
-            max_attempts: 3,
-            backoff_base_ms: 0,
-            ..SupervisorSpec::default()
-        };
-        let sink: Arc<dyn TelemetrySink> = Arc::new(MemorySink::new());
-        let cfg = PoolConfig {
-            workers: 1,
-            run_keys: &keys,
-            sup: &sup,
-            budget: sup.resolve_budget(0.01),
-            halt_after: None,
-            stop: None,
-            sink: &sink,
-        };
-        // Succeeds on the third attempt.
-        let report = run_supervised(&cfg, vec![None], |_, attempt, _, _| {
-            if attempt < 3 {
-                Err(AttemptFail::Transient {
-                    payload: format!("flaky #{attempt}"),
-                })
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(report.retries, 2);
-        assert!(matches!(report.outcomes[0], Some(ItemOutcome::Done(3))));
-
-        // Never succeeds: classified Transient with the attempt count.
-        let report = run_supervised(
-            &cfg,
-            vec![None],
-            |_, attempt, _, _| -> Result<u32, AttemptFail> {
-                Err(AttemptFail::Transient {
-                    payload: format!("flaky #{attempt}"),
-                })
-            },
-        );
-        assert_eq!(report.retries, 2);
-        match report.outcomes[0].as_ref().unwrap() {
-            ItemOutcome::Failed(RunFailure::Transient {
-                attempts, payload, ..
-            }) => {
-                assert_eq!(*attempts, 3);
-                assert_eq!(payload, "flaky #3");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn transient_panics_are_retried_too() {
-        let keys = [5u64];
-        let sup = SupervisorSpec {
-            max_attempts: 2,
-            backoff_base_ms: 0,
-            ..SupervisorSpec::default()
-        };
-        let sink = null_sink();
-        let cfg = PoolConfig {
-            workers: 1,
-            run_keys: &keys,
-            sup: &sup,
-            budget: sup.resolve_budget(0.01),
-            halt_after: None,
-            stop: None,
-            sink: &sink,
-        };
-        let report = run_supervised(&cfg, vec![None], |_, attempt, _, _| {
-            if attempt == 1 {
-                panic!("{TRANSIENT_PREFIX}lost the resource");
-            }
-            Ok("recovered")
-        });
-        assert_eq!(report.retries, 1);
-        assert!(matches!(
-            report.outcomes[0],
-            Some(ItemOutcome::Done("recovered"))
-        ));
     }
 
     #[test]
@@ -1035,14 +778,14 @@ mod tests {
                 let restored: Vec<Option<usize>> = (0..keys.len())
                     .map(|i| is_restored(i).then_some(1000 + i))
                     .collect();
-                // The first attempt of every worker waits at a barrier, so
+                // The first run of every worker waits at a barrier, so
                 // all of them are mid-run at once and every worker reaches
                 // the quota check with runs still in flight — where an
                 // overshoot shows.
                 let barrier = std::sync::Barrier::new(workers);
                 let started = AtomicUsize::new(0);
                 let ran_restored = AtomicBool::new(false);
-                let report = run_supervised(&cfg, restored, |i, _, _, _| {
+                let report = run_supervised(&cfg, restored, |i, _, _| {
                     ran_restored.fetch_or(is_restored(i), Ordering::SeqCst);
                     if started.fetch_add(1, Ordering::SeqCst) < workers {
                         barrier.wait();
@@ -1094,24 +837,6 @@ mod tests {
         let b = sup.resolve_budget(10.0);
         assert_eq!(b.max_steps, 123);
         assert_eq!(b.deadline, Duration::from_millis(456));
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let sup = SupervisorSpec {
-            backoff_base_ms: 4,
-            ..SupervisorSpec::default()
-        };
-        for attempt in 2..6 {
-            let a = sup.backoff_for(99, attempt);
-            assert_eq!(a, sup.backoff_for(99, attempt), "deterministic");
-            assert!(a <= Duration::from_millis(1_000), "capped");
-        }
-        let quiet = SupervisorSpec {
-            backoff_base_ms: 0,
-            ..SupervisorSpec::default()
-        };
-        assert_eq!(quiet.backoff_for(1, 2), Duration::ZERO);
     }
 
     #[test]

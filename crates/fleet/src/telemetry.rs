@@ -157,8 +157,6 @@ pub struct FleetCounters {
     /// Runs that ended in a quarantined failure (any taxonomy bucket
     /// except `SinkDropped`, which is record-scoped).
     pub failures: u64,
-    /// Retry attempts performed beyond each run's first try.
-    pub retries: u64,
     /// Runs restored from a resume journal instead of re-executed.
     pub resumed: u64,
     /// Telemetry/journal records dropped by degraded sinks.

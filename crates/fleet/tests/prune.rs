@@ -66,7 +66,7 @@ fn kill_mid_prune_resume_is_bit_exact_at_1_2_8_workers() {
         let journal = Arc::new(Journal::open_segmented(&dir.join("journal"), tiny_cfg()).unwrap());
         let halted = Campaign::new(spec())
             .workers(workers)
-            .resume(Arc::clone(&journal))
+            .journal(Arc::clone(&journal))
             .halt_after(5)
             .run()
             .unwrap();
@@ -83,7 +83,7 @@ fn kill_mid_prune_resume_is_bit_exact_at_1_2_8_workers() {
         let journal = Arc::new(Journal::open_segmented(&dir.join("journal"), tiny_cfg()).unwrap());
         let resumed = Campaign::new(spec())
             .workers(workers)
-            .resume(journal)
+            .journal(journal)
             .run()
             .unwrap();
         assert!(resumed.counters.resumed >= 5, "workers={workers}");
@@ -110,7 +110,7 @@ fn prune_and_resume_commute_and_budget_one_converges() {
         let journal = Arc::new(Journal::open_segmented(&a.join("journal"), tiny_cfg()).unwrap());
         Campaign::new(spec())
             .workers(2)
-            .resume(Arc::clone(&journal))
+            .journal(Arc::clone(&journal))
             .halt_after(halt)
             .run()
             .unwrap();
@@ -122,7 +122,7 @@ fn prune_and_resume_commute_and_budget_one_converges() {
         let journal = Arc::new(Journal::open_segmented(&a.join("journal"), tiny_cfg()).unwrap());
         let pruned_first = Campaign::new(spec())
             .workers(2)
-            .resume(journal)
+            .journal(journal)
             .run()
             .unwrap();
         assert_eq!(pruned_first.deterministic_digest(), reference, "{round}");
@@ -133,7 +133,7 @@ fn prune_and_resume_commute_and_budget_one_converges() {
         let journal = Arc::new(Journal::open_segmented(&b.join("journal"), tiny_cfg()).unwrap());
         let resumed_first = Campaign::new(spec())
             .workers(2)
-            .resume(journal)
+            .journal(journal)
             .run()
             .unwrap();
         assert_eq!(resumed_first.deterministic_digest(), reference, "{round}");
@@ -147,7 +147,7 @@ fn prune_and_resume_commute_and_budget_one_converges() {
         let journal = Arc::new(Journal::open_segmented(&b.join("journal"), tiny_cfg()).unwrap());
         let replayed = Campaign::new(spec())
             .workers(2)
-            .resume(journal)
+            .journal(journal)
             .run()
             .unwrap();
         assert_eq!(replayed.counters.resumed, ITEMS, "round {round}");

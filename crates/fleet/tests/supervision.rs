@@ -1,14 +1,16 @@
 //! The supervised-campaign guarantees: chaos-injected panics quarantine
-//! without losing sibling results, budgets flag runs deterministically,
-//! transient faults retry to convergence, and a campaign killed at any
-//! completed-run boundary resumes from its journal bit-exactly — at any
-//! worker count.
+//! without losing sibling results, step and wall budgets flag runs
+//! deterministically, every claimed run executes exactly once, and a
+//! campaign killed at any completed-run boundary resumes from its journal
+//! bit-exactly — at any worker count.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use gecko_fleet::{
-    Campaign, CampaignError, CampaignReport, CampaignSpec, ChaosSpec, Journal, MemorySink,
-    RunFailure, SchemeKind, SupervisorSpec, Workload,
+    run_supervised, Campaign, CampaignError, CampaignReport, CampaignSpec, ChaosSpec, ItemOutcome,
+    Journal, MemorySink, NullSink, PoolConfig, RunFailure, SchemeKind, SupervisorSpec,
+    TelemetrySink, Workload,
 };
 use gecko_isa::rng::SplitMix64;
 
@@ -20,54 +22,27 @@ fn small_spec() -> CampaignSpec {
         .workload(Workload::RunFor { seconds: 0.002 })
 }
 
-/// What the supervisor must do with one run, derived purely from the
-/// chaos plan stream — the test's independent model of `supervise_item`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Predicted {
-    /// Succeeds on the given 1-based attempt.
-    Success { attempt: u32 },
-    /// Panics (hard) on the given attempt.
-    Panic { attempt: u32 },
-    /// Fails transiently on every allowed attempt.
-    Transient,
-}
-
-fn predict(sup: &SupervisorSpec, run_key: u64) -> Predicted {
-    for attempt in 1..=sup.max_attempts {
-        let plan = sup.chaos.plan_for(run_key, attempt);
-        if plan.panic {
-            return Predicted::Panic { attempt };
-        }
-        if !plan.transient {
-            return Predicted::Success { attempt };
-        }
-    }
-    Predicted::Transient
-}
-
-fn predictions(spec: &CampaignSpec, sup: &SupervisorSpec) -> Vec<Predicted> {
+/// The items whose chaos plan panics, derived purely from the plan
+/// stream — the test's independent model of `supervise_item`.
+fn predicted_panics(spec: &CampaignSpec, sup: &SupervisorSpec) -> Vec<usize> {
     spec.expand()
         .iter()
-        .map(|item| predict(sup, spec.run_key(item)))
+        .enumerate()
+        .filter(|(_, item)| sup.chaos.plan_for(spec.run_key(item)).panic)
+        .map(|(i, _)| i)
         .collect()
 }
 
 /// Picks a chaos seed whose plan stream actually exercises the scenario
 /// (some failures AND some successes) — self-validating, no magic seeds.
-fn seed_with_mixed_outcomes(sup_template: SupervisorSpec, want_failures: bool) -> SupervisorSpec {
+fn seed_with_mixed_outcomes(sup_template: SupervisorSpec) -> SupervisorSpec {
     let spec = small_spec();
+    let items = spec.expand().len();
     for seed in 0..256 {
         let mut sup = sup_template;
         sup.chaos.seed = seed;
-        let p = predictions(&spec, &sup);
-        let failures = p
-            .iter()
-            .filter(|p| !matches!(p, Predicted::Success { .. }))
-            .count();
-        let retried = p
-            .iter()
-            .any(|p| !matches!(p, Predicted::Success { attempt: 1 }));
-        if failures > 0 && failures < p.len() && (!want_failures || retried) {
+        let failures = predicted_panics(&spec, &sup).len();
+        if failures > 0 && failures < items {
             return sup;
         }
     }
@@ -76,17 +51,13 @@ fn seed_with_mixed_outcomes(sup_template: SupervisorSpec, want_failures: bool) -
 
 #[test]
 fn injected_panics_quarantine_once_and_siblings_stay_bit_exact() {
-    let sup = seed_with_mixed_outcomes(
-        SupervisorSpec {
-            chaos: ChaosSpec {
-                panic_per_mille: 250,
-                ..ChaosSpec::off()
-            },
-            ..SupervisorSpec::default()
+    let sup = seed_with_mixed_outcomes(SupervisorSpec {
+        chaos: ChaosSpec {
+            panic_per_mille: 250,
+            ..ChaosSpec::off()
         },
-        false,
-    );
-    let predicted = predictions(&small_spec(), &sup);
+        ..SupervisorSpec::default()
+    });
     let clean = Campaign::new(small_spec()).workers(3).run().unwrap();
     let chaotic = Campaign::new(small_spec())
         .supervisor(sup)
@@ -95,12 +66,7 @@ fn injected_panics_quarantine_once_and_siblings_stay_bit_exact() {
         .unwrap();
 
     // Every predicted panic appears exactly once in `failures`...
-    let panicked: Vec<usize> = predicted
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| matches!(p, Predicted::Panic { .. }))
-        .map(|(i, _)| i)
-        .collect();
+    let panicked = predicted_panics(&small_spec(), &sup);
     assert!(!panicked.is_empty(), "scenario must inject at least once");
     assert_eq!(chaotic.failures.len(), panicked.len());
     for (failure, &item) in chaotic.failures.iter().zip(&panicked) {
@@ -134,7 +100,7 @@ fn injected_panics_quarantine_once_and_siblings_stay_bit_exact() {
         assert_eq!(r.compile_stats, reference.compile_stats);
     }
 
-    // Chaos is keyed on (seed, run key, attempt), so the whole report —
+    // Chaos is keyed on (seed, run key), so the whole report —
     // including the failure list — is worker-count-invariant.
     let solo = Campaign::new(small_spec())
         .supervisor(sup)
@@ -143,65 +109,6 @@ fn injected_panics_quarantine_once_and_siblings_stay_bit_exact() {
         .unwrap();
     assert_eq!(solo.failures, chaotic.failures);
     assert_eq!(solo.deterministic_digest(), chaotic.deterministic_digest());
-}
-
-#[test]
-fn transient_faults_retry_with_bounded_attempts() {
-    let sup = seed_with_mixed_outcomes(
-        SupervisorSpec {
-            max_attempts: 4,
-            backoff_base_ms: 0, // keep the test fast; backoff is unit-tested
-            chaos: ChaosSpec {
-                transient_per_mille: 400,
-                ..ChaosSpec::off()
-            },
-            ..SupervisorSpec::default()
-        },
-        true,
-    );
-    let predicted = predictions(&small_spec(), &sup);
-    let report = Campaign::new(small_spec())
-        .supervisor(sup)
-        .workers(4)
-        .run()
-        .unwrap();
-
-    let expected_retries: u64 = predicted
-        .iter()
-        .map(|p| match p {
-            Predicted::Success { attempt } | Predicted::Panic { attempt } => (attempt - 1) as u64,
-            Predicted::Transient => (sup.max_attempts - 1) as u64,
-        })
-        .sum();
-    let exhausted: Vec<usize> = predicted
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| matches!(p, Predicted::Transient))
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(report.counters.retries, expected_retries);
-    assert!(expected_retries > 0, "scenario must retry at least once");
-    assert_eq!(report.failures.len(), exhausted.len());
-    for (failure, &item) in report.failures.iter().zip(&exhausted) {
-        match failure {
-            RunFailure::Transient {
-                item: failed_item,
-                attempts,
-                ..
-            } => {
-                assert_eq!(*failed_item, item);
-                assert_eq!(*attempts, sup.max_attempts);
-            }
-            other => panic!("expected an exhausted transient, got {other:?}"),
-        }
-    }
-
-    // Runs that eventually succeeded are bit-exact: retries re-run the
-    // same deterministic simulation.
-    let clean = Campaign::new(small_spec()).workers(2).run().unwrap();
-    for r in &report.results {
-        assert_eq!(r.metrics, clean.results[r.item.index].metrics);
-    }
 }
 
 #[test]
@@ -261,6 +168,128 @@ fn step_budget_timeouts_are_deterministic_and_carry_partials() {
     assert_eq!(a.deterministic_digest(), b.deterministic_digest());
 }
 
+#[test]
+fn wall_deadline_timeouts_flag_every_run_at_any_worker_count() {
+    // A zero deadline is blown by the first budget slice of every run, so
+    // the cooperative check in the run loop flags each one; the failure
+    // set (kind, run key, item) does not depend on the clock.
+    let sup = SupervisorSpec {
+        max_wall_ms: Some(0),
+        ..SupervisorSpec::default()
+    };
+    let run = |workers| {
+        Campaign::new(small_spec())
+            .supervisor(sup)
+            .workers(workers)
+            .run()
+            .unwrap()
+    };
+    let a = run(1);
+    let b = run(4);
+    let items = small_spec().expand();
+    assert!(a.results.is_empty(), "every run must blow a 0 ms deadline");
+    assert_eq!(a.failures.len(), items.len());
+    for (i, failure) in a.failures.iter().enumerate() {
+        match failure {
+            RunFailure::TimedOut { item, run_key, .. } => {
+                assert_eq!(*item, i, "failures arrive in item order");
+                assert_eq!(*run_key, small_spec().run_key(&items[i]));
+            }
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+    }
+    assert_eq!(a.counters.failures, items.len() as u64);
+    let identity = |r: &CampaignReport| -> Vec<_> {
+        r.failures
+            .iter()
+            .map(|f| (f.kind(), f.run_key(), f.item()))
+            .collect()
+    };
+    assert_eq!(identity(&a), identity(&b));
+    assert_eq!(a.deterministic_digest(), b.deterministic_digest());
+}
+
+#[test]
+fn a_run_that_finishes_past_its_deadline_is_flagged() {
+    // The post-hoc check: a run that never checks its budget itself but
+    // returns after the deadline still becomes a timeout.
+    let keys = [11u64, 12];
+    let sup = SupervisorSpec {
+        max_wall_ms: Some(0),
+        ..SupervisorSpec::default()
+    };
+    let sink: Arc<dyn TelemetrySink> = Arc::new(NullSink);
+    let cfg = PoolConfig {
+        workers: 2,
+        run_keys: &keys,
+        sup: &sup,
+        budget: sup.resolve_budget(0.01),
+        halt_after: None,
+        stop: None,
+        sink: &sink,
+    };
+    let report = run_supervised(&cfg, vec![None, None], |i, _, _| {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        Ok(i)
+    });
+    for (i, outcome) in report.outcomes.iter().enumerate() {
+        match outcome {
+            Some(ItemOutcome::Failed(RunFailure::TimedOut {
+                run_key,
+                item,
+                steps,
+                partial,
+                ..
+            })) => {
+                assert_eq!((*run_key, *item), (keys[i], i));
+                assert_eq!(*steps, 0, "the run reported no steps");
+                assert!(partial.is_none());
+            }
+            other => panic!("expected a post-hoc timeout, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_transient_looking_panic_is_one_quarantined_panic() {
+    // Every claimed run executes exactly once: a panic payload that looks
+    // retryable is an ordinary panic, not a reason to run again.
+    let keys = [5u64];
+    let sup = SupervisorSpec::default();
+    let events = Arc::new(MemorySink::new());
+    let sink: Arc<dyn TelemetrySink> = events.clone();
+    let cfg = PoolConfig {
+        workers: 1,
+        run_keys: &keys,
+        sup: &sup,
+        budget: sup.resolve_budget(0.01),
+        halt_after: None,
+        stop: None,
+        sink: &sink,
+    };
+    let calls = AtomicU32::new(0);
+    let report = run_supervised(&cfg, vec![None], |_, _, _| {
+        if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("transient: lost the resource");
+        }
+        Ok("recovered")
+    });
+    assert_eq!(calls.load(Ordering::SeqCst), 1, "one run, no retry");
+    match &report.outcomes[0] {
+        Some(ItemOutcome::Failed(RunFailure::Panicked {
+            run_key,
+            item,
+            payload,
+        })) => {
+            assert_eq!((*run_key, *item), (5, 0));
+            assert_eq!(payload, "transient: lost the resource");
+        }
+        other => panic!("expected one quarantined panic, got {other:?}"),
+    }
+    let kinds: Vec<&str> = events.events().iter().map(|e| e.kind).collect();
+    assert_eq!(kinds, ["run_failed"]);
+}
+
 /// Runs `spec` to completion in `sessions` journaled sessions (each
 /// killed at a deterministic completed-run boundary) and returns the
 /// final report.
@@ -281,7 +310,7 @@ fn run_in_sessions(
     }
     Campaign::new(spec_for())
         .workers(workers)
-        .resume(Arc::clone(&journal))
+        .journal(Arc::clone(&journal))
         .run()
         .unwrap()
 }
@@ -326,7 +355,7 @@ fn resuming_a_finished_campaign_re_executes_nothing() {
         .run()
         .unwrap();
     let again = Campaign::new(small_spec())
-        .resume(Arc::clone(&journal))
+        .journal(Arc::clone(&journal))
         .run()
         .unwrap();
     assert_eq!(again.counters.resumed, first.results.len() as u64);
@@ -342,7 +371,7 @@ fn journals_from_a_different_spec_are_rejected() {
         .run()
         .unwrap();
     let different = small_spec().seeds([99]); // a different grid
-    let err = Campaign::new(different).resume(journal).run().unwrap_err();
+    let err = Campaign::new(different).journal(journal).run().unwrap_err();
     match err {
         CampaignError::Journal(msg) => {
             assert!(msg.contains("fingerprint"), "unhelpful message: {msg}")

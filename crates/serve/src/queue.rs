@@ -28,7 +28,7 @@
 //! The restart scan reads each job log: the first envelope line names the
 //! job, a last line that decodes in full as a terminal line ends it, and
 //! anything else (a torn terminal line included) means the job was
-//! interrupted and goes back on the queue — [`Campaign::resume`] skips the
+//! interrupted and goes back on the queue — [`Campaign::journal`] skips the
 //! journaled runs, a check restores the chunks its memo store recorded,
 //! and the merged report is bit-exact against an uninterrupted run. An
 //! older daemon's job directory migrates in place (`migrate_legacy`).
@@ -1177,7 +1177,7 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
                 let mut campaign = Campaign::new(spec)
                     .workers(job.workers)
                     .sink(sink)
-                    .resume(Arc::new(journal))
+                    .journal(Arc::new(journal))
                     .kill_switch(Arc::clone(&job.stop));
                 if let Some(n) = job.halt_after {
                     campaign = campaign.halt_after(n);

@@ -297,7 +297,6 @@ fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
                 ("compile_misses".into(), Json::U64(c.compile_misses)),
                 ("compile_hits".into(), Json::U64(c.compile_hits)),
                 ("failures".into(), Json::U64(c.failures)),
-                ("retries".into(), Json::U64(c.retries)),
                 ("resumed".into(), Json::U64(c.resumed)),
                 ("dropped_records".into(), Json::U64(c.dropped_records)),
                 (

@@ -8,10 +8,9 @@
 //!
 //! Four flags exercise the supervision layer:
 //!
-//! * `--chaos` — rerun the grid with seeded fault injection (panics +
-//!   transients). Injected panics are quarantined into structured
-//!   failures, retries are bounded, and the failure set is bit-identical
-//!   on 1 worker and on the pool.
+//! * `--chaos` — rerun the grid with seeded panic injection. Injected
+//!   panics are quarantined into structured failures, and the failure set
+//!   is bit-identical on 1 worker and on the pool.
 //! * `--resume` — journal the campaign, kill it partway with the
 //!   deterministic halt switch, then resume from the journal and show the
 //!   merged report is bit-exact against the uninterrupted run.
@@ -56,10 +55,9 @@ fn chaos_demo(workers: usize) {
     let chaos = ChaosSpec {
         seed: 0xC4A05,
         panic_per_mille: 150,
-        transient_per_mille: 200,
         ..ChaosSpec::off()
     };
-    println!("\n--chaos: injecting seeded panics (15%) and transients (20%)...");
+    println!("\n--chaos: injecting seeded panics (15%)...");
     let solo = Campaign::new(spec())
         .workers(1)
         .chaos(chaos)
@@ -71,15 +69,15 @@ fn chaos_demo(workers: usize) {
         .run()
         .expect("campaign");
     println!(
-        "quarantined {} failure(s), {} retried attempt(s); workers kept draining the queue",
-        fleet.counters.failures, fleet.counters.retries
+        "quarantined {} failure(s); workers kept draining the queue",
+        fleet.counters.failures
     );
     for f in &fleet.failures {
         println!("  {} {}", f.kind().name(), f.describe());
     }
     assert_eq!(
         solo.failures, fleet.failures,
-        "chaos is keyed on (seed, run key, attempt), not on scheduling"
+        "chaos is keyed on (seed, run key), not on scheduling"
     );
     assert_eq!(solo.deterministic_digest(), fleet.deterministic_digest());
     println!("failure sets and digests agree on 1 worker and {workers} workers");
@@ -100,7 +98,7 @@ fn resume_demo(workers: usize, reference: &gecko_suite::fleet::CampaignReport) {
     assert!(partial.halted);
     let resumed = Campaign::new(spec())
         .workers(workers)
-        .resume(Arc::clone(&journal))
+        .journal(Arc::clone(&journal))
         .run()
         .expect("campaign");
     println!(
@@ -166,7 +164,7 @@ fn drain_demo(workers: usize, reference: &gecko_suite::fleet::CampaignReport) {
     );
     let resumed = Campaign::new(spec())
         .workers(workers)
-        .resume(journal)
+        .journal(journal)
         .run()
         .expect("campaign");
     assert_eq!(resumed.counters.resumed, journaled);
@@ -201,7 +199,7 @@ fn prune_demo(workers: usize, reference: &gecko_suite::fleet::CampaignReport) {
     let journal = Arc::new(Journal::open_segmented(&dir.join("journal"), cfg).expect("journal"));
     let partial = Campaign::new(spec())
         .workers(workers)
-        .resume(Arc::clone(&journal))
+        .journal(Arc::clone(&journal))
         .halt_after(kill_at)
         .run()
         .expect("campaign");
@@ -227,7 +225,7 @@ fn prune_demo(workers: usize, reference: &gecko_suite::fleet::CampaignReport) {
     let journal = Arc::new(Journal::open_segmented(&dir.join("journal"), cfg).expect("journal"));
     let resumed = Campaign::new(spec())
         .workers(workers)
-        .resume(journal)
+        .journal(journal)
         .run()
         .expect("campaign");
     println!(

@@ -34,7 +34,7 @@ echo "==> join differential (every drain join of the full 30-window benchmark gr
 echo "    the plain drain it skips and must match it; the tier-1 suite runs 10 windows)"
 cargo test --offline --release -q -p gecko-check --lib -- --ignored --nocapture
 
-echo "==> chaos smoke (supervised campaigns: quarantine, retry, kill + resume — sweeps from"
+echo "==> chaos smoke (supervised campaigns: quarantine, budgets, kill + resume — sweeps from"
 echo "    their run journal, checks from their memo store)"
 cargo test --offline --release -q -p gecko-fleet --test supervision
 cargo test --offline --release -q -p gecko-check --test supervision
