@@ -12,23 +12,18 @@ use std::fmt;
 /// the simulator's hibernation fast-forward replay millions of sleep ticks
 /// cheaply while staying bit-identical to stepping them one at a time.
 ///
-/// Charging integrates harvested power (with a charging efficiency factor),
-/// discharging removes instruction energy. The stored energy never exceeds
-/// the rated ceiling set at charge time and never goes below zero.
+/// Charging integrates harvested power, discharging removes instruction
+/// energy. The stored energy never exceeds the rated ceiling set at charge
+/// time and never goes below zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Capacitor {
     capacitance_f: f64,
     energy_j: f64,
-    /// Fraction of harvested energy that actually reaches the capacitor
-    /// (rectifier + regulator losses). 1.0 = lossless.
-    efficiency: f64,
-    /// Self-discharge (leakage) conductance in siemens; drains `G·V²` watts.
-    leak_s: f64,
 }
 
 impl Capacitor {
     /// Creates a capacitor of `capacitance_f` farads pre-charged to
-    /// `voltage_v` volts, lossless and leak-free.
+    /// `voltage_v` volts.
     ///
     /// # Panics
     ///
@@ -39,35 +34,7 @@ impl Capacitor {
         Capacitor {
             capacitance_f,
             energy_j: 0.5 * capacitance_f * voltage_v * voltage_v,
-            efficiency: 1.0,
-            leak_s: 0.0,
         }
-    }
-
-    /// Sets the charging efficiency in `(0, 1]`, returning `self` for
-    /// builder-style chaining.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `efficiency` is not in `(0, 1]`.
-    pub fn with_efficiency(mut self, efficiency: f64) -> Capacitor {
-        assert!(
-            efficiency > 0.0 && efficiency <= 1.0,
-            "efficiency must be in (0, 1]"
-        );
-        self.efficiency = efficiency;
-        self
-    }
-
-    /// Sets a leakage conductance in siemens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leak_s` is negative.
-    pub fn with_leakage(mut self, leak_s: f64) -> Capacitor {
-        assert!(leak_s >= 0.0, "leakage must be non-negative");
-        self.leak_s = leak_s;
-        self
     }
 
     /// Capacitance in farads.
@@ -89,14 +56,6 @@ impl Capacitor {
         self.energy_j
     }
 
-    /// Self-discharge (leakage) conductance in siemens; 0 = leak-free.
-    /// The drain at voltage `V` is `G·V²` watts, so a worst-case
-    /// per-step leakage bound is `leak_siemens() · V_rail² · dt`.
-    #[inline]
-    pub fn leak_siemens(&self) -> f64 {
-        self.leak_s
-    }
-
     /// Energy stored above a floor voltage, i.e. the budget available before
     /// the voltage drops to `floor_v`. Zero when already below the floor.
     pub fn energy_above_j(&self, floor_v: f64) -> f64 {
@@ -116,25 +75,28 @@ impl Capacitor {
     }
 
     /// Integrates `power_w` of harvested power for `dt_s` seconds, clamping
-    /// the stored energy at `½·C·ceiling_v²`. Also applies leakage. Returns
-    /// the energy actually banked (joules).
+    /// the stored energy at `½·C·ceiling_v²`. Returns the energy actually
+    /// banked (joules).
     #[inline]
     pub fn charge(&mut self, power_w: f64, dt_s: f64, ceiling_v: f64) -> f64 {
         debug_assert!(dt_s >= 0.0);
         let before = self.energy_j;
-        // Leakage G·V² expressed in the energy domain: G·(2E/C). The
-        // leak-free branch is bit-exact (`0.0 * x == +0.0` for the finite
-        // non-negative `x` here) and keeps the division off the serial
-        // energy dependency chain, which is what bounds the simulator's
-        // hibernation fast-forward throughput.
-        let leak_w = if self.leak_s == 0.0 {
-            0.0
-        } else {
-            self.leak_s * (2.0 * before / self.capacitance_f)
-        };
-        let delta = (power_w.max(0.0) * self.efficiency - leak_w) * dt_s;
+        let after = before + power_w.max(0.0) * dt_s;
         let ceiling_e = 0.5 * self.capacitance_f * ceiling_v * ceiling_v;
-        self.energy_j = (before + delta).clamp(0.0, ceiling_e.max(before));
+        // Every simulated instruction and sleep tick runs through here with
+        // `energy_j` as the loop-carried value, so the serial energy chain
+        // is one add (`power_w · dt_s` is off it) plus this clamp. The
+        // clamp is a predicted branch rather than `maxsd`/`minsd` selects
+        // on that chain: in range `clamp` returns `after` itself, so the
+        // first arm is bit-exact, and only a saturating step (every step on
+        // a bench supply) or a capacitor already above the ceiling takes
+        // the full clamp.
+        self.energy_j = if after >= 0.0 && after <= ceiling_e {
+            after
+        } else {
+            cold();
+            after.clamp(0.0, ceiling_e.max(before))
+        };
         self.energy_j - before
     }
 
@@ -154,20 +116,26 @@ impl Capacitor {
     }
 
     /// Seconds needed to charge from the present voltage to `target_v` given
-    /// constant harvested `power_w`, accounting for efficiency (ignoring
-    /// leakage). Returns `f64::INFINITY` when `power_w <= 0`.
+    /// constant harvested `power_w`. Returns `f64::INFINITY` when
+    /// `power_w <= 0`.
     pub fn time_to_charge_s(&self, target_v: f64, power_w: f64) -> f64 {
         if target_v <= self.voltage_v() {
             return 0.0;
         }
-        let eff_w = power_w * self.efficiency;
-        if eff_w <= 0.0 {
+        if power_w <= 0.0 {
             return f64::INFINITY;
         }
         let target_e = 0.5 * self.capacitance_f * target_v * target_v;
-        (target_e - self.energy_j()) / eff_w
+        (target_e - self.energy_j()) / power_w
     }
 }
+
+/// Marks the arm that calls it as unlikely, so the compiler lays it out
+/// off the hot path. Inlined: a real call there would cost a saturating
+/// step more than the branch saves.
+#[cold]
+#[inline(always)]
+fn cold() {}
 
 impl fmt::Display for Capacitor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -226,22 +194,6 @@ mod tests {
         let banked = c.charge(2e-3, 0.5, 3.3); // 1 mJ input, no clamp
         assert!((banked - 1e-3).abs() < 1e-12);
         assert!((c.energy_j() - before - 1e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn efficiency_scales_intake() {
-        let mut lossless = Capacitor::new(1e-3, 1.0);
-        let mut lossy = Capacitor::new(1e-3, 1.0).with_efficiency(0.5);
-        let a = lossless.charge(1e-3, 1.0, 3.3);
-        let b = lossy.charge(1e-3, 1.0, 3.3);
-        assert!((a - 2.0 * b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn leakage_drains() {
-        let mut c = Capacitor::new(1e-3, 3.0).with_leakage(1e-5);
-        c.charge(0.0, 10.0, 3.3);
-        assert!(c.voltage_v() < 3.0);
     }
 
     #[test]

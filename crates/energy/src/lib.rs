@@ -32,6 +32,6 @@ pub mod thresholds;
 
 pub use capacitor::Capacitor;
 pub use harvester::{ConstantPower, PowerSource, PowercastRf, PulsedRf, TracePower};
-pub use segment::{next_crossing, safe_steps, Crossing, StepProfile};
+pub use segment::safe_steps;
 pub use starve::StarvedHarvester;
 pub use thresholds::VoltageThresholds;

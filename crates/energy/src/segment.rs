@@ -1,108 +1,23 @@
-//! Closed-form trajectory segmentation for event-horizon stepping.
+//! Conservative span sizing for event-horizon stepping.
 //!
 //! Between observable events the capacitor trajectory under a constant
-//! harvester segment and a repeating per-step draw profile is affine:
-//! every simulation step banks `gain_j` and then draws `draw_j`, so after
-//! `k` steps the stored energy is `E_k = E_0 - k·(draw_j - gain_j)`.
-//! The solvers here answer the two questions the simulator's active-path
-//! coalescer needs:
+//! harvester segment is bounded below by an affine one: every simulation
+//! step loses at most `worst_loss_j`, so after `k` steps the stored energy
+//! is at least `E_0 - k·worst_loss_j`. [`safe_steps`] turns that bound
+//! into a step count guaranteed to keep the trajectory at or above a
+//! guard floor, which the simulator's active-path coalescer (and
+//! `DeviceBatch`'s planner) uses to size a batched span before executing
+//! it.
 //!
-//! * [`next_crossing`] — the exact first step at which the affine
-//!   trajectory falls strictly below a floor (the threshold-crossing
-//!   "event horizon"), or proof that it never does.
-//! * [`safe_steps`] — a *conservative* step count guaranteed to keep the
-//!   trajectory at or above a guard floor even when each step loses the
-//!   worst-case amount, used to size a batched segment before executing
-//!   it.
-//!
-//! Floating point makes "exact" subtle: the per-cycle reference loop
-//! accumulates `E ← (E + gain) - draw` with two roundings per step, which
-//! only agrees with the affine form when every intermediate value is
-//! exactly representable. The simulator therefore never trusts the closed
-//! form alone — it uses these solvers to *decide whether and how far* to
+//! Floating point makes a closed-form *jump* unsound: the per-step
+//! reference accumulates `E ← (E + gain) - draw` with two roundings per
+//! step, which agrees with the affine form only when every intermediate
+//! value is exactly representable. The simulator therefore never trusts
+//! the closed form alone: it uses [`safe_steps`] to *decide how far* to
 //! batch, and re-checks an exact per-step guard while replaying the very
 //! same float operations the reference would execute (see DESIGN.md §13).
-//! The property tests in `tests/segment_props.rs` pin both contracts:
-//! exactness on dyadic-rational inputs whose partial sums stay below
-//! 2^52 quanta, and conservativeness of [`safe_steps`] on arbitrary
-//! inputs.
-
-/// Per-step energy profile of an affine trajectory segment: each step
-/// banks `gain_j` joules of harvest and then draws `draw_j` joules.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepProfile {
-    /// Energy banked per step (harvested power × step duration ×
-    /// charging efficiency), in joules. Never negative.
-    pub gain_j: f64,
-    /// Energy drawn per step (instruction or sleep draw plus leakage),
-    /// in joules. Never negative.
-    pub draw_j: f64,
-}
-
-impl StepProfile {
-    /// A profile banking `gain_j` and drawing `draw_j` per step.
-    pub fn new(gain_j: f64, draw_j: f64) -> StepProfile {
-        StepProfile { gain_j, draw_j }
-    }
-
-    /// Net energy lost per step, `draw_j - gain_j`; negative or zero
-    /// means the trajectory is non-draining.
-    pub fn net_loss_j(&self) -> f64 {
-        self.draw_j - self.gain_j
-    }
-}
-
-/// Where an affine trajectory first falls strictly below a floor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Crossing {
-    /// The starting energy is already strictly below the floor.
-    Already,
-    /// The trajectory first goes strictly below the floor at the end of
-    /// step `k` (1-based: after `k` steps, `E_k < floor` and
-    /// `E_{k-1} >= floor`).
-    At(u64),
-    /// The trajectory never falls below the floor: the profile is
-    /// non-draining, or the crossing lies beyond 2^53 steps (past f64
-    /// integer resolution — callers treat the horizon as unbounded).
-    Never,
-}
-
-/// The first step at which the affine trajectory `E_k = e0_j - k·net`
-/// (with `net = profile.net_loss_j()`) falls strictly below `floor_j`.
-///
-/// The candidate index comes from the closed form
-/// `k = ⌊(e0 - floor) / net⌋ + 1` and is then corrected against the
-/// affine formula itself, so a one-ulp error in the float division cannot
-/// move the answer across a step boundary: the returned `k` always
-/// satisfies `e0 - (k-1)·net >= floor` and `e0 - k·net < floor` as
-/// evaluated in f64. On inputs where every `k·net` and subtraction is
-/// exactly representable (the dyadic-rational regime of the property
-/// tests) this equals the per-step reference iteration exactly.
-pub fn next_crossing(e0_j: f64, floor_j: f64, profile: &StepProfile) -> Crossing {
-    if e0_j < floor_j {
-        return Crossing::Already;
-    }
-    let net = profile.net_loss_j();
-    if net <= 0.0 {
-        return Crossing::Never;
-    }
-    let span = e0_j - floor_j;
-    let q = span / net;
-    if !q.is_finite() || q >= 9.007_199_254_740_992e15 {
-        // Beyond 2^53 steps `k·net` can no longer index individual steps.
-        return Crossing::Never;
-    }
-    // `last` is the candidate for the last step still at or above the
-    // floor; nudge it down then correct in both directions.
-    let mut last = q.floor().max(1.0) - 1.0;
-    while last > 0.0 && e0_j - last * net < floor_j {
-        last -= 1.0;
-    }
-    while e0_j - (last + 1.0) * net >= floor_j {
-        last += 1.0;
-    }
-    Crossing::At(last as u64 + 1)
-}
+//! The property test in `tests/segment_props.rs` pins the contract:
+//! [`safe_steps`] never overshoots, on arbitrary inputs.
 
 /// A conservative number of steps guaranteed to keep the trajectory at or
 /// above `floor_j` when every step loses at most `worst_loss_j` joules.
@@ -139,68 +54,79 @@ pub fn safe_steps(e0_j: f64, floor_j: f64, worst_loss_j: f64) -> u64 {
 mod tests {
     use super::*;
 
-    fn iterate_crossing(e0: f64, floor: f64, p: &StepProfile, cap: u64) -> Crossing {
-        if e0 < floor {
-            return Crossing::Already;
-        }
+    /// Steps of `E ← (E + gain) - draw` that end at or above `floor`
+    /// before the first one that ends below it (capped at `cap`).
+    fn steps_above(e0: f64, floor: f64, gain: f64, draw: f64, cap: u64) -> u64 {
         let mut e = e0;
-        for k in 1..=cap {
-            e = (e + p.gain_j) - p.draw_j;
+        for k in 0..cap {
+            e = (e + gain) - draw;
             if e < floor {
-                return Crossing::At(k);
+                return k;
             }
         }
-        Crossing::Never
+        cap
     }
 
     #[test]
     fn already_below_floor() {
-        let p = StepProfile::new(0.0, 1.0);
-        assert_eq!(next_crossing(1.0, 2.0, &p), Crossing::Already);
+        assert_eq!(safe_steps(1.0, 2.0, 1.0), 0);
+        // Sitting exactly on the floor leaves no provably safe step.
+        assert_eq!(safe_steps(3.0, 3.0, 1.0), 0);
+        assert_eq!(safe_steps(f64::NAN, 3.0, 1.0), 0);
     }
 
     #[test]
     fn non_draining_never_crosses() {
-        let p = StepProfile::new(2.0, 1.0);
-        assert_eq!(next_crossing(10.0, 1.0, &p), Crossing::Never);
-        let balanced = StepProfile::new(1.0, 1.0);
-        assert_eq!(next_crossing(10.0, 1.0, &balanced), Crossing::Never);
+        assert_eq!(safe_steps(10.0, 3.0, 0.0), u64::MAX);
+        assert_eq!(safe_steps(10.0, 3.0, -1.0), u64::MAX);
     }
 
     #[test]
     fn exact_small_cases_match_iteration() {
-        // 10 → floor 3 at 1 J/step: steps end at 9,8,…; first < 3 is step 8.
-        let p = StepProfile::new(0.0, 1.0);
-        assert_eq!(next_crossing(10.0, 3.0, &p), Crossing::At(8));
-        assert_eq!(iterate_crossing(10.0, 3.0, &p, 100), Crossing::At(8));
-        // Landing exactly on the floor does not cross (strict inequality).
-        assert_eq!(next_crossing(3.0, 3.0, &p), Crossing::At(1));
-        assert_eq!(iterate_crossing(3.0, 3.0, &p, 100), Crossing::At(1));
+        // On integer inputs the haircut is exactly one step, plus one more
+        // when the floor lands on a step boundary (the 1e-9 shave).
+        // 10 → floor 3 at 1 J/step: 7 steps end at or above 3.
+        assert_eq!(steps_above(10.0, 3.0, 0.0, 1.0, 100), 7);
+        assert_eq!(safe_steps(10.0, 3.0, 1.0), 5);
+        // 10 → floor 3 at 2 J/step: 3 steps end at or above 3.
+        assert_eq!(steps_above(10.0, 3.0, 0.0, 2.0, 100), 3);
+        assert_eq!(safe_steps(10.0, 3.0, 2.0), 2);
     }
 
     #[test]
     fn gain_offsets_draw() {
-        let p = StepProfile::new(0.25, 1.25);
-        assert_eq!(
-            next_crossing(10.0, 3.0, &p),
-            iterate_crossing(10.0, 3.0, &p, 100)
-        );
+        // A step that banks `gain` and then draws `draw` loses at most
+        // `draw - gain`; that many steps of the real iteration stay safe.
+        let (gain, draw) = (0.25, 1.25);
+        let n = safe_steps(10.0, 3.0, draw - gain);
+        assert_eq!(n, safe_steps(10.0, 3.0, 1.0));
+        assert!(n <= steps_above(10.0, 3.0, gain, draw, 100));
     }
 
     #[test]
     fn far_crossing_is_never() {
-        let p = StepProfile::new(0.0, 1e-300);
-        assert_eq!(next_crossing(1.0, 0.0, &p), Crossing::Never);
+        // A crossing too far away to reach within one batch: the count
+        // clamps at 2^32 steps, so accumulated drift stays bounded.
+        assert_eq!(safe_steps(1.0, 0.0, 1e-30), 1 << 32);
+        assert_eq!(safe_steps(1.0, 0.0, 1e-300), 1 << 32);
     }
 
     #[test]
     fn safe_steps_is_below_crossing() {
-        let n = safe_steps(10.0, 3.0, 1.0);
-        assert!((1..8).contains(&n), "n = {n}");
-        assert_eq!(safe_steps(1.0, 2.0, 1.0), 0);
-        assert_eq!(safe_steps(10.0, 3.0, 0.0), u64::MAX);
-        assert_eq!(safe_steps(10.0, 3.0, -1.0), u64::MAX);
-        // Tiny losses clamp at 2^32 so drift stays bounded.
-        assert_eq!(safe_steps(1.0, 0.0, 1e-30), 1 << 32);
+        // Every small integer case: at most the iterated count, and never
+        // more than the two-step haircut below it.
+        for e0 in 0..40u32 {
+            for floor in 0..=e0 {
+                for loss in 1..6u32 {
+                    let (e0, floor, loss) = (f64::from(e0), f64::from(floor), f64::from(loss));
+                    let n = safe_steps(e0, floor, loss);
+                    let exact = steps_above(e0, floor, 0.0, loss, 100);
+                    assert!(
+                        n <= exact && n + 2 >= exact,
+                        "{e0} {floor} {loss}: {n} vs {exact}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -125,3 +125,58 @@ fn pulsed_sources_are_periodic() {
         assert!((p1 - p2).abs() < 1e-12, "periodic");
     });
 }
+
+/// `charge` is bit-identical to the lossless, leak-free integrate-and-clamp
+/// it replaced, `(before + (p.max(0)·1 − 0)·dt).clamp(0, max(ceiling, before))`,
+/// including its predicted in-range arm. The cases mix capacitors at, below
+/// and above the ceiling with zero, negative, tiny and bench-supply power,
+/// zero to large steps, and steps that land exactly on the ceiling.
+#[test]
+fn charge_matches_the_reference_clamp_bit_for_bit() {
+    let mut rng = SplitMix64::new(0xCAFE_0007);
+    let mut landed_on_ceiling = 0u32;
+    for case in 0..120_000u32 {
+        let c_f = rng.range_f64(1e-6, 20e-3);
+        let ceiling_v = rng.range_f64(1.0, 3.6);
+        let v0 = match case % 5 {
+            0 => ceiling_v,
+            1 => rng.range_f64(0.0, ceiling_v),
+            2 => rng.range_f64(ceiling_v, ceiling_v + 2.0),
+            3 => 0.0,
+            // At least half the ceiling's energy, so `ceiling_e - before`
+            // below is exact and the step can land on the ceiling itself.
+            _ => rng.range_f64(ceiling_v * 0.71, ceiling_v),
+        };
+        let mut cap = Capacitor::new(c_f, v0);
+        let before = cap.energy_j();
+        let ceiling_e = 0.5 * c_f * ceiling_v * ceiling_v;
+        let (p, dt) = match (case / 5) % 7 {
+            0 => (0.0, rng.range_f64(0.0, 1.0)),
+            1 => (-rng.range_f64(0.0, 1.0), rng.range_f64(0.0, 1.0)),
+            2 => (rng.range_f64(0.0, 1e-9), rng.range_f64(1e-7, 1e-5)),
+            3 => (0.1, rng.range_f64(1e-7, 1e-5)),
+            4 => (rng.range_f64(0.0, 0.2), 0.0),
+            5 => (rng.range_f64(0.0, 1e-3), rng.range_f64(1.0, 1e3)),
+            _ if case % 5 == 4 => {
+                let p = ceiling_e - before;
+                if before + p == ceiling_e {
+                    landed_on_ceiling += 1;
+                }
+                (p, 1.0)
+            }
+            _ => (rng.range_f64(0.0, 1e-2), rng.range_f64(0.0, 1e-2)),
+        };
+        let reference = (before + (p.max(0.0) * 1.0 - 0.0) * dt).clamp(0.0, ceiling_e.max(before));
+        let banked = cap.charge(p, dt, ceiling_v);
+        assert_eq!(
+            cap.energy_j().to_bits(),
+            reference.to_bits(),
+            "case {case}: C={c_f} V0={v0} ceiling={ceiling_v} p={p} dt={dt}"
+        );
+        assert_eq!(banked.to_bits(), (reference - before).to_bits());
+    }
+    assert!(
+        landed_on_ceiling > 1_000,
+        "only {landed_on_ceiling} steps landed on the ceiling"
+    );
+}

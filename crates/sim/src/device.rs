@@ -297,8 +297,7 @@ pub struct SpanProfile {
     /// otherwise.
     pub e_guard_j: f64,
     /// Worst-case energy one instruction can cost (J): the program's
-    /// costliest entry plus a full worst-case step of rail-voltage
-    /// leakage, with harvest floored at zero.
+    /// costliest entry, with harvest floored at zero.
     pub worst_loss_j: f64,
 }
 
@@ -1340,7 +1339,7 @@ impl Simulator {
     /// ## Equivalence argument
     ///
     /// A committed (non-waking) `sleep_tick` has exactly this net effect:
-    /// the capacitor integrates one tick of harvest/leak/sleep draw, time
+    /// the capacitor integrates one tick of harvest and sleep draw, time
     /// advances by one tick, and `suppressed_s`/`wake_stable` are both
     /// reset to zero — *independent of their values at entry* — because a
     /// tick that ends below `V_on` sees `really_charged == false` and a
@@ -1556,14 +1555,10 @@ impl Simulator {
         };
 
         // Worst-case per-instruction loss: the program's costliest entry
-        // plus a full worst-case step of leakage at the highest voltage
-        // the span can see (harvest is floored at zero — charging only
-        // helps).
+        // (harvest is floored at zero — charging only helps).
         let (worst_cycles, worst_energy_nj) = self.pre.worst_step();
         let max_dt = self.cost.cycles_to_seconds(worst_cycles);
-        let v_rail = self.cap.voltage_v().max(self.thresholds.v_max);
-        let leak_w = self.cap.leak_siemens() * v_rail * v_rail;
-        let worst_loss_j = worst_energy_nj * 1e-9 + leak_w * max_dt;
+        let worst_loss_j = worst_energy_nj * 1e-9;
         // A Ratchet boundary's register-save sequence runs between the
         // boundary step and the next poll; bound it the same way.
         let (commit_loss_j, commit_s) = match self.scheme {
@@ -1571,7 +1566,6 @@ impl Simulator {
                 let (save, commit) = self.ratchet_commit_costs();
                 let loss_j = |(cycles, extra_nj): (u64, f64)| {
                     (self.energy.cycles_energy_nj(cycles) + extra_nj) * 1e-9
-                        + leak_w * self.cost.cycles_to_seconds(cycles)
                 };
                 (
                     Reg::COUNT as f64 * loss_j(save) + loss_j(commit),
@@ -1672,15 +1666,15 @@ impl Simulator {
     ///   protocol). All of these run on the exact path.
     /// * **No brown-out, no checkpoint signal** — the closed-form sizing
     ///   ([`segment::safe_steps`]) under the worst-case per-instruction
-    ///   loss ([`PredecodedProgram::worst_step`] plus a full step of
-    ///   rail-voltage leakage) bounds how many instructions provably keep
-    ///   the capacitor above `V_backup + margin + |amp|` (or
-    ///   `V_off + margin` when no monitor polls), where `margin` covers
-    ///   the ADC's worst-case round-up (`lsb + ε`) and drowns f64 drift,
-    ///   and `amp` is the pinned disturbance (below). The admit
-    ///   closure re-checks the same worst-case guard against the *live*
-    ///   local capacitor before every instruction, so the closed form
-    ///   only sizes the span — admission is exact.
+    ///   loss ([`PredecodedProgram::worst_step`]) bounds how many
+    ///   instructions provably keep the capacitor above
+    ///   `V_backup + margin + |amp|` (or `V_off + margin` when no monitor
+    ///   polls), where `margin` covers the ADC's worst-case round-up
+    ///   (`lsb + ε`) and drowns f64 drift, and `amp` is the pinned
+    ///   disturbance (below). The admit closure re-checks the same
+    ///   worst-case guard against the *live* local capacitor before
+    ///   every instruction, so the closed form only sizes the span —
+    ///   admission is exact.
     /// * **Monitor state replayed or untouched** — an armed unfiltered
     ///   ADC is replayed per instruction on a local clone (conversions
     ///   are rare thanks to the sample-and-hold pipeline; held readings
@@ -2496,8 +2490,8 @@ mod tests {
         const LEAD: u64 = 3;
         let app = war_loop_app();
         let build = || {
-            // No harvest, no leakage: energy only falls, by exactly what
-            // each step draws.
+            // No harvest: energy only falls, by exactly what each step
+            // draws.
             let mut cfg = SimConfig::harvesting(SchemeKind::Ratchet);
             cfg.harvester = Box::new(ConstantPower::new(0.0));
             cfg
