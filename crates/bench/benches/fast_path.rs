@@ -35,13 +35,14 @@
 //!      an armed-but-unreached fault window forces every span plan
 //!      through the fault-edge guard; bit-identical trajectory asserted,
 //!      wall-clock overhead gated `< 2%` (`< 10%` in the quick run).
-//! 3. **Dispatch** — predecoded vs interpreted instruction dispatch on the
-//!    bench-supply throughput workload (the same shape as the
-//!    `sim_throughput` micro-bench), reported as steps/s per scheme.
+//! 3. **Dispatch** — the predecoded fast path vs the interpreted
+//!    step-exact reference on the bench-supply throughput workload (the
+//!    same shape as the `sim_throughput` micro-bench), reported as steps/s
+//!    per scheme.
 //! 4. **Campaign** — wall-clock for a small `gecko-fleet` Monte-Carlo
 //!    campaign (the fast path is on by default for every worker).
-//! 5. **Checker** — `gecko-check` windows/s with the hibernation
-//!    fast-forward on vs off; the two reports must match exactly. The
+//! 5. **Checker** — `gecko-check` windows/s on the simulator's fast paths
+//!    vs the step-exact reference; the two reports must match exactly. The
 //!    share of explored drains that join an earlier drain at their first
 //!    region commit is printed for GECKO and GECKO-noprune and gated at a
 //!    deterministic floor.
@@ -200,8 +201,6 @@ fn bench_fast_forward(rows: &mut Vec<BenchRow>, quick: bool) {
         let run_exact = || {
             let mut sim = Simulator::from_compiled(&compiled, hibernation_config(scheme));
             sim.set_exec_mode(ExecMode::Interpreted);
-            sim.set_fast_forward(false);
-            sim.set_event_horizon(false);
             sim.run_for(window_s);
             sim
         };
@@ -307,8 +306,6 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
             let run_exact = || {
                 let mut sim = Simulator::from_compiled(&compiled, fig4_cell(scheme, tone_hz));
                 sim.set_exec_mode(ExecMode::Interpreted);
-                sim.set_fast_forward(false);
-                sim.set_event_horizon(false);
                 sim.run_for(window_s);
                 sim
             };
@@ -396,8 +393,8 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
 /// Section 2b: `DeviceBatch` lock-step stepping — a fleet of devices
 /// sharing one predecoded program on the harvesting duty-cycle workload
 /// (active bursts draining the capacitor, recharge hibernation between
-/// them), vs the same fleet stepped per instruction (interpreted,
-/// coalescers off). Correctness is asserted bit-exactly on every run. The
+/// them), vs the same fleet on the interpreted step-exact reference.
+/// Correctness is asserted bit-exactly on every run. The
 /// headline floor is *deterministic*, like the other coalescing sections:
 /// per-device steps retired per scalar dispatch — the amortized ns/op
 /// lever — must stay `>= 5x`; wall-clock ns/op is printed for scale but
@@ -421,8 +418,6 @@ fn bench_batch_step(rows: &mut Vec<BenchRow>, quick: bool) {
                     let mut sim = Simulator::from_compiled(&compiled, cfg);
                     if exact {
                         sim.set_exec_mode(ExecMode::Interpreted);
-                        sim.set_fast_forward(false);
-                        sim.set_event_horizon(false);
                     }
                     sim
                 })
@@ -667,7 +662,7 @@ fn bench_dispatch(rows: &mut Vec<BenchRow>, quick: bool) {
     }
     print_table(
         &format!("instruction dispatch, crc32, {window_s}s window (best of {iters})"),
-        &["scheme", "predecoded", "interpreted", "speedup"],
+        &["scheme", "predecoded", "exact reference", "speedup"],
         &table,
     );
 }
@@ -924,18 +919,18 @@ fn bench_checker(rows: &mut Vec<BenchRow>, quick: bool) {
     let cap = if quick { 120 } else { 400 };
     let iters = if quick { 1 } else { 3 };
     let cfg = ExploreConfig::default().with_max_windows(cap);
-    let no_ff = ExploreConfig {
+    let exact_cfg = ExploreConfig {
         fast_forward: false,
         ..cfg
     };
     let opts = CompileOptions::default();
     let fast = check_app(&app, SchemeKind::Gecko, &opts, &cfg).unwrap();
-    let exact = check_app(&app, SchemeKind::Gecko, &opts, &no_ff).unwrap();
+    let exact = check_app(&app, SchemeKind::Gecko, &opts, &exact_cfg).unwrap();
     assert_eq!(fast.violations, exact.violations, "checker verdict changed");
     assert_eq!(fast.stats, exact.stats, "checker stats changed");
 
     let mut table = Vec::new();
-    for (label, explore) in [("ff on", &cfg), ("ff off", &no_ff)] {
+    for (label, explore) in [("fast paths", &cfg), ("exact reference", &exact_cfg)] {
         let wall = time_best_of(iters, || {
             check_app(&app, SchemeKind::Gecko, &opts, explore).unwrap()
         });
@@ -961,7 +956,7 @@ fn bench_checker(rows: &mut Vec<BenchRow>, quick: bool) {
     }
     print_table(
         &format!("checker windows/s, crc16 under GECKO, {cap} windows (best of {iters})"),
-        &["fast-forward", "windows", "wall", "windows/s"],
+        &["simulator", "windows", "wall", "windows/s"],
         &table,
     );
 

@@ -1,6 +1,6 @@
 //! Micro-benchmark of the co-simulator's instruction throughput (best-of-N
 //! wall-clock timing; no external harness), comparing the default
-//! predecoded dispatch against the interpreted reference path.
+//! predecoded fast path against the interpreted step-exact reference.
 
 use gecko_bench::{print_table, time_best_of};
 use gecko_sim::{ExecMode, SchemeKind, SimConfig, Simulator};
@@ -36,7 +36,7 @@ fn main() {
         &[
             "scheme",
             "predecoded",
-            "interpreted",
+            "exact reference",
             "throughput",
             "speedup",
         ],

@@ -16,7 +16,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use gecko_sim::device::CompiledApp;
-use gecko_sim::{SimConfig, Simulator};
+use gecko_sim::{ExecMode, SimConfig, Simulator};
 
 use crate::verdict::{Blame, CheckStats, InjectionKind, Outcome, PlannedInjection, Violation};
 
@@ -49,13 +49,12 @@ pub struct ExploreConfig {
     pub max_windows: Option<u64>,
     /// Peripheral seed (must match across golden run and exploration).
     pub seed: u64,
-    /// Coalesce simulation spans through the simulator's fast paths —
-    /// post-injection recharge hibernation
-    /// ([`gecko_sim::Simulator::set_fast_forward`]) and event-horizon
-    /// active stepping ([`gecko_sim::Simulator::set_event_horizon`]).
-    /// Observably identical either way — verdicts, violations and even
-    /// `CheckStats::steps` match bit for bit; `false` forces the
-    /// per-step reference paths the differential tests compare against.
+    /// Run the simulator on its fast paths ([`ExecMode::Predecoded`]:
+    /// predecoded dispatch, post-injection recharge hibernation
+    /// fast-forward and event-horizon active spans). Observably identical
+    /// either way — verdicts, violations and even `CheckStats::steps`
+    /// match bit for bit; `false` selects [`ExecMode::Interpreted`], the
+    /// step-exact reference the differential tests compare against.
     pub fast_forward: bool,
 }
 
@@ -134,8 +133,11 @@ pub(crate) fn checker_sim(compiled: &CompiledApp, seed: u64, fast_forward: bool)
     let mut config = SimConfig::bench_supply(compiled.scheme);
     config.seed = seed;
     let mut sim = Simulator::from_compiled(compiled, config);
-    sim.set_fast_forward(fast_forward);
-    sim.set_event_horizon(fast_forward);
+    sim.set_exec_mode(if fast_forward {
+        ExecMode::Predecoded
+    } else {
+        ExecMode::Interpreted
+    });
     sim
 }
 

@@ -206,10 +206,11 @@ mod tests {
 
     #[test]
     fn fast_forward_does_not_change_the_report() {
-        // The simulator's hibernation fast-forward must be invisible to the
-        // checker: not just the verdict but the *entire* report — windows,
-        // forks, explored count, memo hits and even the exact number of
-        // simulation steps — must match the tick-exact reference.
+        // The simulator's fast paths must be invisible to the checker: not
+        // just the verdict but the *entire* report — windows, forks,
+        // explored count, memo hits and even the exact number of
+        // simulation steps — must match the step-exact reference
+        // (`fast_forward: false` selects `ExecMode::Interpreted`).
         let app = war_counter_app(5);
         let windows = if quick() { 150 } else { 600 };
         let cfg = ExploreConfig {

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use gecko_isa::fnv::{fnv_str, fnv_u64, FNV_OFFSET};
-use gecko_isa::{Program, RegionId};
+use gecko_isa::Program;
 
 use crate::recovery::{RecoveryTable, RegionTable, RestoreAction};
 
@@ -131,12 +131,6 @@ impl ProgramFingerprints {
     pub fn region(&self, id: u32) -> Option<u64> {
         self.regions.get(&id).copied()
     }
-}
-
-/// Convenience: region ids referenced by a [`RegionId`] iterator, as the
-/// raw `u32`s the fingerprint map is keyed by.
-pub fn raw_region_ids(ids: impl IntoIterator<Item = RegionId>) -> Vec<u32> {
-    ids.into_iter().map(|r| r.index() as u32).collect()
 }
 
 #[cfg(test)]

@@ -32,11 +32,6 @@ impl EmiSignal {
     pub fn amplitude_v(&self) -> f64 {
         (2.0 * self.power_w() * 50.0).sqrt()
     }
-
-    /// Free-space wavelength (m).
-    pub fn wavelength_m(&self) -> f64 {
-        299_792_458.0 / self.freq_hz
-    }
 }
 
 impl fmt::Display for EmiSignal {

@@ -1,5 +1,6 @@
 //! Daemon configuration: defaults, a JSON config file, and CLI flags —
-//! later layers override earlier ones (defaults < file < flags).
+//! later layers override earlier ones (defaults < file < flags), and one
+//! set of lower bounds applies after both.
 
 use std::path::PathBuf;
 
@@ -114,8 +115,9 @@ impl ServeConfig {
         ])
     }
 
-    /// Applies a parsed JSON config document. Unknown keys are rejected
-    /// (a typo'd limit silently ignored is a limit not applied).
+    /// Applies a parsed JSON config document as given; [`ServeConfig::from_args`]
+    /// applies the lower bounds afterwards. Unknown keys are rejected (a
+    /// typo'd limit silently ignored is a limit not applied).
     pub fn apply_json(&mut self, doc: &Json) -> Result<(), String> {
         let fields = doc
             .as_obj()
@@ -135,13 +137,13 @@ impl ServeConfig {
                             .ok_or_else(|| "journal_root: expected a string".to_string())?,
                     );
                 }
-                "queue_workers" => self.queue_workers = usize_field(key, value)?.max(1),
-                "job_workers" => self.job_workers = usize_field(key, value)?.max(1),
-                "max_job_workers" => self.max_job_workers = usize_field(key, value)?.max(1),
-                "max_jobs" => self.max_jobs = usize_field(key, value)?.max(1),
-                "max_items_per_job" => self.max_items_per_job = usize_field(key, value)?.max(1),
-                "max_body_bytes" => self.max_body_bytes = usize_field(key, value)?.max(1024),
-                "event_buffer" => self.event_buffer = usize_field(key, value)?.max(16),
+                "queue_workers" => self.queue_workers = usize_field(key, value)?,
+                "job_workers" => self.job_workers = usize_field(key, value)?,
+                "max_job_workers" => self.max_job_workers = usize_field(key, value)?,
+                "max_jobs" => self.max_jobs = usize_field(key, value)?,
+                "max_items_per_job" => self.max_items_per_job = usize_field(key, value)?,
+                "max_body_bytes" => self.max_body_bytes = usize_field(key, value)?,
+                "event_buffer" => self.event_buffer = usize_field(key, value)?,
                 "retain_jobs" => self.retain_jobs = usize_field(key, value)?,
                 "retain_bytes" => self.retain_bytes = usize_field(key, value)? as u64,
                 "retain_age_secs" => self.retain_age_secs = usize_field(key, value)? as u64,
@@ -170,7 +172,9 @@ impl ServeConfig {
     }
 
     /// Builds the effective config from CLI args: `--config FILE` loads a
-    /// JSON file first, then individual flags override it.
+    /// JSON file first, then individual flags override it, then every
+    /// limit is raised to its floor, so a value means the same from either
+    /// layer.
     ///
     /// Flags: `--bind ADDR`, `--data DIR`, `--queue-workers N`,
     /// `--job-workers N`, `--max-jobs N`, `--max-items N`,
@@ -230,9 +234,22 @@ impl ServeConfig {
                 other => return Err(format!("unknown flag `{other}` (see --help)")),
             }
         }
-        cfg.queue_workers = cfg.queue_workers.max(1);
-        cfg.job_workers = cfg.job_workers.clamp(1, cfg.max_job_workers);
+        cfg.enforce_bounds();
         Ok(cfg)
+    }
+
+    /// Raises each limit to its floor — at least one queue worker, job
+    /// worker, job and item per job, 1 KiB request bodies and a 16-event
+    /// ring — and caps per-job workers at `max_job_workers`. A zero limit
+    /// would refuse every submission.
+    fn enforce_bounds(&mut self) {
+        self.queue_workers = self.queue_workers.max(1);
+        self.max_job_workers = self.max_job_workers.max(1);
+        self.job_workers = self.job_workers.clamp(1, self.max_job_workers);
+        self.max_jobs = self.max_jobs.max(1);
+        self.max_items_per_job = self.max_items_per_job.max(1);
+        self.max_body_bytes = self.max_body_bytes.max(1024);
+        self.event_buffer = self.event_buffer.max(16);
     }
 }
 
@@ -283,6 +300,50 @@ mod tests {
         assert_eq!(cfg.event_buffer, 128);
         assert_eq!(cfg.job_workers, 2);
         assert_eq!(cfg.max_jobs, ServeConfig::default().max_jobs);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn flags_and_file_obey_the_same_bounds() {
+        let dir = std::env::temp_dir().join(format!("gecko-serve-bounds-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("serve.json");
+        std::fs::write(
+            &file,
+            r#"{"queue_workers":0,"job_workers":0,"max_jobs":0,"max_items_per_job":0,
+                "max_body_bytes":0,"event_buffer":0}"#,
+        )
+        .unwrap();
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let from_file =
+            ServeConfig::from_args(&args(&["--config", file.to_str().unwrap()])).unwrap();
+        let from_flags = ServeConfig::from_args(&args(&[
+            "--queue-workers",
+            "0",
+            "--job-workers",
+            "0",
+            "--max-jobs",
+            "0",
+            "--max-items",
+            "0",
+            "--max-body-bytes",
+            "0",
+            "--event-buffer",
+            "0",
+        ]))
+        .unwrap();
+        assert_eq!(from_flags, from_file);
+        assert_eq!(
+            (
+                from_flags.queue_workers,
+                from_flags.job_workers,
+                from_flags.max_jobs,
+                from_flags.max_items_per_job,
+                from_flags.max_body_bytes,
+                from_flags.event_buffer,
+            ),
+            (1, 1, 1, 1, 1024, 16)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

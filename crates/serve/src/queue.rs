@@ -118,7 +118,7 @@ impl JobSink {
     /// Creates a sink with a ring of `cap` events, appending to `log`.
     pub fn new(cap: usize, log: Arc<SegmentedLog>) -> JobSink {
         JobSink {
-            cap: cap.max(16),
+            cap,
             state: Mutex::new(SinkState::default()),
             cond: Condvar::new(),
             log,

@@ -204,22 +204,24 @@ enum PowerState {
     Sleeping,
 }
 
-/// How the simulator executes ON-state instructions.
+/// How the simulator steps: through its fast paths, or along the
+/// step-exact reference they are checked against.
 ///
 /// Both modes are *observationally identical* — same registers, memory,
 /// events, metrics, timing and energy, bit for bit — and the differential
 /// test suite holds them to it. [`ExecMode::Predecoded`] is the default and
-/// is strictly faster; [`ExecMode::Interpreted`] re-interprets the
-/// `gecko_isa` structures every step and exists as the independently-simple
-/// reference the fast path is checked against.
+/// is strictly faster; [`ExecMode::Interpreted`] is the independently-simple
+/// reference the fast paths are checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Dispatch on the dense predecoded array built at compile time
-    /// ([`gecko_mcu::PredecodedProgram`]).
+    /// ([`gecko_mcu::PredecodedProgram`]), with both coalescers on:
+    /// hibernation fast-forward and event-horizon active spans.
     #[default]
     Predecoded,
-    /// Re-interpret `gecko_isa` instructions step by step (the reference
-    /// path).
+    /// The whole step-exact reference: re-interpret `gecko_isa`
+    /// instructions one at a time and step every sleep tick, with no span
+    /// coalesced.
     Interpreted,
 }
 
@@ -273,7 +275,7 @@ pub struct FastPathStats {
     /// area, or a runtime op while GECKO rollback probation is pending.
     pub eh_end_program: u64,
     /// ON-state steps where no span could start (a guard bailed —
-    /// including coalescing being off or the interpreted mode — the
+    /// including the [`ExecMode::Interpreted`] reference — the
     /// closed-form horizon was below [`MIN_ACTIVE_SPAN`], or the first
     /// instruction was not admitted), so the exact path ran instead.
     pub eh_refused: u64,
@@ -623,8 +625,6 @@ pub struct Simulator {
     energy: EnergyModel,
 
     exec_mode: ExecMode,
-    fast_forward: bool,
-    event_horizon: bool,
     fast: FastPathStats,
 
     app: App,
@@ -719,8 +719,6 @@ impl Simulator {
             cost: CostModel::default(),
             energy: EnergyModel::default(),
             exec_mode: ExecMode::Predecoded,
-            fast_forward: true,
-            event_horizon: true,
             fast: FastPathStats::default(),
             app: app.clone(),
             scheme: config.scheme,
@@ -758,45 +756,12 @@ impl Simulator {
         &self.program
     }
 
-    /// Selects the ON-state execution mode. The default is
+    /// Selects how the simulator steps. The default is
     /// [`ExecMode::Predecoded`]; both modes are bit-identical, and
-    /// [`ExecMode::Interpreted`] exists as the differential-testing
-    /// reference.
+    /// [`ExecMode::Interpreted`] is the step-exact reference the
+    /// differential tests compare against.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
-    }
-
-    /// The current ON-state execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Enables or disables the hibernation fast-forward (enabled by
-    /// default). Fast-forwarding is observationally identical to stepping
-    /// every sleep tick — disabling it forces the per-tick reference path
-    /// the differential tests compare against.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.fast_forward = enabled;
-    }
-
-    /// Whether the hibernation fast-forward is enabled.
-    pub fn fast_forward(&self) -> bool {
-        self.fast_forward
-    }
-
-    /// Enables or disables event-horizon active stepping (enabled by
-    /// default). Batched active spans are observationally identical to
-    /// stepping every instruction — disabling forces the per-instruction
-    /// reference path the differential tests compare against. The batch
-    /// path only engages in [`ExecMode::Predecoded`], so selecting
-    /// [`ExecMode::Interpreted`] also implies per-instruction stepping.
-    pub fn set_event_horizon(&mut self, enabled: bool) {
-        self.event_horizon = enabled;
-    }
-
-    /// Whether event-horizon active stepping is enabled.
-    pub fn event_horizon(&self) -> bool {
-        self.event_horizon
     }
 
     /// Cumulative fast-path instrumentation (diagnostics only; not part of
@@ -875,8 +840,8 @@ impl Simulator {
 
     /// Runs until `n` application completions have accumulated or
     /// `max_seconds` of device time elapse, whichever comes first.
-    /// Hibernation spans are fast-forwarded when provably equivalent (see
-    /// [`Simulator::set_fast_forward`]).
+    /// Hibernation spans are fast-forwarded when provably equivalent,
+    /// unless [`ExecMode::Interpreted`] selects the step-exact reference.
     pub fn run_until_completions(&mut self, n: u64, max_seconds: f64) -> Metrics {
         let t_end = self.t_s + max_seconds;
         while self.t_s < t_end && self.metrics.completions < n {
@@ -888,9 +853,8 @@ impl Simulator {
 
     /// Runs the simulation for `seconds` of device time; returns the
     /// metrics accumulated so far (cumulative across calls). Hibernation
-    /// and active-execution spans are coalesced when provably equivalent
-    /// (see [`Simulator::set_fast_forward`] and
-    /// [`Simulator::set_event_horizon`]).
+    /// and active-execution spans are coalesced when provably equivalent,
+    /// unless [`ExecMode::Interpreted`] selects the step-exact reference.
     pub fn run_for(&mut self, seconds: f64) -> Metrics {
         let t_end = self.t_s + seconds;
         while self.t_s < t_end {
@@ -1376,7 +1340,7 @@ impl Simulator {
     /// at tick *start* and the monitor at tick *end*, and the slack absorbs
     /// any floating-point blur in the horizon boundaries.
     fn try_fast_forward(&mut self, max_steps: u64, t_end: f64) -> u64 {
-        if !self.fast_forward || self.state != PowerState::Sleeping {
+        if self.exec_mode != ExecMode::Predecoded || self.state != PowerState::Sleeping {
             return 0;
         }
         let monitor_wake = self.uses_monitor_for_wake();
@@ -1493,7 +1457,7 @@ impl Simulator {
 
     /// Derives the guard set an event-horizon span would run under right
     /// now, or `None` when any bail condition of the exact path holds:
-    /// coalescing disabled or interpreted mode, hibernating or halted, an
+    /// the [`ExecMode::Interpreted`] reference, hibernating or halted, an
     /// armed fault window or pending fault, a filtered ADC, a held reading
     /// already below `V_backup`, a latched comparator, or a non-constant
     /// harvester. An active attack window is no bail: its amplitude raises
@@ -1503,8 +1467,7 @@ impl Simulator {
     /// factored out so the batch planner and the in-device coalescer
     /// cannot drift.
     fn active_span_guards(&self) -> Option<ActiveGuards> {
-        if !self.event_horizon
-            || self.exec_mode != ExecMode::Predecoded
+        if self.exec_mode != ExecMode::Predecoded
             || self.state != PowerState::On
             || self.machine.is_halted()
         {
@@ -2499,8 +2462,6 @@ mod tests {
         let exact_sim = || {
             let mut sim = Simulator::new(&app, build()).unwrap();
             sim.set_exec_mode(ExecMode::Interpreted);
-            sim.set_fast_forward(false);
-            sim.set_event_horizon(false);
             sim
         };
 
@@ -2521,7 +2482,6 @@ mod tests {
         let mut fast = exact_sim();
         fast.run_steps(at_boundary - LEAD);
         fast.set_exec_mode(ExecMode::Predecoded);
-        fast.set_event_horizon(true);
         let g = fast
             .active_span_guards()
             .expect("a quiet, constant-power span");

@@ -10,7 +10,7 @@
 
 use gecko_emi::attack::DpiPoint;
 use gecko_emi::{AttackSchedule, EmiSignal, Injection};
-use gecko_sim::{DeviceBatch, SchemeKind, SimConfig, Simulator};
+use gecko_sim::{DeviceBatch, ExecMode, SchemeKind, SimConfig, Simulator};
 
 fn quick() -> bool {
     std::env::var_os("GECKO_QUICK").is_some()
@@ -170,8 +170,8 @@ fn awkward_drain_slices_match_unsliced_batch() {
 #[test]
 fn occupancy_reflects_planner_coverage() {
     // Clean bench supply: almost every live round is planner-covered.
-    // With the event horizon disabled the planner never covers anything
-    // and every ON round is a scalar fallback.
+    // On the interpreted reference the planner never covers anything and
+    // every ON round is a scalar fallback.
     let app = gecko_apps::app_by_name("bitcnt").unwrap();
     let covered = {
         let sims = (0..2)
@@ -195,7 +195,7 @@ fn occupancy_reflects_planner_coverage() {
                 let mut sim =
                     Simulator::new(&app, build(SchemeKind::Gecko, AttackSchedule::none(), seed))
                         .unwrap();
-                sim.set_event_horizon(false);
+                sim.set_exec_mode(ExecMode::Interpreted);
                 sim
             })
             .collect();
@@ -205,7 +205,7 @@ fn occupancy_reflects_planner_coverage() {
     };
     assert_eq!(
         uncovered.planned, 0,
-        "no planner coverage with the horizon off: {uncovered:?}"
+        "no planner coverage on the reference: {uncovered:?}"
     );
     assert!(
         uncovered.fallback_rounds > 0 && uncovered.occupancy_permille() == 0,

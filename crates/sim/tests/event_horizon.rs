@@ -30,14 +30,6 @@ fn window_s() -> f64 {
     }
 }
 
-/// Forces a simulator onto the exact reference path: interpreted
-/// dispatch, no hibernation coalescing, no event-horizon batching.
-fn make_exact(sim: &mut Simulator) {
-    sim.set_exec_mode(ExecMode::Interpreted);
-    sim.set_fast_forward(false);
-    sim.set_event_horizon(false);
-}
-
 /// Asserts two simulators are on bit-identical trajectories, plus the
 /// fast-path step-accounting invariant on both.
 fn assert_equivalent(fast: &Simulator, exact: &Simulator, label: &str) {
@@ -100,7 +92,7 @@ fn fig4_grid_is_bit_identical_to_reference() {
         for (label, attack) in fig4_attacks() {
             let mut fast = Simulator::new(&app, fig4_config(scheme, attack.clone())).unwrap();
             let mut exact = Simulator::new(&app, fig4_config(scheme, attack)).unwrap();
-            make_exact(&mut exact);
+            exact.set_exec_mode(ExecMode::Interpreted);
             fast.run_for(window_s());
             exact.run_for(window_s());
             let tag = format!("fig4/{}/{label}", scheme.name());
@@ -138,7 +130,7 @@ fn comparator_monitor_cells_match_reference() {
             };
             let mut fast = Simulator::new(&app, build()).unwrap();
             let mut exact = Simulator::new(&app, build()).unwrap();
-            make_exact(&mut exact);
+            exact.set_exec_mode(ExecMode::Interpreted);
             fast.run_for(window_s());
             exact.run_for(window_s());
             assert_equivalent(
@@ -160,7 +152,7 @@ fn harvesting_duty_cycle_is_bit_identical() {
         let build = || SimConfig::harvesting(scheme);
         let mut fast = Simulator::new(&app, build()).unwrap();
         let mut exact = Simulator::new(&app, build()).unwrap();
-        make_exact(&mut exact);
+        exact.set_exec_mode(ExecMode::Interpreted);
         let w = if quick() { 0.2 } else { 0.6 };
         fast.run_for(w);
         exact.run_for(w);
@@ -202,7 +194,7 @@ fn harvesting_small_buffer_grid_is_bit_identical() {
             for seed in [1, 2] {
                 let mut fast = Simulator::new(&app, small_buffer_config(scheme, seed)).unwrap();
                 let mut exact = Simulator::new(&app, small_buffer_config(scheme, seed)).unwrap();
-                make_exact(&mut exact);
+                exact.set_exec_mode(ExecMode::Interpreted);
                 fast.run_for(window);
                 exact.run_for(window);
                 let tag = format!("small-buffer/{}/{}/seed{seed}", app.name, scheme.name());
@@ -236,7 +228,7 @@ fn probation_boundary_ends_the_span_and_stays_exact() {
     let build = || fig4_config(SchemeKind::Gecko, attack.clone());
     let mut fast = Simulator::new(&app, build()).unwrap();
     let mut exact = Simulator::new(&app, build()).unwrap();
-    make_exact(&mut exact);
+    exact.set_exec_mode(ExecMode::Interpreted);
     fast.run_for(0.03);
     exact.run_for(0.03);
     assert_equivalent(&fast, &exact, "probation/attacked");
@@ -304,7 +296,7 @@ fn slices_and_forks_right_after_an_in_span_runtime_op_are_exact() {
         // `TAIL` steps before it.
         const TAIL: u64 = 50;
         let mut walk = Simulator::new(&app, build()).unwrap();
-        make_exact(&mut walk);
+        walk.set_exec_mode(ExecMode::Interpreted);
         walk.run_steps(17_000);
         let mut since_completion = 0;
         loop {
@@ -346,7 +338,7 @@ fn slices_and_forks_right_after_an_in_span_runtime_op_are_exact() {
         let mut straight = Simulator::new(&app, build()).unwrap();
         straight.run_steps(goal);
         let mut exact = Simulator::new(&app, build()).unwrap();
-        make_exact(&mut exact);
+        exact.set_exec_mode(ExecMode::Interpreted);
         exact.run_steps(goal);
         assert_equivalent(&straight, &exact, &format!("{tag}/straight"));
         assert_eq!(sliced.metrics, exact.metrics, "{tag}: sliced + forked");
@@ -407,7 +399,7 @@ fn snapshot_fork_inside_active_span_resumes_identically() {
     assert_eq!(straight.time_s().to_bits(), forked.time_s().to_bits());
 
     let mut exact = Simulator::new(&app, build()).unwrap();
-    make_exact(&mut exact);
+    exact.set_exec_mode(ExecMode::Interpreted);
     exact.run_steps(40_000);
     assert_eq!(straight.metrics, exact.metrics, "vs per-step reference");
     assert_eq!(straight.state_hash(), exact.state_hash());
@@ -475,7 +467,7 @@ fn snapshot_mid_batch_span_matches_scalar_mid_span_fork() {
     assert_eq!(a.time_s().to_bits(), b.time_s().to_bits());
 
     let mut exact = Simulator::new(&app, build(0)).unwrap();
-    make_exact(&mut exact);
+    exact.set_exec_mode(ExecMode::Interpreted);
     exact.run_steps(goal);
     assert_eq!(a.metrics, exact.metrics, "vs per-step reference");
     assert_eq!(a.state_hash(), exact.state_hash());
@@ -496,7 +488,7 @@ fn spoofed_pulse_strictly_inside_coalesced_segment_matches_reference() {
         let build = || fig4_config(scheme, attack.clone());
         let mut fast = Simulator::new(&app, build()).unwrap();
         let mut exact = Simulator::new(&app, build()).unwrap();
-        make_exact(&mut exact);
+        exact.set_exec_mode(ExecMode::Interpreted);
         fast.run_for(0.025);
         exact.run_for(0.025);
         let tag = format!("pulse/{}", scheme.name());
@@ -602,7 +594,7 @@ fn disturbed_grid_is_bit_identical_and_weak_cells_coalesce() {
                     };
                     let mut fast = Simulator::new(&app, build()).unwrap();
                     let mut exact = Simulator::new(&app, build()).unwrap();
-                    make_exact(&mut exact);
+                    exact.set_exec_mode(ExecMode::Interpreted);
                     fast.run_for(w);
                     exact.run_for(w);
                     let tag = format!(
@@ -694,7 +686,7 @@ fn capacitor_inside_the_disturbed_guard_band_declines_spans() {
             assert!(declined > 100, "{tag}: only {declined} steps in the band");
 
             let mut exact = Simulator::new(&app, build()).unwrap();
-            make_exact(&mut exact);
+            exact.set_exec_mode(ExecMode::Interpreted);
             exact.run_steps(fast.fast_path_stats().steps);
             assert_equivalent(&fast, &exact, &tag);
             fast.run_for(0.01);
@@ -728,7 +720,7 @@ fn slices_and_forks_inside_disturbed_spans_are_exact() {
             slice = (slice * 7 + 3) % 997 + 1;
         }
         let mut exact = Simulator::new(&app, build(scheme)).unwrap();
-        make_exact(&mut exact);
+        exact.set_exec_mode(ExecMode::Interpreted);
         exact.run_for(t_end);
         assert_same_snapshot(&whole, &exact, &format!("{tag}/whole"));
         assert_same_snapshot(&sliced, &exact, &format!("{tag}/sliced"));
@@ -751,7 +743,7 @@ fn slices_and_forks_inside_disturbed_spans_are_exact() {
         forked.restore(&snap);
         forked.run_steps(goal - fork);
         let mut exact = Simulator::new(&app, build(scheme)).unwrap();
-        make_exact(&mut exact);
+        exact.set_exec_mode(ExecMode::Interpreted);
         exact.run_steps(goal);
         assert_eq!(forked.metrics, exact.metrics, "{tag}: forked");
         assert_eq!(forked.state_hash(), exact.state_hash(), "{tag}: forked");

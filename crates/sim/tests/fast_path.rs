@@ -15,14 +15,6 @@ fn quick() -> bool {
     std::env::var_os("GECKO_QUICK").is_some()
 }
 
-/// Forces a simulator onto the exact reference path: interpreted dispatch,
-/// no hibernation coalescing, no event-horizon batching.
-fn make_exact(sim: &mut Simulator) {
-    sim.set_exec_mode(ExecMode::Interpreted);
-    sim.set_fast_forward(false);
-    sim.set_event_horizon(false);
-}
-
 /// Asserts two simulators are on bit-identical trajectories.
 fn assert_equivalent(fast: &Simulator, exact: &Simulator, label: &str) {
     assert_eq!(
@@ -84,10 +76,17 @@ fn grid_fast_path_is_bit_identical_to_reference() {
             };
             let mut fast = Simulator::new(app, grid_config(scheme, monitor)).unwrap();
             let mut exact = Simulator::new(app, grid_config(scheme, monitor)).unwrap();
-            make_exact(&mut exact);
+            exact.set_exec_mode(ExecMode::Interpreted);
             fast.run_for(window_s);
             exact.run_for(window_s);
-            assert_equivalent(&fast, &exact, &format!("{name}/{}", scheme.name()));
+            let label = format!("{name}/{}", scheme.name());
+            assert_equivalent(&fast, &exact, &label);
+            // The one switch selects the whole reference: every sleep tick
+            // and every instruction goes through the full dispatch.
+            let s = exact.fast_path_stats();
+            assert_eq!(s.ff_ticks, 0, "{label}: reference fast-forwarded");
+            assert_eq!(s.eh_insts, 0, "{label}: reference ran a span");
+            assert_eq!(s.dispatches, s.steps, "{label}: {s:?}");
         }
     }
 }
@@ -104,7 +103,7 @@ fn filtered_adc_falls_back_to_exact_ticks() {
     };
     let mut fast = Simulator::new(&app, build()).unwrap();
     let mut exact = Simulator::new(&app, build()).unwrap();
-    make_exact(&mut exact);
+    exact.set_exec_mode(ExecMode::Interpreted);
     fast.run_for(0.8);
     exact.run_for(0.8);
     assert_equivalent(&fast, &exact, "filtered-adc");
@@ -164,7 +163,7 @@ fn randomized_configurations_stay_bit_identical() {
         };
         let mut fast = Simulator::new(&app, build()).unwrap();
         let mut exact = Simulator::new(&app, build()).unwrap();
-        make_exact(&mut exact);
+        exact.set_exec_mode(ExecMode::Interpreted);
         fast.run_for(window_s);
         exact.run_for(window_s);
         assert_equivalent(&fast, &exact, &format!("case {case} ({name})"));
@@ -180,7 +179,7 @@ fn advance_matches_run_steps_exactly() {
     let build = || SimConfig::harvesting(SchemeKind::Gecko).with_capacitor(200e-6, 0.0);
     let mut fast = Simulator::new(&app, build()).unwrap();
     let mut exact = Simulator::new(&app, build()).unwrap();
-    make_exact(&mut exact);
+    exact.set_exec_mode(ExecMode::Interpreted);
     for chunk in [1u64, 7, 500, 12_000, 50_000] {
         let n = fast.advance(chunk);
         assert_eq!(n, chunk, "advance takes exactly the requested steps");
@@ -272,7 +271,7 @@ fn snapshot_forked_inside_a_fast_forwarded_span_is_exact() {
     let fast_v = sim.voltage_v().to_bits();
 
     sim.restore(&snap);
-    make_exact(&mut sim);
+    sim.set_exec_mode(ExecMode::Interpreted);
     let m_exact = sim.run_for(4.0);
     assert_eq!(m_fast, m_exact, "metrics diverged across the fork");
     assert_eq!(sim.state_hash(), fast_hash, "state hash diverged");

@@ -39,12 +39,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn make_exact(sim: &mut Simulator) {
-    sim.set_exec_mode(ExecMode::Interpreted);
-    sim.set_fast_forward(false);
-    sim.set_event_horizon(false);
-}
-
 fn assert_equivalent(a: &Simulator, b: &Simulator, label: &str) {
     assert_eq!(a.metrics, b.metrics, "{label}: metrics diverged");
     assert_eq!(a.state_hash(), b.state_hash(), "{label}: state hash");
@@ -153,7 +147,7 @@ fn armed_fault_windows_match_the_per_step_reference() {
         let build = || SimConfig::bench_supply(scheme).with_fault(fault.clone());
         let mut fast = Simulator::new(&app, build()).unwrap();
         let mut exact = Simulator::new(&app, build()).unwrap();
-        make_exact(&mut exact);
+        exact.set_exec_mode(ExecMode::Interpreted);
         fast.run_for(0.025);
         exact.run_for(0.025);
         let tag = format!("armed/{}", scheme.name());

@@ -25,8 +25,6 @@ fn fast_matches_exact(app: &str, scheme: SchemeKind, config: impl Fn() -> SimCon
     let mut fast = Simulator::new(&app, config()).unwrap();
     let mut exact = Simulator::new(&app, config()).unwrap();
     exact.set_exec_mode(ExecMode::Interpreted);
-    exact.set_fast_forward(false);
-    exact.set_event_horizon(false);
     fast.run_for(0.1);
     exact.run_for(0.1);
 
