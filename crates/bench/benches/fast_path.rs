@@ -43,8 +43,9 @@
 //!    campaign (the fast path is on by default for every worker).
 //! 5. **Checker** — `gecko-check` windows/s on the simulator's fast paths
 //!    vs the step-exact reference; the two reports must match exactly. The
-//!    share of explored drains that join an earlier drain at their first
-//!    region commit is printed for GECKO and GECKO-noprune and gated at a
+//!    share of explored drains that join an earlier drain at their join
+//!    point (the first region commit, or NVP's first loop-header entry) is
+//!    printed for NVP, Ratchet, GECKO and GECKO-noprune and gated at a
 //!    deterministic floor.
 //!    * **Incremental check** — the same campaign cold (fresh memo
 //!      store) vs warm (store reopened from disk), on a grid with
@@ -960,13 +961,15 @@ fn bench_checker(rows: &mut Vec<BenchRow>, quick: bool) {
         &table,
     );
 
-    // Drains that stop at their first region commit because an earlier
-    // drain of the chunk committed into a state with the same drain hash.
+    // Drains that stop at their join point (the first region commit, or
+    // for NVP the first loop-header entry) because an earlier drain of
+    // the chunk passed through a state with the same drain hash there.
     // Deterministic: each floor sits just below the share measured on
-    // both grid sizes (120 / 400 windows: Ratchet 0.571 / 0.727, GECKO
-    // 0.962 / 0.974, without pruning 0.964 / 0.975).
+    // both grid sizes (120 / 400 windows: NVP 0.868 / 0.868, Ratchet
+    // 0.571 / 0.727, GECKO 0.962 / 0.974, without pruning 0.964 / 0.975).
     let mut table = Vec::new();
     for (scheme, floor) in [
+        (SchemeKind::Nvp, 0.85),
         (SchemeKind::Ratchet, 0.55),
         (SchemeKind::Gecko, 0.95),
         (SchemeKind::GeckoNoPrune, 0.95),
@@ -986,7 +989,7 @@ fn bench_checker(rows: &mut Vec<BenchRow>, quick: bool) {
         ]);
         assert!(
             share >= floor,
-            "{}: only {joins} of {explored} explored drains joined at a region commit",
+            "{}: only {joins} of {explored} explored drains joined at their join point",
             scheme.name()
         );
     }

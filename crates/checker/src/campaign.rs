@@ -38,7 +38,7 @@ use gecko_sim::device::CompiledApp;
 use gecko_sim::report::Value;
 use gecko_sim::SchemeKind;
 
-use crate::explore::{check_windows, golden_steps, ExploreConfig, GoldenError};
+use crate::explore::{check_windows, golden_steps, ExploreConfig, GoldenError, Joins};
 use crate::memostore::MemoStore;
 use crate::shrink::{shrink_schedule, Replayer};
 use crate::verdict::{CheckStats, InjectionKind, PairReport, PlannedInjection, Violation};
@@ -854,17 +854,17 @@ impl CheckCampaign {
             })
             .collect();
         let reproof = reprove(workers, &spec.explore, &pairs, &items, &persisted);
-        // Pool items: a chunk's counters, violations and drain joins (a
-        // restored chunk ran no drains).
+        // Pool items: a chunk's counters, violations and joins (a restored
+        // chunk explored nothing).
         let mut memo_windows = 0u64;
-        let restored: Vec<Option<(CheckStats, Vec<Violation>, u64)>> = reproof
+        let restored: Vec<Option<(CheckStats, Vec<Violation>, Joins)>> = reproof
             .restored
             .into_iter()
             .zip(&items)
             .map(|(slot, item)| {
                 let (stats, violations) = slot?;
                 memo_windows += item.end - item.start;
-                Some((stats, violations, 0))
+                Some((stats, violations, Joins::default()))
             })
             .collect();
         let resumed = restored.iter().flatten().count() as u64;
@@ -901,7 +901,7 @@ impl CheckCampaign {
             let item = items[i];
             let p = &pairs[item.pair];
             let outcome = check_windows(&p.compiled, &spec.explore, item.start, item.end, p.golden);
-            let (stats, drain_joins) = (outcome.stats, outcome.drain_joins);
+            let (stats, joins) = (outcome.stats, outcome.joins);
             if stats.steps > budget.max_steps {
                 return Err(AttemptFail {
                     steps: stats.steps,
@@ -926,7 +926,7 @@ impl CheckCampaign {
                     ("violations", Value::U64(stats.violations)),
                 ],
             ));
-            Ok((stats, violations, drain_joins))
+            Ok((stats, violations, joins))
         });
         // Checkpoint boundary: every chunk the pool recorded is forced to
         // stable storage before the report (or a compaction) can see it.
@@ -952,13 +952,14 @@ impl CheckCampaign {
             })
             .collect();
         let mut failures = Vec::new();
-        let mut drain_joins = 0u64;
+        let (mut drain_joins, mut sweep_joins) = (0u64, 0u64);
         for (item, slot) in items.iter().zip(pool.outcomes) {
             match slot {
                 Some(ItemOutcome::Done((stats, violations, joins))) => {
                     results[item.pair].stats.absorb(&stats);
                     results[item.pair].violations.extend(violations);
-                    drain_joins += joins;
+                    drain_joins += joins.drains;
+                    sweep_joins += joins.sweeps;
                 }
                 Some(ItemOutcome::Failed(f)) => failures.push(f),
                 None => {} // left unclaimed by a halt
@@ -1021,6 +1022,7 @@ impl CheckCampaign {
             reproved: reproof.replays,
             reprove_drains: reproof.drains,
             drain_joins,
+            sweep_joins,
         };
         let wall_s = started.elapsed().as_secs_f64();
 
@@ -1033,6 +1035,7 @@ impl CheckCampaign {
                 ("states_explored", Value::U64(counters.states_explored)),
                 ("memo_hits", Value::U64(counters.memo_hits)),
                 ("drain_joins", Value::U64(counters.drain_joins)),
+                ("sweep_joins", Value::U64(counters.sweep_joins)),
                 ("violations", Value::U64(counters.violations)),
                 ("failures", Value::U64(counters.failures)),
                 ("resumed", Value::U64(resumed)),

@@ -8,13 +8,17 @@
 //! completion, and rewinds — amortized O(n) plus the (memoized) recovery
 //! suffixes. Explorations whose post-recovery resume state hashes equal to
 //! one already checked are answered from the memo table, and a drain that
-//! reaches, at its first region commit, a state an earlier drain committed
-//! into joins that drain's outcome (see DESIGN.md §10 for why the
-//! logical-state hash is a sound key for the first, and the drain-readable
-//! state hash for the second, under an undisturbed bench supply).
+//! reaches, at its join point (its first region commit, or for an artifact
+//! without regions its first loop-header entry), a state an earlier drain
+//! passed through joins that drain's outcome; a spoofed-wake-up sweep that
+//! joins there ends, since that drain never slept again (see DESIGN.md §10
+//! for why the logical-state hash is a sound key for the first, and the
+//! drain-readable state hash for the others, under an undisturbed bench
+//! supply).
 
 use std::collections::{BTreeSet, HashMap};
 
+use gecko_isa::RegionId;
 use gecko_sim::device::CompiledApp;
 use gecko_sim::{ExecMode, SimConfig, Simulator};
 
@@ -209,16 +213,16 @@ impl std::fmt::Display for GoldenError {
 /// per work-item chunk, so memo-hit counts are worker-count-invariant.
 type MemoTable = HashMap<u64, Outcome>;
 
-/// The commit table: [`Simulator::drain_hash`] at a drain's first region
-/// commit → what the rest of that drain did. One per chunk, like the memo
-/// table.
+/// The commit table: [`Simulator::drain_hash`] at a drain's join point
+/// (see [`reach`]) → what the rest of that drain did. One per chunk, like
+/// the memo table.
 type CommitTable = HashMap<u64, Commit>;
 
-/// The rest of a drain, from its first region commit to completion.
+/// The rest of a drain, from its join point to completion.
 #[derive(Debug, Clone, Copy)]
 struct Commit {
     outcome: Outcome,
-    /// Steps from the commit to completion.
+    /// Steps from the join point to completion.
     remaining: u64,
     /// Whether the rest of the drain could read a word the drain hash
     /// leaves out: it booted again (the boot path reads them), or a program
@@ -227,12 +231,75 @@ struct Commit {
     unkeyed_read: bool,
 }
 
-/// A chunk's exploration tables and the drains its commit table joined.
+/// A chunk's exploration tables and what its commit table answered.
 #[derive(Default)]
-struct Tables {
+pub(crate) struct Tables {
     memo: MemoTable,
     commits: CommitTable,
-    joins: u64,
+    joins: Joins,
+}
+
+impl Tables {
+    /// The outcome and remaining steps of the entry for the join-point
+    /// state `key`, if it answers: its drain neither booted again nor
+    /// loaded from the runtime areas after the join point.
+    fn answer(&self, key: u64) -> Option<(Outcome, u64)> {
+        match self.commits.get(&key) {
+            Some(&Commit {
+                outcome,
+                remaining,
+                unkeyed_read: false,
+            }) => Some((outcome, remaining)),
+            _ => None,
+        }
+    }
+}
+
+/// What a chunk's commit table answered (not part of any digest).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Joins {
+    /// Drains answered at their join point (counted in
+    /// `CheckStats::explored`).
+    pub drains: u64,
+    /// Spoofed-wake-up sweeps ended at their join point.
+    pub sweeps: u64,
+}
+
+/// Where a walk that began with `start` committed stands after a step.
+#[derive(Debug, PartialEq, Eq)]
+enum Reach {
+    /// Not at its join point yet.
+    Walking,
+    /// At its join point, a powered instruction boundary.
+    Join,
+    /// Past it: the region commit landed while the device slept.
+    Missed,
+}
+
+/// A walk's join point. An artifact with regions joins at the first step
+/// after which `committed_region()` differs from `start`: runs that re-
+/// execute an idempotent region converge again by the next commit. Only
+/// a powered instruction boundary is a join point, since how long a sleep
+/// lasts depends on the capacitor, not the hash, so a commit that lands
+/// while the device sleeps is missed. An artifact without regions (NVP)
+/// has no commit to stop at and joins at its first powered entry into a
+/// loop header ([`CompiledApp::loop_headers`]), a few steps from where a
+/// JIT restore resumes.
+fn reach(sim: &Simulator, compiled: &CompiledApp, start: Option<RegionId>) -> Reach {
+    if compiled.regions.is_empty() {
+        let pc = sim.pc();
+        if sim.is_on() && pc.index == 0 && compiled.loop_headers[pc.block.index()] {
+            Reach::Join
+        } else {
+            Reach::Walking
+        }
+    } else if sim.committed_region() == start {
+        Reach::Walking
+    } else if sim.is_on() {
+        Reach::Join
+    } else {
+        Reach::Missed
+    }
 }
 
 /// Result of one slab (a work-item chunk of windows): counters,
@@ -245,9 +312,8 @@ pub(crate) struct SlabOutcome {
     pub violations: Vec<Violation>,
     /// Raw region ids blamed by any fork of the slab.
     pub regions: BTreeSet<u32>,
-    /// Drains answered from the commit table at their first region commit
-    /// (counted in `stats.explored`; not part of any digest).
-    pub drain_joins: u64,
+    /// What the slab's commit table answered.
+    pub joins: Joins,
 }
 
 /// Explores the windows `start..end` of the golden trace on a fresh
@@ -341,8 +407,15 @@ pub(crate) fn check_windows(
                     sim.restore(&after_primary);
                     let mut advanced = 0u64;
                     for offset in 1..=cfg.refail_horizon {
-                        if !advance_qualifying(&mut sim, nk, offset - advanced, budget, &mut stats)
-                        {
+                        let joins = cfg.memoize.then_some((compiled, &mut tables));
+                        if !advance_qualifying(
+                            &mut sim,
+                            nk,
+                            offset - advanced,
+                            budget,
+                            &mut stats,
+                            joins,
+                        ) {
                             break;
                         }
                         advanced = offset;
@@ -401,19 +474,30 @@ pub(crate) fn check_windows(
         stats,
         violations,
         regions,
-        drain_joins: tables.joins,
+        joins: tables.joins,
     }
 }
 
 /// Advances `n` qualifying steps for injection kind `kind` (see
 /// [`InjectionKind::counts_step`]). Returns `false` — the injection point
 /// is unreachable — if the run completes or the budget runs out first.
+///
+/// With `joins` (the explorer's tables; the replayer passes `None`), the
+/// first run of powered steps that do not qualify (a spoofed-wake-up sweep
+/// once the device is awake) walks to its join point ([`reach`]) and looks
+/// the state up in the commit table. An entry that answers never booted
+/// again after its join point, and a device that falls asleep wakes only
+/// by booting, so it never slept again: no qualifying step comes before
+/// its completion. The sweep then ends with `false` after exactly the
+/// steps the plain loop takes, the walk plus `min(remaining, budget left)`,
+/// and leaves the simulator at the join point, which the caller discards.
 pub(crate) fn advance_qualifying(
     sim: &mut Simulator,
     kind: InjectionKind,
     n: u64,
     budget: u64,
     stats: &mut CheckStats,
+    mut joins: Option<(&CompiledApp, &mut Tables)>,
 ) -> bool {
     let mut qualifying = 0u64;
     let mut total = 0u64;
@@ -422,6 +506,28 @@ pub(crate) fn advance_qualifying(
             return false;
         }
         let counts = kind.counts_step(sim);
+        if !counts && sim.is_on() {
+            if let Some((compiled, tables)) = joins.take() {
+                let (walked, remaining) = walk_to_join(sim, compiled, tables, budget - total);
+                stats.steps += walked;
+                total += walked;
+                if let Some(remaining) = remaining {
+                    let rest = remaining.min(budget - total);
+                    tables.joins.sweeps += 1;
+                    #[cfg(test)]
+                    tests::assert_sweep_join_matches_the_plain_loop(
+                        sim,
+                        kind,
+                        n - qualifying,
+                        budget - total,
+                        rest,
+                    );
+                    stats.steps += rest;
+                    return false;
+                }
+                continue;
+            }
+        }
         sim.step_one();
         stats.steps += 1;
         total += 1;
@@ -430,6 +536,31 @@ pub(crate) fn advance_qualifying(
         }
     }
     sim.metrics.completions < 1
+}
+
+/// Walks a powered run step-exact to its join point and looks the state up
+/// in the commit table. Returns the steps walked and, on an answer, the
+/// entry's steps from the join point to completion. Stops without a
+/// lookup once the run completes, falls asleep or spends `budget`.
+fn walk_to_join(
+    sim: &mut Simulator,
+    compiled: &CompiledApp,
+    tables: &Tables,
+    budget: u64,
+) -> (u64, Option<u64>) {
+    let start = sim.committed_region();
+    let mut walked = 0u64;
+    while walked < budget && sim.is_on() && sim.metrics.completions < 1 {
+        sim.step_one();
+        walked += 1;
+        if sim.metrics.completions < 1 && reach(sim, compiled, start) == Reach::Join {
+            return (
+                walked,
+                tables.answer(sim.drain_hash()).map(|(_, rest)| rest),
+            );
+        }
+    }
+    (walked, None)
 }
 
 /// Follows an injected fault through recovery and to the next completion,
@@ -465,10 +596,7 @@ fn settle_and_check(
         }
     }
     stats.explored += 1;
-    // An artifact without regions (NVP) has no commit to stop at, so the
-    // walk would run step-exact to completion: it drains plainly, as does
-    // a check with the memo off.
-    let (outcome, steps) = if cfg.memoize && !compiled.regions.is_empty() {
+    let (outcome, steps) = if cfg.memoize {
         drain_or_join(sim, compiled, budget, tables)
     } else {
         drain(sim, compiled, budget)
@@ -481,21 +609,21 @@ fn settle_and_check(
 }
 
 /// [`drain`] with the same result, `(outcome, steps)`, that stops at the
-/// drain's first region commit when an earlier drain of the chunk
-/// committed into the same state. Runs re-executing an idempotent region
-/// from different failure windows converge again by the next commit, and
-/// from there the run, its verdict and its length are a function of the
-/// logical state (DESIGN.md §10).
+/// drain's join point ([`reach`]) when an earlier drain of the chunk
+/// passed through the same state there. Runs re-executing an idempotent
+/// region from different failure windows converge again by the next
+/// commit, and from there the run, its verdict and its length are a
+/// function of the logical state (DESIGN.md §10).
 ///
-/// The walk to the commit is step-exact (sleep spans advance through
-/// `advance_sleep`, which stops the moment the device wakes). The commit
-/// state is keyed on [`Simulator::drain_hash`], the state the rest of a
+/// The walk to the join point is step-exact (sleep spans advance through
+/// `advance_sleep`, which stops the moment the device wakes). The state
+/// there is keyed on [`Simulator::drain_hash`], the state the rest of a
 /// drain can read if it does not boot again. An entry answers when the
-/// earlier drain neither booted again after its commit nor loaded from
-/// the runtime areas, and its remaining steps fit the budget left, and
-/// counts as a join; otherwise the drain continues with `run_capped`, and
-/// once it completes it records its own commit state and whether it did
-/// either. `Stuck` drains record nothing.
+/// earlier drain neither booted again after its join point nor loaded
+/// from the runtime areas, and its remaining steps fit the budget left,
+/// and counts as a join; otherwise the drain continues with `run_capped`,
+/// and once it completes it records its own join-point state and whether
+/// it did either. `Stuck` drains record nothing.
 fn drain_or_join(
     sim: &mut Simulator,
     compiled: &CompiledApp,
@@ -511,23 +639,18 @@ fn drain_or_join(
         } else {
             walked += sim.advance_sleep(budget - walked);
         }
-        if sim.metrics.completions >= 1 || sim.committed_region() == start {
+        if sim.metrics.completions >= 1 {
             continue;
         }
-        if !sim.is_on() {
-            // Only a powered instruction boundary is a join point: how
-            // long a sleep lasts depends on the capacitor, not the hash.
-            break;
+        match reach(sim, compiled, start) {
+            Reach::Walking => continue,
+            Reach::Missed => break,
+            Reach::Join => {}
         }
         let key = sim.drain_hash();
-        if let Some(&Commit {
-            outcome,
-            remaining,
-            unkeyed_read: false,
-        }) = tables.commits.get(&key)
-        {
+        if let Some((outcome, remaining)) = tables.answer(key) {
             if walked + remaining <= budget {
-                tables.joins += 1;
+                tables.joins.drains += 1;
                 #[cfg(test)]
                 tests::assert_join_matches_a_plain_drain(
                     sim,
@@ -549,7 +672,7 @@ fn drain_or_join(
         }
         return (outcome, walked + rest);
     }
-    // Completed, out of budget or asleep at the first commit: `drain`
+    // Completed, out of budget or past a missed join point: `drain`
     // finishes the run plainly (no step at all in the first two cases).
     let (outcome, rest) = drain(sim, compiled, budget - walked);
     (outcome, walked + rest)
@@ -604,6 +727,25 @@ mod tests {
         );
     }
 
+    /// The differential every sweep join runs under test: the plain loop
+    /// from the join point must end the sweep too, after `steps` more
+    /// steps (the caller discards the simulator afterwards).
+    pub(super) fn assert_sweep_join_matches_the_plain_loop(
+        sim: &mut Simulator,
+        kind: InjectionKind,
+        n: u64,
+        budget: u64,
+        steps: u64,
+    ) {
+        let mut stats = CheckStats::default();
+        let reached = advance_qualifying(sim, kind, n, budget, &mut stats, None);
+        assert_eq!(
+            (reached, stats.steps),
+            (false, steps),
+            "a sweep join must end the sweep as the plain loop would"
+        );
+    }
+
     fn build(app: &str, scheme: SchemeKind) -> CompiledApp {
         let app = gecko_apps::app_by_name(app).unwrap();
         CompiledApp::build(&app, scheme, &CompileOptions::default()).unwrap()
@@ -611,31 +753,31 @@ mod tests {
 
     #[test]
     fn every_join_equals_a_plain_drain() {
-        // Each join asserts the differential above as it answers, so the
-        // grid below only has to produce joins; NVP never walks.
+        // Each drain join and each sweep join asserts its differential
+        // above as it answers, so the grid below only has to produce
+        // joins, NVP's loop-header joins included.
         let cfg = ExploreConfig {
             seed: 1,
             ..ExploreConfig::default()
         }
         .with_depth(2)
         .with_fault_windows(true);
+        let mut sweeps = 0;
         for app in ["crc16", "blink", "bitcnt"] {
             for scheme in SchemeKind::all() {
                 let compiled = build(app, scheme);
                 let golden = golden_steps(&compiled, cfg.seed).unwrap();
-                let joins = check_windows(&compiled, &cfg, 0, 10, golden).drain_joins;
-                assert_eq!(
-                    joins == 0,
-                    scheme == SchemeKind::Nvp,
-                    "{app}/{}",
-                    scheme.name()
-                );
+                let slab = check_windows(&compiled, &cfg, 0, 10, golden);
+                assert!(slab.joins.drains > 0, "{app}/{}", scheme.name());
+                sweeps += slab.joins.sweeps;
             }
         }
+        assert!(sweeps > 0);
     }
 
     /// The 10-window differential above over all 30 windows of the
-    /// benchmark grid: every join still runs the plain drain it skips.
+    /// benchmark grid: every drain join still runs the plain drain it
+    /// skips, and every sweep join the plain loop.
     #[test]
     #[ignore = "the full benchmark grid; scripts/check.sh runs it in release"]
     fn every_join_on_the_full_grid_equals_a_plain_drain() {
@@ -645,23 +787,28 @@ mod tests {
         }
         .with_depth(2)
         .with_fault_windows(true);
-        let mut joins = 0;
+        let (mut joins, mut sweeps) = (0, 0);
         for app in ["crc16", "blink", "bitcnt"] {
             for scheme in SchemeKind::all() {
                 let compiled = build(app, scheme);
                 let golden = golden_steps(&compiled, cfg.seed).unwrap();
                 let slab = check_windows(&compiled, &cfg, 0, 30, golden);
                 eprintln!(
-                    "{app}/{}: {} of {} explored drains joined",
+                    "{app}/{}: {} of {} explored drains joined, {} sweeps joined",
                     scheme.name(),
-                    slab.drain_joins,
-                    slab.stats.explored
+                    slab.joins.drains,
+                    slab.stats.explored,
+                    slab.joins.sweeps
                 );
-                joins += slab.drain_joins;
+                joins += slab.joins.drains;
+                sweeps += slab.joins.sweeps;
             }
         }
-        eprintln!("{joins} joins, each equal to the plain drain it skipped");
-        assert!(joins >= 13_000, "only {joins} joins");
+        eprintln!(
+            "{joins} drain joins and {sweeps} sweep joins, each equal to the plain run it skipped"
+        );
+        assert!(joins >= 15_500, "only {joins} drain joins");
+        assert!(sweeps >= 1_000, "only {sweeps} sweep joins");
     }
 
     #[test]
@@ -694,7 +841,7 @@ mod tests {
         let entries: Vec<Commit> = tables.commits.values().copied().collect();
         assert_eq!(entries.len(), 1, "both drains reach one commit state");
         assert!(entries[0].unkeyed_read, "{entries:?}");
-        assert_eq!(tables.joins, 0, "the entry never answers");
+        assert_eq!(tables.joins.drains, 0, "the entry never answers");
     }
 
     #[test]
@@ -710,8 +857,8 @@ mod tests {
             ..cfg
         };
         let off = check_windows(&compiled, &off, 0, 4, golden);
-        assert!(on.drain_joins > 0);
-        assert_eq!(off.drain_joins, 0);
+        assert!(on.joins.drains > 0 && on.joins.sweeps > 0);
+        assert_eq!(off.joins, Joins::default());
         assert_eq!(on.violations, off.violations);
     }
 
@@ -810,7 +957,7 @@ mod tests {
                     );
                     assert_eq!((got, stats.steps), plain(&mut sim, wake, budget));
                 }
-                assert_eq!(tables.joins, joins, "budget {budget}");
+                assert_eq!(tables.joins.drains, joins, "budget {budget}");
             }
         }
         assert_eq!(plain(&mut sim, &long, short_steps).0, Outcome::Stuck);

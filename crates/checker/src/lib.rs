@@ -25,9 +25,11 @@
 //!   post-recovery *logical* state
 //!   ([`gecko_sim::Simulator::state_hash`], which reads only touched NVM
 //!   pages yet equals a scan of every word); re-converged recoveries are
-//!   answered from the memo table, and a drain that reaches, at its first
-//!   region commit, a state an earlier drain committed into joins that
-//!   drain's outcome (soundness argument in DESIGN.md §10).
+//!   answered from the memo table, and a drain that reaches, at its join
+//!   point (its first region commit, or NVP's first loop-header entry), a
+//!   state an earlier drain passed through joins that drain's outcome; a
+//!   spoofed-wake-up sweep that joins there ends early (soundness
+//!   argument in DESIGN.md §10).
 //! * **Counterexample shrinking** — a violating injection schedule is
 //!   minimized by replay (drop injections, lower offsets) and blamed in
 //!   `gecko-compiler` vocabulary: the committed region, its boundary and
@@ -143,6 +145,61 @@ mod tests {
                 "{}: {:?}",
                 scheme.name(),
                 report.violations.first()
+            );
+        }
+    }
+
+    #[test]
+    fn gecko_cuts_the_wars_a_wcet_split_exposes() {
+        // Past the WCET budget the loop is split at its header, and that
+        // boundary turns the body's counter load, WARAW-exempt behind the
+        // entry's reset, into an anti-dependence the pipeline must cut.
+        for n in [1_000, 16_000] {
+            let app = war_counter_app(n);
+            for scheme in [SchemeKind::Gecko, SchemeKind::GeckoNoPrune] {
+                let compiled =
+                    gecko_sim::device::CompiledApp::build(&app, scheme, &CompileOptions::default())
+                        .unwrap();
+                assert!(compiled.stats.regions_split > 0, "{n}/{}", scheme.name());
+                assert!(
+                    gecko_compiler::regions::anti_dependences_are_cut(&compiled.program),
+                    "{n}/{}",
+                    scheme.name()
+                );
+            }
+        }
+        let report = check_app(
+            &war_counter_app(1_000),
+            SchemeKind::Gecko,
+            &CompileOptions::default(),
+            &ExploreConfig::default(),
+        )
+        .unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations.first());
+    }
+
+    #[test]
+    fn a_split_war_counter_counts_right_through_harvesting_outages() {
+        // The same shape on a 4.7 uF harvesting supply: real outages land
+        // inside the split loop and roll back across the re-cut WAR (with
+        // the WAR uncut, GECKO completed with 16,003 and 16,004).
+        for scheme in [SchemeKind::Gecko, SchemeKind::GeckoNoPrune] {
+            let compiled = gecko_sim::device::CompiledApp::build(
+                &war_counter_app(16_000),
+                scheme,
+                &CompileOptions::default(),
+            )
+            .unwrap();
+            let mut config = gecko_sim::SimConfig::harvesting(scheme);
+            config.capacitance_f = 4.7e-6;
+            let mut sim = gecko_sim::Simulator::from_compiled(&compiled, config);
+            let m = sim.run_until_completions(1, 600.0);
+            assert!(m.reboots > 0, "{}: {m:?}", scheme.name());
+            assert_eq!(
+                (m.completions, sim.nvm().read(compiled.app.checksum_addr)),
+                (1, 16_000),
+                "{}",
+                scheme.name()
             );
         }
     }

@@ -608,7 +608,7 @@ mod tests {
             stats: sample_stats(4),
             violations: Vec::new(),
             regions: BTreeSet::new(),
-            drain_joins: 0,
+            joins: Default::default(),
         };
         store.record(9, &fps, 0, 4, 100, &outcome);
         assert_eq!(

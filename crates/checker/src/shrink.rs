@@ -88,7 +88,7 @@ impl<'a> Replayer<'a> {
         let mut blame = Blame::capture(sim, compiled);
         let mut fault_site: Option<String> = None;
         for inj in schedule {
-            if !advance_qualifying(sim, inj.kind, inj.after_steps, budget, &mut stats) {
+            if !advance_qualifying(sim, inj.kind, inj.after_steps, budget, &mut stats, None) {
                 return (Outcome::Clean, blame);
             }
             inj.kind.inject(sim);

@@ -9,7 +9,9 @@ use crate::checkpoint::{cluster_before, insert_checkpoints};
 use crate::coloring::color_checkpoints;
 use crate::pruning::{prune_checkpoints, prune_checkpoints_filtered};
 use crate::recovery::{RecoveryTable, RegionTable, RestoreAction};
-use crate::regions::{form_regions_policy, hoist_war_boundaries};
+use crate::regions::{
+    cut_anti_dependences, form_regions_policy, hoist_war_boundaries, renumber_boundaries,
+};
 use crate::wcet::split_regions;
 
 /// Tuning knobs for [`compile`].
@@ -192,6 +194,15 @@ pub fn compile(
     let mut split = 0;
     if let Some(budget) = options.wcet_budget_cycles {
         split = split_regions(&mut p, &cost, budget)?;
+    }
+    // 4b. A split boundary clears the must-written set behind it, so a
+    //     load the entry's reset made WARAW-exempt (say, of a loop's NVM
+    //     counter once a boundary lands on the loop header) can become an
+    //     anti-dependence again. Cut those too; more boundaries only
+    //     shorten regions, so the WCET bound still holds.
+    if split > 0 {
+        cut_anti_dependences(&mut p);
+        renumber_boundaries(&mut p);
     }
 
     // 5a. Checkpoint insertion.

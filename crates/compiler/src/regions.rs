@@ -172,8 +172,9 @@ fn insert_mandatory_boundaries(program: &mut Program, cut_loop_headers: bool) {
     }
 }
 
-/// Step 2: dataflow + insertion pass cutting anti-dependences.
-fn cut_anti_dependences(program: &mut Program) {
+/// Step 2: dataflow + insertion pass cutting anti-dependences. The new
+/// boundaries carry placeholder ids; [`renumber_boundaries`] assigns them.
+pub(crate) fn cut_anti_dependences(program: &mut Program) {
     let alias = AliasAnalysis::compute(program);
     let n = program.block_count();
     let preds = program.predecessors();

@@ -173,10 +173,15 @@ pub struct FleetCounters {
     /// Drains those re-proving replays actually ran; the rest were
     /// answered from the per-chunk post-recovery outcome table.
     pub reprove_drains: u64,
-    /// Explored drains answered at their first region commit from an
+    /// Explored drains answered at their join point (a region commit, or
+    /// a loop-header entry for an artifact without regions) from an
     /// earlier drain of the same chunk (`gecko-check` only; counted in
     /// `states_explored`).
     pub drain_joins: u64,
+    /// Spoofed-wake-up sweeps ended at their join point because an earlier
+    /// drain of the same chunk showed no sleep before completion
+    /// (`gecko-check` only).
+    pub sweep_joins: u64,
 }
 
 /// A log₂-bucketed histogram of `u64` samples (wall-times, cycle counts).

@@ -285,6 +285,27 @@ impl Program {
         post.reverse();
         post
     }
+
+    /// One flag per block: whether it is a loop header by reverse
+    /// post-order, the target of an edge `u -> v` with `v` no later than
+    /// `u` in [`Program::reverse_post_order`] (a back edge; a self-loop
+    /// counts). Blocks unreachable from the entry are never headers.
+    pub fn rpo_loop_headers(&self) -> Vec<bool> {
+        let rpo = self.reverse_post_order();
+        let mut pos = vec![usize::MAX; self.blocks.len()];
+        for (i, b) in rpo.iter().enumerate() {
+            pos[b.index()] = i;
+        }
+        let mut headers = vec![false; self.blocks.len()];
+        for &u in &rpo {
+            for v in self.successors(u) {
+                if pos[v.index()] <= pos[u.index()] {
+                    headers[v.index()] = true;
+                }
+            }
+        }
+        headers
+    }
 }
 
 impl fmt::Display for Program {
@@ -416,6 +437,8 @@ mod tests {
         assert!(pos(3) > pos(1));
         assert!(pos(3) > pos(2));
         assert!(pos(4) > pos(3));
+        // The one back edge, 3 -> 0, makes the entry the only header.
+        assert_eq!(p.rpo_loop_headers(), vec![true, false, false, false, false]);
     }
 
     #[test]

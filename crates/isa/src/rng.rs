@@ -20,6 +20,14 @@ pub struct SplitMix64 {
 /// The splitmix64 increment (the 64-bit golden ratio).
 pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The splitmix64 finalizer: two xor-shifts and two odd multiplies, each a
+/// bijection on `u64`, so the whole is one; it maps 0 to 0.
+pub(crate) fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl SplitMix64 {
     /// A generator whose counter starts at `seed`.
     pub fn new(seed: u64) -> SplitMix64 {
@@ -40,10 +48,7 @@ impl SplitMix64 {
     /// The next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        finalize(self.state)
     }
 
     /// A uniform integer in `lo..hi` (half-open; `hi > lo`).

@@ -2,13 +2,11 @@
 
 use std::ops::Range;
 
+use gecko_isa::fnv::{fnv_lane, FNV_PRIME};
 use gecko_isa::Word;
 
 /// Words per page of the [`Nvm::touched_pages`] bitmap.
 pub const PAGE_WORDS: u32 = 256;
-
-/// The 64-bit FNV prime of [`Nvm::fold_fnv`].
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// Word-addressed non-volatile memory.
 ///
@@ -155,11 +153,11 @@ impl Nvm {
     }
 
     /// Continues the 64-bit-lane FNV-1a hash `h` over the whole image:
-    /// one `h = (h ^ lane) * FNV_PRIME` per pair of words, the even word
-    /// in the low half. An untouched page is all zero, and eating a zero
-    /// lane is a bare multiply, so each untouched page folds in as one
-    /// multiply by `FNV_PRIME^(page lanes)`. The result is bit-identical to
-    /// eating every lane of [`Nvm::words`] in order.
+    /// one [`fnv_lane`] per pair of words, the even word in the low half.
+    /// An untouched page is all zero, and eating a zero lane is a bare
+    /// multiply (the lane mixer maps 0 to 0), so each untouched page
+    /// folds in as one multiply by `FNV_PRIME^(page lanes)`. The result is
+    /// bit-identical to eating every lane of [`Nvm::words`] in order.
     pub fn fold_fnv(&self, h: u64) -> u64 {
         self.fold_fnv_zeroed(h, &[])
     }
@@ -218,13 +216,13 @@ impl Nvm {
     }
 }
 
-/// Eats `words` into the FNV-1a hash `h`, one lane per pair of words, the
-/// even word in the low half.
+/// Eats `words` into the FNV-1a hash `h`, one [`fnv_lane`] per pair of
+/// words, the even word in the low half.
 fn fold_lanes(mut h: u64, words: &[Word]) -> u64 {
     for pair in words.chunks(2) {
         let lo = pair[0] as u32 as u64;
         let hi = pair.get(1).map_or(0, |&w| w as u32 as u64);
-        h = (h ^ (lo | (hi << 32))).wrapping_mul(FNV_PRIME);
+        h = fnv_lane(h, lo | (hi << 32));
     }
     h
 }
@@ -366,12 +364,12 @@ mod tests {
         assert_eq!(m.write_count(), 0);
     }
 
-    /// Today's reference for [`Nvm::fold_fnv`]: every lane of the image.
+    /// The reference for [`Nvm::fold_fnv`]: every lane of the image.
     fn full_scan(mut h: u64, words: &[Word]) -> u64 {
         for pair in words.chunks(2) {
             let lo = pair[0] as u32 as u64;
             let hi = pair.get(1).map_or(0, |&w| w as u32 as u64);
-            h = (h ^ (lo | (hi << 32))).wrapping_mul(FNV_PRIME);
+            h = fnv_lane(h, lo | (hi << 32));
         }
         h
     }
@@ -510,6 +508,25 @@ mod tests {
         assert_eq!(a.touched_pages().collect::<Vec<_>>(), vec![2]);
         assert_eq!(a, b);
         assert_eq!(a.fold_fnv(1), b.fold_fnv(1));
+    }
+
+    #[test]
+    fn lanes_flipped_between_zero_and_minus_two_minus_one_do_not_cancel() {
+        // The words (-2, -1) make the lane `!1`, which the plain lane fold
+        // turned into a negation that a second such lane undid.
+        let (mut a, mut b) = (Nvm::new(1024), Nvm::new(1024));
+        a.write(300, 4);
+        b.write(300, 4);
+        b.write_image(310, &[-2, -1]);
+        b.write_image(330, &[-2, -1]);
+        let (a_words, b_words) = (a.words().to_vec(), b.words().to_vec());
+        let plain = |words: &[Word]| {
+            words.chunks(2).fold(7u64, |h, p| {
+                (h ^ (p[0] as u32 as u64 | (p[1] as u32 as u64) << 32)).wrapping_mul(FNV_PRIME)
+            })
+        };
+        assert_eq!(plain(&a_words), plain(&b_words), "the plain fold collides");
+        assert_ne!(a.fold_fnv(7), b.fold_fnv(7));
     }
 
     #[test]

@@ -86,8 +86,10 @@ struct SinkState {
     reproved: u64,
     reprove_drains: u64,
     // A check's explored drains that joined an earlier drain at their
-    // first region commit, off its `check_finished` event.
+    // join point, and its spoofed-wake-up sweeps ended there, off its
+    // `check_finished` event.
     drain_joins: u64,
+    sweep_joins: u64,
     closed: bool,
     // `journal_line_undecodable` events, pinned for the job status
     // document (the ring may evict them long before anyone polls): the
@@ -184,8 +186,10 @@ impl TelemetrySink for JobSink {
             "item_finished" | "check_item_finished" => s.done_items += 1,
             "check_finished" => {
                 for (name, value) in &event.fields {
-                    if let ("drain_joins", Value::U64(n)) = (*name, value) {
-                        s.drain_joins = *n;
+                    match (*name, value) {
+                        ("drain_joins", Value::U64(n)) => s.drain_joins = *n,
+                        ("sweep_joins", Value::U64(n)) => s.sweep_joins = *n,
+                        _ => {}
                     }
                 }
             }
@@ -430,11 +434,12 @@ impl Job {
         if self.kind == JobKind::Check {
             // Why a check took as long as it did: the persisted violations
             // it re-proved and the drains that cost (off `check_started`),
-            // and the explored drains cut short by joining an earlier one
-            // (off `check_finished`).
+            // and the explored drains and wake-up sweeps cut short by
+            // joining an earlier drain (off `check_finished`).
             fields.push(("reproved".into(), Json::U64(s.reproved)));
             fields.push(("reprove_drains".into(), Json::U64(s.reprove_drains)));
             fields.push(("drain_joins".into(), Json::U64(s.drain_joins)));
+            fields.push(("sweep_joins".into(), Json::U64(s.sweep_joins)));
         }
         Json::Obj(fields)
     }
@@ -1814,29 +1819,32 @@ mod tests {
                 counter("reproved"),
                 counter("reprove_drains"),
                 counter("drain_joins"),
+                counter("sweep_joins"),
             )
         };
         let cold = queue.submit(JobKind::Check, sub(spec.clone())).unwrap();
         assert_eq!(cold.wait_stopped(Duration::from_secs(120)), JobState::Done);
-        let (reproved, drains, joins) = reprove(&cold);
+        let (reproved, drains, joins, sweeps) = reprove(&cold);
         assert_eq!(
             (reproved, drains),
             (0, 0),
             "a cold store has nothing to re-prove"
         );
         assert!(joins > 0, "cold drains join at region commits");
+        assert!(sweeps > 0, "cold wake-up sweeps end at region commits");
         let warm = queue.submit(JobKind::Check, sub(spec)).unwrap();
         assert_eq!(warm.wait_stopped(Duration::from_secs(120)), JobState::Done);
-        let (reproved, drains, joins) = reprove(&warm);
+        let (reproved, drains, joins, sweeps) = reprove(&warm);
         assert!(reproved > 0, "the warm job re-proves persisted violations");
         assert!(drains <= reproved);
-        assert_eq!(joins, 0, "a warm job explores nothing");
+        assert_eq!((joins, sweeps), (0, 0), "a warm job explores nothing");
         // No counter reaches the deterministic document.
         let det = warm.result_doc(true).unwrap();
         assert!(
             !det.contains(r#""reproved""#)
                 && !det.contains("reprove_drains")
-                && !det.contains("drain_joins"),
+                && !det.contains("drain_joins")
+                && !det.contains("sweep_joins"),
             "{det}"
         );
         assert_eq!(Some(det), cold.result_doc(true));

@@ -307,6 +307,7 @@ fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
                 ("reproved".into(), Json::U64(c.reproved)),
                 ("reprove_drains".into(), Json::U64(c.reprove_drains)),
                 ("drain_joins".into(), Json::U64(c.drain_joins)),
+                ("sweep_joins".into(), Json::U64(c.sweep_joins)),
             ]),
         ));
     }

@@ -38,7 +38,7 @@ use gecko_emi::{
     FilteredAdcMonitor, MonitorKind,
 };
 use gecko_energy::{segment, Capacitor, ConstantPower, PowerSource, VoltageThresholds};
-use gecko_isa::fnv::{FNV_OFFSET, FNV_PRIME};
+use gecko_isa::fnv::{fnv_lane, FNV_OFFSET};
 use gecko_isa::{CostModel, EnergyModel, Program, Reg, RegionId};
 use gecko_mcu::{FaultEffect, Machine, Nvm, Pc, Peripherals, PredecodedProgram, StepEvent};
 
@@ -455,6 +455,10 @@ pub struct CompiledApp {
     pub regions: RegionTable,
     /// Recovery table (empty for NVP/Ratchet).
     pub recovery: RecoveryTable,
+    /// One flag per block of `program`: whether it is a loop header
+    /// ([`Program::rpo_loop_headers`]). The crash-consistency checker
+    /// joins drains of an artifact without regions at these blocks.
+    pub loop_headers: Vec<bool>,
     /// Static compiler statistics.
     pub stats: gecko_compiler::CompileStats,
     /// The program predecoded for fast dispatch (see
@@ -502,6 +506,7 @@ impl CompiledApp {
         Ok(CompiledApp {
             app: app.clone(),
             scheme,
+            loop_headers: program.rpo_loop_headers(),
             program,
             regions,
             recovery,
@@ -1027,8 +1032,8 @@ impl Simulator {
     pub fn state_hash(&self) -> u64 {
         // The fault counters fold in so fault-visible histories stay
         // distinguishable in digests built over this hash.
-        let h = fnv_eat(self.volatile_hash(), self.metrics.fault_skips);
-        let h = fnv_eat(h, self.metrics.fault_corruptions);
+        let h = fnv_lane(self.volatile_hash(), self.metrics.fault_skips);
+        let h = fnv_lane(h, self.metrics.fault_corruptions);
         // The NVM image, two words per lane. Only the touched pages are
         // read; each untouched (all-zero) page folds in as one multiply,
         // so the hash equals a scan of every word at a cost of O(touched
@@ -1060,10 +1065,10 @@ impl Simulator {
     }
 
     /// The FNV-1a fold of the volatile logical state both hashes start
-    /// from, one 64-bit lane per field.
+    /// from, one 64-bit [`fnv_lane`] per field.
     fn volatile_hash(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        let mut eat = |word: u64| h = fnv_eat(h, word);
+        let mut eat = |word: u64| h = fnv_lane(h, word);
         for v in self.machine.regs().snapshot() {
             eat(v as u64);
         }
@@ -2252,12 +2257,6 @@ impl Simulator {
     }
 }
 
-/// One 64-bit FNV-1a lane of [`Simulator::state_hash`]: `(h ^ word) *
-/// FNV_PRIME`.
-fn fnv_eat(h: u64, word: u64) -> u64 {
-    (h ^ word).wrapping_mul(FNV_PRIME)
-}
-
 /// Executes one recovery-block instruction against a scratch register file.
 /// Recovery slices contain only moves, ALU ops and read-only loads.
 fn exec_slice_inst(inst: &gecko_isa::Inst, regs: &mut gecko_mcu::RegFile, nvm: &mut Nvm) {
@@ -2518,5 +2517,31 @@ mod tests {
         assert_eq!(fast.state_hash(), exact.state_hash());
         assert_eq!(fast.time_s().to_bits(), exact.time_s().to_bits());
         assert_eq!(fast.voltage_v().to_bits(), exact.voltage_v().to_bits());
+    }
+
+    #[test]
+    fn registers_flipped_between_zero_and_minus_two_do_not_cancel() {
+        // Two states told apart only by r3 = r6 = -2 against r3 = r6 = 0
+        // (an EM fault that complements a 1 leaves -2). Sign-extended, -2
+        // is the lane `0 ^ !1`; with even lanes around them the plain
+        // lane fold negated the hash at r3 and undid it at r6.
+        let mut a = Simulator::new(&app(), SimConfig::bench_supply(SchemeKind::Nvp)).unwrap();
+        a.machine.regs_mut().restore([0; Reg::COUNT]);
+        let mut b = Simulator::new(&app(), SimConfig::bench_supply(SchemeKind::Nvp)).unwrap();
+        b.machine.regs_mut().restore([0; Reg::COUNT]);
+        b.machine.regs_mut().set(Reg::R3, -2);
+        b.machine.regs_mut().set(Reg::R6, -2);
+        let plain = |sim: &Simulator| {
+            sim.machine
+                .regs()
+                .snapshot()
+                .iter()
+                .fold(FNV_OFFSET, |h, &v| {
+                    (h ^ v as u64).wrapping_mul(gecko_isa::fnv::FNV_PRIME)
+                })
+        };
+        assert_eq!(plain(&a), plain(&b), "the plain fold collides");
+        assert_ne!(a.state_hash(), b.state_hash());
+        assert_ne!(a.drain_hash(), b.drain_hash());
     }
 }

@@ -116,28 +116,29 @@ fn pinned_points(scheme: SchemeKind) -> [u64; 3] {
     [fresh, mid, sim.state_hash()]
 }
 
-/// Memo stores persist `state_hash()` values as keys, with no hash
-/// version in the spec fingerprint, so the hash must never move. These
-/// literals were captured from the implementation that scanned every NVM
-/// word.
+/// `state_hash()` keys only in-memory tables (the checker's wake memo and
+/// the replayer's outcome table); no store has persisted it since memo
+/// stores stopped writing state lines, so a change of the fold moves
+/// nothing on disk. These literals pin the fold with its lane mixer, so
+/// any further change to it is deliberate.
 #[test]
 fn state_hash_matches_pinned_values() {
     const PINNED: [(SchemeKind, [u64; 3]); 4] = [
         (
             SchemeKind::Nvp,
-            [0x76aa17de6a0aa07f, 0x79063de444b29e96, 0xd12a55f5f568ed3a],
+            [0x3877e603e7480a4c, 0x2272033b599908c0, 0xc3f8fbb68b269648],
         ),
         (
             SchemeKind::Ratchet,
-            [0x76aa17de6a0aa07f, 0xe9a478fe21926dc2, 0xc730b376fbc072aa],
+            [0x3877e603e7480a4c, 0x0cad6a788dc5160f, 0xca5f05dc26680682],
         ),
         (
             SchemeKind::Gecko,
-            [0x3b890744c887a944, 0x4ecf922526db0666, 0x3202fcd939d8429f],
+            [0x279505fd93e4d07b, 0xf375a45ad55ddc35, 0x88288487e93cca12],
         ),
         (
             SchemeKind::GeckoNoPrune,
-            [0x3b890744c887a944, 0xd9542a6f8b122085, 0xad6fdde2e21e14dd],
+            [0x279505fd93e4d07b, 0x6aaa875c05de9ab4, 0xeac0ede0287a9237],
         ),
     ];
     for (scheme, pinned) in PINNED {
@@ -147,6 +148,20 @@ fn state_hash_matches_pinned_values() {
 
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
+/// The bijective lane mixer every hash lane passes through (the SplitMix64
+/// finalizer, which maps 0 to 0), written out independently of the
+/// simulator's.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Eats one lane: `(h ^ mix(lane)) * FNV_PRIME`.
+fn eat(h: u64, lane: u64) -> u64 {
+    (h ^ mix(lane)).wrapping_mul(FNV_PRIME)
+}
+
 /// One FNV lane: a pair of NVM words, the even word in the low half.
 fn lane(pair: &[Word]) -> u64 {
     let lo = pair[0] as u32 as u64;
@@ -154,11 +169,11 @@ fn lane(pair: &[Word]) -> u64 {
     lo | (hi << 32)
 }
 
-/// The NVM tail of `state_hash` as it was first written: one FNV lane
-/// per pair of words, over every word.
+/// The NVM tail of `state_hash` as a plain loop: one mixed FNV lane per
+/// pair of words, over every word.
 fn full_scan(mut h: u64, words: &[Word]) -> u64 {
     for pair in words.chunks(2) {
-        h = (h ^ lane(pair)).wrapping_mul(FNV_PRIME);
+        h = eat(h, lane(pair));
     }
     h
 }
@@ -172,7 +187,7 @@ fn peel_full_scan(mut h: u64, words: &[Word]) -> u64 {
         inverse = inverse.wrapping_mul(2u64.wrapping_sub(FNV_PRIME.wrapping_mul(inverse)));
     }
     for pair in words.chunks(2).rev() {
-        h = h.wrapping_mul(inverse) ^ lane(pair);
+        h = h.wrapping_mul(inverse) ^ mix(lane(pair));
     }
     h
 }
@@ -242,7 +257,6 @@ fn assert_drain_hash_is_masked_full_scan(sim: &Simulator, what: &str) {
         masked[w as usize] = 0;
     }
     let volatile = peel_full_scan(d, &masked);
-    let eat = |h: u64, v: u64| (h ^ v).wrapping_mul(FNV_PRIME);
     let counted = eat(
         eat(volatile, sim.metrics.fault_skips),
         sim.metrics.fault_corruptions,

@@ -30,8 +30,9 @@ GECKO_QUICK=1 cargo test --offline --workspace -q
 echo "==> checker smoke (exhaustive model check, capped windows)"
 GECKO_QUICK=1 cargo run --offline --release --example check
 
-echo "==> join differential (every drain join of the full 30-window benchmark grid also runs"
-echo "    the plain drain it skips and must match it; the tier-1 suite runs 10 windows)"
+echo "==> join differential (every drain join and every wake-up sweep join of the full"
+echo "    30-window benchmark grid also runs the plain run it skips and must match it;"
+echo "    the tier-1 suite runs 10 windows)"
 cargo test --offline --release -q -p gecko-check --lib -- --ignored --nocapture
 
 echo "==> chaos smoke (supervised campaigns: quarantine, budgets, kill + resume — sweeps from"
