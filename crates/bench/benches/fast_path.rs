@@ -52,8 +52,9 @@
 //!      violations (depth 2, fault windows). Warm must answer ≥ 90% of
 //!      windows from the persisted memo and re-prove the cold run's
 //!      violations; the deterministic warm-over-cold work ratio is
-//!      asserted `>= 5x`; digests must match the store-free reference
-//!      either way.
+//!      asserted `>= 5x`, and the share of re-prove drains that join at
+//!      their join point is gated at a deterministic floor; digests must
+//!      match the store-free reference either way.
 //! 6. **Campaign resume** — the same fleet campaign with a resume journal
 //!    attached, vs plain, vs replayed from a complete journal. The clean
 //!    path must absorb supervision + journaling for < 2% overhead, and a
@@ -1071,9 +1072,14 @@ fn bench_incremental_check(rows: &mut Vec<BenchRow>, quick: bool) {
     // exploration cold; warm only re-explores the non-memoized remainder.
     let ratio = windows as f64 / (windows - memo).max(1) as f64;
     // What the warm run's re-prove pass cost: persisted violations
-    // replayed, and the drains the per-chunk outcome table could not
-    // answer. A drain runs at most once per replay.
-    let (reproved, drains) = (warm.counters.reproved, warm.counters.reprove_drains);
+    // replayed, the drains the per-chunk outcome table could not answer
+    // (at most one per replay), and the drains of those that joined an
+    // earlier drain at their join point (at most one per drain).
+    let (reproved, drains, joins) = (
+        warm.counters.reproved,
+        warm.counters.reprove_drains,
+        warm.counters.reprove_joins,
+    );
     assert!(
         reproved > 0 && reproved == cold.totals.violations,
         "the warm run must re-prove every cold violation (re-proved {reproved} of {})",
@@ -1082,6 +1088,13 @@ fn bench_incremental_check(rows: &mut Vec<BenchRow>, quick: bool) {
     assert!(
         drains <= reproved,
         "re-prove drains ({drains}) exceed the violations re-proven ({reproved})"
+    );
+    // Deterministic: the floor sits just below the share measured on both
+    // grid sizes (60 / 200 windows: 77 of 86 = 0.895 / 251 of 330 = 0.761).
+    let share = joins as f64 / drains.max(1) as f64;
+    assert!(
+        joins > 0 && joins <= drains && share >= 0.75,
+        "only {joins} of {drains} re-prove drains joined at their join point"
     );
 
     print_table(
@@ -1095,6 +1108,7 @@ fn bench_incremental_check(rows: &mut Vec<BenchRow>, quick: bool) {
             "memo",
             "reproved",
             "drains",
+            "joins",
             "wall",
             "ns/window",
         ],
@@ -1102,6 +1116,7 @@ fn bench_incremental_check(rows: &mut Vec<BenchRow>, quick: bool) {
             vec![
                 "cold".to_string(),
                 windows.to_string(),
+                "0".to_string(),
                 "0".to_string(),
                 "0".to_string(),
                 "0".to_string(),
@@ -1114,6 +1129,7 @@ fn bench_incremental_check(rows: &mut Vec<BenchRow>, quick: bool) {
                 memo.to_string(),
                 reproved.to_string(),
                 drains.to_string(),
+                joins.to_string(),
                 format!("{:.1}ms", warm_wall.as_secs_f64() * 1e3),
                 format!("{:.0}", warm_wall.as_nanos() as f64 / windows.max(1) as f64),
             ],

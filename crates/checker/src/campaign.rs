@@ -540,11 +540,12 @@ type Persisted = (CheckStats, Vec<JournaledViolation>);
 
 /// What the re-prove pass restored: per item, the persisted counters and
 /// the violations with blame rebuilt; plus the persisted violations
-/// replayed and the drains those replays ran.
+/// replayed, the drains those replays ran and the drains that joined.
 struct Reproof {
     restored: Vec<Option<(CheckStats, Vec<Violation>)>>,
     replays: u64,
     drains: u64,
+    joins: u64,
 }
 
 /// Runs `job` on every index of `todo` and returns the results in `todo`
@@ -610,7 +611,12 @@ fn reprove(
                 .collect();
             Some((*stats, violations?))
         });
-        (restored, replayer.replays(), replayer.drains())
+        (
+            restored,
+            replayer.replays(),
+            replayer.drains(),
+            replayer.joins(),
+        )
     };
     let todo: Vec<usize> = (0..items.len())
         .filter(|&i| persisted[i].is_some())
@@ -620,11 +626,13 @@ fn reprove(
         restored: vec![None; items.len()],
         replays: 0,
         drains: 0,
+        joins: 0,
     };
-    for (&i, (restored, replays, drains)) in todo.iter().zip(done) {
+    for (&i, (restored, replays, drains, joins)) in todo.iter().zip(done) {
         reproof.restored[i] = restored;
         reproof.replays += replays;
         reproof.drains += drains;
+        reproof.joins += joins;
     }
     reproof
 }
@@ -879,6 +887,7 @@ impl CheckCampaign {
                 ("resumed", Value::U64(resumed)),
                 ("reproved", Value::U64(reproof.replays)),
                 ("reprove_drains", Value::U64(reproof.drains)),
+                ("reprove_joins", Value::U64(reproof.joins)),
             ],
         ));
 
@@ -1021,6 +1030,7 @@ impl CheckCampaign {
             memo_windows,
             reproved: reproof.replays,
             reprove_drains: reproof.drains,
+            reprove_joins: reproof.joins,
             drain_joins,
             sweep_joins,
         };

@@ -231,12 +231,13 @@ struct Commit {
     unkeyed_read: bool,
 }
 
-/// A chunk's exploration tables and what its commit table answered.
+/// A chunk's exploration tables and what its commit table answered. The
+/// re-prove [`crate::Replayer`] keeps one too, for its commit table alone.
 #[derive(Default)]
 pub(crate) struct Tables {
     memo: MemoTable,
     commits: CommitTable,
-    joins: Joins,
+    pub(crate) joins: Joins,
 }
 
 impl Tables {
@@ -481,6 +482,9 @@ pub(crate) fn check_windows(
 /// Advances `n` qualifying steps for injection kind `kind` (see
 /// [`InjectionKind::counts_step`]). Returns `false` — the injection point
 /// is unreachable — if the run completes or the budget runs out first.
+/// A sleep whose ticks do not qualify (any kind but a spoofed wake-up)
+/// advances through `advance_sleep`, which stops at the wake-up or the
+/// budget, exactly where the tick-by-tick loop would.
 ///
 /// With `joins` (the explorer's tables; the replayer passes `None`), the
 /// first run of powered steps that do not qualify (a spoofed-wake-up sweep
@@ -506,7 +510,13 @@ pub(crate) fn advance_qualifying(
             return false;
         }
         let counts = kind.counts_step(sim);
-        if !counts && sim.is_on() {
+        if !counts && !sim.is_on() {
+            let slept = sim.advance_sleep(budget - total);
+            stats.steps += slept;
+            total += slept;
+            continue;
+        }
+        if !counts {
             if let Some((compiled, tables)) = joins.take() {
                 let (walked, remaining) = walk_to_join(sim, compiled, tables, budget - total);
                 stats.steps += walked;
@@ -624,7 +634,7 @@ fn settle_and_check(
 /// and counts as a join; otherwise the drain continues with `run_capped`,
 /// and once it completes it records its own join-point state and whether
 /// it did either. `Stuck` drains record nothing.
-fn drain_or_join(
+pub(crate) fn drain_or_join(
     sim: &mut Simulator,
     compiled: &CompiledApp,
     budget: u64,
@@ -755,14 +765,15 @@ mod tests {
     fn every_join_equals_a_plain_drain() {
         // Each drain join and each sweep join asserts its differential
         // above as it answers, so the grid below only has to produce
-        // joins, NVP's loop-header joins included.
+        // joins, NVP's loop-header joins and the joins of the re-prove
+        // replayer (which drains through `drain_or_join` too) included.
         let cfg = ExploreConfig {
             seed: 1,
             ..ExploreConfig::default()
         }
         .with_depth(2)
         .with_fault_windows(true);
-        let mut sweeps = 0;
+        let (mut sweeps, mut replayer_joins) = (0, 0);
         for app in ["crc16", "blink", "bitcnt"] {
             for scheme in SchemeKind::all() {
                 let compiled = build(app, scheme);
@@ -770,9 +781,14 @@ mod tests {
                 let slab = check_windows(&compiled, &cfg, 0, 10, golden);
                 assert!(slab.joins.drains > 0, "{app}/{}", scheme.name());
                 sweeps += slab.joins.sweeps;
+                let mut replayer = crate::Replayer::new(&compiled, &cfg, golden);
+                for v in &slab.violations {
+                    assert_eq!(replayer.replay(&v.schedule).0, v.outcome);
+                }
+                replayer_joins += replayer.joins();
             }
         }
-        assert!(sweeps > 0);
+        assert!(sweeps > 0 && replayer_joins > 0);
     }
 
     /// The 10-window differential above over all 30 windows of the

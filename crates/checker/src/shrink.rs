@@ -23,7 +23,9 @@
 //! Every replay runs through a [`Replayer`]: one reused simulator rewound
 //! to its reset snapshot per schedule, plus an outcome table keyed like
 //! the explorer's memo on the post-recovery state, so schedules that
-//! recover into an already-drained state skip the drain (DESIGN.md §10).
+//! recover into an already-drained state skip the drain, and the
+//! explorer's commit table, so a drain that reaches a join point an
+//! earlier drain passed through stops there (DESIGN.md §10).
 
 use std::collections::HashMap;
 
@@ -31,7 +33,8 @@ use gecko_sim::device::CompiledApp;
 use gecko_sim::{SimSnapshot, Simulator};
 
 use crate::explore::{
-    advance_qualifying, checker_sim, drain, explore_budget, outcome_of, ExploreConfig,
+    advance_qualifying, checker_sim, drain, drain_or_join, explore_budget, outcome_of,
+    ExploreConfig, Tables,
 };
 use crate::verdict::{Blame, CheckStats, Counterexample, Outcome, PlannedInjection};
 
@@ -42,8 +45,12 @@ use crate::verdict::{Blame, CheckStats, Counterexample, Outcome, PlannedInjectio
 /// the same soundness argument (DESIGN.md §10). Each entry keeps its
 /// drain's step count, and a hit answers only when that drain fits the
 /// schedule's remaining budget, so every verdict, `Stuck` included, equals
-/// a replay on a fresh simulator. `Stuck` drains are never memoized, and
-/// the blame is captured fresh on every replay.
+/// a replay on a fresh simulator. A drain that table cannot answer runs
+/// through the explorer's `drain_or_join`, with a commit table of the
+/// replayer's own: the same [`Simulator::drain_hash`] key, join points and
+/// guards, and the same remaining-budget check. `Stuck` drains are never
+/// memoized, and the blame is captured fresh on every replay. With
+/// [`ExploreConfig::memoize`] off, neither table is used.
 pub struct Replayer<'a> {
     compiled: &'a CompiledApp,
     budget: u64,
@@ -52,6 +59,8 @@ pub struct Replayer<'a> {
     reset: SimSnapshot,
     /// Post-recovery state hash → (outcome, drain steps).
     table: HashMap<u64, (Outcome, u64)>,
+    /// The commit table drains join through (its memo table stays empty).
+    tables: Tables,
     replays: u64,
     drains: u64,
 }
@@ -59,7 +68,7 @@ pub struct Replayer<'a> {
 impl<'a> Replayer<'a> {
     /// A replayer for `compiled` under `cfg`'s seed and fast paths, with
     /// the step budget exploration derives from the golden trace length
-    /// `golden`. The table is consulted only when `cfg.memoize` is set.
+    /// `golden`. The tables are consulted only when `cfg.memoize` is set.
     pub fn new(compiled: &'a CompiledApp, cfg: &ExploreConfig, golden: u64) -> Replayer<'a> {
         let sim = checker_sim(compiled, cfg.seed, cfg.fast_forward);
         let reset = sim.snapshot();
@@ -70,6 +79,7 @@ impl<'a> Replayer<'a> {
             sim,
             reset,
             table: HashMap::new(),
+            tables: Tables::default(),
             replays: 0,
             drains: 0,
         }
@@ -127,7 +137,11 @@ impl<'a> Replayer<'a> {
             }
         }
         self.drains += 1;
-        let (outcome, steps) = drain(sim, compiled, budget - settled);
+        let (outcome, steps) = if self.memoize {
+            drain_or_join(sim, compiled, budget - settled, &mut self.tables)
+        } else {
+            drain(sim, compiled, budget - settled)
+        };
         if self.memoize && outcome != Outcome::Stuck {
             self.table.insert(key, (outcome, steps));
         }
@@ -143,6 +157,12 @@ impl<'a> Replayer<'a> {
     /// answer.
     pub fn drains(&self) -> u64 {
         self.drains
+    }
+
+    /// Of those drains, the ones answered at their join point from the
+    /// commit table.
+    pub fn joins(&self) -> u64 {
+        self.tables.joins.drains
     }
 }
 

@@ -7,12 +7,17 @@
 //!   pair by pair (counters, steps included, and the report digest), every
 //!   violation replays identically on one replayer per chunk, and a warm
 //!   re-check reports the pinned re-prove counters: 1,092 violations
-//!   re-proven by 634 drains. Cold counterexamples, shrunk on the job's
-//!   workers, are identical at 1, 2 and 4 workers.
+//!   re-proven by 634 drains, of which 534 join at their join points on
+//!   the shared replayers and on the warm re-check alike. Cold
+//!   counterexamples, shrunk on the job's workers, are identical at 1, 2
+//!   and 4 workers.
 //! * Under a tight step budget, two schedules that recover into the same
-//!   state after settles of different lengths are each judged as the
-//!   reference judges them, in either order: a memoized drain never
-//!   answers past the remaining budget.
+//!   state after settles of different lengths, and two that recover into
+//!   different states and reach one join point after walks of different
+//!   lengths, are each judged as the reference judges them, in either
+//!   order: neither a memoized drain nor a commit-table entry answers
+//!   past the remaining budget. A replayer without memoization joins
+//!   nothing.
 
 use std::sync::Arc;
 
@@ -183,6 +188,53 @@ fn a_shared_replayer_matches_fresh_replays_over_the_bench_grid() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The re-prove drains of the benchmark grid that join at their join
+/// points, on one replayer per pair and on a warm re-check alike.
+const REPROVE_JOINS: u64 = 534;
+
+#[test]
+fn the_bench_grids_reprove_joins_are_pinned() {
+    let spec = bench_grid();
+    let dir = std::env::temp_dir().join(format!("gecko-reprove-joins-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || {
+        let store = Arc::new(MemoStore::open(&dir).unwrap());
+        CheckCampaign::new(bench_grid())
+            .workers(2)
+            .memo(store)
+            .run()
+            .unwrap()
+    };
+    let cold = run();
+    assert_eq!(cold.deterministic_digest(), COLD_DIGEST);
+    assert_eq!(cold.counters.reprove_joins, 0, "nothing to re-prove cold");
+
+    let (mut drains, mut joins) = (0u64, 0u64);
+    let pairs = spec
+        .apps
+        .iter()
+        .flat_map(|app| spec.schemes.iter().map(move |&scheme| (app, scheme)));
+    for ((app, scheme), pair) in pairs.zip(&cold.results) {
+        let compiled = CompiledApp::build(app, scheme, &CompileOptions::default()).unwrap();
+        let golden = golden_steps(&compiled, spec.explore.seed).unwrap();
+        let mut shared = Replayer::new(&compiled, &spec.explore, golden);
+        for v in &pair.violations {
+            assert_eq!(shared.replay(&v.schedule).0, v.outcome);
+        }
+        drains += shared.drains();
+        joins += shared.joins();
+    }
+    assert_eq!((drains, joins), (634, REPROVE_JOINS));
+
+    let warm = run();
+    assert_eq!(warm.deterministic_digest(), COLD_DIGEST);
+    assert_eq!(
+        (warm.counters.reprove_drains, warm.counters.reprove_joins),
+        (634, REPROVE_JOINS)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cold_counterexamples_are_identical_at_any_worker_count() {
     let run = |workers| {
@@ -295,4 +347,86 @@ fn a_memoized_drain_never_answers_past_the_remaining_budget() {
         }
         assert_eq!(shared.drains(), 2, "neither replay may reuse the other");
     }
+}
+
+/// A WAR counter under GECKO, and two schedules that recover into
+/// different states and reach one join point: a power failure rolls back
+/// to the start of its region and re-executes it, while a spoofed
+/// checkpoint a step later saves the registers just in time and resumes
+/// where it stopped. Both walk on to the region's commit.
+fn one_join_point() -> (CompiledApp, [Vec<PlannedInjection>; 2]) {
+    let compiled = CompiledApp::build(
+        &war_counter_app(16_000),
+        SchemeKind::Gecko,
+        &CompileOptions::default(),
+    )
+    .unwrap();
+    let at = |after_steps, kind| vec![PlannedInjection { after_steps, kind }];
+    let failure = at(30, InjectionKind::PowerFailure);
+    let spoof = at(31, InjectionKind::SpoofedCheckpoint);
+    (compiled, [failure, spoof])
+}
+
+#[test]
+fn a_commit_table_entry_never_answers_past_the_remaining_budget() {
+    let (compiled, [failure, spoof]) = one_join_point();
+    let cfg = ExploreConfig::default();
+    let (fits_spoof, fits_failure) = (
+        threshold(&compiled, &cfg, &spoof),
+        threshold(&compiled, &cfg, &failure),
+    );
+    assert!(
+        fits_spoof < fits_failure,
+        "the failure's longer recovery needs the larger budget"
+    );
+
+    // Both fit: in either order the second drain joins the first at the
+    // commit, with no wake-state hit between them.
+    for order in [[&spoof, &failure], [&failure, &spoof]] {
+        let mut shared = Replayer::new(&compiled, &cfg, fits_failure);
+        for schedule in order {
+            assert_eq!(shared.replay(schedule).0, Outcome::Clean);
+        }
+        assert_eq!((shared.drains(), shared.joins()), (2, 1));
+    }
+
+    // Only the spoof fits: in either order each schedule is judged as
+    // the reference judges it.
+    let golden = fits_spoof;
+    let reference = |s: &[PlannedInjection]| replay(&compiled, &cfg, s, golden);
+    assert_eq!(reference(&spoof).0, Outcome::Clean);
+    assert_eq!(reference(&failure).0, Outcome::Stuck);
+    for order in [[&spoof, &failure], [&failure, &spoof]] {
+        let mut shared = Replayer::new(&compiled, &cfg, golden);
+        for schedule in order {
+            let (outcome, blame) = shared.replay(schedule);
+            let (want, want_blame) = reference(schedule);
+            assert_eq!(
+                (outcome, format!("{blame:?}")),
+                (want, format!("{want_blame:?}")),
+                "{schedule:?}"
+            );
+        }
+        assert_eq!(shared.joins(), 0, "neither replay may join the other");
+    }
+}
+
+#[test]
+fn a_replayer_without_memoization_joins_nothing() {
+    let (compiled, [failure, spoof]) = one_join_point();
+    let on = ExploreConfig::default();
+    let off = ExploreConfig {
+        memoize: false,
+        ..on
+    };
+    let golden = golden_steps(&compiled, on.seed).unwrap();
+    let counts = |cfg: &ExploreConfig| {
+        let mut replayer = Replayer::new(&compiled, cfg, golden);
+        for schedule in [&failure, &spoof, &failure] {
+            assert_eq!(replayer.replay(schedule).0, Outcome::Clean);
+        }
+        (replayer.drains(), replayer.joins())
+    };
+    assert_eq!(counts(&on), (2, 1));
+    assert_eq!(counts(&off), (3, 0));
 }

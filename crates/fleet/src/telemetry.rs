@@ -173,6 +173,10 @@ pub struct FleetCounters {
     /// Drains those re-proving replays actually ran; the rest were
     /// answered from the per-chunk post-recovery outcome table.
     pub reprove_drains: u64,
+    /// Of those drains, the ones answered at their join point from an
+    /// earlier drain of the same chunk's replayer (`gecko-check` only;
+    /// counted in `reprove_drains`).
+    pub reprove_joins: u64,
     /// Explored drains answered at their join point (a region commit, or
     /// a loop-header entry for an artifact without regions) from an
     /// earlier drain of the same chunk (`gecko-check` only; counted in

@@ -82,9 +82,11 @@ struct SinkState {
     total_items: Option<u64>,
     resumed: u64,
     // A check's re-prove pass, off its `check_started` event: persisted
-    // violations replayed and the drains those replays ran.
+    // violations replayed, the drains those replays ran and the drains
+    // that joined.
     reproved: u64,
     reprove_drains: u64,
+    reprove_joins: u64,
     // A check's explored drains that joined an earlier drain at their
     // join point, and its spoofed-wake-up sweeps ended there, off its
     // `check_finished` event.
@@ -178,6 +180,7 @@ impl TelemetrySink for JobSink {
                             }
                             "reproved" => s.reproved = *n,
                             "reprove_drains" => s.reprove_drains = *n,
+                            "reprove_joins" => s.reprove_joins = *n,
                             _ => {}
                         }
                     }
@@ -433,11 +436,13 @@ impl Job {
         ];
         if self.kind == JobKind::Check {
             // Why a check took as long as it did: the persisted violations
-            // it re-proved and the drains that cost (off `check_started`),
-            // and the explored drains and wake-up sweeps cut short by
-            // joining an earlier drain (off `check_finished`).
+            // it re-proved, the drains that cost and the drains of those
+            // that joined (off `check_started`), and the explored drains
+            // and wake-up sweeps cut short by joining an earlier drain
+            // (off `check_finished`).
             fields.push(("reproved".into(), Json::U64(s.reproved)));
             fields.push(("reprove_drains".into(), Json::U64(s.reprove_drains)));
+            fields.push(("reprove_joins".into(), Json::U64(s.reprove_joins)));
             fields.push(("drain_joins".into(), Json::U64(s.drain_joins)));
             fields.push(("sweep_joins".into(), Json::U64(s.sweep_joins)));
         }
@@ -1818,31 +1823,37 @@ mod tests {
             (
                 counter("reproved"),
                 counter("reprove_drains"),
+                counter("reprove_joins"),
                 counter("drain_joins"),
                 counter("sweep_joins"),
             )
         };
         let cold = queue.submit(JobKind::Check, sub(spec.clone())).unwrap();
         assert_eq!(cold.wait_stopped(Duration::from_secs(120)), JobState::Done);
-        let (reproved, drains, joins, sweeps) = reprove(&cold);
+        let (reproved, drains, reprove_joins, joins, sweeps) = reprove(&cold);
         assert_eq!(
-            (reproved, drains),
-            (0, 0),
+            (reproved, drains, reprove_joins),
+            (0, 0, 0),
             "a cold store has nothing to re-prove"
         );
         assert!(joins > 0, "cold drains join at region commits");
         assert!(sweeps > 0, "cold wake-up sweeps end at region commits");
         let warm = queue.submit(JobKind::Check, sub(spec)).unwrap();
         assert_eq!(warm.wait_stopped(Duration::from_secs(120)), JobState::Done);
-        let (reproved, drains, joins, sweeps) = reprove(&warm);
+        let (reproved, drains, reprove_joins, joins, sweeps) = reprove(&warm);
         assert!(reproved > 0, "the warm job re-proves persisted violations");
         assert!(drains <= reproved);
+        assert!(
+            reprove_joins > 0 && reprove_joins <= drains,
+            "re-prove drains join at their join points ({reprove_joins} of {drains})"
+        );
         assert_eq!((joins, sweeps), (0, 0), "a warm job explores nothing");
         // No counter reaches the deterministic document.
         let det = warm.result_doc(true).unwrap();
         assert!(
             !det.contains(r#""reproved""#)
                 && !det.contains("reprove_drains")
+                && !det.contains("reprove_joins")
                 && !det.contains("drain_joins")
                 && !det.contains("sweep_joins"),
             "{det}"

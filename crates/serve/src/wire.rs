@@ -306,6 +306,7 @@ fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
                 ("memo_windows".into(), Json::U64(c.memo_windows)),
                 ("reproved".into(), Json::U64(c.reproved)),
                 ("reprove_drains".into(), Json::U64(c.reprove_drains)),
+                ("reprove_joins".into(), Json::U64(c.reprove_joins)),
                 ("drain_joins".into(), Json::U64(c.drain_joins)),
                 ("sweep_joins".into(), Json::U64(c.sweep_joins)),
             ]),
