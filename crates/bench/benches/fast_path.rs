@@ -24,7 +24,11 @@
 //!    equality against the per-instruction reference is asserted on every
 //!    run. Rows carry the span diagnostics: runtime ops retired in-span,
 //!    span ends by reason (energy / time / attack edge / fault edge /
-//!    budget / program op) and refused span entries.
+//!    budget / program op) and refused span entries, whose split by reason
+//!    the table prints too. Each clean cell's fast run is also timed once
+//!    on each of 5 freshly spawned threads, whose min/median/max steps/s
+//!    show how much the span loop's speed depends on where its stack and
+//!    heap land (printed, not gated).
 //!    * **Batch step** — the harvesting duty-cycle workload through a
 //!      [`gecko_sim::DeviceBatch`]: a fleet of devices sharing one
 //!      predecoded program, planned and drained lock-step. Bit-exact
@@ -134,6 +138,23 @@ impl BenchRow {
             ..self
         }
     }
+}
+
+/// Refused span entries by reason, as
+/// `interpreted/fault/filtered-adc/held-reading/latched-comparator/
+/// harvester/short-horizon/not-admitted`.
+fn refusals(s: &FastPathStats) -> String {
+    format!(
+        "{}/{}/{}/{}/{}/{}/{}/{}",
+        s.eh_refused_interpreted,
+        s.eh_refused_fault,
+        s.eh_refused_filtered_adc,
+        s.eh_refused_held_below_backup,
+        s.eh_refused_latched_comparator,
+        s.eh_refused_harvester,
+        s.eh_refused_short_horizon,
+        s.eh_refused_not_admitted
+    )
 }
 
 /// Span ends by reason, as `energy/time/attack/fault/budget/program`.
@@ -292,6 +313,7 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
     let window_s = if quick { 0.02 } else { 0.05 };
     let iters = if quick { 2 } else { 5 };
     let mut table = Vec::new();
+    let mut spread = Vec::new();
     let mut worst_ratio = f64::INFINITY;
     for scheme in SchemeKind::all() {
         let compiled = CompiledApp::build(&app, scheme, &CompileOptions::default()).unwrap();
@@ -339,6 +361,9 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
             let fast_wall = time_best_of(iters, run_fast);
             let exact_wall = time_best_of(iters, run_exact);
             let rate = stats.steps as f64 / fast_wall.as_secs_f64();
+            if cell == "clean" {
+                spread.push(thread_spread(scheme, stats.steps, &run_fast));
+            }
             table.push(vec![
                 scheme.name().to_string(),
                 cell.to_string(),
@@ -347,6 +372,7 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
                 stats.eh_runtime_ops.to_string(),
                 span_ends(&stats),
                 stats.eh_refused.to_string(),
+                refusals(&stats),
                 format!("{ratio:.1}x"),
                 format!("{:.1}M/s", rate / 1e6),
                 format!("{:.1}x", exact_wall.as_secs_f64() / fast_wall.as_secs_f64()),
@@ -378,11 +404,20 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
             "rt ops",
             "ends e/t/a/f/b/p",
             "refused",
+            "by i/f/a/h/l/p/s/n",
             "ratio",
             "steps/s",
             "wall speedup",
         ],
         &table,
+    );
+    print_table(
+        &format!(
+            "event-horizon placement spread, bitcnt/clean, one run on each of \
+             {SPREAD_THREADS} fresh threads"
+        ),
+        &["scheme", "min", "median", "max", "max/min"],
+        &spread,
     );
     assert!(
         worst_ratio >= 3.0,
@@ -390,6 +425,44 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
          (got {worst_ratio:.1}x)"
     );
     println!("ok: event horizon coalesces >= {worst_ratio:.1}x of active instructions");
+}
+
+/// Fresh threads [`thread_spread`] times a cell on.
+const SPREAD_THREADS: usize = 5;
+
+/// Times one `run` on each of [`SPREAD_THREADS`] freshly spawned threads,
+/// one after another, and returns the table row `scheme, min, median, max,
+/// max/min` in M steps/s. A new thread puts the span loop's stack frame
+/// and the simulator's heap at new addresses, so the spread shows how much
+/// the loop's speed depends on where its memory lands.
+fn thread_spread(
+    scheme: SchemeKind,
+    steps: u64,
+    run: &(impl Fn() -> Simulator + Sync),
+) -> Vec<String> {
+    let mut rates: Vec<f64> = (0..SPREAD_THREADS)
+        .map(|_| {
+            std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let t0 = std::time::Instant::now();
+                        std::hint::black_box(run());
+                        steps as f64 / t0.elapsed().as_secs_f64() / 1e6
+                    })
+                    .join()
+                    .unwrap()
+            })
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    let (min, max) = (rates[0], rates[SPREAD_THREADS - 1]);
+    vec![
+        scheme.name().to_string(),
+        format!("{min:.1}M/s"),
+        format!("{:.1}M/s", rates[SPREAD_THREADS / 2]),
+        format!("{max:.1}M/s"),
+        format!("{:.2}", max / min),
+    ]
 }
 
 /// Section 2b: `DeviceBatch` lock-step stepping — a fleet of devices

@@ -106,10 +106,15 @@ impl Capacitor {
     #[inline]
     pub fn discharge_j(&mut self, energy_j: f64) -> bool {
         debug_assert!(energy_j >= 0.0);
+        // Brown-out ends a run's active phase, so its arm is cold, as in
+        // `charge`. Inlined into the event-horizon span loop the two arms
+        // still become a compare-and-mask select (the weights do not
+        // survive there); forcing a branch measured slower (DESIGN.md §13).
         if energy_j <= self.energy_j {
             self.energy_j -= energy_j;
             true
         } else {
+            cold();
             self.energy_j = 0.0;
             false
         }

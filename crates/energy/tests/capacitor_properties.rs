@@ -180,3 +180,57 @@ fn charge_matches_the_reference_clamp_bit_for_bit() {
         "only {landed_on_ceiling} steps landed on the ceiling"
     );
 }
+
+/// `discharge_j` is bit-identical to the draw-or-drain it has always
+/// computed, `if draw <= before { before - draw } else { 0 }` with the
+/// bool saying which arm ran, including its predicted in-range arm. The
+/// cases mix draws below, exactly at and above the stored energy with
+/// zero, subnormal and instruction-sized (nJ·1e-9) draws, on full, partly
+/// charged, nearly empty and empty capacitors.
+#[test]
+fn discharge_matches_the_reference_select_bit_for_bit() {
+    let mut rng = SplitMix64::new(0xCAFE_0008);
+    let (mut exact, mut drained) = (0u32, 0u32);
+    for case in 0..120_000u32 {
+        let c_f = rng.range_f64(1e-6, 20e-3);
+        let v0 = match case % 4 {
+            0 => rng.range_f64(0.0, 3.6),
+            1 => rng.range_f64(1.7, 3.3),
+            2 => rng.range_f64(0.0, 1e-3),
+            _ => 0.0,
+        };
+        let mut cap = Capacitor::new(c_f, v0);
+        let before = cap.energy_j();
+        let draw = match (case / 4) % 7 {
+            0 => rng.range_f64(0.0, before),
+            1 => before,
+            2 => before + rng.range_f64(0.0, 1e-3) + f64::MIN_POSITIVE,
+            3 => 0.0,
+            4 => f64::from_bits(rng.next_u64() % (1u64 << 52)),
+            5 => rng.range_f64(0.05, 20.0) * 1e-9,
+            _ => before * rng.range_f64(0.999_999, 1.000_001),
+        };
+        let (reference, alive) = if draw <= before {
+            (before - draw, true)
+        } else {
+            (0.0, false)
+        };
+        exact += u32::from(draw == before && before > 0.0);
+        drained += u32::from(!alive);
+        assert_eq!(
+            cap.discharge_j(draw),
+            alive,
+            "case {case}: C={c_f} V0={v0} draw={draw}"
+        );
+        assert_eq!(
+            cap.energy_j().to_bits(),
+            reference.to_bits(),
+            "case {case}: C={c_f} V0={v0} draw={draw}"
+        );
+    }
+    assert!(
+        exact > 10_000,
+        "only {exact} draws took the exact stored energy"
+    );
+    assert!(drained > 10_000, "only {drained} draws browned out");
+}

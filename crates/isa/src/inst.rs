@@ -141,6 +141,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Applies the operation to two values.
+    #[inline]
     pub fn eval(self, lhs: i32, rhs: i32) -> i32 {
         match self {
             BinOp::Add => lhs.wrapping_add(rhs),
@@ -235,6 +236,7 @@ pub enum Cond {
 
 impl Cond {
     /// Evaluates the condition.
+    #[inline]
     pub fn eval(self, lhs: i32, rhs: i32) -> bool {
         match self {
             Cond::Eq => lhs == rhs,

@@ -39,7 +39,7 @@ pub mod predecode;
 pub use machine::{FaultEffect, Machine, Pc, RegFile, RunSummary, StepEvent, StepOutcome};
 pub use nvm::Nvm;
 pub use periph::Peripherals;
-pub use predecode::{POp, PredecodedProgram};
+pub use predecode::{PEntry, POp, PredecodedProgram};
 
 use gecko_isa::Program;
 

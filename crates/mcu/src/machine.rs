@@ -6,7 +6,7 @@ use gecko_isa::{
 
 use crate::nvm::Nvm;
 use crate::periph::Peripherals;
-use crate::predecode::{POp, PredecodedProgram};
+use crate::predecode::{PEntry, POp, PredecodedProgram};
 
 /// The sixteen volatile general-purpose registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -339,8 +339,9 @@ impl Machine {
     /// stepping. Returns the number of instructions retired (possibly 0)
     /// and, when the span stopped *after* a runtime op, that op's event.
     ///
-    /// `admit(cycles, energy_nj, overhead)` is consulted *before* each
-    /// entry executes, with that entry's precomputed costs; `overhead` is
+    /// `admit(entry, overhead)` is consulted *before* each entry executes,
+    /// with the entry itself, so the caller meters it from the entry's
+    /// precomputed [`PEntry::dt_s`] and [`PEntry::step_nj`]; `overhead` is
     /// `true` for the compiler-inserted runtime ops (`Boundary`,
     /// `Checkpoint`). When it declines, machine, NVM and peripherals are
     /// exactly as if the entry never started. That lets the caller replay
@@ -364,10 +365,18 @@ impl Machine {
     /// [`StepEvent::Io`] is runtime-inert in the simulator and stays
     /// in-span like any plain instruction.
     ///
+    /// Always inlined, and run on local copies of the register file and
+    /// the PC that are written back once on return, with the entry tables
+    /// borrowed once up front: with the caller's `admit` inlined too, the
+    /// PC, the caller's meter and its guard scalars live in registers for
+    /// the whole span instead of being reloaded through `self` and the
+    /// closure's captures on every step.
+    ///
     /// # Panics
     ///
     /// Panics if called after `halt`, or if the PC points outside the
     /// program.
+    #[inline(always)]
     pub fn retire_span(
         &mut self,
         pre: &PredecodedProgram,
@@ -375,17 +384,20 @@ impl Machine {
         periph: &mut Peripherals,
         max_insts: u64,
         store_fence: u32,
-        mut admit: impl FnMut(u64, f64, bool) -> bool,
+        mut admit: impl FnMut(&PEntry, bool) -> bool,
     ) -> (u64, Option<StepEvent>) {
         assert!(!self.halted, "stepping a halted machine");
+        let (mut regs, mut pc) = (self.regs, self.pc);
+        let (entries, bases) = pre.tables();
         let mut done = 0u64;
+        let mut stop = None;
         while done < max_insts {
-            let entry = pre.entry(self.pc.block, self.pc.index);
+            let entry = &entries[bases[pc.block.index()] as usize + pc.index];
             let overhead = match entry.op {
                 POp::Halt => break,
                 POp::Boundary { .. } | POp::Checkpoint { .. } => true,
                 POp::Store { base, off, .. } => {
-                    let addr = (self.regs.get(base).wrapping_add(off)) as u32;
+                    let addr = (regs.get(base).wrapping_add(off)) as u32;
                     if addr >= store_fence {
                         break;
                     }
@@ -393,20 +405,22 @@ impl Machine {
                 }
                 _ => false,
             };
-            if !admit(entry.cycles, entry.energy_nj, overhead) {
+            if !admit(entry, overhead) {
                 break;
             }
-            let event = self.exec_pop(entry.op, nvm, periph);
+            let event = exec_pop(&mut regs, &mut pc, &mut self.halted, entry.op, nvm, periph);
             done += 1;
             if overhead {
-                return (done, event);
+                stop = event;
+                break;
             }
             debug_assert!(
                 matches!(event, None | Some(StepEvent::Io(_))),
                 "runtime ops return above and Halt never executes in-span"
             );
         }
-        (done, None)
+        (self.regs, self.pc) = (regs, pc);
+        (done, stop)
     }
 
     /// Executes one predecoded operation — the shared core of
@@ -415,104 +429,8 @@ impl Machine {
     /// construction.
     #[inline]
     fn exec_pop(&mut self, op: POp, nvm: &mut Nvm, periph: &mut Peripherals) -> Option<StepEvent> {
-        match op {
-            POp::MovImm { dst, imm } => {
-                self.pc.index += 1;
-                self.regs.set(dst, imm);
-                None
-            }
-            POp::MovReg { dst, src } => {
-                self.pc.index += 1;
-                let v = self.regs.get(src);
-                self.regs.set(dst, v);
-                None
-            }
-            POp::BinImm { op, dst, lhs, imm } => {
-                self.pc.index += 1;
-                let l = self.regs.get(lhs);
-                self.regs.set(dst, op.eval(l, imm));
-                None
-            }
-            POp::BinReg { op, dst, lhs, rhs } => {
-                self.pc.index += 1;
-                let l = self.regs.get(lhs);
-                let r = self.regs.get(rhs);
-                self.regs.set(dst, op.eval(l, r));
-                None
-            }
-            POp::Load { dst, base, off } => {
-                self.pc.index += 1;
-                let addr = (self.regs.get(base).wrapping_add(off)) as u32;
-                let v = nvm.load(addr);
-                self.regs.set(dst, v);
-                None
-            }
-            POp::Store { src, base, off } => {
-                self.pc.index += 1;
-                let addr = (self.regs.get(base).wrapping_add(off)) as u32;
-                nvm.store(addr, self.regs.get(src));
-                None
-            }
-            POp::Io { op, reg } => {
-                self.pc.index += 1;
-                match op {
-                    IoOp::Sense => {
-                        let v = periph.sense();
-                        self.regs.set(reg, v);
-                    }
-                    IoOp::Send => periph.send(self.regs.get(reg)),
-                    IoOp::Blink => periph.blink(),
-                }
-                Some(StepEvent::Io(op))
-            }
-            POp::Boundary { region } => {
-                self.pc.index += 1;
-                Some(StepEvent::Boundary(region))
-            }
-            POp::Checkpoint { reg, slot } => {
-                self.pc.index += 1;
-                Some(StepEvent::Checkpoint {
-                    reg,
-                    value: self.regs.get(reg),
-                    slot,
-                })
-            }
-            POp::Nop => {
-                self.pc.index += 1;
-                None
-            }
-            POp::Jump { target } => {
-                self.pc = Pc::at(target);
-                None
-            }
-            POp::BranchImm {
-                cond,
-                lhs,
-                imm,
-                taken,
-                fall,
-            } => {
-                let l = self.regs.get(lhs);
-                self.pc = Pc::at(if cond.eval(l, imm) { taken } else { fall });
-                None
-            }
-            POp::BranchReg {
-                cond,
-                lhs,
-                rhs,
-                taken,
-                fall,
-            } => {
-                let l = self.regs.get(lhs);
-                let r = self.regs.get(rhs);
-                self.pc = Pc::at(if cond.eval(l, r) { taken } else { fall });
-                None
-            }
-            POp::Halt => {
-                self.halted = true;
-                Some(StepEvent::Halted)
-            }
-        }
+        let Machine { regs, pc, halted } = self;
+        exec_pop(regs, pc, halted, op, nvm, periph)
     }
 
     /// Executes one predecoded operation under `fault` — the faulted twin
@@ -738,6 +656,119 @@ impl Machine {
                 slot,
             }),
             Inst::Nop => None,
+        }
+    }
+}
+
+/// [`Machine::exec_pop`] on the machine's state borrowed field by field:
+/// [`Machine::retire_span`] runs it on a local register file and a
+/// separate local PC, so the PC is not tied to the indexed (hence
+/// memory-resident) register array and can stay in a register.
+#[inline(always)]
+fn exec_pop(
+    regs: &mut RegFile,
+    pc: &mut Pc,
+    halted: &mut bool,
+    op: POp,
+    nvm: &mut Nvm,
+    periph: &mut Peripherals,
+) -> Option<StepEvent> {
+    match op {
+        POp::MovImm { dst, imm } => {
+            pc.index += 1;
+            regs.set(dst, imm);
+            None
+        }
+        POp::MovReg { dst, src } => {
+            pc.index += 1;
+            let v = regs.get(src);
+            regs.set(dst, v);
+            None
+        }
+        POp::BinImm { op, dst, lhs, imm } => {
+            pc.index += 1;
+            let l = regs.get(lhs);
+            regs.set(dst, op.eval(l, imm));
+            None
+        }
+        POp::BinReg { op, dst, lhs, rhs } => {
+            pc.index += 1;
+            let l = regs.get(lhs);
+            let r = regs.get(rhs);
+            regs.set(dst, op.eval(l, r));
+            None
+        }
+        POp::Load { dst, base, off } => {
+            pc.index += 1;
+            let addr = (regs.get(base).wrapping_add(off)) as u32;
+            let v = nvm.load(addr);
+            regs.set(dst, v);
+            None
+        }
+        POp::Store { src, base, off } => {
+            pc.index += 1;
+            let addr = (regs.get(base).wrapping_add(off)) as u32;
+            nvm.store(addr, regs.get(src));
+            None
+        }
+        POp::Io { op, reg } => {
+            pc.index += 1;
+            match op {
+                IoOp::Sense => {
+                    let v = periph.sense();
+                    regs.set(reg, v);
+                }
+                IoOp::Send => periph.send(regs.get(reg)),
+                IoOp::Blink => periph.blink(),
+            }
+            Some(StepEvent::Io(op))
+        }
+        POp::Boundary { region } => {
+            pc.index += 1;
+            Some(StepEvent::Boundary(region))
+        }
+        POp::Checkpoint { reg, slot } => {
+            pc.index += 1;
+            Some(StepEvent::Checkpoint {
+                reg,
+                value: regs.get(reg),
+                slot,
+            })
+        }
+        POp::Nop => {
+            pc.index += 1;
+            None
+        }
+        POp::Jump { target } => {
+            *pc = Pc::at(target);
+            None
+        }
+        POp::BranchImm {
+            cond,
+            lhs,
+            imm,
+            taken,
+            fall,
+        } => {
+            let l = regs.get(lhs);
+            *pc = Pc::at(if cond.eval(l, imm) { taken } else { fall });
+            None
+        }
+        POp::BranchReg {
+            cond,
+            lhs,
+            rhs,
+            taken,
+            fall,
+        } => {
+            let l = regs.get(lhs);
+            let r = regs.get(rhs);
+            *pc = Pc::at(if cond.eval(l, r) { taken } else { fall });
+            None
+        }
+        POp::Halt => {
+            *halted = true;
+            Some(StepEvent::Halted)
         }
     }
 }
@@ -1026,9 +1057,9 @@ mod tests {
             &mut pb,
             u64::MAX,
             SPAN_FENCE,
-            |c, e, overhead| {
-                cycles += c;
-                energy_nj += e;
+            |e, overhead| {
+                cycles += e.cycles;
+                energy_nj += e.energy_nj;
                 flags.push(overhead);
                 true
             },
@@ -1054,17 +1085,10 @@ mod tests {
 
         // Re-entering continues the same span: the checkpoint op comes
         // back with the register's value at the store.
-        let (n, op) = m.retire_span(
-            &pre,
-            &mut nvm_b,
-            &mut pb,
-            u64::MAX,
-            SPAN_FENCE,
-            |_, _, o| {
-                assert!(o, "the next entry is the checkpoint");
-                true
-            },
-        );
+        let (n, op) = m.retire_span(&pre, &mut nvm_b, &mut pb, u64::MAX, SPAN_FENCE, |_, o| {
+            assert!(o, "the next entry is the checkpoint");
+            true
+        });
         assert_eq!(n, 1);
         assert_eq!(
             op,
@@ -1077,14 +1101,9 @@ mod tests {
 
         // Halt still ends the span before it executes.
         let before = m.clone();
-        let (n, op) = m.retire_span(
-            &pre,
-            &mut nvm_b,
-            &mut pb,
-            u64::MAX,
-            SPAN_FENCE,
-            |_, _, _| panic!("halt is never offered to admit"),
-        );
+        let (n, op) = m.retire_span(&pre, &mut nvm_b, &mut pb, u64::MAX, SPAN_FENCE, |_, _| {
+            panic!("halt is never offered to admit")
+        });
         assert_eq!((n, op), (0, None));
         assert_eq!(m, before);
         assert!(!m.is_halted());
@@ -1098,14 +1117,7 @@ mod tests {
         let mut periph = Peripherals::new(3);
         let mut m = Machine::new(p.entry());
         // Refuse overhead only: the span parks on the unexecuted boundary.
-        let (n, op) = m.retire_span(
-            &pre,
-            &mut nvm,
-            &mut periph,
-            u64::MAX,
-            SPAN_FENCE,
-            |_, _, o| !o,
-        );
+        let (n, op) = m.retire_span(&pre, &mut nvm, &mut periph, u64::MAX, SPAN_FENCE, |_, o| !o);
         assert!(n > 0);
         assert_eq!(op, None);
         assert!(
@@ -1119,21 +1131,16 @@ mod tests {
         // Declining admission leaves the machine untouched.
         let before = m.clone();
         let words = nvm.words().to_vec();
-        let (n, op) = m.retire_span(
-            &pre,
-            &mut nvm,
-            &mut periph,
-            u64::MAX,
-            SPAN_FENCE,
-            |_, _, _| false,
-        );
+        let (n, op) = m.retire_span(&pre, &mut nvm, &mut periph, u64::MAX, SPAN_FENCE, |_, _| {
+            false
+        });
         assert_eq!((n, op), (0, None));
         assert_eq!(m, before);
         assert_eq!(nvm.words(), &words[..]);
 
         // max_insts caps the span mid-way.
         let mut c = Machine::new(p.entry());
-        let (n, op) = c.retire_span(&pre, &mut nvm, &mut periph, 2, SPAN_FENCE, |_, _, _| true);
+        let (n, op) = c.retire_span(&pre, &mut nvm, &mut periph, 2, SPAN_FENCE, |_, _| true);
         assert_eq!((n, op), (2, None));
     }
 
@@ -1156,7 +1163,7 @@ mod tests {
         let mut nvm = Nvm::new(128);
         let mut periph = Peripherals::new(0);
         let mut m = Machine::new(p.entry());
-        let (n, op) = m.retire_span(&pre, &mut nvm, &mut periph, u64::MAX, 64, |_, _, _| true);
+        let (n, op) = m.retire_span(&pre, &mut nvm, &mut periph, u64::MAX, 64, |_, _| true);
         assert_eq!((n, op), (4, None), "stops before the fenced store");
         assert_eq!(nvm.read(d), 5, "app store executed");
         assert_eq!(nvm.read(64), 0, "fenced store did not");

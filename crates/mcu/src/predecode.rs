@@ -8,9 +8,10 @@
 //! [`PredecodedProgram`] hoists all of it into one dense array built once
 //! per compiled artifact: each program point (instruction *or* block
 //! terminator) becomes a flat [`PEntry`] with its operands pre-resolved
-//! into a register/immediate-split [`POp`] and its cycle and energy cost
-//! precomputed, so [`crate::Machine::step_predecoded`] is a single indexed
-//! load plus one match.
+//! into a register/immediate-split [`POp`] and its cycle, time and energy
+//! cost precomputed, so [`crate::Machine::step_predecoded`] is a single
+//! indexed load plus one match, and an event-horizon span step derives
+//! nothing but the float operations of its energy and time chains.
 //!
 //! The predecoded form is *purely* a re-encoding: `step_predecoded` must
 //! produce bit-identical outcomes (register file, PC, events, cycles,
@@ -23,7 +24,14 @@ use gecko_isa::{
 };
 
 /// One predecoded program point: a flat operation plus its precomputed
-/// cycle and energy cost.
+/// cycle, time and energy cost.
+///
+/// `dt_s` and `step_nj` are the exact values the simulator's per-step
+/// `consume` derives from `cycles` and `energy_nj` under the models the
+/// entry was built with, so an event-horizon span meters a step with no
+/// u64→f64 conversion or division. They are only equal to `consume`'s
+/// values while the simulator steps with those same models, which
+/// [`PredecodedProgram::build`]'s contract already requires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PEntry {
     /// The operation, with operands resolved.
@@ -32,6 +40,26 @@ pub struct PEntry {
     pub cycles: u64,
     /// Energy the step consumes in nJ (from [`gecko_isa::EnergyModel`]).
     pub energy_nj: f64,
+    /// The step's duration, `CostModel::cycles_to_seconds(cycles)` (s).
+    pub dt_s: f64,
+    /// The energy the step draws in `consume`'s own terms (nJ):
+    /// `base + (energy_nj - base).max(0.0)` with
+    /// `base = EnergyModel::cycles_energy_nj(cycles)`, the per-cycle energy
+    /// plus the entry's non-negative extra, summed in that order.
+    pub step_nj: f64,
+}
+
+impl PEntry {
+    fn new(op: POp, cycles: u64, energy_nj: f64, cost: &CostModel, energy: &EnergyModel) -> PEntry {
+        let base = energy.cycles_energy_nj(cycles);
+        PEntry {
+            op,
+            cycles,
+            energy_nj,
+            dt_s: cost.cycles_to_seconds(cycles),
+            step_nj: base + (energy_nj - base).max(0.0),
+        }
+    }
 }
 
 /// A flat, operand-resolved operation. Instruction/terminator and
@@ -181,18 +209,22 @@ impl PredecodedProgram {
             base[id.index()] = entries.len() as u32;
             for inst in &block.insts {
                 let cycles = cost.inst_cycles(inst);
-                entries.push(PEntry {
-                    op: predecode_inst(inst),
+                entries.push(PEntry::new(
+                    predecode_inst(inst),
                     cycles,
-                    energy_nj: energy.inst_energy_nj(inst, cycles),
-                });
+                    energy.inst_energy_nj(inst, cycles),
+                    cost,
+                    energy,
+                ));
             }
             let cycles = cost.term_cycles(&block.term);
-            entries.push(PEntry {
-                op: predecode_term(&block.term),
+            entries.push(PEntry::new(
+                predecode_term(&block.term),
                 cycles,
-                energy_nj: energy.cycles_energy_nj(cycles),
-            });
+                energy.cycles_energy_nj(cycles),
+                cost,
+                energy,
+            ));
         }
         let max_step_cycles = entries.iter().map(|e| e.cycles).max().unwrap_or(0);
         let max_step_energy_nj = entries.iter().map(|e| e.energy_nj).fold(0.0, f64::max);
@@ -222,8 +254,15 @@ impl PredecodedProgram {
     /// Panics if the point lies outside the program (which verified
     /// programs cannot produce).
     #[inline]
-    pub fn entry(&self, block: BlockId, index: usize) -> PEntry {
-        self.entries[self.base[block.index()] as usize + index]
+    pub fn entry(&self, block: BlockId, index: usize) -> &PEntry {
+        &self.entries[self.base[block.index()] as usize + index]
+    }
+
+    /// The dense entry array and each block's first flat index, borrowed
+    /// once so a span loop indexes them without reloading either `Vec`.
+    #[inline]
+    pub(crate) fn tables(&self) -> (&[PEntry], &[u32]) {
+        (&self.entries, &self.base)
     }
 
     /// Total number of predecoded entries (instructions + terminators).

@@ -278,7 +278,28 @@ pub struct FastPathStats {
     /// including the [`ExecMode::Interpreted`] reference — the
     /// closed-form horizon was below [`MIN_ACTIVE_SPAN`], or the first
     /// instruction was not admitted), so the exact path ran instead.
+    /// Always the sum of the eight `eh_refused_*` reasons below.
     pub eh_refused: u64,
+    /// Refusals because the simulator runs the [`ExecMode::Interpreted`]
+    /// reference.
+    pub eh_refused_interpreted: u64,
+    /// Refusals inside an armed fault window or with a fault pending.
+    pub eh_refused_fault: u64,
+    /// Refusals because the armed ADC is median-filtered.
+    pub eh_refused_filtered_adc: u64,
+    /// Refusals because the ADC holds a reading below `V_backup`.
+    pub eh_refused_held_below_backup: u64,
+    /// Refusals because the armed comparator is latched below `V_backup`.
+    pub eh_refused_latched_comparator: u64,
+    /// Refusals because the harvester is not constant right now.
+    pub eh_refused_harvester: u64,
+    /// Refusals because the closed-form energy horizon was below
+    /// [`MIN_ACTIVE_SPAN`].
+    pub eh_refused_short_horizon: u64,
+    /// Refusals because the first instruction was not admitted (a time
+    /// horizon already reached, the energy guard, a runtime op under
+    /// probation, or a program op that ends every span).
+    pub eh_refused_not_admitted: u64,
 }
 
 /// The per-device inputs of the event-horizon span solver, sampled at the
@@ -331,6 +352,20 @@ struct ActiveGuards {
     commit_s: f64,
 }
 
+/// Why no event-horizon span could start (the [`FastPathStats`]
+/// `eh_refused_*` counters).
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    Interpreted,
+    Fault,
+    FilteredAdc,
+    HeldBelowBackup,
+    LatchedComparator,
+    Harvester,
+    ShortHorizon,
+    NotAdmitted,
+}
+
 /// Why an event-horizon span ended (the [`FastPathStats`] `eh_end_*`
 /// counters).
 #[derive(Debug, Clone, Copy)]
@@ -345,7 +380,8 @@ enum SpanEnd {
 
 /// The local copies an event-horizon span replays the per-step energy,
 /// time and monitor bookkeeping on; they commit back to the simulator in
-/// one shot when the span ends.
+/// one shot when the span ends. A local of `try_advance_active`, whose
+/// span kernel is inlined whole, so its scalars can stay in registers.
 struct SpanMeter {
     cap: Capacitor,
     adc: AdcMonitor,
@@ -362,18 +398,16 @@ struct SpanMeter {
     v_max: f64,
     v_backup: f64,
     v_off: f64,
-    cost: CostModel,
-    energy: EnergyModel,
 }
 
 impl SpanMeter {
     /// [`Simulator::consume`]'s float operations, in its order, on the
-    /// locals. The span's admission guard rules out brown-out.
-    #[inline]
-    fn consume(&mut self, cycles: u64, extra_nj: f64, forward: bool) {
-        let dt = self.cost.cycles_to_seconds(cycles);
+    /// locals, with its `dt` and `e_nj` precomputed bit-identically
+    /// ([`gecko_mcu::PEntry::dt_s`], [`gecko_mcu::PEntry::step_nj`]). The
+    /// span's admission guard rules out brown-out.
+    #[inline(always)]
+    fn consume(&mut self, cycles: u64, dt: f64, e_nj: f64, forward: bool) {
         self.cap.charge(self.power, dt, self.v_max);
-        let e_nj = self.energy.cycles_energy_nj(cycles) + extra_nj;
         self.energy_nj += e_nj;
         if forward {
             self.forward_cycles += cycles;
@@ -775,6 +809,19 @@ impl Simulator {
         self.fast
     }
 
+    /// The cycle-cost model this simulator meters with. Always the one its
+    /// [`CompiledApp::pre`] was predecoded under, so the entries'
+    /// precomputed step costs equal what `consume` derives.
+    pub fn cost_model(&self) -> CostModel {
+        self.cost
+    }
+
+    /// The energy model this simulator meters with (see
+    /// [`Simulator::cost_model`]).
+    pub fn energy_model(&self) -> EnergyModel {
+        self.energy
+    }
+
     /// Present simulated time (s).
     pub fn time_s(&self) -> f64 {
         self.t_s
@@ -932,13 +979,13 @@ impl Simulator {
         }
         let n = match self.state {
             PowerState::Sleeping => self.try_fast_forward(max_steps, t_end),
-            PowerState::On => {
-                let n = self.try_advance_active(max_steps, t_end);
-                if n == 0 {
-                    self.fast.eh_refused += 1;
+            PowerState::On => match self.try_advance_active(max_steps, t_end) {
+                Ok(n) => n,
+                Err(why) => {
+                    self.count_refusal(why);
+                    0
                 }
-                n
-            }
+            },
         };
         if n > 0 {
             return n;
@@ -1461,7 +1508,8 @@ impl Simulator {
     }
 
     /// Derives the guard set an event-horizon span would run under right
-    /// now, or `None` when any bail condition of the exact path holds:
+    /// now, or the [`Refusal`] of the first bail condition of the exact
+    /// path that holds:
     /// the [`ExecMode::Interpreted`] reference, hibernating or halted, an
     /// armed fault window or pending fault, a filtered ADC, a held reading
     /// already below `V_backup`, a latched comparator, or a non-constant
@@ -1471,25 +1519,25 @@ impl Simulator {
     /// [`MIN_ACTIVE_SPAN`]. This *is* `try_advance_active`'s prologue —
     /// factored out so the batch planner and the in-device coalescer
     /// cannot drift.
-    fn active_span_guards(&self) -> Option<ActiveGuards> {
-        if self.exec_mode != ExecMode::Predecoded
-            || self.state != PowerState::On
-            || self.machine.is_halted()
-        {
-            return None;
+    fn active_span_guards(&self) -> Result<ActiveGuards, Refusal> {
+        if self.exec_mode != ExecMode::Predecoded {
+            return Err(Refusal::Interpreted);
+        }
+        if self.state != PowerState::On || self.machine.is_halted() {
+            return Err(Refusal::NotAdmitted);
         }
         // Inside an armed fault window (or with a one-shot fault pending)
         // every retired instruction mutates differently than the batched
         // replay assumes: only the exact path injects.
         if self.pending_fault.is_some() || self.fault.active_at(self.t_s).is_some() {
-            return None;
+            return Err(Refusal::Fault);
         }
         let polls = self.jit_protocol_active() || self.probe == Some(false);
         let adc_polls = if polls {
             match self.monitor_kind {
                 MonitorKind::Adc => {
                     if self.adc_filter.is_some() {
-                        return None;
+                        return Err(Refusal::FilteredAdc);
                     }
                     // A reading held from before the span can already sit
                     // below V_backup; the next poll would assert the
@@ -1499,13 +1547,13 @@ impl Simulator {
                         .held_at(self.t_s)
                         .is_some_and(|r| r < self.thresholds.v_backup)
                     {
-                        return None;
+                        return Err(Refusal::HeldBelowBackup);
                     }
                     true
                 }
                 MonitorKind::Comparator => {
                     if self.comp_backup.is_latched_below() {
-                        return None;
+                        return Err(Refusal::LatchedComparator);
                     }
                     false
                 }
@@ -1513,7 +1561,10 @@ impl Simulator {
         } else {
             false
         };
-        let (power, power_until) = self.harvester.constant_until(self.t_s)?;
+        let (power, power_until) = self
+            .harvester
+            .constant_until(self.t_s)
+            .ok_or(Refusal::Harvester)?;
         // The disturbance amplitude is constant up to the next attack-window
         // edge; the span ends before it, so every in-span poll sees `amp_v`.
         let (amp_v, attack_until) = if polls {
@@ -1568,7 +1619,7 @@ impl Simulator {
                 (t_guard, guard_end) = (until - slack, end);
             }
         }
-        Some(ActiveGuards {
+        Ok(ActiveGuards {
             adc_polls,
             power,
             amp_v,
@@ -1589,7 +1640,7 @@ impl Simulator {
     /// size for itself. [`crate::batch::DeviceBatch`] gathers one profile
     /// per device into contiguous arrays and solves them in a single pass.
     pub fn span_profile(&self) -> Option<SpanProfile> {
-        self.active_span_guards().map(|g| SpanProfile {
+        self.active_span_guards().ok().map(|g| SpanProfile {
             energy_j: self.cap.energy_j(),
             e_guard_j: g.e_guard_j,
             worst_loss_j: g.worst_loss_j,
@@ -1603,9 +1654,9 @@ impl Simulator {
 
     /// Coalesces up to `max_steps` ON-state instructions into one batched
     /// span ending strictly before `t_end`, and returns how many it
-    /// committed (0 when the fast path cannot prove equivalence right
-    /// now). Callers fall back to the exact per-instruction
-    /// `on_instruction` on a 0 return.
+    /// committed (at least 1), or why the fast path cannot prove
+    /// equivalence right now. Callers fall back to the exact
+    /// per-instruction `on_instruction` on a refusal.
     ///
     /// ## Equivalence argument (DESIGN.md §13 has the full proof sketch)
     ///
@@ -1670,12 +1721,11 @@ impl Simulator {
     /// The span runs `consume`'s float operations in the same order on
     /// local copies and commits in one shot, so the committed trajectory
     /// is bit-identical to per-step execution — there is no "closed-form
-    /// energy jump" to reconcile.
-    fn try_advance_active(&mut self, max_steps: u64, t_end: f64) -> u64 {
-        let guards = match self.active_span_guards() {
-            Some(g) => g,
-            None => return 0,
-        };
+    /// energy jump" to reconcile. Each step's `dt` and drawn energy come
+    /// precomputed from its [`gecko_mcu::PEntry`] (bit-equal to what `consume`
+    /// derives); [`Machine::retire_span`] is inlined here, so the meter,
+    /// the guard scalars and the PC stay in registers for the whole span.
+    fn try_advance_active(&mut self, max_steps: u64, t_end: f64) -> Result<u64, Refusal> {
         let ActiveGuards {
             adc_polls,
             power,
@@ -1686,13 +1736,15 @@ impl Simulator {
             worst_loss_j,
             commit_loss_j,
             commit_s,
-        } = guards;
+        } = self.active_span_guards()?;
         let horizon = segment::safe_steps(self.cap.energy_j(), e_guard, worst_loss_j);
         if horizon < MIN_ACTIVE_SPAN {
-            return 0;
+            return Err(Refusal::ShortHorizon);
         }
+        // The admit closure's own first checks, hoisted: the first
+        // instruction could not be admitted.
         if !(self.t_s < t_end && self.t_s < t_guard) {
-            return 0;
+            return Err(Refusal::NotAdmitted);
         }
 
         let budget = horizon.min(max_steps);
@@ -1700,7 +1752,18 @@ impl Simulator {
         // JIT protocol, changing whether the monitor polls: while it is
         // pending, runtime ops end the span and run on the exact path.
         let probation = self.probe.is_some();
-        let (save, commit) = self.ratchet_commit_costs();
+        // Ratchet's save and commit steps as `(cycles, dt, e_nj)`.
+        let (save, commit) = {
+            let (save, commit) = self.ratchet_commit_costs();
+            let step = |(cycles, extra_nj): (u64, f64)| {
+                (
+                    cycles,
+                    self.cost.cycles_to_seconds(cycles),
+                    self.energy.cycles_energy_nj(cycles) + extra_nj,
+                )
+            };
+            (step(save), step(commit))
+        };
         let mut meter = SpanMeter {
             cap: self.cap.clone(),
             adc: self.adc.clone(),
@@ -1714,8 +1777,6 @@ impl Simulator {
             v_max: self.thresholds.v_max,
             v_backup: self.thresholds.v_backup,
             v_off: self.thresholds.v_off,
-            cost: self.cost,
-            energy: self.energy,
         };
         let mut done = 0u64;
         let end = loop {
@@ -1726,7 +1787,7 @@ impl Simulator {
                 &mut self.periph,
                 budget - done,
                 RUNTIME_AREA_FENCE,
-                |cycles, energy_nj, overhead| {
+                |entry, overhead| {
                     // The reference loop-head conditions, checked before
                     // the instruction executes: the time horizons and the
                     // exact worst-case energy guard on the live local
@@ -1757,8 +1818,7 @@ impl Simulator {
                         refused = Some(SpanEnd::Energy);
                         return false;
                     }
-                    let base_nj = meter.energy.cycles_energy_nj(cycles);
-                    meter.consume(cycles, (energy_nj - base_nj).max(0.0), !overhead);
+                    meter.consume(entry.cycles, entry.dt_s, entry.step_nj, !overhead);
                     // A runtime op polls after its scheme effect, below.
                     if !overhead {
                         meter.poll();
@@ -1780,9 +1840,9 @@ impl Simulator {
             self.fast.eh_runtime_ops += 1;
             if let (SchemeKind::Ratchet, StepEvent::Boundary(_)) = (self.scheme, event) {
                 for _ in 0..Reg::COUNT {
-                    meter.consume(save.0, save.1, false);
+                    meter.consume(save.0, save.1, save.2, false);
                 }
-                meter.consume(commit.0, commit.1, false);
+                meter.consume(commit.0, commit.1, commit.2, false);
             }
             self.apply_runtime_op(event, false);
             meter.poll();
@@ -1790,28 +1850,45 @@ impl Simulator {
                 break SpanEnd::Budget;
             }
         };
-        if done > 0 {
-            self.cap = meter.cap;
-            self.adc = meter.adc;
-            self.t_s = meter.t;
-            self.metrics.energy_nj = meter.energy_nj;
-            self.metrics.forward_cycles += meter.forward_cycles;
-            self.metrics.overhead_cycles += meter.overhead_cycles;
-            self.cycles_since_boot += meter.forward_cycles + meter.overhead_cycles;
-            self.metrics.sim_time_s = self.t_s;
-            self.fast.steps += done;
-            self.fast.eh_insts += done;
-            self.fast.eh_spans += 1;
-            match end {
-                SpanEnd::Energy => self.fast.eh_end_energy += 1,
-                SpanEnd::Time => self.fast.eh_end_time += 1,
-                SpanEnd::AttackEdge => self.fast.eh_end_attack_edge += 1,
-                SpanEnd::FaultEdge => self.fast.eh_end_fault_edge += 1,
-                SpanEnd::Budget => self.fast.eh_end_budget += 1,
-                SpanEnd::Program => self.fast.eh_end_program += 1,
-            }
+        if done == 0 {
+            return Err(Refusal::NotAdmitted);
         }
-        done
+        self.cap = meter.cap;
+        self.adc = meter.adc;
+        self.t_s = meter.t;
+        self.metrics.energy_nj = meter.energy_nj;
+        self.metrics.forward_cycles += meter.forward_cycles;
+        self.metrics.overhead_cycles += meter.overhead_cycles;
+        self.cycles_since_boot += meter.forward_cycles + meter.overhead_cycles;
+        self.metrics.sim_time_s = self.t_s;
+        self.fast.steps += done;
+        self.fast.eh_insts += done;
+        self.fast.eh_spans += 1;
+        match end {
+            SpanEnd::Energy => self.fast.eh_end_energy += 1,
+            SpanEnd::Time => self.fast.eh_end_time += 1,
+            SpanEnd::AttackEdge => self.fast.eh_end_attack_edge += 1,
+            SpanEnd::FaultEdge => self.fast.eh_end_fault_edge += 1,
+            SpanEnd::Budget => self.fast.eh_end_budget += 1,
+            SpanEnd::Program => self.fast.eh_end_program += 1,
+        }
+        Ok(done)
+    }
+
+    /// Counts one ON-state step that no event-horizon span could take.
+    fn count_refusal(&mut self, why: Refusal) {
+        let f = &mut self.fast;
+        f.eh_refused += 1;
+        *match why {
+            Refusal::Interpreted => &mut f.eh_refused_interpreted,
+            Refusal::Fault => &mut f.eh_refused_fault,
+            Refusal::FilteredAdc => &mut f.eh_refused_filtered_adc,
+            Refusal::HeldBelowBackup => &mut f.eh_refused_held_below_backup,
+            Refusal::LatchedComparator => &mut f.eh_refused_latched_comparator,
+            Refusal::Harvester => &mut f.eh_refused_harvester,
+            Refusal::ShortHorizon => &mut f.eh_refused_short_horizon,
+            Refusal::NotAdmitted => &mut f.eh_refused_not_admitted,
+        } += 1;
     }
 
     /// The per-instruction Ratchet boundary costs as `(cycles, extra_nj)`
